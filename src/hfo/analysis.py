@@ -5,7 +5,8 @@ cross-checks against the closed-form variation-of-constants decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class Constants:
             "y_tilde": self.y_tilde.tolist(),
             "x_tilde": self.x_tilde.tolist(),
             "b_norm": self.b_norm,
+            "m_estimate": (None if self.m_estimate is None
+                           else dataclasses.asdict(self.m_estimate)),
         }
 
 
@@ -51,6 +54,11 @@ class MEstimate:
     t_at_max: float
     sup: float
     non_normal_note: str | None = None
+
+
+# Most n x n matrices one batched call holds at once (estimate_M's SVDs,
+# reconstruct_x's exponentials), so memory stays O(n^2) per block.
+_STACK_BLOCK = 100
 
 
 def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma,
@@ -146,12 +154,17 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     step = linalg.mat_exp(a, h)
     e = np.eye(a.shape[0])
     sup, t_at = 1.0, 0.0
-    for k in range(1, grid_points + 1):
-        e = step @ e
-        t = k * h
-        value = np.linalg.norm(e, 2) * np.exp(rho * t)
-        if value > sup:
-            sup, t_at = value, t
+    block = np.empty((min(_STACK_BLOCK, grid_points),) + a.shape)
+    for start in range(1, grid_points + 1, _STACK_BLOCK):
+        t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
+        for i in range(len(t)):
+            e = step @ e
+            block[i] = e
+        norms = np.linalg.svd(block[:len(t)], compute_uv=False)[:, 0]
+        values = norms * np.exp(rho * t)
+        best = int(np.argmax(values))
+        if values[best] > sup:
+            sup, t_at = float(values[best]), float(t[best])
     note = None
     _, vecs = np.linalg.eig(a)
     cond = np.linalg.cond(vecs)
@@ -232,10 +245,12 @@ def bound_thm2(t, init_dist: float, c: Constants, timers) -> float:
 @dataclass
 class BoundReport:
     which: str
-    entries: list  # (t, j, lhs, rhs_raw, rhs_clipped)
+    entries: np.ndarray  # (k, 5) rows of (t, j, lhs, rhs_raw, rhs_clipped)
     max_violation: float
     first_entry_time: float | None  # first t with lhs <= 1e-6
     init_dist: float
+    worst_t: float  # hybrid time (t, j) of the sample attaining max_violation
+    worst_j: int
 
     @property
     def passed(self) -> bool:
@@ -246,20 +261,20 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
                 which: str = "thm1") -> BoundReport:
     """Evaluate distance vs. the convergence bound at every stored sample."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    init_dist = dist_to_A(arc.segments[0].states[0], c)
-    entries = []
-    max_violation = -np.inf
-    first_entry = None
-    for seg in arc.segments:
-        for t, state in zip(seg.times, seg.states):
-            lhs = dist_to_A(state, c)
-            rhs = float(bound_fn(t, init_dist, c, params.timers))
-            clipped = max(rhs, 0.0)
-            entries.append((float(t), seg.j, lhs, rhs, clipped))
-            max_violation = max(max_violation, lhs - clipped)
-            if first_entry is None and lhs <= 1e-6:
-                first_entry = float(t)
-    return BoundReport(which, entries, float(max_violation), first_entry, init_dist)
+    t = np.concatenate([seg.times for seg in arc.segments])
+    j = np.concatenate([np.full(len(seg.times), seg.j) for seg in arc.segments])
+    x = np.vstack([s.x for seg in arc.segments for s in seg.states])
+    lhs = np.maximum(np.linalg.norm(x - c.x_tilde, axis=1) - c.r, 0.0)
+    init_dist = float(lhs[0])
+    rhs = bound_fn(t, init_dist, c, params.timers)
+    clipped = np.maximum(rhs, 0.0)
+    gap = lhs - clipped
+    worst = int(np.argmax(gap))
+    inside = np.flatnonzero(lhs <= 1e-6)
+    first_entry = float(t[inside[0]]) if inside.size else None
+    return BoundReport(which, np.column_stack([t, j, lhs, rhs, clipped]),
+                       float(gap[worst]), first_entry, init_dist,
+                       float(t[worst]), int(j[worst]))
 
 
 @dataclass
@@ -272,40 +287,44 @@ class ReconstructionResult:
 def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     """Rebuild the plant trajectory from x(0,0) and the logged input sequence.
 
-    Integrates the variation-of-constants decomposition over the intervals on
-    which the input is constant (each integral evaluated in closed form) and
-    reports the worst deviation from the stored trajectory.
+    On an input period anchored at (t_a, x_a) with constant input u, the
+    variation-of-constants formula reads
+    x(t) = e^{A(t - t_a)} (x_a + w) - w with w = A^{-1} B u, since A^{-1}
+    commutes with e^{At}. So w costs one guarded solve per period, and every
+    stored sample gets its own exponential of its offset from the anchor
+    (never chained from the previous sample, which keeps this independent of
+    the simulator's stepped propagator). Reports the worst deviation from the
+    stored trajectory.
     """
     if arc.jumps is None:
         raise ValueError("arc is missing its jump log")
     a, b = params.plant.a, params.plant.b
-    eye = np.eye(a.shape[0])
 
     first = arc.segments[0].states[0]
-    anchor_t, anchor_x, u_p = 0.0, first.x.copy(), first.u.copy()
+    anchor_t, anchor_x = 0.0, first.x.copy()
+    w = linalg.solve(a, b @ first.u)
     jump_iter = iter(arc.jumps)
     pending = next(jump_iter, None)
 
     times, recon = [], []
     max_dev = 0.0
     for seg in arc.segments:
-        for t, state in zip(seg.times, seg.states):
-            dt = t - anchor_t
-            e = linalg.mat_exp(a, dt)
-            x_rec = e @ anchor_x + linalg.solve(a, (e - eye) @ (b @ u_p))
+        for lo in range(0, len(seg.times), _STACK_BLOCK):
+            t = seg.times[lo:lo + _STACK_BLOCK]
+            x_rec = linalg.mat_exp(a, t - anchor_t) @ (anchor_x + w) - w
+            stored = np.array([s.x for s in seg.states[lo:lo + _STACK_BLOCK]])
             times.append(t)
             recon.append(x_rec)
-            max_dev = max(max_dev, float(np.max(np.abs(x_rec - state.x))))
+            max_dev = max(max_dev, float(np.max(np.abs(x_rec - stored))))
         # input changes recorded at this segment's closing jump re-anchor the sum
         while pending is not None and pending.time.j == seg.j:
             if pending.applied == "g2":
-                dt = pending.time.t - anchor_t
-                e = linalg.mat_exp(a, dt)
-                anchor_x = e @ anchor_x + linalg.solve(a, (e - eye) @ (b @ u_p))
+                e = linalg.mat_exp(a, pending.time.t - anchor_t)
+                anchor_x = e @ (anchor_x + w) - w
                 anchor_t = pending.time.t
-                u_p = pending.state_after.u.copy()
+                w = linalg.solve(a, b @ pending.state_after.u)
             pending = next(jump_iter, None)
-    return ReconstructionResult(max_dev, np.asarray(times), np.vstack(recon))
+    return ReconstructionResult(max_dev, np.concatenate(times), np.vstack(recon))
 
 
 @dataclass

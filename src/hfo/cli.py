@@ -130,6 +130,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _bound_check(rep) -> dict:
+    return {
+        "passed": rep.passed,
+        "max_violation": rep.max_violation,
+        "first_entry_time": rep.first_entry_time,
+        "worst_t": rep.worst_t,
+        "worst_j": rep.worst_j,
+    }
+
+
 def cmd_verify(args) -> int:
     config = _load(args.config)
     arc, consts, diag = _run(config)
@@ -140,23 +150,15 @@ def cmd_verify(args) -> int:
         c.status == "pass" for c in diag.checks if c.name == "init_restricted"
     ) and config.init_mode == "strict"
     if strict_ok:
-        thm1 = analysis.check_bound(arc, consts, params, "thm1")
-        checks["bound_thm1"] = {
-            "passed": thm1.passed,
-            "max_violation": thm1.max_violation,
-            "first_entry_time": thm1.first_entry_time,
-        }
+        checks["bound_thm1"] = _bound_check(
+            analysis.check_bound(arc, consts, params, "thm1"))
     else:
         checks["bound_thm1"] = {
             "passed": None,
             "skipped": "restricted initialization not satisfied",
         }
-    thm2 = analysis.check_bound(arc, consts, params, "thm2")
-    checks["bound_thm2"] = {
-        "passed": thm2.passed,
-        "max_violation": thm2.max_violation,
-        "first_entry_time": thm2.first_entry_time,
-    }
+    checks["bound_thm2"] = _bound_check(
+        analysis.check_bound(arc, consts, params, "thm2"))
 
     rates = analysis.rate_check(arc, params)
     checks["contraction"] = {

@@ -5,7 +5,8 @@ optional perturbation block."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,16 @@ def _require(data: dict, key: str, where: str):
     if key not in data:
         raise ConfigError(f"missing required field '{where}.{key}'")
     return data[key]
+
+
+def _finite(value, where: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field '{where}' is not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"field '{where}' must be finite, got {out}")
+    return out
 
 
 def _matrix(data, where: str, shape=None) -> np.ndarray:
@@ -164,9 +175,16 @@ def parse_config(source) -> ScenarioConfig:
         raise ConfigError("policy.case3_order must be g1_first|g2_first|random")
 
     horizon_raw = _require(raw, "horizon", "config")
-    horizon = (float(_require(horizon_raw, "T", "horizon")),
-               int(_require(horizon_raw, "J", "horizon")))
-    sample_dt = float(raw.get("sample_dt", 0.01))
+    t_max = _finite(_require(horizon_raw, "T", "horizon"), "horizon.T")
+    if t_max < 0.0:
+        raise ConfigError(f"field 'horizon.T' must be nonnegative, got {t_max}")
+    j_max = _finite(_require(horizon_raw, "J", "horizon"), "horizon.J")
+    if j_max < 0.0:
+        raise ConfigError(f"field 'horizon.J' must be nonnegative, got {j_max}")
+    horizon = (t_max, int(j_max))
+    sample_dt = _finite(raw.get("sample_dt", 0.01), "sample_dt")
+    if sample_dt <= 0.0:
+        raise ConfigError(f"field 'sample_dt' must be positive, got {sample_dt}")
 
     init_raw = raw.get("init", {})
     init_mode = init_raw.get("mode", "strict")

@@ -9,7 +9,7 @@ jump-priority semantics, and the resulting solution arcs.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -42,14 +42,25 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def mat_exp(a, t: float) -> np.ndarray:
-    """Matrix exponential e^{A t} via scaling-and-squaring (Pade)."""
+def mat_exp(a, t) -> np.ndarray:
+    """Matrix exponential e^{A t} via scaling-and-squaring (Pade).
+
+    A scalar ``t`` gives one (n, n) matrix. A 1-D array of k times gives the
+    (k, n, n) stack of e^{A t_i}, each computed independently in one call.
+    """
     a = _as_square(a)
-    if not np.isfinite(t):
+    if np.ndim(t) == 0:
+        if not np.isfinite(t):
+            raise ValueError("t must be finite")
+        if t == 0.0:
+            return np.eye(a.shape[0])
+        return scipy.linalg.expm(a * t)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim != 1:
+        raise DimensionError(f"t must be a scalar or a 1-D array, got {ts.shape}")
+    if not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite")
-    if t == 0.0:
-        return np.eye(a.shape[0])
-    return scipy.linalg.expm(a * t)
+    return scipy.linalg.expm(a * ts[:, None, None])
 
 
 def step_lti(a, b, x, u, dt: float) -> np.ndarray:

@@ -8,7 +8,7 @@ validation of every standing assumption.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -52,16 +52,18 @@ def random_spd(rng, n, lo=0.5, hi=2.0):
 
 
 def random_params(rng, gamma_frac=None, ball_prob=0.25,
-                  aligned_timers=False) -> ModelParams:
+                  aligned_timers=False, n=None) -> ModelParams:
     """Random validated parameter set at desk scale.
 
     Sizes, conditioning, and timer ratios are kept moderate so the derived
     constants stay informative and horizons stay short.  With
     ``aligned_timers`` the tau_c bounds are exact multiples of tau_g_comp, so
     every flow interval between jump instants lasts a full gradient period
-    (the quantitative dwell property only holds on that subclass).
+    (the quantitative dwell property only holds on that subclass). ``n``
+    fixes the plant order instead of drawing it from 1..3.
     """
-    n = int(rng.integers(1, 4))
+    if n is None:
+        n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
     p = int(rng.integers(1, 3))
     a = random_hurwitz(rng, n)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hfo import analysis, hybrid
 from hfo.analysis import (
@@ -34,6 +35,74 @@ def s1_arc(horizon=(6.0, 1000), sample_dt=0.01):
     zeta0 = strict_initial_state(params)
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=1)
     return hybrid.simulate(model, zeta0, policy, horizon, sample_dt), params
+
+
+def mimo_arc(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0):
+    """Arc of a generated order-n plant, optionally started x_shift away
+    from the strict initial plant state in every coordinate."""
+    params = random_params(np.random.default_rng(seed), n=n)
+    zeta0 = strict_initial_state(params)
+    zeta0 = dataclasses.replace(zeta0, x=zeta0.x + x_shift)
+    arc = hybrid.simulate(HybridFOModel.nominal(params), zeta0,
+                          JumpPolicy(seed=2), horizon, 0.02)
+    return arc, params
+
+
+def per_sample_reconstruction(arc, params):
+    """Oracle: the anchored variation-of-constants form evaluated one sample
+    at a time, x = e^{A dt} x_a + A^{-1}(e^{A dt} - I) B u, with the
+    exponential and the solve taken afresh for every sample."""
+    a, b = params.plant.a, params.plant.b
+    eye = np.eye(a.shape[0])
+    first = arc.segments[0].states[0]
+    anchor_t, anchor_x, u_p = 0.0, first.x.copy(), first.u.copy()
+
+    def at(t):
+        e = scipy.linalg.expm(a * (t - anchor_t))
+        return e @ anchor_x + np.linalg.solve(a, (e - eye) @ (b @ u_p))
+
+    jumps = list(arc.jumps)
+    recon = []
+    for seg in arc.segments:
+        recon.extend(at(t) for t in seg.times)
+        while jumps and jumps[0].time.j == seg.j:
+            rec = jumps.pop(0)
+            if rec.applied == "g2":
+                anchor_x, anchor_t = at(rec.time.t), rec.time.t
+                u_p = rec.state_after.u.copy()
+    return np.vstack(recon)
+
+
+def per_sample_bound_check(arc, c, params, which):
+    """Oracle: (max_violation, first_entry_time, (t, j) of the first sample
+    attaining it), from a plain loop over the stored samples."""
+    bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
+    init_dist = dist_to_A(arc.segments[0].states[0], c)
+    worst, witness, first_entry = -np.inf, None, None
+    for seg in arc.segments:
+        for t, state in zip(seg.times, seg.states):
+            lhs = dist_to_A(state, c)
+            gap = lhs - max(float(bound_fn(t, init_dist, c, params.timers)), 0.0)
+            if gap > worst:
+                worst, witness = gap, (float(t), seg.j)
+            if first_entry is None and lhs <= 1e-6:
+                first_entry = float(t)
+    return worst, first_entry, witness
+
+
+def unblocked_estimate(a, rho, grid_points, horizon_factor):
+    """Oracle: (sup, t_at_max) of ||e^{At}|| e^{rho t} on estimate_M's grid,
+    one spectral norm per grid point."""
+    h = horizon_factor / rho / grid_points
+    step = scipy.linalg.expm(a * h)
+    e = np.eye(a.shape[0])
+    sup, t_at = 1.0, 0.0
+    for k in range(1, grid_points + 1):
+        e = step @ e
+        value = np.linalg.norm(e, 2) * np.exp(rho * k * h)
+        if value > sup:
+            sup, t_at = value, k * h
+    return sup, t_at
 
 
 class TestSolveOptimal:
@@ -131,6 +200,21 @@ class TestEstimateM:
         with pytest.raises(ValueError):
             estimate_M(np.array([[-1.0]]), 0.0)
 
+    @pytest.mark.parametrize("grid_points, horizon_factor", [
+        (7, 10.0),  # fewer points than one block
+        (257, 10.0),  # a partial last block, maximizer inside a full one
+        (257, 0.3),  # v(t) still rising: the maximizer is the last grid point
+    ])
+    def test_blocks_match_unblocked_loop(self, grid_points, horizon_factor):
+        a = np.array([[-1.0, 4.0], [0.0, -2.0]])
+        est = estimate_M(a, 1.0, grid_points=grid_points,
+                         horizon_factor=horizon_factor)
+        sup, t_at = unblocked_estimate(a, 1.0, grid_points, horizon_factor)
+        assert est.sup == pytest.approx(sup, rel=1e-12)
+        assert est.t_at_max == t_at
+        if horizon_factor < 1.0:
+            assert est.t_at_max == pytest.approx(horizon_factor)
+
 
 class TestConstants:
     def test_s1_exact_values(self, s1):
@@ -212,6 +296,26 @@ class TestBounds:
         report = check_bound(arc, c, params, "thm1")
         assert not report.passed
 
+    @pytest.mark.parametrize("case", ["s1-inside", "s1-shrunk", "mimo-far"])
+    @pytest.mark.parametrize("which", ["thm1", "thm2"])
+    def test_matches_per_sample_loop(self, case, which):
+        if case == "mimo-far":
+            arc, params = mimo_arc(n=6, x_shift=30.0)
+            c = constants(params)
+        else:
+            arc, params = s1_arc()
+            c = constants(params, r_scale=0.05 if case == "s1-shrunk" else 1.0)
+        report = check_bound(arc, c, params, which)
+        worst, first_entry, witness = per_sample_bound_check(arc, c, params,
+                                                              which)
+        assert report.max_violation == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert report.first_entry_time == first_entry
+        assert (report.worst_t, report.worst_j) == witness
+        samples = sum(len(seg.times) for seg in arc.segments)
+        assert report.entries.shape == (samples, 5)
+        if case == "mimo-far":
+            assert report.init_dist > 0.0 and first_entry > 0.0
+
 
 class TestReconstruction:
     def test_s1_exact(self):
@@ -236,6 +340,34 @@ class TestReconstruction:
             params, plant=Plant(np.array([[-2.0]]), params.plant.b,
                                 params.plant.c_out, params.plant.d))
         assert reconstruct_x(arc, wrong).max_deviation > 1e-3
+
+    def test_matches_per_sample_oracle_n20(self):
+        arc, params = mimo_arc(n=20, x_shift=1.0)
+        result = reconstruct_x(arc, params)
+        oracle = per_sample_reconstruction(arc, params)
+        assert result.reconstructed.shape == oracle.shape
+        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert np.array_equal(result.times,
+                              np.concatenate([s.times for s in arc.segments]))
+        assert result.max_deviation <= 1e-8
+
+    def test_detects_single_corrupted_sample(self):
+        arc, params = mimo_arc(n=20, x_shift=1.0)
+        clean = reconstruct_x(arc, params)
+        # the middle sample of a flow segment in a later input period
+        i = len(arc.segments) * 2 // 3
+        while len(arc.segments[i].times) < 3:
+            i += 1
+        seg = arc.segments[i]
+        k = len(seg.times) // 2
+        row = sum(len(s.times) for s in arc.segments[:i]) + k
+        state = seg.states[k]
+        # push the stored value away from its reconstruction
+        push = np.sign(state.x[0] - clean.reconstructed[row, 0]) or 1.0
+        x = state.x.copy()
+        x[0] += push * 1e-6
+        seg.states[k] = dataclasses.replace(state, x=x)
+        assert reconstruct_x(arc, params).max_deviation >= 1e-6
 
 
 class TestRateCheck:

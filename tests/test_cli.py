@@ -52,6 +52,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="objective.Q_u"):
             parse_config(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon.T", float("nan")),
+        ("horizon.T", float("inf")),
+        ("horizon.T", -1.0),
+        ("horizon.J", float("nan")),
+        ("sample_dt", float("nan")),
+        ("sample_dt", 0.0),
+        ("sample_dt", -0.01),
+    ])
+    def test_bad_horizon_or_sample_step_names_field(self, tmp_path, capsys,
+                                                    field, value):
+        data = load_s1_dict()
+        if field == "sample_dt":
+            data["sample_dt"] = value
+        else:
+            data["horizon"][field.split(".")[1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_json_error_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "plant": [,]\n}')
@@ -92,6 +114,21 @@ class TestSimulateCommand:
         assert report["non_zeno"]["passed"] is True
         assert report["constants"]["rho"] == 1.0
         assert "tool_version" in report
+
+    def test_report_carries_m_estimate_audit(self, tmp_path):
+        data = load_s1_dict()
+        data["horizon"] = {"T": 1.0, "J": 100}
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 0
+        consts = json.loads((tmp_path / "report.json").read_text())["constants"]
+        audit = consts["m_estimate"]
+        assert set(audit) == {"value", "sup", "t_at_max", "non_normal_note"}
+        assert audit["value"] == consts["m_hat"]
+        assert audit["value"] == pytest.approx(1.05 * max(1.0, audit["sup"]))
+        # scalar S1 plant: ||e^{-t}|| e^{t} == 1 on the whole grid [0, 10]
+        assert audit["sup"] == pytest.approx(1.0)
+        assert 0.0 <= audit["t_at_max"] <= 10.0
+        assert audit["non_normal_note"] is None
 
     def test_zero_horizon_single_row(self, tmp_path):
         data = load_s1_dict()
@@ -137,6 +174,10 @@ class TestVerifyCommand:
                      "reconstruction", "non_zeno"):
             assert report["checks"][name]["passed"] is True
             assert f"PASS {name}" in out
+        for name in ("bound_thm1", "bound_thm2"):
+            check = report["checks"][name]
+            assert 0.0 <= check["worst_t"] <= 10.0
+            assert isinstance(check["worst_j"], int) and check["worst_j"] >= 0
 
     def test_non_strict_init_skips_thm1(self, tmp_path, capsys):
         data = load_s1_dict()

@@ -39,6 +39,22 @@ class TestMatExp:
         with pytest.raises(ValueError):
             linalg.mat_exp(np.array([[np.nan]]), 1.0)
 
+    def test_time_array_gives_independent_stack(self):
+        a = random_hurwitz(np.random.default_rng(11), 4)
+        ts = np.array([0.0, 0.01, 0.3, 2.5])
+        stack = linalg.mat_exp(a, ts)
+        assert stack.shape == (4, 4, 4)
+        for t, e in zip(ts, stack):
+            assert np.array_equal(e, linalg.mat_exp(a, t))
+
+    def test_time_array_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.mat_exp(np.eye(2), np.array([0.1, np.inf]))
+
+    def test_time_array_must_be_flat(self):
+        with pytest.raises(linalg.DimensionError):
+            linalg.mat_exp(np.eye(2), np.zeros((2, 2)))
+
 
 class TestStepLti:
     def test_scalar_closed_form(self):
