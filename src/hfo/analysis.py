@@ -144,8 +144,12 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     """Estimate of the overshoot constant in ||e^{At}|| <= M e^{-rho t}.
 
     Grid supremum of ||e^{At}|| e^{rho t} over [0, horizon_factor/rho] with a
-    safety margin; the maximizer is returned for audit. Emits a note when the
-    eigenvector basis is badly conditioned (highly non-normal plant).
+    safety margin; the maximizer is returned for audit. The recurrence that
+    builds e^{At} on the grid carries a relative rounding error of up to
+    about grid_points * n * eps, so grid values that close to the largest one
+    count as ties, and the earliest of them (t = 0, value 1, included) is the
+    reported maximizer. Emits a note when the eigenvector basis is badly
+    conditioned (highly non-normal plant).
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -153,7 +157,8 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     h = horizon_factor / rho / grid_points
     step = linalg.mat_exp(a, h)
     e = np.eye(a.shape[0])
-    sup, t_at = 1.0, 0.0
+    values = np.empty(grid_points + 1)
+    values[0] = 1.0
     block = np.empty((min(_STACK_BLOCK, grid_points),) + a.shape)
     for start in range(1, grid_points + 1, _STACK_BLOCK):
         t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
@@ -161,10 +166,10 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
             e = step @ e
             block[i] = e
         norms = np.linalg.svd(block[:len(t)], compute_uv=False)[:, 0]
-        values = norms * np.exp(rho * t)
-        best = int(np.argmax(values))
-        if values[best] > sup:
-            sup, t_at = float(values[best]), float(t[best])
+        values[start:start + len(t)] = norms * np.exp(rho * t)
+    tie = grid_points * a.shape[0] * np.finfo(float).eps
+    at = int(np.argmax(values * (1.0 + tie) >= values.max()))
+    sup, t_at = float(values[at]), at * h
     note = None
     _, vecs = np.linalg.eig(a)
     cond = np.linalg.cond(vecs)
@@ -220,6 +225,11 @@ def dist_to_A(state: State, c: Constants) -> float:
     return max(0.0, float(np.linalg.norm(state.x - c.x_tilde)) - c.r)
 
 
+def dist_to_A_rows(x: np.ndarray, c: Constants) -> np.ndarray:
+    """``dist_to_A`` of every row of a (k, n) array of plant states."""
+    return np.maximum(np.linalg.norm(x - c.x_tilde, axis=1) - c.r, 0.0)
+
+
 def _bound(t, init_dist, c: Constants, timers, middle_exponent_scale: float):
     tail = np.exp(-c.rho * np.asarray(t, dtype=float))
     q_pow = c.q ** (timers.ell / 2.0)
@@ -263,8 +273,7 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
     t = np.concatenate([seg.times for seg in arc.segments])
     j = np.concatenate([np.full(len(seg.times), seg.j) for seg in arc.segments])
-    x = np.vstack([s.x for seg in arc.segments for s in seg.states])
-    lhs = np.maximum(np.linalg.norm(x - c.x_tilde, axis=1) - c.r, 0.0)
+    lhs = dist_to_A_rows(np.vstack([seg.x for seg in arc.segments]), c)
     init_dist = float(lhs[0])
     rhs = bound_fn(t, init_dist, c, params.timers)
     clipped = np.maximum(rhs, 0.0)
@@ -300,7 +309,7 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
         raise ValueError("arc is missing its jump log")
     a, b = params.plant.a, params.plant.b
 
-    first = arc.segments[0].states[0]
+    first = arc.segments[0].start
     anchor_t, anchor_x = 0.0, first.x.copy()
     w = linalg.solve(a, b @ first.u)
     jump_iter = iter(arc.jumps)
@@ -312,7 +321,7 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
         for lo in range(0, len(seg.times), _STACK_BLOCK):
             t = seg.times[lo:lo + _STACK_BLOCK]
             x_rec = linalg.mat_exp(a, t - anchor_t) @ (anchor_x + w) - w
-            stored = np.array([s.x for s in seg.states[lo:lo + _STACK_BLOCK]])
+            stored = seg.x[lo:lo + _STACK_BLOCK]
             times.append(t)
             recon.append(x_rec)
             max_dev = max(max_dev, float(np.max(np.abs(x_rec - stored))))
@@ -349,7 +358,7 @@ def rate_check(arc: HybridArc, params: ModelParams,
     input period against that period's projected-gradient fixed point."""
     c_q = constants_q(params)
     h = effective_gain(params)
-    first = arc.segments[0].states[0]
+    first = arc.segments[0].start
     y_period = first.y_s
     iterates = [first.z]
     periods: list[PeriodCheck] = []

@@ -1,7 +1,8 @@
 """Command-line frontend: simulate scenarios, verify the convergence theory
 against simulated arcs, and run robustness sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 input or validation error.
+Exit codes: 0 success, 1 verification failure, 2 input or validation error,
+3 internal error (a numerical failure or a broken invariant inside hfo).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ from .robustness import robustness_sweep
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load(config_path: str) -> ScenarioConfig:
@@ -76,6 +79,19 @@ def _state_row(t, j, case, state, consts) -> list:
     )
 
 
+def _segment_rows(seg, consts):
+    """The flow rows of one segment, read from its columns."""
+    start = seg.start
+    held = [repr(v) for v in
+            np.concatenate([start.u, start.y_s, start.z]).tolist()]
+    dist = analysis.dist_to_A_rows(seg.x, consts)
+    for t, x, tau_c, tau_g, d in zip(seg.times.tolist(), seg.x.tolist(),
+                                     seg.tau_c.tolist(), seg.tau_g.tolist(),
+                                     dist.tolist()):
+        yield ([repr(t), seg.j, ""] + [repr(v) for v in x] + held
+               + [repr(tau_c), repr(tau_g), repr(d)])
+
+
 def write_trajectory_csv(path: Path, arc, consts, params):
     """Flow samples plus a pre/post row pair for every jump."""
     jump_iter = iter(arc.jumps)
@@ -84,8 +100,7 @@ def write_trajectory_csv(path: Path, arc, consts, params):
         writer = csv.writer(fh)
         writer.writerow(_csv_header(params))
         for seg in arc.segments:
-            for t, state in zip(seg.times, seg.states):
-                writer.writerow(_state_row(t, seg.j, "", state, consts))
+            writer.writerows(_segment_rows(seg, consts))
             while pending is not None and pending.time.j == seg.j:
                 writer.writerow(_state_row(
                     pending.time.t, pending.time.j, f"{pending.case}:pre",
@@ -191,15 +206,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _sweep_arguments(args):
+    """(tau, deltas) from the command line; both finite and nonnegative."""
+    tau = args.tau
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ConfigError(f"--tau must be finite and >= 0, got {tau!r}")
+    if not args.deltas:
+        return tau, [1e-1, 1e-2, 1e-3]
+    deltas = []
+    for text in args.deltas.split(","):
+        try:
+            delta = float(text)
+        except ValueError:
+            raise ConfigError(f"--deltas: {text!r} is not a number") from None
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise ConfigError(
+                f"--deltas: every scale must be finite and >= 0, got {text!r}")
+        deltas.append(delta)
+    return tau, deltas
+
+
 def cmd_robustness(args) -> int:
+    tau, deltas = _sweep_arguments(args)
     config = _load(args.config)
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
     zeta0, diag = _validated(config)
-    deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else [
-        1e-1, 1e-2, 1e-3]
     sweep = robustness_sweep(config.params, config.perturbation, deltas,
-                             args.tau, config.policy, zeta0, config.sample_dt)
+                             tau, config.policy, zeta0, config.sample_dt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "robustness.csv").open("w", newline="") as fh:
@@ -259,6 +293,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    # LinAlgError derives from ValueError, so it must be caught first
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -40,18 +40,35 @@ class JumpStats:
 
 @dataclass
 class Segment:
-    """One flow interval of a hybrid arc, at fixed jump index j."""
+    """One flow interval of a hybrid arc, at fixed jump index j, stored as
+    columns: sample k is at time ``times[k]`` with plant state ``x[k]`` and
+    timers ``tau_c[k]``, ``tau_g[k]``. The components that stay constant
+    along a flow (u, y_s, z) live once, in the start state."""
 
     j: int
     t_start: float
     t_end: float
-    times: np.ndarray
-    states: list
+    times: np.ndarray  # (k,)
+    x: np.ndarray  # (k, n)
+    tau_c: np.ndarray  # (k,)
+    tau_g: np.ndarray  # (k,)
+    start: object  # the state at t_start
     rate_c: float = -1.0
     rate_g: float = -1.0
 
+    def state(self, k: int):
+        """The full state of sample k (negative k counts from the end)."""
+        return dataclasses.replace(self.start, x=self.x[k],
+                                   tau_c=float(self.tau_c[k]),
+                                   tau_g=float(self.tau_g[k]))
+
     def matrix(self) -> np.ndarray:
-        return np.vstack([s.as_vector() for s in self.states])
+        """Rows of [x, u, y_s, z, tau_c, tau_g], one per sample."""
+        k = len(self.times)
+        s = self.start
+        const = np.concatenate([s.u, s.y_s, s.z])
+        return np.column_stack([self.x, np.broadcast_to(const, (k, len(const))),
+                                self.tau_c, self.tau_g])
 
 
 @dataclass
@@ -96,19 +113,22 @@ def next_event(tau_c: float, tau_g: float, rate_c: float = -1.0, rate_g: float =
     return dt_g, "g"
 
 
-def _advance_timers(state, rate_c, rate_g, dt, expired=""):
-    tau_c = state.tau_c + rate_c * dt
-    tau_g = state.tau_g + rate_g * dt
-    if expired in ("c", "both") or abs(tau_c) <= EVENT_TOL:
-        tau_c = 0.0
-    if expired in ("g", "both") or abs(tau_g) <= EVENT_TOL:
-        tau_g = 0.0
-    return max(tau_c, 0.0), max(tau_g, 0.0)
+def _timer_column(tau0, rate, elapsed, expires):
+    """One timer at every entry of ``elapsed``: decreased affinely from
+    ``tau0``, snapped to zero within EVENT_TOL, zeroed on the last entry if
+    it expires at the segment's closing event, and clipped at zero."""
+    tau = tau0 + rate * elapsed
+    tau[np.abs(tau) <= EVENT_TOL] = 0.0
+    if expires:
+        tau[-1] = 0.0
+    return np.maximum(tau, 0.0)
 
 
 def _point_segment(model, state, t, j):
     rate_c, rate_g = model.timer_rates()
-    return Segment(j, t, t, np.array([t]), [state], rate_c, rate_g)
+    return Segment(j, t, t, np.array([t]), state.x[None, :].copy(),
+                   np.array([state.tau_c]), np.array([state.tau_g]), state,
+                   rate_c, rate_g)
 
 
 def _flow_segment(model, state, t, j, t_max, sample_dt):
@@ -129,30 +149,32 @@ def _flow_segment(model, state, t, j, t_max, sample_dt):
     else:
         dt_flow, expired, horizon_hit = remaining, "", True
 
-    times = [t]
-    states = [state]
-    x = state.x
-    elapsed = 0.0
+    # samples 0..n_grid on the sample_dt grid, then the exact segment end;
+    # cumsum adds sample_dt one step at a time, like a running total
     n_grid = int(np.floor(dt_flow / sample_dt - 1e-9))
-    for _ in range(n_grid):
-        x = model.flow_x(x, state.u, sample_dt)
-        elapsed += sample_dt
-        tau_c, tau_g = _advance_timers(state, rate_c, rate_g, elapsed)
-        times.append(t + elapsed)
-        states.append(dataclasses.replace(state, x=x, tau_c=tau_c, tau_g=tau_g))
+    elapsed = np.empty(n_grid + 2)
+    elapsed[0] = 0.0
+    np.cumsum(np.full(n_grid, sample_dt), out=elapsed[1:-1])
+    elapsed[-1] = dt_flow
+    x = np.empty((n_grid + 2, len(state.x)))
+    x[0] = state.x
+    for k in range(1, n_grid + 1):
+        x[k] = model.flow_x(x[k - 1], state.u, sample_dt)
     # closing partial step to the exact segment end
-    x_end = model.flow_x(x, state.u, dt_flow - elapsed)
-    tau_c, tau_g = _advance_timers(state, rate_c, rate_g, dt_flow, expired)
-    end_state = dataclasses.replace(state, x=x_end, tau_c=tau_c, tau_g=tau_g)
+    x_end = model.flow_x(x[n_grid], state.u, dt_flow - float(elapsed[n_grid]))
+    x[-1] = x_end
+    tau_c = _timer_column(state.tau_c, rate_c, elapsed, expired in ("c", "both"))
+    tau_g = _timer_column(state.tau_g, rate_g, elapsed, expired in ("g", "both"))
+    end_state = dataclasses.replace(state, x=x_end, tau_c=float(tau_c[-1]),
+                                    tau_g=float(tau_g[-1]))
     t_end = t + dt_flow
-    times.append(t_end)
-    states.append(end_state)
 
     if not model.contains(end_state):
         raise RuntimeError(
             f"state left the flow/jump domain at t={t_end} (model bug): {end_state}"
         )
-    seg = Segment(j, t, t_end, np.asarray(times), states, rate_c, rate_g)
+    seg = Segment(j, t, t_end, t + elapsed, x, tau_c, tau_g, state,
+                  rate_c, rate_g)
     return seg, end_state, t_end, horizon_hit
 
 
@@ -265,12 +287,12 @@ def arc_lookup(arc: HybridArc, at: HybridTime):
     idx = int(np.searchsorted(seg.times, t))
     idx = min(idx, len(seg.times) - 1)
     if abs(seg.times[idx] - t) <= EVENT_TOL:
-        return seg.states[idx]
+        return seg.state(idx)
     lo = idx - 1
     t0, t1 = seg.times[lo], seg.times[idx]
     w = (t - t0) / (t1 - t0)
-    x = (1.0 - w) * seg.states[lo].x + w * seg.states[idx].x
-    base = seg.states[0]
+    x = (1.0 - w) * seg.x[lo] + w * seg.x[idx]
+    base = seg.start
     dt = t - seg.t_start
     return dataclasses.replace(
         base,

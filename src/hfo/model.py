@@ -28,11 +28,6 @@ class State:
     tau_c: float
     tau_g: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.x, self.u, self.y_s, self.z, [self.tau_c], [self.tau_g]]
-        )
-
 
 def make_state(x, u, y_s, z, tau_c, tau_g) -> State:
     return State(

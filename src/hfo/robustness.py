@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import HybridArc, HybridTime, simulate
+from .hybrid import HybridArc, simulate
 from .model import HybridFOModel, JumpPolicy, ModelParams, State, strict_initial_state
 
 
@@ -57,8 +57,9 @@ def perturbed_model(params: ModelParams, pert: Perturbation,
     delta = 0 short-circuits to the nominal model so that nominal and
     zero-perturbation runs are bit-identical.
     """
-    if delta < 0:
-        raise ValueError("perturbation scale must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"perturbation scale must be finite and nonnegative, "
+                         f"got {delta!r}")
     if delta == 0.0:
         return HybridFOModel.nominal(params)
     tm = params.timers
@@ -97,29 +98,46 @@ class ClosenessResult:
     truncated: bool = False
 
 
-def _segment_index(arc: HybridArc):
-    index = {}
-    for seg in arc.segments:
-        index[seg.j] = (seg.times, seg.matrix())
-    return index
+# Samples with t + j <= tau + TAU_TOL take part in the closeness metric.
+TAU_TOL = 1e-12
+
+# Most elements one broadcast temporary of ``closeness`` holds: rows are
+# matched in blocks that stay under it, one row at a time at worst, when a
+# single row against the other segment takes more.
+_MATCH_BUDGET = 1 << 16
 
 
-def _directional(arc_a: HybridArc, index_b, tau: float, side: int):
+def _segment_matches(times_a, mat_a, times_b, mat_b) -> np.ndarray:
+    """For every row a: min over rows b of max(|t_b - t_a|, ||B_b - A_a||_inf)."""
+    rows = max(1, _MATCH_BUDGET // mat_b.size)
+    out = np.empty(len(times_a))
+    for lo in range(0, len(times_a), rows):
+        hi = lo + rows
+        gaps = np.abs(times_b - times_a[lo:hi, None])
+        diffs = np.max(np.abs(mat_b - mat_a[lo:hi, None, :]), axis=2)
+        out[lo:hi] = np.min(np.maximum(gaps, diffs), axis=1)
+    return out
+
+
+def _directional(arc_a: HybridArc, arc_b: HybridArc, tau: float, side: int):
+    """Worst match, over the samples of arc_a with t + j <= tau, against the
+    segment of arc_b at the same jump index; the witness is the first sample,
+    in segment and then time order, that attains it."""
+    segs_b = {seg.j: seg for seg in arc_b.segments}
     worst, witness = 0.0, (side, 0.0, 0)
     for seg in arc_a.segments:
-        entry = index_b.get(seg.j)
-        mat_a = seg.matrix()
-        for t, row in zip(seg.times, mat_a):
-            if t + seg.j > tau + 1e-12:
-                continue
-            if entry is None:
-                return math.inf, (side, float(t), seg.j)
-            times_b, mat_b = entry
-            gaps = np.abs(times_b - t)
-            diffs = np.max(np.abs(mat_b - row), axis=1)
-            cand = float(np.min(np.maximum(gaps, diffs)))
-            if cand > worst:
-                worst, witness = cand, (side, float(t), seg.j)
+        keep = seg.times + seg.j <= tau + TAU_TOL
+        if not keep.any():
+            continue
+        times = seg.times[keep]
+        other = segs_b.get(seg.j)
+        if other is None:
+            return math.inf, (side, float(times[0]), seg.j)
+        cand = _segment_matches(times, seg.matrix()[keep],
+                                other.times, other.matrix())
+        best = int(np.argmax(cand))
+        if cand[best] > worst:
+            worst, witness = float(cand[best]), (side, float(times[best]), seg.j)
     return worst, witness
 
 
@@ -131,10 +149,10 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     the other arc, within epsilon in both time and state (sup norm over the
     state components). Sampling density bounds the resolution of the result.
     """
-    truncated = (arc1.t_end + arc1.segments[-1].j + 1e-12 < tau
-                 or arc2.t_end + arc2.segments[-1].j + 1e-12 < tau)
-    e1, w1 = _directional(arc1, _segment_index(arc2), tau, 1)
-    e2, w2 = _directional(arc2, _segment_index(arc1), tau, 2)
+    truncated = (arc1.t_end + arc1.segments[-1].j + TAU_TOL < tau
+                 or arc2.t_end + arc2.segments[-1].j + TAU_TOL < tau)
+    e1, w1 = _directional(arc1, arc2, tau, 1)
+    e2, w2 = _directional(arc2, arc1, tau, 2)
     if e1 >= e2:
         return ClosenessResult(e1, tau, w1, truncated)
     return ClosenessResult(e2, tau, w2, truncated)
@@ -146,6 +164,8 @@ class SweepRow:
     epsilon: float
     witness_t: float
     witness_j: int
+    witness_arc: int  # 1 nominal, 2 perturbed: the arc holding the witness
+    truncated: bool  # an arc ended before t + j reached tau
 
 
 @dataclass
@@ -165,12 +185,23 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
 
     All runs share the seed, policy, and initial state so that the measured
     epsilon reflects the perturbation rather than selection divergence.
+
+    Each run stops at t = tau or at jump index J = floor(tau + TAU_TOL) + 1,
+    whichever comes first, and that changes no result. ``closeness`` reads
+    the samples with t + j <= tau + TAU_TOL; since t >= 0, they all lie in
+    segments with j <= J - 1. A read sample is matched against the whole
+    segment with the same j in the other arc, which again has j <= J - 1.
+    Segments 0..J-1 of a capped run equal those of an uncapped one, sample
+    for sample: the flow horizon is the same, and the jumps before them draw
+    the same random resets in the same order. Samples of those segments with
+    t + j > tau are kept, because they still serve as counterparts.
     """
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     if zeta0 is None:
         zeta0 = strict_initial_state(params)
     nominal = HybridFOModel.nominal(params)
-    j_cap = int(math.ceil(tau / nominal.min_dwell())) * 2 + 16
-    horizon = (float(tau), j_cap)
+    horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)
     arc_nom = simulate(nominal, zeta0, policy, horizon, sample_dt)
 
     rows = []
@@ -178,8 +209,9 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
         model = perturbed_model(params, pert, delta)
         arc_pert = simulate(model, zeta0, policy, horizon, sample_dt)
         result = closeness(arc_nom, arc_pert, tau)
-        rows.append(SweepRow(float(delta), result.epsilon,
-                             result.witness[1], result.witness[2]))
+        side, t, j = result.witness
+        rows.append(SweepRow(float(delta), result.epsilon, t, j, side,
+                             result.truncated))
 
     ordered = sorted(rows, key=lambda row: row.delta, reverse=True)
     nonincreasing = all(

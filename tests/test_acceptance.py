@@ -173,7 +173,7 @@ def _bound_suite(which, seed, init_fn):
     c = constants(params)
     rep = check_bound(arc, c, params, which)
     worst = max(worst, rep.max_violation)
-    worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].states[-1], c))
+    worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].state(-1), c))
 
     rng = np.random.default_rng(seed)
     for i in range(20):
@@ -187,7 +187,7 @@ def _bound_suite(which, seed, init_fn):
         rep = check_bound(arc, c, params, which)
         worst = max(worst, rep.max_violation)
         worst_tail = max(worst_tail,
-                         dist_to_A(arc.segments[-1].states[-1], c))
+                         dist_to_A(arc.segments[-1].state(-1), c))
     return worst, worst_tail
 
 

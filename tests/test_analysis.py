@@ -54,7 +54,7 @@ def per_sample_reconstruction(arc, params):
     exponential and the solve taken afresh for every sample."""
     a, b = params.plant.a, params.plant.b
     eye = np.eye(a.shape[0])
-    first = arc.segments[0].states[0]
+    first = arc.segments[0].start
     anchor_t, anchor_x, u_p = 0.0, first.x.copy(), first.u.copy()
 
     def at(t):
@@ -77,11 +77,11 @@ def per_sample_bound_check(arc, c, params, which):
     """Oracle: (max_violation, first_entry_time, (t, j) of the first sample
     attaining it), from a plain loop over the stored samples."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    init_dist = dist_to_A(arc.segments[0].states[0], c)
+    init_dist = dist_to_A(arc.segments[0].start, c)
     worst, witness, first_entry = -np.inf, None, None
     for seg in arc.segments:
-        for t, state in zip(seg.times, seg.states):
-            lhs = dist_to_A(state, c)
+        for k, t in enumerate(seg.times):
+            lhs = dist_to_A(seg.state(k), c)
             gap = lhs - max(float(bound_fn(t, init_dist, c, params.timers)), 0.0)
             if gap > worst:
                 worst, witness = gap, (float(t), seg.j)
@@ -169,8 +169,9 @@ class TestEstimateM:
     def test_scalar(self):
         est = estimate_M(np.array([[-1.0]]), 1.0)
         assert est.value == pytest.approx(1.05)
-        assert est.sup == pytest.approx(1.0)
-        assert 0.0 <= est.t_at_max <= 10.0
+        # ||e^{-t}|| e^{t} == 1: rounding-level excess ties with t = 0
+        assert est.sup == 1.0
+        assert est.t_at_max == 0.0
         assert est.non_normal_note is None
 
     def test_normal_matrix_no_overshoot(self):
@@ -361,12 +362,9 @@ class TestReconstruction:
         seg = arc.segments[i]
         k = len(seg.times) // 2
         row = sum(len(s.times) for s in arc.segments[:i]) + k
-        state = seg.states[k]
         # push the stored value away from its reconstruction
-        push = np.sign(state.x[0] - clean.reconstructed[row, 0]) or 1.0
-        x = state.x.copy()
-        x[0] += push * 1e-6
-        seg.states[k] = dataclasses.replace(state, x=x)
+        push = np.sign(seg.x[k, 0] - clean.reconstructed[row, 0]) or 1.0
+        seg.x[k, 0] += push * 1e-6
         assert reconstruct_x(arc, params).max_deviation >= 1e-6
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hfo import analysis, cli, hybrid
 from hfo.cli import main
 from hfo.config import ConfigError, config_to_dict, parse_config
 
@@ -19,6 +20,32 @@ def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def per_state_csv(path, arc, consts, params):
+    """Oracle: the trajectory CSV written one full state per row."""
+    def row(t, j, case, state):
+        return ([repr(float(t)), j, case]
+                + [repr(float(v)) for v in state.x]
+                + [repr(float(v)) for v in state.u]
+                + [repr(float(v)) for v in state.y_s]
+                + [repr(float(v)) for v in state.z]
+                + [repr(state.tau_c), repr(state.tau_g),
+                   repr(analysis.dist_to_A(state, consts))])
+
+    jumps = list(arc.jumps)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli._csv_header(params))
+        for seg in arc.segments:
+            for k, t in enumerate(seg.times):
+                writer.writerow(row(t, seg.j, "", seg.state(k)))
+            while jumps and jumps[0].time.j == seg.j:
+                rec = jumps.pop(0)
+                writer.writerow(row(rec.time.t, rec.time.j, f"{rec.case}:pre",
+                                    rec.state_before))
+                writer.writerow(row(rec.time.t, rec.time.j + 1,
+                                    f"{rec.case}:post", rec.state_after))
 
 
 class TestParseConfig:
@@ -125,10 +152,41 @@ class TestSimulateCommand:
         assert set(audit) == {"value", "sup", "t_at_max", "non_normal_note"}
         assert audit["value"] == consts["m_hat"]
         assert audit["value"] == pytest.approx(1.05 * max(1.0, audit["sup"]))
-        # scalar S1 plant: ||e^{-t}|| e^{t} == 1 on the whole grid [0, 10]
-        assert audit["sup"] == pytest.approx(1.0)
-        assert 0.0 <= audit["t_at_max"] <= 10.0
+        # scalar S1 plant: ||e^{-t}|| e^{t} == 1 on the whole grid [0, 10];
+        # grid values off by rounding alone tie with t = 0
+        assert audit["sup"] == 1.0
+        assert audit["t_at_max"] == 0.0
         assert audit["non_normal_note"] is None
+
+    def test_csv_matches_per_state_writer(self, tmp_path):
+        config = parse_config(str(S1_CONFIG))
+        arc, consts, _ = cli._run(config)
+        cli.write_trajectory_csv(tmp_path / "columns.csv", arc, consts,
+                                 config.params)
+        per_state_csv(tmp_path / "states.csv", arc, consts, config.params)
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "states.csv").read_bytes()
+        assert written.count(b"\n") > 1000
+
+    def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("state left the flow/jump domain")
+
+        monkeypatch.setattr(hybrid, "simulate", broken)
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: state left the flow/jump")
+        assert "Traceback" not in err
+
+    def test_linalg_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("matrix is singular")
+
+        monkeypatch.setattr(analysis, "reconstruct_x", singular)
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 3
+        assert "internal error: matrix is singular" in capsys.readouterr().err
 
     def test_zero_horizon_single_row(self, tmp_path):
         data = load_s1_dict()
@@ -230,6 +288,31 @@ class TestRobustnessCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
         assert float(rows[1][1]) == 0.0
+
+    def test_report_rows_carry_witness_arc_and_truncation(self, tmp_path):
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--tau", "6.5", "--deltas", "0.1,0"]) == 0
+        rows = json.loads((tmp_path / "robustness_report.json").read_text())[
+            "sweep"]["rows"]
+        assert [row["witness_arc"] for row in rows][0] in (1, 2)
+        assert [row["truncated"] for row in rows] == [False, False]
+        with (tmp_path / "robustness.csv").open() as fh:
+            header = next(csv.reader(fh))
+        assert header == ["delta", "epsilon", "witness_t", "witness_j"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "inf"), ("--tau", "nan"), ("--tau", "-1"),
+        ("--deltas", "nan"), ("--deltas", "0.1,-0.01"), ("--deltas", "inf"),
+        ("--deltas", "0.1,abc"),
+    ])
+    def test_bad_sweep_arguments_exit_2(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}")
+        assert not (tmp_path / "robustness.csv").exists()
 
     def test_missing_perturbation_exit_2(self, tmp_path, capsys):
         data = load_s1_dict()

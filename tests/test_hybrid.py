@@ -111,6 +111,83 @@ class TestSimulate:
             hybrid.simulate(model, bad, JumpPolicy(), (1.0, 10))
 
 
+def per_sample_flow(model, seg, sample_dt):
+    """Oracle: the samples of one flow segment that ends at a timer event,
+    from the one-step-at-a-time recurrence: x_{k+1} = flow_x(x_k), each timer
+    tau_0 + rate * elapsed snapped to zero within EVENT_TOL, elapsed summed
+    one sample_dt at a time, then a closing step to the exact event."""
+    def advance(start, dt, expired=""):
+        tau_c = start.tau_c + seg.rate_c * dt
+        tau_g = start.tau_g + seg.rate_g * dt
+        if expired in ("c", "both") or abs(tau_c) <= hybrid.EVENT_TOL:
+            tau_c = 0.0
+        if expired in ("g", "both") or abs(tau_g) <= hybrid.EVENT_TOL:
+            tau_g = 0.0
+        return max(tau_c, 0.0), max(tau_g, 0.0)
+
+    start = seg.start
+    dt_flow, expired = hybrid.next_event(start.tau_c, start.tau_g,
+                                         seg.rate_c, seg.rate_g)
+    times, xs, timers = [seg.t_start], [start.x], [(start.tau_c, start.tau_g)]
+    x, elapsed = start.x, 0.0
+    for _ in range(int(np.floor(dt_flow / sample_dt - 1e-9))):
+        x = model.flow_x(x, start.u, sample_dt)
+        elapsed += sample_dt
+        times.append(seg.t_start + elapsed)
+        xs.append(x)
+        timers.append(advance(start, elapsed))
+    xs.append(model.flow_x(x, start.u, dt_flow - elapsed))
+    times.append(seg.t_start + dt_flow)
+    timers.append(advance(start, dt_flow, expired))
+    return np.array(times), np.vstack(xs), np.array(timers)
+
+
+class TestColumnarSegments:
+    @pytest.mark.parametrize("make", ["s1", "random_perturbed"])
+    def test_columns_match_per_sample_recurrence(self, make):
+        if make == "s1":
+            params = s1_params()
+            model = HybridFOModel.nominal(params)
+            policy, sample_dt = JumpPolicy(seed=1), 0.01
+        else:
+            # non-unit timer rates put the segment ends off the sample grid
+            params = random_params(np.random.default_rng(8), n=3)
+            model = HybridFOModel(params, rate_c=-0.9, rate_g=-1.07)
+            policy = JumpPolicy(tau_c_reset="uniform", seed=4)
+            sample_dt = 0.013
+        arc = hybrid.simulate(model, strict_initial_state(params), policy,
+                              (6.0, 1000), sample_dt)
+        jumps = {rec.time.j: rec for rec in arc.jumps}
+        flows = 0
+        for seg in arc.segments[:-1]:
+            if seg.t_end == seg.t_start:
+                continue
+            flows += 1
+            before = jumps[seg.j].state_before
+            times, xs, timers = per_sample_flow(model, seg, sample_dt)
+            assert np.array_equal(seg.times, times)
+            assert np.array_equal(seg.x, xs)
+            assert np.array_equal(seg.tau_c, timers[:, 0])
+            assert np.array_equal(seg.tau_g, timers[:, 1])
+            assert np.array_equal(before.x, seg.x[-1])
+            assert (before.tau_c, before.tau_g) == tuple(timers[-1])
+        assert flows >= 10
+
+    def test_state_accessor_and_matrix(self):
+        arc, _ = simulate_s1(horizon=(1.5, 1000))
+        seg = arc.segment_for(1)
+        def vector(s):
+            return np.concatenate([s.x, s.u, s.y_s, s.z, [s.tau_c], [s.tau_g]])
+
+        assert np.array_equal(vector(seg.state(0)), vector(seg.start))
+        rows = np.vstack([vector(seg.state(k)) for k in range(len(seg.times))])
+        assert np.array_equal(seg.matrix(), rows)
+        last = seg.state(-1)
+        assert last.tau_g == seg.tau_g[-1] == 0.0
+        assert isinstance(last.tau_c, float)
+        assert np.array_equal(last.u, seg.start.u)
+
+
 class TestDrawTauCReset:
     def test_min_max(self):
         rng = np.random.default_rng(0)
@@ -151,9 +228,9 @@ class TestArcLookup:
         t = seg.t_start + 0.2022
         state = hybrid.arc_lookup(arc, HybridTime(t, 5))
         x_ref = step_lti(params.plant.a, params.plant.b,
-                         seg.states[0].x, seg.states[0].u, t - seg.t_start)
+                         seg.start.x, seg.start.u, t - seg.t_start)
         assert abs(state.x[0] - x_ref[0]) < 1e-6
-        assert state.tau_c == pytest.approx(seg.states[0].tau_c
+        assert state.tau_c == pytest.approx(seg.start.tau_c
                                             - (t - seg.t_start), abs=1e-12)
 
     def test_out_of_segment_raises(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hfo import hybrid
+from hfo import hybrid, robustness
 from hfo.model import HybridFOModel, JumpPolicy, make_state, strict_initial_state
 from hfo.robustness import (
     Perturbation,
@@ -13,7 +13,7 @@ from hfo.robustness import (
     perturbed_model,
     robustness_sweep,
 )
-from conftest import s1_params
+from conftest import random_params, s1_params
 
 
 def s1_perturbation():
@@ -26,6 +26,42 @@ def s1_perturbation():
         theta_g_comp=0.02,
         theta_c_min=0.02,
         theta_c_max=0.02,
+    )
+
+
+def per_sample_closeness(arc1, arc2, tau):
+    """Oracle: (epsilon, witness) from a per-sample scan of both arcs."""
+    def directional(arc_a, arc_b, side):
+        index_b = {seg.j: (seg.times, seg.matrix()) for seg in arc_b.segments}
+        worst, witness = 0.0, (side, 0.0, 0)
+        for seg in arc_a.segments:
+            entry = index_b.get(seg.j)
+            mat_a = seg.matrix()
+            for t, row in zip(seg.times, mat_a):
+                if t + seg.j > tau + 1e-12:
+                    continue
+                if entry is None:
+                    return math.inf, (side, float(t), seg.j)
+                times_b, mat_b = entry
+                gaps = np.abs(times_b - t)
+                diffs = np.max(np.abs(mat_b - row), axis=1)
+                cand = float(np.min(np.maximum(gaps, diffs)))
+                if cand > worst:
+                    worst, witness = cand, (side, float(t), seg.j)
+        return worst, witness
+
+    e1, w1 = directional(arc1, arc2, 1)
+    e2, w2 = directional(arc2, arc1, 2)
+    return (e1, w1) if e1 >= e2 else (e2, w2)
+
+
+def random_perturbation(rng, n, m, p, scale=0.05):
+    return Perturbation(
+        a_hat=scale * rng.standard_normal((n, n)),
+        b_hat=scale * rng.standard_normal((n, m)),
+        h_hat=scale * rng.standard_normal((p, m)),
+        kappa_c=0.05, kappa_g=0.03, theta_g_comp=0.01,
+        theta_c_min=0.01, theta_c_max=0.02,
     )
 
 
@@ -112,6 +148,11 @@ class TestPerturbedModel:
         with pytest.raises(ValueError):
             perturbed_model(s1_params(), s1_perturbation(), -0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="perturbation scale"):
+            perturbed_model(s1_params(), s1_perturbation(), delta)
+
 
 class TestCloseness:
     def test_identity(self):
@@ -124,14 +165,8 @@ class TestCloseness:
         arc = run_s1(HybridFOModel.nominal(s1_params()))
         shifted = dataclasses.replace(
             arc,
-            segments=[
-                dataclasses.replace(
-                    seg,
-                    states=[dataclasses.replace(s, x=s.x + 0.01)
-                            for s in seg.states],
-                )
-                for seg in arc.segments
-            ],
+            segments=[dataclasses.replace(seg, x=seg.x + 0.01)
+                      for seg in arc.segments],
         )
         result = closeness(arc, shifted, tau=4.0)
         assert result.epsilon == pytest.approx(0.01, abs=1e-9)
@@ -157,6 +192,55 @@ class TestCloseness:
         assert result.truncated
 
 
+class TestClosenessMatchesPerSampleScan:
+    def assert_same(self, arc1, arc2, tau):
+        result = closeness(arc1, arc2, tau)
+        assert (result.epsilon, result.witness) == per_sample_closeness(
+            arc1, arc2, tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 3.0, 4.37, 5.0])
+    def test_s1_arcs(self, tau):
+        params = s1_params()
+        nominal = run_s1(HybridFOModel.nominal(params))
+        for delta in (1e-3, 1e-2, 1e-1, 1.0):
+            perturbed = run_s1(perturbed_model(params, s1_perturbation(),
+                                               delta))
+            self.assert_same(nominal, perturbed, tau)
+            self.assert_same(perturbed, nominal, tau)
+
+    def test_n20_arcs(self):
+        rng = np.random.default_rng(17)
+        params = random_params(rng, n=20)
+        pert = random_perturbation(rng, 20, params.plant.m, params.plant.p)
+        policy = JumpPolicy(tau_c_reset="uniform", seed=3)
+        zeta0 = strict_initial_state(params)
+        nominal = hybrid.simulate(HybridFOModel.nominal(params), zeta0, policy,
+                                  (4.0, 400), 0.02)
+        perturbed = hybrid.simulate(perturbed_model(params, pert, 0.5), zeta0,
+                                    policy, (4.0, 400), 0.02)
+        self.assert_same(nominal, perturbed, 4.0)
+
+    def test_long_segment_crosses_block_boundary(self):
+        params = s1_params()
+        nominal = run_s1(HybridFOModel.nominal(params), horizon=(1.2, 200),
+                         sample_dt=1e-4)
+        perturbed = run_s1(perturbed_model(params, s1_perturbation(), 0.3),
+                           horizon=(1.2, 200), sample_dt=1e-4)
+        seg = perturbed.segment_for(0)
+        rows = robustness._MATCH_BUDGET // seg.matrix().size
+        assert 1 <= rows < len(nominal.segment_for(0).times) // 3
+        self.assert_same(nominal, perturbed, 1.2)
+
+    def test_missing_segment_is_infinite(self):
+        arc = run_s1(HybridFOModel.nominal(s1_params()))
+        shorter = dataclasses.replace(arc, segments=arc.segments[:2])
+        for pair in ((arc, shorter), (shorter, arc)):
+            result = closeness(*pair, tau=4.0)
+            assert math.isinf(result.epsilon)
+            assert (result.epsilon, result.witness) == per_sample_closeness(
+                *pair, 4.0)
+
+
 class TestRobustnessSweep:
     def test_s1_trend(self):
         sweep = robustness_sweep(
@@ -179,3 +263,39 @@ class TestRobustnessSweep:
         long = robustness_sweep(s1_params(), pert, [1.0], tau=8.0,
                                 policy=policy)
         assert long.rows[0].epsilon > short.rows[0].epsilon
+
+    @pytest.mark.parametrize("tau", [6.0, 6.5, 30.0])
+    def test_capped_runs_match_long_runs(self, tau):
+        # the sweep stops at jump index floor(tau) + 1; the rows must equal
+        # closeness on runs under the earlier, much larger jump budget
+        params, pert = s1_params(), s1_perturbation()
+        policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=4)
+        deltas = [0.3, 1e-2, 1e-3]
+        sweep = robustness_sweep(params, pert, deltas, tau, policy)
+        nominal = HybridFOModel.nominal(params)
+        zeta0 = strict_initial_state(params)
+        horizon = (tau, int(math.ceil(tau / nominal.min_dwell())) * 2 + 16)
+        arc_nom = hybrid.simulate(nominal, zeta0, policy, horizon)
+        assert arc_nom.segments[-1].j > math.floor(tau) + 1
+        for row, delta in zip(sweep.rows, deltas):
+            arc = hybrid.simulate(perturbed_model(params, pert, delta), zeta0,
+                                  policy, horizon)
+            result = closeness(arc_nom, arc, tau)
+            assert row.epsilon == result.epsilon
+            assert (row.witness_arc, row.witness_t, row.witness_j) == \
+                result.witness
+            assert row.truncated is False
+
+    def test_short_arc_still_reports_truncation(self):
+        # T = 3 s reaches j = 15, so t + j stays below tau = 30
+        params = s1_params()
+        arc = run_s1(HybridFOModel.nominal(params), horizon=(3.0, 200))
+        other = run_s1(perturbed_model(params, s1_perturbation(), 0.1),
+                       horizon=(3.0, 200))
+        assert closeness(arc, other, tau=30.0).truncated
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            robustness_sweep(s1_params(), s1_perturbation(), [0.1], tau,
+                             JumpPolicy())
