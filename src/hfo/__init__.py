@@ -8,7 +8,6 @@ from .hybrid import (
     HybridTime,
     JumpRecord,
     JumpStats,
-    arc_lookup,
     check_non_zeno,
     jump_stats,
     next_event,
@@ -25,12 +24,8 @@ from .model import (
     State,
     Timers,
     grad_u_phi,
-    jump,
-    jump_g1,
-    jump_g2,
     make_state,
     phi,
-    project,
     steady_state_gain,
     strict_initial_state,
     validate,

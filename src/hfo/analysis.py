@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .hybrid import HybridArc
-from .model import ModelParams, State, effective_gain
+from .model import ModelParams, State, effective_gain, gradient_constants
 
 
 @dataclass
@@ -112,30 +112,22 @@ def solve_optimal(params: ModelParams, h=None):
     return u_tilde, y_tilde, x_tilde
 
 
-def fixed_point_z(y_s, params: ModelParams, h=None, literal_argmin: bool = False):
-    """Per-sample fixed point z* of the projected gradient update.
-
-    With ``literal_argmin=True`` returns instead the minimizer of the
-    objective with the sampled output frozen (whose gradient is just Q_u u);
-    the default follows the update law actually iterated by the system.
-    """
+def fixed_point_z(y_s, params: ModelParams, h=None):
+    """Per-sample fixed point z* of the projected gradient update, with the
+    sampled output y_s held as the system holds it within one input period."""
     obj = params.objective
     if h is None:
         h = effective_gain(params)
     y_s = np.asarray(y_s, dtype=float)
     eigs = linalg.eig_sym(obj.q_u)
-    if literal_argmin:
-        def grad(z):
-            return obj.q_u @ z
-    else:
-        offset = h.T @ (obj.q_y @ (y_s - obj.y_hat))
+    offset = h.T @ (obj.q_y @ (y_s - obj.y_hat))
 
-        def grad(z):
-            return obj.q_u @ z + offset
+    def grad(z):
+        return obj.q_u @ z + offset
 
     return _pgd_fixed_point(
         grad, (float(eigs[0]), float(eigs[-1])), params.input_set,
-        obj.q_u.shape[0], check_gamma=obj.gamma if not literal_argmin else 1.0,
+        obj.q_u.shape[0], check_gamma=obj.gamma,
     )
 
 
@@ -189,7 +181,6 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
     for negative-control experiments.
     """
     plant = params.plant
-    obj = params.objective
     tm = params.timers
     h = effective_gain(params)
 
@@ -201,9 +192,7 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
             raise ValueError("plant matrix must be Hurwitz")
         rho = float(np.min(np.abs(spectrum.real)))
 
-    big_l = float(linalg.eig_sym(obj.q_u + h.T @ obj.q_y @ h)[-1])
-    mu = float(linalg.eig_sym(obj.q_u)[0])
-    q = 1.0 - 2.0 * obj.gamma * mu + obj.gamma ** 2 * big_l ** 2
+    _, big_l, q = gradient_constants(params, h)
     d_u = params.input_set.diameter()
     b_norm = linalg.spectral_norm(plant.b)
     if m_estimate is None:
@@ -356,8 +345,8 @@ def rate_check(arc: HybridArc, params: ModelParams,
                step_tol: float = 1e-12, aggregate_tol: float = 1e-9) -> RateReport:
     """Verify per-step and aggregate optimizer contraction in every completed
     input period against that period's projected-gradient fixed point."""
-    c_q = constants_q(params)
     h = effective_gain(params)
+    _, _, c_q = gradient_constants(params, h)
     first = arc.segments[0].start
     y_period = first.y_s
     iterates = [first.z]
@@ -372,15 +361,6 @@ def rate_check(arc: HybridArc, params: ModelParams,
             iterates = [rec.state_after.z]
     return RateReport(periods, all(p.per_step_ok and p.aggregate_ok
                                    for p in periods))
-
-
-def constants_q(params: ModelParams) -> float:
-    """Contraction factor q for the configured stepsize."""
-    obj = params.objective
-    h = effective_gain(params)
-    big_l = float(linalg.eig_sym(obj.q_u + h.T @ obj.q_y @ h)[-1])
-    mu = float(linalg.eig_sym(obj.q_u)[0])
-    return 1.0 - 2.0 * obj.gamma * mu + obj.gamma ** 2 * big_l ** 2
 
 
 def _check_period(p, iterates, y_period, params, h, q, step_tol, aggregate_tol):

@@ -63,6 +63,24 @@ def _finite(value, where: str) -> float:
     return out
 
 
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value (1 and 1.0 both count)."""
+    if isinstance(value, int):
+        return value
+    out = _finite(value, where)
+    if not out.is_integer():
+        raise ConfigError(f"field '{where}' must be an integer, got {value!r}")
+    return int(out)
+
+
+def _section(value, where: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"section '{where}' must be a JSON object, got "
+                          f"{type(value).__name__}")
+    return value
+
+
 def _matrix(data, where: str, shape=None) -> np.ndarray:
     try:
         mat = np.array(data, dtype=float)
@@ -86,15 +104,16 @@ def _vector(data, where: str, length=None) -> np.ndarray:
     return vec
 
 
-def _parse_input_set(data: dict):
+def _parse_input_set(data: dict, m: int):
     kind = _require(data, "kind", "input_set")
     if kind == "box":
-        return Box(_vector(_require(data, "lo", "input_set"), "input_set.lo"),
-                   _vector(_require(data, "hi", "input_set"), "input_set.hi"))
+        return Box(_vector(_require(data, "lo", "input_set"), "input_set.lo", m),
+                   _vector(_require(data, "hi", "input_set"), "input_set.hi", m))
     if kind == "ball":
         return Ball(_vector(_require(data, "center", "input_set"),
-                            "input_set.center"),
-                    float(_require(data, "radius", "input_set")))
+                            "input_set.center", m),
+                    _finite(_require(data, "radius", "input_set"),
+                            "input_set.radius"))
     raise ConfigError(f"input_set.kind must be 'box' or 'ball', got {kind!r}")
 
 
@@ -112,7 +131,7 @@ def parse_config(source) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
 
-    plant_raw = _require(raw, "plant", "config")
+    plant_raw = _section(_require(raw, "plant", "config"), "plant")
     a = _matrix(_require(plant_raw, "A", "plant"), "plant.A")
     if a.shape[0] != a.shape[1]:
         raise ConfigError(f"plant.A must be square, got shape {a.shape}")
@@ -128,95 +147,109 @@ def parse_config(source) -> ScenarioConfig:
     d = _vector(_require(plant_raw, "d", "plant"), "plant.d", p)
     plant = Plant(a, b, c_out, d)
 
-    obj_raw = _require(raw, "objective", "config")
+    obj_raw = _section(_require(raw, "objective", "config"), "objective")
     objective = Objective(
         _matrix(_require(obj_raw, "Q_u", "objective"), "objective.Q_u", (m, m)),
         _matrix(_require(obj_raw, "Q_y", "objective"), "objective.Q_y", (p, p)),
         _vector(_require(obj_raw, "y_hat", "objective"), "objective.y_hat", p),
-        float(_require(obj_raw, "gamma", "objective")),
+        _finite(_require(obj_raw, "gamma", "objective"), "objective.gamma"),
     )
 
-    tm_raw = _require(raw, "timers", "config")
+    tm_raw = _section(_require(raw, "timers", "config"), "timers")
     timers = Timers(
-        float(_require(tm_raw, "tau_c_min", "timers")),
-        float(_require(tm_raw, "tau_c_max", "timers")),
-        float(_require(tm_raw, "tau_g_comp", "timers")),
-        int(_require(tm_raw, "ell", "timers")),
+        _finite(_require(tm_raw, "tau_c_min", "timers"), "timers.tau_c_min"),
+        _finite(_require(tm_raw, "tau_c_max", "timers"), "timers.tau_c_max"),
+        _finite(_require(tm_raw, "tau_g_comp", "timers"), "timers.tau_g_comp"),
+        _integer(_require(tm_raw, "ell", "timers"), "timers.ell"),
     )
 
-    input_set = _parse_input_set(_require(raw, "input_set", "config"))
+    input_set = _parse_input_set(
+        _section(_require(raw, "input_set", "config"), "input_set"), m)
 
-    overrides = raw.get("overrides", {})
+    overrides = _section(raw.get("overrides", {}), "overrides")
     h_override = None
     if overrides.get("H") is not None:
         h_override = _matrix(overrides["H"], "overrides.H", (p, m))
     rho_override = overrides.get("rho")
-    r_scale = float(overrides.get("r_scale", 1.0))
+    if rho_override is not None:
+        rho_override = _finite(rho_override, "overrides.rho")
+        if rho_override <= 0.0:
+            raise ConfigError(
+                f"field 'overrides.rho' must be positive, got {rho_override}")
+    r_scale = _finite(overrides.get("r_scale", 1.0), "overrides.r_scale")
 
     params = ModelParams(
         plant, objective, timers, input_set,
         h_override=h_override,
-        rho_override=None if rho_override is None else float(rho_override),
+        rho_override=rho_override,
         sample_with=raw.get("sample_with", "new_input"),
     )
     if params.sample_with not in ("new_input", "old_input"):
         raise ConfigError("sample_with must be 'new_input' or 'old_input'")
 
-    policy_raw = raw.get("policy", {})
+    policy_raw = _section(raw.get("policy", {}), "policy")
+    tau_c_value = policy_raw.get("tau_c_value")
     policy = JumpPolicy(
         tau_c_reset=policy_raw.get("tau_c_reset", "min"),
-        tau_c_value=policy_raw.get("tau_c_value"),
+        tau_c_value=(None if tau_c_value is None
+                     else _finite(tau_c_value, "policy.tau_c_value")),
         case3_order=policy_raw.get("case3_order", "g1_first"),
-        seed=int(policy_raw.get("seed", 0)),
+        seed=_integer(policy_raw.get("seed", 0), "policy.seed"),
     )
+    if policy.seed < 0:
+        raise ConfigError(f"field 'policy.seed' must be nonnegative, got "
+                          f"{policy.seed}")
     if policy.tau_c_reset not in ("fixed", "uniform", "min", "max"):
         raise ConfigError("policy.tau_c_reset must be fixed|uniform|min|max")
     if policy.case3_order not in ("g1_first", "g2_first", "random"):
         raise ConfigError("policy.case3_order must be g1_first|g2_first|random")
 
-    horizon_raw = _require(raw, "horizon", "config")
+    horizon_raw = _section(_require(raw, "horizon", "config"), "horizon")
     t_max = _finite(_require(horizon_raw, "T", "horizon"), "horizon.T")
     if t_max < 0.0:
         raise ConfigError(f"field 'horizon.T' must be nonnegative, got {t_max}")
-    j_max = _finite(_require(horizon_raw, "J", "horizon"), "horizon.J")
-    if j_max < 0.0:
+    j_max = _integer(_require(horizon_raw, "J", "horizon"), "horizon.J")
+    if j_max < 0:
         raise ConfigError(f"field 'horizon.J' must be nonnegative, got {j_max}")
-    horizon = (t_max, int(j_max))
+    horizon = (t_max, j_max)
     sample_dt = _finite(raw.get("sample_dt", 0.01), "sample_dt")
     if sample_dt <= 0.0:
         raise ConfigError(f"field 'sample_dt' must be positive, got {sample_dt}")
 
-    init_raw = raw.get("init", {})
+    init_raw = _section(raw.get("init", {}), "init")
     init_mode = init_raw.get("mode", "strict")
     if init_mode not in ("strict", "global"):
         raise ConfigError("init.mode must be 'strict' or 'global'")
     zeta0 = None
     if init_raw.get("zeta0") is not None:
-        z_raw = init_raw["zeta0"]
+        z_raw = _section(init_raw["zeta0"], "init.zeta0")
         zeta0 = make_state(
             _vector(_require(z_raw, "x", "init.zeta0"), "init.zeta0.x", n),
             _vector(_require(z_raw, "u", "init.zeta0"), "init.zeta0.u", m),
             _vector(_require(z_raw, "y_s", "init.zeta0"), "init.zeta0.y_s", p),
             _vector(_require(z_raw, "z", "init.zeta0"), "init.zeta0.z", m),
-            float(_require(z_raw, "tau_c", "init.zeta0")),
-            float(_require(z_raw, "tau_g", "init.zeta0")),
+            _finite(_require(z_raw, "tau_c", "init.zeta0"), "init.zeta0.tau_c"),
+            _finite(_require(z_raw, "tau_g", "init.zeta0"), "init.zeta0.tau_g"),
         )
 
     perturbation = None
     if raw.get("perturbation") is not None:
-        pr = raw["perturbation"]
+        pert_raw = _section(raw["perturbation"], "perturbation")
         perturbation = Perturbation(
-            a_hat=_matrix(pr.get("A_hat", np.zeros((n, n))), "perturbation.A_hat",
-                          (n, n)),
-            b_hat=_matrix(pr.get("B_hat", np.zeros((n, m))), "perturbation.B_hat",
-                          (n, m)),
-            h_hat=_matrix(pr.get("H_hat", np.zeros((p, m))), "perturbation.H_hat",
-                          (p, m)),
-            kappa_c=float(pr.get("kappa_c", 0.0)),
-            kappa_g=float(pr.get("kappa_g", 0.0)),
-            theta_g_comp=float(pr.get("theta_g_comp", 0.0)),
-            theta_c_min=float(pr.get("theta_c_min", 0.0)),
-            theta_c_max=float(pr.get("theta_c_max", 0.0)),
+            a_hat=_matrix(pert_raw.get("A_hat", np.zeros((n, n))),
+                          "perturbation.A_hat", (n, n)),
+            b_hat=_matrix(pert_raw.get("B_hat", np.zeros((n, m))),
+                          "perturbation.B_hat", (n, m)),
+            h_hat=_matrix(pert_raw.get("H_hat", np.zeros((p, m))),
+                          "perturbation.H_hat", (p, m)),
+            kappa_c=_finite(pert_raw.get("kappa_c", 0.0), "perturbation.kappa_c"),
+            kappa_g=_finite(pert_raw.get("kappa_g", 0.0), "perturbation.kappa_g"),
+            theta_g_comp=_finite(pert_raw.get("theta_g_comp", 0.0),
+                                 "perturbation.theta_g_comp"),
+            theta_c_min=_finite(pert_raw.get("theta_c_min", 0.0),
+                                "perturbation.theta_c_min"),
+            theta_c_max=_finite(pert_raw.get("theta_c_max", 0.0),
+                                "perturbation.theta_c_max"),
         )
 
     return ScenarioConfig(params, policy, horizon, sample_dt, init_mode, zeta0,

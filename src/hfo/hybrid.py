@@ -53,8 +53,6 @@ class Segment:
     tau_c: np.ndarray  # (k,)
     tau_g: np.ndarray  # (k,)
     start: object  # the state at t_start
-    rate_c: float = -1.0
-    rate_g: float = -1.0
 
     def state(self, k: int):
         """The full state of sample k (negative k counts from the end)."""
@@ -75,8 +73,6 @@ class Segment:
 class HybridArc:
     segments: list
     jumps: list
-    seed: int | None = None
-    sample_dt: float = 0.01
     min_dwell: float | None = None
 
     @property
@@ -124,11 +120,9 @@ def _timer_column(tau0, rate, elapsed, expires):
     return np.maximum(tau, 0.0)
 
 
-def _point_segment(model, state, t, j):
-    rate_c, rate_g = model.timer_rates()
+def _point_segment(state, t, j):
     return Segment(j, t, t, np.array([t]), state.x[None, :].copy(),
-                   np.array([state.tau_c]), np.array([state.tau_g]), state,
-                   rate_c, rate_g)
+                   np.array([state.tau_c]), np.array([state.tau_g]), state)
 
 
 def _flow_segment(model, state, t, j, t_max, sample_dt):
@@ -139,9 +133,9 @@ def _flow_segment(model, state, t, j, t_max, sample_dt):
     rate_c, rate_g = model.timer_rates()
     remaining = t_max - t
     if remaining <= EVENT_TOL:
-        return _point_segment(model, state, t, j), state, t, True
+        return _point_segment(state, t, j), state, t, True
     if model.which_case(state) is not None:
-        return _point_segment(model, state, t, j), state, t, False
+        return _point_segment(state, t, j), state, t, False
 
     dt_event, which = next_event(state.tau_c, state.tau_g, rate_c, rate_g)
     if dt_event <= remaining + EVENT_TOL:
@@ -173,8 +167,7 @@ def _flow_segment(model, state, t, j, t_max, sample_dt):
         raise RuntimeError(
             f"state left the flow/jump domain at t={t_end} (model bug): {end_state}"
         )
-    seg = Segment(j, t, t_end, t + elapsed, x, tau_c, tau_g, state,
-                  rate_c, rate_g)
+    seg = Segment(j, t, t_end, t + elapsed, x, tau_c, tau_g, state)
     return seg, end_state, t_end, horizon_hit
 
 
@@ -252,7 +245,7 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
     jumps: list[JumpRecord] = []
     while True:
         if j >= j_max:
-            segments.append(_point_segment(model, state, t, j))
+            segments.append(_point_segment(state, t, j))
             break
         seg, state, t, horizon_hit = _flow_segment(model, state, t, j, t_max, sample_dt)
         segments.append(seg)
@@ -264,42 +257,9 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
             state = new_state
             j += 1
             if i < len(steps) - 1 and j < j_max:
-                segments.append(_point_segment(model, state, t, j))
+                segments.append(_point_segment(state, t, j))
 
-    return HybridArc(
-        segments,
-        jumps,
-        seed=policy.seed,
-        sample_dt=sample_dt,
-        min_dwell=model.min_dwell(),
-    )
-
-
-def arc_lookup(arc: HybridArc, at: HybridTime):
-    """State at hybrid time (t, j); x linearly interpolated between samples,
-    timers reconstructed exactly, piecewise-constant components held."""
-    seg = arc.segment_for(at.j)
-    if not (seg.t_start - EVENT_TOL <= at.t <= seg.t_end + EVENT_TOL):
-        raise KeyError(
-            f"time {at.t} outside segment [{seg.t_start}, {seg.t_end}] at j={at.j}"
-        )
-    t = min(max(at.t, seg.t_start), seg.t_end)
-    idx = int(np.searchsorted(seg.times, t))
-    idx = min(idx, len(seg.times) - 1)
-    if abs(seg.times[idx] - t) <= EVENT_TOL:
-        return seg.state(idx)
-    lo = idx - 1
-    t0, t1 = seg.times[lo], seg.times[idx]
-    w = (t - t0) / (t1 - t0)
-    x = (1.0 - w) * seg.x[lo] + w * seg.x[idx]
-    base = seg.start
-    dt = t - seg.t_start
-    return dataclasses.replace(
-        base,
-        x=x,
-        tau_c=max(base.tau_c + seg.rate_c * dt, 0.0),
-        tau_g=max(base.tau_g + seg.rate_g * dt, 0.0),
-    )
+    return HybridArc(segments, jumps, min_dwell=model.min_dwell())
 
 
 def jump_stats(arc: HybridArc) -> JumpStats:

@@ -1,13 +1,10 @@
 """Small dense linear algebra used throughout the toolkit.
 
 Matrices are plain numpy arrays (row-major, float64). Everything here is a
-pure function; tolerances live in a single NumericSettings record so they can
-be tightened or relaxed in one place.
+pure function; the tolerances are the module constants below.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,16 +18,10 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A matrix required to be invertible is singular or near-singular."""
 
 
-@dataclass(frozen=True)
-class NumericSettings:
-    symmetry_tol: float = 1e-12
-    eig_residual_factor: float = 1e-8
-    solve_residual_factor: float = 1e-10
-    condition_limit: float = 1e12
-    event_tol: float = 1e-12
-
-
-DEFAULT_SETTINGS = NumericSettings()
+SYMMETRY_TOL = 1e-12
+EIG_RESIDUAL_FACTOR = 1e-8
+SOLVE_RESIDUAL_FACTOR = 1e-10
+CONDITION_LIMIT = 1e12
 
 
 def _as_square(a) -> np.ndarray:
@@ -63,30 +54,28 @@ def mat_exp(a, t) -> np.ndarray:
     return scipy.linalg.expm(a * ts[:, None, None])
 
 
-def step_lti(a, b, x, u, dt: float) -> np.ndarray:
-    """Exact constant-input step of x' = A x + B u over duration dt.
+def propagator(a, b, dt: float):
+    """Exact held-input step of x' = A x + B u over duration dt.
 
-    Uses x(dt) = e^{A dt} x + A^{-1} (e^{A dt} - I) B u, which requires A to
-    be invertible (guaranteed when A is Hurwitz).
+    Returns (e^{A dt}, int_0^dt e^{A s} ds B), so that
+    x(dt) = e^{A dt} x(0) + (int_0^dt e^{A s} ds B) u. Both blocks come from
+    one exponential of [[A, B], [0, 0]] dt (Van Loan, "Computing integrals
+    involving the matrix exponential", IEEE TAC 1978), which holds for any A,
+    singular ones included.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if b.shape[0] != a.shape[0] or x.shape[0] != a.shape[0] or u.shape[0] != b.shape[1]:
-        raise DimensionError(
-            f"inconsistent shapes: A {a.shape}, B {b.shape}, x {x.shape}, u {u.shape}"
-        )
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return x.copy()
-    e = mat_exp(a, dt)
-    forced = solve(a, (e - np.eye(a.shape[0])) @ (b @ u))
-    return e @ x + forced
+    n = a.shape[0]
+    if b.ndim != 2 or b.shape[0] != n:
+        raise DimensionError(f"inconsistent shapes: A {a.shape}, B {b.shape}")
+    aug = np.zeros((n + b.shape[1],) * 2)
+    aug[:n, :n] = a
+    aug[:n, n:] = b
+    e = mat_exp(aug, dt)
+    return e[:n, :n].copy(), e[:n, n:].copy()
 
 
-def eig_general(a, settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def eig_general(a) -> np.ndarray:
     """All eigenvalues of a real square matrix, residual-checked.
 
     Returns a complex array sorted by (real, imag). Each eigenpair is
@@ -98,7 +87,7 @@ def eig_general(a, settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
     for i in range(len(w)):
         vec = v[:, i]
         resid = np.linalg.norm(a @ vec - w[i] * vec)
-        if resid > settings.eig_residual_factor * scale:
+        if resid > EIG_RESIDUAL_FACTOR * scale:
             raise np.linalg.LinAlgError(
                 f"eigenpair residual {resid:.3e} exceeds tolerance for eigenvalue {w[i]}"
             )
@@ -106,11 +95,11 @@ def eig_general(a, settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
     return w[order]
 
 
-def eig_sym(s, settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def eig_sym(s) -> np.ndarray:
     """Real eigenvalues of a symmetric matrix, sorted ascending."""
     s = _as_square(s)
     scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > settings.symmetry_tol * scale:
+    if np.abs(s - s.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (s + s.T))
 
@@ -125,18 +114,18 @@ def spectral_norm(b) -> float:
     return float(np.linalg.norm(b, 2))
 
 
-def solve(a, rhs, settings: NumericSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def solve(a, rhs) -> np.ndarray:
     """Solve A X = rhs for an invertible A, with a residual check."""
     a = _as_square(a)
     rhs = np.asarray(rhs, dtype=float)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > settings.condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular or ill-conditioned (condition estimate {cond:.3e})"
         )
     x = np.linalg.solve(a, rhs)
     resid = np.linalg.norm(a @ x - rhs)
-    bound = settings.solve_residual_factor * (
+    bound = SOLVE_RESIDUAL_FACTOR * (
         np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)
     )
     if resid > bound:

@@ -183,9 +183,16 @@ def grad_u_phi(z, y_s, obj: Objective, h) -> np.ndarray:
     return obj.q_u @ z + h.T @ (obj.q_y @ err)
 
 
-def project(input_set, v) -> np.ndarray:
-    """Euclidean projection onto the input set."""
-    return input_set.project(v)
+def gradient_constants(params: ModelParams, h=None):
+    """(mu, L, q) of the gradient step: mu = lambda_min(Q_u), the Lipschitz
+    constant L = lambda_max(Q_u + H'Q_yH) and the per-iteration contraction
+    factor q = 1 - 2 gamma mu + gamma^2 L^2."""
+    obj = params.objective
+    if h is None:
+        h = effective_gain(params)
+    big_l = float(linalg.eig_sym(obj.q_u + h.T @ obj.q_y @ h)[-1])
+    mu = float(linalg.eig_sym(obj.q_u)[0])
+    return mu, big_l, 1.0 - 2.0 * obj.gamma * mu + obj.gamma ** 2 * big_l ** 2
 
 
 class HybridFOModel:
@@ -207,8 +214,6 @@ class HybridFOModel:
         tau_g_reset: float | None = None,
         reset_lo: float | None = None,
         reset_hi: float | None = None,
-        tau_c_bound: float | None = None,
-        tau_g_bound: float | None = None,
     ):
         self.params = params
         tm = params.timers
@@ -220,13 +225,6 @@ class HybridFOModel:
         self.tau_g_reset = tm.tau_g_comp if tau_g_reset is None else float(tau_g_reset)
         self.reset_lo = tm.tau_c_min if reset_lo is None else float(reset_lo)
         self.reset_hi = tm.tau_c_max if reset_hi is None else float(reset_hi)
-        self.tau_c_bound = max(
-            tm.tau_c_max if tau_c_bound is None else float(tau_c_bound), self.reset_hi
-        )
-        self.tau_g_bound = max(
-            tm.tau_g_comp if tau_g_bound is None else float(tau_g_bound),
-            self.tau_g_reset,
-        )
         if self.rate_c >= 0.0 or self.rate_g >= 0.0:
             raise ValueError("timer rates must stay strictly negative")
         if not (0.0 < self.reset_lo <= self.reset_hi):
@@ -247,9 +245,7 @@ class HybridFOModel:
     def _propagator(self, dt: float):
         cached = self._prop_cache.get(dt)
         if cached is None:
-            e = linalg.mat_exp(self.a, dt)
-            forced = linalg.solve(self.a, (e - np.eye(self.a.shape[0])) @ self.b)
-            cached = (e, forced)
+            cached = linalg.propagator(self.a, self.b, dt)
             if len(self._prop_cache) < 64:
                 self._prop_cache[dt] = cached
         return cached
@@ -265,8 +261,8 @@ class HybridFOModel:
     def contains(self, state: State) -> bool:
         """Membership in the union of the flow and jump sets."""
         return (
-            -EVENT_TOL <= state.tau_c <= self.tau_c_bound + EVENT_TOL
-            and -EVENT_TOL <= state.tau_g <= self.tau_g_bound + EVENT_TOL
+            -EVENT_TOL <= state.tau_c <= self.reset_hi + EVENT_TOL
+            and -EVENT_TOL <= state.tau_g <= self.tau_g_reset + EVENT_TOL
         )
 
     def which_case(self, state: State):
@@ -310,41 +306,6 @@ class HybridFOModel:
     def min_dwell(self) -> float:
         """Shortest possible flow interval after a completed jump sequence."""
         return min(self.tau_g_reset / -self.rate_g, self.reset_lo / -self.rate_c)
-
-
-def jump_g1(state: State, params: ModelParams) -> State:
-    """Case (i) jump on the nominal system (tau_g expired, tau_c > 0)."""
-    model = HybridFOModel.nominal(params)
-    if model.which_case(state) not in ("g1", "both"):
-        raise ValueError("gradient jump requires tau_g = 0")
-    return model.g1(state)
-
-
-def jump_g2(state: State, params: ModelParams, policy: JumpPolicy,
-            rng=None) -> State:
-    """Case (ii) jump on the nominal system (tau_c expired, tau_g > 0)."""
-    from .hybrid import draw_tau_c_reset
-
-    model = HybridFOModel.nominal(params)
-    if model.which_case(state) not in ("g2", "both"):
-        raise ValueError("input jump requires tau_c = 0")
-    if rng is None:
-        rng = np.random.default_rng(policy.seed)
-    tau = draw_tau_c_reset(policy, rng, model.reset_interval())
-    return model.g2(state, tau)
-
-
-def jump(state: State, params: ModelParams, policy: JumpPolicy, rng=None) -> State:
-    """Full jump map: dispatch to the gradient step, the input application,
-    or their composition in policy order when both timers expired."""
-    from .hybrid import _resolve_jump
-
-    model = HybridFOModel.nominal(params)
-    if model.which_case(state) is None:
-        raise ValueError("state is not in the jump set")
-    if rng is None:
-        rng = np.random.default_rng(policy.seed)
-    return _resolve_jump(model, state, policy, rng)[-1][2]
 
 
 # -- validation -------------------------------------------------------------
@@ -430,10 +391,7 @@ def validate(params: ModelParams, zeta0: State | None = None,
             "period"))
 
     if lam_u is not None and lam_y is not None and max_re < 0.0:
-        h = effective_gain(params)
-        big_l = float(linalg.eig_sym(
-            params.objective.q_u + h.T @ params.objective.q_y @ h)[-1])
-        mu = float(lam_u[0])
+        mu, big_l, q = gradient_constants(params)
         gamma = params.objective.gamma
         bound = 2.0 / (mu + big_l)
         if 0.0 < gamma < bound:
@@ -444,7 +402,6 @@ def validate(params: ModelParams, zeta0: State | None = None,
                 "stepsize", "fail",
                 f"stepsize gamma = {gamma:.4g} outside the input-convergence "
                 f"range (0, 2/(lambda_min(Q_u)+L)) = (0, {bound:.4g})"))
-        q = 1.0 - 2.0 * gamma * mu + gamma ** 2 * big_l ** 2
         if 0.0 < q < 1.0:
             checks.append(Check("contraction", "pass", f"q = {q:.6g}"))
         else:

@@ -85,8 +85,6 @@ def perturbed_model(params: ModelParams, pert: Perturbation,
         tau_g_reset=tau_g_reset,
         reset_lo=reset_lo,
         reset_hi=reset_hi,
-        tau_c_bound=reset_hi,
-        tau_g_bound=tau_g_reset,
     )
 
 

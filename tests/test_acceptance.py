@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from hfo import analysis, hybrid
+from hfo import hybrid
 from hfo.analysis import check_bound, constants, dist_to_A, rate_check, reconstruct_x
-from hfo.linalg import step_lti
 from hfo.model import (
     Ball,
     Box,
     HybridFOModel,
     JumpPolicy,
     grad_u_phi,
+    gradient_constants,
     make_state,
     phi,
     strict_initial_state,
@@ -23,7 +23,6 @@ from hfo.model import (
 from hfo.robustness import Perturbation, robustness_sweep
 from conftest import (
     central_difference_gradient,
-    random_hurwitz,
     random_params,
     random_spd,
     rk4_lti,
@@ -43,15 +42,14 @@ def test_01_integrator_against_rk4_reference():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(50):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 3))
-        a = random_hurwitz(rng, n)
-        b = rng.standard_normal((n, m))
-        x0 = rng.standard_normal(n)
-        u = rng.standard_normal(m)
+        params = random_params(rng, n=int(rng.integers(1, 5)))
+        plant = params.plant
+        x0 = rng.standard_normal(plant.n)
+        u = rng.standard_normal(plant.m)
         dt = float(rng.choice([0.25, 0.5, 1.0]))
-        err = np.max(np.abs(step_lti(a, b, x0, u, dt)
-                            - rk4_lti(a, b, x0, u, dt, h=1e-5)))
+        # the flow step hybrid.simulate takes between samples
+        x_dt = HybridFOModel.nominal(params).flow_x(x0, u, dt)
+        err = np.max(np.abs(x_dt - rk4_lti(plant.a, plant.b, x0, u, dt, h=1e-5)))
         worst = max(worst, float(err))
     assert worst <= 1e-7
     report(1, f"50 systems, max abs error {worst:.3e} <= 1e-7")
@@ -122,7 +120,7 @@ def test_04_contraction_constant_range():
     qs = []
     for _ in range(200):
         params = random_params(rng)
-        q = analysis.constants_q(params)
+        q = gradient_constants(params)[2]
         assert 0.0 < q < 1.0
         qs.append(q)
     # negative control: stepsize beyond the admissible range gives q >= 1
@@ -137,7 +135,7 @@ def test_04_contraction_constant_range():
     gamma_bad = 1.5 * max(2.0 / (mu + big_l), 2.0 * mu / big_l ** 2)
     bad = dataclasses.replace(
         params, objective=dataclasses.replace(obj, gamma=gamma_bad))
-    q_bad = analysis.constants_q(bad)
+    q_bad = gradient_constants(bad)[2]
     assert q_bad >= 1.0
     report(4, f"200 instances, q in [{min(qs):.4f}, {max(qs):.4f}] subset "
               f"(0,1); negative control q = {q_bad:.3f} >= 1")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hfo import analysis, hybrid
+from hfo import hybrid
 from hfo.analysis import (
     MEstimate,
     bound_thm1,
@@ -23,6 +23,7 @@ from hfo.model import (
     Box,
     HybridFOModel,
     JumpPolicy,
+    gradient_constants,
     make_state,
     strict_initial_state,
 )
@@ -158,11 +159,6 @@ class TestFixedPointZ:
                 z, y_s, params.objective, h)
             np.testing.assert_allclose(params.input_set.project(step), z,
                                        atol=1e-11)
-
-    def test_literal_argmin_ignores_output_term(self, s1):
-        # gradient Q_u z alone: fixed point is the projection of 0
-        assert fixed_point_z([0.5], s1, literal_argmin=True)[0] == pytest.approx(
-            0.0, abs=1e-10)
 
 
 class TestEstimateM:
@@ -391,7 +387,7 @@ class TestRateCheck:
         # same arc judged against a much smaller q must fail
         arc, params = s1_arc()
         report = rate_check(arc, params)
-        q = analysis.constants_q(params)
+        q = gradient_constants(params)[2]
         assert q == pytest.approx(0.84)
         tight = [p for p in report.periods if p.worst_step_margin > -1.0]
         assert tight  # contraction margins are informative, not vacuous

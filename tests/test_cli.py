@@ -101,6 +101,83 @@ class TestParseConfig:
         assert field in err
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("section", [
+        "plant", "objective", "timers", "input_set", "horizon", "policy",
+        "init", "init.zeta0", "overrides", "perturbation",
+    ])
+    @pytest.mark.parametrize("value", [5, [1.0]])
+    def test_non_object_section_names_it(self, tmp_path, capsys, section,
+                                         value):
+        data = load_s1_dict()
+        if section == "init.zeta0":
+            data["init"]["zeta0"] = value
+        else:
+            data[section] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        assert f"section '{section}' must be a JSON object" in (
+            capsys.readouterr().err)
+
+    ZETA0 = {"x": [0.2], "u": [0.1], "y_s": [0.6], "z": [0.3], "tau_c": 0.5,
+             "tau_g": 0.25}
+
+    @pytest.mark.parametrize("section, fields, field", [
+        ("timers", {"ell": 4.7}, "timers.ell"),
+        ("timers", {"tau_c_min": float("nan")}, "timers.tau_c_min"),
+        ("timers", {"tau_g_comp": "x"}, "timers.tau_g_comp"),
+        ("objective", {"gamma": "x"}, "objective.gamma"),
+        ("policy", {"seed": 1.5}, "policy.seed"),
+        ("policy", {"seed": -1}, "policy.seed"),
+        ("policy", {"tau_c_reset": "fixed", "tau_c_value": "abc"},
+         "policy.tau_c_value"),
+        ("policy", {"tau_c_reset": "fixed", "tau_c_value": float("inf")},
+         "policy.tau_c_value"),
+        ("horizon", {"J": 10.5}, "horizon.J"),
+        ("overrides", {"r_scale": float("nan")}, "overrides.r_scale"),
+        ("overrides", {"rho": "x"}, "overrides.rho"),
+        ("overrides", {"rho": 0.0}, "overrides.rho"),
+        ("input_set", {"kind": "ball", "center": [0.0], "radius": "x"},
+         "input_set.radius"),
+        ("perturbation", {"kappa_c": float("inf")}, "perturbation.kappa_c"),
+        ("perturbation", {"theta_c_max": "x"}, "perturbation.theta_c_max"),
+        ("init", {"mode": "global", "zeta0": dict(ZETA0, tau_c=float("nan"))},
+         "init.zeta0.tau_c"),
+        ("init", {"mode": "global", "zeta0": dict(ZETA0, tau_g="x")},
+         "init.zeta0.tau_g"),
+    ])
+    def test_bad_scalar_field_named(self, tmp_path, capsys, section, fields,
+                                    field):
+        data = load_s1_dict()
+        data.setdefault(section, {}).update(fields)
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_integral_floats_accepted(self):
+        data = load_s1_dict()
+        data["timers"]["ell"] = 4.0
+        data["policy"]["seed"] = 1.0
+        data["horizon"]["J"] = 1000.0
+        config = parse_config(data)
+        assert (config.params.timers.ell, config.policy.seed,
+                config.horizon[1]) == (4, 1, 1000)
+
+    @pytest.mark.parametrize("input_set, field", [
+        ({"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "input_set.lo"),
+        ({"kind": "box", "lo": [-1.0], "hi": [1.0, 1.0]}, "input_set.hi"),
+        ({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+         "input_set.center"),
+    ])
+    def test_input_set_length_must_match_inputs(self, tmp_path, capsys,
+                                                input_set, field):
+        data = load_s1_dict()
+        data["input_set"] = input_set
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}' has length 2, expected 1" in err
+
     def test_json_error_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "plant": [,]\n}')

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from hfo import hybrid
-from hfo.hybrid import HybridTime
-from hfo.linalg import step_lti
 from hfo.model import HybridFOModel, JumpPolicy, strict_initial_state
 from conftest import random_params, s1_params
 
@@ -116,9 +114,11 @@ def per_sample_flow(model, seg, sample_dt):
     from the one-step-at-a-time recurrence: x_{k+1} = flow_x(x_k), each timer
     tau_0 + rate * elapsed snapped to zero within EVENT_TOL, elapsed summed
     one sample_dt at a time, then a closing step to the exact event."""
+    rate_c, rate_g = model.timer_rates()
+
     def advance(start, dt, expired=""):
-        tau_c = start.tau_c + seg.rate_c * dt
-        tau_g = start.tau_g + seg.rate_g * dt
+        tau_c = start.tau_c + rate_c * dt
+        tau_g = start.tau_g + rate_g * dt
         if expired in ("c", "both") or abs(tau_c) <= hybrid.EVENT_TOL:
             tau_c = 0.0
         if expired in ("g", "both") or abs(tau_g) <= hybrid.EVENT_TOL:
@@ -127,7 +127,7 @@ def per_sample_flow(model, seg, sample_dt):
 
     start = seg.start
     dt_flow, expired = hybrid.next_event(start.tau_c, start.tau_g,
-                                         seg.rate_c, seg.rate_g)
+                                         rate_c, rate_g)
     times, xs, timers = [seg.t_start], [start.x], [(start.tau_c, start.tau_g)]
     x, elapsed = start.x, 0.0
     for _ in range(int(np.floor(dt_flow / sample_dt - 1e-9))):
@@ -186,6 +186,8 @@ class TestColumnarSegments:
         assert last.tau_g == seg.tau_g[-1] == 0.0
         assert isinstance(last.tau_c, float)
         assert np.array_equal(last.u, seg.start.u)
+        with pytest.raises(KeyError):
+            arc.segment_for(99)
 
 
 class TestDrawTauCReset:
@@ -213,32 +215,6 @@ class TestDrawTauCReset:
         draws = [hybrid.draw_tau_c_reset(policy, rng, (0.5, 1.0))
                  for _ in range(100)]
         assert all(0.5 <= v <= 1.0 for v in draws)
-
-
-class TestArcLookup:
-    def test_sample_point_exact(self):
-        arc, _ = simulate_s1(horizon=(1.5, 1000))
-        state = hybrid.arc_lookup(arc, HybridTime(0.0, 0))
-        assert state.x[0] == 0.0
-        assert state.tau_c == 1.0
-
-    def test_interpolation_matches_closed_form(self):
-        arc, params = simulate_s1(horizon=(2.0, 1000), sample_dt=0.001)
-        seg = arc.segment_for(5)  # after the first input application, u = 1
-        t = seg.t_start + 0.2022
-        state = hybrid.arc_lookup(arc, HybridTime(t, 5))
-        x_ref = step_lti(params.plant.a, params.plant.b,
-                         seg.start.x, seg.start.u, t - seg.t_start)
-        assert abs(state.x[0] - x_ref[0]) < 1e-6
-        assert state.tau_c == pytest.approx(seg.start.tau_c
-                                            - (t - seg.t_start), abs=1e-12)
-
-    def test_out_of_segment_raises(self):
-        arc, _ = simulate_s1(horizon=(1.5, 1000))
-        with pytest.raises(KeyError):
-            hybrid.arc_lookup(arc, HybridTime(0.9, 0))
-        with pytest.raises(KeyError):
-            hybrid.arc_lookup(arc, HybridTime(0.1, 99))
 
 
 class TestJumpStats:

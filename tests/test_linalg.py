@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+import scipy.linalg
 
 from hfo import linalg
 from conftest import power_iteration_norm, random_hurwitz, random_spd, rk4_lti
@@ -56,23 +57,31 @@ class TestMatExp:
             linalg.mat_exp(np.eye(2), np.zeros((2, 2)))
 
 
+def inverse_formula_step(a, b, dt):
+    """Oracle: the held-input step as A^{-1}(e^{A dt} - I) B, the form the
+    simulator used before the augmented exponential; needs an invertible A."""
+    e = scipy.linalg.expm(a * dt)
+    return e, np.linalg.solve(a, (e - np.eye(a.shape[0])) @ b)
+
+
 class TestStepLti:
+    """The exact held-input step (e^{A dt}, int_0^dt e^{As} ds B)."""
+
     def test_scalar_closed_form(self):
-        x = linalg.step_lti(np.array([[-1.0]]), np.array([[1.0]]),
-                            np.array([0.0]), np.array([0.75]), 1.0)
+        e, forced = linalg.propagator(np.array([[-1.0]]), np.array([[1.0]]), 1.0)
+        x = e @ np.array([0.0]) + forced @ np.array([0.75])
         np.testing.assert_allclose(x, [(1.0 - np.exp(-1.0)) * 0.75], rtol=1e-12)
 
     def test_zero_duration(self):
-        x0 = np.array([1.0, -2.0])
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
-        result = linalg.step_lti(a, np.eye(2), x0, np.array([3.0, 3.0]), 0.0)
-        assert np.array_equal(result, x0)
+        e, forced = linalg.propagator(a, np.eye(2), 0.0)
+        assert np.array_equal(e, np.eye(2))
+        assert np.array_equal(forced, np.zeros((2, 2)))
 
     def test_homogeneous_diagonal(self):
-        result = linalg.step_lti(np.diag([-1.0, -2.0]), np.eye(2),
-                                 np.array([1.0, 1.0]), np.zeros(2), 1.0)
-        np.testing.assert_allclose(result, [np.exp(-1.0), np.exp(-2.0)],
-                                   rtol=1e-12)
+        e, _ = linalg.propagator(np.diag([-1.0, -2.0]), np.eye(2), 1.0)
+        np.testing.assert_allclose(e @ np.array([1.0, 1.0]),
+                                   [np.exp(-1.0), np.exp(-2.0)], rtol=1e-12)
 
     def test_matches_rk4_reference(self):
         rng = np.random.default_rng(11)
@@ -84,14 +93,45 @@ class TestStepLti:
             x0 = rng.standard_normal(n)
             u = rng.standard_normal(m)
             dt = rng.choice([0.2, 0.5, 1.0])
-            exact = linalg.step_lti(a, b, x0, u, dt)
+            e, forced = linalg.propagator(a, b, dt)
             reference = rk4_lti(a, b, x0, u, dt)
-            assert np.max(np.abs(exact - reference)) < 1e-7
+            assert np.max(np.abs(e @ x0 + forced @ u - reference)) < 1e-7
 
-    def test_singular_plant_matrix_rejected(self):
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.step_lti(np.zeros((2, 2)), np.eye(2), np.ones(2),
-                            np.ones(2), 1.0)
+    def test_matches_inverse_formula(self):
+        rng = np.random.default_rng(19)
+        for n in [1, 2, 3, 5, 8, 13, 20]:
+            m = int(rng.integers(1, 6))
+            a = random_hurwitz(rng, n)
+            b = rng.standard_normal((n, m))
+            for dt in [0.01, 0.25, 1.0, 3.0]:
+                e, forced = linalg.propagator(a, b, dt)
+                e_ref, forced_ref = inverse_formula_step(a, b, dt)
+                np.testing.assert_allclose(e, e_ref, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(forced, forced_ref, rtol=0.0,
+                                           atol=1e-12)
+
+    def test_zero_plant_matrix_closed_form(self):
+        # A = 0: x(h) = x(0) + h B u
+        b = np.array([[1.0, -2.0], [0.5, 3.0]])
+        e, forced = linalg.propagator(np.zeros((2, 2)), b, 0.7)
+        np.testing.assert_allclose(e, np.eye(2), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(forced, 0.7 * b, rtol=0.0, atol=1e-12)
+
+    def test_nilpotent_plant_matrix_closed_form(self):
+        # A^2 = 0: e^{Ah} = I + Ah, int_0^h e^{As} ds = I h + A h^2 / 2
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        b = np.array([[0.3], [-1.2]])
+        for h in [0.25, 1.0, 2.5]:
+            e, forced = linalg.propagator(a, b, h)
+            np.testing.assert_allclose(e, np.eye(2) + a * h, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(
+                forced, (np.eye(2) * h + a * h ** 2 / 2.0) @ b, rtol=0.0,
+                atol=1e-12)
+
+    def test_rejects_input_matrix_of_wrong_height(self):
+        with pytest.raises(linalg.DimensionError):
+            linalg.propagator(np.eye(2) * -1.0, np.ones((3, 1)), 1.0)
 
 
 class TestEigGeneral:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hfo import model as m
+from hfo.hybrid import _resolve_jump
 from hfo.model import (
     Ball,
     Box,
@@ -13,9 +14,6 @@ from hfo.model import (
     Plant,
     Timers,
     grad_u_phi,
-    jump,
-    jump_g1,
-    jump_g2,
     make_state,
     phi,
     steady_state_gain,
@@ -106,27 +104,37 @@ class TestGainAndObjective:
             phi([1.0, 2.0], [0.5], s1.objective)
 
 
+def resolve(params, state, policy):
+    """The state after the full jump map: the single-timer map that
+    ``which_case`` selects, or both in policy order."""
+    model = HybridFOModel.nominal(params)
+    steps = _resolve_jump(model, state, policy,
+                          np.random.default_rng(policy.seed))
+    return steps[-1][2]
+
+
 class TestJumps:
     def test_gradient_jump(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.0)
-        post = jump_g1(state, s1)
+        post = HybridFOModel.nominal(s1).g1(state)
         assert post.z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
         assert post.tau_g == pytest.approx(0.25)
         assert post.u[0] == 0.0  # untouched
 
     def test_gradient_jump_projects(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 1.0, 0.0)
-        post = jump_g1(state, s1)
+        post = HybridFOModel.nominal(s1).g1(state)
         assert post.z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
 
     def test_gradient_jump_requires_expired_timer(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            jump_g1(state, s1)
+        assert HybridFOModel.nominal(s1).which_case(state) is None
+        with pytest.raises(RuntimeError, match="outside the jump set"):
+            resolve(s1, state, JumpPolicy())
 
     def test_input_jump(self, s1, s1_policy):
         state = make_state(0.3, 0.0, 0.5, 1.0, 0.0, 0.1)
-        post = jump_g2(state, s1, s1_policy)
+        post = resolve(s1, state, s1_policy)
         assert post.u[0] == 1.0
         assert post.y_s[0] == pytest.approx(1.5)  # H*z + d with the new input
         assert post.tau_c == 1.0  # "min" reset policy, interval [1, 1]
@@ -135,13 +143,13 @@ class TestJumps:
     def test_input_jump_with_stale_sample(self, s1, s1_policy):
         params = dataclasses.replace(s1, sample_with="old_input")
         state = make_state(0.3, 0.0, 0.5, 1.0, 0.0, 0.1)
-        post = jump_g2(state, params, s1_policy)
+        post = resolve(params, state, s1_policy)
         assert post.y_s[0] == pytest.approx(0.5)  # H*u_old + d
 
     def test_composite_jump_order(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 0.0, 0.0)
-        g1_first = jump(state, s1, JumpPolicy(case3_order="g1_first"))
-        g2_first = jump(state, s1, JumpPolicy(case3_order="g2_first"))
+        g1_first = resolve(s1, state, JumpPolicy(case3_order="g1_first"))
+        g2_first = resolve(s1, state, JumpPolicy(case3_order="g2_first"))
         # g1 first: z clipped to 1 before application
         assert g1_first.u[0] == pytest.approx(1.0)
         # g2 first: old z applied, then a gradient step from the new sample
@@ -150,8 +158,8 @@ class TestJumps:
 
     def test_jump_outside_jump_set_rejected(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            jump(state, s1, JumpPolicy())
+        with pytest.raises(RuntimeError, match="outside the jump set"):
+            resolve(s1, state, JumpPolicy())
 
 
 class TestStrictInitialState:
