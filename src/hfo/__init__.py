@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .hybrid import (
     HybridArc,
-    HybridTime,
     JumpRecord,
     JumpStats,
     check_non_zeno,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .hybrid import HybridArc
-from .model import ModelParams, State, effective_gain, gradient_constants
+from .model import ModelParams, effective_gain, gradient_constants
 
 
 @dataclass
@@ -208,15 +208,11 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
                      x_tilde, b_norm, m_estimate)
 
 
-def dist_to_A(state: State, c: Constants) -> float:
+def dist_to_A(x: np.ndarray, c: Constants):
     """Distance of the hybrid state to the target set: only the plant-state
-    component can leave it, so this is dist(x, ball of radius r about x~)."""
-    return max(0.0, float(np.linalg.norm(state.x - c.x_tilde)) - c.r)
-
-
-def dist_to_A_rows(x: np.ndarray, c: Constants) -> np.ndarray:
-    """``dist_to_A`` of every row of a (k, n) array of plant states."""
-    return np.maximum(np.linalg.norm(x - c.x_tilde, axis=1) - c.r, 0.0)
+    component can leave it, so this is dist(x, ball of radius r about x~).
+    ``x`` is one plant state (n,) or one per row (k, n)."""
+    return np.maximum(np.linalg.norm(x - c.x_tilde, axis=-1) - c.r, 0.0)
 
 
 def _bound(t, init_dist, c: Constants, timers, middle_exponent_scale: float):
@@ -262,7 +258,7 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
     t = np.concatenate([seg.times for seg in arc.segments])
     j = np.concatenate([np.full(len(seg.times), seg.j) for seg in arc.segments])
-    lhs = dist_to_A_rows(np.vstack([seg.x for seg in arc.segments]), c)
+    lhs = dist_to_A(np.vstack([seg.x for seg in arc.segments]), c)
     init_dist = float(lhs[0])
     rhs = bound_fn(t, init_dist, c, params.timers)
     clipped = np.maximum(rhs, 0.0)
@@ -294,15 +290,11 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     the simulator's stepped propagator). Reports the worst deviation from the
     stored trajectory.
     """
-    if arc.jumps is None:
-        raise ValueError("arc is missing its jump log")
     a, b = params.plant.a, params.plant.b
 
     first = arc.segments[0].start
     anchor_t, anchor_x = 0.0, first.x.copy()
     w = linalg.solve(a, b @ first.u)
-    jump_iter = iter(arc.jumps)
-    pending = next(jump_iter, None)
 
     times, recon = [], []
     max_dev = 0.0
@@ -314,14 +306,12 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
             times.append(t)
             recon.append(x_rec)
             max_dev = max(max_dev, float(np.max(np.abs(x_rec - stored))))
-        # input changes recorded at this segment's closing jump re-anchor the sum
-        while pending is not None and pending.time.j == seg.j:
-            if pending.applied == "g2":
-                e = linalg.mat_exp(a, pending.time.t - anchor_t)
-                anchor_x = e @ (anchor_x + w) - w
-                anchor_t = pending.time.t
-                w = linalg.solve(a, b @ pending.state_after.u)
-            pending = next(jump_iter, None)
+        # an input change at this segment's closing jump re-anchors the sum
+        if seg.j < len(arc.jumps) and arc.jumps[seg.j].applied == "g2":
+            e = linalg.mat_exp(a, seg.t_end - anchor_t)
+            anchor_x = e @ (anchor_x + w) - w
+            anchor_t = seg.t_end
+            w = linalg.solve(a, b @ arc.segments[seg.j + 1].start.u)
     return ReconstructionResult(max_dev, np.concatenate(times), np.vstack(recon))
 
 
@@ -352,13 +342,14 @@ def rate_check(arc: HybridArc, params: ModelParams,
     iterates = [first.z]
     periods: list[PeriodCheck] = []
     for rec in arc.jumps:
+        after = arc.segments[rec.j + 1].start
         if rec.applied == "g1":
-            iterates.append(rec.state_after.z)
+            iterates.append(after.z)
         else:
             periods.append(_check_period(len(periods), iterates, y_period, params,
                                          h, c_q, step_tol, aggregate_tol))
-            y_period = rec.state_after.y_s
-            iterates = [rec.state_after.z]
+            y_period = after.y_s
+            iterates = [after.z]
     return RateReport(periods, all(p.per_step_ok and p.aggregate_ok
                                    for p in periods))
 

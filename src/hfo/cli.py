@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, hybrid
-from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
+from .config import (ConfigError, ScenarioConfig, config_to_dict, parse_config,
+                     parse_seed)
 from .model import HybridFOModel, validate
 from .robustness import robustness_sweep
 
@@ -33,7 +34,8 @@ def _load(config_path: str) -> ScenarioConfig:
     config = parse_config(config_path)
     seed_env = os.environ.get("HFO_SEED")
     if seed_env is not None:
-        config.policy = dataclasses.replace(config.policy, seed=int(seed_env))
+        config.policy = dataclasses.replace(
+            config.policy, seed=parse_seed(seed_env, "HFO_SEED"))
     return config
 
 
@@ -67,48 +69,34 @@ def _csv_header(params) -> list:
     )
 
 
-def _state_row(t, j, case, state, consts) -> list:
-    return (
-        [repr(float(t)), j, case]
-        + [repr(float(v)) for v in state.x]
-        + [repr(float(v)) for v in state.u]
-        + [repr(float(v)) for v in state.y_s]
-        + [repr(float(v)) for v in state.z]
-        + [repr(state.tau_c), repr(state.tau_g),
-           repr(analysis.dist_to_A(state, consts))]
-    )
-
-
-def _segment_rows(seg, consts):
-    """The flow rows of one segment, read from its columns."""
+def _segment_rows(seg, consts, rows=slice(None), case=""):
+    """The rows ``rows`` of one segment, read from its columns."""
     start = seg.start
     held = [repr(v) for v in
             np.concatenate([start.u, start.y_s, start.z]).tolist()]
-    dist = analysis.dist_to_A_rows(seg.x, consts)
-    for t, x, tau_c, tau_g, d in zip(seg.times.tolist(), seg.x.tolist(),
-                                     seg.tau_c.tolist(), seg.tau_g.tolist(),
-                                     dist.tolist()):
-        yield ([repr(t), seg.j, ""] + [repr(v) for v in x] + held
+    xs = seg.x[rows]
+    dist = analysis.dist_to_A(xs, consts)
+    for t, x, tau_c, tau_g, d in zip(seg.times[rows].tolist(), xs.tolist(),
+                                     seg.tau_c[rows].tolist(),
+                                     seg.tau_g[rows].tolist(), dist.tolist()):
+        yield ([repr(t), seg.j, case] + [repr(v) for v in x] + held
                + [repr(tau_c), repr(tau_g), repr(d)])
 
 
 def write_trajectory_csv(path: Path, arc, consts, params):
-    """Flow samples plus a pre/post row pair for every jump."""
-    jump_iter = iter(arc.jumps)
-    pending = next(jump_iter, None)
+    """Flow samples plus a pre/post row pair for every jump j: the last
+    sample of segment j and the first of segment j + 1."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(params))
         for seg in arc.segments:
             writer.writerows(_segment_rows(seg, consts))
-            while pending is not None and pending.time.j == seg.j:
-                writer.writerow(_state_row(
-                    pending.time.t, pending.time.j, f"{pending.case}:pre",
-                    pending.state_before, consts))
-                writer.writerow(_state_row(
-                    pending.time.t, pending.time.j + 1, f"{pending.case}:post",
-                    pending.state_after, consts))
-                pending = next(jump_iter, None)
+            if seg.j < len(arc.jumps):
+                case = arc.jumps[seg.j].case
+                writer.writerows(_segment_rows(
+                    seg, consts, slice(-1, None), f"{case}:pre"))
+                writer.writerows(_segment_rows(
+                    arc.segments[seg.j + 1], consts, slice(1), f"{case}:post"))
 
 
 def _base_report(config, consts, diag) -> dict:
@@ -131,7 +119,7 @@ def cmd_simulate(args) -> int:
     report = _base_report(config, consts, diag)
     report.update({
         "t_end": arc.t_end,
-        "jumps": arc.jump_count,
+        "jumps": len(arc.jumps),
         "alpha": stats.alpha,
         "alpha_bar": stats.alpha_bar,
         "non_zeno": {

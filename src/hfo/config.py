@@ -64,13 +64,23 @@ def _finite(value, where: str) -> float:
 
 
 def _integer(value, where: str) -> int:
-    """A JSON number with an integral value (1 and 1.0 both count)."""
+    """An integral number: 1, 1.0 and "1" count (digit strings exactly)."""
     if isinstance(value, int):
         return value
+    if isinstance(value, str) and value.strip().isdecimal():
+        return int(value)
     out = _finite(value, where)
     if not out.is_integer():
         raise ConfigError(f"field '{where}' must be an integer, got {value!r}")
     return int(out)
+
+
+def parse_seed(value, where: str = "policy.seed") -> int:
+    """An RNG seed: integral and nonnegative."""
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ConfigError(f"field '{where}' must be nonnegative, got {seed}")
+    return seed
 
 
 def _section(value, where: str) -> dict:
@@ -194,11 +204,8 @@ def parse_config(source) -> ScenarioConfig:
         tau_c_value=(None if tau_c_value is None
                      else _finite(tau_c_value, "policy.tau_c_value")),
         case3_order=policy_raw.get("case3_order", "g1_first"),
-        seed=_integer(policy_raw.get("seed", 0), "policy.seed"),
+        seed=parse_seed(policy_raw.get("seed", 0)),
     )
-    if policy.seed < 0:
-        raise ConfigError(f"field 'policy.seed' must be nonnegative, got "
-                          f"{policy.seed}")
     if policy.tau_c_reset not in ("fixed", "uniform", "min", "max"):
         raise ConfigError("policy.tau_c_reset must be fixed|uniform|min|max")
     if policy.case3_order not in ("g1_first", "g2_first", "random"):

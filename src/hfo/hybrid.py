@@ -17,19 +17,12 @@ import numpy as np
 EVENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HybridTime:
-    t: float
-    j: int
-
-
 @dataclass
 class JumpRecord:
-    time: HybridTime
+    t: float  # jump j ends segments[j] and starts segments[j + 1]
+    j: int
     case: str  # "G1", "G2", "G3-first-half", "G3-second-half"
     applied: str  # which map fired: "g1" or "g2"
-    state_before: object
-    state_after: object
 
 
 @dataclass
@@ -71,6 +64,9 @@ class Segment:
 
 @dataclass
 class HybridArc:
+    """A hybrid solution: ``segments[j]`` flows at jump index j and ends at
+    ``jumps[j]``, so there is one segment more than there are jumps."""
+
     segments: list
     jumps: list
     min_dwell: float | None = None
@@ -78,16 +74,6 @@ class HybridArc:
     @property
     def t_end(self) -> float:
         return self.segments[-1].t_end
-
-    @property
-    def jump_count(self) -> int:
-        return len(self.jumps)
-
-    def segment_for(self, j: int) -> Segment:
-        for seg in self.segments:
-            if seg.j == j:
-                return seg
-        raise KeyError(f"arc has no segment with jump index {j}")
 
 
 def next_event(tau_c: float, tau_g: float, rate_c: float = -1.0, rate_g: float = -1.0):
@@ -231,7 +217,8 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
     Jump-priority semantics: whenever the state is in the jump set the jump
     map is applied (nondeterminism resolved via policy + seeded RNG);
     otherwise the state flows exactly to the next timer event. Deterministic
-    for a fixed seed.
+    for a fixed seed. J never splits a composite jump: both halves run, so
+    the arc may end at j = J + 1.
     """
     t_max, j_max = horizon
     if sample_dt <= 0:
@@ -252,11 +239,10 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
         if horizon_hit:
             break
         steps = _resolve_jump(model, state, policy, rng)
-        for i, (label, applied, new_state) in enumerate(steps):
-            jumps.append(JumpRecord(HybridTime(t, j), label, applied, state, new_state))
-            state = new_state
+        for i, (label, applied, state) in enumerate(steps):
+            jumps.append(JumpRecord(t, j, label, applied))
             j += 1
-            if i < len(steps) - 1 and j < j_max:
+            if i < len(steps) - 1:
                 segments.append(_point_segment(state, t, j))
 
     return HybridArc(segments, jumps, min_dwell=model.min_dwell())
@@ -311,7 +297,7 @@ def check_non_zeno(arc: HybridArc, min_dwell: float | None = None) -> NonZenoRep
     violations = []
     groups = []
     for rec in arc.jumps:
-        if groups and abs(rec.time.t - groups[-1][-1].time.t) <= EVENT_TOL:
+        if groups and abs(rec.t - groups[-1][-1].t) <= EVENT_TOL:
             groups[-1].append(rec)
         else:
             groups.append([rec])
@@ -319,21 +305,21 @@ def check_non_zeno(arc: HybridArc, min_dwell: float | None = None) -> NonZenoRep
     max_per_instant = max((len(g) for g in groups), default=0)
     for g in groups:
         if len(g) > 2:
-            violations.append(f"{len(g)} jumps at t={g[0].time.t}")
-        last = g[-1].state_after
+            violations.append(f"{len(g)} jumps at t={g[0].t}")
+        last = arc.segments[g[-1].j + 1].start
         if last.tau_c <= 0.0 or last.tau_g <= 0.0:
             violations.append(
-                f"nonpositive timer after jump sequence at t={g[0].time.t}: "
+                f"nonpositive timer after jump sequence at t={g[0].t}: "
                 f"tau_c={last.tau_c}, tau_g={last.tau_g}"
             )
     min_gap = None
     if min_dwell is not None:
         for a, b in zip(groups, groups[1:]):
-            gap = b[0].time.t - a[0].time.t
+            gap = b[0].t - a[0].t
             min_gap = gap if min_gap is None else min(min_gap, gap)
             if gap < min_dwell - EVENT_TOL:
                 violations.append(
-                    f"flow gap {gap} after jump sequence at t={a[0].time.t} "
+                    f"flow gap {gap} after jump sequence at t={a[0].t} "
                     f"shorter than {min_dwell}"
                 )
     return NonZenoReport(not violations, violations, max_per_instant, min_gap)

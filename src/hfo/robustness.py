@@ -121,16 +121,15 @@ def _directional(arc_a: HybridArc, arc_b: HybridArc, tau: float, side: int):
     """Worst match, over the samples of arc_a with t + j <= tau, against the
     segment of arc_b at the same jump index; the witness is the first sample,
     in segment and then time order, that attains it."""
-    segs_b = {seg.j: seg for seg in arc_b.segments}
     worst, witness = 0.0, (side, 0.0, 0)
     for seg in arc_a.segments:
         keep = seg.times + seg.j <= tau + TAU_TOL
         if not keep.any():
             continue
         times = seg.times[keep]
-        other = segs_b.get(seg.j)
-        if other is None:
+        if seg.j >= len(arc_b.segments):
             return math.inf, (side, float(times[0]), seg.j)
+        other = arc_b.segments[seg.j]
         cand = _segment_matches(times, seg.matrix()[keep],
                                 other.times, other.matrix())
         best = int(np.argmax(cand))

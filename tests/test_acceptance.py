@@ -171,7 +171,7 @@ def _bound_suite(which, seed, init_fn):
     c = constants(params)
     rep = check_bound(arc, c, params, which)
     worst = max(worst, rep.max_violation)
-    worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].state(-1), c))
+    worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].state(-1).x, c))
 
     rng = np.random.default_rng(seed)
     for i in range(20):
@@ -185,7 +185,7 @@ def _bound_suite(which, seed, init_fn):
         rep = check_bound(arc, c, params, which)
         worst = max(worst, rep.max_violation)
         worst_tail = max(worst_tail,
-                         dist_to_A(arc.segments[-1].state(-1), c))
+                         dist_to_A(arc.segments[-1].state(-1).x, c))
     return worst, worst_tail
 
 
@@ -249,7 +249,7 @@ def test_08_non_zeno_structure_and_s1_schedule():
         assert zeno.max_jumps_per_instant <= 2
 
     arc, _ = _s1_arc(horizon=(1.5, 10_000), sample_dt=0.01)
-    times = [j.time.t for j in arc.jumps[:5]]
+    times = [j.t for j in arc.jumps[:5]]
     np.testing.assert_allclose(times, [0.25, 0.5, 0.75, 1.0, 1.0], atol=1e-12)
     assert [j.case for j in arc.jumps[3:5]] == ["G3-first-half",
                                                "G3-second-half"]

@@ -62,15 +62,13 @@ def per_sample_reconstruction(arc, params):
         e = scipy.linalg.expm(a * (t - anchor_t))
         return e @ anchor_x + np.linalg.solve(a, (e - eye) @ (b @ u_p))
 
-    jumps = list(arc.jumps)
     recon = []
     for seg in arc.segments:
         recon.extend(at(t) for t in seg.times)
-        while jumps and jumps[0].time.j == seg.j:
-            rec = jumps.pop(0)
-            if rec.applied == "g2":
-                anchor_x, anchor_t = at(rec.time.t), rec.time.t
-                u_p = rec.state_after.u.copy()
+        if seg.j < len(arc.jumps) and arc.jumps[seg.j].applied == "g2":
+            rec = arc.jumps[seg.j]
+            anchor_x, anchor_t = at(rec.t), rec.t
+            u_p = arc.segments[rec.j + 1].start.u.copy()
     return np.vstack(recon)
 
 
@@ -78,11 +76,11 @@ def per_sample_bound_check(arc, c, params, which):
     """Oracle: (max_violation, first_entry_time, (t, j) of the first sample
     attaining it), from a plain loop over the stored samples."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    init_dist = dist_to_A(arc.segments[0].start, c)
+    init_dist = dist_to_A(arc.segments[0].start.x, c)
     worst, witness, first_entry = -np.inf, None, None
     for seg in arc.segments:
         for k, t in enumerate(seg.times):
-            lhs = dist_to_A(seg.state(k), c)
+            lhs = dist_to_A(seg.state(k).x, c)
             gap = lhs - max(float(bound_fn(t, init_dist, c, params.timers)), 0.0)
             if gap > worst:
                 worst, witness = gap, (float(t), seg.j)
@@ -253,12 +251,12 @@ class TestDistToA:
     def test_inside_target_set(self, s1):
         c = constants(s1)
         state = make_state(0.75, 0.0, 0.5, 0.0, 1.0, 0.25)
-        assert dist_to_A(state, c) == 0.0
+        assert dist_to_A(state.x, c) == 0.0
 
     def test_outside(self, s1):
         c = constants(s1)
         state = make_state(0.75 + c.r + 2.0, 0.0, 0.5, 0.0, 1.0, 0.25)
-        assert dist_to_A(state, c) == pytest.approx(2.0)
+        assert dist_to_A(state.x, c) == pytest.approx(2.0)
 
 
 class TestBounds:

@@ -31,21 +31,20 @@ def per_state_csv(path, arc, consts, params):
                 + [repr(float(v)) for v in state.y_s]
                 + [repr(float(v)) for v in state.z]
                 + [repr(state.tau_c), repr(state.tau_g),
-                   repr(analysis.dist_to_A(state, consts))])
+                   repr(float(analysis.dist_to_A(state.x, consts)))])
 
-    jumps = list(arc.jumps)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cli._csv_header(params))
         for seg in arc.segments:
             for k, t in enumerate(seg.times):
                 writer.writerow(row(t, seg.j, "", seg.state(k)))
-            while jumps and jumps[0].time.j == seg.j:
-                rec = jumps.pop(0)
-                writer.writerow(row(rec.time.t, rec.time.j, f"{rec.case}:pre",
-                                    rec.state_before))
-                writer.writerow(row(rec.time.t, rec.time.j + 1,
-                                    f"{rec.case}:post", rec.state_after))
+            if seg.j < len(arc.jumps):
+                rec = arc.jumps[seg.j]
+                writer.writerow(row(rec.t, rec.j, f"{rec.case}:pre",
+                                    seg.state(-1)))
+                writer.writerow(row(rec.t, rec.j + 1, f"{rec.case}:post",
+                                    arc.segments[rec.j + 1].start))
 
 
 class TestParseConfig:
@@ -295,6 +294,48 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["policy"]["seed"] == 42
+
+    @pytest.mark.parametrize("value, seed", [
+        ("7", 7), ("7.0", 7),
+        # beyond float precision: digit strings are read exactly
+        ("99999999999999999999", 99999999999999999999)])
+    def test_seed_env_parsed_like_policy_seed(self, tmp_path, monkeypatch,
+                                              value, seed):
+        data = load_s1_dict()
+        data["horizon"] = {"T": 1.0, "J": 100}
+        cfg = write_config(tmp_path, data)
+        monkeypatch.setenv("HFO_SEED", value)
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["policy"]["seed"] == seed
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", "nan"])
+    def test_bad_seed_env_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        cfg = write_config(tmp_path, load_s1_dict())
+        monkeypatch.setenv("HFO_SEED", value)
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'HFO_SEED'")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("j_max", [4, 9])
+    def test_jump_budget_inside_composite_jump(self, tmp_path, j_max):
+        # S1 jumps 3, 4 (and 8, 9) are the two halves of the composite jump
+        # at t = 1 (t = 2); the budget J must not split them
+        data = load_s1_dict()
+        data["horizon"] = {"T": 30.0, "J": j_max}
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "trajectory.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        jumps = json.loads((tmp_path / "report.json").read_text())["jumps"]
+        assert jumps == j_max + 1
+        segments = sorted({int(row[1]) for row in rows if row[2] == ""})
+        assert segments == list(range(jumps + 1))
+        pre = [int(row[1]) for row in rows if row[2].endswith(":pre")]
+        post = [int(row[1]) for row in rows if row[2].endswith(":post")]
+        assert pre == list(range(jumps))
+        assert post == list(range(1, jumps + 1))
 
 
 class TestVerifyCommand:

@@ -50,8 +50,8 @@ def simulate_s1(horizon=(3.0, 1000), sample_dt=0.01, **overrides):
 class TestSimulate:
     def test_s1_jump_schedule(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        first_period = [j for j in arc.jumps if j.time.t <= 1.0]
-        times = [j.time.t for j in first_period]
+        first_period = [j for j in arc.jumps if j.t <= 1.0]
+        times = [j.t for j in first_period]
         np.testing.assert_allclose(times, [0.25, 0.5, 0.75, 1.0, 1.0],
                                    atol=1e-12)
         assert [j.case for j in first_period] == [
@@ -60,11 +60,12 @@ class TestSimulate:
 
     def test_s1_optimizer_iterates(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        z_after = [float(j.state_after.z[0]) for j in arc.jumps[:5]]
+        z_after = [float(arc.segments[j.j + 1].start.z[0])
+                   for j in arc.jumps[:5]]
         np.testing.assert_allclose(z_after, [0.6, 0.96, 1.0, 1.0, 1.0],
                                    atol=1e-12)
         # input applied at the composite jump, output resampled
-        post = arc.jumps[4].state_after
+        post = arc.segments[arc.jumps[4].j + 1].start
         assert post.u[0] == pytest.approx(1.0)
         assert post.y_s[0] == pytest.approx(1.5)
         assert post.tau_c == pytest.approx(1.0)
@@ -82,11 +83,11 @@ class TestSimulate:
         arc, _ = simulate_s1(horizon=(0.0, 1000))
         assert len(arc.segments) == 1
         assert arc.t_end == 0.0
-        assert arc.jump_count == 0
+        assert len(arc.jumps) == 0
 
     def test_jump_budget_stops_run(self):
         arc, _ = simulate_s1(horizon=(10.0, 3))
-        assert arc.jump_count == 3
+        assert len(arc.jumps) == 3
         assert arc.segments[-1].j == 3
 
     def test_deterministic_given_seed(self):
@@ -157,25 +158,21 @@ class TestColumnarSegments:
             sample_dt = 0.013
         arc = hybrid.simulate(model, strict_initial_state(params), policy,
                               (6.0, 1000), sample_dt)
-        jumps = {rec.time.j: rec for rec in arc.jumps}
         flows = 0
         for seg in arc.segments[:-1]:
             if seg.t_end == seg.t_start:
                 continue
             flows += 1
-            before = jumps[seg.j].state_before
             times, xs, timers = per_sample_flow(model, seg, sample_dt)
             assert np.array_equal(seg.times, times)
             assert np.array_equal(seg.x, xs)
             assert np.array_equal(seg.tau_c, timers[:, 0])
             assert np.array_equal(seg.tau_g, timers[:, 1])
-            assert np.array_equal(before.x, seg.x[-1])
-            assert (before.tau_c, before.tau_g) == tuple(timers[-1])
         assert flows >= 10
 
     def test_state_accessor_and_matrix(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        seg = arc.segment_for(1)
+        seg = arc.segments[1]
         def vector(s):
             return np.concatenate([s.x, s.u, s.y_s, s.z, [s.tau_c], [s.tau_g]])
 
@@ -186,8 +183,55 @@ class TestColumnarSegments:
         assert last.tau_g == seg.tau_g[-1] == 0.0
         assert isinstance(last.tau_c, float)
         assert np.array_equal(last.u, seg.start.u)
-        with pytest.raises(KeyError):
-            arc.segment_for(99)
+
+
+class TestArcInvariant:
+    """Segment k is the flow at jump index k and ends at jump k; the result
+    of jump k starts segment k + 1."""
+
+    @staticmethod
+    def assert_invariant(arc):
+        assert len(arc.segments) == len(arc.jumps) + 1
+        for k, rec in enumerate(arc.jumps):
+            assert arc.segments[k].j == rec.j == k
+            assert rec.t == arc.segments[k].t_end == arc.segments[k + 1].t_start
+        assert arc.segments[-1].j == len(arc.jumps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("reset", ["min", "uniform"])
+    @pytest.mark.parametrize("order", ["g1_first", "g2_first", "random"])
+    def test_segment_k_ends_at_jump_k(self, n, reset, order):
+        rng = np.random.default_rng(100 + n)
+        params = random_params(rng, aligned_timers=True, n=n)
+        policy = JumpPolicy(tau_c_reset=reset, case3_order=order, seed=n)
+        strict = strict_initial_state(params)
+        starts = [strict,
+                  dataclasses.replace(strict, tau_g=0.0),  # in the jump set
+                  dataclasses.replace(strict, tau_c=0.0, tau_g=0.0)]
+        models = [HybridFOModel.nominal(params),
+                  HybridFOModel(params, rate_c=-rng.uniform(0.8, 1.2),
+                                rate_g=-rng.uniform(0.8, 1.2))]
+        composite = False
+        for model in models:
+            for zeta0 in starts:
+                for j_max in (0, 1, 2, 3, 4, 5, 1000):
+                    arc = hybrid.simulate(model, zeta0, policy,
+                                          (3.0, j_max), 0.05)
+                    self.assert_invariant(arc)
+                    assert j_max <= len(arc.jumps) <= j_max + 1 or (
+                        arc.t_end == 3.0 and len(arc.jumps) < j_max)
+                    composite |= any(r.case == "G3-second-half"
+                                     for r in arc.jumps)
+        assert composite
+
+    @pytest.mark.parametrize("j_max", [4, 9])
+    def test_budget_inside_composite_jump_leaves_no_hole(self, j_max):
+        # S1 jumps 3 and 4 are the halves of the composite jump at t = 1
+        # (8 and 9 at t = 2): the budget never splits them
+        arc, _ = simulate_s1(horizon=(30.0, j_max))
+        self.assert_invariant(arc)
+        assert [seg.j for seg in arc.segments] == list(range(j_max + 2))
+        assert arc.jumps[-1].case == "G3-second-half"
 
 
 class TestDrawTauCReset:

@@ -107,7 +107,7 @@ class TestPerturbedModel:
         arc = run_s1(perturbed_model(params, pert, 1.0), horizon=(2.5, 200))
         # gradient steps still fire every 0.25 s, but the input applies at
         # t = 2.0 instead of 1.0 (rate -0.5)
-        g2_times = [j.time.t for j in arc.jumps if j.applied == "g2"]
+        g2_times = [j.t for j in arc.jumps if j.applied == "g2"]
         assert g2_times[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_gain_error_diverges_after_first_sample(self):
@@ -121,8 +121,8 @@ class TestPerturbedModel:
         # error reaches the optimizer iterate z earlier, at the first
         # gradient step, but not the plant)
         for j in (0, 1, 2, 3):
-            a = arc_nom.segment_for(j)
-            b = arc_pert.segment_for(j)
+            a = arc_nom.segments[j]
+            b = arc_pert.segments[j]
             np.testing.assert_array_equal(a.matrix()[:, 0], b.matrix()[:, 0])
         # in S1 the first applied input saturates at the box edge either way;
         # the corrupted samples steer the second period's iterates apart, so
@@ -135,8 +135,8 @@ class TestPerturbedModel:
         # sampled output differs from the first sampling jump onward
         g2_nom = next(j for j in arc_nom.jumps if j.applied == "g2")
         g2_pert = next(j for j in arc_pert.jumps if j.applied == "g2")
-        assert abs(g2_nom.state_after.y_s[0]
-                   - g2_pert.state_after.y_s[0]) > 0.1
+        assert abs(arc_nom.segments[g2_nom.j + 1].start.y_s[0]
+                   - arc_pert.segments[g2_pert.j + 1].start.y_s[0]) > 0.1
 
     def test_invalid_scaled_rate_rejected(self):
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
@@ -226,9 +226,9 @@ class TestClosenessMatchesPerSampleScan:
                          sample_dt=1e-4)
         perturbed = run_s1(perturbed_model(params, s1_perturbation(), 0.3),
                            horizon=(1.2, 200), sample_dt=1e-4)
-        seg = perturbed.segment_for(0)
+        seg = perturbed.segments[0]
         rows = robustness._MATCH_BUDGET // seg.matrix().size
-        assert 1 <= rows < len(nominal.segment_for(0).times) // 3
+        assert 1 <= rows < len(nominal.segments[0].times) // 3
         self.assert_same(nominal, perturbed, 1.2)
 
     def test_missing_segment_is_infinite(self):
