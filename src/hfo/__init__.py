@@ -19,6 +19,7 @@ from .model import (
     JumpPolicy,
     ModelParams,
     Objective,
+    Perturbation,
     Plant,
     State,
     Timers,
@@ -44,10 +45,8 @@ from .analysis import (
 )
 from .robustness import (
     ClosenessResult,
-    Perturbation,
     closeness,
     iota_magnitude,
-    perturbed_model,
     robustness_sweep,
 )
 from .config import ScenarioConfig, config_to_dict, parse_config

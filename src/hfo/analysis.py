@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .hybrid import HybridArc
-from .model import ModelParams, effective_gain, gradient_constants
+from .model import ModelParams, gradient_constants
 
 
 @dataclass
@@ -86,7 +86,7 @@ def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma,
     return z
 
 
-def solve_optimal(params: ModelParams, h=None):
+def solve_optimal(params: ModelParams):
     """Optimal steady state (u~, y~, x~) of the disturbance-aware program.
 
     Minimizes 0.5 u'Q_u u + 0.5 (Hu + d - y_hat)'Q_y(Hu + d - y_hat) over the
@@ -94,8 +94,7 @@ def solve_optimal(params: ModelParams, h=None):
     """
     obj = params.objective
     plant = params.plant
-    if h is None:
-        h = effective_gain(params)
+    h = params.h
     hess = obj.q_u + h.T @ obj.q_y @ h
     eigs = linalg.eig_sym(hess)
     offset = h.T @ (obj.q_y @ (plant.d - obj.y_hat))
@@ -112,15 +111,13 @@ def solve_optimal(params: ModelParams, h=None):
     return u_tilde, y_tilde, x_tilde
 
 
-def fixed_point_z(y_s, params: ModelParams, h=None):
+def fixed_point_z(y_s, params: ModelParams):
     """Per-sample fixed point z* of the projected gradient update, with the
     sampled output y_s held as the system holds it within one input period."""
     obj = params.objective
-    if h is None:
-        h = effective_gain(params)
     y_s = np.asarray(y_s, dtype=float)
     eigs = linalg.eig_sym(obj.q_u)
-    offset = h.T @ (obj.q_y @ (y_s - obj.y_hat))
+    offset = params.h.T @ (obj.q_y @ (y_s - obj.y_hat))
 
     def grad(z):
         return obj.q_u @ z + offset
@@ -182,7 +179,6 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
     """
     plant = params.plant
     tm = params.timers
-    h = effective_gain(params)
 
     if params.rho_override is not None:
         rho = float(params.rho_override)
@@ -192,13 +188,13 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
             raise ValueError("plant matrix must be Hurwitz")
         rho = float(np.min(np.abs(spectrum.real)))
 
-    _, big_l, q = gradient_constants(params, h)
+    _, big_l, q = gradient_constants(params)
     d_u = params.input_set.diameter()
     b_norm = linalg.spectral_norm(plant.b)
     if m_estimate is None:
         m_estimate = estimate_M(plant.a, rho)
     m_hat = m_estimate.value
-    u_tilde, y_tilde, x_tilde = solve_optimal(params, h)
+    u_tilde, y_tilde, x_tilde = solve_optimal(params)
     r = (
         m_hat * b_norm * d_u / rho
         * (2.0 - np.exp(-rho * tm.tau_c_min) + q ** (tm.ell / 2.0))
@@ -335,8 +331,7 @@ def rate_check(arc: HybridArc, params: ModelParams,
                step_tol: float = 1e-12, aggregate_tol: float = 1e-9) -> RateReport:
     """Verify per-step and aggregate optimizer contraction in every completed
     input period against that period's projected-gradient fixed point."""
-    h = effective_gain(params)
-    _, _, c_q = gradient_constants(params, h)
+    _, _, c_q = gradient_constants(params)
     first = arc.segments[0].start
     y_period = first.y_s
     iterates = [first.z]
@@ -347,15 +342,15 @@ def rate_check(arc: HybridArc, params: ModelParams,
             iterates.append(after.z)
         else:
             periods.append(_check_period(len(periods), iterates, y_period, params,
-                                         h, c_q, step_tol, aggregate_tol))
+                                         c_q, step_tol, aggregate_tol))
             y_period = after.y_s
             iterates = [after.z]
     return RateReport(periods, all(p.per_step_ok and p.aggregate_ok
                                    for p in periods))
 
 
-def _check_period(p, iterates, y_period, params, h, q, step_tol, aggregate_tol):
-    z_star = fixed_point_z(y_period, params, h)
+def _check_period(p, iterates, y_period, params, q, step_tol, aggregate_tol):
+    z_star = fixed_point_z(y_period, params)
     dists = [float(np.linalg.norm(z - z_star)) for z in iterates]
     worst = -np.inf
     for d0, d1 in zip(dists, dists[1:]):

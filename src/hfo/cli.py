@@ -40,8 +40,11 @@ def _load(config_path: str) -> ScenarioConfig:
 
 
 def _validated(config: ScenarioConfig):
-    zeta0 = config.initial_state()
-    diag = validate(config.params, zeta0, mode=config.init_mode)
+    # the strict initial state reads H = -C A^{-1} B: check the plant first
+    diag = validate(config.params)
+    if diag.ok:
+        zeta0 = config.initial_state()
+        diag = validate(config.params, zeta0, mode=config.init_mode)
     if not diag.ok:
         lines = [f"  {c.name}: {c.detail}" for c in diag.failures()]
         raise ConfigError("validation failed:\n" + "\n".join(lines))
@@ -50,7 +53,7 @@ def _validated(config: ScenarioConfig):
 
 def _run(config: ScenarioConfig):
     zeta0, diag = _validated(config)
-    model = HybridFOModel.nominal(config.params)
+    model = HybridFOModel(config.params)
     arc = hybrid.simulate(model, zeta0, config.policy, config.horizon,
                           config.sample_dt)
     consts = analysis.constants(config.params, r_scale=config.r_scale)
@@ -122,11 +125,7 @@ def cmd_simulate(args) -> int:
         "jumps": len(arc.jumps),
         "alpha": stats.alpha,
         "alpha_bar": stats.alpha_bar,
-        "non_zeno": {
-            "passed": zeno.passed,
-            "violations": zeno.violations,
-            "max_jumps_per_instant": zeno.max_jumps_per_instant,
-        },
+        "non_zeno": dataclasses.asdict(zeno),
     })
     (out / "report.json").write_text(json.dumps(report, indent=2))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'report.json'}")
@@ -176,7 +175,7 @@ def cmd_verify(args) -> int:
         "max_deviation": recon.max_deviation,
     }
     zeno = hybrid.check_non_zeno(arc)
-    checks["non_zeno"] = {"passed": zeno.passed, "violations": zeno.violations}
+    checks["non_zeno"] = dataclasses.asdict(zeno)
 
     report = _base_report(config, consts, diag)
     report["checks"] = checks

@@ -17,13 +17,13 @@ from .model import (
     JumpPolicy,
     ModelParams,
     Objective,
+    Perturbation,
     Plant,
     State,
     Timers,
     make_state,
     strict_initial_state,
 )
-from .robustness import Perturbation
 
 
 class ConfigError(ValueError):
@@ -54,6 +54,8 @@ def _require(data: dict, key: str, where: str):
 
 
 def _finite(value, where: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"field '{where}' is not a number: {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -64,8 +66,9 @@ def _finite(value, where: str) -> float:
 
 
 def _integer(value, where: str) -> int:
-    """An integral number: 1, 1.0 and "1" count (digit strings exactly)."""
-    if isinstance(value, int):
+    """An integral number: 1, 1.0 and "1" count (digit strings exactly);
+    true and false do not."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and value.strip().isdecimal():
         return int(value)
@@ -83,11 +86,20 @@ def parse_seed(value, where: str = "policy.seed") -> int:
     return seed
 
 
-def _section(value, where: str) -> dict:
-    """A config section, which must be a JSON object."""
+def _known_keys(data: dict, where: str, keys) -> None:
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"unknown field '{where}.{key}'")
+
+
+def _section(value, where: str, keys=None) -> dict:
+    """A config section, which must be a JSON object holding none but
+    ``keys`` (when given)."""
     if not isinstance(value, dict):
         raise ConfigError(f"section '{where}' must be a JSON object, got "
                           f"{type(value).__name__}")
+    if keys is not None:
+        _known_keys(value, where, keys)
     return value
 
 
@@ -117,14 +129,18 @@ def _vector(data, where: str, length=None) -> np.ndarray:
 def _parse_input_set(data: dict, m: int):
     kind = _require(data, "kind", "input_set")
     if kind == "box":
-        return Box(_vector(_require(data, "lo", "input_set"), "input_set.lo", m),
-                   _vector(_require(data, "hi", "input_set"), "input_set.hi", m))
-    if kind == "ball":
-        return Ball(_vector(_require(data, "center", "input_set"),
-                            "input_set.center", m),
-                    _finite(_require(data, "radius", "input_set"),
-                            "input_set.radius"))
-    raise ConfigError(f"input_set.kind must be 'box' or 'ball', got {kind!r}")
+        out = Box(_vector(_require(data, "lo", "input_set"), "input_set.lo", m),
+                  _vector(_require(data, "hi", "input_set"), "input_set.hi", m))
+    elif kind == "ball":
+        out = Ball(_vector(_require(data, "center", "input_set"),
+                           "input_set.center", m),
+                   _finite(_require(data, "radius", "input_set"),
+                           "input_set.radius"))
+    else:
+        raise ConfigError(f"input_set.kind must be 'box' or 'ball', got {kind!r}")
+    _known_keys(data, "input_set",
+                ("kind", "lo", "hi") if kind == "box" else ("kind", "center", "radius"))
+    return out
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -140,8 +156,12 @@ def parse_config(source) -> ScenarioConfig:
         raw = source
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
+    _known_keys(raw, "config", ("plant", "objective", "timers", "input_set",
+                                "overrides", "policy", "horizon", "sample_dt",
+                                "init", "perturbation"))
 
-    plant_raw = _section(_require(raw, "plant", "config"), "plant")
+    plant_raw = _section(_require(raw, "plant", "config"), "plant",
+                         ("A", "B", "C", "d"))
     a = _matrix(_require(plant_raw, "A", "plant"), "plant.A")
     if a.shape[0] != a.shape[1]:
         raise ConfigError(f"plant.A must be square, got shape {a.shape}")
@@ -157,7 +177,8 @@ def parse_config(source) -> ScenarioConfig:
     d = _vector(_require(plant_raw, "d", "plant"), "plant.d", p)
     plant = Plant(a, b, c_out, d)
 
-    obj_raw = _section(_require(raw, "objective", "config"), "objective")
+    obj_raw = _section(_require(raw, "objective", "config"), "objective",
+                       ("Q_u", "Q_y", "y_hat", "gamma"))
     objective = Objective(
         _matrix(_require(obj_raw, "Q_u", "objective"), "objective.Q_u", (m, m)),
         _matrix(_require(obj_raw, "Q_y", "objective"), "objective.Q_y", (p, p)),
@@ -165,7 +186,8 @@ def parse_config(source) -> ScenarioConfig:
         _finite(_require(obj_raw, "gamma", "objective"), "objective.gamma"),
     )
 
-    tm_raw = _section(_require(raw, "timers", "config"), "timers")
+    tm_raw = _section(_require(raw, "timers", "config"), "timers",
+                      ("tau_c_min", "tau_c_max", "tau_g_comp", "ell"))
     timers = Timers(
         _finite(_require(tm_raw, "tau_c_min", "timers"), "timers.tau_c_min"),
         _finite(_require(tm_raw, "tau_c_max", "timers"), "timers.tau_c_max"),
@@ -176,10 +198,8 @@ def parse_config(source) -> ScenarioConfig:
     input_set = _parse_input_set(
         _section(_require(raw, "input_set", "config"), "input_set"), m)
 
-    overrides = _section(raw.get("overrides", {}), "overrides")
-    h_override = None
-    if overrides.get("H") is not None:
-        h_override = _matrix(overrides["H"], "overrides.H", (p, m))
+    overrides = _section(raw.get("overrides", {}), "overrides",
+                         ("rho", "r_scale"))
     rho_override = overrides.get("rho")
     if rho_override is not None:
         rho_override = _finite(rho_override, "overrides.rho")
@@ -188,16 +208,10 @@ def parse_config(source) -> ScenarioConfig:
                 f"field 'overrides.rho' must be positive, got {rho_override}")
     r_scale = _finite(overrides.get("r_scale", 1.0), "overrides.r_scale")
 
-    params = ModelParams(
-        plant, objective, timers, input_set,
-        h_override=h_override,
-        rho_override=rho_override,
-        sample_with=raw.get("sample_with", "new_input"),
-    )
-    if params.sample_with not in ("new_input", "old_input"):
-        raise ConfigError("sample_with must be 'new_input' or 'old_input'")
+    params = ModelParams(plant, objective, timers, input_set, rho_override)
 
-    policy_raw = _section(raw.get("policy", {}), "policy")
+    policy_raw = _section(raw.get("policy", {}), "policy",
+                          ("tau_c_reset", "tau_c_value", "case3_order", "seed"))
     tau_c_value = policy_raw.get("tau_c_value")
     policy = JumpPolicy(
         tau_c_reset=policy_raw.get("tau_c_reset", "min"),
@@ -211,7 +225,8 @@ def parse_config(source) -> ScenarioConfig:
     if policy.case3_order not in ("g1_first", "g2_first", "random"):
         raise ConfigError("policy.case3_order must be g1_first|g2_first|random")
 
-    horizon_raw = _section(_require(raw, "horizon", "config"), "horizon")
+    horizon_raw = _section(_require(raw, "horizon", "config"), "horizon",
+                           ("T", "J"))
     t_max = _finite(_require(horizon_raw, "T", "horizon"), "horizon.T")
     if t_max < 0.0:
         raise ConfigError(f"field 'horizon.T' must be nonnegative, got {t_max}")
@@ -223,13 +238,14 @@ def parse_config(source) -> ScenarioConfig:
     if sample_dt <= 0.0:
         raise ConfigError(f"field 'sample_dt' must be positive, got {sample_dt}")
 
-    init_raw = _section(raw.get("init", {}), "init")
+    init_raw = _section(raw.get("init", {}), "init", ("mode", "zeta0"))
     init_mode = init_raw.get("mode", "strict")
     if init_mode not in ("strict", "global"):
         raise ConfigError("init.mode must be 'strict' or 'global'")
     zeta0 = None
     if init_raw.get("zeta0") is not None:
-        z_raw = _section(init_raw["zeta0"], "init.zeta0")
+        z_raw = _section(init_raw["zeta0"], "init.zeta0",
+                         ("x", "u", "y_s", "z", "tau_c", "tau_g"))
         zeta0 = make_state(
             _vector(_require(z_raw, "x", "init.zeta0"), "init.zeta0.x", n),
             _vector(_require(z_raw, "u", "init.zeta0"), "init.zeta0.u", m),
@@ -241,22 +257,16 @@ def parse_config(source) -> ScenarioConfig:
 
     perturbation = None
     if raw.get("perturbation") is not None:
-        pert_raw = _section(raw["perturbation"], "perturbation")
+        shapes = {"A_hat": (n, n), "B_hat": (n, m), "H_hat": (p, m)}
+        scalars = ("kappa_c", "kappa_g", "theta_g_comp", "theta_c_min",
+                   "theta_c_max")
+        pert_raw = _section(raw["perturbation"], "perturbation",
+                            (*shapes, *scalars))
         perturbation = Perturbation(
-            a_hat=_matrix(pert_raw.get("A_hat", np.zeros((n, n))),
-                          "perturbation.A_hat", (n, n)),
-            b_hat=_matrix(pert_raw.get("B_hat", np.zeros((n, m))),
-                          "perturbation.B_hat", (n, m)),
-            h_hat=_matrix(pert_raw.get("H_hat", np.zeros((p, m))),
-                          "perturbation.H_hat", (p, m)),
-            kappa_c=_finite(pert_raw.get("kappa_c", 0.0), "perturbation.kappa_c"),
-            kappa_g=_finite(pert_raw.get("kappa_g", 0.0), "perturbation.kappa_g"),
-            theta_g_comp=_finite(pert_raw.get("theta_g_comp", 0.0),
-                                 "perturbation.theta_g_comp"),
-            theta_c_min=_finite(pert_raw.get("theta_c_min", 0.0),
-                                "perturbation.theta_c_min"),
-            theta_c_max=_finite(pert_raw.get("theta_c_max", 0.0),
-                                "perturbation.theta_c_max"),
+            *(_matrix(pert_raw.get(key, np.zeros(shape)), f"perturbation.{key}",
+                      shape) for key, shape in shapes.items()),
+            **{key: _finite(pert_raw.get(key, 0.0), f"perturbation.{key}")
+               for key in scalars},
         )
 
     return ScenarioConfig(params, policy, horizon, sample_dt, init_mode, zeta0,
@@ -286,7 +296,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             "tau_g_comp": params.timers.tau_g_comp,
             "ell": params.timers.ell,
         },
-        "sample_with": params.sample_with,
         "policy": {
             "tau_c_reset": config.policy.tau_c_reset,
             "tau_c_value": config.policy.tau_c_value,
@@ -305,8 +314,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
         out["input_set"] = {"kind": "ball", "center": input_set.center.tolist(),
                             "radius": input_set.radius}
     overrides = {}
-    if params.h_override is not None:
-        overrides["H"] = np.asarray(params.h_override).tolist()
     if params.rho_override is not None:
         overrides["rho"] = params.rho_override
     if config.r_scale != 1.0:

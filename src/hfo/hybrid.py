@@ -69,7 +69,8 @@ class HybridArc:
 
     segments: list
     jumps: list
-    min_dwell: float | None = None
+    min_dwell: float | None = None  # least gap between jump groups, if known
+    spacing: tuple | None = None  # least time between g1 jumps, between g2 jumps
 
     @property
     def t_end(self) -> float:
@@ -116,7 +117,7 @@ def _flow_segment(model, state, t, j, t_max, sample_dt):
 
     Returns (segment, end_state, end_time, horizon_hit).
     """
-    rate_c, rate_g = model.timer_rates()
+    rate_c, rate_g = model.rate_c, model.rate_g
     remaining = t_max - t
     if remaining <= EVENT_TOL:
         return _point_segment(state, t, j), state, t, True
@@ -186,10 +187,11 @@ def _resolve_jump(model, state, policy, rng):
     case = model.which_case(state)
     if case is None:
         raise RuntimeError("jump requested outside the jump set")
+    interval = (model.reset_lo, model.reset_hi)
     if case == "g1":
         return [("G1", "g1", model.g1(state))]
     if case == "g2":
-        tau = draw_tau_c_reset(policy, rng, model.reset_interval())
+        tau = draw_tau_c_reset(policy, rng, interval)
         return [("G2", "g2", model.g2(state, tau))]
 
     order = policy.case3_order
@@ -199,10 +201,10 @@ def _resolve_jump(model, state, policy, rng):
     if order == "g1_first":
         mid = model.g1(state)
         steps.append(("G3-first-half", "g1", mid))
-        tau = draw_tau_c_reset(policy, rng, model.reset_interval())
+        tau = draw_tau_c_reset(policy, rng, interval)
         steps.append(("G3-second-half", "g2", model.g2(mid, tau)))
     elif order == "g2_first":
-        tau = draw_tau_c_reset(policy, rng, model.reset_interval())
+        tau = draw_tau_c_reset(policy, rng, interval)
         mid = model.g2(state, tau)
         steps.append(("G3-first-half", "g2", mid))
         steps.append(("G3-second-half", "g1", model.g1(mid)))
@@ -245,7 +247,26 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
             if i < len(steps) - 1:
                 segments.append(_point_segment(state, t, j))
 
-    return HybridArc(segments, jumps, min_dwell=model.min_dwell())
+    spacing = (model.tau_g_reset / -model.rate_g, model.reset_lo / -model.rate_c)
+    min_dwell = model.min_dwell() if _aligned(model, zeta0, policy) else None
+    return HybridArc(segments, jumps, min_dwell, spacing)
+
+
+def _on_grid(value: float, step: float) -> bool:
+    return abs(value - step * round(value / step)) <= EVENT_TOL
+
+
+def _aligned(model, zeta0, policy) -> bool:
+    """Whether every jump of a run lies on the gradient timer's grid: equal
+    timer rates, one deterministic tau_c reset that is a multiple of the
+    tau_g reset, and starting timers a multiple of it apart. Only then do
+    jump groups stay ``model.min_dwell()`` apart."""
+    lo, hi = model.reset_lo, model.reset_hi
+    reset = {"fixed": policy.tau_c_value, "min": lo, "max": hi,
+             "uniform": lo if lo == hi else None}.get(policy.tau_c_reset)
+    step = model.tau_g_reset
+    return (model.rate_c == model.rate_g and reset is not None
+            and _on_grid(reset, step) and _on_grid(zeta0.tau_c - zeta0.tau_g, step))
 
 
 def jump_stats(arc: HybridArc) -> JumpStats:
@@ -281,16 +302,22 @@ class NonZenoReport:
     passed: bool
     violations: list
     max_jumps_per_instant: int
-    min_flow_gap: float | None = None
+    min_flow_gap: float | None = None  # least gap between jump groups
+    min_gap_t: float | None = None  # (t, j) of the first jump after that gap
+    min_gap_j: int | None = None
+    min_dwell: float | None = None  # the group-gap bound applied, if any
 
 
 def check_non_zeno(arc: HybridArc, min_dwell: float | None = None) -> NonZenoReport:
     """Structural non-Zeno checks on a simulated arc.
 
     Verifies that (a) every completed jump sequence leaves both timers
-    strictly positive, (b) at most two jumps share one continuous time, and
-    (c) flow intervals between jump sequences last at least min_dwell.
-    Violations are reported, not raised.
+    strictly positive and (b) at most two jumps share one continuous time.
+    With a group-gap bound (``min_dwell``, else ``arc.min_dwell``, which
+    ``simulate`` sets only for runs whose jumps all lie on the tau_g grid) it
+    verifies (c) that jump groups lie at least that far apart; without one,
+    (c') that consecutive g1 jumps and consecutive g2 jumps lie at least
+    ``arc.spacing`` apart. Violations are reported, not raised.
     """
     if min_dwell is None:
         min_dwell = arc.min_dwell
@@ -312,14 +339,22 @@ def check_non_zeno(arc: HybridArc, min_dwell: float | None = None) -> NonZenoRep
                 f"nonpositive timer after jump sequence at t={g[0].t}: "
                 f"tau_c={last.tau_c}, tau_g={last.tau_g}"
             )
-    min_gap = None
-    if min_dwell is not None:
-        for a, b in zip(groups, groups[1:]):
-            gap = b[0].t - a[0].t
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-            if gap < min_dwell - EVENT_TOL:
-                violations.append(
-                    f"flow gap {gap} after jump sequence at t={a[0].t} "
-                    f"shorter than {min_dwell}"
-                )
-    return NonZenoReport(not violations, violations, max_per_instant, min_gap)
+    min_gap, witness = None, (None, None)
+    for a, b in zip(groups, groups[1:]):
+        gap = b[0].t - a[0].t
+        if min_gap is None or gap < min_gap:
+            min_gap, witness = gap, (b[0].t, b[0].j)
+        if min_dwell is not None and gap < min_dwell - EVENT_TOL:
+            violations.append(
+                f"flow gap {gap} after jump sequence at t={a[0].t} "
+                f"shorter than {min_dwell}"
+            )
+    if min_dwell is None and arc.spacing is not None:
+        for applied, least in zip(("g1", "g2"), arc.spacing):
+            times = [rec.t for rec in arc.jumps if rec.applied == applied]
+            for t0, t1 in zip(times, times[1:]):
+                if t1 - t0 < least - EVENT_TOL:
+                    violations.append(f"{applied} jumps at t={t0} and t={t1} "
+                                      f"closer than {least}")
+    return NonZenoReport(not violations, violations, max_per_instant, min_gap,
+                         *witness, min_dwell)

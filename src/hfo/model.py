@@ -8,6 +8,8 @@ validation of every standing assumption.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,26 +144,44 @@ class JumpPolicy:
     seed: int = 0
 
 
+def steady_state_gain(plant: Plant) -> np.ndarray:
+    """Steady-state input-to-output gain H = -C A^{-1} B."""
+    return -plant.c_out @ linalg.solve(plant.a, plant.b)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     plant: Plant
     objective: Objective
     timers: Timers
     input_set: object  # Box or Ball
-    h_override: np.ndarray | None = None
     rho_override: float | None = None
-    sample_with: str = "new_input"  # "new_input" | "old_input"
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        """The nominal gain H = -C A^{-1} B, computed on first use (which
+        needs an invertible A) and read-only."""
+        h = steady_state_gain(self.plant)
+        h.flags.writeable = False
+        return h
 
 
-def steady_state_gain(plant: Plant) -> np.ndarray:
-    """Steady-state input-to-output gain H = -C A^{-1} B."""
-    return -plant.c_out @ linalg.solve(plant.a, plant.b)
+@dataclass(frozen=True)
+class Perturbation:
+    """Structured perturbation of the plant, gain, timer rates, and resets."""
 
+    a_hat: np.ndarray
+    b_hat: np.ndarray
+    h_hat: np.ndarray
+    kappa_c: float = 0.0  # timer-rate error, must stay < 1
+    kappa_g: float = 0.0
+    theta_g_comp: float = 0.0  # tau_g reset offset, > -tau_g_comp
+    theta_c_min: float = 0.0
+    theta_c_max: float = 0.0
 
-def effective_gain(params: ModelParams) -> np.ndarray:
-    if params.h_override is not None:
-        return np.asarray(params.h_override, dtype=float)
-    return steady_state_gain(params.plant)
+    @classmethod
+    def zero(cls, n: int, m: int, p: int) -> "Perturbation":
+        return cls(np.zeros((n, n)), np.zeros((n, m)), np.zeros((p, m)))
 
 
 def phi(u, y_s, obj: Objective) -> float:
@@ -183,13 +203,12 @@ def grad_u_phi(z, y_s, obj: Objective, h) -> np.ndarray:
     return obj.q_u @ z + h.T @ (obj.q_y @ err)
 
 
-def gradient_constants(params: ModelParams, h=None):
+def gradient_constants(params: ModelParams):
     """(mu, L, q) of the gradient step: mu = lambda_min(Q_u), the Lipschitz
     constant L = lambda_max(Q_u + H'Q_yH) and the per-iteration contraction
     factor q = 1 - 2 gamma mu + gamma^2 L^2."""
     obj = params.objective
-    if h is None:
-        h = effective_gain(params)
+    h = params.h
     big_l = float(linalg.eig_sym(obj.q_u + h.T @ obj.q_y @ h)[-1])
     mu = float(linalg.eig_sym(obj.q_u)[0])
     return mu, big_l, 1.0 - 2.0 * obj.gamma * mu + obj.gamma ** 2 * big_l ** 2
@@ -198,49 +217,41 @@ def gradient_constants(params: ModelParams, h=None):
 class HybridFOModel:
     """Concrete flow/jump behavior consumed by ``hybrid.simulate``.
 
-    Built from nominal parameters; the robustness module constructs
-    instances with perturbed matrices, timer rates, and reset values.
+    ``HybridFOModel(params)`` is the nominal model. With a perturbation
+    ``pert`` and a scale ``delta > 0`` every perturbation component enters
+    scaled by ``delta``: A + delta A_hat, B + delta B_hat, H + delta H_hat,
+    timer rates -1 + delta kappa and resets shifted by delta theta.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        *,
-        a=None,
-        b=None,
-        h=None,
-        rate_c: float = -1.0,
-        rate_g: float = -1.0,
-        tau_g_reset: float | None = None,
-        reset_lo: float | None = None,
-        reset_hi: float | None = None,
-    ):
-        self.params = params
+    def __init__(self, params: ModelParams, pert: Perturbation | None = None,
+                 delta: float = 0.0):
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise ValueError(f"perturbation scale must be finite and "
+                             f"nonnegative, got {delta!r}")
+        nominal = pert is None or delta == 0.0
+
+        def shifted(value, offset: str):
+            return value if nominal else value + delta * getattr(pert, offset)
+
         tm = params.timers
-        self.a = params.plant.a if a is None else np.asarray(a, dtype=float)
-        self.b = params.plant.b if b is None else np.asarray(b, dtype=float)
-        self.h = effective_gain(params) if h is None else np.asarray(h, dtype=float)
-        self.rate_c = float(rate_c)
-        self.rate_g = float(rate_g)
-        self.tau_g_reset = tm.tau_g_comp if tau_g_reset is None else float(tau_g_reset)
-        self.reset_lo = tm.tau_c_min if reset_lo is None else float(reset_lo)
-        self.reset_hi = tm.tau_c_max if reset_hi is None else float(reset_hi)
+        self.params = params
+        self.a = shifted(params.plant.a, "a_hat")
+        self.b = shifted(params.plant.b, "b_hat")
+        self.h = shifted(params.h, "h_hat")
+        self.rate_c = shifted(-1.0, "kappa_c")
+        self.rate_g = shifted(-1.0, "kappa_g")
+        self.tau_g_reset = shifted(tm.tau_g_comp, "theta_g_comp")
+        self.reset_lo = shifted(tm.tau_c_min, "theta_c_min")
+        self.reset_hi = shifted(tm.tau_c_max, "theta_c_max")
         if self.rate_c >= 0.0 or self.rate_g >= 0.0:
-            raise ValueError("timer rates must stay strictly negative")
-        if not (0.0 < self.reset_lo <= self.reset_hi):
-            raise ValueError("tau_c reset interval must satisfy 0 < lo <= hi")
+            raise ValueError("timer rates -1 + delta kappa must stay negative")
         if self.tau_g_reset <= 0.0:
             raise ValueError("tau_g reset value must be positive")
+        if not (0.0 < self.reset_lo <= self.reset_hi):
+            raise ValueError("tau_c reset interval must satisfy 0 < lo <= hi")
         self._prop_cache: dict[float, tuple] = {}
 
-    @classmethod
-    def nominal(cls, params: ModelParams) -> "HybridFOModel":
-        return cls(params)
-
     # -- flow ---------------------------------------------------------------
-
-    def timer_rates(self):
-        return self.rate_c, self.rate_g
 
     def _propagator(self, dt: float):
         cached = self._prop_cache.get(dt)
@@ -290,18 +301,14 @@ class HybridFOModel:
         )
 
     def g2(self, state: State, tau_c_reset: float) -> State:
-        """Input-application jump: u <- z, output resampled, tau_c reset."""
-        sample_from = state.z if self.params.sample_with == "new_input" else state.u
-        y_s = self.h @ sample_from + self.params.plant.d
+        """Input-application jump: u <- z, output resampled as H u + d with
+        the new input, tau_c reset."""
         return dataclasses.replace(
             state,
             u=state.z.copy(),
-            y_s=y_s,
+            y_s=self.h @ state.z + self.params.plant.d,
             tau_c=float(tau_c_reset),
         )
-
-    def reset_interval(self):
-        return self.reset_lo, self.reset_hi
 
     def min_dwell(self) -> float:
         """Shortest possible flow interval after a completed jump sequence."""
@@ -410,12 +417,15 @@ def validate(params: ModelParams, zeta0: State | None = None,
 
     if zeta0 is not None:
         init_status = "fail" if mode == "strict" else "warn"
-        model = HybridFOModel.nominal(params)
-        if not model.contains(zeta0):
-            checks.append(Check("init_domain", "fail",
-                                "initial state outside the flow and jump sets"))
-        else:
-            checks.append(Check("init_domain", "pass", ""))
+        # the model needs H = -C A^{-1} B and a valid reset interval
+        if all(c.status == "pass" for c in checks
+               if c.name in ("hurwitz", "timers")):
+            if HybridFOModel(params).contains(zeta0):
+                checks.append(Check("init_domain", "pass", ""))
+            else:
+                checks.append(Check("init_domain", "fail",
+                                    "initial state outside the flow and jump "
+                                    "sets"))
         problems = []
         if not (tm.tau_c_min - 1e-12 <= zeta0.tau_c <= tm.tau_c_max + 1e-12):
             problems.append("tau_c(0,0) outside [tau_c_min, tau_c_max]")
@@ -438,8 +448,8 @@ def strict_initial_state(params: ModelParams, x0=None, u0=None,
     """Restricted initialization: tau_g at its reset value, z = u, consistent
     sampled output."""
     plant = params.plant
-    h = effective_gain(params)
     u = params.input_set.project(np.zeros(plant.m) if u0 is None else u0)
     x = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
     tau_c = params.timers.tau_c_max if tau_c0 is None else float(tau_c0)
-    return make_state(x, u, h @ u + plant.d, u, tau_c, params.timers.tau_g_comp)
+    return make_state(x, u, params.h @ u + plant.d, u, tau_c,
+                      params.timers.tau_g_comp)

@@ -1,9 +1,10 @@
-"""Perturbed system construction and arc-closeness measurement.
+"""Arc-closeness measurement and perturbation-scale sweeps.
 
-Model errors enter as additive matrix perturbations, off-unit timer rates,
-and offsets on the timer reset values; the closeness metric quantifies how
-far a perturbed solution drifts from the nominal one over a bounded hybrid
-time horizon.
+Model errors (``model.Perturbation``) enter as additive matrix perturbations,
+off-unit timer rates, and offsets on the timer reset values, scaled by the
+``HybridFOModel`` constructor; the closeness metric quantifies how far a
+perturbed solution drifts from the nominal one over a bounded hybrid time
+horizon.
 """
 
 from __future__ import annotations
@@ -14,25 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hybrid import HybridArc, simulate
-from .model import HybridFOModel, JumpPolicy, ModelParams, State, strict_initial_state
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Structured perturbation of the plant, gain, timer rates, and resets."""
-
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    h_hat: np.ndarray
-    kappa_c: float = 0.0  # timer-rate error, must stay < 1
-    kappa_g: float = 0.0
-    theta_g_comp: float = 0.0  # tau_g reset offset, > -tau_g_comp
-    theta_c_min: float = 0.0
-    theta_c_max: float = 0.0
-
-    @classmethod
-    def zero(cls, n: int, m: int, p: int) -> "Perturbation":
-        return cls(np.zeros((n, n)), np.zeros((n, m)), np.zeros((p, m)))
+from .model import (HybridFOModel, JumpPolicy, ModelParams, Perturbation, State,
+                    strict_initial_state)
 
 
 def iota_magnitude(pert: Perturbation, state: State) -> float:
@@ -47,44 +31,6 @@ def iota_magnitude(pert: Perturbation, state: State) -> float:
         pert.kappa_g,
         pert.theta_c_min,
         pert.theta_c_max,
-    )
-
-
-def perturbed_model(params: ModelParams, pert: Perturbation,
-                    delta: float = 1.0) -> HybridFOModel:
-    """Hybrid model with every perturbation component scaled by delta.
-
-    delta = 0 short-circuits to the nominal model so that nominal and
-    zero-perturbation runs are bit-identical.
-    """
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"perturbation scale must be finite and nonnegative, "
-                         f"got {delta!r}")
-    if delta == 0.0:
-        return HybridFOModel.nominal(params)
-    tm = params.timers
-    kappa_c = delta * pert.kappa_c
-    kappa_g = delta * pert.kappa_g
-    if kappa_c >= 1.0 or kappa_g >= 1.0:
-        raise ValueError("scaled timer-rate perturbation must stay below 1")
-    tau_g_reset = tm.tau_g_comp + delta * pert.theta_g_comp
-    reset_lo = tm.tau_c_min + delta * pert.theta_c_min
-    reset_hi = tm.tau_c_max + delta * pert.theta_c_max
-    if tau_g_reset <= 0.0:
-        raise ValueError("scaled tau_g reset must stay positive")
-    if not (0.0 < reset_lo <= reset_hi):
-        raise ValueError("scaled tau_c reset interval must satisfy 0 < lo <= hi")
-    nominal = HybridFOModel.nominal(params)
-    return HybridFOModel(
-        params,
-        a=params.plant.a + delta * pert.a_hat,
-        b=params.plant.b + delta * pert.b_hat,
-        h=nominal.h + delta * pert.h_hat,
-        rate_c=-1.0 + kappa_c,
-        rate_g=-1.0 + kappa_g,
-        tau_g_reset=tau_g_reset,
-        reset_lo=reset_lo,
-        reset_hi=reset_hi,
     )
 
 
@@ -197,13 +143,13 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     if zeta0 is None:
         zeta0 = strict_initial_state(params)
-    nominal = HybridFOModel.nominal(params)
+    nominal = HybridFOModel(params)
     horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)
     arc_nom = simulate(nominal, zeta0, policy, horizon, sample_dt)
 
     rows = []
     for delta in deltas:
-        model = perturbed_model(params, pert, delta)
+        model = HybridFOModel(params, pert, delta)
         arc_pert = simulate(model, zeta0, policy, horizon, sample_dt)
         result = closeness(arc_nom, arc_pert, tau)
         side, t, j = result.witness

@@ -48,7 +48,7 @@ def test_01_integrator_against_rk4_reference():
         u = rng.standard_normal(plant.m)
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         # the flow step hybrid.simulate takes between samples
-        x_dt = HybridFOModel.nominal(params).flow_x(x0, u, dt)
+        x_dt = HybridFOModel(params).flow_x(x0, u, dt)
         err = np.max(np.abs(x_dt - rk4_lti(plant.a, plant.b, x0, u, dt, h=1e-5)))
         worst = max(worst, float(err))
     assert worst <= 1e-7
@@ -89,7 +89,7 @@ def _simulated_instances(count, seed, horizon_periods=2.5, sample_dt=0.05,
     for i in range(count):
         params = random_params(rng, aligned_timers=aligned_timers)
         assert validate(params, strict_initial_state(params)).ok
-        model = HybridFOModel.nominal(params)
+        model = HybridFOModel(params)
         # grid-aligned resets must stay on the grid; "min" keeps them there
         reset = "min" if aligned_timers else "uniform"
         policy = JumpPolicy(tau_c_reset=reset, seed=1000 + i)
@@ -124,12 +124,11 @@ def test_04_contraction_constant_range():
         assert 0.0 < q < 1.0
         qs.append(q)
     # negative control: stepsize beyond the admissible range gives q >= 1
-    from hfo.model import effective_gain
     import dataclasses
 
     params = random_params(rng)
     obj = params.objective
-    h = effective_gain(params)
+    h = params.h
     big_l = float(np.linalg.eigvalsh(obj.q_u + h.T @ obj.q_y @ h)[-1])
     mu = float(np.linalg.eigvalsh(obj.q_u)[0])
     gamma_bad = 1.5 * max(2.0 / (mu + big_l), 2.0 * mu / big_l ** 2)
@@ -146,7 +145,7 @@ def test_05_reconstruction():
     rng = np.random.default_rng(105)
     for i in range(20):
         params = random_params(rng)
-        model = HybridFOModel.nominal(params)
+        model = HybridFOModel(params)
         arc = hybrid.simulate(model, strict_initial_state(params),
                               JumpPolicy(tau_c_reset="uniform", seed=i),
                               (20.0, 10_000), 0.05)
@@ -158,7 +157,7 @@ def test_05_reconstruction():
 
 def _s1_arc(horizon, sample_dt=0.05):
     params = s1_params()
-    arc = hybrid.simulate(HybridFOModel.nominal(params),
+    arc = hybrid.simulate(HybridFOModel(params),
                           strict_initial_state(params), s1_policy(),
                           horizon, sample_dt)
     return arc, params
@@ -178,7 +177,7 @@ def _bound_suite(which, seed, init_fn):
         params = random_params(rng)
         c = constants(params)
         zeta0 = init_fn(params, c, rng)
-        model = HybridFOModel.nominal(params)
+        model = HybridFOModel(params)
         arc = hybrid.simulate(model, zeta0,
                               JumpPolicy(tau_c_reset="uniform", seed=i),
                               (40.0 / c.rho, 10_000), 0.05)

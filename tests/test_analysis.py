@@ -32,7 +32,7 @@ from conftest import random_params, s1_params
 
 def s1_arc(horizon=(6.0, 1000), sample_dt=0.01):
     params = s1_params()
-    model = HybridFOModel.nominal(params)
+    model = HybridFOModel(params)
     zeta0 = strict_initial_state(params)
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=1)
     return hybrid.simulate(model, zeta0, policy, horizon, sample_dt), params
@@ -44,7 +44,7 @@ def mimo_arc(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0):
     params = random_params(np.random.default_rng(seed), n=n)
     zeta0 = strict_initial_state(params)
     zeta0 = dataclasses.replace(zeta0, x=zeta0.x + x_shift)
-    arc = hybrid.simulate(HybridFOModel.nominal(params), zeta0,
+    arc = hybrid.simulate(HybridFOModel(params), zeta0,
                           JumpPolicy(seed=2), horizon, 0.02)
     return arc, params
 
@@ -146,11 +146,11 @@ class TestFixedPointZ:
 
     def test_fixed_point_property(self):
         rng = np.random.default_rng(43)
-        from hfo.model import effective_gain, grad_u_phi
+        from hfo.model import grad_u_phi
 
         for _ in range(5):
             params = random_params(rng)
-            h = effective_gain(params)
+            h = params.h
             y_s = rng.standard_normal(params.plant.p)
             z = fixed_point_z(y_s, params)
             step = z - params.objective.gamma * grad_u_phi(
@@ -322,7 +322,7 @@ class TestReconstruction:
         rng = np.random.default_rng(47)
         for _ in range(3):
             params = random_params(rng)
-            model = HybridFOModel.nominal(params)
+            model = HybridFOModel(params)
             arc = hybrid.simulate(model, strict_initial_state(params),
                                   JumpPolicy(seed=3), (5.0, 500), 0.05)
             assert reconstruct_x(arc, params).max_deviation <= 1e-8
@@ -373,7 +373,7 @@ class TestRateCheck:
         rng = np.random.default_rng(53)
         for _ in range(5):
             params = random_params(rng)
-            model = HybridFOModel.nominal(params)
+            model = HybridFOModel(params)
             arc = hybrid.simulate(model, strict_initial_state(params),
                                   JumpPolicy(seed=7), (3.0, 300), 0.05)
             report = rate_check(arc, params)

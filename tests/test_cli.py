@@ -153,6 +153,39 @@ class TestParseConfig:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("horizon", "J"), ("timers", "ell"), ("policy", "seed"),
+        ("objective", "gamma"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, section, key):
+        data = load_s1_dict()
+        data[section][key] = True
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        assert f"field '{section}.{key}' is not a number" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("section, fields, field", [
+        ("perturbation", {"kapa_c": 0.1}, "perturbation.kapa_c"),
+        ("policy", {"case3order": "g2_first"}, "policy.case3order"),
+        (None, {"overides": {"rho": 5}}, "config.overides"),
+        ("overrides", {"rh0": 5}, "overrides.rh0"),
+        ("plant", {"D": [[0.0]]}, "plant.D"),
+        ("horizon", {"t": 5.0}, "horizon.t"),
+        ("init", {"zeta0": dict(ZETA0, tau=1.0)}, "init.zeta0.tau"),
+        ("input_set", {"radius": 1.0}, "input_set.radius"),
+    ])
+    def test_unknown_key_named(self, tmp_path, capsys, section, fields,
+                               field):
+        data = load_s1_dict()
+        (data if section is None else data.setdefault(section, {})).update(
+            fields)
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        assert f"error: unknown field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_integral_floats_accepted(self):
         data = load_s1_dict()
         data["timers"]["ell"] = 4.0
@@ -281,6 +314,18 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "stepsize" in err and "input-convergence range" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    def test_integrator_plant_fails_hurwitz(self, tmp_path, capsys, command):
+        # A = 0 is singular, so H = -C A^{-1} B does not exist: validation
+        # must reject the plant before anything reads H
+        data = load_s1_dict()
+        data["plant"]["A"] = [[0.0]]
+        cfg = write_config(tmp_path, data)
+        assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation failed:")
+        assert "hurwitz" in err
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ not json }")
@@ -354,6 +399,40 @@ class TestVerifyCommand:
             check = report["checks"][name]
             assert 0.0 <= check["worst_t"] <= 10.0
             assert isinstance(check["worst_j"], int) and check["worst_j"] >= 0
+
+    @pytest.mark.parametrize("timers, policy, least", [
+        # input jumps on a 1.1 grid, gradient jumps on a 0.25 grid
+        ({"tau_c_min": 1.1, "tau_c_max": 1.1}, {}, 1.1),
+        # the set-valued reset drawn from [1, 1.5]
+        ({"tau_c_max": 1.5}, {"tau_c_reset": "uniform"}, 1.0),
+    ])
+    def test_misaligned_resets_pass_non_zeno(self, tmp_path, capsys, timers,
+                                             policy, least):
+        data = load_s1_dict()
+        data["timers"].update(timers)
+        data["policy"].update(policy)
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        assert "PASS non_zeno" in capsys.readouterr().out
+        zeno = json.loads((tmp_path / "verify_report.json").read_text())[
+            "checks"]["non_zeno"]
+        assert zeno["min_dwell"] is None  # no group-gap bound applies
+        # jump groups come closer than min(tau_g_comp, tau_c_min) = 0.25
+        assert 0.0 < zeno["min_flow_gap"] < 0.25
+        assert zeno["min_gap_j"] >= 1 and zeno["min_gap_t"] > 0.0
+        arc, _, _ = cli._run(parse_config(cfg))
+        g2 = [rec.t for rec in arc.jumps if rec.applied == "g2"]
+        assert min(np.diff(g2)) >= least - 1e-12
+        assert any(rec.t == zeno["min_gap_t"] and rec.j == zeno["min_gap_j"]
+                   for rec in arc.jumps)
+
+    def test_aligned_s1_keeps_group_gap_bound(self, tmp_path):
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        zeno = json.loads((tmp_path / "verify_report.json").read_text())[
+            "checks"]["non_zeno"]
+        assert zeno["min_dwell"] == 0.25
+        assert zeno["min_flow_gap"] == pytest.approx(0.25)
 
     def test_non_strict_init_skips_thm1(self, tmp_path, capsys):
         data = load_s1_dict()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfo import hybrid
-from hfo.model import HybridFOModel, JumpPolicy, strict_initial_state
+from hfo.model import HybridFOModel, JumpPolicy, Perturbation, strict_initial_state
 from conftest import random_params, s1_params
 
 
@@ -42,7 +42,7 @@ def simulate_s1(horizon=(3.0, 1000), sample_dt=0.01, **overrides):
     if overrides:
         params = dataclasses.replace(params, **overrides)
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=1)
-    model = HybridFOModel.nominal(params)
+    model = HybridFOModel(params)
     zeta0 = strict_initial_state(params)
     return hybrid.simulate(model, zeta0, policy, horizon, sample_dt), params
 
@@ -93,10 +93,10 @@ class TestSimulate:
     def test_deterministic_given_seed(self):
         params = random_params(np.random.default_rng(21))
         policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=5)
-        model = HybridFOModel.nominal(params)
+        model = HybridFOModel(params)
         zeta0 = strict_initial_state(params)
         arc1 = hybrid.simulate(model, zeta0, policy, (3.0, 200), 0.05)
-        arc2 = hybrid.simulate(HybridFOModel.nominal(params), zeta0, policy,
+        arc2 = hybrid.simulate(HybridFOModel(params), zeta0, policy,
                                (3.0, 200), 0.05)
         assert len(arc1.segments) == len(arc2.segments)
         for a, b in zip(arc1.segments, arc2.segments):
@@ -104,7 +104,7 @@ class TestSimulate:
 
     def test_rejects_state_outside_domain(self):
         params = s1_params()
-        model = HybridFOModel.nominal(params)
+        model = HybridFOModel(params)
         bad = dataclasses.replace(strict_initial_state(params), tau_c=5.0)
         with pytest.raises(ValueError):
             hybrid.simulate(model, bad, JumpPolicy(), (1.0, 10))
@@ -115,7 +115,7 @@ def per_sample_flow(model, seg, sample_dt):
     from the one-step-at-a-time recurrence: x_{k+1} = flow_x(x_k), each timer
     tau_0 + rate * elapsed snapped to zero within EVENT_TOL, elapsed summed
     one sample_dt at a time, then a closing step to the exact event."""
-    rate_c, rate_g = model.timer_rates()
+    rate_c, rate_g = model.rate_c, model.rate_g
 
     def advance(start, dt, expired=""):
         tau_c = start.tau_c + rate_c * dt
@@ -148,12 +148,15 @@ class TestColumnarSegments:
     def test_columns_match_per_sample_recurrence(self, make):
         if make == "s1":
             params = s1_params()
-            model = HybridFOModel.nominal(params)
+            model = HybridFOModel(params)
             policy, sample_dt = JumpPolicy(seed=1), 0.01
         else:
             # non-unit timer rates put the segment ends off the sample grid
             params = random_params(np.random.default_rng(8), n=3)
-            model = HybridFOModel(params, rate_c=-0.9, rate_g=-1.07)
+            plant = params.plant
+            pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
+                                       kappa_c=0.1, kappa_g=-0.07)
+            model = HybridFOModel(params, pert, 1.0)
             policy = JumpPolicy(tau_c_reset="uniform", seed=4)
             sample_dt = 0.013
         arc = hybrid.simulate(model, strict_initial_state(params), policy,
@@ -208,9 +211,11 @@ class TestArcInvariant:
         starts = [strict,
                   dataclasses.replace(strict, tau_g=0.0),  # in the jump set
                   dataclasses.replace(strict, tau_c=0.0, tau_g=0.0)]
-        models = [HybridFOModel.nominal(params),
-                  HybridFOModel(params, rate_c=-rng.uniform(0.8, 1.2),
-                                rate_g=-rng.uniform(0.8, 1.2))]
+        rates = dataclasses.replace(Perturbation.zero(n, params.plant.m,
+                                                      params.plant.p),
+                                    kappa_c=1.0 - rng.uniform(0.8, 1.2),
+                                    kappa_g=1.0 - rng.uniform(0.8, 1.2))
+        models = [HybridFOModel(params), HybridFOModel(params, rates, 1.0)]
         composite = False
         for model in models:
             for zeta0 in starts:
@@ -294,6 +299,46 @@ class TestCheckNonZeno:
         report = hybrid.check_non_zeno(arc, min_dwell=10.0)
         assert not report.passed
         assert any("flow gap" in v for v in report.violations)
+
+    def test_misaligned_run_checks_per_timer_spacing(self):
+        # input jumps every 1.1 s, gradient jumps every 0.25 s: groups come
+        # 0.05 s apart, but jumps of one kind never closer than their period
+        from hfo.model import Timers
+
+        arc, _ = simulate_s1(horizon=(6.0, 1000),
+                             timers=Timers(1.1, 1.1, 0.25, 4))
+        assert arc.min_dwell is None
+        assert arc.spacing == pytest.approx((0.25, 1.1))
+        report = hybrid.check_non_zeno(arc)
+        assert report.passed, report.violations
+        assert report.min_flow_gap == pytest.approx(0.05)
+        assert report.min_dwell is None
+        tight = dataclasses.replace(arc, spacing=(0.25, 1.2))
+        violations = hybrid.check_non_zeno(tight).violations
+        assert violations and all(v.startswith("g2 jumps")
+                                  for v in violations)
+
+    @pytest.mark.parametrize("change", ["rates", "uniform", "start"])
+    def test_group_gap_bound_needs_aligned_resets(self, change):
+        params = s1_params()
+        model = HybridFOModel(params)
+        policy = JumpPolicy(seed=1)
+        zeta0 = strict_initial_state(params)
+        arc = hybrid.simulate(model, zeta0, policy, (3.0, 1000))
+        assert arc.min_dwell == 0.25
+        if change == "rates":
+            pert = dataclasses.replace(Perturbation.zero(1, 1, 1), kappa_c=0.1)
+            model = HybridFOModel(params, pert, 0.5)
+        elif change == "uniform":
+            model = HybridFOModel(dataclasses.replace(
+                params, timers=dataclasses.replace(params.timers,
+                                                   tau_c_max=1.5)))
+            policy = JumpPolicy(tau_c_reset="uniform", seed=1)
+        else:
+            zeta0 = dataclasses.replace(zeta0, tau_c=0.9)
+        arc = hybrid.simulate(model, zeta0, policy, (3.0, 1000))
+        assert arc.min_dwell is None
+        assert hybrid.check_non_zeno(arc).passed
 
     def test_broken_jump_map_detected(self):
         params = s1_params()

@@ -107,7 +107,7 @@ class TestGainAndObjective:
 def resolve(params, state, policy):
     """The state after the full jump map: the single-timer map that
     ``which_case`` selects, or both in policy order."""
-    model = HybridFOModel.nominal(params)
+    model = HybridFOModel(params)
     steps = _resolve_jump(model, state, policy,
                           np.random.default_rng(policy.seed))
     return steps[-1][2]
@@ -116,19 +116,19 @@ def resolve(params, state, policy):
 class TestJumps:
     def test_gradient_jump(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.0)
-        post = HybridFOModel.nominal(s1).g1(state)
+        post = HybridFOModel(s1).g1(state)
         assert post.z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
         assert post.tau_g == pytest.approx(0.25)
         assert post.u[0] == 0.0  # untouched
 
     def test_gradient_jump_projects(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 1.0, 0.0)
-        post = HybridFOModel.nominal(s1).g1(state)
+        post = HybridFOModel(s1).g1(state)
         assert post.z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
 
     def test_gradient_jump_requires_expired_timer(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.1)
-        assert HybridFOModel.nominal(s1).which_case(state) is None
+        assert HybridFOModel(s1).which_case(state) is None
         with pytest.raises(RuntimeError, match="outside the jump set"):
             resolve(s1, state, JumpPolicy())
 
@@ -139,12 +139,6 @@ class TestJumps:
         assert post.y_s[0] == pytest.approx(1.5)  # H*z + d with the new input
         assert post.tau_c == 1.0  # "min" reset policy, interval [1, 1]
         assert post.x[0] == 0.3  # plant state continuous across jumps
-
-    def test_input_jump_with_stale_sample(self, s1, s1_policy):
-        params = dataclasses.replace(s1, sample_with="old_input")
-        state = make_state(0.3, 0.0, 0.5, 1.0, 0.0, 0.1)
-        post = resolve(params, state, s1_policy)
-        assert post.y_s[0] == pytest.approx(0.5)  # H*u_old + d
 
     def test_composite_jump_order(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 0.0, 0.0)
@@ -202,6 +196,16 @@ class TestValidate:
         diag = validate(params)
         assert self.check_status(diag, "hurwitz") == "fail"
 
+    def test_singular_plant_fails_hurwitz_without_reading_gain(self, s1,
+                                                               s1_zeta0):
+        # H = -C A^{-1} B does not exist for an integrator
+        params = dataclasses.replace(
+            s1, plant=Plant(np.array([[0.0]]), s1.plant.b, s1.plant.c_out,
+                            s1.plant.d))
+        diag = validate(params, s1_zeta0)
+        assert self.check_status(diag, "hurwitz") == "fail"
+        assert "init_domain" not in [c.name for c in diag.checks]
+
     def test_indefinite_weight_fails(self, s1):
         obj = Objective(np.array([[-1.0]]), s1.objective.q_y,
                         s1.objective.y_hat, s1.objective.gamma)
@@ -234,14 +238,14 @@ class TestValidate:
 
 class TestModelGeometry:
     def test_contains_bounds(self, s1):
-        model = HybridFOModel.nominal(s1)
+        model = HybridFOModel(s1)
         inside = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
         assert model.contains(inside)
         assert not model.contains(dataclasses.replace(inside, tau_c=1.5))
         assert not model.contains(dataclasses.replace(inside, tau_g=-0.5))
 
     def test_which_case(self, s1):
-        model = HybridFOModel.nominal(s1)
+        model = HybridFOModel(s1)
         base = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
         assert model.which_case(base) is None
         assert model.which_case(dataclasses.replace(base, tau_g=0.0)) == "g1"
@@ -249,5 +253,17 @@ class TestModelGeometry:
         assert model.which_case(
             dataclasses.replace(base, tau_c=0.0, tau_g=0.0)) == "both"
 
+    def test_gain_derived_once(self, s1):
+        h = s1.h
+        assert s1.h is h
+        np.testing.assert_array_equal(h, steady_state_gain(s1.plant))
+        assert not h.flags.writeable
+        assert HybridFOModel(s1).h is h
+        # a replaced parameter set derives its own gain
+        other = dataclasses.replace(
+            s1, plant=Plant(np.array([[-2.0]]), s1.plant.b, s1.plant.c_out,
+                            s1.plant.d))
+        assert other.h[0, 0] == 0.5
+
     def test_min_dwell(self, s1):
-        assert HybridFOModel.nominal(s1).min_dwell() == pytest.approx(0.25)
+        assert HybridFOModel(s1).min_dwell() == pytest.approx(0.25)

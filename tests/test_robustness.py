@@ -4,15 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hfo import hybrid, robustness
-from hfo.model import HybridFOModel, JumpPolicy, make_state, strict_initial_state
-from hfo.robustness import (
-    Perturbation,
-    closeness,
-    iota_magnitude,
-    perturbed_model,
-    robustness_sweep,
-)
+from hfo import hybrid, linalg, robustness
+from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, make_state,
+                       strict_initial_state)
+from hfo.robustness import closeness, iota_magnitude, robustness_sweep
 from conftest import random_params, s1_params
 
 
@@ -65,6 +60,28 @@ def random_perturbation(rng, n, m, p, scale=0.05):
     )
 
 
+def scaled_fields(params, pert, delta):
+    """Oracle: the perturbed model's fields, each nominal value plus delta
+    times its perturbation component in the same floating-point order, with
+    H from its own solve; delta = 0 gives the nominal fields unchanged."""
+    plant, tm = params.plant, params.timers
+    h = -plant.c_out @ linalg.solve(plant.a, plant.b)
+    if delta == 0.0:
+        return {"a": plant.a, "b": plant.b, "h": h, "rate_c": -1.0,
+                "rate_g": -1.0, "tau_g_reset": tm.tau_g_comp,
+                "reset_lo": tm.tau_c_min, "reset_hi": tm.tau_c_max}
+    kappa_c = delta * pert.kappa_c
+    kappa_g = delta * pert.kappa_g
+    return {"a": plant.a + delta * pert.a_hat,
+            "b": plant.b + delta * pert.b_hat,
+            "h": h + delta * pert.h_hat,
+            "rate_c": -1.0 + kappa_c,
+            "rate_g": -1.0 + kappa_g,
+            "tau_g_reset": tm.tau_g_comp + delta * pert.theta_g_comp,
+            "reset_lo": tm.tau_c_min + delta * pert.theta_c_min,
+            "reset_hi": tm.tau_c_max + delta * pert.theta_c_max}
+
+
 def run_s1(model, horizon=(5.0, 200), sample_dt=0.01, seed=1):
     params = s1_params()
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=seed)
@@ -92,10 +109,29 @@ class TestIotaMagnitude:
 
 
 class TestPerturbedModel:
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("plant", ["s1", "random_n4"])
+    def test_fields_match_scaled_oracle(self, plant, delta):
+        if plant == "s1":
+            params, pert = s1_params(), s1_perturbation()
+        else:
+            rng = np.random.default_rng(29)
+            params = random_params(rng, n=4)
+            pert = random_perturbation(rng, 4, params.plant.m, params.plant.p)
+        model = HybridFOModel(params, pert, delta)
+        for name, want in scaled_fields(params, pert, delta).items():
+            assert np.array_equal(getattr(model, name), want), name
+
+    def test_no_perturbation_is_nominal(self):
+        params = s1_params()
+        for model in (HybridFOModel(params), HybridFOModel(params, None, 0.5)):
+            for name, want in scaled_fields(params, None, 0.0).items():
+                assert np.array_equal(getattr(model, name), want), name
+
     def test_zero_delta_bit_identical(self):
         params = s1_params()
-        arc_nom = run_s1(HybridFOModel.nominal(params))
-        arc_zero = run_s1(perturbed_model(params, s1_perturbation(), 0.0))
+        arc_nom = run_s1(HybridFOModel(params))
+        arc_zero = run_s1(HybridFOModel(params, s1_perturbation(), 0.0))
         assert len(arc_nom.segments) == len(arc_zero.segments)
         for a, b in zip(arc_nom.segments, arc_zero.segments):
             assert np.array_equal(a.matrix(), b.matrix())
@@ -104,7 +140,7 @@ class TestPerturbedModel:
         params = s1_params()
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
                             np.zeros((1, 1)), kappa_c=0.5)
-        arc = run_s1(perturbed_model(params, pert, 1.0), horizon=(2.5, 200))
+        arc = run_s1(HybridFOModel(params, pert, 1.0), horizon=(2.5, 200))
         # gradient steps still fire every 0.25 s, but the input applies at
         # t = 2.0 instead of 1.0 (rate -0.5)
         g2_times = [j.t for j in arc.jumps if j.applied == "g2"]
@@ -114,8 +150,8 @@ class TestPerturbedModel:
         params = s1_params()
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
                             np.array([[0.5]]))
-        arc_nom = run_s1(HybridFOModel.nominal(params), horizon=(3.0, 200))
-        arc_pert = run_s1(perturbed_model(params, pert, 1.0),
+        arc_nom = run_s1(HybridFOModel(params), horizon=(3.0, 200))
+        arc_pert = run_s1(HybridFOModel(params, pert, 1.0),
                           horizon=(3.0, 200))
         # x identical until the first input application at t = 1 (the gain
         # error reaches the optimizer iterate z earlier, at the first
@@ -142,27 +178,27 @@ class TestPerturbedModel:
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
                             np.zeros((1, 1)), kappa_g=0.5)
         with pytest.raises(ValueError):
-            perturbed_model(s1_params(), pert, 2.0)
+            HybridFOModel(s1_params(), pert, 2.0)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            perturbed_model(s1_params(), s1_perturbation(), -0.1)
+            HybridFOModel(s1_params(), s1_perturbation(), -0.1)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="perturbation scale"):
-            perturbed_model(s1_params(), s1_perturbation(), delta)
+            HybridFOModel(s1_params(), s1_perturbation(), delta)
 
 
 class TestCloseness:
     def test_identity(self):
-        arc = run_s1(HybridFOModel.nominal(s1_params()))
+        arc = run_s1(HybridFOModel(s1_params()))
         result = closeness(arc, arc, tau=4.0)
         assert result.epsilon == 0.0
         assert not result.truncated
 
     def test_constant_offset(self):
-        arc = run_s1(HybridFOModel.nominal(s1_params()))
+        arc = run_s1(HybridFOModel(s1_params()))
         shifted = dataclasses.replace(
             arc,
             segments=[dataclasses.replace(seg, x=seg.x + 0.01)
@@ -173,21 +209,21 @@ class TestCloseness:
 
     def test_symmetric(self):
         params = s1_params()
-        arc1 = run_s1(HybridFOModel.nominal(params))
-        arc2 = run_s1(perturbed_model(params, s1_perturbation(), 1e-2))
+        arc1 = run_s1(HybridFOModel(params))
+        arc2 = run_s1(HybridFOModel(params, s1_perturbation(), 1e-2))
         e12 = closeness(arc1, arc2, tau=4.0).epsilon
         e21 = closeness(arc2, arc1, tau=4.0).epsilon
         assert e12 == pytest.approx(e21, abs=1e-12)
 
     def test_missing_jump_index_is_infinite(self):
-        arc = run_s1(HybridFOModel.nominal(s1_params()))
+        arc = run_s1(HybridFOModel(s1_params()))
         shorter = dataclasses.replace(arc, segments=arc.segments[:2])
         result = closeness(arc, shorter, tau=4.0)
         assert math.isinf(result.epsilon)
         assert result.truncated
 
     def test_truncation_reported(self):
-        arc = run_s1(HybridFOModel.nominal(s1_params()), horizon=(2.0, 200))
+        arc = run_s1(HybridFOModel(s1_params()), horizon=(2.0, 200))
         result = closeness(arc, arc, tau=100.0)
         assert result.truncated
 
@@ -201,9 +237,9 @@ class TestClosenessMatchesPerSampleScan:
     @pytest.mark.parametrize("tau", [0.0, 3.0, 4.37, 5.0])
     def test_s1_arcs(self, tau):
         params = s1_params()
-        nominal = run_s1(HybridFOModel.nominal(params))
+        nominal = run_s1(HybridFOModel(params))
         for delta in (1e-3, 1e-2, 1e-1, 1.0):
-            perturbed = run_s1(perturbed_model(params, s1_perturbation(),
+            perturbed = run_s1(HybridFOModel(params, s1_perturbation(),
                                                delta))
             self.assert_same(nominal, perturbed, tau)
             self.assert_same(perturbed, nominal, tau)
@@ -214,17 +250,17 @@ class TestClosenessMatchesPerSampleScan:
         pert = random_perturbation(rng, 20, params.plant.m, params.plant.p)
         policy = JumpPolicy(tau_c_reset="uniform", seed=3)
         zeta0 = strict_initial_state(params)
-        nominal = hybrid.simulate(HybridFOModel.nominal(params), zeta0, policy,
+        nominal = hybrid.simulate(HybridFOModel(params), zeta0, policy,
                                   (4.0, 400), 0.02)
-        perturbed = hybrid.simulate(perturbed_model(params, pert, 0.5), zeta0,
+        perturbed = hybrid.simulate(HybridFOModel(params, pert, 0.5), zeta0,
                                     policy, (4.0, 400), 0.02)
         self.assert_same(nominal, perturbed, 4.0)
 
     def test_long_segment_crosses_block_boundary(self):
         params = s1_params()
-        nominal = run_s1(HybridFOModel.nominal(params), horizon=(1.2, 200),
+        nominal = run_s1(HybridFOModel(params), horizon=(1.2, 200),
                          sample_dt=1e-4)
-        perturbed = run_s1(perturbed_model(params, s1_perturbation(), 0.3),
+        perturbed = run_s1(HybridFOModel(params, s1_perturbation(), 0.3),
                            horizon=(1.2, 200), sample_dt=1e-4)
         seg = perturbed.segments[0]
         rows = robustness._MATCH_BUDGET // seg.matrix().size
@@ -232,7 +268,7 @@ class TestClosenessMatchesPerSampleScan:
         self.assert_same(nominal, perturbed, 1.2)
 
     def test_missing_segment_is_infinite(self):
-        arc = run_s1(HybridFOModel.nominal(s1_params()))
+        arc = run_s1(HybridFOModel(s1_params()))
         shorter = dataclasses.replace(arc, segments=arc.segments[:2])
         for pair in ((arc, shorter), (shorter, arc)):
             result = closeness(*pair, tau=4.0)
@@ -272,13 +308,13 @@ class TestRobustnessSweep:
         policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=4)
         deltas = [0.3, 1e-2, 1e-3]
         sweep = robustness_sweep(params, pert, deltas, tau, policy)
-        nominal = HybridFOModel.nominal(params)
+        nominal = HybridFOModel(params)
         zeta0 = strict_initial_state(params)
         horizon = (tau, int(math.ceil(tau / nominal.min_dwell())) * 2 + 16)
         arc_nom = hybrid.simulate(nominal, zeta0, policy, horizon)
         assert arc_nom.segments[-1].j > math.floor(tau) + 1
         for row, delta in zip(sweep.rows, deltas):
-            arc = hybrid.simulate(perturbed_model(params, pert, delta), zeta0,
+            arc = hybrid.simulate(HybridFOModel(params, pert, delta), zeta0,
                                   policy, horizon)
             result = closeness(arc_nom, arc, tau)
             assert row.epsilon == result.epsilon
@@ -289,8 +325,8 @@ class TestRobustnessSweep:
     def test_short_arc_still_reports_truncation(self):
         # T = 3 s reaches j = 15, so t + j stays below tau = 30
         params = s1_params()
-        arc = run_s1(HybridFOModel.nominal(params), horizon=(3.0, 200))
-        other = run_s1(perturbed_model(params, s1_perturbation(), 0.1),
+        arc = run_s1(HybridFOModel(params), horizon=(3.0, 200))
+        other = run_s1(HybridFOModel(params, s1_perturbation(), 0.1),
                        horizon=(3.0, 200))
         assert closeness(arc, other, tau=30.0).truncated
 
