@@ -49,4 +49,4 @@ from .robustness import (
     iota_magnitude,
     robustness_sweep,
 )
-from .config import ScenarioConfig, config_to_dict, parse_config
+from .config import ScenarioConfig, parse_config

@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, hybrid
-from .config import (ConfigError, ScenarioConfig, config_to_dict, parse_config,
-                     parse_seed)
+from .config import ConfigError, ScenarioConfig, parse_config
 from .model import HybridFOModel, validate
 from .robustness import robustness_sweep
 
@@ -31,12 +30,7 @@ EXIT_INTERNAL = 3
 
 
 def _load(config_path: str) -> ScenarioConfig:
-    config = parse_config(config_path)
-    seed_env = os.environ.get("HFO_SEED")
-    if seed_env is not None:
-        config.policy = dataclasses.replace(
-            config.policy, seed=parse_seed(seed_env, "HFO_SEED"))
-    return config
+    return parse_config(config_path, os.environ.get("HFO_SEED"))
 
 
 def _validated(config: ScenarioConfig):
@@ -105,7 +99,7 @@ def write_trajectory_csv(path: Path, arc, consts, params):
 def _base_report(config, consts, diag) -> dict:
     return {
         "tool_version": __version__,
-        "config": config_to_dict(config),
+        "config": config.document,
         "constants": consts.as_dict(),
         "validation": [dataclasses.asdict(c) for c in diag.checks],
     }
@@ -193,32 +187,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _sweep_arguments(args):
-    """(tau, deltas) from the command line; both finite and nonnegative."""
+def _sweep_arguments(args, config):
+    """(tau, deltas) from the command line: tau finite and nonnegative, and
+    each delta a scale that gives a valid perturbed model of ``config``."""
     tau = args.tau
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"--tau must be finite and >= 0, got {tau!r}")
-    if not args.deltas:
-        return tau, [1e-1, 1e-2, 1e-3]
+    texts = args.deltas.split(",") if args.deltas else ["0.1", "0.01", "0.001"]
     deltas = []
-    for text in args.deltas.split(","):
+    for text in texts:
         try:
             delta = float(text)
         except ValueError:
             raise ConfigError(f"--deltas: {text!r} is not a number") from None
-        if not (math.isfinite(delta) and delta >= 0.0):
-            raise ConfigError(
-                f"--deltas: every scale must be finite and >= 0, got {text!r}")
+        try:
+            HybridFOModel(config.params, config.perturbation, delta)
+        except ValueError as exc:
+            raise ConfigError(f"--deltas: scale {text}: {exc}") from None
         deltas.append(delta)
     return tau, deltas
 
 
 def cmd_robustness(args) -> int:
-    tau, deltas = _sweep_arguments(args)
     config = _load(args.config)
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
     zeta0, diag = _validated(config)
+    tau, deltas = _sweep_arguments(args, config)
     sweep = robustness_sweep(config.params, config.perturbation, deltas,
                              tau, config.policy, zeta0, config.sample_dt)
     out = Path(args.out)

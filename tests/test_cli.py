@@ -5,11 +5,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfo import analysis, cli, hybrid
+from hfo import analysis, cli, hybrid, robustness
 from hfo.cli import main
-from hfo.config import ConfigError, config_to_dict, parse_config
+from hfo.config import ConfigError, parse_config
 
 S1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
+
+# The report's config block for configs/s1.json, written out by hand so that
+# any change to the echo shows: every value as parsed (floats stay floats)
+# and every default spelled out.
+S1_ECHO = {
+    "plant": {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "d": [0.5]},
+    "objective": {"Q_u": [[1.0]], "Q_y": [[1.0]], "y_hat": [2.0],
+                  "gamma": 0.4},
+    "timers": {"tau_c_min": 1.0, "tau_c_max": 1.0, "tau_g_comp": 0.25,
+               "ell": 4},
+    "policy": {"tau_c_reset": "min", "tau_c_value": None,
+               "case3_order": "g1_first", "seed": 1},
+    "horizon": {"T": 30.0, "J": 1000},
+    "sample_dt": 0.01,
+    "init": {"mode": "strict"},
+    "input_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    "perturbation": {"A_hat": [[0.05]], "B_hat": [[0.02]], "H_hat": [[0.02]],
+                     "kappa_c": 0.1, "kappa_g": 0.05, "theta_g_comp": 0.02,
+                     "theta_c_min": 0.02, "theta_c_max": 0.02},
+}
 
 
 def load_s1_dict():
@@ -58,7 +78,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         config = parse_config(S1_CONFIG)
-        again = parse_config(config_to_dict(config))
+        again = parse_config(config.document)
         assert np.array_equal(again.params.plant.a, config.params.plant.a)
         assert again.params.timers == config.params.timers
         assert again.policy == config.policy
@@ -143,6 +163,13 @@ class TestParseConfig:
          "init.zeta0.tau_c"),
         ("init", {"mode": "global", "zeta0": dict(ZETA0, tau_g="x")},
          "init.zeta0.tau_g"),
+        ("input_set", {"kind": "ball", "center": [0.0], "radius": 0},
+         "input_set.radius"),
+        ("input_set", {"lo": [1.0], "hi": [-1.0]}, "input_set.lo"),
+        ("input_set", {"lo": [1.0], "hi": [-1.0]}, "input_set.hi"),
+        ("policy", {"tau_c_reset": "fixed", "tau_c_value": 5.0},
+         "policy.tau_c_value"),
+        ("policy", {"tau_c_reset": "fixed"}, "policy.tau_c_value"),
     ])
     def test_bad_scalar_field_named(self, tmp_path, capsys, section, fields,
                                     field):
@@ -165,6 +192,44 @@ class TestParseConfig:
         assert f"field '{section}.{key}' is not a number" in (
             capsys.readouterr().err)
         assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("plant.A", [[True]], "is not numeric"),
+        ("objective.y_hat", [True], "is not numeric"),
+        ("init.zeta0.u", [False], "is not numeric"),
+        ("perturbation.B_hat", [[True]], "is not numeric"),
+        ("objective.y_hat", [float("inf")], "must be finite"),
+        ("init.zeta0.x", [float("nan")], "must be finite"),
+    ])
+    def test_bad_array_entry_named(self, tmp_path, capsys, path, value,
+                                   message):
+        data = load_s1_dict()
+        data["init"] = {"mode": "global", "zeta0": dict(self.ZETA0)}
+        *sections, key = path.split(".")
+        target = data
+        for section in sections:
+            target = target[section]
+        target[key] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
+        assert f"error: field '{path}' {message}" in capsys.readouterr().err
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    @pytest.mark.parametrize("policy", [
+        {"tau_c_reset": "fixed", "tau_c_value": 5.0},
+        {"tau_c_reset": "fixed"},
+    ])
+    def test_fixed_reset_checked_when_read(self, tmp_path, capsys, command,
+                                           policy):
+        # at T = 0.5 no input jump happens, so only the parser can catch it
+        data = load_s1_dict()
+        data["policy"] = policy
+        data["horizon"]["T"] = 0.5
+        cfg = write_config(tmp_path, data)
+        assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        assert "error: field 'policy.tau_c_value' must lie in" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("section, fields, field", [
         ("perturbation", {"kapa_c": 0.1}, "perturbation.kapa_c"),
@@ -209,6 +274,33 @@ class TestParseConfig:
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"field '{field}' has length 2, expected 1" in err
+
+    def test_s1_document_is_the_echo(self):
+        # json.dumps compares key order and int / float too
+        assert (json.dumps(parse_config(S1_CONFIG).document)
+                == json.dumps(S1_ECHO))
+
+    @pytest.mark.parametrize("edits, seed", [
+        ({}, None),
+        ({"input_set": {"kind": "ball", "center": [0.0], "radius": 2.0}}, None),
+        ({"init": {"mode": "global", "zeta0": ZETA0}}, None),
+        ({"overrides": {"rho": 0.5, "r_scale": 0.05}}, None),
+        ({}, "7"),
+        ({"policy": None, "init": None, "perturbation": None}, None),
+    ])
+    def test_document_reads_back_to_itself(self, edits, seed):
+        data = load_s1_dict()
+        for key, value in edits.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        config = parse_config(data, seed)
+        again = parse_config(config.document)
+        assert json.dumps(again.document) == json.dumps(config.document)
+        assert again.policy == config.policy
+        if seed is not None:
+            assert config.document["policy"]["seed"] == config.policy.seed == 7
 
     def test_json_error_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -510,6 +602,28 @@ class TestRobustnessCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}")
         assert not (tmp_path / "robustness.csv").exists()
+
+    @pytest.mark.parametrize("perturbation, deltas, message", [
+        # kappa_c = 0.1: the control timer rate -1 + 20 kappa_c is positive
+        ({}, "20", "timer rates"),
+        # tau_c_min + 1 * theta_c_min = -4
+        ({"theta_c_min": -5.0}, "1", "tau_c reset interval"),
+    ])
+    def test_out_of_range_scale_named_before_any_run(
+            self, tmp_path, capsys, monkeypatch, perturbation, deltas,
+            message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before every scale was checked")
+
+        monkeypatch.setattr(robustness, "simulate", no_run)
+        data = load_s1_dict()
+        data["perturbation"].update(perturbation)
+        cfg = write_config(tmp_path, data)
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--deltas", deltas, "--tau", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --deltas: scale {deltas}: ")
+        assert message in err
 
     def test_missing_perturbation_exit_2(self, tmp_path, capsys):
         data = load_s1_dict()
