@@ -252,9 +252,8 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
                 which: str = "thm1") -> BoundReport:
     """Evaluate distance vs. the convergence bound at every stored sample."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    t = np.concatenate([seg.times for seg in arc.segments])
-    j = np.concatenate([np.full(len(seg.times), seg.j) for seg in arc.segments])
-    lhs = dist_to_A(np.vstack([seg.x for seg in arc.segments]), c)
+    t, j = arc.times, arc.j
+    lhs = dist_to_A(arc.x, c)
     init_dist = float(lhs[0])
     rhs = bound_fn(t, init_dist, c, params.timers)
     clipped = np.maximum(rhs, 0.0)
@@ -287,28 +286,28 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     stored trajectory.
     """
     a, b = params.plant.a, params.plant.b
-
-    first = arc.segments[0].start
-    anchor_t, anchor_x = 0.0, first.x.copy()
-    w = linalg.solve(a, b @ first.u)
-
-    times, recon = [], []
+    # segment k starts an input period when jump k - 1 applied g2
+    starts = [0] + [rec.j + 1 for rec in arc.jumps if rec.applied == "g2"]
+    ends = starts[1:] + [len(arc.offsets) - 1]
+    anchor_t, anchor_x = 0.0, arc.x[0].copy()
+    recon = np.empty_like(arc.x)
     max_dev = 0.0
-    for seg in arc.segments:
-        for lo in range(0, len(seg.times), _STACK_BLOCK):
-            t = seg.times[lo:lo + _STACK_BLOCK]
-            x_rec = linalg.mat_exp(a, t - anchor_t) @ (anchor_x + w) - w
-            stored = seg.x[lo:lo + _STACK_BLOCK]
-            times.append(t)
-            recon.append(x_rec)
-            max_dev = max(max_dev, float(np.max(np.abs(x_rec - stored))))
-        # an input change at this segment's closing jump re-anchors the sum
-        if seg.j < len(arc.jumps) and arc.jumps[seg.j].applied == "g2":
-            e = linalg.mat_exp(a, seg.t_end - anchor_t)
-            anchor_x = e @ (anchor_x + w) - w
-            anchor_t = seg.t_end
-            w = linalg.solve(a, b @ arc.segments[seg.j + 1].start.u)
-    return ReconstructionResult(max_dev, np.concatenate(times), np.vstack(recon))
+    for first, end in zip(starts, ends):
+        w = linalg.solve(a, b @ arc.u[first])
+        lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
+        for row in range(lo, hi, _STACK_BLOCK):
+            rows = slice(row, min(row + _STACK_BLOCK, hi))
+            recon[rows] = (linalg.mat_exp(a, arc.times[rows] - anchor_t)
+                           @ (anchor_x + w) - w)
+            max_dev = max(max_dev,
+                          float(np.max(np.abs(recon[rows] - arc.x[rows]))))
+        # the input change that closes the period re-anchors the sum
+        if end < len(arc.offsets) - 1:
+            t_jump = float(arc.times[hi - 1])
+            anchor_x = (linalg.mat_exp(a, t_jump - anchor_t) @ (anchor_x + w)
+                        - w)
+            anchor_t = t_jump
+    return ReconstructionResult(max_dev, arc.times, recon)
 
 
 @dataclass
@@ -332,19 +331,18 @@ def rate_check(arc: HybridArc, params: ModelParams,
     """Verify per-step and aggregate optimizer contraction in every completed
     input period against that period's projected-gradient fixed point."""
     _, _, c_q = gradient_constants(params)
-    first = arc.segments[0].start
-    y_period = first.y_s
-    iterates = [first.z]
+    y_period = arc.y_s[0]
+    iterates = [arc.z[0]]
     periods: list[PeriodCheck] = []
     for rec in arc.jumps:
-        after = arc.segments[rec.j + 1].start
+        after = rec.j + 1
         if rec.applied == "g1":
-            iterates.append(after.z)
+            iterates.append(arc.z[after])
         else:
             periods.append(_check_period(len(periods), iterates, y_period, params,
                                          c_q, step_tol, aggregate_tol))
-            y_period = after.y_s
-            iterates = [after.z]
+            y_period = arc.y_s[after]
+            iterates = [arc.z[after]]
     return RateReport(periods, all(p.per_step_ok and p.aggregate_ok
                                    for p in periods))
 

@@ -48,8 +48,12 @@ def _validated(config: ScenarioConfig):
 def _run(config: ScenarioConfig):
     zeta0, diag = _validated(config)
     model = HybridFOModel(config.params)
-    arc = hybrid.simulate(model, zeta0, config.policy, config.horizon,
-                          config.sample_dt)
+    try:
+        arc = hybrid.simulate(model, zeta0, config.policy, config.horizon,
+                              config.sample_dt)
+    except hybrid.SampleBudgetError as exc:
+        raise ConfigError(f"fields 'horizon.T' and 'horizon.J': {exc}; "
+                          f"lower either") from None
     consts = analysis.constants(config.params, r_scale=config.r_scale)
     return arc, consts, diag
 
@@ -66,34 +70,35 @@ def _csv_header(params) -> list:
     )
 
 
-def _segment_rows(seg, consts, rows=slice(None), case=""):
-    """The rows ``rows`` of one segment, read from its columns."""
-    start = seg.start
+def _rows(arc, consts, j, lo, hi, case=""):
+    """CSV rows for the samples lo..hi - 1 of the arc, all in segment j,
+    read from the arc's columns."""
     held = [repr(v) for v in
-            np.concatenate([start.u, start.y_s, start.z]).tolist()]
-    xs = seg.x[rows]
+            np.concatenate([arc.u[j], arc.y_s[j], arc.z[j]]).tolist()]
+    xs = arc.x[lo:hi]
     dist = analysis.dist_to_A(xs, consts)
-    for t, x, tau_c, tau_g, d in zip(seg.times[rows].tolist(), xs.tolist(),
-                                     seg.tau_c[rows].tolist(),
-                                     seg.tau_g[rows].tolist(), dist.tolist()):
-        yield ([repr(t), seg.j, case] + [repr(v) for v in x] + held
+    for t, x, tau_c, tau_g, d in zip(arc.times[lo:hi].tolist(), xs.tolist(),
+                                     arc.tau_c[lo:hi].tolist(),
+                                     arc.tau_g[lo:hi].tolist(), dist.tolist()):
+        yield ([repr(t), j, case] + [repr(v) for v in x] + held
                + [repr(tau_c), repr(tau_g), repr(d)])
 
 
 def write_trajectory_csv(path: Path, arc, consts, params):
     """Flow samples plus a pre/post row pair for every jump j: the last
     sample of segment j and the first of segment j + 1."""
+    offsets = arc.offsets.tolist()
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_csv_header(params))
-        for seg in arc.segments:
-            writer.writerows(_segment_rows(seg, consts))
-            if seg.j < len(arc.jumps):
-                case = arc.jumps[seg.j].case
-                writer.writerows(_segment_rows(
-                    seg, consts, slice(-1, None), f"{case}:pre"))
-                writer.writerows(_segment_rows(
-                    arc.segments[seg.j + 1], consts, slice(1), f"{case}:post"))
+        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            writer.writerows(_rows(arc, consts, j, lo, hi))
+            if j < len(arc.jumps):
+                case = arc.jumps[j].case
+                writer.writerows(_rows(arc, consts, j, hi - 1, hi,
+                                       f"{case}:pre"))
+                writer.writerows(_rows(arc, consts, j + 1, hi, hi + 1,
+                                       f"{case}:post"))
 
 
 def _base_report(config, consts, diag) -> dict:
@@ -214,8 +219,11 @@ def cmd_robustness(args) -> int:
         raise ConfigError("config has no perturbation block")
     zeta0, diag = _validated(config)
     tau, deltas = _sweep_arguments(args, config)
-    sweep = robustness_sweep(config.params, config.perturbation, deltas,
-                             tau, config.policy, zeta0, config.sample_dt)
+    try:
+        sweep = robustness_sweep(config.params, config.perturbation, deltas,
+                                 tau, config.policy, zeta0, config.sample_dt)
+    except hybrid.SampleBudgetError as exc:
+        raise ConfigError(f"--tau {tau:g}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / "robustness.csv").open("w", newline="") as fh:

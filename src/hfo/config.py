@@ -274,7 +274,7 @@ def parse_config(source, seed=None) -> ScenarioConfig:
         {})
     input_set = top.section("input_set", lambda sec: _input_set(sec, m))
     rho, r_scale = top.section("overrides", lambda sec: (
-        sec.get("rho", _positive, None), sec.get("r_scale", _finite, 1.0)),
+        sec.get("rho", _positive, None), sec.get("r_scale", _positive, 1.0)),
         {}, echo_defaults=False)
     shapes = {"A_hat": (n, n), "B_hat": (n, m), "H_hat": (p, m)}
     scalars = ("kappa_c", "kappa_g", "theta_g_comp", "theta_c_min",

@@ -45,43 +45,64 @@ class ClosenessResult:
 # Samples with t + j <= tau + TAU_TOL take part in the closeness metric.
 TAU_TOL = 1e-12
 
-# Most elements one broadcast temporary of ``closeness`` holds: rows are
-# matched in blocks that stay under it, one row at a time at worst, when a
-# single row against the other segment takes more.
+# Most elements one broadcast temporary of ``closeness`` holds: samples are
+# matched in blocks that stay under it, one sample at a time at worst, when
+# a single sample against the other segment takes more.
 _MATCH_BUDGET = 1 << 16
 
 
-def _segment_matches(times_a, mat_a, times_b, mat_b) -> np.ndarray:
-    """For every row a: min over rows b of max(|t_b - t_a|, ||B_b - A_a||_inf)."""
-    rows = max(1, _MATCH_BUDGET // mat_b.size)
-    out = np.empty(len(times_a))
-    for lo in range(0, len(times_a), rows):
-        hi = lo + rows
-        gaps = np.abs(times_b - times_a[lo:hi, None])
-        diffs = np.max(np.abs(mat_b - mat_a[lo:hi, None, :]), axis=2)
-        out[lo:hi] = np.min(np.maximum(gaps, diffs), axis=1)
+def _segment_matches(cols_a, cols_b) -> np.ndarray:
+    """For every column a: min over columns b of ||col_b - col_a||_inf.
+
+    Columns, not rows: the sup norm then reduces over the leading axis of
+    the difference, which numpy does elementwise, where a reduction over a
+    short trailing axis costs a loop per element."""
+    block = max(1, _MATCH_BUDGET // cols_b.size)
+    out = np.empty(cols_a.shape[1])
+    for lo in range(0, len(out), block):
+        diffs = np.abs(cols_b[:, None, :] - cols_a[:, lo:lo + block, None])
+        out[lo:lo + block] = np.min(np.max(diffs, axis=0), axis=1)
     return out
 
 
-def _directional(arc_a: HybridArc, arc_b: HybridArc, tau: float, side: int):
+def _flow_columns(arc: HybridArc) -> np.ndarray:
+    """Columns of [t, x, tau_c, tau_g], one per sample of the arc: the
+    components that vary along a flow."""
+    return np.vstack([arc.times, arc.x.T, arc.tau_c, arc.tau_g])
+
+
+def _directional(arc_a: HybridArc, cols_a, arc_b: HybridArc, cols_b,
+                 held_gaps, tau: float, side: int):
     """Worst match, over the samples of arc_a with t + j <= tau, against the
     segment of arc_b at the same jump index; the witness is the first sample,
-    in segment and then time order, that attains it."""
-    worst, witness = 0.0, (side, 0.0, 0)
-    for seg in arc_a.segments:
-        keep = seg.times + seg.j <= tau + TAU_TOL
-        if not keep.any():
-            continue
-        times = seg.times[keep]
-        if seg.j >= len(arc_b.segments):
-            return math.inf, (side, float(times[0]), seg.j)
-        other = arc_b.segments[seg.j]
-        cand = _segment_matches(times, seg.matrix()[keep],
-                                other.times, other.matrix())
-        best = int(np.argmax(cand))
-        if cand[best] > worst:
-            worst, witness = float(cand[best]), (side, float(times[best]), seg.j)
-    return worst, witness
+    in segment and then time order, that attains it.
+
+    Along one pair of segments u, y_s and z are constant, so their sup-norm
+    distance ``held_gaps[j]`` is one number, and
+    min_b max(gap_b, held_gaps[j]) = max(min_b gap_b, held_gaps[j]).
+    """
+    index = arc_a.j
+    kept = np.flatnonzero(arc_a.times + index <= tau + TAU_TOL)
+    segment = index[kept]  # nondecreasing
+    shared = len(held_gaps)
+    if not len(kept):
+        return 0.0, (side, 0.0, 0)
+    if segment[-1] >= shared:
+        first = kept[np.searchsorted(segment, shared)]
+        return math.inf, (side, float(arc_a.times[first]), shared)
+    bounds = np.searchsorted(segment, np.arange(segment[-1] + 2)).tolist()
+    cand = np.empty(len(kept))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo < hi:
+            cand[lo:hi] = _segment_matches(
+                cols_a[:, kept[lo:hi]],
+                cols_b[:, arc_b.offsets[j]:arc_b.offsets[j + 1]])
+    np.maximum(cand, held_gaps[segment], out=cand)
+    best = int(np.argmax(cand))
+    if cand[best] > 0.0:
+        return float(cand[best]), (side, float(arc_a.times[kept[best]]),
+                                   int(segment[best]))
+    return 0.0, (side, 0.0, 0)
 
 
 def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
@@ -92,10 +113,14 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     the other arc, within epsilon in both time and state (sup norm over the
     state components). Sampling density bounds the resolution of the result.
     """
-    truncated = (arc1.t_end + arc1.segments[-1].j + TAU_TOL < tau
-                 or arc2.t_end + arc2.segments[-1].j + TAU_TOL < tau)
-    e1, w1 = _directional(arc1, arc2, tau, 1)
-    e2, w2 = _directional(arc2, arc1, tau, 2)
+    truncated = (arc1.t_end + len(arc1.jumps) + TAU_TOL < tau
+                 or arc2.t_end + len(arc2.jumps) + TAU_TOL < tau)
+    shared = min(len(arc1.segments), len(arc2.segments))
+    held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
+                       axis=1)
+    cols1, cols2 = _flow_columns(arc1), _flow_columns(arc2)
+    e1, w1 = _directional(arc1, cols1, arc2, cols2, held_gaps, tau, 1)
+    e2, w2 = _directional(arc2, cols2, arc1, cols1, held_gaps, tau, 2)
     if e1 >= e2:
         return ClosenessResult(e1, tau, w1, truncated)
     return ClosenessResult(e2, tau, w2, truncated)
@@ -143,14 +168,16 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     if zeta0 is None:
         zeta0 = strict_initial_state(params)
-    nominal = HybridFOModel(params)
+    # every scale is checked before the first run; a model holds no
+    # propagator cache or power table until it runs, and is dropped after
+    deltas = list(deltas)
+    models = [HybridFOModel(params, pert, delta) for delta in deltas]
     horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)
-    arc_nom = simulate(nominal, zeta0, policy, horizon, sample_dt)
+    arc_nom = simulate(HybridFOModel(params), zeta0, policy, horizon, sample_dt)
 
     rows = []
     for delta in deltas:
-        model = HybridFOModel(params, pert, delta)
-        arc_pert = simulate(model, zeta0, policy, horizon, sample_dt)
+        arc_pert = simulate(models.pop(0), zeta0, policy, horizon, sample_dt)
         result = closeness(arc_nom, arc_pert, tau)
         side, t, j = result.witness
         rows.append(SweepRow(float(delta), result.epsilon, t, j, side,

@@ -8,6 +8,7 @@ import pytest
 from hfo import analysis, cli, hybrid, robustness
 from hfo.cli import main
 from hfo.config import ConfigError, parse_config
+from hfo.model import HybridFOModel
 
 S1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
 
@@ -170,6 +171,8 @@ class TestParseConfig:
         ("policy", {"tau_c_reset": "fixed", "tau_c_value": 5.0},
          "policy.tau_c_value"),
         ("policy", {"tau_c_reset": "fixed"}, "policy.tau_c_value"),
+        ("overrides", {"r_scale": 0.0}, "overrides.r_scale"),
+        ("overrides", {"r_scale": -1.0}, "overrides.r_scale"),
     ])
     def test_bad_scalar_field_named(self, tmp_path, capsys, section, fields,
                                     field):
@@ -322,6 +325,30 @@ class TestParseConfig:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_runaway_horizon_exits_2_naming_it(self, tmp_path, capsys,
+                                               command):
+        data = load_s1_dict()
+        data["horizon"] = {"T": 1e9, "J": 10 ** 12}
+        # the bound refuses the run before it starts
+        model = HybridFOModel(parse_config(data).params)
+        assert hybrid.sample_bound(model, (1e9, 10 ** 12), 0.01) > 1e11
+        cfg = write_config(tmp_path, data)
+        assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "fields 'horizon.T' and 'horizon.J'" in err
+        assert "1.1e+11 samples" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_long_t_with_shipped_j_runs(self, tmp_path):
+        data = load_s1_dict()
+        data["horizon"]["T"] = 1e9
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["t_end"] == pytest.approx(200.0)
+        assert report["jumps"] == 1000
+
     def test_s1_outputs(self, tmp_path):
         data = load_s1_dict()
         data["horizon"] = {"T": 3.0, "J": 1000}
@@ -555,6 +582,18 @@ class TestVerifyCommand:
 
 
 class TestRobustnessCommand:
+    def test_runaway_tau_exits_2_naming_it(self, tmp_path, capsys):
+        # the sweep runs to t = tau: the bound refuses it before it starts
+        model = HybridFOModel(parse_config(load_s1_dict()).params)
+        assert hybrid.sample_bound(model, (1e7, 10 ** 7 + 1), 0.01) > 2e8
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--tau", "1e7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tau 1e+07: ")
+        assert "samples" in err and "GiB" in err
+        assert not (tmp_path / "robustness.csv").exists()
+
     def test_s1_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, load_s1_dict())
         assert main(["robustness", cfg, "--out", str(tmp_path),

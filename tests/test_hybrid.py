@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hfo import hybrid
-from hfo.model import HybridFOModel, JumpPolicy, Perturbation, strict_initial_state
+from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, Timers,
+                       strict_initial_state)
 from conftest import random_params, s1_params
 
 
@@ -110,14 +111,15 @@ class TestSimulate:
             hybrid.simulate(model, bad, JumpPolicy(), (1.0, 10))
 
 
-def per_sample_flow(model, seg, sample_dt):
-    """Oracle: the samples of one flow segment that ends at a timer event,
-    from the one-step-at-a-time recurrence: x_{k+1} = flow_x(x_k), each timer
-    tau_0 + rate * elapsed snapped to zero within EVENT_TOL, elapsed summed
-    one sample_dt at a time, then a closing step to the exact event."""
+def per_sample_flow(model, start, t_start, dt_flow, expired, sample_dt):
+    """Oracle: the samples of one flow segment of length dt_flow from state
+    ``start``, by the one-step-at-a-time recurrence: x_{k+1} = flow_x(x_k),
+    each timer tau_0 + rate * elapsed snapped to zero within EVENT_TOL,
+    elapsed summed one sample_dt at a time, then a closing step to the exact
+    end, where the ``expired`` timers are zero."""
     rate_c, rate_g = model.rate_c, model.rate_g
 
-    def advance(start, dt, expired=""):
+    def advance(dt, expired=""):
         tau_c = start.tau_c + rate_c * dt
         tau_g = start.tau_g + rate_g * dt
         if expired in ("c", "both") or abs(tau_c) <= hybrid.EVENT_TOL:
@@ -126,21 +128,70 @@ def per_sample_flow(model, seg, sample_dt):
             tau_g = 0.0
         return max(tau_c, 0.0), max(tau_g, 0.0)
 
-    start = seg.start
-    dt_flow, expired = hybrid.next_event(start.tau_c, start.tau_g,
-                                         rate_c, rate_g)
-    times, xs, timers = [seg.t_start], [start.x], [(start.tau_c, start.tau_g)]
+    times, xs, timers = [t_start], [start.x], [(start.tau_c, start.tau_g)]
     x, elapsed = start.x, 0.0
     for _ in range(int(np.floor(dt_flow / sample_dt - 1e-9))):
         x = model.flow_x(x, start.u, sample_dt)
         elapsed += sample_dt
-        times.append(seg.t_start + elapsed)
+        times.append(t_start + elapsed)
         xs.append(x)
-        timers.append(advance(start, elapsed))
+        timers.append(advance(elapsed))
     xs.append(model.flow_x(x, start.u, dt_flow - elapsed))
-    times.append(seg.t_start + dt_flow)
-    timers.append(advance(start, dt_flow, expired))
+    times.append(t_start + dt_flow)
+    timers.append(advance(dt_flow, expired))
     return np.array(times), np.vstack(xs), np.array(timers)
+
+
+def assert_x_close(got, want):
+    """x from the stored powers against the one-step recurrence: the
+    summation order differs, so they agree at rounding level, normwise."""
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def one_pass_simulate(model, zeta0, policy, horizon, sample_dt):
+    """Oracle: the single-pass simulator, which flows x one sample at a time
+    between events (``per_sample_flow``) and jumps with the full state.
+    Returns (jump log of (t, j, case, applied), [(times, x, timers) per
+    segment])."""
+    t_max, j_max = horizon
+    rng = np.random.default_rng(policy.seed)
+
+    def point(state, t):
+        return (np.array([t]), state.x[None, :],
+                np.array([[state.tau_c, state.tau_g]]))
+
+    state, t, j = zeta0, 0.0, 0
+    log, segments = [], []
+    while True:
+        remaining = t_max - t
+        if j >= j_max or remaining <= hybrid.EVENT_TOL:
+            segments.append(point(state, t))
+            break
+        horizon_hit = False
+        if model.which_case(state) is not None:
+            segments.append(point(state, t))
+        else:
+            dt, which = hybrid.next_event(state.tau_c, state.tau_g,
+                                          model.rate_c, model.rate_g)
+            if dt > remaining + hybrid.EVENT_TOL:
+                dt, which, horizon_hit = remaining, "", True
+            times, xs, timers = per_sample_flow(model, state, t, dt, which,
+                                                sample_dt)
+            segments.append((times, xs, timers))
+            state = dataclasses.replace(state, x=xs[-1],
+                                        tau_c=float(timers[-1, 0]),
+                                        tau_g=float(timers[-1, 1]))
+            t = t + dt
+            if horizon_hit:
+                break
+        steps = hybrid._resolve_jump(model, state, policy, rng)
+        for i, (label, applied, state) in enumerate(steps):
+            log.append((t, j, label, applied))
+            j += 1
+            if i < len(steps) - 1:
+                segments.append(point(state, t))
+    return log, segments
 
 
 class TestColumnarSegments:
@@ -166,9 +217,13 @@ class TestColumnarSegments:
             if seg.t_end == seg.t_start:
                 continue
             flows += 1
-            times, xs, timers = per_sample_flow(model, seg, sample_dt)
+            start = seg.start
+            dt, which = hybrid.next_event(start.tau_c, start.tau_g,
+                                          model.rate_c, model.rate_g)
+            times, xs, timers = per_sample_flow(model, start, seg.t_start, dt,
+                                                which, sample_dt)
             assert np.array_equal(seg.times, times)
-            assert np.array_equal(seg.x, xs)
+            assert_x_close(seg.x, xs)
             assert np.array_equal(seg.tau_c, timers[:, 0])
             assert np.array_equal(seg.tau_g, timers[:, 1])
         assert flows >= 10
@@ -186,6 +241,105 @@ class TestColumnarSegments:
         assert last.tau_g == seg.tau_g[-1] == 0.0
         assert isinstance(last.tau_c, float)
         assert np.array_equal(last.u, seg.start.u)
+
+
+class TestTwoPasses:
+    """simulate's x-free event pass and bulk plant pass against the
+    single-pass oracle."""
+
+    @staticmethod
+    def assert_same_as_one_pass(model, zeta0, policy, horizon, sample_dt):
+        arc = hybrid.simulate(model, zeta0, policy, horizon, sample_dt)
+        log, segments = one_pass_simulate(model, zeta0, policy, horizon,
+                                          sample_dt)
+        assert [(r.t, r.j, r.case, r.applied) for r in arc.jumps] == log
+        assert [len(seg.times) for seg in arc.segments] == [
+            len(times) for times, _, _ in segments]
+        times, xs, timers = (np.concatenate(col) for col in zip(*segments))
+        assert np.array_equal(arc.times, times)
+        assert np.array_equal(arc.tau_c, timers[:, 0])
+        assert np.array_equal(arc.tau_g, timers[:, 1])
+        assert_x_close(arc.x, xs)
+        return arc
+
+    @pytest.mark.parametrize("case", ["s1", "n3-perturbed", "n20",
+                                      "s1-start-in-jump-set", "s1-coarse"])
+    def test_jump_log_and_counts_match_one_pass(self, case):
+        if case.startswith("s1"):
+            params = s1_params()
+            model = HybridFOModel(params)
+            policy = JumpPolicy(seed=1)
+            # 0.3 s between samples: no flow has a grid step past its start
+            sample_dt = 0.3 if case == "s1-coarse" else 0.01
+        elif case == "n3-perturbed":
+            params = random_params(np.random.default_rng(8), n=3)
+            plant = params.plant
+            pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
+                                       kappa_c=0.1, kappa_g=-0.07)
+            model = HybridFOModel(params, pert, 1.0)
+            policy, sample_dt = JumpPolicy(tau_c_reset="uniform", seed=4), 0.013
+        else:
+            params = random_params(np.random.default_rng(17), n=20)
+            model = HybridFOModel(params)
+            policy = JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                                seed=3)
+            sample_dt = 0.02
+        zeta0 = strict_initial_state(params)
+        if case == "s1-start-in-jump-set":
+            # both timers within EVENT_TOL of zero: the point segment stores
+            # them as they are, unsnapped
+            zeta0 = dataclasses.replace(zeta0, tau_c=-4e-13, tau_g=5e-13)
+        arc = self.assert_same_as_one_pass(model, zeta0, policy, (6.0, 1000),
+                                           sample_dt)
+        assert len(arc.jumps) >= 20
+
+    def test_segment_longer_than_block(self):
+        # a 1.5 s gradient period has 149 grid steps of 0.01 s, so the
+        # power table's blocks chain
+        params = dataclasses.replace(s1_params(),
+                                     timers=Timers(3.0, 3.0, 1.5, 2))
+        arc = self.assert_same_as_one_pass(
+            HybridFOModel(params), strict_initial_state(params),
+            JumpPolicy(seed=1), (10.0, 1000), 0.01)
+        assert max(len(seg.times) for seg in arc.segments) - 2 > hybrid.FLOW_BLOCK
+
+    def test_segments_are_views(self):
+        arc, _ = simulate_s1(horizon=(3.0, 1000))
+        for seg in arc.segments:
+            for name in ("times", "x", "tau_c", "tau_g"):
+                assert np.shares_memory(getattr(seg, name), getattr(arc, name))
+
+    def test_s1_sample_count(self):
+        arc, _ = simulate_s1(horizon=(100.0, 1000))
+        assert len(arc.times) == 10501
+        assert sum(len(seg.times) for seg in arc.segments) == 10501
+        assert len(arc.segments) == 501
+
+
+class TestSampleBudget:
+    def test_jump_budget_bounds_a_long_horizon(self):
+        # S1 with T = 1e9 s and its shipped J = 1000: J ends the run near
+        # t = 200 s, and the bound allows 1002 gradient periods, 250.5 s
+        params = s1_params()
+        model = HybridFOModel(params)
+        bound = hybrid.sample_bound(model, (1e9, 1000), 0.01)
+        assert bound == pytest.approx(250.5 / 0.01 + 2 * 1003)
+        arc = hybrid.simulate(model, strict_initial_state(params),
+                              JumpPolicy(seed=1), (1e9, 1000), 0.01)
+        assert arc.t_end == pytest.approx(200.0)
+        assert len(arc.times) <= bound
+
+    def test_time_budget_bounds_a_large_j(self):
+        model = HybridFOModel(s1_params())
+        bound = hybrid.sample_bound(model, (1e9, 10 ** 12), 0.01)
+        # 4 gradient and 1 input jump per second
+        assert bound == pytest.approx(1e9 / 0.01 + 2 * (5e9 + 4))
+
+    def test_runaway_horizon_refused_before_any_work(self):
+        params = s1_params()
+        with pytest.raises(hybrid.SampleBudgetError, match="GiB"):
+            hybrid.simulate(HybridFOModel(params), strict_initial_state(params),
+                            JumpPolicy(seed=1), (1e9, 10 ** 12), 0.01)
 
 
 class TestArcInvariant:

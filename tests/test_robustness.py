@@ -199,11 +199,7 @@ class TestCloseness:
 
     def test_constant_offset(self):
         arc = run_s1(HybridFOModel(s1_params()))
-        shifted = dataclasses.replace(
-            arc,
-            segments=[dataclasses.replace(seg, x=seg.x + 0.01)
-                      for seg in arc.segments],
-        )
+        shifted = dataclasses.replace(arc, x=arc.x + 0.01)
         result = closeness(arc, shifted, tau=4.0)
         assert result.epsilon == pytest.approx(0.01, abs=1e-9)
 
@@ -217,7 +213,8 @@ class TestCloseness:
 
     def test_missing_jump_index_is_infinite(self):
         arc = run_s1(HybridFOModel(s1_params()))
-        shorter = dataclasses.replace(arc, segments=arc.segments[:2])
+        shorter = run_s1(HybridFOModel(s1_params()), horizon=(0.4, 200))
+        assert len(shorter.segments) == 2
         result = closeness(arc, shorter, tau=4.0)
         assert math.isinf(result.epsilon)
         assert result.truncated
@@ -269,7 +266,8 @@ class TestClosenessMatchesPerSampleScan:
 
     def test_missing_segment_is_infinite(self):
         arc = run_s1(HybridFOModel(s1_params()))
-        shorter = dataclasses.replace(arc, segments=arc.segments[:2])
+        shorter = run_s1(HybridFOModel(s1_params()), horizon=(0.4, 200))
+        assert len(shorter.segments) == 2
         for pair in ((arc, shorter), (shorter, arc)):
             result = closeness(*pair, tau=4.0)
             assert math.isinf(result.epsilon)
@@ -329,6 +327,20 @@ class TestRobustnessSweep:
         other = run_s1(HybridFOModel(params, s1_perturbation(), 0.1),
                        horizon=(3.0, 200))
         assert closeness(arc, other, tau=30.0).truncated
+
+    def test_every_scale_checked_before_the_first_run(self, monkeypatch):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return hybrid.simulate(*args, **kwargs)
+
+        monkeypatch.setattr(robustness, "simulate", counted)
+        # kappa_c = 0.1: the control timer rate -1 + 20 kappa_c is positive
+        with pytest.raises(ValueError, match="timer rates"):
+            robustness_sweep(s1_params(), s1_perturbation(), [0.1, 0.01, 20.0],
+                             tau=2.0, policy=JumpPolicy(seed=1))
+        assert runs == []
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
     def test_rejects_bad_tau(self, tau):
