@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, analysis, hybrid
 from .config import ConfigError, ScenarioConfig, parse_config
 from .model import HybridFOModel, validate
-from .robustness import robustness_sweep
+from .robustness import ScaleError, robustness_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -192,9 +192,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _sweep_arguments(args, config):
+def _sweep_arguments(args):
     """(tau, deltas) from the command line: tau finite and nonnegative, and
-    each delta a scale that gives a valid perturbed model of ``config``."""
+    each delta a number; ``robustness_sweep`` checks each scale."""
     tau = args.tau
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"--tau must be finite and >= 0, got {tau!r}")
@@ -205,10 +205,6 @@ def _sweep_arguments(args, config):
             delta = float(text)
         except ValueError:
             raise ConfigError(f"--deltas: {text!r} is not a number") from None
-        try:
-            HybridFOModel(config.params, config.perturbation, delta)
-        except ValueError as exc:
-            raise ConfigError(f"--deltas: scale {text}: {exc}") from None
         deltas.append(delta)
     return tau, deltas
 
@@ -218,10 +214,12 @@ def cmd_robustness(args) -> int:
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
     zeta0, diag = _validated(config)
-    tau, deltas = _sweep_arguments(args, config)
+    tau, deltas = _sweep_arguments(args)
     try:
         sweep = robustness_sweep(config.params, config.perturbation, deltas,
                                  tau, config.policy, zeta0, config.sample_dt)
+    except ScaleError as exc:
+        raise ConfigError(f"--deltas: {exc}") from None
     except hybrid.SampleBudgetError as exc:
         raise ConfigError(f"--tau {tau:g}: {exc}") from None
     out = Path(args.out)

@@ -11,7 +11,7 @@ plant state x, so pass 1 runs timers, jumps and optimizer iterates alone, at
 a cost per jump, and records each flow segment's start, length and held
 input. Pass 2 fills in the samples of the whole arc: times and timers in one
 vectorized expression each, x by stored powers of the one-step map on the
-sample grid plus one exact ``flow_x`` step to each segment's end.
+sample grid plus one exact held-input step to each segment's end.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import linalg
 
 # Two timer events within this many seconds count as simultaneous.
 EVENT_TOL = 1e-12
@@ -279,21 +281,34 @@ def _sample_columns(rows, running, rate_c, rate_g):
             timer(tau_g0, rate_g, "g"))
 
 
+def _closing_maps(model, rows, running):
+    """Each flow segment's held-input map over length - running[grid]: one
+    stacked propagator call per FLOW_BLOCK segments, on distinct lengths."""
+    flows = [(grid, length) for _, _, grid, length, _ in rows if grid >= 0]
+    for first in range(0, len(flows), FLOW_BLOCK):
+        grids, lengths = zip(*flows[first:first + FLOW_BLOCK])
+        closing = np.array(lengths) - running[list(grids)]
+        distinct, which = np.unique(closing, return_inverse=True)
+        e, forced = linalg.propagator(model.a, model.b, distinct)
+        yield from ((e[k], forced[k]) for k in which.tolist())
+
+
 def _plant_column(model, rows, offsets, running, x0, sample_dt):
     """Pass 2, x: every sample's plant state, (N, n).
 
     On a segment's grid x(k sample_dt) = [e^{A k sample_dt}, Gamma_k] @
     [x(0); u], row k - 1 of ``model.flow_grid``: one batched product per
     block of at most FLOW_BLOCK steps, each block starting where the last
-    ended. ``flow_x`` takes the exact closing step from the last grid point
-    to the segment's end. A point segment repeats the state it starts at.
+    ended. ``_closing_maps`` gives the exact closing step from the last grid
+    point to the segment's end. A point segment repeats the state it starts at.
     """
     longest = len(running) - 2
     block = max(1, min(FLOW_BLOCK, longest))
     table = model.flow_grid(sample_dt, block) if longest > 0 else None
+    closing = _closing_maps(model, rows, running)
     x = np.empty((int(offsets[-1]), len(x0)))
     current = x0
-    for lo, (_, state, grid, length, _) in zip(offsets.tolist(), rows):
+    for lo, (_, state, grid, _, _) in zip(offsets.tolist(), rows):
         x[lo] = current
         if grid < 0:
             continue
@@ -301,8 +316,8 @@ def _plant_column(model, rows, offsets, running, x0, sample_dt):
             size = min(block, grid - k)
             x[lo + k + 1:lo + k + size + 1] = table[:size] @ np.concatenate(
                 [x[lo + k], state.u])
-        current = model.flow_x(x[lo + grid], state.u,
-                               length - float(running[grid]))
+        e, forced = next(closing)
+        current = e @ x[lo + grid] + forced @ state.u
         x[lo + grid + 1] = current
     return x
 

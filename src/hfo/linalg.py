@@ -54,25 +54,24 @@ def mat_exp(a, t) -> np.ndarray:
     return scipy.linalg.expm(a * ts[:, None, None])
 
 
-def propagator(a, b, dt: float):
+def propagator(a, b, dt):
     """Exact held-input step of x' = A x + B u over duration dt.
 
     Returns (e^{A dt}, int_0^dt e^{A s} ds B), so that
     x(dt) = e^{A dt} x(0) + (int_0^dt e^{A s} ds B) u. Both blocks come from
     one exponential of [[A, B], [0, 0]] dt (Van Loan, "Computing integrals
     involving the matrix exponential", IEEE TAC 1978), which holds for any A,
-    singular ones included.
+    singular ones included. A 1-D array of durations gives both blocks
+    stacked, as ``mat_exp`` does.
     """
     a = _as_square(a)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.ndim != 2 or b.shape[0] != n:
         raise DimensionError(f"inconsistent shapes: A {a.shape}, B {b.shape}")
-    aug = np.zeros((n + b.shape[1],) * 2)
-    aug[:n, :n] = a
-    aug[:n, n:] = b
+    aug = np.block([[a, b], [np.zeros((b.shape[1], n + b.shape[1]))]])
     e = mat_exp(aug, dt)
-    return e[:n, :n].copy(), e[:n, n:].copy()
+    return e[..., :n, :n].copy(), e[..., :n, n:].copy()
 
 
 def eig_general(a) -> np.ndarray:

@@ -249,41 +249,28 @@ class HybridFOModel:
             raise ValueError("tau_g reset value must be positive")
         if not (0.0 < self.reset_lo <= self.reset_hi):
             raise ValueError("tau_c reset interval must satisfy 0 < lo <= hi")
-        self._prop_cache: dict[float, tuple] = {}
-        self._grid_cache: dict[float, np.ndarray] = {}
 
     # -- flow ---------------------------------------------------------------
-
-    def _propagator(self, dt: float):
-        cached = self._prop_cache.get(dt)
-        if cached is None:
-            cached = linalg.propagator(self.a, self.b, dt)
-            if len(self._prop_cache) < 64:
-                self._prop_cache[dt] = cached
-        return cached
 
     def flow_x(self, x, u, dt: float) -> np.ndarray:
         if dt == 0.0:
             return x
-        e, forced = self._propagator(dt)
+        e, forced = linalg.propagator(self.a, self.b, dt)
         return e @ x + forced @ u
 
     def flow_grid(self, dt: float, k: int) -> np.ndarray:
         """The top block rows [e^{A i dt}, Gamma_i] of M^i, i = 1..k, for
         the one-step matrix M = [[e^{A dt}, Gamma_1], [0, I]], stacked
         (k, n, n + m): a held input u takes x to row i - 1 @ [x; u] after i
-        steps of dt. Kept per dt, and extended when a longer run asks."""
-        table = self._grid_cache.get(dt)
-        if table is None or len(table) < k:
-            e, forced = self._propagator(dt)
-            n = len(e)
-            table = np.empty((k, n, n + forced.shape[1]))
-            table[0] = np.hstack([e, forced])
-            for i in range(1, k):
-                np.matmul(e, table[i - 1], out=table[i])
-                table[i, :, n:] += forced
-            self._grid_cache[dt] = table
-        return table[:k]
+        steps of dt."""
+        e, forced = linalg.propagator(self.a, self.b, dt)
+        n = len(e)
+        table = np.empty((k, n, n + forced.shape[1]))
+        table[0] = np.hstack([e, forced])
+        for i in range(1, k):
+            np.matmul(e, table[i - 1], out=table[i])
+            table[i, :, n:] += forced
+        return table
 
     # -- sets ---------------------------------------------------------------
 

@@ -9,6 +9,7 @@ horizon.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -146,13 +147,45 @@ class SweepResult:
         return [row.epsilon for row in self.rows]
 
 
+class ScaleError(ValueError):
+    """A perturbation scale for which the perturbed model is invalid."""
+
+
+def _scaled(params: ModelParams, pert: Perturbation, delta) -> HybridFOModel:
+    try:
+        return HybridFOModel(params, pert, delta)
+    except ValueError as exc:
+        raise ScaleError(f"scale {delta:g}: {exc}") from None
+
+
+def _start(model: HybridFOModel, zeta0: State) -> State:
+    """zeta0 with tau_c at most ``reset_hi`` and tau_g at most
+    ``tau_g_reset``. A negative reset offset shrinks the perturbed domain
+    below the strict start; this moves the start by O(delta) into it, which
+    (tau, epsilon)-closeness admits (Goebel, Sanfelice & Teel 2012, ch. 6).
+    Positive offsets leave zeta0 as it is."""
+    return dataclasses.replace(zeta0, tau_c=min(zeta0.tau_c, model.reset_hi),
+                               tau_g=min(zeta0.tau_g, model.tau_g_reset))
+
+
+def _clipped(model: HybridFOModel, policy: JumpPolicy) -> JumpPolicy:
+    """``policy`` with a fixed tau_c reset clipped into the model's reset
+    interval, which theta_c shifts, as the min and max resets follow its
+    ends."""
+    if policy.tau_c_reset != "fixed" or policy.tau_c_value is None:
+        return policy
+    value = min(max(policy.tau_c_value, model.reset_lo), model.reset_hi)
+    return dataclasses.replace(policy, tau_c_value=value)
+
+
 def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
                      tau: float, policy: JumpPolicy, zeta0: State | None = None,
                      sample_dt: float = 0.01) -> SweepResult:
     """Measure epsilon(delta) between nominal and delta-scaled perturbed runs.
 
-    All runs share the seed, policy, and initial state so that the measured
-    epsilon reflects the perturbation rather than selection divergence.
+    All runs share the seed, policy, and initial state (up to the O(delta)
+    adjustments below) so that the measured epsilon reflects the
+    perturbation rather than selection divergence.
 
     Each run stops at t = tau or at jump index J = floor(tau + TAU_TOL) + 1,
     whichever comes first, and that changes no result. ``closeness`` reads
@@ -163,21 +196,24 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     for sample: the flow horizon is the same, and the jumps before them draw
     the same random resets in the same order. Samples of those segments with
     t + j > tau are kept, because they still serve as counterparts.
+
+    Every scale is checked before the first run; a bad one raises
+    ScaleError naming it. Each perturbed run starts from ``_start(zeta0)``
+    and resolves a fixed tau_c reset by ``_clipped``.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     if zeta0 is None:
         zeta0 = strict_initial_state(params)
-    # every scale is checked before the first run; a model holds no
-    # propagator cache or power table until it runs, and is dropped after
     deltas = list(deltas)
-    models = [HybridFOModel(params, pert, delta) for delta in deltas]
+    models = [_scaled(params, pert, delta) for delta in deltas]
     horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)
     arc_nom = simulate(HybridFOModel(params), zeta0, policy, horizon, sample_dt)
 
     rows = []
-    for delta in deltas:
-        arc_pert = simulate(models.pop(0), zeta0, policy, horizon, sample_dt)
+    for delta, model in zip(deltas, models):
+        arc_pert = simulate(model, _start(model, zeta0), _clipped(model, policy),
+                            horizon, sample_dt)
         result = closeness(arc_nom, arc_pert, tau)
         side, t, j = result.witness
         rows.append(SweepRow(float(delta), result.epsilon, t, j, side,

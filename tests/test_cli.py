@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,52 @@ class TestRobustnessCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --deltas: scale {deltas}: ")
         assert message in err
+
+    def test_each_scale_builds_one_model(self, tmp_path, monkeypatch):
+        built = []
+        init = HybridFOModel.__init__
+
+        def counted(self, params, pert=None, delta=0.0):
+            built.append(delta)
+            init(self, params, pert, delta)
+
+        monkeypatch.setattr(HybridFOModel, "__init__", counted)
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--deltas", "0.1,0.01", "--tau", "2"]) == 0
+        assert sorted(d for d in built if d != 0.0) == [0.01, 0.1]
+
+    def test_fixed_reset_follows_the_shifted_interval(self, tmp_path):
+        # S1's reset interval is the point tau_c = 1, which theta_c shifts
+        # to 1 + 0.02 delta: the fixed reset at 1 then acts as the min reset
+        data = load_s1_dict()
+        outputs = []
+        for name, policy in [("min", {"tau_c_reset": "min"}),
+                             ("fixed", {"tau_c_reset": "fixed",
+                                        "tau_c_value": 1.0})]:
+            data["policy"].update(policy)
+            out = tmp_path / name
+            assert main(["robustness",
+                         write_config(tmp_path, data, f"{name}.json"),
+                         "--out", str(out), "--tau", "30"]) == 0
+            outputs.append((out / "robustness.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("offsets", [
+        {"theta_c_min": -0.02, "theta_c_max": -0.02},
+        {"theta_g_comp": -0.02},
+    ])
+    def test_negative_reset_offsets_run(self, tmp_path, offsets):
+        # the strict start lies outside the shrunken perturbed domain; the
+        # perturbed runs start O(delta) inside it
+        data = load_s1_dict()
+        data["perturbation"].update(offsets)
+        cfg = write_config(tmp_path, data)
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--tau", "5"]) == 0
+        rows = json.loads((tmp_path / "robustness_report.json").read_text())[
+            "sweep"]["rows"]
+        assert all(math.isfinite(row["epsilon"]) for row in rows)
 
     def test_missing_perturbation_exit_2(self, tmp_path, capsys):
         data = load_s1_dict()

@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hfo import hybrid
+from hfo import hybrid, linalg
 from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, Timers,
                        strict_initial_state)
 from conftest import random_params, s1_params
@@ -314,6 +315,92 @@ class TestTwoPasses:
         assert len(arc.times) == 10501
         assert sum(len(seg.times) for seg in arc.segments) == 10501
         assert len(arc.segments) == 501
+
+
+def propagator_calls(monkeypatch) -> list:
+    """The durations of every ``linalg.propagator`` call from now on."""
+    calls = []
+    original = linalg.propagator
+
+    def counted(a, b, dt):
+        calls.append(dt)
+        return original(a, b, dt)
+
+    monkeypatch.setattr(linalg, "propagator", counted)
+    return calls
+
+
+def s1_perturbed_model(delta=0.1):
+    pert = Perturbation(np.array([[0.05]]), np.array([[0.02]]),
+                        np.array([[0.02]]), kappa_c=0.1, kappa_g=0.05,
+                        theta_g_comp=0.02, theta_c_min=0.02, theta_c_max=0.02)
+    return HybridFOModel(s1_params(), pert, delta)
+
+
+class TestStatelessModel:
+    """A model is a plain value: a run builds the flow maps it needs."""
+
+    @staticmethod
+    def attributes(model) -> dict:
+        return {name: value.tobytes() if isinstance(value, np.ndarray)
+                else copy.copy(value) for name, value in vars(model).items()}
+
+    def test_runs_leave_the_model_as_built(self):
+        model = s1_perturbed_model()
+        params = model.params
+        zeta0 = strict_initial_state(params)
+        before = self.attributes(model)
+        arcs = [hybrid.simulate(model, zeta0, JumpPolicy(seed=1), (30.0, 31))
+                for _ in range(2)]
+        assert self.attributes(model) == before
+        first, second = arcs
+        for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
+                     "z"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert first.jumps == second.jumps
+
+    def test_perturbed_run_stacks_its_closing_steps(self, monkeypatch):
+        # the sweep's horizon at tau = 30: every closing length differs
+        # from the grid step, and all 31 flow segments share one call
+        model = s1_perturbed_model()
+        calls = propagator_calls(monkeypatch)
+        arc = hybrid.simulate(model, strict_initial_state(model.params),
+                              JumpPolicy(seed=1), (30.0, 31))
+        assert len(calls) <= 2
+        assert sum(np.size(dt) for dt in calls) > 2
+        assert len(arc.jumps) >= 31
+
+    def test_no_flow_segment_no_closing_call(self, monkeypatch):
+        model = s1_perturbed_model()
+        calls = propagator_calls(monkeypatch)
+        arc = hybrid.simulate(model, strict_initial_state(model.params),
+                              JumpPolicy(seed=1), (0.0, 31))
+        assert calls == []
+        assert len(arc.times) == 1
+
+    def test_closing_maps_held_per_block(self, monkeypatch):
+        # 493 flow segments over T = 100 s: one closing call per FLOW_BLOCK
+        # of them, none holding more than FLOW_BLOCK maps
+        model = s1_perturbed_model()
+        calls = propagator_calls(monkeypatch)
+        arc = hybrid.simulate(model, strict_initial_state(model.params),
+                              JumpPolicy(seed=1), (100.0, 10 ** 6))
+        flows = sum(len(seg.times) > 1 for seg in arc.segments)
+        closing = [dt for dt in calls if np.ndim(dt) == 1]
+        assert len(closing) == -(-flows // hybrid.FLOW_BLOCK) > 1
+        assert max(len(dt) for dt in closing) <= hybrid.FLOW_BLOCK
+
+    def test_closing_step_is_flow_x_bit_for_bit(self):
+        model = s1_perturbed_model()
+        zeta0, policy = strict_initial_state(model.params), JumpPolicy(seed=1)
+        arc = hybrid.simulate(model, zeta0, policy, (30.0, 31))
+        rows, _ = hybrid._skeleton(model, zeta0, policy, (30.0, 31), 0.01)
+        for seg, (_, state, grid, length, _) in zip(arc.segments, rows):
+            if grid < 0:
+                continue
+            running = np.concatenate([[0.0], np.cumsum(np.full(grid, 0.01))])
+            want = model.flow_x(seg.x[-2], state.u, length - float(running[-1]))
+            assert np.array_equal(seg.x[-1], want)
 
 
 class TestSampleBudget:

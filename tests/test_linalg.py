@@ -133,6 +133,23 @@ class TestStepLti:
         with pytest.raises(linalg.DimensionError):
             linalg.propagator(np.eye(2) * -1.0, np.ones((3, 1)), 1.0)
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (20, 5)])
+    def test_stacked_durations_equal_scalar_calls(self, n, m):
+        # augmented sizes 2, 3 and 25; dt = 0 gives (I, 0) in the stack too
+        rng = np.random.default_rng(n)
+        a = random_hurwitz(rng, n)
+        b = rng.standard_normal((n, m))
+        dts = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 12), [0.01, 30.0]])
+        e, forced = linalg.propagator(a, b, dts)
+        assert e.shape == (len(dts), n, n)
+        assert forced.shape == (len(dts), n, m)
+        for k, dt in enumerate(dts):
+            e_k, forced_k = linalg.propagator(a, b, float(dt))
+            assert np.array_equal(e[k], e_k)
+            assert np.array_equal(forced[k], forced_k)
+        assert np.array_equal(e[0], np.eye(n))
+        assert np.array_equal(forced[0], np.zeros((n, m)))
+
 
 class TestEigGeneral:
     def test_diagonal(self):

@@ -342,6 +342,22 @@ class TestRobustnessSweep:
                              tau=2.0, policy=JumpPolicy(seed=1))
         assert runs == []
 
+    def test_bad_scale_named(self):
+        with pytest.raises(robustness.ScaleError, match=r"^scale 20: timer"):
+            robustness_sweep(s1_params(), s1_perturbation(), [0.1, 20.0],
+                             tau=2.0, policy=JumpPolicy(seed=1))
+
+    def test_negative_offsets_epsilon_linear_in_delta(self):
+        # theta_g = -0.02: each perturbed run starts at tau_g = 0.25 - 0.02
+        # delta, inside its domain, and epsilon shrinks with delta
+        pert = dataclasses.replace(s1_perturbation(), theta_g_comp=-0.02)
+        deltas = [0.1, 0.03, 0.01, 0.003]
+        sweep = robustness_sweep(s1_params(), pert, deltas, tau=30.0,
+                                 policy=JumpPolicy(seed=1))
+        ratios = [row.epsilon / row.delta for row in sweep.rows]
+        assert sweep.nonincreasing
+        assert max(ratios) < 1.5 * min(ratios)
+
     @pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
