@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 verification failure, 2 input or validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -27,6 +29,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+
+# stored samples trajectory.csv formats at a time: the writer's memory is
+# bounded by one block, whatever the arc's length
+CSV_BLOCK = 256
 
 
 def _load(config_path: str) -> ScenarioConfig:
@@ -70,35 +76,93 @@ def _csv_header(params) -> list:
     )
 
 
-def _rows(arc, consts, j, lo, hi, case=""):
-    """CSV rows for the samples lo..hi - 1 of the arc, all in segment j,
-    read from the arc's columns."""
-    held = [repr(v) for v in
-            np.concatenate([arc.u[j], arc.y_s[j], arc.z[j]]).tolist()]
-    xs = arc.x[lo:hi]
-    dist = analysis.dist_to_A(xs, consts)
-    for t, x, tau_c, tau_g, d in zip(arc.times[lo:hi].tolist(), xs.tolist(),
-                                     arc.tau_c[lo:hi].tolist(),
-                                     arc.tau_g[lo:hi].tolist(), dist.tolist()):
-        yield ([repr(t), j, case] + [repr(v) for v in x] + held
-               + [repr(tau_c), repr(tau_g), repr(d)])
+def _reprs(column) -> list:
+    """``repr`` of every float in a 1-D array. Each distinct float64 bit
+    pattern is formatted once, in one C call; bits, not values, so that
+    -0.0 and 0.0 stay apart."""
+    bits, which = np.unique(column.view(np.int64), return_inverse=True)
+    reprs = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return [reprs[k] for k in which.tolist()]
+
+
+def _held(arc, j) -> str:
+    """Segment j's held [u, y_s, z] fields, joined: the repr of their list."""
+    held = np.concatenate([arc.u[j], arc.y_s[j], arc.z[j]]).tolist()
+    return repr(held)[1:-1].replace(", ", ",")
+
+
+class _Block:
+    """The fields of the stored samples lo..hi - 1, formatted by column:
+    ``times[i - lo]`` and, around the held fields, ``xs[i - lo]`` (the plant
+    state) and ``timers[i - lo]`` (tau_c, tau_g, dist_to_A)."""
+
+    def __init__(self, arc, consts, lo):
+        self.lo, self.hi = lo, min(lo + CSV_BLOCK, len(arc.times))
+        span = slice(self.lo, self.hi)
+        x = arc.x[span]
+        self.times = _reprs(arc.times[span])
+        self.xs = list(map(",".join, zip(*(_reprs(col) for col in x.T))))
+        self.timers = list(map(",".join, zip(
+            _reprs(arc.tau_c[span]), _reprs(arc.tau_g[span]),
+            _reprs(analysis.dist_to_A(x, consts)))))
+
+    def rows(self, lo, hi, j, case, held) -> str:
+        """The lines of samples lo..hi - 1, all in this block and in
+        segment j, whose held fields are ``held``."""
+        head, tail = f",{j},{case},", f",{held},"
+        k = slice(lo - self.lo, hi - self.lo)
+        return "".join([f"{t}{head}{x}{tail}{timers}\r\n" for t, x, timers
+                        in zip(self.times[k], self.xs[k], self.timers[k])])
 
 
 def write_trajectory_csv(path: Path, arc, consts, params):
     """Flow samples plus a pre/post row pair for every jump j: the last
-    sample of segment j and the first of segment j + 1."""
-    offsets = arc.offsets.tolist()
+    sample of segment j and the first of segment j + 1.
+
+    The bytes are those of ``csv.writer`` with its default dialect: no field
+    needs quoting, since each is a float repr, an int or a case label.
+    Fields are formatted by column, CSV_BLOCK stored samples at a time, so
+    the writer's memory does not grow with the arc."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(params))
-        for j, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            writer.writerows(_rows(arc, consts, j, lo, hi))
+        fh.write(",".join(_csv_header(params)) + "\r\n")
+        block = _Block(arc, consts, 0)
+        held = _held(arc, 0)
+        offsets = map(int, arc.offsets)
+        for j, (lo, hi) in enumerate(itertools.pairwise(offsets)):
+            while lo < hi:
+                if lo == block.hi:
+                    block = _Block(arc, consts, lo)
+                stop = min(hi, block.hi)
+                fh.write(block.rows(lo, stop, j, "", held))
+                lo = stop
             if j < len(arc.jumps):
                 case = arc.jumps[j].case
-                writer.writerows(_rows(arc, consts, j, hi - 1, hi,
-                                       f"{case}:pre"))
-                writer.writerows(_rows(arc, consts, j + 1, hi, hi + 1,
-                                       f"{case}:post"))
+                fh.write(block.rows(hi - 1, hi, j, f"{case}:pre", held))
+                if hi == block.hi:
+                    block = _Block(arc, consts, hi)
+                held = _held(arc, j + 1)
+                fh.write(block.rows(hi, hi + 1, j + 1, f"{case}:post", held))
+
+
+@contextlib.contextmanager
+def _writing(out: Path):
+    """An OSError on the --out directory or a file in it is bad input that
+    names --out, never a traceback."""
+    try:
+        yield out
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        if exc.filename and Path(exc.filename) != out:
+            reason += f": {exc.filename}"
+        raise ConfigError(f"--out {out}: {reason}") from None
+
+
+def _out_dir(path: str) -> Path:
+    """The --out directory, made before any work, so that an unusable one
+    fails fast."""
+    with _writing(Path(path)) as out:
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _base_report(config, consts, diag) -> dict:
@@ -112,12 +176,10 @@ def _base_report(config, consts, diag) -> dict:
 
 def cmd_simulate(args) -> int:
     config = _load(args.config)
+    out = _out_dir(args.out)
     arc, consts, diag = _run(config)
     stats = hybrid.jump_stats(arc)
     zeno = hybrid.check_non_zeno(arc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out / "trajectory.csv", arc, consts, config.params)
     report = _base_report(config, consts, diag)
     report.update({
         "t_end": arc.t_end,
@@ -126,7 +188,10 @@ def cmd_simulate(args) -> int:
         "alpha_bar": stats.alpha_bar,
         "non_zeno": dataclasses.asdict(zeno),
     })
-    (out / "report.json").write_text(json.dumps(report, indent=2))
+    with _writing(out):
+        write_trajectory_csv(out / "trajectory.csv", arc, consts,
+                             config.params)
+        (out / "report.json").write_text(json.dumps(report, indent=2))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'report.json'}")
     return EXIT_OK
 
@@ -143,6 +208,7 @@ def _bound_check(rep) -> dict:
 
 def cmd_verify(args) -> int:
     config = _load(args.config)
+    out = _out_dir(args.out)
     arc, consts, diag = _run(config)
     params = config.params
     checks = {}
@@ -178,9 +244,8 @@ def cmd_verify(args) -> int:
 
     report = _base_report(config, consts, diag)
     report["checks"] = checks
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "verify_report.json").write_text(json.dumps(report, indent=2))
+    with _writing(out):
+        (out / "verify_report.json").write_text(json.dumps(report, indent=2))
 
     failed = [name for name, c in checks.items() if c["passed"] is False]
     for name, c in checks.items():
@@ -211,6 +276,7 @@ def _sweep_arguments(args):
 
 def cmd_robustness(args) -> int:
     config = _load(args.config)
+    out = _out_dir(args.out)
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
     zeta0, diag = _validated(config)
@@ -222,13 +288,6 @@ def cmd_robustness(args) -> int:
         raise ConfigError(f"--deltas: {exc}") from None
     except hybrid.SampleBudgetError as exc:
         raise ConfigError(f"--tau {tau:g}: {exc}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "robustness.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "epsilon", "witness_t", "witness_j"])
-        for row in sweep.rows:
-            writer.writerow([row.delta, row.epsilon, row.witness_t, row.witness_j])
     consts = analysis.constants(config.params, r_scale=config.r_scale)
     report = _base_report(config, consts, diag)
     report["sweep"] = {
@@ -236,7 +295,14 @@ def cmd_robustness(args) -> int:
         "rows": [dataclasses.asdict(row) for row in sweep.rows],
         "nonincreasing": sweep.nonincreasing,
     }
-    (out / "robustness_report.json").write_text(json.dumps(report, indent=2))
+    with _writing(out):
+        with (out / "robustness.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["delta", "epsilon", "witness_t", "witness_j"])
+            for row in sweep.rows:
+                writer.writerow([row.delta, row.epsilon, row.witness_t,
+                                 row.witness_j])
+        (out / "robustness_report.json").write_text(json.dumps(report, indent=2))
     trend = "nonincreasing" if sweep.nonincreasing else "NOT nonincreasing"
     print(f"epsilon trend over decreasing delta: {trend}")
     for row in sweep.rows:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,60 @@ def per_state_csv(path, arc, consts, params):
                                     seg.state(-1)))
                 writer.writerow(row(rec.t, rec.j + 1, f"{rec.case}:post",
                                     arc.segments[rec.j + 1].start))
+
+
+def _max_segment(arc) -> int:
+    return int(np.diff(arc.offsets).max())
+
+
+# S1 edits that give the trajectory writer arcs of different shapes, each
+# with a check that the arc has that shape (lines: the CSV's lines)
+CSV_ARCS = [
+    pytest.param({}, lambda arc, lines: len(lines) > 1000, id="s1"),
+    pytest.param({"horizon": {"T": 0.0, "J": 1000}},
+                 lambda arc, lines: len(arc.times) == 1, id="zero-horizon"),
+    # flows of 0.25 store their start and end only
+    pytest.param({"sample_dt": 0.3},
+                 lambda arc, lines: _max_segment(arc) == 2,
+                 id="no-grid-step-inside-a-flow"),
+    pytest.param({"timers": {"tau_c_min": 1.0, "tau_c_max": 1.5,
+                             "tau_g_comp": 0.25, "ell": 4},
+                  "policy": {"tau_c_reset": "uniform",
+                             "case3_order": "random", "seed": 3}},
+                 lambda arc, lines: any(rec.case.startswith("G3")
+                                        for rec in arc.jumps),
+                 id="uniform-reset-random-composite-order"),
+    pytest.param({"plant": {"A": [[-1.0, 0.2, 0.0], [0.0, -1.5, 0.3],
+                                  [0.1, 0.0, -2.0]],
+                            "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                            "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                            "d": [0.5, -0.2]},
+                  "objective": {"Q_u": [[1.0, 0.0], [0.0, 1.0]],
+                                "Q_y": [[1.0, 0.0], [0.0, 1.0]],
+                                "y_hat": [1.0, 0.5], "gamma": 0.2},
+                  "input_set": {"kind": "box", "lo": [-1.0, -1.0],
+                                "hi": [1.0, 1.0]},
+                  "perturbation": None},
+                 lambda arc, lines: arc.x.shape[1] == 3 and arc.u.shape[1] == 2,
+                 id="n3-m2-p2"),
+    pytest.param({"timers": {"tau_c_min": 20.0, "tau_c_max": 20.0,
+                             "tau_g_comp": 5.0, "ell": 4},
+                  "horizon": {"T": 45.0, "J": 1000}},
+                 lambda arc, lines: _max_segment(arc) > cli.CSV_BLOCK,
+                 id="segment-longer-than-a-block"),
+    # jump 21 ends segment 21 at sample 256: its :pre row is the last of a
+    # block and its :post row the first of the next
+    pytest.param({"sample_dt": 0.02, "horizon": {"T": 10.0, "J": 1000}},
+                 lambda arc, lines: any(hi % cli.CSV_BLOCK == 0 for hi
+                                        in arc.offsets[1:-1].tolist()),
+                 id="block-boundary-at-a-jump"),
+    pytest.param({"init": {"mode": "global",
+                           "zeta0": {"x": [-0.0], "u": [0.0], "y_s": [0.5],
+                                     "z": [0.0], "tau_c": 1.0,
+                                     "tau_g": 0.25}}},
+                 lambda arc, lines: lines[1].split(",")[3] == "-0.0",
+                 id="negative-zero-start"),
+]
 
 
 class TestParseConfig:
@@ -387,15 +442,37 @@ class TestSimulateCommand:
         assert audit["t_at_max"] == 0.0
         assert audit["non_normal_note"] is None
 
-    def test_csv_matches_per_state_writer(self, tmp_path):
-        config = parse_config(str(S1_CONFIG))
+    @pytest.mark.parametrize("edits, shape", CSV_ARCS)
+    def test_csv_matches_per_state_writer(self, tmp_path, edits, shape):
+        data = load_s1_dict()
+        data.update(edits)
+        config = parse_config(data)
         arc, consts, _ = cli._run(config)
         cli.write_trajectory_csv(tmp_path / "columns.csv", arc, consts,
                                  config.params)
         per_state_csv(tmp_path / "states.csv", arc, consts, config.params)
         written = (tmp_path / "columns.csv").read_bytes()
         assert written == (tmp_path / "states.csv").read_bytes()
-        assert written.count(b"\n") > 1000
+        assert shape(arc, written.decode().split("\r\n"))
+
+    def test_csv_writer_memory_bounded(self, tmp_path):
+        # 105k stored samples at T = 1000: a buffer that grows with the arc
+        # would hold ten times the T = 100 peak
+        peaks = []
+        for t_max in (100.0, 1000.0):
+            data = load_s1_dict()
+            data["horizon"] = {"T": t_max, "J": 10 ** 6}
+            config = parse_config(data)
+            arc, consts, _ = cli._run(config)
+            tracemalloc.start()
+            try:
+                cli.write_trajectory_csv(tmp_path / "trajectory.csv", arc,
+                                         consts, config.params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(arc.times) > 100_000
+        assert peaks[1] <= 2 * peaks[0]
 
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -717,3 +794,41 @@ class TestRobustnessCommand:
         cfg = write_config(tmp_path, data)
         assert main(["robustness", cfg, "--out", str(tmp_path)]) == 2
         assert "perturbation" in capsys.readouterr().err
+
+
+class TestOutDirectory:
+    COMMANDS = [pytest.param(["simulate"], id="simulate"),
+                pytest.param(["verify"], id="verify"),
+                pytest.param(["robustness", "--tau", "2"], id="robustness")]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("where, reason", [
+        ("file", "File exists"), ("file/sub", "Not a directory")])
+    def test_unusable_out_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command, where, reason):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before --out was made")
+
+        monkeypatch.setattr(hybrid, "simulate", no_run)
+        monkeypatch.setattr(robustness, "simulate", no_run)
+        cfg = write_config(tmp_path, load_s1_dict())
+        (tmp_path / "file").write_text("")
+        out = tmp_path / where
+        assert main([command[0], cfg, "--out", str(out), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
+
+    @pytest.mark.parametrize("command, output", [
+        (["simulate"], "trajectory.csv"),
+        (["simulate"], "report.json"),
+        (["verify"], "verify_report.json"),
+        (["robustness", "--tau", "2"], "robustness.csv"),
+        (["robustness", "--tau", "2"], "robustness_report.json"),
+    ])
+    def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys,
+                                                 command, output):
+        cfg = write_config(tmp_path, load_s1_dict())
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        assert main([command[0], cfg, "--out", str(out), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: Is a directory: {out / output}\n"
