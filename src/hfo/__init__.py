@@ -7,6 +7,7 @@ from .hybrid import (
     HybridArc,
     JumpRecord,
     JumpStats,
+    State,
     check_non_zeno,
     jump_stats,
     next_event,
@@ -21,7 +22,6 @@ from .model import (
     Objective,
     Perturbation,
     Plant,
-    State,
     Timers,
     grad_u_phi,
     make_state,

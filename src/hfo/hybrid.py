@@ -5,18 +5,21 @@ A model object supplies the flow and jump behavior (see
 time bookkeeping, exact event scheduling for affinely decreasing timers,
 jump-priority semantics, and the resulting solution arcs.
 
-``simulate`` runs in two passes. The event side of the model (``contains``,
-``which_case``, ``g1``, ``g2``) reads the timers, u, y_s and z, never the
-plant state x, so pass 1 runs timers, jumps and optimizer iterates alone, at
-a cost per jump, and records each flow segment's start, length and held
-input. Pass 2 fills in the samples of the whole arc: times and timers in one
-vectorized expression each, x by stored powers of the one-step map on the
-sample grid plus one exact held-input step to each segment's end.
+``simulate`` runs in two passes. Only the plant state x flows, and linearly;
+the jump maps act on the timers, u, y_s and z alone. So pass 1 carries those
+as plain values (two floats and three arrays): the model's event interface
+(``contains``, ``which_case``, ``g1``, ``g2``) takes and returns them, and
+``jump_order`` names the maps each jump applies. Pass 1 records one row of
+numbers per segment (start time, start timers, grid steps, length, end
+timers) and the segment's held u, y_s and z. Pass 2 fills in the samples of
+the whole arc: times and timers in one vectorized expression each, x by
+stored powers of the one-step map on the sample grid plus one exact
+held-input step to each segment's end. ``State`` appears only at the API
+edge: the initial state ``simulate`` takes and ``Segment.state(k)``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,6 +41,19 @@ SAMPLE_BUDGET = 1 << 30
 
 class SampleBudgetError(ValueError):
     """A run could store more samples than ``SAMPLE_BUDGET`` allows."""
+
+
+@dataclass(frozen=True)
+class State:
+    """Full hybrid state: plant state, applied input, sampled output,
+    optimizer iterate, and the two countdown timers."""
+
+    x: np.ndarray
+    u: np.ndarray
+    y_s: np.ndarray
+    z: np.ndarray
+    tau_c: float
+    tau_g: float
 
 
 @dataclass(slots=True)
@@ -74,22 +90,12 @@ class Segment:
     t_end = property(lambda self: float(self.arc.times[self.rows.stop - 1]))
     start = property(lambda self: self.state(0), doc="The state at t_start.")
 
-    def state(self, k: int):
+    def state(self, k: int) -> State:
         """The full state of sample k (negative k counts from the end)."""
         arc, j = self.arc, self.j
         row = range(self.rows.start, self.rows.stop)[k]
-        return arc.state_type(x=arc.x[row], u=arc.u[j], y_s=arc.y_s[j],
-                              z=arc.z[j], tau_c=float(arc.tau_c[row]),
-                              tau_g=float(arc.tau_g[row]))
-
-    def matrix(self) -> np.ndarray:
-        """Rows of [x, u, y_s, z, tau_c, tau_g], one per sample."""
-        arc, j = self.arc, self.j
-        const = np.concatenate([arc.u[j], arc.y_s[j], arc.z[j]])
-        return np.column_stack([self.x,
-                                np.broadcast_to(const, (len(self.times),
-                                                        len(const))),
-                                self.tau_c, self.tau_g])
+        return State(x=arc.x[row], u=arc.u[j], y_s=arc.y_s[j], z=arc.z[j],
+                     tau_c=float(arc.tau_c[row]), tau_g=float(arc.tau_g[row]))
 
 
 class _Segments(Sequence):
@@ -130,7 +136,6 @@ class HybridArc:
     y_s: np.ndarray  # (S, p)
     z: np.ndarray  # (S, m)
     jumps: list
-    state_type: type  # the model's state class, which Segment.state builds
     min_dwell: float | None = None  # least gap between jump groups, if known
     spacing: tuple | None = None  # least time between g1 jumps, between g2 jumps
 
@@ -182,118 +187,151 @@ def sample_bound(model, horizon, sample_dt: float) -> float:
     samples besides its grid points.
     """
     t_max, j_max = horizon
-    period_g = model.tau_g_reset / -model.rate_g
-    period_c = model.reset_lo / -model.rate_c
     # capped at the largest float, so that no huge J overflows the product
-    jumps = min(j_max + 1, t_max / period_g + t_max / period_c + 2,
+    jumps = min(j_max + 1, t_max / model.period_g + t_max / model.period_c + 2,
                 np.finfo(float).max)
-    t_end = min(t_max, (jumps + 1) * period_g)
+    t_end = min(t_max, (jumps + 1) * model.period_g)
     return t_end / sample_dt + 2 * (jumps + 2)
 
 
 def _timer_end(tau0: float, rate: float, elapsed: float, expires: bool) -> float:
     """One timer after ``elapsed``: decreased affinely from ``tau0``, zero
     within EVENT_TOL or when it expires at the segment's closing event, and
-    clipped at zero. ``_sample_columns`` gives every sample the same value."""
+    clipped at zero. Pass 1 records it as the segment's end timer, which
+    ``_sample_columns`` writes into the segment's last sample."""
     tau = tau0 + rate * elapsed
     if expires or abs(tau) <= EVENT_TOL:
         return 0.0
     return max(tau, 0.0)
 
 
+# Jump record labels: the map of a single expiry, or the composite jump's
+# halves in order. Shared literals, so a record holds no string of its own.
+_LABELS = {"g1": ("G1",), "g2": ("G2",),
+           "both": ("G3-first-half", "G3-second-half")}
+
+
+def jump_order(case, policy, rng) -> tuple:
+    """The maps one jump applies, in order, for the jump case that
+    ``which_case`` names: ("g1",) or ("g2",) when one timer expires; both,
+    in the policy's ``case3_order``, when both do (the composite jump). A
+    random order draws ``rng.integers(2)`` before the jump's tau_c reset."""
+    if case is None:
+        raise RuntimeError("jump requested outside the jump set")
+    if case != "both":
+        return (case,)
+    order = policy.case3_order
+    if order == "random":
+        order = "g1_first" if rng.integers(2) == 0 else "g2_first"
+    if order == "g1_first":
+        return ("g1", "g2")
+    if order == "g2_first":
+        return ("g2", "g1")
+    raise ValueError(f"unknown case-3 order {order!r}")
+
+
 def _skeleton(model, zeta0, policy, horizon, sample_dt):
     """Pass 1: the run's events, without the plant state.
 
-    Returns (rows, jumps), one row per segment: (start time, start state
-    with x = None, grid steps g, length, expiring timer). A flow segment of
+    Carries the timers as floats and u, y_s, z as arrays, and returns (rows,
+    jumps) with one row per segment: (start time, start tau_c, start tau_g,
+    grid steps g, length, end tau_c, end tau_g, u, y_s, z). A flow segment of
     length dt stores samples at grid steps 0..g of ``sample_dt`` and at its
-    end; a point segment has g = -1 and length 0 and stores one sample.
+    end; a point segment has g = -1, length 0 and end timers equal to its
+    start timers, and stores one sample. Each g2 draws its tau_c reset by
+    ``draw_tau_c_reset`` as it applies.
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
+    interval = (model.reset_lo, model.reset_hi)
     rng = np.random.default_rng(policy.seed)
-    state, t, j = dataclasses.replace(zeta0, x=None), 0.0, 0
+    t, j, tau_c, tau_g = 0.0, 0, zeta0.tau_c, zeta0.tau_g
+    u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
     rows, jumps = [], []
+
+    def point():
+        return (t, tau_c, tau_g, -1, 0.0, tau_c, tau_g, u, y_s, z)
+
     while True:
         remaining = t_max - t
         if j >= j_max or remaining <= EVENT_TOL:
-            rows.append((t, state, -1, 0.0, ""))
+            rows.append(point())
             break
-        horizon_hit = False
-        if model.which_case(state) is not None:
-            rows.append((t, state, -1, 0.0, ""))
+        case = model.which_case(tau_c, tau_g)
+        if case is not None:
+            rows.append(point())
         else:
-            dt, expired = next_event(state.tau_c, state.tau_g, rate_c, rate_g)
-            if dt > remaining + EVENT_TOL:
-                dt, expired, horizon_hit = remaining, "", True
+            dt, expired = next_event(tau_c, tau_g, rate_c, rate_g)
+            horizon_hit = dt > remaining + EVENT_TOL
+            if horizon_hit:
+                dt, expired = remaining, ""
             grid = max(math.floor(dt / sample_dt - 1e-9), 0)
-            rows.append((t, state, grid, dt, expired))
-            state = dataclasses.replace(
-                state,
-                tau_c=_timer_end(state.tau_c, rate_c, dt, expired in ("c", "both")),
-                tau_g=_timer_end(state.tau_g, rate_g, dt, expired in ("g", "both")))
-            t = t + dt
-            if not model.contains(state):
+            end_c = _timer_end(tau_c, rate_c, dt, expired in ("c", "both"))
+            end_g = _timer_end(tau_g, rate_g, dt, expired in ("g", "both"))
+            rows.append((t, tau_c, tau_g, grid, dt, end_c, end_g, u, y_s, z))
+            t, tau_c, tau_g = t + dt, end_c, end_g
+            if not model.contains(tau_c, tau_g):
                 raise RuntimeError(
                     f"state left the flow/jump domain at t={t} (model bug): "
-                    f"{state}")
+                    f"tau_c={tau_c}, tau_g={tau_g}")
             if horizon_hit:
                 break
-        steps = _resolve_jump(model, state, policy, rng)
-        for i, (label, applied, state) in enumerate(steps):
-            jumps.append(JumpRecord(t, j, label, applied))
+            case = model.which_case(tau_c, tau_g)
+        for i, (name, label) in enumerate(zip(jump_order(case, policy, rng),
+                                              _LABELS[case])):
+            if i:
+                rows.append(point())
+            if name == "g1":
+                z, tau_g = model.g1(z, y_s)
+            else:
+                u, y_s, tau_c = model.g2(
+                    z, draw_tau_c_reset(policy, rng, interval))
+            jumps.append(JumpRecord(t, j, label, name))
             j += 1
-            if i < len(steps) - 1:
-                rows.append((t, state, -1, 0.0, ""))
     return rows, jumps
 
 
-def _sample_columns(rows, running, rate_c, rate_g):
-    """Pass 2, without x: (offsets, times, tau_c, tau_g) of every sample.
+def _sample_columns(starts, grids, lengths, running, timers):
+    """Pass 2, without x: (offsets, times, timer columns) of every sample.
 
     Grid step k of every segment lies ``running[k]`` after its start, and
-    its last sample at its length. Timers follow ``_timer_end``; a point
-    segment stores its start state's timers as they are.
+    its last sample at its length. ``timers`` holds (start values, end
+    values, rate) per timer; each decreases affinely from its start value,
+    zero within EVENT_TOL and clipped at zero, and each segment's last sample
+    takes the end value pass 1 recorded (a point segment's one sample, its
+    start value as it is).
     """
-    starts, states, grids, lengths, expired = zip(*rows)
-    grids = np.array(grids)
-    point = grids < 0
-    counts = np.where(point, 1, grids + 2)
-    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+    counts = np.where(grids < 0, 1, grids + 2)
+    offsets = np.zeros(len(grids) + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])
-    first, last = offsets[:-1], offsets[1:] - 1
-    seg = np.repeat(np.arange(len(rows)), counts)
-    elapsed = running[np.arange(offsets[-1]) - first[seg]]
+    last = offsets[1:] - 1
+    seg = np.repeat(np.arange(len(grids)), counts)
+    elapsed = running[np.arange(offsets[-1]) - offsets[:-1][seg]]
     elapsed[last] = lengths
-    times = np.array(starts)[seg] + elapsed
 
-    def timer(tau0, rate, name):
+    def timer(tau0, tau1, rate):
         tau = tau0[seg] + rate * elapsed
         tau[np.abs(tau) <= EVENT_TOL] = 0.0
-        tau[last[[which in (name, "both") for which in expired]]] = 0.0
         np.maximum(tau, 0.0, out=tau)
-        tau[first[point]] = tau0[point]
+        tau[last] = tau1
         return tau
 
-    tau_c0, tau_g0 = (np.array([getattr(s, name) for s in states])
-                      for name in ("tau_c", "tau_g"))
-    return (offsets, times, timer(tau_c0, rate_c, "c"),
-            timer(tau_g0, rate_g, "g"))
+    return offsets, starts[seg] + elapsed, [timer(*spec) for spec in timers]
 
 
-def _closing_maps(model, rows, running):
+def _closing_maps(model, grids, lengths, running):
     """Each flow segment's held-input map over length - running[grid]: one
     stacked propagator call per FLOW_BLOCK segments, on distinct lengths."""
-    flows = [(grid, length) for _, _, grid, length, _ in rows if grid >= 0]
-    for first in range(0, len(flows), FLOW_BLOCK):
-        grids, lengths = zip(*flows[first:first + FLOW_BLOCK])
-        closing = np.array(lengths) - running[list(grids)]
-        distinct, which = np.unique(closing, return_inverse=True)
+    flow = grids >= 0
+    closing = lengths[flow] - running[grids[flow]]
+    for first in range(0, len(closing), FLOW_BLOCK):
+        distinct, which = np.unique(closing[first:first + FLOW_BLOCK],
+                                    return_inverse=True)
         e, forced = linalg.propagator(model.a, model.b, distinct)
         yield from ((e[k], forced[k]) for k in which.tolist())
 
 
-def _plant_column(model, rows, offsets, running, x0, sample_dt):
+def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
     """Pass 2, x: every sample's plant state, (N, n).
 
     On a segment's grid x(k sample_dt) = [e^{A k sample_dt}, Gamma_k] @
@@ -305,19 +343,19 @@ def _plant_column(model, rows, offsets, running, x0, sample_dt):
     longest = len(running) - 2
     block = max(1, min(FLOW_BLOCK, longest))
     table = model.flow_grid(sample_dt, block) if longest > 0 else None
-    closing = _closing_maps(model, rows, running)
+    closing = _closing_maps(model, grids, lengths, running)
     x = np.empty((int(offsets[-1]), len(x0)))
     current = x0
-    for lo, (_, state, grid, _, _) in zip(offsets.tolist(), rows):
+    for lo, grid, held in zip(offsets.tolist(), grids.tolist(), u):
         x[lo] = current
         if grid < 0:
             continue
         for k in range(0, grid, block):
             size = min(block, grid - k)
             x[lo + k + 1:lo + k + size + 1] = table[:size] @ np.concatenate(
-                [x[lo + k], state.u])
+                [x[lo + k], held])
         e, forced = next(closing)
-        current = e @ x[lo + grid] + forced @ state.u
+        current = e @ x[lo + grid] + forced @ held
         x[lo + grid + 1] = current
     return x
 
@@ -342,42 +380,8 @@ def draw_tau_c_reset(policy, rng, interval):
     raise ValueError(f"unknown tau_c reset policy {kind!r}")
 
 
-def _resolve_jump(model, state, policy, rng):
-    """Apply the jump map once, returning [(case_label, applied, new_state), ...].
-
-    A simultaneous expiry of both timers produces two consecutive entries
-    (the composite jump executes both single-timer maps in policy order).
-    """
-    case = model.which_case(state)
-    if case is None:
-        raise RuntimeError("jump requested outside the jump set")
-    interval = (model.reset_lo, model.reset_hi)
-    if case == "g1":
-        return [("G1", "g1", model.g1(state))]
-    if case == "g2":
-        tau = draw_tau_c_reset(policy, rng, interval)
-        return [("G2", "g2", model.g2(state, tau))]
-
-    order = policy.case3_order
-    if order == "random":
-        order = "g1_first" if rng.integers(2) == 0 else "g2_first"
-    steps = []
-    if order == "g1_first":
-        mid = model.g1(state)
-        steps.append(("G3-first-half", "g1", mid))
-        tau = draw_tau_c_reset(policy, rng, interval)
-        steps.append(("G3-second-half", "g2", model.g2(mid, tau)))
-    elif order == "g2_first":
-        tau = draw_tau_c_reset(policy, rng, interval)
-        mid = model.g2(state, tau)
-        steps.append(("G3-first-half", "g2", mid))
-        steps.append(("G3-second-half", "g1", model.g1(mid)))
-    else:
-        raise ValueError(f"unknown case-3 order {order!r}")
-    return steps
-
-
-def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridArc:
+def simulate(model, zeta0: State, policy, horizon,
+             sample_dt: float = 0.01) -> HybridArc:
     """Run the hybrid system from zeta0 until t >= T or j >= J.
 
     Jump-priority semantics: whenever the state is in the jump set the jump
@@ -389,7 +393,7 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
-    if not model.contains(zeta0):
+    if not model.contains(zeta0.tau_c, zeta0.tau_g):
         raise ValueError("initial state outside the flow and jump sets")
     bound = sample_bound(model, horizon, sample_dt)
     payload = bound * (len(zeta0.x) + 3) * 8
@@ -400,20 +404,21 @@ def simulate(model, zeta0, policy, horizon, sample_dt: float = 0.01) -> HybridAr
             f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
 
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
-    longest = max(grid for _, _, grid, _, _ in rows)
+    (starts, tau_c0, tau_g0, grids, lengths, tau_c1, tau_g1,
+     u, y_s, z) = (np.array(col) for col in zip(*rows))
     # R[k] = R[k - 1] + sample_dt: grid step k's offset from a segment start
-    running = np.zeros(max(longest, 0) + 2)
+    running = np.zeros(max(int(grids.max()), 0) + 2)
     np.cumsum(np.full(len(running) - 2, sample_dt), out=running[1:-1])
-    offsets, times, tau_c, tau_g = _sample_columns(rows, running, model.rate_c,
-                                                   model.rate_g)
-    x = _plant_column(model, rows, offsets, running, zeta0.x, sample_dt)
-    held = [np.array([getattr(state, name) for _, state, *_ in rows])
-            for name in ("u", "y_s", "z")]
+    offsets, times, (tau_c, tau_g) = _sample_columns(
+        starts, grids, lengths, running,
+        [(tau_c0, tau_c1, model.rate_c), (tau_g0, tau_g1, model.rate_g)])
+    x = _plant_column(model, grids, lengths, u, offsets, running, zeta0.x,
+                      sample_dt)
 
-    spacing = (model.tau_g_reset / -model.rate_g, model.reset_lo / -model.rate_c)
-    min_dwell = model.min_dwell() if _aligned(model, zeta0, policy) else None
-    return HybridArc(times, x, tau_c, tau_g, offsets, *held, jumps,
-                     type(zeta0), min_dwell, spacing)
+    spacing = (model.period_g, model.period_c)
+    min_dwell = min(spacing) if _aligned(model, zeta0, policy) else None
+    return HybridArc(times, x, tau_c, tau_g, offsets, u, y_s, z, jumps,
+                     min_dwell, spacing)
 
 
 def _on_grid(value: float, step: float) -> bool:
@@ -424,7 +429,7 @@ def _aligned(model, zeta0, policy) -> bool:
     """Whether every jump of a run lies on the gradient timer's grid: equal
     timer rates, one deterministic tau_c reset that is a multiple of the
     tau_g reset, and starting timers a multiple of it apart. Only then do
-    jump groups stay ``model.min_dwell()`` apart."""
+    jump groups stay min(model.period_g, model.period_c) apart."""
     lo, hi = model.reset_lo, model.reset_hi
     reset = {"fixed": policy.tau_c_value, "min": lo, "max": hi,
              "uniform": lo if lo == hi else None}.get(policy.tau_c_reset)

@@ -1,13 +1,13 @@
 """The sampled-data feedback-optimization hybrid system.
 
-Parameter records, the hybrid state, the flow/jump maps, the quadratic
-objective and its gradient, Euclidean projections onto the input set, and
-validation of every standing assumption.
+Parameter records, the flow/jump maps, the quadratic objective and its
+gradient, Euclidean projections onto the input set, and validation of every
+standing assumption. The hybrid state ``State`` lives in ``hybrid``, next to
+the arc that stores its columns, and is imported here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -15,20 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .hybrid import EVENT_TOL
-
-
-@dataclass(frozen=True)
-class State:
-    """Full hybrid state: plant state, applied input, sampled output,
-    optimizer iterate, and the two countdown timers."""
-
-    x: np.ndarray
-    u: np.ndarray
-    y_s: np.ndarray
-    z: np.ndarray
-    tau_c: float
-    tau_g: float
+from .hybrid import EVENT_TOL, State
 
 
 def make_state(x, u, y_s, z, tau_c, tau_g) -> State:
@@ -221,6 +208,10 @@ class HybridFOModel:
     ``pert`` and a scale ``delta > 0`` every perturbation component enters
     scaled by ``delta``: A + delta A_hat, B + delta B_hat, H + delta H_hat,
     timer rates -1 + delta kappa and resets shifted by delta theta.
+
+    The event interface (``contains``, ``which_case``, ``g1``, ``g2``) takes
+    and returns the timers and the arrays u, y_s, z, never a ``State``: the
+    jump maps leave x alone, so ``simulate``'s pass 1 carries these values.
     """
 
     def __init__(self, params: ModelParams, pert: Perturbation | None = None,
@@ -249,6 +240,9 @@ class HybridFOModel:
             raise ValueError("tau_g reset value must be positive")
         if not (0.0 < self.reset_lo <= self.reset_hi):
             raise ValueError("tau_c reset interval must satisfy 0 < lo <= hi")
+        # the tau_g period and the shortest tau_c period
+        self.period_g = self.tau_g_reset / -self.rate_g
+        self.period_c = self.reset_lo / -self.rate_c
 
     # -- flow ---------------------------------------------------------------
 
@@ -274,17 +268,16 @@ class HybridFOModel:
 
     # -- sets ---------------------------------------------------------------
 
-    def contains(self, state: State) -> bool:
-        """Membership in the union of the flow and jump sets."""
-        return (
-            -EVENT_TOL <= state.tau_c <= self.reset_hi + EVENT_TOL
-            and -EVENT_TOL <= state.tau_g <= self.tau_g_reset + EVENT_TOL
-        )
+    def contains(self, tau_c: float, tau_g: float) -> bool:
+        """Membership of the timers in the union of the flow and jump sets."""
+        return (-EVENT_TOL <= tau_c <= self.reset_hi + EVENT_TOL
+                and -EVENT_TOL <= tau_g <= self.tau_g_reset + EVENT_TOL)
 
-    def which_case(self, state: State):
-        """Jump case for a state in the jump set, else None."""
-        c_zero = state.tau_c <= EVENT_TOL
-        g_zero = state.tau_g <= EVENT_TOL
+    def which_case(self, tau_c: float, tau_g: float):
+        """Jump case for timers in the jump set ("g1", "g2" or "both"),
+        else None."""
+        c_zero = tau_c <= EVENT_TOL
+        g_zero = tau_g <= EVENT_TOL
         if c_zero and g_zero:
             return "both"
         if g_zero:
@@ -295,29 +288,18 @@ class HybridFOModel:
 
     # -- jumps --------------------------------------------------------------
 
-    def g1(self, state: State) -> State:
-        """Gradient-descent jump: one projected step on z, tau_g reset."""
+    def g1(self, z, y_s):
+        """Gradient-descent jump: one projected step on z, tau_g reset.
+        Returns (z, tau_g)."""
         obj = self.params.objective
-        step = state.z - obj.gamma * grad_u_phi(state.z, state.y_s, obj, self.h)
-        return dataclasses.replace(
-            state,
-            z=self.params.input_set.project(step),
-            tau_g=self.tau_g_reset,
-        )
+        step = z - obj.gamma * grad_u_phi(z, y_s, obj, self.h)
+        return self.params.input_set.project(step), self.tau_g_reset
 
-    def g2(self, state: State, tau_c_reset: float) -> State:
+    def g2(self, z, tau_c_reset: float):
         """Input-application jump: u <- z, output resampled as H u + d with
-        the new input, tau_c reset."""
-        return dataclasses.replace(
-            state,
-            u=state.z.copy(),
-            y_s=self.h @ state.z + self.params.plant.d,
-            tau_c=float(tau_c_reset),
-        )
-
-    def min_dwell(self) -> float:
-        """Shortest possible flow interval after a completed jump sequence."""
-        return min(self.tau_g_reset / -self.rate_g, self.reset_lo / -self.rate_c)
+        the new input, tau_c reset. Returns (u, y_s, tau_c)."""
+        return (z.copy(), self.h @ z + self.params.plant.d,
+                float(tau_c_reset))
 
 
 # -- validation -------------------------------------------------------------
@@ -425,7 +407,7 @@ def validate(params: ModelParams, zeta0: State | None = None,
         # the model needs H = -C A^{-1} B and a valid reset interval
         if all(c.status == "pass" for c in checks
                if c.name in ("hurwitz", "timers")):
-            if HybridFOModel(params).contains(zeta0):
+            if HybridFOModel(params).contains(zeta0.tau_c, zeta0.tau_g):
                 checks.append(Check("init_domain", "pass", ""))
             else:
                 checks.append(Check("init_domain", "fail",

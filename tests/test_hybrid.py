@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hfo import hybrid, linalg
+from hfo.hybrid import State
 from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, Timers,
                        strict_initial_state)
 from conftest import random_params, s1_params
@@ -100,9 +101,10 @@ class TestSimulate:
         arc1 = hybrid.simulate(model, zeta0, policy, (3.0, 200), 0.05)
         arc2 = hybrid.simulate(HybridFOModel(params), zeta0, policy,
                                (3.0, 200), 0.05)
-        assert len(arc1.segments) == len(arc2.segments)
-        for a, b in zip(arc1.segments, arc2.segments):
-            assert np.array_equal(a.matrix(), b.matrix())
+        for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
+                     "z"):
+            assert np.array_equal(getattr(arc1, name), getattr(arc2, name))
+        assert arc1.jumps == arc2.jumps
 
     def test_rejects_state_outside_domain(self):
         params = s1_params()
@@ -150,27 +152,74 @@ def assert_x_close(got, want):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def paper_g1(model, state):
+    """The gradient jump as the paper writes it:
+    z <- P(z - gamma (Q_u z + H' Q_y (y_s - y_hat))), tau_g <- its reset."""
+    obj = model.params.objective
+    grad = obj.q_u @ state.z + model.h.T @ (obj.q_y @ (state.y_s - obj.y_hat))
+    return dataclasses.replace(
+        state, z=model.params.input_set.project(state.z - obj.gamma * grad),
+        tau_g=model.tau_g_reset)
+
+
+def paper_g2(model, state, tau_c):
+    """The input jump as the paper writes it: u <- z, y_s <- H z + d,
+    tau_c <- the drawn reset."""
+    return dataclasses.replace(state, u=state.z,
+                               y_s=model.h @ state.z + model.params.plant.d,
+                               tau_c=tau_c)
+
+
+def paper_jump(model, state, policy, rng):
+    """The full jump map, by the documented order: the expired timer's map,
+    or for a composite jump both maps in ``case3_order`` (a random order
+    draws ``rng.integers(2)`` first, 0 meaning g1 first), each g2 drawing
+    its tau_c reset as it applies. Returns [(case, applied, state after)]."""
+    c_zero = state.tau_c <= hybrid.EVENT_TOL
+    g_zero = state.tau_g <= hybrid.EVENT_TOL
+    if c_zero and g_zero:
+        order = policy.case3_order
+        if order == "random":
+            order = "g1_first" if rng.integers(2) == 0 else "g2_first"
+        maps = ["g1", "g2"] if order == "g1_first" else ["g2", "g1"]
+        labels = ["G3-first-half", "G3-second-half"]
+    else:
+        maps = ["g1"] if g_zero else ["g2"]
+        labels = ["G1"] if g_zero else ["G2"]
+    steps = []
+    for label, applied in zip(labels, maps):
+        if applied == "g1":
+            state = paper_g1(model, state)
+        else:
+            tau_c = hybrid.draw_tau_c_reset(policy, rng,
+                                            (model.reset_lo, model.reset_hi))
+            state = paper_g2(model, state, tau_c)
+        steps.append((label, applied, state))
+    return steps
+
+
 def one_pass_simulate(model, zeta0, policy, horizon, sample_dt):
     """Oracle: the single-pass simulator, which flows x one sample at a time
-    between events (``per_sample_flow``) and jumps with the full state.
-    Returns (jump log of (t, j, case, applied), [(times, x, timers) per
-    segment])."""
+    between events (``per_sample_flow``) and jumps with the full state by
+    ``paper_jump``. Returns (jump log of (t, j, case, applied), [(times, x,
+    timers) per segment], [start state per segment])."""
     t_max, j_max = horizon
     rng = np.random.default_rng(policy.seed)
 
     def point(state, t):
+        starts.append(state)
         return (np.array([t]), state.x[None, :],
                 np.array([[state.tau_c, state.tau_g]]))
 
     state, t, j = zeta0, 0.0, 0
-    log, segments = [], []
+    log, segments, starts = [], [], []
     while True:
         remaining = t_max - t
         if j >= j_max or remaining <= hybrid.EVENT_TOL:
             segments.append(point(state, t))
             break
         horizon_hit = False
-        if model.which_case(state) is not None:
+        if min(state.tau_c, state.tau_g) <= hybrid.EVENT_TOL:
             segments.append(point(state, t))
         else:
             dt, which = hybrid.next_event(state.tau_c, state.tau_g,
@@ -180,19 +229,20 @@ def one_pass_simulate(model, zeta0, policy, horizon, sample_dt):
             times, xs, timers = per_sample_flow(model, state, t, dt, which,
                                                 sample_dt)
             segments.append((times, xs, timers))
+            starts.append(state)
             state = dataclasses.replace(state, x=xs[-1],
                                         tau_c=float(timers[-1, 0]),
                                         tau_g=float(timers[-1, 1]))
             t = t + dt
             if horizon_hit:
                 break
-        steps = hybrid._resolve_jump(model, state, policy, rng)
+        steps = paper_jump(model, state, policy, rng)
         for i, (label, applied, state) in enumerate(steps):
             log.append((t, j, label, applied))
             j += 1
             if i < len(steps) - 1:
                 segments.append(point(state, t))
-    return log, segments
+    return log, segments, starts
 
 
 class TestColumnarSegments:
@@ -229,15 +279,18 @@ class TestColumnarSegments:
             assert np.array_equal(seg.tau_g, timers[:, 1])
         assert flows >= 10
 
-    def test_state_accessor_and_matrix(self):
+    def test_state_accessor(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
         seg = arc.segments[1]
         def vector(s):
             return np.concatenate([s.x, s.u, s.y_s, s.z, [s.tau_c], [s.tau_g]])
 
+        assert isinstance(seg.start, State)
         assert np.array_equal(vector(seg.state(0)), vector(seg.start))
         rows = np.vstack([vector(seg.state(k)) for k in range(len(seg.times))])
-        assert np.array_equal(seg.matrix(), rows)
+        held = np.broadcast_to(arc.held()[1], (len(seg.times), 3))
+        assert np.array_equal(rows, np.column_stack(
+            [seg.x, held, seg.tau_c, seg.tau_g]))
         last = seg.state(-1)
         assert last.tau_g == seg.tau_g[-1] == 0.0
         assert isinstance(last.tau_c, float)
@@ -251,9 +304,12 @@ class TestTwoPasses:
     @staticmethod
     def assert_same_as_one_pass(model, zeta0, policy, horizon, sample_dt):
         arc = hybrid.simulate(model, zeta0, policy, horizon, sample_dt)
-        log, segments = one_pass_simulate(model, zeta0, policy, horizon,
-                                          sample_dt)
+        log, segments, starts = one_pass_simulate(model, zeta0, policy,
+                                                  horizon, sample_dt)
         assert [(r.t, r.j, r.case, r.applied) for r in arc.jumps] == log
+        for name in ("u", "y_s", "z"):
+            assert np.array_equal(getattr(arc, name),
+                                  np.array([getattr(s, name) for s in starts]))
         assert [len(seg.times) for seg in arc.segments] == [
             len(times) for times, _, _ in segments]
         times, xs, timers = (np.concatenate(col) for col in zip(*segments))
@@ -264,12 +320,14 @@ class TestTwoPasses:
         return arc
 
     @pytest.mark.parametrize("case", ["s1", "n3-perturbed", "n20",
-                                      "s1-start-in-jump-set", "s1-coarse"])
+                                      "s1-start-in-jump-set", "s1-coarse",
+                                      "s1-g2-first"])
     def test_jump_log_and_counts_match_one_pass(self, case):
         if case.startswith("s1"):
             params = s1_params()
             model = HybridFOModel(params)
-            policy = JumpPolicy(seed=1)
+            order = "g2_first" if case == "s1-g2-first" else "g1_first"
+            policy = JumpPolicy(case3_order=order, seed=1)
             # 0.3 s between samples: no flow has a grid step past its start
             sample_dt = 0.3 if case == "s1-coarse" else 0.01
         elif case == "n3-perturbed":
@@ -395,11 +453,12 @@ class TestStatelessModel:
         zeta0, policy = strict_initial_state(model.params), JumpPolicy(seed=1)
         arc = hybrid.simulate(model, zeta0, policy, (30.0, 31))
         rows, _ = hybrid._skeleton(model, zeta0, policy, (30.0, 31), 0.01)
-        for seg, (_, state, grid, length, _) in zip(arc.segments, rows):
+        for seg, row in zip(arc.segments, rows):
+            _, _, _, grid, length, _, _, u, _, _ = row
             if grid < 0:
                 continue
             running = np.concatenate([[0.0], np.cumsum(np.full(grid, 0.01))])
-            want = model.flow_x(seg.x[-2], state.u, length - float(running[-1]))
+            want = model.flow_x(seg.x[-2], u, length - float(running[-1]))
             assert np.array_equal(seg.x[-1], want)
 
 
@@ -585,9 +644,9 @@ class TestCheckNonZeno:
         params = s1_params()
 
         class BrokenModel(HybridFOModel):
-            def g1(self, state):
+            def g1(self, z, y_s):
                 # leaves the gradient timer expired: immediate re-jump
-                return dataclasses.replace(super().g1(state), tau_g=0.0)
+                return super().g1(z, y_s)[0], 0.0
 
         model = BrokenModel(params)
         zeta0 = strict_initial_state(params)

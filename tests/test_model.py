@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfo import model as m
-from hfo.hybrid import _resolve_jump
+from hfo.hybrid import draw_tau_c_reset, jump_order
 from hfo.model import (
     Ball,
     Box,
@@ -105,30 +105,41 @@ class TestGainAndObjective:
 
 
 def resolve(params, state, policy):
-    """The state after the full jump map: the single-timer map that
-    ``which_case`` selects, or both in policy order."""
+    """The state after the full jump map: the maps ``jump_order`` names for
+    the case ``which_case`` selects, applied in turn by ``g1`` and ``g2``."""
     model = HybridFOModel(params)
-    steps = _resolve_jump(model, state, policy,
-                          np.random.default_rng(policy.seed))
-    return steps[-1][2]
+    rng = np.random.default_rng(policy.seed)
+    u, y_s, z = state.u, state.y_s, state.z
+    tau_c, tau_g = state.tau_c, state.tau_g
+    for name in jump_order(model.which_case(tau_c, tau_g), policy, rng):
+        if name == "g1":
+            z, tau_g = model.g1(z, y_s)
+        else:
+            reset = draw_tau_c_reset(policy, rng,
+                                     (model.reset_lo, model.reset_hi))
+            u, y_s, tau_c = model.g2(z, reset)
+    return dataclasses.replace(state, u=u, y_s=y_s, z=z, tau_c=tau_c,
+                               tau_g=tau_g)
 
 
 class TestJumps:
     def test_gradient_jump(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.0)
-        post = HybridFOModel(s1).g1(state)
-        assert post.z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
-        assert post.tau_g == pytest.approx(0.25)
+        z, tau_g = HybridFOModel(s1).g1(state.z, state.y_s)
+        assert z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
+        assert tau_g == pytest.approx(0.25)
+        post = resolve(s1, state, JumpPolicy())
+        assert np.array_equal(post.z, z)
+        assert post.tau_g == tau_g
         assert post.u[0] == 0.0  # untouched
 
     def test_gradient_jump_projects(self, s1):
-        state = make_state(0.0, 0.0, 0.5, 0.96, 1.0, 0.0)
-        post = HybridFOModel(s1).g1(state)
-        assert post.z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
+        z, _ = HybridFOModel(s1).g1(np.array([0.96]), np.array([0.5]))
+        assert z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
 
     def test_gradient_jump_requires_expired_timer(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.1)
-        assert HybridFOModel(s1).which_case(state) is None
+        assert HybridFOModel(s1).which_case(state.tau_c, state.tau_g) is None
         with pytest.raises(RuntimeError, match="outside the jump set"):
             resolve(s1, state, JumpPolicy())
 
@@ -139,6 +150,8 @@ class TestJumps:
         assert post.y_s[0] == pytest.approx(1.5)  # H*z + d with the new input
         assert post.tau_c == 1.0  # "min" reset policy, interval [1, 1]
         assert post.x[0] == 0.3  # plant state continuous across jumps
+        u, y_s, tau_c = HybridFOModel(s1).g2(state.z, 0.75)
+        assert (u[0], y_s[0], tau_c) == (1.0, post.y_s[0], 0.75)
 
     def test_composite_jump_order(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 0.0, 0.0)
@@ -149,6 +162,24 @@ class TestJumps:
         # g2 first: old z applied, then a gradient step from the new sample
         assert g2_first.u[0] == pytest.approx(0.96)
         assert g2_first.z[0] != pytest.approx(g1_first.z[0])
+
+    def test_jump_order(self):
+        rng = np.random.default_rng(3)
+        for case in ("g1", "g2"):
+            assert jump_order(case, JumpPolicy(case3_order="random"),
+                              rng) == (case,)
+        assert jump_order("both", JumpPolicy(case3_order="g1_first"),
+                          rng) == ("g1", "g2")
+        assert jump_order("both", JumpPolicy(case3_order="g2_first"),
+                          rng) == ("g2", "g1")
+        # only a random composite order draws, one integer in {0, 1}
+        twin = np.random.default_rng(3)
+        for _ in range(20):
+            want = ("g1", "g2") if twin.integers(2) == 0 else ("g2", "g1")
+            assert jump_order("both", JumpPolicy(case3_order="random"),
+                              rng) == want
+        with pytest.raises(ValueError, match="case-3 order"):
+            jump_order("both", JumpPolicy(case3_order="sideways"), rng)
 
     def test_jump_outside_jump_set_rejected(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
@@ -239,19 +270,16 @@ class TestValidate:
 class TestModelGeometry:
     def test_contains_bounds(self, s1):
         model = HybridFOModel(s1)
-        inside = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
-        assert model.contains(inside)
-        assert not model.contains(dataclasses.replace(inside, tau_c=1.5))
-        assert not model.contains(dataclasses.replace(inside, tau_g=-0.5))
+        assert model.contains(0.5, 0.1)
+        assert not model.contains(1.5, 0.1)
+        assert not model.contains(0.5, -0.5)
 
     def test_which_case(self, s1):
         model = HybridFOModel(s1)
-        base = make_state(0.0, 0.0, 0.5, 0.0, 0.5, 0.1)
-        assert model.which_case(base) is None
-        assert model.which_case(dataclasses.replace(base, tau_g=0.0)) == "g1"
-        assert model.which_case(dataclasses.replace(base, tau_c=0.0)) == "g2"
-        assert model.which_case(
-            dataclasses.replace(base, tau_c=0.0, tau_g=0.0)) == "both"
+        assert model.which_case(0.5, 0.1) is None
+        assert model.which_case(0.5, 0.0) == "g1"
+        assert model.which_case(0.0, 0.1) == "g2"
+        assert model.which_case(0.0, 0.0) == "both"
 
     def test_gain_derived_once(self, s1):
         h = s1.h
@@ -265,5 +293,9 @@ class TestModelGeometry:
                             s1.plant.d))
         assert other.h[0, 0] == 0.5
 
-    def test_min_dwell(self, s1):
-        assert HybridFOModel(s1).min_dwell() == pytest.approx(0.25)
+    def test_timer_periods(self, s1):
+        model = HybridFOModel(s1)
+        assert (model.period_g, model.period_c) == pytest.approx((0.25, 1.0))
+        # a slower input timer stretches the tau_c period
+        pert = dataclasses.replace(m.Perturbation.zero(1, 1, 1), kappa_c=0.5)
+        assert HybridFOModel(s1, pert, 1.0).period_c == pytest.approx(2.0)

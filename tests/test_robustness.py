@@ -24,14 +24,23 @@ def s1_perturbation():
     )
 
 
+def sample_rows(seg):
+    """Rows of [x, u, y_s, z, tau_c, tau_g], one per sample of ``seg``."""
+    held = seg.arc.held()[seg.j]
+    return np.column_stack([seg.x, np.broadcast_to(held, (len(seg.times),
+                                                          len(held))),
+                            seg.tau_c, seg.tau_g])
+
+
 def per_sample_closeness(arc1, arc2, tau):
     """Oracle: (epsilon, witness) from a per-sample scan of both arcs."""
     def directional(arc_a, arc_b, side):
-        index_b = {seg.j: (seg.times, seg.matrix()) for seg in arc_b.segments}
+        index_b = {seg.j: (seg.times, sample_rows(seg))
+                   for seg in arc_b.segments}
         worst, witness = 0.0, (side, 0.0, 0)
         for seg in arc_a.segments:
             entry = index_b.get(seg.j)
-            mat_a = seg.matrix()
+            mat_a = sample_rows(seg)
             for t, row in zip(seg.times, mat_a):
                 if t + seg.j > tau + 1e-12:
                     continue
@@ -132,9 +141,11 @@ class TestPerturbedModel:
         params = s1_params()
         arc_nom = run_s1(HybridFOModel(params))
         arc_zero = run_s1(HybridFOModel(params, s1_perturbation(), 0.0))
-        assert len(arc_nom.segments) == len(arc_zero.segments)
-        for a, b in zip(arc_nom.segments, arc_zero.segments):
-            assert np.array_equal(a.matrix(), b.matrix())
+        for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
+                     "z"):
+            assert np.array_equal(getattr(arc_nom, name),
+                                  getattr(arc_zero, name))
+        assert arc_nom.jumps == arc_zero.jumps
 
     def test_slowed_control_timer(self):
         params = s1_params()
@@ -159,14 +170,14 @@ class TestPerturbedModel:
         for j in (0, 1, 2, 3):
             a = arc_nom.segments[j]
             b = arc_pert.segments[j]
-            np.testing.assert_array_equal(a.matrix()[:, 0], b.matrix()[:, 0])
+            np.testing.assert_array_equal(a.x[:, 0], b.x[:, 0])
         # in S1 the first applied input saturates at the box edge either way;
         # the corrupted samples steer the second period's iterates apart, so
         # x diverges once that input is applied (second sampling jump, j = 10)
         x_after = np.concatenate(
-            [seg.matrix()[:, 0] for seg in arc_nom.segments if seg.j >= 10])
+            [seg.x[:, 0] for seg in arc_nom.segments if seg.j >= 10])
         x_after_pert = np.concatenate(
-            [seg.matrix()[:, 0] for seg in arc_pert.segments if seg.j >= 10])
+            [seg.x[:, 0] for seg in arc_pert.segments if seg.j >= 10])
         assert np.max(np.abs(x_after - x_after_pert)) > 1e-3
         # sampled output differs from the first sampling jump onward
         g2_nom = next(j for j in arc_nom.jumps if j.applied == "g2")
@@ -260,7 +271,8 @@ class TestClosenessMatchesPerSampleScan:
         perturbed = run_s1(HybridFOModel(params, s1_perturbation(), 0.3),
                            horizon=(1.2, 200), sample_dt=1e-4)
         seg = perturbed.segments[0]
-        rows = robustness._MATCH_BUDGET // seg.matrix().size
+        flow_columns = seg.times.size * (seg.x.shape[1] + 3)  # t, x, timers
+        rows = robustness._MATCH_BUDGET // flow_columns
         assert 1 <= rows < len(nominal.segments[0].times) // 3
         self.assert_same(nominal, perturbed, 1.2)
 
@@ -308,7 +320,8 @@ class TestRobustnessSweep:
         sweep = robustness_sweep(params, pert, deltas, tau, policy)
         nominal = HybridFOModel(params)
         zeta0 = strict_initial_state(params)
-        horizon = (tau, int(math.ceil(tau / nominal.min_dwell())) * 2 + 16)
+        min_dwell = min(nominal.period_g, nominal.period_c)
+        horizon = (tau, int(math.ceil(tau / min_dwell)) * 2 + 16)
         arc_nom = hybrid.simulate(nominal, zeta0, policy, horizon)
         assert arc_nom.segments[-1].j > math.floor(tau) + 1
         for row, delta in zip(sweep.rows, deltas):
