@@ -9,6 +9,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .hybrid import HybridArc
@@ -56,8 +57,9 @@ class MEstimate:
     non_normal_note: str | None = None
 
 
-# Most n x n matrices one batched call holds at once (estimate_M's SVDs,
-# reconstruct_x's exponentials), so memory stays O(n^2) per block.
+# Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
+# stored samples (reconstruct_x's eigenbasis rows) one batched call holds at
+# once, so memory stays O(n^2) per block.
 _STACK_BLOCK = 100
 
 
@@ -160,8 +162,7 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup, t_at = float(values[at]), at * h
     note = None
-    _, vecs = np.linalg.eig(a)
-    cond = np.linalg.cond(vecs)
+    _, _, cond = linalg.eigenbasis(a)
     if cond > 1e6:
         note = (
             f"eigenvector condition estimate {cond:.3e}: plant is highly "
@@ -266,11 +267,18 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
                        float(t[worst]), int(j[worst]))
 
 
+# Largest deviation of the stored x from its reconstruction that verify
+# accepts; linalg.EIGENBASIS_COND_LIMIT is sized against it.
+RECONSTRUCTION_TOL = 1e-8
+
+
 @dataclass
 class ReconstructionResult:
     max_deviation: float
     times: np.ndarray
     reconstructed: np.ndarray
+    path: str  # "eigenbasis" or "expm"
+    eigenbasis_cond: float  # cond(V) of A's eigenvector matrix
 
 
 def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
@@ -279,16 +287,69 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     On an input period anchored at (t_a, x_a) with constant input u, the
     variation-of-constants formula reads
     x(t) = e^{A(t - t_a)} (x_a + w) - w with w = A^{-1} B u, since A^{-1}
-    commutes with e^{At}. So w costs one guarded solve per period, and every
-    stored sample gets its own exponential of its offset from the anchor
-    (never chained from the previous sample, which keeps this independent of
-    the simulator's stepped propagator). Reports the worst deviation from the
-    stored trajectory.
+    commutes with e^{At}. On the eigenbasis path every period's w is
+    (A^{-1} B) u, from one guarded solve with B as its right-hand side. Each stored sample is evaluated from its own
+    offset t - t_a from the anchor, never chained from the previous sample
+    and never from the simulator's stepped propagator, so the check stays
+    independent of the simulator. The period that an input change closes
+    re-anchors the next one at the formula's value at the jump time.
+
+    Two paths evaluate e^{A(t - t_a)}:
+
+    - ``"eigenbasis"``: for A = V diag(lambda) V^{-1} with
+      cond(V) <= ``linalg.EIGENBASIS_COND_LIMIT``,
+      x(t) = Re[V (e^{lambda (t - t_a)} * c)] - w with c = V^{-1}(x_a + w),
+      one complex n-vector of scalar exponentials per sample;
+    - ``"expm"``: otherwise (a defective or nearly defective A), one stacked
+      n x n exponential per sample.
+
+    The limit, 1e4, comes from ``RECONSTRUCTION_TOL`` = 1e-8: the eigen
+    form's rounding is about cond(V) * eps relative to the state, so at the
+    limit it is about 1e4 * 2.2e-16 = 2.2e-12 per unit of ||x||, and a state
+    of norm 100 stays 45 times under the tolerance. A defective A has a
+    huge cond(V) (9e15 for [[-1, 1], [0, -1]]) and takes the exponential.
+
+    Both paths work in blocks of at most ``_STACK_BLOCK`` samples and reduce
+    the deviation per block, so their working memory does not grow with the
+    arc. Reports the worst deviation from the stored trajectory, the path
+    taken and cond(V).
     """
     a, b = params.plant.a, params.plant.b
     # segment k starts an input period when jump k - 1 applied g2
     starts = [0] + [rec.j + 1 for rec in arc.jumps if rec.applied == "g2"]
     ends = starts[1:] + [len(arc.offsets) - 1]
+    lam, vecs, cond = linalg.eigenbasis(a)
+    if cond <= linalg.EIGENBASIS_COND_LIMIT:
+        path = "eigenbasis"
+        recon, max_dev = _reconstruct_eigen(arc, a, b, starts, ends, lam, vecs)
+    else:
+        path = "expm"
+        recon, max_dev = _reconstruct_expm(arc, a, b, starts, ends)
+    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
+
+
+def _reconstruct_eigen(arc, a, b, starts, ends, lam, vecs):
+    gain = linalg.solve(a, b)  # w = (A^{-1} B) u in every period
+    lu = scipy.linalg.lu_factor(vecs)
+    anchor_t, anchor_x = 0.0, arc.x[0].copy()
+    recon = np.empty_like(arc.x)
+    max_dev = 0.0
+    for first, end in zip(starts, ends):
+        w = gain @ arc.u[first]
+        c = scipy.linalg.lu_solve(lu, anchor_x + w)
+        lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
+        for row in range(lo, hi, _STACK_BLOCK):
+            rows = slice(row, min(row + _STACK_BLOCK, hi))
+            e = np.exp(np.multiply.outer(arc.times[rows] - anchor_t, lam))
+            recon[rows] = ((e * c) @ vecs.T).real - w
+            max_dev = max(max_dev,
+                          float(np.max(np.abs(recon[rows] - arc.x[rows]))))
+        # the period's last sample is the formula at the closing jump
+        anchor_t, anchor_x = float(arc.times[hi - 1]), recon[hi - 1].copy()
+    return recon, max_dev
+
+
+def _reconstruct_expm(arc, a, b, starts, ends):
     anchor_t, anchor_x = 0.0, arc.x[0].copy()
     recon = np.empty_like(arc.x)
     max_dev = 0.0
@@ -307,7 +368,7 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
             anchor_x = (linalg.mat_exp(a, t_jump - anchor_t) @ (anchor_x + w)
                         - w)
             anchor_t = t_jump
-    return ReconstructionResult(max_dev, arc.times, recon)
+    return recon, max_dev
 
 
 @dataclass

@@ -236,8 +236,10 @@ def cmd_verify(args) -> int:
     }
     recon = analysis.reconstruct_x(arc, params)
     checks["reconstruction"] = {
-        "passed": recon.max_deviation <= 1e-8,
+        "passed": recon.max_deviation <= analysis.RECONSTRUCTION_TOL,
         "max_deviation": recon.max_deviation,
+        "path": recon.path,
+        "eigenbasis_cond": recon.eigenbasis_cond,
     }
     zeno = hybrid.check_non_zeno(arc)
     checks["non_zeno"] = dataclasses.asdict(zeno)

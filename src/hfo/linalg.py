@@ -22,6 +22,21 @@ SYMMETRY_TOL = 1e-12
 EIG_RESIDUAL_FACTOR = 1e-8
 SOLVE_RESIDUAL_FACTOR = 1e-10
 CONDITION_LIMIT = 1e12
+EIGENBASIS_COND_LIMIT = 1e4
+"""Largest cond(V) at which an eigenbasis A = V diag(lambda) V^{-1} is used
+to evaluate e^{At} x as V (e^{lambda t} * (V^{-1} x)).
+
+That form's rounding error is about cond(V) * eps relative to ||x||
+(Moler & Van Loan, "Nineteen dubious ways to compute the exponential of a
+matrix, twenty-five years later", SIAM Review 2003, on eigenvector methods).
+The trajectory reconstruction check allows an absolute deviation of 1e-8.
+At cond(V) = 1e4 and eps = 2.2e-16 the error is about 2.2e-12 per unit of
+||x||, so a state of norm 100 stays 45 times under 1e-8, which leaves room
+for the dimension factor and for re-anchoring at each input period. A
+defective A has no eigenbasis; the V that LAPACK returns for it is
+numerically singular (cond(V) = 9e15 for [[-1, 1], [0, -1]]), so such a
+plant takes the exponential instead.
+"""
 
 
 def _as_square(a) -> np.ndarray:
@@ -94,6 +109,19 @@ def eig_general(a) -> np.ndarray:
     return w[order]
 
 
+def eigenbasis(a):
+    """Eigen-decomposition A = V diag(lambda) V^{-1} of a real square matrix.
+
+    Returns (eigenvalues, V, cond(V)): the eigenvalues in LAPACK's order
+    (complex unless all are real), the unit-norm eigenvectors as V's columns
+    in the same order, and the 2-norm condition number of V, which is huge
+    or infinite when A is defective or close to it.
+    """
+    a = _as_square(a)
+    w, v = np.linalg.eig(a)
+    return w, v, float(np.linalg.cond(v))
+
+
 def eig_sym(s) -> np.ndarray:
     """Real eigenvalues of a symmetric matrix, sorted ascending."""
     s = _as_square(s)
@@ -114,7 +142,12 @@ def spectral_norm(b) -> float:
 
 
 def solve(a, rhs) -> np.ndarray:
-    """Solve A X = rhs for an invertible A, with a residual check."""
+    """Solve A X = rhs for an invertible A, with a residual check.
+
+    ``rhs`` is one vector (n,) or one right-hand side per column (n, k); a
+    matrix shares one condition estimate and one factorization, and each
+    column must pass the residual check on its own.
+    """
     a = _as_square(a)
     rhs = np.asarray(rhs, dtype=float)
     cond = np.linalg.cond(a)
@@ -123,10 +156,14 @@ def solve(a, rhs) -> np.ndarray:
             f"matrix is singular or ill-conditioned (condition estimate {cond:.3e})"
         )
     x = np.linalg.solve(a, rhs)
-    resid = np.linalg.norm(a @ x - rhs)
+    resid = np.linalg.norm(a @ x - rhs, axis=0)
     bound = SOLVE_RESIDUAL_FACTOR * (
-        np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)
+        np.linalg.norm(a, 2) * np.linalg.norm(x, axis=0)
+        + np.linalg.norm(rhs, axis=0)
     )
-    if resid > bound:
-        raise SingularMatrixError(f"solve residual {resid:.3e} exceeds {bound:.3e}")
+    if np.any(resid > bound):
+        worst = np.argmax(resid - bound)
+        raise SingularMatrixError(
+            f"solve residual {np.ravel(resid)[worst]:.3e} exceeds "
+            f"{np.ravel(bound)[worst]:.3e}")
     return x

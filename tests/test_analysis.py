@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hfo import hybrid
+from hfo import hybrid, linalg
 from hfo.analysis import (
     MEstimate,
     bound_thm1,
@@ -23,6 +24,7 @@ from hfo.model import (
     Box,
     HybridFOModel,
     JumpPolicy,
+    Plant,
     gradient_constants,
     make_state,
     strict_initial_state,
@@ -46,6 +48,20 @@ def mimo_arc(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0):
     zeta0 = dataclasses.replace(zeta0, x=zeta0.x + x_shift)
     arc = hybrid.simulate(HybridFOModel(params), zeta0,
                           JumpPolicy(seed=2), horizon, 0.02)
+    return arc, params
+
+
+def plant_arc(a, b, c_out, gamma, horizon=(6.0, 1000)):
+    """Arc of S1 with its plant replaced by (A, B, C) and stepsize gamma,
+    from the strict initial state."""
+    base = s1_params()
+    plant = Plant(np.array(a, dtype=float), np.array(b, dtype=float),
+                  np.array(c_out, dtype=float), base.plant.d)
+    params = dataclasses.replace(
+        base, plant=plant,
+        objective=dataclasses.replace(base.objective, gamma=gamma))
+    arc = hybrid.simulate(HybridFOModel(params), strict_initial_state(params),
+                          JumpPolicy(seed=1), horizon, 0.01)
     return arc, params
 
 
@@ -338,7 +354,9 @@ class TestReconstruction:
 
     def test_matches_per_sample_oracle_n20(self):
         arc, params = mimo_arc(n=20, x_shift=1.0)
+        assert np.any(np.linalg.eigvals(params.plant.a).imag != 0.0)
         result = reconstruct_x(arc, params)
+        assert result.path == "eigenbasis"
         oracle = per_sample_reconstruction(arc, params)
         assert result.reconstructed.shape == oracle.shape
         assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
@@ -346,9 +364,58 @@ class TestReconstruction:
                               np.concatenate([s.times for s in arc.segments]))
         assert result.max_deviation <= 1e-8
 
+    def test_defective_plant_takes_expm(self):
+        # a Jordan block: no eigenbasis exists, cond(V) is about 9e15
+        arc, params = plant_arc([[-1.0, 1.0], [0.0, -1.0]], [[0.0], [1.0]],
+                                [[0.2, 0.0]], gamma=0.05)
+        result = reconstruct_x(arc, params)
+        assert result.path == "expm"
+        assert result.eigenbasis_cond > linalg.EIGENBASIS_COND_LIMIT
+        oracle = per_sample_reconstruction(arc, params)
+        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert result.max_deviation <= 1e-8
+
+    def test_repeated_eigenvalue_takes_eigenbasis(self):
+        arc, params = plant_arc(-2.0 * np.eye(3), [[1.0], [0.5], [-0.3]],
+                                [[0.4, 0.2, 0.1]], gamma=0.4)
+        result = reconstruct_x(arc, params)
+        assert result.path == "eigenbasis"
+        assert result.eigenbasis_cond == pytest.approx(1.0)
+        oracle = per_sample_reconstruction(arc, params)
+        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert result.max_deviation <= 1e-8
+
+    def test_working_memory_does_not_grow_with_the_arc(self):
+        """The result holds one row per sample; on top of it, reconstruct_x
+        keeps O(n^2) per block and a little per input period, never a
+        temporary the size of the arc."""
+        working = {}
+        for horizon in (25.0, 100.0):
+            arc, params = mimo_arc(n=20, horizon=(horizon, 10 ** 6),
+                                   x_shift=1.0)
+            tracemalloc.start()
+            try:
+                result = reconstruct_x(arc, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.path == "eigenbasis"
+            working[horizon] = peak - result.reconstructed.nbytes
+        assert working[100.0] <= 1.5 * working[25.0]
+
     def test_detects_single_corrupted_sample(self):
+        self.assert_detects_single_corrupted_sample("eigenbasis")
+
+    def test_detects_single_corrupted_sample_expm(self, monkeypatch):
+        # the same arc, with every eigenbasis sent to the fallback
+        monkeypatch.setattr(linalg, "EIGENBASIS_COND_LIMIT", 0.0)
+        self.assert_detects_single_corrupted_sample("expm")
+
+    @staticmethod
+    def assert_detects_single_corrupted_sample(path):
         arc, params = mimo_arc(n=20, x_shift=1.0)
         clean = reconstruct_x(arc, params)
+        assert clean.path == path
         # the middle sample of a flow segment in a later input period
         i = len(arc.segments) * 2 // 3
         while len(arc.segments[i].times) < 3:
@@ -359,7 +426,9 @@ class TestReconstruction:
         # push the stored value away from its reconstruction
         push = np.sign(seg.x[k, 0] - clean.reconstructed[row, 0]) or 1.0
         seg.x[k, 0] += push * 1e-6
-        assert reconstruct_x(arc, params).max_deviation >= 1e-6
+        corrupted = reconstruct_x(arc, params)
+        assert corrupted.path == path
+        assert corrupted.max_deviation >= 1e-6
 
 
 class TestRateCheck:

@@ -596,6 +596,26 @@ class TestVerifyCommand:
             check = report["checks"][name]
             assert 0.0 <= check["worst_t"] <= 10.0
             assert isinstance(check["worst_j"], int) and check["worst_j"] >= 0
+        recon = report["checks"]["reconstruction"]
+        assert list(recon) == ["passed", "max_deviation", "path",
+                               "eigenbasis_cond"]
+        assert recon["path"] == "eigenbasis"
+        assert recon["eigenbasis_cond"] == 1.0
+
+    def test_defective_plant_reconstructs_by_expm(self, tmp_path):
+        data = load_s1_dict()
+        data["plant"].update({"A": [[-1.0, 1.0], [0.0, -1.0]],
+                              "B": [[0.0], [1.0]], "C": [[0.2, 0.0]]})
+        data["objective"]["gamma"] = 0.05
+        data["horizon"] = {"T": 10.0, "J": 1000}
+        data.pop("perturbation")
+        cfg = write_config(tmp_path, data)
+        main(["verify", cfg, "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        recon = report["checks"]["reconstruction"]
+        assert recon["path"] == "expm"
+        assert recon["eigenbasis_cond"] > 1e15
+        assert recon["passed"] is True
 
     @pytest.mark.parametrize("timers, policy, least", [
         # input jumps on a 1.1 grid, gradient jumps on a 0.25 grid

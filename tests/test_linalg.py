@@ -254,3 +254,45 @@ class TestSolve:
     def test_singular_rejected(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+
+    def test_matrix_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(19)
+        a = random_hurwitz(rng, 5)
+        rhs = rng.standard_normal((5, 7))
+        x = linalg.solve(a, rhs)
+        assert x.shape == (5, 7)
+        columns = np.column_stack([linalg.solve(a, rhs[:, k])
+                                   for k in range(7)])
+        np.testing.assert_allclose(x, columns, rtol=1e-13, atol=1e-15)
+
+    def test_matrix_rhs_singular_rejected(self):
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones((2, 3)))
+
+    def test_matrix_rhs_checks_each_column(self, monkeypatch):
+        # one column solved wrongly fails the check, however large the others
+        a = np.diag([1.0, 2.0])
+        rhs = np.array([[1e8, 1.0], [1e8, 1.0]])
+        exact = np.linalg.solve(a, rhs)
+
+        def off_in_one_column(a, rhs):
+            x = exact.copy()
+            x[0, 1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", off_in_one_column)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(a, rhs)
+
+
+class TestEigenbasis:
+    def test_decomposes_a_complex_spectrum(self):
+        a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+        lam, vecs, cond = linalg.eigenbasis(a)
+        np.testing.assert_allclose(a @ vecs, vecs * lam, atol=1e-14)
+        np.testing.assert_allclose(sorted(lam.imag), [-2.0, 2.0], atol=1e-14)
+        assert cond == pytest.approx(1.0)
+
+    def test_defective_matrix_is_ill_conditioned(self):
+        _, _, cond = linalg.eigenbasis(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        assert cond > 1e15 > linalg.EIGENBASIS_COND_LIMIT
