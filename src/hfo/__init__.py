@@ -26,7 +26,6 @@ from .model import (
     grad_u_phi,
     make_state,
     phi,
-    steady_state_gain,
     strict_initial_state,
     validate,
 )

@@ -98,19 +98,15 @@ def solve_optimal(params: ModelParams):
     plant = params.plant
     h = params.h
     hess = obj.q_u + h.T @ obj.q_y @ h
-    eigs = linalg.eig_sym(hess)
+    eigs = params.curvature.hessian
     offset = h.T @ (obj.q_y @ (plant.d - obj.y_hat))
 
     def grad(u):
         return hess @ u + offset
 
-    u_tilde = _pgd_fixed_point(
-        grad, (float(eigs[0]), float(eigs[-1])), params.input_set, plant.m,
-        check_gamma=2.0 / (float(eigs[0]) + float(eigs[-1])),
-    )
-    y_tilde = h @ u_tilde + plant.d
-    x_tilde = -linalg.solve(plant.a, plant.b @ u_tilde)
-    return u_tilde, y_tilde, x_tilde
+    u_tilde = _pgd_fixed_point(grad, eigs, params.input_set, plant.m,
+                               check_gamma=2.0 / (eigs[0] + eigs[1]))
+    return u_tilde, h @ u_tilde + plant.d, -params.a_inv_b @ u_tilde
 
 
 def fixed_point_z(y_s, params: ModelParams):
@@ -118,20 +114,17 @@ def fixed_point_z(y_s, params: ModelParams):
     sampled output y_s held as the system holds it within one input period."""
     obj = params.objective
     y_s = np.asarray(y_s, dtype=float)
-    eigs = linalg.eig_sym(obj.q_u)
     offset = params.h.T @ (obj.q_y @ (y_s - obj.y_hat))
 
     def grad(z):
         return obj.q_u @ z + offset
 
-    return _pgd_fixed_point(
-        grad, (float(eigs[0]), float(eigs[-1])), params.input_set,
-        obj.q_u.shape[0], check_gamma=obj.gamma,
-    )
+    return _pgd_fixed_point(grad, params.curvature.q_u, params.input_set,
+                            obj.q_u.shape[0], check_gamma=obj.gamma)
 
 
 def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 10.0,
-               margin: float = 0.05) -> MEstimate:
+               margin: float = 0.05, cond: float | None = None) -> MEstimate:
     """Estimate of the overshoot constant in ||e^{At}|| <= M e^{-rho t}.
 
     Grid supremum of ||e^{At}|| e^{rho t} over [0, horizon_factor/rho] with a
@@ -140,7 +133,8 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     about grid_points * n * eps, so grid values that close to the largest one
     count as ties, and the earliest of them (t = 0, value 1, included) is the
     reported maximizer. Emits a note when the eigenvector basis is badly
-    conditioned (highly non-normal plant).
+    conditioned (highly non-normal plant); ``cond`` is that basis's
+    condition number if the caller already has it.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -162,7 +156,8 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup, t_at = float(values[at]), at * h
     note = None
-    _, _, cond = linalg.eigenbasis(a)
+    if cond is None:
+        _, _, cond = linalg.eigenbasis(a)
     if cond > 1e6:
         note = (
             f"eigenvector condition estimate {cond:.3e}: plant is highly "
@@ -181,10 +176,10 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
     plant = params.plant
     tm = params.timers
 
+    spectrum, _, cond = params.eigen
     if params.rho_override is not None:
         rho = float(params.rho_override)
     else:
-        spectrum = linalg.eig_general(plant.a)
         if np.max(spectrum.real) >= 0.0:
             raise ValueError("plant matrix must be Hurwitz")
         rho = float(np.min(np.abs(spectrum.real)))
@@ -193,7 +188,7 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
     d_u = params.input_set.diameter()
     b_norm = linalg.spectral_norm(plant.b)
     if m_estimate is None:
-        m_estimate = estimate_M(plant.a, rho)
+        m_estimate = estimate_M(plant.a, rho, cond=cond)
     m_hat = m_estimate.value
     u_tilde, y_tilde, x_tilde = solve_optimal(params)
     r = (
@@ -237,7 +232,6 @@ def bound_thm2(t, init_dist: float, c: Constants, timers) -> float:
 @dataclass
 class BoundReport:
     which: str
-    entries: np.ndarray  # (k, 5) rows of (t, j, lhs, rhs_raw, rhs_clipped)
     max_violation: float
     first_entry_time: float | None  # first t with lhs <= 1e-6
     init_dist: float
@@ -253,18 +247,15 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
                 which: str = "thm1") -> BoundReport:
     """Evaluate distance vs. the convergence bound at every stored sample."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    t, j = arc.times, arc.j
+    t = arc.times
     lhs = dist_to_A(arc.x, c)
     init_dist = float(lhs[0])
-    rhs = bound_fn(t, init_dist, c, params.timers)
-    clipped = np.maximum(rhs, 0.0)
-    gap = lhs - clipped
+    gap = lhs - np.maximum(bound_fn(t, init_dist, c, params.timers), 0.0)
     worst = int(np.argmax(gap))
     inside = np.flatnonzero(lhs <= 1e-6)
     first_entry = float(t[inside[0]]) if inside.size else None
-    return BoundReport(which, np.column_stack([t, j, lhs, rhs, clipped]),
-                       float(gap[worst]), first_entry, init_dist,
-                       float(t[worst]), int(j[worst]))
+    return BoundReport(which, float(gap[worst]), first_entry, init_dist,
+                       float(t[worst]), int(arc.j[worst]))
 
 
 # Largest deviation of the stored x from its reconstruction that verify
@@ -287,88 +278,57 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     On an input period anchored at (t_a, x_a) with constant input u, the
     variation-of-constants formula reads
     x(t) = e^{A(t - t_a)} (x_a + w) - w with w = A^{-1} B u, since A^{-1}
-    commutes with e^{At}. On the eigenbasis path every period's w is
-    (A^{-1} B) u, from one guarded solve with B as its right-hand side. Each stored sample is evaluated from its own
-    offset t - t_a from the anchor, never chained from the previous sample
-    and never from the simulator's stepped propagator, so the check stays
-    independent of the simulator. The period that an input change closes
-    re-anchors the next one at the formula's value at the jump time.
+    commutes with e^{At}; every period's w is ``params.a_inv_b @ u``. Each
+    stored sample is evaluated from its own offset t - t_a from the anchor,
+    never chained from the previous sample and never from the simulator's
+    stepped propagator, so the check stays independent of the simulator.
+    The next period is anchored at this one's last sample, which is the
+    formula's value at the input change that closes the period.
 
-    Two paths evaluate e^{A(t - t_a)}:
+    Two paths evaluate e^{A s} v:
 
-    - ``"eigenbasis"``: for A = V diag(lambda) V^{-1} with
-      cond(V) <= ``linalg.EIGENBASIS_COND_LIMIT``,
-      x(t) = Re[V (e^{lambda (t - t_a)} * c)] - w with c = V^{-1}(x_a + w),
-      one complex n-vector of scalar exponentials per sample;
+    - ``"eigenbasis"``: for A = V diag(lambda) V^{-1} (``params.eigen``)
+      with cond(V) <= ``linalg.EIGENBASIS_COND_LIMIT``,
+      Re[V (e^{lambda s} * c)] with c = V^{-1} v, one complex n-vector of
+      scalar exponentials per sample;
     - ``"expm"``: otherwise (a defective or nearly defective A), one stacked
-      n x n exponential per sample.
+      n x n exponential per sample. ``linalg.EIGENBASIS_COND_LIMIT`` says
+      why the limit is sized against ``RECONSTRUCTION_TOL``.
 
-    The limit, 1e4, comes from ``RECONSTRUCTION_TOL`` = 1e-8: the eigen
-    form's rounding is about cond(V) * eps relative to the state, so at the
-    limit it is about 1e4 * 2.2e-16 = 2.2e-12 per unit of ||x||, and a state
-    of norm 100 stays 45 times under the tolerance. A defective A has a
-    huge cond(V) (9e15 for [[-1, 1], [0, -1]]) and takes the exponential.
-
-    Both paths work in blocks of at most ``_STACK_BLOCK`` samples and reduce
-    the deviation per block, so their working memory does not grow with the
-    arc. Reports the worst deviation from the stored trajectory, the path
-    taken and cond(V).
+    Samples are evaluated in blocks of at most ``_STACK_BLOCK`` and the
+    deviation is reduced per block, so the working memory does not grow
+    with the arc. Reports the worst deviation from the stored trajectory,
+    the path taken and cond(V).
     """
-    a, b = params.plant.a, params.plant.b
+    lam, vecs, cond = params.eigen
+    if cond <= linalg.EIGENBASIS_COND_LIMIT:
+        path, lu = "eigenbasis", scipy.linalg.lu_factor(vecs)
+
+        def exp_times(s, v):  # e^{A s} v for each offset in s
+            c = scipy.linalg.lu_solve(lu, v)
+            return ((np.exp(np.multiply.outer(s, lam)) * c) @ vecs.T).real
+    else:
+        path = "expm"
+
+        def exp_times(s, v):
+            return linalg.mat_exp(params.plant.a, s) @ v
     # segment k starts an input period when jump k - 1 applied g2
     starts = [0] + [rec.j + 1 for rec in arc.jumps if rec.applied == "g2"]
     ends = starts[1:] + [len(arc.offsets) - 1]
-    lam, vecs, cond = linalg.eigenbasis(a)
-    if cond <= linalg.EIGENBASIS_COND_LIMIT:
-        path = "eigenbasis"
-        recon, max_dev = _reconstruct_eigen(arc, a, b, starts, ends, lam, vecs)
-    else:
-        path = "expm"
-        recon, max_dev = _reconstruct_expm(arc, a, b, starts, ends)
-    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
-
-
-def _reconstruct_eigen(arc, a, b, starts, ends, lam, vecs):
-    gain = linalg.solve(a, b)  # w = (A^{-1} B) u in every period
-    lu = scipy.linalg.lu_factor(vecs)
     anchor_t, anchor_x = 0.0, arc.x[0].copy()
     recon = np.empty_like(arc.x)
     max_dev = 0.0
     for first, end in zip(starts, ends):
-        w = gain @ arc.u[first]
-        c = scipy.linalg.lu_solve(lu, anchor_x + w)
+        w = params.a_inv_b @ arc.u[first]
         lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
         for row in range(lo, hi, _STACK_BLOCK):
             rows = slice(row, min(row + _STACK_BLOCK, hi))
-            e = np.exp(np.multiply.outer(arc.times[rows] - anchor_t, lam))
-            recon[rows] = ((e * c) @ vecs.T).real - w
+            recon[rows] = exp_times(arc.times[rows] - anchor_t,
+                                    anchor_x + w) - w
             max_dev = max(max_dev,
                           float(np.max(np.abs(recon[rows] - arc.x[rows]))))
-        # the period's last sample is the formula at the closing jump
         anchor_t, anchor_x = float(arc.times[hi - 1]), recon[hi - 1].copy()
-    return recon, max_dev
-
-
-def _reconstruct_expm(arc, a, b, starts, ends):
-    anchor_t, anchor_x = 0.0, arc.x[0].copy()
-    recon = np.empty_like(arc.x)
-    max_dev = 0.0
-    for first, end in zip(starts, ends):
-        w = linalg.solve(a, b @ arc.u[first])
-        lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
-        for row in range(lo, hi, _STACK_BLOCK):
-            rows = slice(row, min(row + _STACK_BLOCK, hi))
-            recon[rows] = (linalg.mat_exp(a, arc.times[rows] - anchor_t)
-                           @ (anchor_x + w) - w)
-            max_dev = max(max_dev,
-                          float(np.max(np.abs(recon[rows] - arc.x[rows]))))
-        # the input change that closes the period re-anchors the sum
-        if end < len(arc.offsets) - 1:
-            t_jump = float(arc.times[hi - 1])
-            anchor_x = (linalg.mat_exp(a, t_jump - anchor_t) @ (anchor_x + w)
-                        - w)
-            anchor_t = t_jump
-    return recon, max_dev
+    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
 
 
 @dataclass

@@ -265,7 +265,8 @@ def _sweep_arguments(args):
     tau = args.tau
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ConfigError(f"--tau must be finite and >= 0, got {tau!r}")
-    texts = args.deltas.split(",") if args.deltas else ["0.1", "0.01", "0.001"]
+    texts = (["0.1", "0.01", "0.001"] if args.deltas is None
+             else args.deltas.split(","))
     deltas = []
     for text in texts:
         try:

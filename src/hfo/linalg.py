@@ -89,36 +89,24 @@ def propagator(a, b, dt):
     return e[..., :n, :n].copy(), e[..., :n, n:].copy()
 
 
-def eig_general(a) -> np.ndarray:
-    """All eigenvalues of a real square matrix, residual-checked.
-
-    Returns a complex array sorted by (real, imag). Each eigenpair is
-    verified to satisfy ||A v - lambda v|| <= tol * ||A||.
-    """
-    a = _as_square(a)
-    w, v = np.linalg.eig(a)
-    scale = max(np.linalg.norm(a, 2), 1.0)
-    for i in range(len(w)):
-        vec = v[:, i]
-        resid = np.linalg.norm(a @ vec - w[i] * vec)
-        if resid > EIG_RESIDUAL_FACTOR * scale:
-            raise np.linalg.LinAlgError(
-                f"eigenpair residual {resid:.3e} exceeds tolerance for eigenvalue {w[i]}"
-            )
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
-
-
 def eigenbasis(a):
     """Eigen-decomposition A = V diag(lambda) V^{-1} of a real square matrix.
 
     Returns (eigenvalues, V, cond(V)): the eigenvalues in LAPACK's order
     (complex unless all are real), the unit-norm eigenvectors as V's columns
     in the same order, and the 2-norm condition number of V, which is huge
-    or infinite when A is defective or close to it.
+    or infinite when A is defective or close to it. Every eigenpair is
+    verified to satisfy ||A v - lambda v|| <= tol * max(||A||, 1).
     """
     a = _as_square(a)
     w, v = np.linalg.eig(a)
+    resid = np.linalg.norm(a @ v - v * w, axis=0)
+    bad = np.flatnonzero(resid > EIG_RESIDUAL_FACTOR
+                         * max(np.linalg.norm(a, 2), 1.0))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"eigenpair residual {resid[bad[0]]:.3e} exceeds tolerance for "
+            f"eigenvalue {w[bad[0]]}")
     return w, v, float(np.linalg.cond(v))
 
 

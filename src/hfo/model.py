@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,13 +132,25 @@ class JumpPolicy:
     seed: int = 0
 
 
-def steady_state_gain(plant: Plant) -> np.ndarray:
-    """Steady-state input-to-output gain H = -C A^{-1} B."""
-    return -plant.c_out @ linalg.solve(plant.a, plant.b)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Curvature(NamedTuple):
+    """(lambda_min, lambda_max) of Q_u and of the hessian Q_u + H'Q_yH."""
+
+    q_u: tuple[float, float]
+    hessian: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class ModelParams:
+    """One parameter set. The quantities derived from it are read-only
+    properties, each computed on first use and then kept: ``eigen``,
+    ``a_inv_b``, ``h`` and ``curvature``. A parameter set made by
+    ``dataclasses.replace`` derives its own."""
+
     plant: Plant
     objective: Objective
     timers: Timers
@@ -145,12 +158,30 @@ class ModelParams:
     rho_override: float | None = None
 
     @functools.cached_property
+    def eigen(self) -> tuple:
+        """(eigenvalues, V, cond(V)) of A = V diag(lambda) V^{-1}, from one
+        residual-checked ``linalg.eigenbasis``."""
+        w, v, cond = linalg.eigenbasis(self.plant.a)
+        return _read_only(w), _read_only(v), cond
+
+    @functools.cached_property
+    def a_inv_b(self) -> np.ndarray:
+        """A^{-1} B, from one guarded solve (which needs an invertible A)."""
+        return _read_only(linalg.solve(self.plant.a, self.plant.b))
+
+    @functools.cached_property
     def h(self) -> np.ndarray:
-        """The nominal gain H = -C A^{-1} B, computed on first use (which
-        needs an invertible A) and read-only."""
-        h = steady_state_gain(self.plant)
-        h.flags.writeable = False
-        return h
+        """The nominal steady-state gain H = -C A^{-1} B."""
+        return _read_only(-self.plant.c_out @ self.a_inv_b)
+
+    @functools.cached_property
+    def curvature(self) -> Curvature:
+        """Extreme eigenvalues of Q_u and of Q_u + H'Q_yH."""
+        obj = self.objective
+        lam_u = linalg.eig_sym(obj.q_u)
+        lam_h = linalg.eig_sym(obj.q_u + self.h.T @ obj.q_y @ self.h)
+        return Curvature((float(lam_u[0]), float(lam_u[-1])),
+                         (float(lam_h[0]), float(lam_h[-1])))
 
 
 @dataclass(frozen=True)
@@ -194,11 +225,9 @@ def gradient_constants(params: ModelParams):
     """(mu, L, q) of the gradient step: mu = lambda_min(Q_u), the Lipschitz
     constant L = lambda_max(Q_u + H'Q_yH) and the per-iteration contraction
     factor q = 1 - 2 gamma mu + gamma^2 L^2."""
-    obj = params.objective
-    h = params.h
-    big_l = float(linalg.eig_sym(obj.q_u + h.T @ obj.q_y @ h)[-1])
-    mu = float(linalg.eig_sym(obj.q_u)[0])
-    return mu, big_l, 1.0 - 2.0 * obj.gamma * mu + obj.gamma ** 2 * big_l ** 2
+    mu, big_l = params.curvature.q_u[0], params.curvature.hessian[1]
+    gamma = params.objective.gamma
+    return mu, big_l, 1.0 - 2.0 * gamma * mu + gamma ** 2 * big_l ** 2
 
 
 class HybridFOModel:
@@ -348,10 +377,8 @@ def validate(params: ModelParams, zeta0: State | None = None,
     """
     checks: list[Check] = []
     tm = params.timers
-    plant = params.plant
 
-    spectrum = linalg.eig_general(plant.a)
-    max_re = float(np.max(spectrum.real))
+    max_re = float(np.max(params.eigen[0].real))
     if max_re < 0.0:
         checks.append(Check("hurwitz", "pass", f"max Re(lambda) = {max_re:.4g}"))
     else:

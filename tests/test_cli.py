@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hfo import analysis, cli, hybrid, robustness
+from hfo import analysis, cli, hybrid, linalg, robustness
 from hfo.cli import main
 from hfo.config import ConfigError, parse_config
 from hfo.model import HybridFOModel
@@ -617,6 +617,52 @@ class TestVerifyCommand:
         assert recon["eigenbasis_cond"] > 1e15
         assert recon["passed"] is True
 
+    def test_mimo_derives_each_quantity_once(self, tmp_path, monkeypatch):
+        """One eigendecomposition of A, one guarded solve (for A^{-1} B) and
+        a handful of symmetric spectra per verify, whatever the number of
+        input periods."""
+        rng = np.random.default_rng(13)
+        n, m, p = 20, 5, 5
+        skew = rng.standard_normal((n, n)) * (0.5 / np.sqrt(n))
+        spd = rng.standard_normal((n, n))
+        a = -(spd @ spd.T / n + 0.5 * np.eye(n)) + (skew - skew.T)
+        b = rng.standard_normal((n, m)) / np.sqrt(n)
+        c = rng.standard_normal((p, n)) / np.sqrt(n)
+        h = -c @ np.linalg.solve(a, b)
+        big_l = float(np.linalg.eigvalsh(np.eye(m) + h.T @ h)[-1])
+        data = load_s1_dict()
+        data.pop("perturbation")
+        data.update({
+            "plant": {"A": a.tolist(), "B": b.tolist(), "C": c.tolist(),
+                      "d": [0.1] * p},
+            "objective": {"Q_u": np.eye(m).tolist(), "Q_y": np.eye(p).tolist(),
+                          "y_hat": [1.0] * p,
+                          "gamma": 0.5 * min(2.0 / (1.0 + big_l),
+                                             2.0 / big_l ** 2)},
+            "input_set": {"kind": "box", "lo": [-1.0] * m, "hi": [1.0] * m},
+            "horizon": {"T": 5.0, "J": 1000},
+        })
+        cfg = write_config(tmp_path, data)
+        calls = {}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(np.linalg, "eig")
+        counting(np.linalg, "eigvalsh")
+        counting(linalg, "solve")
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["checks"]["contraction"]["periods"] >= 4
+        assert calls["eig"] == 1
+        assert calls["solve"] == 1
+        assert calls["eigvalsh"] <= 6
+
     @pytest.mark.parametrize("timers, policy, least", [
         # input jumps on a 1.1 grid, gradient jumps on a 0.25 grid
         ({"tau_c_min": 1.1, "tau_c_max": 1.1}, {}, 1.1),
@@ -730,7 +776,7 @@ class TestRobustnessCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--tau", "inf"), ("--tau", "nan"), ("--tau", "-1"),
         ("--deltas", "nan"), ("--deltas", "0.1,-0.01"), ("--deltas", "inf"),
-        ("--deltas", "0.1,abc"),
+        ("--deltas", "0.1,abc"), ("--deltas", ""), ("--deltas", " "),
     ])
     def test_bad_sweep_arguments_exit_2(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, load_s1_dict())

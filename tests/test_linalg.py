@@ -152,13 +152,15 @@ class TestStepLti:
 
 
 class TestEigGeneral:
+    """Eigenvalues of general (non-symmetric) matrices, from eigenbasis."""
+
     def test_diagonal(self):
-        w = linalg.eig_general(np.diag([-1.0, -3.0]))
+        w = linalg.eigenbasis(np.diag([-1.0, -3.0]))[0]
         np.testing.assert_allclose(sorted(w.real), [-3.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(w.imag, 0.0, atol=1e-12)
 
     def test_rotation_block(self):
-        w = linalg.eig_general(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+        w = linalg.eigenbasis(np.array([[-1.0, 2.0], [-2.0, -1.0]]))[0]
         np.testing.assert_allclose(w.real, [-1.0, -1.0], atol=1e-10)
         np.testing.assert_allclose(sorted(w.imag), [-2.0, 2.0], atol=1e-10)
 
@@ -168,7 +170,7 @@ class TestEigGeneral:
         companion = np.zeros((4, 4))
         companion[1:, :3] = np.eye(3)
         companion[:, 3] = -coeffs[:4]
-        w = linalg.eig_general(companion)
+        w = linalg.eigenbasis(companion)[0]
         np.testing.assert_allclose(sorted(w.real), sorted(roots), atol=1e-8)
 
     def test_conjugate_closure_and_trace(self):
@@ -176,7 +178,7 @@ class TestEigGeneral:
         for _ in range(30):
             n = int(rng.integers(2, 6))
             a = rng.standard_normal((n, n))
-            w = linalg.eig_general(a)
+            w = linalg.eigenbasis(a)[0]
             np.testing.assert_allclose(np.sort(w.imag), np.sort(-w.imag),
                                        atol=1e-8)
             assert abs(np.sum(w).real - np.trace(a)) < 1e-8
@@ -296,3 +298,15 @@ class TestEigenbasis:
     def test_defective_matrix_is_ill_conditioned(self):
         _, _, cond = linalg.eigenbasis(np.array([[-1.0, 1.0], [0.0, -1.0]]))
         assert cond > 1e15 > linalg.EIGENBASIS_COND_LIMIT
+
+    def test_rejects_an_inexact_eigenpair(self, monkeypatch):
+        exact = np.linalg.eig
+
+        def off_in_one_vector(a):
+            w, v = exact(a)
+            v[0, 1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", off_in_one_vector)
+        with pytest.raises(np.linalg.LinAlgError, match="eigenpair residual"):
+            linalg.eigenbasis(np.diag([-1.0, -3.0]))

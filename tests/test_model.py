@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -16,7 +17,6 @@ from hfo.model import (
     grad_u_phi,
     make_state,
     phi,
-    steady_state_gain,
     strict_initial_state,
     validate,
 )
@@ -66,29 +66,29 @@ class TestInputSets:
 
 class TestGainAndObjective:
     def test_scalar_gain(self, s1):
-        np.testing.assert_allclose(steady_state_gain(s1.plant), [[1.0]])
+        np.testing.assert_allclose(s1.h, [[1.0]])
 
-    def test_two_state_gain(self):
+    def test_two_state_gain(self, s1):
         # chain: dx1 = -x1 + u, dx2 = x1 - 2 x2, y = x2; dc gain = 1/2
         plant = Plant(np.array([[-1.0, 0.0], [1.0, -2.0]]),
                       np.array([[1.0], [0.0]]),
                       np.array([[0.0, 1.0]]), np.array([0.0]))
-        np.testing.assert_allclose(steady_state_gain(plant), [[0.5]],
-                                   atol=1e-12)
+        params = dataclasses.replace(s1, plant=plant)
+        np.testing.assert_allclose(params.h, [[0.5]], atol=1e-12)
 
     def test_phi_value(self, s1):
         # 0.5*1 + 0.5*(0.5-2)^2 = 1.625
         assert phi([1.0], [0.5], s1.objective) == pytest.approx(1.625)
 
     def test_grad_value(self, s1):
-        h = steady_state_gain(s1.plant)
+        h = s1.h
         g = grad_u_phi([0.0], [0.5], s1.objective, h)
         np.testing.assert_allclose(g, [-1.5])
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         params = random_params(rng)
-        h = steady_state_gain(params.plant)
+        h = params.h
         obj = params.objective
         z = rng.standard_normal(params.plant.m)
 
@@ -281,10 +281,11 @@ class TestModelGeometry:
         assert model.which_case(0.0, 0.1) == "g2"
         assert model.which_case(0.0, 0.0) == "both"
 
-    def test_gain_derived_once(self, s1):
+    def test_gain_derived_once(self, s1, monkeypatch):
         h = s1.h
         assert s1.h is h
-        np.testing.assert_array_equal(h, steady_state_gain(s1.plant))
+        np.testing.assert_array_equal(
+            h, -s1.plant.c_out @ np.linalg.solve(s1.plant.a, s1.plant.b))
         assert not h.flags.writeable
         assert HybridFOModel(s1).h is h
         # a replaced parameter set derives its own gain
@@ -292,6 +293,48 @@ class TestModelGeometry:
             s1, plant=Plant(np.array([[-2.0]]), s1.plant.b, s1.plant.c_out,
                             s1.plant.d))
         assert other.h[0, 0] == 0.5
+        # so are A's eigenbasis, A^{-1} B and the curvature record
+        params = random_params(np.random.default_rng(41), n=3)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(m.linalg, name, wrapper)
+
+        for name in ("eigenbasis", "solve", "eig_sym"):
+            counted(name, getattr(m.linalg, name))
+        for _ in range(2):
+            lam, vecs, cond = params.eigen
+            a_inv_b = params.a_inv_b
+            curvature = params.curvature
+            m.gradient_constants(params)
+        assert calls == {"eigenbasis": 1, "solve": 1, "eig_sym": 2}
+        assert params.eigen[1] is vecs and params.a_inv_b is a_inv_b
+        assert params.curvature is curvature
+        # each is what it names, and read-only
+        a, b = params.plant.a, params.plant.b
+        np.testing.assert_allclose(a @ vecs, vecs * lam, atol=1e-12)
+        assert cond == pytest.approx(np.linalg.cond(vecs))
+        np.testing.assert_allclose(a @ a_inv_b, b, atol=1e-12)
+        obj = params.objective
+        hess = obj.q_u + params.h.T @ obj.q_y @ params.h
+        np.testing.assert_allclose(
+            curvature, [np.linalg.eigvalsh(obj.q_u)[[0, -1]],
+                        np.linalg.eigvalsh(hess)[[0, -1]]], rtol=1e-12)
+        for array in (lam, vecs, a_inv_b):
+            assert not array.flags.writeable
+        with pytest.raises(AttributeError):
+            curvature.q_u = (0.0, 0.0)
+        # a replaced parameter set derives its own
+        other = dataclasses.replace(
+            params, plant=dataclasses.replace(params.plant, a=2.0 * a))
+        np.testing.assert_allclose(np.sort_complex(other.eigen[0]),
+                                   np.sort_complex(2.0 * lam), atol=1e-12)
+        np.testing.assert_allclose(other.a_inv_b, 0.5 * a_inv_b, atol=1e-12)
+        assert other.curvature.q_u == curvature.q_u
+        assert calls == {"eigenbasis": 2, "solve": 2, "eig_sym": 4}
 
     def test_timer_periods(self, s1):
         model = HybridFOModel(s1)
