@@ -57,6 +57,9 @@ class MEstimate:
     non_normal_note: str | None = None
 
 
+M_MARGIN = 0.05  # estimate_M's value is its grid supremum times 1 + this
+NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
+
 # Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
 # stored samples (reconstruct_x's eigenbasis rows) one batched call holds at
 # once, so memory stays O(n^2) per block.
@@ -97,12 +100,11 @@ def solve_optimal(params: ModelParams):
     obj = params.objective
     plant = params.plant
     h = params.h
-    hess = obj.q_u + h.T @ obj.q_y @ h
     eigs = params.curvature.hessian
     offset = h.T @ (obj.q_y @ (plant.d - obj.y_hat))
 
     def grad(u):
-        return hess @ u + offset
+        return params.hessian @ u + offset
 
     u_tilde = _pgd_fixed_point(grad, eigs, params.input_set, plant.m,
                                check_gamma=2.0 / (eigs[0] + eigs[1]))
@@ -123,18 +125,16 @@ def fixed_point_z(y_s, params: ModelParams):
                             obj.q_u.shape[0], check_gamma=obj.gamma)
 
 
-def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 10.0,
-               margin: float = 0.05, cond: float | None = None) -> MEstimate:
+def estimate_M(a, rho: float, grid_points: int = 2000,
+               horizon_factor: float = 10.0) -> MEstimate:
     """Estimate of the overshoot constant in ||e^{At}|| <= M e^{-rho t}.
 
-    Grid supremum of ||e^{At}|| e^{rho t} over [0, horizon_factor/rho] with a
-    safety margin; the maximizer is returned for audit. The recurrence that
-    builds e^{At} on the grid carries a relative rounding error of up to
-    about grid_points * n * eps, so grid values that close to the largest one
-    count as ties, and the earliest of them (t = 0, value 1, included) is the
-    reported maximizer. Emits a note when the eigenvector basis is badly
-    conditioned (highly non-normal plant); ``cond`` is that basis's
-    condition number if the caller already has it.
+    Grid supremum of ||e^{At}|| e^{rho t} over [0, horizon_factor/rho],
+    times 1 + ``M_MARGIN``; the maximizer is returned for audit. The
+    recurrence that builds e^{At} on the grid carries a relative rounding
+    error of up to about grid_points * n * eps, so grid values that close to
+    the largest one count as ties, and the earliest of them (t = 0, value 1,
+    included) is the reported maximizer.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -154,16 +154,8 @@ def estimate_M(a, rho: float, grid_points: int = 2000, horizon_factor: float = 1
         values[start:start + len(t)] = norms * np.exp(rho * t)
     tie = grid_points * a.shape[0] * np.finfo(float).eps
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
-    sup, t_at = float(values[at]), at * h
-    note = None
-    if cond is None:
-        _, _, cond = linalg.eigenbasis(a)
-    if cond > 1e6:
-        note = (
-            f"eigenvector condition estimate {cond:.3e}: plant is highly "
-            "non-normal, overshoot estimate may be loose"
-        )
-    return MEstimate(max(1.0, sup) * (1.0 + margin), t_at, sup, note)
+    sup = float(values[at])
+    return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)
 
 
 def constants(params: ModelParams, m_estimate: MEstimate | None = None,
@@ -188,7 +180,11 @@ def constants(params: ModelParams, m_estimate: MEstimate | None = None,
     d_u = params.input_set.diameter()
     b_norm = linalg.spectral_norm(plant.b)
     if m_estimate is None:
-        m_estimate = estimate_M(plant.a, rho, cond=cond)
+        m_estimate = estimate_M(plant.a, rho)
+        if cond > NON_NORMAL_COND:
+            m_estimate.non_normal_note = (
+                f"eigenvector condition estimate {cond:.3e}: plant is highly "
+                "non-normal, overshoot estimate may be loose")
     m_hat = m_estimate.value
     u_tilde, y_tilde, x_tilde = solve_optimal(params)
     r = (
@@ -312,13 +308,10 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
 
         def exp_times(s, v):
             return linalg.mat_exp(params.plant.a, s) @ v
-    # segment k starts an input period when jump k - 1 applied g2
-    starts = [0] + [rec.j + 1 for rec in arc.jumps if rec.applied == "g2"]
-    ends = starts[1:] + [len(arc.offsets) - 1]
     anchor_t, anchor_x = 0.0, arc.x[0].copy()
     recon = np.empty_like(arc.x)
     max_dev = 0.0
-    for first, end in zip(starts, ends):
+    for first, end in arc.periods():
         w = params.a_inv_b @ arc.u[first]
         lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
         for row in range(lo, hi, _STACK_BLOCK):
@@ -347,41 +340,28 @@ class RateReport:
     passed: bool
 
 
-def rate_check(arc: HybridArc, params: ModelParams,
-               step_tol: float = 1e-12, aggregate_tol: float = 1e-9) -> RateReport:
+# Largest per-step and aggregate contraction margins rate_check accepts.
+STEP_TOL = 1e-12
+AGGREGATE_TOL = 1e-9
+
+
+def rate_check(arc: HybridArc, params: ModelParams) -> RateReport:
     """Verify per-step and aggregate optimizer contraction in every completed
-    input period against that period's projected-gradient fixed point."""
-    _, _, c_q = gradient_constants(params)
-    y_period = arc.y_s[0]
-    iterates = [arc.z[0]]
-    periods: list[PeriodCheck] = []
-    for rec in arc.jumps:
-        after = rec.j + 1
-        if rec.applied == "g1":
-            iterates.append(arc.z[after])
-        else:
-            periods.append(_check_period(len(periods), iterates, y_period, params,
-                                         c_q, step_tol, aggregate_tol))
-            y_period = arc.y_s[after]
-            iterates = [arc.z[after]]
+    input period against that period's projected-gradient fixed point: the
+    iterates z[first:end] of period (first, end) and its held y_s[first]."""
+    _, _, q = gradient_constants(params)
+    periods = []
+    for k, (first, end) in enumerate(arc.periods()[:-1]):
+        z_star = fixed_point_z(arc.y_s[first], params)
+        dists = [float(np.linalg.norm(z - z_star)) for z in arc.z[first:end]]
+        worst = max((d1 ** 2 - q * d0 ** 2 for d0, d1 in zip(dists, dists[1:])),
+                    default=-np.inf)
+        alpha = end - first - 1
+        agg_margin = -np.inf
+        if alpha >= 1:
+            agg_margin = dists[-1] - q ** ((alpha - 1) / 2.0) * dists[1]
+        periods.append(PeriodCheck(k, alpha, worst <= STEP_TOL,
+                                   agg_margin <= AGGREGATE_TOL, worst,
+                                   agg_margin))
     return RateReport(periods, all(p.per_step_ok and p.aggregate_ok
                                    for p in periods))
-
-
-def _check_period(p, iterates, y_period, params, q, step_tol, aggregate_tol):
-    z_star = fixed_point_z(y_period, params)
-    dists = [float(np.linalg.norm(z - z_star)) for z in iterates]
-    worst = -np.inf
-    for d0, d1 in zip(dists, dists[1:]):
-        worst = max(worst, d1 ** 2 - q * d0 ** 2)
-    alpha = len(iterates) - 1
-    agg_margin = -np.inf
-    if alpha >= 1:
-        agg_margin = dists[-1] - q ** ((alpha - 1) / 2.0) * dists[1]
-    return PeriodCheck(
-        p, alpha,
-        per_step_ok=worst <= step_tol,
-        aggregate_ok=agg_margin <= aggregate_tol,
-        worst_step_margin=worst,
-        aggregate_margin=agg_margin,
-    )

@@ -20,6 +20,7 @@ edge: the initial state ``simulate`` takes and ``Segment.state(k)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -155,6 +156,21 @@ class HybridArc:
     def held(self) -> np.ndarray:
         """Rows of [u, y_s, z], one per segment."""
         return np.hstack([self.u, self.y_s, self.z])
+
+    def periods(self) -> list:
+        """The (first, end) segment range of every input period, in order.
+
+        A g2 jump closes a period, so every jump inside one applied g1 and
+        its optimizer iterates are ``z[first:end]``. The last period, which
+        runs to the arc's end, is the one no g2 closes.
+        """
+        starts = [0]
+        for rec in self.jumps:
+            if rec.applied == "g2":
+                starts.append(rec.j + 1)
+            elif rec.applied != "g1":
+                raise ValueError(f"malformed jump log: unknown map {rec.applied!r}")
+        return list(zip(starts, starts[1:] + [len(self.offsets) - 1]))
 
 
 def next_event(tau_c: float, tau_g: float, rate_c: float = -1.0, rate_g: float = -1.0):
@@ -439,31 +455,10 @@ def _aligned(model, zeta0, policy) -> bool:
 
 
 def jump_stats(arc: HybridArc) -> JumpStats:
-    """Count gradient-descent jumps per completed input period.
-
-    Input changes must occur at the jump positions the period bookkeeping
-    implies; a mismatch means the jump log is malformed.
-    """
-    alpha = []
-    counter = 0
-    for pos, rec in enumerate(arc.jumps):
-        if rec.applied == "g1":
-            counter += 1
-        elif rec.applied == "g2":
-            alpha.append(counter)
-            counter = 0
-            expected = sum(alpha) + len(alpha) - 1
-            if pos != expected:
-                raise ValueError(
-                    f"malformed jump log: input change #{len(alpha)} at jump "
-                    f"position {pos}, expected {expected}"
-                )
-        else:
-            raise ValueError(f"malformed jump log: unknown map {rec.applied!r}")
-    alpha_bar = [0]
-    for a in alpha:
-        alpha_bar.append(alpha_bar[-1] + a)
-    return JumpStats(alpha, alpha_bar)
+    """Count gradient-descent jumps per completed input period: each jump
+    inside a period applied g1, so period (first, end) holds end - first - 1."""
+    alpha = [end - first - 1 for first, end in arc.periods()[:-1]]
+    return JumpStats(alpha, list(itertools.accumulate(alpha, initial=0)))
 
 
 @dataclass
@@ -477,20 +472,18 @@ class NonZenoReport:
     min_dwell: float | None = None  # the group-gap bound applied, if any
 
 
-def check_non_zeno(arc: HybridArc, min_dwell: float | None = None) -> NonZenoReport:
+def check_non_zeno(arc: HybridArc) -> NonZenoReport:
     """Structural non-Zeno checks on a simulated arc.
 
     Verifies that (a) every completed jump sequence leaves both timers
     strictly positive and (b) at most two jumps share one continuous time.
-    With a group-gap bound (``min_dwell``, else ``arc.min_dwell``, which
-    ``simulate`` sets only for runs whose jumps all lie on the tau_g grid) it
-    verifies (c) that jump groups lie at least that far apart; without one,
-    (c') that consecutive g1 jumps and consecutive g2 jumps lie at least
+    With a group-gap bound (``arc.min_dwell``, which ``simulate`` sets only
+    for runs whose jumps all lie on the tau_g grid) it verifies (c) that
+    jump groups lie at least that far apart; without one, (c') that
+    consecutive g1 jumps and consecutive g2 jumps lie at least
     ``arc.spacing`` apart. Violations are reported, not raised.
     """
-    if min_dwell is None:
-        min_dwell = arc.min_dwell
-    violations = []
+    violations, min_dwell = [], arc.min_dwell
     groups = []
     for rec in arc.jumps:
         if groups and abs(rec.t - groups[-1][-1].t) <= EVENT_TOL:

@@ -66,6 +66,9 @@ class Timers:
     ell: int
 
 
+SET_TOL = 1e-9  # how far outside an input set a point still counts as inside
+
+
 class Box:
     """Axis-aligned box input set with componentwise clamp projection."""
 
@@ -78,9 +81,9 @@ class Box:
     def project(self, v) -> np.ndarray:
         return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
+        return bool(np.all(v >= self.lo - SET_TOL) and np.all(v <= self.hi + SET_TOL))
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
@@ -106,9 +109,9 @@ class Ball:
             return v.copy()
         return self.center + offset * (self.radius / dist)
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
         return bool(np.linalg.norm(np.asarray(v, dtype=float) - self.center)
-                    <= self.radius + tol)
+                    <= self.radius + SET_TOL)
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -148,8 +151,8 @@ class Curvature(NamedTuple):
 class ModelParams:
     """One parameter set. The quantities derived from it are read-only
     properties, each computed on first use and then kept: ``eigen``,
-    ``a_inv_b``, ``h`` and ``curvature``. A parameter set made by
-    ``dataclasses.replace`` derives its own."""
+    ``a_inv_b``, ``h``, ``hessian`` and ``curvature``. A parameter set made
+    by ``dataclasses.replace`` derives its own."""
 
     plant: Plant
     objective: Objective
@@ -175,11 +178,16 @@ class ModelParams:
         return _read_only(-self.plant.c_out @ self.a_inv_b)
 
     @functools.cached_property
-    def curvature(self) -> Curvature:
-        """Extreme eigenvalues of Q_u and of Q_u + H'Q_yH."""
+    def hessian(self) -> np.ndarray:
+        """The objective's hessian in u, Q_u + H'Q_yH."""
         obj = self.objective
-        lam_u = linalg.eig_sym(obj.q_u)
-        lam_h = linalg.eig_sym(obj.q_u + self.h.T @ obj.q_y @ self.h)
+        return _read_only(obj.q_u + self.h.T @ obj.q_y @ self.h)
+
+    @functools.cached_property
+    def curvature(self) -> Curvature:
+        """Extreme eigenvalues of Q_u and of ``hessian``."""
+        lam_u = linalg.eig_sym(self.objective.q_u)
+        lam_h = linalg.eig_sym(self.hessian)
         return Curvature((float(lam_u[0]), float(lam_u[-1])),
                          (float(lam_h[0]), float(lam_h[-1])))
 
@@ -344,6 +352,7 @@ class Check:
 @dataclass
 class Diagnostics:
     checks: list
+    zeta0: State | None = None  # the initial state checked, if any
 
     @property
     def ok(self) -> bool:
@@ -354,12 +363,11 @@ class Diagnostics:
 
 
 def _spd_check(name, mat, checks):
-    mat = np.asarray(mat, dtype=float)
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.T).max() > 1e-12 * scale:
-        checks.append(Check(name, "fail", "matrix is not symmetric"))
+    try:
+        lam = linalg.eig_sym(mat)
+    except ValueError as exc:  # not symmetric within linalg.SYMMETRY_TOL
+        checks.append(Check(name, "fail", str(exc)))
         return None
-    lam = linalg.eig_sym(mat)
     if lam[0] <= 0.0:
         checks.append(Check(name, "fail", f"smallest eigenvalue {lam[0]:.3e} <= 0"))
         return None
@@ -369,21 +377,29 @@ def _spd_check(name, mat, checks):
 
 def validate(params: ModelParams, zeta0: State | None = None,
              mode: str = "strict") -> Diagnostics:
-    """Check every standing assumption; returns structured diagnostics.
+    """Check every standing assumption and the initial state, in one pass.
 
-    ``mode="strict"`` also requires the restricted initialization
-    (tau_c in its reset interval, tau_g at its reset value, z = u, u in the
-    input set); ``mode="global"`` reports those as warnings only.
+    ``hurwitz`` also needs A^{-1}B (so H) from the guarded solve; the checks
+    that read H, and the strict start built when ``zeta0`` is None, wait for
+    it. ``Diagnostics.zeta0`` is the state checked. ``mode="strict"`` fails
+    a start outside the restricted initialization (tau_c in its reset
+    interval, tau_g at its reset value, z = u, u in the input set); "global" warns.
     """
     checks: list[Check] = []
     tm = params.timers
 
     max_re = float(np.max(params.eigen[0].real))
-    if max_re < 0.0:
-        checks.append(Check("hurwitz", "pass", f"max Re(lambda) = {max_re:.4g}"))
-    else:
+    if max_re >= 0.0:
         checks.append(Check("hurwitz", "fail",
                             f"plant matrix has eigenvalue with Re = {max_re:.4g} >= 0"))
+    else:
+        try:
+            params.a_inv_b  # H = -C A^{-1} B, which later checks read
+            checks.append(Check("hurwitz", "pass", f"max Re(lambda) = {max_re:.4g}"))
+        except linalg.SingularMatrixError as exc:
+            checks.append(Check("hurwitz", "fail", f"max Re(lambda) = "
+                                f"{max_re:.4g}, but A^-1 B does not exist: {exc}"))
+    hurwitz = checks[0].status == "pass"
 
     lam_u = _spd_check("q_u_spd", params.objective.q_u, checks)
     lam_y = _spd_check("q_y_spd", params.objective.q_y, checks)
@@ -394,7 +410,9 @@ def validate(params: ModelParams, zeta0: State | None = None,
     except Exception as exc:  # degenerate set specification
         checks.append(Check("input_set", "fail", str(exc)))
 
-    if 0.0 < tm.tau_c_min <= tm.tau_c_max and tm.tau_g_comp > 0.0 and tm.ell >= 1:
+    timers_ok = (0.0 < tm.tau_c_min <= tm.tau_c_max and tm.tau_g_comp > 0.0
+                 and tm.ell >= 1)
+    if timers_ok:
         checks.append(Check("timers", "pass", ""))
     else:
         checks.append(Check("timers", "fail",
@@ -411,7 +429,7 @@ def validate(params: ModelParams, zeta0: State | None = None,
             f"{tm.tau_c_min:.4g}; fewer than ell gradient iterations fit per input "
             "period"))
 
-    if lam_u is not None and lam_y is not None and max_re < 0.0:
+    if lam_u is not None and lam_y is not None and hurwitz:
         mu, big_l, q = gradient_constants(params)
         gamma = params.objective.gamma
         bound = 2.0 / (mu + big_l)
@@ -429,11 +447,12 @@ def validate(params: ModelParams, zeta0: State | None = None,
             checks.append(Check("contraction", "fail",
                                 f"contraction factor q = {q:.6g} not in (0, 1)"))
 
+    if zeta0 is None and hurwitz:
+        zeta0 = strict_initial_state(params)
     if zeta0 is not None:
         init_status = "fail" if mode == "strict" else "warn"
-        # the model needs H = -C A^{-1} B and a valid reset interval
-        if all(c.status == "pass" for c in checks
-               if c.name in ("hurwitz", "timers")):
+        # the model needs H and a valid reset interval
+        if hurwitz and timers_ok:
             if HybridFOModel(params).contains(zeta0.tau_c, zeta0.tau_g):
                 checks.append(Check("init_domain", "pass", ""))
             else:
@@ -454,7 +473,7 @@ def validate(params: ModelParams, zeta0: State | None = None,
         else:
             checks.append(Check("init_restricted", "pass", ""))
 
-    return Diagnostics(checks)
+    return Diagnostics(checks, zeta0)
 
 
 def strict_initial_state(params: ModelParams, x0=None, u0=None,

@@ -202,10 +202,19 @@ class TestEstimateM:
             est.t_at_max)
         assert at_max == pytest.approx(est.sup, rel=1e-9)
 
-    def test_non_normal_note(self):
-        a = np.array([[-1.0, 1e7], [0.0, -1.0]])
-        est = estimate_M(a, 1.0)
-        assert est.non_normal_note is not None
+    def test_non_normal_note(self, s1):
+        # constants attaches the note from params.eigen: the Jordan block's
+        # eigenvector matrix is numerically singular, S1's is the identity
+        plant = Plant(np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                      np.array([[1.0], [0.0]]), np.array([[0.2, 0.0]]),
+                      s1.plant.d)
+        jordan = dataclasses.replace(s1, plant=plant)
+        assert jordan.eigen[2] > 1e6
+        note = constants(jordan).m_estimate.non_normal_note
+        assert note.startswith("eigenvector condition estimate ")
+        assert note.endswith(": plant is highly non-normal, overshoot "
+                             "estimate may be loose")
+        assert constants(s1).m_estimate.non_normal_note is None
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):

@@ -523,6 +523,22 @@ class TestSimulateCommand:
         assert err.startswith("error: validation failed:")
         assert "hurwitz" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    def test_numerically_singular_plant_fails_hurwitz(self, tmp_path, capsys,
+                                                      command):
+        # Hurwitz, but cond(A) = 1e13 is past the guarded solve's limit, so
+        # A^{-1} B and H do not exist numerically: bad input, not exit 3
+        data = load_s1_dict()
+        data["plant"].update({"A": [[-1.0, 0.0], [0.0, -1e-13]],
+                              "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]})
+        data["perturbation"] = {}
+        cfg = write_config(tmp_path, data)
+        assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation failed:\n  hurwitz: ")
+        assert "condition estimate 1.000e+13" in err
+        assert "stepsize" not in err and "init_" not in err
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ not json }")
@@ -656,12 +672,15 @@ class TestVerifyCommand:
         counting(np.linalg, "eig")
         counting(np.linalg, "eigvalsh")
         counting(linalg, "solve")
+        counting(cli, "validate")
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["checks"]["contraction"]["periods"] >= 4
+        assert calls["validate"] == 1
         assert calls["eig"] == 1
         assert calls["solve"] == 1
-        assert calls["eigvalsh"] <= 6
+        # Q_u and Q_y checked once each, then Q_u and the hessian's extremes
+        assert calls["eigvalsh"] <= 4
 
     @pytest.mark.parametrize("timers, policy, least", [
         # input jumps on a 1.1 grid, gradient jumps on a 0.25 grid
@@ -712,6 +731,20 @@ class TestVerifyCommand:
         assert "skipped" in report["checks"]["bound_thm1"]
         assert report["checks"]["bound_thm2"]["passed"] is True
         assert "SKIP bound_thm1" in capsys.readouterr().out
+
+    def test_restricted_start_in_global_mode_checks_thm1(self, tmp_path,
+                                                          capsys):
+        # global mode only downgrades init failures; this start is restricted
+        data = load_s1_dict()
+        data["horizon"] = {"T": 10.0, "J": 1000}
+        data["init"] = {"mode": "global"}
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert {"name": "init_restricted", "status": "pass",
+                "detail": ""} in report["validation"]
+        assert report["checks"]["bound_thm1"]["passed"] is True
+        assert "PASS bound_thm1" in capsys.readouterr().out
 
     def test_negative_control_shrunk_radius_fails(self, tmp_path, capsys):
         data = load_s1_dict()

@@ -586,6 +586,68 @@ class TestJumpStats:
             hybrid.jump_stats(arc)
 
 
+def walked_periods(arc):
+    """Oracle: input periods from a walk of the jump log, a g2 jump at
+    index j closing the period that ends with segment j."""
+    periods, first = [], 0
+    for rec in arc.jumps:
+        if rec.applied == "g2":
+            periods.append((first, rec.j + 1))
+            first = rec.j + 1
+    return periods + [(first, len(arc.segments))]
+
+
+def s1_run(policy, timers=None):
+    params = s1_params()
+    if timers is not None:
+        params = dataclasses.replace(params, timers=timers)
+    return hybrid.simulate(HybridFOModel(params), strict_initial_state(params),
+                           policy, (8.0, 1000))
+
+
+def perturbed_n3_arc():
+    rng = np.random.default_rng(41)
+    params = random_params(rng, n=3)
+    n, m, p = params.plant.n, params.plant.m, params.plant.p
+    pert = Perturbation(rng.standard_normal((n, n)),
+                        rng.standard_normal((n, m)),
+                        rng.standard_normal((p, m)), kappa_c=0.1,
+                        kappa_g=-0.05, theta_c_min=0.02, theta_c_max=0.03)
+    model = HybridFOModel(params, pert, 0.1)
+    return hybrid.simulate(model, strict_initial_state(params),
+                           JumpPolicy(seed=2), (6.0, 1000))
+
+
+class TestPeriods:
+    @pytest.mark.parametrize("arc_of", [
+        lambda: s1_run(JumpPolicy(seed=1)),
+        lambda: s1_run(JumpPolicy(case3_order="g2_first", seed=1)),
+        lambda: s1_run(JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                                  seed=3), Timers(1.0, 1.5, 0.25, 4)),
+        perturbed_n3_arc,
+    ], ids=["g1-first", "g2-first", "random-uniform", "perturbed-n3"])
+    def test_matches_jump_log_walk(self, arc_of):
+        arc = arc_of()
+        periods = arc.periods()
+        assert periods == walked_periods(arc)
+        assert len(periods) >= 4
+        assert periods[0][0] == 0 and periods[-1][1] == len(arc.segments)
+        for (_, end), (first, _) in zip(periods, periods[1:]):
+            assert first == end
+            assert arc.jumps[end - 1].applied == "g2"
+        for first, end in periods:
+            inside = arc.jumps[first:end - 1]
+            assert all(rec.applied == "g1" for rec in inside)
+        assert hybrid.jump_stats(arc).alpha == [
+            end - first - 1 for first, end in periods[:-1]]
+
+    def test_unknown_map_rejected(self):
+        arc, _ = simulate_s1(horizon=(1.5, 1000))
+        arc.jumps[2].applied = "g3"
+        with pytest.raises(ValueError, match="unknown map 'g3'"):
+            arc.periods()
+
+
 class TestCheckNonZeno:
     def test_s1_passes(self):
         arc, _ = simulate_s1(horizon=(3.0, 1000))
@@ -596,7 +658,7 @@ class TestCheckNonZeno:
 
     def test_dwell_threshold_violation(self):
         arc, _ = simulate_s1(horizon=(3.0, 1000))
-        report = hybrid.check_non_zeno(arc, min_dwell=10.0)
+        report = hybrid.check_non_zeno(dataclasses.replace(arc, min_dwell=10.0))
         assert not report.passed
         assert any("flow gap" in v for v in report.violations)
 

@@ -237,6 +237,28 @@ class TestValidate:
         assert self.check_status(diag, "hurwitz") == "fail"
         assert "init_domain" not in [c.name for c in diag.checks]
 
+    def test_numerically_singular_plant_fails_hurwitz(self, s1):
+        # Hurwitz, but the guarded solve refuses A^{-1} B at cond(A) = 1e13:
+        # the checks and the strict start that read H are not reached
+        plant = Plant(np.diag([-1.0, -1e-13]), np.array([[1.0], [1.0]]),
+                      np.array([[1.0, 0.0]]), s1.plant.d)
+        diag = validate(dataclasses.replace(s1, plant=plant))
+        assert diag.checks[0].name == "hurwitz"
+        assert diag.checks[0].status == "fail"
+        assert "condition estimate 1.000e+13" in diag.checks[0].detail
+        assert diag.zeta0 is None
+        assert not {"stepsize", "contraction", "init_domain",
+                    "init_restricted"} & {c.name for c in diag.checks}
+
+    def test_strict_start_checked_without_zeta0(self, s1, s1_zeta0):
+        diag = validate(s1)
+        assert [c.name for c in diag.checks][-2:] == ["init_domain",
+                                                      "init_restricted"]
+        assert diag.ok and diag.checks[0].detail == "max Re(lambda) = -1"
+        for field in ("x", "u", "y_s", "z", "tau_c", "tau_g"):
+            np.testing.assert_array_equal(getattr(diag.zeta0, field),
+                                          getattr(s1_zeta0, field))
+
     def test_indefinite_weight_fails(self, s1):
         obj = Objective(np.array([[-1.0]]), s1.objective.q_y,
                         s1.objective.y_hat, s1.objective.gamma)
@@ -309,10 +331,11 @@ class TestModelGeometry:
             lam, vecs, cond = params.eigen
             a_inv_b = params.a_inv_b
             curvature = params.curvature
+            hessian = params.hessian
             m.gradient_constants(params)
         assert calls == {"eigenbasis": 1, "solve": 1, "eig_sym": 2}
         assert params.eigen[1] is vecs and params.a_inv_b is a_inv_b
-        assert params.curvature is curvature
+        assert params.curvature is curvature and params.hessian is hessian
         # each is what it names, and read-only
         a, b = params.plant.a, params.plant.b
         np.testing.assert_allclose(a @ vecs, vecs * lam, atol=1e-12)
@@ -320,10 +343,11 @@ class TestModelGeometry:
         np.testing.assert_allclose(a @ a_inv_b, b, atol=1e-12)
         obj = params.objective
         hess = obj.q_u + params.h.T @ obj.q_y @ params.h
+        np.testing.assert_array_equal(hessian, hess)
         np.testing.assert_allclose(
             curvature, [np.linalg.eigvalsh(obj.q_u)[[0, -1]],
                         np.linalg.eigvalsh(hess)[[0, -1]]], rtol=1e-12)
-        for array in (lam, vecs, a_inv_b):
+        for array in (lam, vecs, a_inv_b, hessian):
             assert not array.flags.writeable
         with pytest.raises(AttributeError):
             curvature.q_u = (0.0, 0.0)
