@@ -66,8 +66,12 @@ NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
 _STACK_BLOCK = 100
 
 
-def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma,
-                     tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
+# Fixed-point residual _pgd_fixed_point certifies, and its most iterations.
+PGD_TOL = 1e-12
+PGD_MAX_ITER = 200_000
+
+
+def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma) -> np.ndarray:
     """Projected gradient iteration to a fixed point of z = P[z - gamma*grad(z)].
 
     Iterates with an internally optimal stepsize (the fixed point does not
@@ -76,16 +80,16 @@ def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma,
     mu, lam = hessian_eigs
     gamma_int = 2.0 / (mu + lam)
     z = input_set.project(np.zeros(dim))
-    for _ in range(max_iter):
+    for _ in range(PGD_MAX_ITER):
         z_new = input_set.project(z - gamma_int * grad(z))
-        if np.linalg.norm(z_new - z) <= 0.1 * tol:
+        if np.linalg.norm(z_new - z) <= 0.1 * PGD_TOL:
             z = z_new
             break
         z = z_new
     resid = np.linalg.norm(z - input_set.project(z - check_gamma * grad(z)))
-    if resid > tol:
+    if resid > PGD_TOL:
         raise RuntimeError(
-            f"projected gradient failed to reach fixed-point residual {tol:g} "
+            f"projected gradient failed to reach fixed-point residual {PGD_TOL:g} "
             f"(got {resid:.3e})"
         )
     return z
@@ -250,8 +254,9 @@ def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
     worst = int(np.argmax(gap))
     inside = np.flatnonzero(lhs <= 1e-6)
     first_entry = float(t[inside[0]]) if inside.size else None
+    worst_j = int(np.searchsorted(arc.offsets, worst, side="right")) - 1
     return BoundReport(which, float(gap[worst]), first_entry, init_dist,
-                       float(t[worst]), int(arc.j[worst]))
+                       float(t[worst]), worst_j)
 
 
 # Largest deviation of the stored x from its reconstruction that verify

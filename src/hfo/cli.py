@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     # LinAlgError derives from ValueError, so it must be caught first
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

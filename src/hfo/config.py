@@ -60,19 +60,21 @@ def _finite(value, name: str) -> float:
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"field '{name}' is not a number: {value!r}") from None
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"field '{name}' is outside the float range") from None
     if not math.isfinite(out):
         raise ConfigError(f"field '{name}' must be finite, got {out}")
     return out
 
 
 def _integer(value, name: str) -> int:
-    """An integral number: 1, 1.0 and "1" count (digit strings exactly);
-    true and false do not."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    """An integral number within the float range: 1, 1.0 and "1" count
+    (digit strings exactly); true and false do not."""
     if isinstance(value, str) and value.strip().isdecimal():
-        return int(value)
+        value = int(value)
     out = _finite(value, name)
+    if isinstance(value, int):  # exactly as given; _finite rejects booleans
+        return value
     if not out.is_integer():
         raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
     return int(out)
@@ -111,7 +113,7 @@ def _array(*shape):
     def read(value, name: str) -> np.ndarray:
         try:
             arr = np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field '{name}' is not numeric: {exc}") from None
         if bool in map(type, np.array(value, dtype=object).ravel()):
             raise ConfigError(f"field '{name}' is not numeric: it holds "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,9 +88,7 @@ class Segment:
     x = property(lambda self: self.arc.x[self.rows])
     tau_c = property(lambda self: self.arc.tau_c[self.rows])
     tau_g = property(lambda self: self.arc.tau_g[self.rows])
-    t_start = property(lambda self: float(self.arc.times[self.rows.start]))
-    t_end = property(lambda self: float(self.arc.times[self.rows.stop - 1]))
-    start = property(lambda self: self.state(0), doc="The state at t_start.")
+    start = property(lambda self: self.state(0), doc="The first sample's state.")
 
     def state(self, k: int) -> State:
         """The full state of sample k (negative k counts from the end)."""
@@ -111,9 +110,7 @@ class _Segments(Sequence):
         return len(self.arc.offsets) - 1
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [Segment(self.arc, i) for i in range(len(self))[j]]
-        return Segment(self.arc, range(len(self))[j])
+        return Segment(self.arc, range(len(self))[operator.index(j)])
 
     def __iter__(self):
         return (Segment(self.arc, j) for j in range(len(self)))
@@ -143,11 +140,6 @@ class HybridArc:
     @property
     def segments(self) -> Sequence:
         return _Segments(self)
-
-    @property
-    def j(self) -> np.ndarray:
-        """The jump index of every sample, (N,)."""
-        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
     @property
     def t_end(self) -> float:
@@ -311,28 +303,30 @@ def _sample_columns(starts, grids, lengths, running, timers):
     """Pass 2, without x: (offsets, times, timer columns) of every sample.
 
     Grid step k of every segment lies ``running[k]`` after its start, and
-    its last sample at its length. ``timers`` holds (start values, end
-    values, rate) per timer; each decreases affinely from its start value,
-    zero within EVENT_TOL and clipped at zero, and each segment's last sample
-    takes the end value pass 1 recorded (a point segment's one sample, its
-    start value as it is).
+    its last sample at its length; a per-segment column reaches its samples
+    by ``np.repeat`` over the sample counts. ``timers`` holds (start values,
+    end values, rate) per timer; each decreases affinely from its start
+    value, zero within EVENT_TOL and clipped at zero, and each segment's last
+    sample takes the end value pass 1 recorded (a point segment's one
+    sample, its start value as it is).
     """
     counts = np.where(grids < 0, 1, grids + 2)
     offsets = np.zeros(len(grids) + 1, dtype=np.intp)
     np.cumsum(counts, out=offsets[1:])
     last = offsets[1:] - 1
-    seg = np.repeat(np.arange(len(grids)), counts)
-    elapsed = running[np.arange(offsets[-1]) - offsets[:-1][seg]]
+    elapsed = running[np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)]
     elapsed[last] = lengths
 
     def timer(tau0, tau1, rate):
-        tau = tau0[seg] + rate * elapsed
+        tau = rate * elapsed
+        tau += np.repeat(tau0, counts)
         tau[np.abs(tau) <= EVENT_TOL] = 0.0
         np.maximum(tau, 0.0, out=tau)
         tau[last] = tau1
         return tau
 
-    return offsets, starts[seg] + elapsed, [timer(*spec) for spec in timers]
+    return (offsets, np.repeat(starts, counts) + elapsed,
+            [timer(*spec) for spec in timers])
 
 
 def _closing_maps(model, grids, lengths, running):

@@ -55,18 +55,12 @@ def mat_exp(a, t) -> np.ndarray:
     (k, n, n) stack of e^{A t_i}, each computed independently in one call.
     """
     a = _as_square(a)
-    if np.ndim(t) == 0:
-        if not np.isfinite(t):
-            raise ValueError("t must be finite")
-        if t == 0.0:
-            return np.eye(a.shape[0])
-        return scipy.linalg.expm(a * t)
     ts = np.asarray(t, dtype=float)
-    if ts.ndim != 1:
+    if ts.ndim > 1:
         raise DimensionError(f"t must be a scalar or a 1-D array, got {ts.shape}")
     if not np.all(np.isfinite(ts)):
         raise ValueError("t must be finite")
-    return scipy.linalg.expm(a * ts[:, None, None])
+    return scipy.linalg.expm(a * ts[..., None, None])
 
 
 def propagator(a, b, dt):

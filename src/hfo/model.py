@@ -85,6 +85,7 @@ class Box:
         v = np.asarray(v, dtype=float)
         return bool(np.all(v >= self.lo - SET_TOL) and np.all(v <= self.hi + SET_TOL))
 
+    @np.errstate(over="ignore")  # a bound too wide gives inf, which validate fails
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -235,7 +236,8 @@ def gradient_constants(params: ModelParams):
     factor q = 1 - 2 gamma mu + gamma^2 L^2."""
     mu, big_l = params.curvature.q_u[0], params.curvature.hessian[1]
     gamma = params.objective.gamma
-    return mu, big_l, 1.0 - 2.0 * gamma * mu + gamma ** 2 * big_l ** 2
+    # products, not powers: an overflow gives inf, not an OverflowError
+    return mu, big_l, 1.0 - 2.0 * gamma * mu + gamma * gamma * (big_l * big_l)
 
 
 class HybridFOModel:
@@ -404,19 +406,18 @@ def validate(params: ModelParams, zeta0: State | None = None,
     lam_u = _spd_check("q_u_spd", params.objective.q_u, checks)
     lam_y = _spd_check("q_y_spd", params.objective.q_y, checks)
 
-    try:
-        diam = params.input_set.diameter()
-        checks.append(Check("input_set", "pass", f"diameter {diam:.4g}"))
-    except Exception as exc:  # degenerate set specification
-        checks.append(Check("input_set", "fail", str(exc)))
+    diam = params.input_set.diameter()
+    checks.append(Check("input_set", "pass" if math.isfinite(diam) else "fail",
+                        f"diameter {diam:.4g}"))
 
-    timers_ok = (0.0 < tm.tau_c_min <= tm.tau_c_max and tm.tau_g_comp > 0.0
-                 and tm.ell >= 1)
+    # a reset at or below EVENT_TOL would merge distinct jumps into one instant
+    timers_ok = (EVENT_TOL < tm.tau_c_min <= tm.tau_c_max
+                 and tm.tau_g_comp > EVENT_TOL and tm.ell >= 1)
     if timers_ok:
         checks.append(Check("timers", "pass", ""))
     else:
-        checks.append(Check("timers", "fail",
-                            "need 0 < tau_c_min <= tau_c_max, tau_g_comp > 0, ell >= 1"))
+        checks.append(Check("timers", "fail", f"need EVENT_TOL = {EVENT_TOL:g} < "
+                            "tau_c_min <= tau_c_max, tau_g_comp > EVENT_TOL, ell >= 1"))
 
     if tm.ell * tm.tau_g_comp <= tm.tau_c_min + 1e-12:
         checks.append(Check("timescale", "pass",

@@ -10,14 +10,14 @@ horizon.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hybrid import HybridArc, simulate
-from .model import (HybridFOModel, JumpPolicy, ModelParams, Perturbation, State,
-                    strict_initial_state)
+from .model import HybridFOModel, JumpPolicy, ModelParams, Perturbation, State
 
 
 def iota_magnitude(pert: Perturbation, state: State) -> float:
@@ -78,32 +78,29 @@ def _directional(arc_a: HybridArc, cols_a, arc_b: HybridArc, cols_b,
     segment of arc_b at the same jump index; the witness is the first sample,
     in segment and then time order, that attains it.
 
-    Along one pair of segments u, y_s and z are constant, so their sup-norm
-    distance ``held_gaps[j]`` is one number, and
-    min_b max(gap_b, held_gaps[j]) = max(min_b gap_b, held_gaps[j]).
+    Along an arc t and j never decrease, and neither does fl(t + j), so the
+    samples read are whole segments and then the head of one more: each
+    segment's cut is one ``searchsorted``, and the walk stops at the first
+    segment with nothing to read. Along one pair of segments u, y_s and z
+    are constant, so their sup-norm distance ``held_gaps[j]`` is one number,
+    and min_b max(gap_b, held_gaps[j]) = max(min_b gap_b, held_gaps[j]).
     """
-    index = arc_a.j
-    kept = np.flatnonzero(arc_a.times + index <= tau + TAU_TOL)
-    segment = index[kept]  # nondecreasing
-    shared = len(held_gaps)
-    if not len(kept):
-        return 0.0, (side, 0.0, 0)
-    if segment[-1] >= shared:
-        first = kept[np.searchsorted(segment, shared)]
-        return math.inf, (side, float(arc_a.times[first]), shared)
-    bounds = np.searchsorted(segment, np.arange(segment[-1] + 2)).tolist()
-    cand = np.empty(len(kept))
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if lo < hi:
-            cand[lo:hi] = _segment_matches(
-                cols_a[:, kept[lo:hi]],
-                cols_b[:, arc_b.offsets[j]:arc_b.offsets[j + 1]])
-    np.maximum(cand, held_gaps[segment], out=cand)
-    best = int(np.argmax(cand))
-    if cand[best] > 0.0:
-        return float(cand[best]), (side, float(arc_a.times[kept[best]]),
-                                   int(segment[best]))
-    return 0.0, (side, 0.0, 0)
+    worst, witness = 0.0, (side, 0.0, 0)
+    for j, (lo, hi) in enumerate(itertools.pairwise(arc_a.offsets.tolist())):
+        hi = lo + int(np.searchsorted(arc_a.times[lo:hi] + j, tau + TAU_TOL,
+                                      side="right"))
+        if lo == hi:
+            break
+        if j == len(held_gaps):
+            return math.inf, (side, float(arc_a.times[lo]), j)
+        cand = _segment_matches(
+            cols_a[:, lo:hi], cols_b[:, arc_b.offsets[j]:arc_b.offsets[j + 1]])
+        np.maximum(cand, held_gaps[j], out=cand)
+        best = int(np.argmax(cand))
+        if cand[best] > worst:
+            worst = float(cand[best])
+            witness = (side, float(arc_a.times[lo + best]), j)
+    return worst, witness
 
 
 def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
@@ -143,9 +140,6 @@ class SweepResult:
     tau: float
     nonincreasing: bool  # epsilon trend over deltas sorted descending
 
-    def epsilons(self):
-        return [row.epsilon for row in self.rows]
-
 
 class ScaleError(ValueError):
     """A perturbation scale for which the perturbed model is invalid."""
@@ -179,7 +173,7 @@ def _clipped(model: HybridFOModel, policy: JumpPolicy) -> JumpPolicy:
 
 
 def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
-                     tau: float, policy: JumpPolicy, zeta0: State | None = None,
+                     tau: float, policy: JumpPolicy, zeta0: State,
                      sample_dt: float = 0.01) -> SweepResult:
     """Measure epsilon(delta) between nominal and delta-scaled perturbed runs.
 
@@ -203,8 +197,6 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
-    if zeta0 is None:
-        zeta0 = strict_initial_state(params)
     deltas = list(deltas)
     models = [_scaled(params, pert, delta) for delta in deltas]
     horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)

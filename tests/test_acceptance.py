@@ -287,8 +287,9 @@ def test_10_robustness_trend():
         h_hat=np.array([[0.02]]), kappa_c=0.1, kappa_g=0.05,
         theta_g_comp=0.02, theta_c_min=0.02, theta_c_max=0.02)
     sweep = robustness_sweep(s1_params(), pert, [1e-1, 1e-2, 1e-3, 0.0],
-                             tau=10.0, policy=s1_policy())
-    eps = sweep.epsilons()
+                             tau=10.0, policy=s1_policy(),
+                             zeta0=strict_initial_state(s1_params()))
+    eps = [row.epsilon for row in sweep.rows]
     assert sweep.nonincreasing
     assert eps[3] == 0.0
     assert eps[2] <= eps[0]

@@ -429,7 +429,7 @@ class TestReconstruction:
             i += 1
         seg = arc.segments[i]
         k = len(seg.times) // 2
-        row = sum(len(s.times) for s in arc.segments[:i]) + k
+        row = int(arc.offsets[i]) + k
         # push the stored value away from its reconstruction
         push = np.sign(seg.x[k, 0] - clean.reconstructed[row, 0]) or 1.0
         seg.x[k, 0] += push * 1e-6

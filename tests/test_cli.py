@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,16 @@ class TestSimulateCommand:
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 3
         assert "internal error: matrix is singular" in capsys.readouterr().err
 
+    def test_arithmetic_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(analysis, "rate_check", overflowing)
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: (34, 'Numerical result out")
+
     def test_zero_horizon_single_row(self, tmp_path):
         data = load_s1_dict()
         data["horizon"] = {"T": 0.0, "J": 1000}
@@ -594,6 +605,55 @@ class TestSimulateCommand:
         post = [int(row[1]) for row in rows if row[2].endswith(":post")]
         assert pre == list(range(jumps))
         assert post == list(range(1, jumps + 1))
+
+
+# S1 edits past a float's range or within the event tolerance, and what
+# stderr names: the failed check, or the field
+NUMERIC_LIMITS = [
+    pytest.param("objective", {"gamma": 1e200}, "  stepsize: ", id="gamma"),
+    pytest.param("timers", {"ell": 10 ** 400}, "'timers.ell'", id="ell"),
+    pytest.param("input_set", {"lo": [-1e308], "hi": [1e308]},
+                 "  input_set: ", id="huge-box"),
+    pytest.param("timers", {"tau_g_comp": 1e-12}, "  timers: ",
+                 id="tau_g_comp"),
+]
+
+
+class TestNumericLimits:
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    @pytest.mark.parametrize("section, fields, named", NUMERIC_LIMITS)
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, command,
+                                      section, fields, named):
+        data = load_s1_dict()
+        data[section].update(fields)
+        cfg = write_config(tmp_path, data)
+        extra = ["--tau", "2"] if command == "robustness" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, cfg, "--out", str(tmp_path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not caught  # no overflow warning either
+
+    def test_digit_string_past_float_range_named(self):
+        data = load_s1_dict()
+        data["horizon"]["J"] = "1" + "0" * 400
+        with pytest.raises(ConfigError, match="'horizon.J'"):
+            parse_config(data)
+
+    def test_array_entry_past_float_range_named(self):
+        data = load_s1_dict()
+        data["plant"]["A"] = [[-(10 ** 400)]]
+        with pytest.raises(ConfigError, match="'plant.A'"):
+            parse_config(data)
+
+    def test_timer_reset_just_past_event_tolerance_verifies(self, tmp_path,
+                                                           capsys):
+        data = load_s1_dict()
+        data["timers"]["tau_g_comp"] = 1.5e-12
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,14 +265,14 @@ class TestColumnarSegments:
         arc = hybrid.simulate(model, strict_initial_state(params), policy,
                               (6.0, 1000), sample_dt)
         flows = 0
-        for seg in arc.segments[:-1]:
-            if seg.t_end == seg.t_start:
+        for seg in list(arc.segments)[:-1]:
+            if seg.times[-1] == seg.times[0]:
                 continue
             flows += 1
             start = seg.start
             dt, which = hybrid.next_event(start.tau_c, start.tau_g,
                                           model.rate_c, model.rate_g)
-            times, xs, timers = per_sample_flow(model, start, seg.t_start, dt,
+            times, xs, timers = per_sample_flow(model, start, seg.times[0], dt,
                                                 which, sample_dt)
             assert np.array_equal(seg.times, times)
             assert_x_close(seg.x, xs)
@@ -488,6 +489,26 @@ class TestSampleBudget:
                             JumpPolicy(seed=1), (1e9, 10 ** 12), 0.01)
 
 
+class TestSimulateMemory:
+    @pytest.mark.parametrize("t_max", [100.0, 1000.0])
+    def test_peak_near_the_retained_arc(self, t_max):
+        # pass 2 keeps no per-sample segment index: its peak over the arc
+        # it returns is a few sample columns (S1: times, x and two timers)
+        params = s1_params()
+        model, zeta0 = HybridFOModel(params), strict_initial_state(params)
+        policy = JumpPolicy(seed=1)
+        hybrid.simulate(model, zeta0, policy, (1.0, 10 ** 6), 0.01)  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arc = hybrid.simulate(model, zeta0, policy, (t_max, 10 ** 6), 0.01)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arc.times) > 100 * t_max
+        assert peak - before <= 1.65 * (retained - before)
+
+
 class TestArcInvariant:
     """Segment k is the flow at jump index k and ends at jump k; the result
     of jump k starts segment k + 1."""
@@ -497,7 +518,8 @@ class TestArcInvariant:
         assert len(arc.segments) == len(arc.jumps) + 1
         for k, rec in enumerate(arc.jumps):
             assert arc.segments[k].j == rec.j == k
-            assert rec.t == arc.segments[k].t_end == arc.segments[k + 1].t_start
+            before, after = arc.segments[k], arc.segments[k + 1]
+            assert rec.t == before.times[-1] == after.times[0]
         assert arc.segments[-1].j == len(arc.jumps)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

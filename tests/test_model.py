@@ -272,6 +272,34 @@ class TestValidate:
         detail = next(c.detail for c in diag.checks if c.name == "stepsize")
         assert "input-convergence range" in detail
 
+    def test_overflowing_stepsize_fails_both_checks(self, s1):
+        # gamma^2 L^2 overflows: q is inf, not an OverflowError
+        obj = dataclasses.replace(s1.objective, gamma=1e200)
+        params = dataclasses.replace(s1, objective=obj)
+        assert m.gradient_constants(params)[2] == np.inf
+        diag = validate(params)
+        assert self.check_status(diag, "stepsize") == "fail"
+        assert self.check_status(diag, "contraction") == "fail"
+
+    def test_unbounded_diameter_fails_input_set(self, s1):
+        diag = validate(dataclasses.replace(s1, input_set=Box([-1e308],
+                                                              [1e308])))
+        assert self.check_status(diag, "input_set") == "fail"
+        assert "diameter inf" in next(c.detail for c in diag.checks
+                                      if c.name == "input_set")
+
+    @pytest.mark.parametrize("field", ["tau_g_comp", "tau_c_min"])
+    def test_timer_reset_within_event_tolerance_fails(self, s1, field):
+        # jumps EVENT_TOL apart merge into one instant: not a valid schedule
+        at_limit = dataclasses.replace(s1.timers, **{field: 1e-12})
+        diag = validate(dataclasses.replace(s1, timers=at_limit))
+        assert self.check_status(diag, "timers") == "fail"
+        detail = next(c.detail for c in diag.checks if c.name == "timers")
+        assert "EVENT_TOL = 1e-12" in detail
+        past = dataclasses.replace(s1.timers, **{field: 1.5e-12})
+        diag = validate(dataclasses.replace(s1, timers=past))
+        assert self.check_status(diag, "timers") == "pass"
+
     def test_timescale_separation_fails(self, s1):
         params = dataclasses.replace(s1, timers=Timers(1.0, 1.0, 0.3, 4))
         diag = validate(params)

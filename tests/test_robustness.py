@@ -242,15 +242,31 @@ class TestClosenessMatchesPerSampleScan:
         assert (result.epsilon, result.witness) == per_sample_closeness(
             arc1, arc2, tau)
 
-    @pytest.mark.parametrize("tau", [0.0, 3.0, 4.37, 5.0])
+    @staticmethod
+    def tau_for(tau, nominal, perturbed):
+        """``tau``, or for "at_sample" the t + j of a stored sample inside a
+        segment, or for "past_end" a tau just past the shorter arc's end."""
+        if tau == "at_sample":
+            seg = perturbed.segments[3]
+            at = seg.times[len(seg.times) // 2] + seg.j
+            assert 0 < np.searchsorted(seg.times + seg.j, at) < len(seg.times)
+            return float(at)
+        if tau == "past_end":
+            ends = [arc.times[-1] + len(arc.jumps) for arc in (nominal, perturbed)]
+            return float(min(ends)) + 0.5
+        return tau
+
+    @pytest.mark.parametrize("tau", [0.0, 3.0, 4.37, 5.0, "at_sample",
+                                     "past_end"])
     def test_s1_arcs(self, tau):
         params = s1_params()
         nominal = run_s1(HybridFOModel(params))
         for delta in (1e-3, 1e-2, 1e-1, 1.0):
             perturbed = run_s1(HybridFOModel(params, s1_perturbation(),
                                                delta))
-            self.assert_same(nominal, perturbed, tau)
-            self.assert_same(perturbed, nominal, tau)
+            at = self.tau_for(tau, nominal, perturbed)
+            self.assert_same(nominal, perturbed, at)
+            self.assert_same(perturbed, nominal, at)
 
     def test_n20_arcs(self):
         rng = np.random.default_rng(17)
@@ -289,11 +305,13 @@ class TestClosenessMatchesPerSampleScan:
 
 class TestRobustnessSweep:
     def test_s1_trend(self):
+        params = s1_params()
         sweep = robustness_sweep(
-            s1_params(), s1_perturbation(), [1e-1, 1e-2, 1e-3, 0.0],
+            params, s1_perturbation(), [1e-1, 1e-2, 1e-3, 0.0],
             tau=6.0, policy=JumpPolicy(tau_c_reset="min", seed=1),
+            zeta0=strict_initial_state(params),
         )
-        eps = sweep.epsilons()
+        eps = [row.epsilon for row in sweep.rows]
         assert sweep.nonincreasing
         assert eps[-1] == 0.0  # delta = 0 reproduces the nominal arc
         assert eps[0] > eps[2] > 0.0
@@ -304,10 +322,11 @@ class TestRobustnessSweep:
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
                             np.zeros((1, 1)), kappa_g=0.5)
         policy = JumpPolicy(tau_c_reset="min", seed=1)
+        zeta0 = strict_initial_state(s1_params())
         short = robustness_sweep(s1_params(), pert, [1.0], tau=3.0,
-                                 policy=policy)
+                                 policy=policy, zeta0=zeta0)
         long = robustness_sweep(s1_params(), pert, [1.0], tau=8.0,
-                                policy=policy)
+                                policy=policy, zeta0=zeta0)
         assert long.rows[0].epsilon > short.rows[0].epsilon
 
     @pytest.mark.parametrize("tau", [6.0, 6.5, 30.0])
@@ -317,9 +336,9 @@ class TestRobustnessSweep:
         params, pert = s1_params(), s1_perturbation()
         policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=4)
         deltas = [0.3, 1e-2, 1e-3]
-        sweep = robustness_sweep(params, pert, deltas, tau, policy)
-        nominal = HybridFOModel(params)
         zeta0 = strict_initial_state(params)
+        sweep = robustness_sweep(params, pert, deltas, tau, policy, zeta0)
+        nominal = HybridFOModel(params)
         min_dwell = min(nominal.period_g, nominal.period_c)
         horizon = (tau, int(math.ceil(tau / min_dwell)) * 2 + 16)
         arc_nom = hybrid.simulate(nominal, zeta0, policy, horizon)
@@ -352,13 +371,15 @@ class TestRobustnessSweep:
         # kappa_c = 0.1: the control timer rate -1 + 20 kappa_c is positive
         with pytest.raises(ValueError, match="timer rates"):
             robustness_sweep(s1_params(), s1_perturbation(), [0.1, 0.01, 20.0],
-                             tau=2.0, policy=JumpPolicy(seed=1))
+                             tau=2.0, policy=JumpPolicy(seed=1),
+                             zeta0=strict_initial_state(s1_params()))
         assert runs == []
 
     def test_bad_scale_named(self):
         with pytest.raises(robustness.ScaleError, match=r"^scale 20: timer"):
             robustness_sweep(s1_params(), s1_perturbation(), [0.1, 20.0],
-                             tau=2.0, policy=JumpPolicy(seed=1))
+                             tau=2.0, policy=JumpPolicy(seed=1),
+                             zeta0=strict_initial_state(s1_params()))
 
     def test_negative_offsets_epsilon_linear_in_delta(self):
         # theta_g = -0.02: each perturbed run starts at tau_g = 0.25 - 0.02
@@ -366,7 +387,8 @@ class TestRobustnessSweep:
         pert = dataclasses.replace(s1_perturbation(), theta_g_comp=-0.02)
         deltas = [0.1, 0.03, 0.01, 0.003]
         sweep = robustness_sweep(s1_params(), pert, deltas, tau=30.0,
-                                 policy=JumpPolicy(seed=1))
+                                 policy=JumpPolicy(seed=1),
+                                 zeta0=strict_initial_state(s1_params()))
         ratios = [row.epsilon / row.delta for row in sweep.rows]
         assert sweep.nonincreasing
         assert max(ratios) < 1.5 * min(ratios)
@@ -375,4 +397,4 @@ class TestRobustnessSweep:
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
             robustness_sweep(s1_params(), s1_perturbation(), [0.1], tau,
-                             JumpPolicy())
+                             JumpPolicy(), strict_initial_state(s1_params()))
