@@ -26,11 +26,15 @@ class Constants:
     q: float  # per-iteration contraction factor
     d_u: float  # diameter of the input set
     r: float  # guaranteed asymptotic tracking radius
+    # the bounds' t-independent terms, which as_dict leaves out
+    middle_thm1: float
+    middle_thm2: float
+    last: float
     u_tilde: np.ndarray
     y_tilde: np.ndarray
     x_tilde: np.ndarray
     b_norm: float
-    m_estimate: "MEstimate | None" = None
+    m_estimate: MEstimate
 
     def as_dict(self) -> dict:
         return {
@@ -44,8 +48,7 @@ class Constants:
             "y_tilde": self.y_tilde.tolist(),
             "x_tilde": self.x_tilde.tolist(),
             "b_norm": self.b_norm,
-            "m_estimate": (None if self.m_estimate is None
-                           else dataclasses.asdict(self.m_estimate)),
+            "m_estimate": dataclasses.asdict(self.m_estimate),
         }
 
 
@@ -58,6 +61,7 @@ class MEstimate:
 
 
 M_MARGIN = 0.05  # estimate_M's value is its grid supremum times 1 + this
+M_GRID_POINTS, M_HORIZON = 2000, 10.0  # its grid: 2000 steps of [0, 10/rho]
 NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
 
 # Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
@@ -129,21 +133,21 @@ def fixed_point_z(y_s, params: ModelParams):
                             obj.q_u.shape[0], check_gamma=obj.gamma)
 
 
-def estimate_M(a, rho: float, grid_points: int = 2000,
-               horizon_factor: float = 10.0) -> MEstimate:
+def estimate_M(a, rho: float) -> MEstimate:
     """Estimate of the overshoot constant in ||e^{At}|| <= M e^{-rho t}.
 
-    Grid supremum of ||e^{At}|| e^{rho t} over [0, horizon_factor/rho],
-    times 1 + ``M_MARGIN``; the maximizer is returned for audit. The
-    recurrence that builds e^{At} on the grid carries a relative rounding
-    error of up to about grid_points * n * eps, so grid values that close to
-    the largest one count as ties, and the earliest of them (t = 0, value 1,
-    included) is the reported maximizer.
+    Grid supremum of ||e^{At}|| e^{rho t} over [0, M_HORIZON/rho], in
+    M_GRID_POINTS steps, times 1 + ``M_MARGIN``; the maximizer is returned
+    for audit. The recurrence that builds e^{At} on the grid carries a
+    relative rounding error of up to about M_GRID_POINTS * n * eps, so grid
+    values that close to the largest one count as ties, and the earliest of
+    them (t = 0, value 1, included) is the reported maximizer.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    h = horizon_factor / rho / grid_points
+    grid_points = M_GRID_POINTS
+    h = M_HORIZON / rho / grid_points
     step = linalg.mat_exp(a, h)
     e = np.eye(a.shape[0])
     values = np.empty(grid_points + 1)
@@ -162,41 +166,47 @@ def estimate_M(a, rho: float, grid_points: int = 2000,
     return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)
 
 
-def constants(params: ModelParams, m_estimate: MEstimate | None = None,
-              r_scale: float = 1.0) -> Constants:
-    """Assemble every derived convergence constant for a parameter set.
+def constants(params: ModelParams) -> Constants:
+    """Every derived convergence constant of a parameter set: the one place
+    the tracking radius r and the bounds' t-independent terms are computed.
 
-    ``r_scale`` rescales the tracking radius and exists only as a debug knob
-    for negative-control experiments.
+    Raises ValueError if r or a bound term is not finite.
     """
     plant = params.plant
     tm = params.timers
 
     spectrum, _, cond = params.eigen
-    if params.rho_override is not None:
-        rho = float(params.rho_override)
-    else:
-        if np.max(spectrum.real) >= 0.0:
-            raise ValueError("plant matrix must be Hurwitz")
-        rho = float(np.min(np.abs(spectrum.real)))
+    if params.rho_override is None and np.max(spectrum.real) >= 0.0:
+        raise ValueError("plant matrix must be Hurwitz")
+    rho = float(np.min(np.abs(spectrum.real)) if params.rho_override is None
+                else params.rho_override)
 
     _, big_l, q = gradient_constants(params)
     d_u = params.input_set.diameter()
     b_norm = linalg.spectral_norm(plant.b)
-    if m_estimate is None:
-        m_estimate = estimate_M(plant.a, rho)
-        if cond > NON_NORMAL_COND:
-            m_estimate.non_normal_note = (
-                f"eigenvector condition estimate {cond:.3e}: plant is highly "
-                "non-normal, overshoot estimate may be loose")
+    m_estimate = estimate_M(plant.a, rho)
+    if cond > NON_NORMAL_COND:
+        m_estimate.non_normal_note = (
+            f"eigenvector condition estimate {cond:.3e}: plant is highly "
+            "non-normal, overshoot estimate may be loose")
     m_hat = m_estimate.value
     u_tilde, y_tilde, x_tilde = solve_optimal(params)
-    r = (
-        m_hat * b_norm * d_u / rho
-        * (2.0 - np.exp(-rho * tm.tau_c_min) + q ** (tm.ell / 2.0))
-        * r_scale
-    )
-    return Constants(rho, m_hat, big_l, q, d_u, float(r), u_tilde, y_tilde,
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_pow = q ** (tm.ell / 2.0)
+        # r's own product order, not m_hat * coeff, keeps r's bits
+        r = (m_hat * b_norm * d_u / rho
+             * (2.0 - np.exp(-rho * tm.tau_c_min) + q_pow))
+        coeff = b_norm * d_u / rho
+        middle = [m_hat ** 2 * coeff * (2.0 - np.exp(-s * rho * tm.tau_c_max) + q_pow)
+                  for s in (1.0, 2.0)]  # bound_thm1's and bound_thm2's
+        last = m_hat * coeff * (1.0 + q_pow * np.exp(rho * tm.tau_c_min))
+    terms = [float(term) for term in (r, *middle, last)]
+    if not np.isfinite(terms).all():
+        raise ValueError(
+            "constants not finite: r = {:.4g}, bound terms {:.4g}, {:.4g}, {:.4g}, "
+            "from M = {:.4g}, ||B|| = {:.4g}, rho = {:.4g} and the input_set "
+            "diameter d_u = {:.4g}".format(*terms, m_hat, b_norm, rho, d_u))
+    return Constants(rho, m_hat, big_l, q, d_u, *terms, u_tilde, y_tilde,
                      x_tilde, b_norm, m_estimate)
 
 
@@ -207,26 +217,20 @@ def dist_to_A(x: np.ndarray, c: Constants):
     return np.maximum(np.linalg.norm(x - c.x_tilde, axis=-1) - c.r, 0.0)
 
 
-def _bound(t, init_dist, c: Constants, timers, middle_exponent_scale: float):
+def _bound(t, init_dist, c: Constants, middle: float):
     tail = np.exp(-c.rho * np.asarray(t, dtype=float))
-    q_pow = c.q ** (timers.ell / 2.0)
-    coeff = c.b_norm * c.d_u / c.rho
-    middle = c.m_hat ** 2 * coeff * (
-        2.0 - np.exp(-middle_exponent_scale * c.rho * timers.tau_c_max) + q_pow
-    )
-    last = c.m_hat * coeff * (1.0 + q_pow * np.exp(c.rho * timers.tau_c_min))
-    return (c.m_hat * init_dist + middle - last) * tail
+    return (c.m_hat * init_dist + middle - c.last) * tail
 
 
-def bound_thm1(t, init_dist: float, c: Constants, timers) -> float:
+def bound_thm1(t, init_dist: float, c: Constants) -> float:
     """Convergence bound for restricted initializations (raw, may be negative
     at small t; clip at zero when comparing against distances)."""
-    return _bound(t, init_dist, c, timers, 1.0)
+    return _bound(t, init_dist, c, c.middle_thm1)
 
 
-def bound_thm2(t, init_dist: float, c: Constants, timers) -> float:
+def bound_thm2(t, init_dist: float, c: Constants) -> float:
     """Convergence bound valid from arbitrary initial conditions."""
-    return _bound(t, init_dist, c, timers, 2.0)
+    return _bound(t, init_dist, c, c.middle_thm2)
 
 
 @dataclass
@@ -243,14 +247,13 @@ class BoundReport:
         return self.max_violation <= 1e-9
 
 
-def check_bound(arc: HybridArc, c: Constants, params: ModelParams,
-                which: str = "thm1") -> BoundReport:
+def check_bound(arc: HybridArc, c: Constants, which: str) -> BoundReport:
     """Evaluate distance vs. the convergence bound at every stored sample."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
     t = arc.times
     lhs = dist_to_A(arc.x, c)
     init_dist = float(lhs[0])
-    gap = lhs - np.maximum(bound_fn(t, init_dist, c, params.timers), 0.0)
+    gap = lhs - np.maximum(bound_fn(t, init_dist, c), 0.0)
     worst = int(np.argmax(gap))
     inside = np.flatnonzero(lhs <= 1e-6)
     first_entry = float(t[inside[0]]) if inside.size else None

@@ -40,15 +40,16 @@ def _load(config_path: str) -> ScenarioConfig:
 
 
 def _validated(config: ScenarioConfig):
+    """(checked initial state, diagnostics, constants), before any run."""
     diag = validate(config.params, config.zeta0, mode=config.init_mode)
     if not diag.ok:
         lines = [f"  {c.name}: {c.detail}" for c in diag.failures()]
         raise ConfigError("validation failed:\n" + "\n".join(lines))
-    return diag.zeta0, diag
+    return diag.zeta0, diag, analysis.constants(config.params)
 
 
 def _run(config: ScenarioConfig):
-    zeta0, diag = _validated(config)
+    zeta0, diag, consts = _validated(config)
     model = HybridFOModel(config.params)
     try:
         arc = hybrid.simulate(model, zeta0, config.policy, config.horizon,
@@ -56,7 +57,6 @@ def _run(config: ScenarioConfig):
     except hybrid.SampleBudgetError as exc:
         raise ConfigError(f"fields 'horizon.T' and 'horizon.J': {exc}; "
                           f"lower either") from None
-    consts = analysis.constants(config.params, r_scale=config.r_scale)
     return arc, consts, diag
 
 
@@ -213,14 +213,14 @@ def cmd_verify(args) -> int:
     if any(c.name == "init_restricted" and c.status == "pass"
            for c in diag.checks):
         checks["bound_thm1"] = _bound_check(
-            analysis.check_bound(arc, consts, params, "thm1"))
+            analysis.check_bound(arc, consts, "thm1"))
     else:
         checks["bound_thm1"] = {
             "passed": None,
             "skipped": "restricted initialization not satisfied",
         }
     checks["bound_thm2"] = _bound_check(
-        analysis.check_bound(arc, consts, params, "thm2"))
+        analysis.check_bound(arc, consts, "thm2"))
 
     rates = analysis.rate_check(arc, params)
     checks["contraction"] = {
@@ -265,10 +265,9 @@ def _sweep_arguments(args):
     deltas = []
     for text in texts:
         try:
-            delta = float(text)
+            deltas.append(float(text))
         except ValueError:
             raise ConfigError(f"--deltas: {text!r} is not a number") from None
-        deltas.append(delta)
     return tau, deltas
 
 
@@ -277,7 +276,7 @@ def cmd_robustness(args) -> int:
     out = _out_dir(args.out)
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
-    zeta0, diag = _validated(config)
+    zeta0, diag, consts = _validated(config)
     tau, deltas = _sweep_arguments(args)
     try:
         sweep = robustness_sweep(config.params, config.perturbation, deltas,
@@ -286,7 +285,6 @@ def cmd_robustness(args) -> int:
         raise ConfigError(f"--deltas: {exc}") from None
     except hybrid.SampleBudgetError as exc:
         raise ConfigError(f"--tau {tau:g}: {exc}") from None
-    consts = analysis.constants(config.params, r_scale=config.r_scale)
     report = _base_report(config, consts, diag)
     report["sweep"] = {
         "tau": sweep.tau,

@@ -39,7 +39,6 @@ class ScenarioConfig:
     init_mode: str  # "strict" | "global"
     zeta0: State | None
     perturbation: Perturbation | None
-    r_scale: float  # debug knob for negative-control runs
     # every parsed value, defaults included, as JSON: the reports' config
     # block, which parse_config reads back into the same scenario
     document: dict
@@ -67,11 +66,20 @@ def _finite(value, name: str) -> float:
     return out
 
 
+def _int_text(text: str):
+    """``int(text)``; past Python's digit limit for int(str), ``float(text)``,
+    infinite, so that the field reader names the field it rejects."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _integer(value, name: str) -> int:
     """An integral number within the float range: 1, 1.0 and "1" count
     (digit strings exactly); true and false do not."""
     if isinstance(value, str) and value.strip().isdecimal():
-        value = int(value)
+        value = _int_text(value)
     out = _finite(value, name)
     if isinstance(value, int):  # exactly as given; _finite rejects booleans
         return value
@@ -244,7 +252,7 @@ def parse_config(source, seed=None) -> ScenarioConfig:
     in the records and the document alike, and obeys the same rule."""
     if isinstance(source, (str, Path)):
         try:
-            raw = json.loads(Path(source).read_text())
+            raw = json.loads(Path(source).read_text(), parse_int=_int_text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
         except OSError as exc:
@@ -275,9 +283,8 @@ def parse_config(source, seed=None) -> ScenarioConfig:
             state.get("tau_c", _finite), state.get("tau_g", _finite)), None)),
         {})
     input_set = top.section("input_set", lambda sec: _input_set(sec, m))
-    rho, r_scale = top.section("overrides", lambda sec: (
-        sec.get("rho", _positive, None), sec.get("r_scale", _positive, 1.0)),
-        {}, echo_defaults=False)
+    rho = top.section("overrides", lambda sec: sec.get("rho", _positive, None),
+                      {}, echo_defaults=False)
     shapes = {"A_hat": (n, n), "B_hat": (n, m), "H_hat": (p, m)}
     scalars = ("kappa_c", "kappa_g", "theta_g_comp", "theta_c_min",
                "theta_c_max")
@@ -289,4 +296,4 @@ def parse_config(source, seed=None) -> ScenarioConfig:
 
     params = ModelParams(plant, objective, timers, input_set, rho)
     return ScenarioConfig(params, policy, horizon, sample_dt, init_mode, zeta0,
-                          perturbation, r_scale, top.document)
+                          perturbation, top.document)

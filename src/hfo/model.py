@@ -87,7 +87,11 @@ class Box:
 
     @np.errstate(over="ignore")  # a bound too wide gives inf, which validate fails
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        width = self.hi - self.lo
+        diam = float(np.linalg.norm(width))
+        if math.isinf(diam) and np.isfinite(width).all():  # squares overflowed
+            diam = float(width.max() * np.linalg.norm(width / width.max()))
+        return diam
 
     def random_point(self, rng) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
@@ -364,6 +368,12 @@ class Diagnostics:
         return [c for c in self.checks if c.status == "fail"]
 
 
+def _verdict(checks, name, ok, passed, failed):
+    """Append check ``name``: "pass" with detail ``passed`` if ``ok``, else
+    "fail" with detail ``failed``."""
+    checks.append(Check(name, "pass", passed) if ok else Check(name, "fail", failed))
+
+
 def _spd_check(name, mat, checks):
     try:
         lam = linalg.eig_sym(mat)
@@ -413,53 +423,35 @@ def validate(params: ModelParams, zeta0: State | None = None,
     # a reset at or below EVENT_TOL would merge distinct jumps into one instant
     timers_ok = (EVENT_TOL < tm.tau_c_min <= tm.tau_c_max
                  and tm.tau_g_comp > EVENT_TOL and tm.ell >= 1)
-    if timers_ok:
-        checks.append(Check("timers", "pass", ""))
-    else:
-        checks.append(Check("timers", "fail", f"need EVENT_TOL = {EVENT_TOL:g} < "
-                            "tau_c_min <= tau_c_max, tau_g_comp > EVENT_TOL, ell >= 1"))
+    _verdict(checks, "timers", timers_ok, "", f"need EVENT_TOL = {EVENT_TOL:g} < "
+             "tau_c_min <= tau_c_max, tau_g_comp > EVENT_TOL, ell >= 1")
 
-    if tm.ell * tm.tau_g_comp <= tm.tau_c_min + 1e-12:
-        checks.append(Check("timescale", "pass",
-                            f"ell*tau_g_comp = {tm.ell * tm.tau_g_comp:.4g} <= "
-                            f"tau_c_min = {tm.tau_c_min:.4g}"))
-    else:
-        checks.append(Check(
-            "timescale", "fail",
-            f"ell*tau_g_comp = {tm.ell * tm.tau_g_comp:.4g} exceeds tau_c_min = "
-            f"{tm.tau_c_min:.4g}; fewer than ell gradient iterations fit per input "
-            "period"))
+    ratio = tm.ell * tm.tau_g_comp
+    _verdict(checks, "timescale", ratio <= tm.tau_c_min + 1e-12,
+             f"ell*tau_g_comp = {ratio:.4g} <= tau_c_min = {tm.tau_c_min:.4g}",
+             f"ell*tau_g_comp = {ratio:.4g} exceeds tau_c_min = "
+             f"{tm.tau_c_min:.4g}; fewer than ell gradient iterations fit per "
+             "input period")
 
     if lam_u is not None and lam_y is not None and hurwitz:
         mu, big_l, q = gradient_constants(params)
         gamma = params.objective.gamma
         bound = 2.0 / (mu + big_l)
-        if 0.0 < gamma < bound:
-            checks.append(Check("stepsize", "pass",
-                                f"gamma = {gamma:.4g} in (0, {bound:.4g})"))
-        else:
-            checks.append(Check(
-                "stepsize", "fail",
-                f"stepsize gamma = {gamma:.4g} outside the input-convergence "
-                f"range (0, 2/(lambda_min(Q_u)+L)) = (0, {bound:.4g})"))
-        if 0.0 < q < 1.0:
-            checks.append(Check("contraction", "pass", f"q = {q:.6g}"))
-        else:
-            checks.append(Check("contraction", "fail",
-                                f"contraction factor q = {q:.6g} not in (0, 1)"))
+        _verdict(checks, "stepsize", 0.0 < gamma < bound,
+                 f"gamma = {gamma:.4g} in (0, {bound:.4g})",
+                 f"stepsize gamma = {gamma:.4g} outside the input-convergence "
+                 f"range (0, 2/(lambda_min(Q_u)+L)) = (0, {bound:.4g})")
+        _verdict(checks, "contraction", 0.0 < q < 1.0, f"q = {q:.6g}",
+                 f"contraction factor q = {q:.6g} not in (0, 1)")
 
     if zeta0 is None and hurwitz:
         zeta0 = strict_initial_state(params)
     if zeta0 is not None:
-        init_status = "fail" if mode == "strict" else "warn"
         # the model needs H and a valid reset interval
         if hurwitz and timers_ok:
-            if HybridFOModel(params).contains(zeta0.tau_c, zeta0.tau_g):
-                checks.append(Check("init_domain", "pass", ""))
-            else:
-                checks.append(Check("init_domain", "fail",
-                                    "initial state outside the flow and jump "
-                                    "sets"))
+            _verdict(checks, "init_domain",
+                     HybridFOModel(params).contains(zeta0.tau_c, zeta0.tau_g),
+                     "", "initial state outside the flow and jump sets")
         problems = []
         if not (tm.tau_c_min - 1e-12 <= zeta0.tau_c <= tm.tau_c_max + 1e-12):
             problems.append("tau_c(0,0) outside [tau_c_min, tau_c_max]")
@@ -469,10 +461,8 @@ def validate(params: ModelParams, zeta0: State | None = None,
             problems.append("z(0,0) != u(0,0)")
         if not params.input_set.contains(zeta0.u):
             problems.append("u(0,0) outside the input set")
-        if problems:
-            checks.append(Check("init_restricted", init_status, "; ".join(problems)))
-        else:
-            checks.append(Check("init_restricted", "pass", ""))
+        status = "pass" if not problems else "fail" if mode == "strict" else "warn"
+        checks.append(Check("init_restricted", status, "; ".join(problems)))
 
     return Diagnostics(checks, zeta0)
 

@@ -170,7 +170,7 @@ def _bound_suite(which, seed, init_fn):
     worst, worst_tail = -math.inf, 0.0
     arc, params = _s1_arc(horizon=(40.0, 10_000))
     c = constants(params)
-    rep = check_bound(arc, c, params, which)
+    rep = check_bound(arc, c, which)
     worst = max(worst, rep.max_violation)
     worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].state(-1).x, c))
 
@@ -183,7 +183,7 @@ def _bound_suite(which, seed, init_fn):
         arc = hybrid.simulate(model, zeta0,
                               JumpPolicy(tau_c_reset="uniform", seed=i),
                               (40.0 / c.rho, 10_000), 0.05)
-        rep = check_bound(arc, c, params, which)
+        rep = check_bound(arc, c, which)
         worst = max(worst, rep.max_violation)
         worst_tail = max(worst_tail,
                          dist_to_A(arc.segments[-1].state(-1).x, c))

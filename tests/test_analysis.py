@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hfo import hybrid, linalg
+from hfo import analysis, hybrid, linalg
 from hfo.analysis import (
     MEstimate,
     bound_thm1,
@@ -21,6 +22,7 @@ from hfo.analysis import (
     solve_optimal,
 )
 from hfo.model import (
+    Ball,
     Box,
     HybridFOModel,
     JumpPolicy,
@@ -88,7 +90,14 @@ def per_sample_reconstruction(arc, params):
     return np.vstack(recon)
 
 
-def per_sample_bound_check(arc, c, params, which):
+@pytest.fixture
+def unit_overshoot(monkeypatch):
+    """constants with M = 1: estimate_M reports no overshoot."""
+    monkeypatch.setattr(analysis, "estimate_M",
+                        lambda a, rho: MEstimate(1.0, 0.0, 1.0))
+
+
+def per_sample_bound_check(arc, c, which):
     """Oracle: (max_violation, first_entry_time, (t, j) of the first sample
     attaining it), from a plain loop over the stored samples."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
@@ -97,7 +106,7 @@ def per_sample_bound_check(arc, c, params, which):
     for seg in arc.segments:
         for k, t in enumerate(seg.times):
             lhs = dist_to_A(seg.state(k).x, c)
-            gap = lhs - max(float(bound_fn(t, init_dist, c, params.timers)), 0.0)
+            gap = lhs - max(float(bound_fn(t, init_dist, c)), 0.0)
             if gap > worst:
                 worst, witness = gap, (float(t), seg.j)
             if first_entry is None and lhs <= 1e-6:
@@ -105,10 +114,10 @@ def per_sample_bound_check(arc, c, params, which):
     return worst, first_entry, witness
 
 
-def unblocked_estimate(a, rho, grid_points, horizon_factor):
+def unblocked_estimate(a, rho, grid_points, horizon):
     """Oracle: (sup, t_at_max) of ||e^{At}|| e^{rho t} on estimate_M's grid,
     one spectral norm per grid point."""
-    h = horizon_factor / rho / grid_points
+    h = horizon / rho / grid_points
     step = scipy.linalg.expm(a * h)
     e = np.eye(a.shape[0])
     sup, t_at = 1.0, 0.0
@@ -220,20 +229,22 @@ class TestEstimateM:
         with pytest.raises(ValueError):
             estimate_M(np.array([[-1.0]]), 0.0)
 
-    @pytest.mark.parametrize("grid_points, horizon_factor", [
+    @pytest.mark.parametrize("grid_points, horizon", [
         (7, 10.0),  # fewer points than one block
         (257, 10.0),  # a partial last block, maximizer inside a full one
         (257, 0.3),  # v(t) still rising: the maximizer is the last grid point
     ])
-    def test_blocks_match_unblocked_loop(self, grid_points, horizon_factor):
+    def test_blocks_match_unblocked_loop(self, monkeypatch, grid_points,
+                                         horizon):
+        monkeypatch.setattr(analysis, "M_GRID_POINTS", grid_points)
+        monkeypatch.setattr(analysis, "M_HORIZON", horizon)
         a = np.array([[-1.0, 4.0], [0.0, -2.0]])
-        est = estimate_M(a, 1.0, grid_points=grid_points,
-                         horizon_factor=horizon_factor)
-        sup, t_at = unblocked_estimate(a, 1.0, grid_points, horizon_factor)
+        est = estimate_M(a, 1.0)
+        sup, t_at = unblocked_estimate(a, 1.0, grid_points, horizon)
         assert est.sup == pytest.approx(sup, rel=1e-12)
         assert est.t_at_max == t_at
-        if horizon_factor < 1.0:
-            assert est.t_at_max == pytest.approx(horizon_factor)
+        if horizon < 1.0:
+            assert est.t_at_max == pytest.approx(horizon)
 
 
 class TestConstants:
@@ -249,14 +260,9 @@ class TestConstants:
         assert abs(c.r - expected_r) <= 1e-9
         assert c.x_tilde[0] == pytest.approx(0.75, abs=1e-10)
 
-    def test_unit_overshoot_r_value(self, s1):
-        c = constants(s1, m_estimate=MEstimate(1.0, 0.0, 1.0))
+    def test_unit_overshoot_r_value(self, s1, unit_overshoot):
+        c = constants(s1)
         assert c.r == pytest.approx(4.675441117657115, abs=1e-12)
-
-    def test_r_scale_knob(self, s1):
-        c_half = constants(s1, r_scale=0.5)
-        c_full = constants(s1)
-        assert c_half.r == pytest.approx(0.5 * c_full.r)
 
     def test_non_hurwitz_rejected(self, s1):
         from hfo.model import Plant
@@ -270,6 +276,29 @@ class TestConstants:
     def test_overrides(self, s1):
         params = dataclasses.replace(s1, rho_override=0.5)
         assert constants(params).rho == 0.5
+
+    def test_non_finite_radius_rejected(self, s1):
+        # d_u = 1e308 is finite, r and the bound terms are not
+        huge = dataclasses.replace(s1, input_set=Ball([0.0], 5e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^constants not finite: "
+                               r"r = inf.* input_set diameter d_u = 1e\+308$"):
+                constants(huge)
+        wide = dataclasses.replace(s1, input_set=Ball([0.0], 1e307))
+        assert math.isfinite(constants(wide).middle_thm2)
+
+    def test_bound_terms_match_the_formulas(self, s1):
+        c = constants(s1)
+        tm = s1.timers
+        coeff = c.b_norm * c.d_u / c.rho
+        q_pow = c.q ** (tm.ell / 2.0)
+        for scale, middle in ((1.0, c.middle_thm1), (2.0, c.middle_thm2)):
+            assert middle == pytest.approx(c.m_hat ** 2 * coeff * (
+                2.0 - math.exp(-scale * c.rho * tm.tau_c_max) + q_pow),
+                rel=1e-14)
+        assert c.last == pytest.approx(c.m_hat * coeff * (
+            1.0 + q_pow * math.exp(c.rho * tm.tau_c_min)), rel=1e-14)
 
 
 class TestDistToA:
@@ -285,35 +314,34 @@ class TestDistToA:
 
 
 class TestBounds:
-    def test_thm1_unit_overshoot_value(self, s1):
-        c = constants(s1, m_estimate=MEstimate(1.0, 0.0, 1.0))
-        value = bound_thm1(0.0, 1.0, c, s1.timers)
+    def test_thm1_unit_overshoot_value(self, s1, unit_overshoot):
+        c = constants(s1)
+        value = bound_thm1(0.0, 1.0, c)
         assert value == pytest.approx(-0.16059819866428882, abs=1e-12)
 
     def test_bounds_decay_exponentially(self, s1):
         c = constants(s1)
-        v0 = bound_thm2(0.0, 5.0, c, s1.timers)
-        v1 = bound_thm2(1.0, 5.0, c, s1.timers)
+        v0 = bound_thm2(0.0, 5.0, c)
+        v1 = bound_thm2(1.0, 5.0, c)
         assert v1 == pytest.approx(v0 * math.exp(-1.0), rel=1e-12)
 
     def test_thm2_dominates_thm1(self, s1):
         # the arbitrary-initialization bound is weaker (larger middle term)
         c = constants(s1)
-        assert bound_thm2(0.3, 2.0, c, s1.timers) >= bound_thm1(
-            0.3, 2.0, c, s1.timers)
+        assert bound_thm2(0.3, 2.0, c) >= bound_thm1(0.3, 2.0, c)
 
     def test_s1_arc_satisfies_both_bounds(self):
         arc, params = s1_arc()
         c = constants(params)
         for which in ("thm1", "thm2"):
-            report = check_bound(arc, c, params, which)
+            report = check_bound(arc, c, which)
             assert report.passed, report.max_violation
             assert report.first_entry_time == 0.0  # starts inside the target set
 
     def test_negative_control_radius_shrunk(self):
         arc, params = s1_arc()
-        c = constants(params, r_scale=0.05)
-        report = check_bound(arc, c, params, "thm1")
+        c = constants(params)
+        report = check_bound(arc, dataclasses.replace(c, r=0.05 * c.r), "thm1")
         assert not report.passed
 
     @pytest.mark.parametrize("case", ["s1-inside", "s1-shrunk", "mimo-far"])
@@ -324,10 +352,11 @@ class TestBounds:
             c = constants(params)
         else:
             arc, params = s1_arc()
-            c = constants(params, r_scale=0.05 if case == "s1-shrunk" else 1.0)
-        report = check_bound(arc, c, params, which)
-        worst, first_entry, witness = per_sample_bound_check(arc, c, params,
-                                                              which)
+            c = constants(params)
+            if case == "s1-shrunk":
+                c = dataclasses.replace(c, r=0.05 * c.r)
+        report = check_bound(arc, c, which)
+        worst, first_entry, witness = per_sample_bound_check(arc, c, which)
         assert report.max_violation == pytest.approx(worst, rel=1e-12, abs=1e-15)
         assert report.first_entry_time == first_entry
         assert (report.worst_t, report.worst_j) == witness

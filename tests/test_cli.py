@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -210,7 +211,7 @@ class TestParseConfig:
         ("policy", {"tau_c_reset": "fixed", "tau_c_value": float("inf")},
          "policy.tau_c_value"),
         ("horizon", {"J": 10.5}, "horizon.J"),
-        ("overrides", {"r_scale": float("nan")}, "overrides.r_scale"),
+        ("overrides", {"rho": float("inf")}, "overrides.rho"),
         ("overrides", {"rho": "x"}, "overrides.rho"),
         ("overrides", {"rho": 0.0}, "overrides.rho"),
         ("input_set", {"kind": "ball", "center": [0.0], "radius": "x"},
@@ -228,8 +229,6 @@ class TestParseConfig:
         ("policy", {"tau_c_reset": "fixed", "tau_c_value": 5.0},
          "policy.tau_c_value"),
         ("policy", {"tau_c_reset": "fixed"}, "policy.tau_c_value"),
-        ("overrides", {"r_scale": 0.0}, "overrides.r_scale"),
-        ("overrides", {"r_scale": -1.0}, "overrides.r_scale"),
     ])
     def test_bad_scalar_field_named(self, tmp_path, capsys, section, fields,
                                     field):
@@ -300,6 +299,7 @@ class TestParseConfig:
         ("horizon", {"t": 5.0}, "horizon.t"),
         ("init", {"zeta0": dict(ZETA0, tau=1.0)}, "init.zeta0.tau"),
         ("input_set", {"radius": 1.0}, "input_set.radius"),
+        ("overrides", {"r_scale": 0.05}, "overrides.r_scale"),
     ])
     def test_unknown_key_named(self, tmp_path, capsys, section, fields,
                                field):
@@ -344,7 +344,7 @@ class TestParseConfig:
         ({}, None),
         ({"input_set": {"kind": "ball", "center": [0.0], "radius": 2.0}}, None),
         ({"init": {"mode": "global", "zeta0": ZETA0}}, None),
-        ({"overrides": {"rho": 0.5, "r_scale": 0.05}}, None),
+        ({"overrides": {"rho": 0.5}}, None),
         ({}, "7"),
         ({"policy": None, "init": None, "perturbation": None}, None),
     ])
@@ -578,7 +578,9 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["policy"]["seed"] == seed
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", "nan"])
+    @pytest.mark.parametrize("value", [
+        "abc", "1.5", "-1", "nan",
+        pytest.param("1" + "0" * 4400, id="4401-digits")])
     def test_bad_seed_env_exit_2(self, tmp_path, capsys, monkeypatch, value):
         cfg = write_config(tmp_path, load_s1_dict())
         monkeypatch.setenv("HFO_SEED", value)
@@ -634,6 +636,77 @@ class TestNumericLimits:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not caught  # no overflow warning either
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    def test_non_finite_radius_exits_2_before_the_run(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        # d_u = 1e308 is finite, but r = M ||B|| d_u / rho (...) is not
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(hybrid, "simulate", no_run)
+        monkeypatch.setattr(cli, "robustness_sweep", no_run)
+        data = load_s1_dict()
+        data["input_set"] = {"kind": "ball", "center": [0.0], "radius": 5e307}
+        cfg = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: constants not finite: r = inf")
+        assert "input_set diameter d_u = 1e+308" in err
+        assert "Traceback" not in err
+        assert not caught
+
+    @pytest.mark.parametrize("input_set", [
+        {"kind": "ball", "center": [0.0], "radius": 1e307},
+        # the squares of its width overflow, its diameter does not
+        {"kind": "box", "lo": [-1e154], "hi": [1e154]},
+    ], ids=["ball", "box"])
+    def test_huge_finite_input_set_verifies(self, tmp_path, capsys,
+                                            input_set):
+        data = load_s1_dict()
+        data["input_set"] = input_set
+        data["horizon"] = {"T": 5.0, "J": 1000}
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert math.isfinite(report["constants"]["r"])
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
+    def test_constants_derived_once_before_the_run(self, tmp_path,
+                                                   monkeypatch, command):
+        calls = []
+
+        def spy(name, fn):
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(analysis, "constants",
+                            spy("constants", analysis.constants))
+        monkeypatch.setattr(hybrid, "simulate", spy("run", hybrid.simulate))
+        monkeypatch.setattr(cli, "robustness_sweep",
+                            spy("run", cli.robustness_sweep))
+        data = load_s1_dict()
+        data["horizon"] = {"T": 2.0, "J": 1000}
+        cfg = write_config(tmp_path, data)
+        extra = ["--tau", "2"] if command == "robustness" else []
+        assert main([command, cfg, "--out", str(tmp_path)] + extra) == 0
+        assert calls == ["constants", "run"]
+
+    def test_integer_past_digit_limit_named(self, tmp_path, capsys):
+        # int() refuses a decimal string past 4300 digits
+        data = load_s1_dict()
+        data["timers"]["ell"] = 0
+        text = json.dumps(data).replace('"ell": 0', '"ell": 1' + "0" * 4400)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        assert main(["verify", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'timers.ell'")
 
     def test_digit_string_past_float_range_named(self):
         data = load_s1_dict()
@@ -806,12 +879,19 @@ class TestVerifyCommand:
         assert report["checks"]["bound_thm1"]["passed"] is True
         assert "PASS bound_thm1" in capsys.readouterr().out
 
-    def test_negative_control_shrunk_radius_fails(self, tmp_path, capsys):
+    def test_negative_control_shrunk_radius_fails(self, tmp_path, capsys,
+                                                  monkeypatch):
         data = load_s1_dict()
         data["horizon"] = {"T": 10.0, "J": 1000}
-        # the debug knob shrinks the radius enough that the initial distance
-        # exceeds the (clipped) bound at t = 0
-        data["overrides"] = {"r_scale": 0.05}
+        # a radius shrunk enough that the initial distance exceeds the
+        # (clipped) bound at t = 0
+        derive = analysis.constants
+
+        def shrunk(params):
+            c = derive(params)
+            return dataclasses.replace(c, r=0.05 * c.r)
+
+        monkeypatch.setattr(analysis, "constants", shrunk)
         cfg = write_config(tmp_path, data)
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 1
         out = capsys.readouterr().out

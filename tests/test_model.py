@@ -33,6 +33,13 @@ class TestInputSets:
         assert Box([-1.0], [1.0]).diameter() == 2.0
         assert Box([0.0, 0.0], [3.0, 4.0]).diameter() == 5.0
 
+    def test_box_diameter_past_the_squares_range(self):
+        # the squares of these widths overflow; the diameters do not
+        assert Box([-1e154], [1e154]).diameter() == 2e154
+        assert Box([0.0, 0.0], [3e154, 4e154]).diameter() == pytest.approx(
+            5e154, rel=1e-15)
+        assert Box([-1e308], [1e308]).diameter() == np.inf
+
     def test_box_invalid_bounds(self):
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
