@@ -211,7 +211,8 @@ class TestParseConfig:
         ("policy", {"tau_c_reset": "fixed", "tau_c_value": float("inf")},
          "policy.tau_c_value"),
         ("horizon", {"J": 10.5}, "horizon.J"),
-        ("overrides", {"rho": float("inf")}, "overrides.rho"),
+        # r_scale is no longer a key: refused as unknown, still named
+        ("overrides", {"r_scale": float("nan")}, "overrides.r_scale"),
         ("overrides", {"rho": "x"}, "overrides.rho"),
         ("overrides", {"rho": 0.0}, "overrides.rho"),
         ("input_set", {"kind": "ball", "center": [0.0], "radius": "x"},
@@ -229,6 +230,9 @@ class TestParseConfig:
         ("policy", {"tau_c_reset": "fixed", "tau_c_value": 5.0},
          "policy.tau_c_value"),
         ("policy", {"tau_c_reset": "fixed"}, "policy.tau_c_value"),
+        ("overrides", {"r_scale": 0.0}, "overrides.r_scale"),
+        ("overrides", {"r_scale": -1.0}, "overrides.r_scale"),
+        ("overrides", {"rho": float("inf")}, "overrides.rho"),
     ])
     def test_bad_scalar_field_named(self, tmp_path, capsys, section, fields,
                                     field):
