@@ -75,28 +75,32 @@ PGD_TOL = 1e-12
 PGD_MAX_ITER = 200_000
 
 
-def _pgd_fixed_point(grad, hessian_eigs, input_set, dim, check_gamma) -> np.ndarray:
-    """Projected gradient iteration to a fixed point of z = P[z - gamma*grad(z)].
+def _pgd_fixed_point(hess, offset, eigs, input_set, check_gamma) -> np.ndarray:
+    """Fixed point of z = P[z - gamma (hess z + offset)], for one offset (m,)
+    or for each row of a stack (P, m).
 
-    Iterates with an internally optimal stepsize (the fixed point does not
-    depend on the stepsize); convergence is certified against ``check_gamma``.
+    Iterates with a stepsize from ``eigs``, the extreme eigenvalues of
+    ``hess`` (the fixed point does not depend on it). Each row stops at its
+    own tolerance, so it takes the iterations a one-row solve would; every
+    row is certified against ``check_gamma``.
     """
-    mu, lam = hessian_eigs
-    gamma_int = 2.0 / (mu + lam)
-    z = input_set.project(np.zeros(dim))
+    gamma_int = 2.0 / (eigs[0] + eigs[1])
+    offsets = offset.reshape(-1, offset.shape[-1])
+    z = input_set.project(np.zeros_like(offsets))
+    rows = np.arange(len(z))
     for _ in range(PGD_MAX_ITER):
-        z_new = input_set.project(z - gamma_int * grad(z))
-        if np.linalg.norm(z_new - z) <= 0.1 * PGD_TOL:
-            z = z_new
+        if not rows.size:
             break
-        z = z_new
-    resid = np.linalg.norm(z - input_set.project(z - check_gamma * grad(z)))
-    if resid > PGD_TOL:
-        raise RuntimeError(
-            f"projected gradient failed to reach fixed-point residual {PGD_TOL:g} "
-            f"(got {resid:.3e})"
-        )
-    return z
+        old = z[rows]
+        z[rows] = new = input_set.project(
+            old - gamma_int * ((hess @ old[..., None])[..., 0] + offsets[rows]))
+        rows = rows[linalg.row_norms(new - old)[:, 0] > 0.1 * PGD_TOL]
+    resid = linalg.row_norms(z - input_set.project(
+        z - check_gamma * ((hess @ z[..., None])[..., 0] + offsets)))
+    if np.max(resid, initial=0.0) > PGD_TOL:
+        raise RuntimeError(f"projected gradient failed to reach fixed-point "
+                           f"residual {PGD_TOL:g} (got {np.max(resid):.3e})")
+    return z.reshape(offset.shape)
 
 
 def solve_optimal(params: ModelParams):
@@ -110,27 +114,19 @@ def solve_optimal(params: ModelParams):
     h = params.h
     eigs = params.curvature.hessian
     offset = h.T @ (obj.q_y @ (plant.d - obj.y_hat))
-
-    def grad(u):
-        return params.hessian @ u + offset
-
-    u_tilde = _pgd_fixed_point(grad, eigs, params.input_set, plant.m,
+    u_tilde = _pgd_fixed_point(params.hessian, offset, eigs, params.input_set,
                                check_gamma=2.0 / (eigs[0] + eigs[1]))
     return u_tilde, h @ u_tilde + plant.d, -params.a_inv_b @ u_tilde
 
 
 def fixed_point_z(y_s, params: ModelParams):
-    """Per-sample fixed point z* of the projected gradient update, with the
-    sampled output y_s held as the system holds it within one input period."""
+    """Fixed point z* of the projected gradient update with the sampled output
+    held, as within one input period: for y_s (p,), or each row of (P, p)."""
     obj = params.objective
-    y_s = np.asarray(y_s, dtype=float)
-    offset = params.h.T @ (obj.q_y @ (y_s - obj.y_hat))
-
-    def grad(z):
-        return obj.q_u @ z + offset
-
-    return _pgd_fixed_point(grad, params.curvature.q_u, params.input_set,
-                            obj.q_u.shape[0], check_gamma=obj.gamma)
+    err = np.asarray(y_s, dtype=float) - obj.y_hat
+    offset = (params.h.T @ (obj.q_y @ err[..., None]))[..., 0]
+    return _pgd_fixed_point(obj.q_u, offset, params.curvature.q_u,
+                            params.input_set, check_gamma=obj.gamma)
 
 
 def estimate_M(a, rho: float) -> MEstimate:
@@ -358,9 +354,10 @@ def rate_check(arc: HybridArc, params: ModelParams) -> RateReport:
     input period against that period's projected-gradient fixed point: the
     iterates z[first:end] of period (first, end) and its held y_s[first]."""
     _, _, q = gradient_constants(params)
+    spans = arc.periods()[:-1]
+    z_stars = fixed_point_z(arc.y_s[[first for first, _ in spans]], params)
     periods = []
-    for k, (first, end) in enumerate(arc.periods()[:-1]):
-        z_star = fixed_point_z(arc.y_s[first], params)
+    for k, ((first, end), z_star) in enumerate(zip(spans, z_stars)):
         dists = [float(np.linalg.norm(z - z_star)) for z in arc.z[first:end]]
         worst = max((d1 ** 2 - q * d0 ** 2 for d0, d1 in zip(dists, dists[1:])),
                     default=-np.inf)

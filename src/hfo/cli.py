@@ -276,8 +276,8 @@ def cmd_robustness(args) -> int:
     out = _out_dir(args.out)
     if config.perturbation is None:
         raise ConfigError("config has no perturbation block")
-    zeta0, diag, consts = _validated(config)
     tau, deltas = _sweep_arguments(args)
+    zeta0, diag, consts = _validated(config)
     try:
         sweep = robustness_sweep(config.params, config.perturbation, deltas,
                                  tau, config.policy, zeta0, config.sample_dt)

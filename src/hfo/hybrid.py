@@ -231,11 +231,7 @@ def jump_order(case, policy, rng) -> tuple:
     order = policy.case3_order
     if order == "random":
         order = "g1_first" if rng.integers(2) == 0 else "g2_first"
-    if order == "g1_first":
-        return ("g1", "g2")
-    if order == "g2_first":
-        return ("g2", "g1")
-    raise ValueError(f"unknown case-3 order {order!r}")
+    return ("g1", "g2") if order == "g1_first" else ("g2", "g1")
 
 
 def _skeleton(model, zeta0, policy, horizon, sample_dt):
@@ -376,18 +372,13 @@ def draw_tau_c_reset(policy, rng, interval):
     kind = policy.tau_c_reset
     if kind == "fixed":
         value = policy.tau_c_value
-        if value is None or not (lo - EVENT_TOL <= value <= hi + EVENT_TOL):
-            raise ValueError(
-                f"fixed tau_c reset {value} outside reset interval [{lo}, {hi}]"
-            )
+        if not (lo - EVENT_TOL <= value <= hi + EVENT_TOL):
+            raise ValueError(f"fixed tau_c reset {value} outside reset "
+                             f"interval [{lo}, {hi}]")
         return float(value)
     if kind == "uniform":
         return float(rng.uniform(lo, hi)) if hi > lo else lo
-    if kind == "min":
-        return lo
-    if kind == "max":
-        return hi
-    raise ValueError(f"unknown tau_c reset policy {kind!r}")
+    return lo if kind == "min" else hi
 
 
 def simulate(model, zeta0: State, policy, horizon,
@@ -399,12 +390,15 @@ def simulate(model, zeta0: State, policy, horizon,
     otherwise the state flows exactly to the next timer event. Deterministic
     for a fixed seed. J never splits a composite jump: both halves run, so
     the arc may end at j = J + 1. Raises SampleBudgetError, before any work,
-    when ``sample_bound`` allows a payload over SAMPLE_BUDGET bytes.
+    when ``sample_bound`` allows a payload over SAMPLE_BUDGET bytes, and
+    ValueError for a fixed tau_c reset outside the reset interval.
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
     if not model.contains(zeta0.tau_c, zeta0.tau_g):
         raise ValueError("initial state outside the flow and jump sets")
+    if policy.tau_c_reset == "fixed":
+        draw_tau_c_reset(policy, None, (model.reset_lo, model.reset_hi))
     bound = sample_bound(model, horizon, sample_dt)
     payload = bound * (len(zeta0.x) + 3) * 8
     if payload > SAMPLE_BUDGET:

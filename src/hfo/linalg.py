@@ -113,6 +113,11 @@ def eig_sym(s) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (s + s.T))
 
 
+def row_norms(v) -> np.ndarray:
+    """Each row's norm, shaped (..., 1), with ``np.linalg.norm``'s bits."""
+    return np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
+
+
 def spectral_norm(b) -> float:
     """Largest singular value, sqrt(lambda_max(B^T B))."""
     b = np.asarray(b, dtype=float)

@@ -98,7 +98,7 @@ class Box:
 
 
 class Ball:
-    """Euclidean ball input set with radial projection."""
+    """Euclidean ball input set; radial projection of a point or rows (k, m)."""
 
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -109,10 +109,9 @@ class Ball:
     def project(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         offset = v - self.center
-        dist = np.linalg.norm(offset)
-        if dist <= self.radius:
-            return v.copy()
-        return self.center + offset * (self.radius / dist)
+        dist = linalg.row_norms(offset)
+        return np.where(dist <= self.radius, v, self.center + offset * (
+            self.radius / np.maximum(dist, self.radius)))
 
     def contains(self, v) -> bool:
         return bool(np.linalg.norm(np.asarray(v, dtype=float) - self.center)
@@ -135,9 +134,17 @@ class JumpPolicy:
     """Resolves the set-valued tau_c reset and the composite-jump order."""
 
     tau_c_reset: str = "min"  # "fixed" | "uniform" | "min" | "max"
-    tau_c_value: float | None = None
+    tau_c_value: float | None = None  # the reset value of a "fixed" reset
     case3_order: str = "g1_first"  # "g1_first" | "g2_first" | "random"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.tau_c_reset not in ("fixed", "uniform", "min", "max"):
+            raise ValueError(f"unknown tau_c reset policy {self.tau_c_reset!r}")
+        if self.tau_c_reset == "fixed" and self.tau_c_value is None:
+            raise ValueError("a fixed tau_c reset needs tau_c_value")
+        if self.case3_order not in ("g1_first", "g2_first", "random"):
+            raise ValueError(f"unknown case-3 order {self.case3_order!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import HybridArc, simulate
+from .hybrid import EVENT_TOL, HybridArc, simulate
 from .model import HybridFOModel, JumpPolicy, ModelParams, Perturbation, State
 
 
@@ -42,9 +42,6 @@ class ClosenessResult:
     witness: tuple  # (arc index 1 or 2, t, j) of the worst-matched sample
     truncated: bool = False
 
-
-# Samples with t + j <= tau + TAU_TOL take part in the closeness metric.
-TAU_TOL = 1e-12
 
 # Most elements one broadcast temporary of ``closeness`` holds: samples are
 # matched in blocks that stay under it, one sample at a time at worst, when
@@ -87,7 +84,7 @@ def _directional(arc_a: HybridArc, cols_a, arc_b: HybridArc, cols_b,
     """
     worst, witness = 0.0, (side, 0.0, 0)
     for j, (lo, hi) in enumerate(itertools.pairwise(arc_a.offsets.tolist())):
-        hi = lo + int(np.searchsorted(arc_a.times[lo:hi] + j, tau + TAU_TOL,
+        hi = lo + int(np.searchsorted(arc_a.times[lo:hi] + j, tau + EVENT_TOL,
                                       side="right"))
         if lo == hi:
             break
@@ -105,14 +102,14 @@ def _directional(arc_a: HybridArc, cols_a, arc_b: HybridArc, cols_b,
 
 def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     """Smallest epsilon for which the two arcs match, in both directions, at
-    every stored sample with t + j <= tau.
+    every stored sample with t + j <= tau + EVENT_TOL.
 
     Each sample of one arc must have a counterpart at the same jump index in
     the other arc, within epsilon in both time and state (sup norm over the
     state components). Sampling density bounds the resolution of the result.
     """
-    truncated = (arc1.t_end + len(arc1.jumps) + TAU_TOL < tau
-                 or arc2.t_end + len(arc2.jumps) + TAU_TOL < tau)
+    truncated = (arc1.t_end + len(arc1.jumps) + EVENT_TOL < tau
+                 or arc2.t_end + len(arc2.jumps) + EVENT_TOL < tau)
     shared = min(len(arc1.segments), len(arc2.segments))
     held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
                        axis=1)
@@ -166,7 +163,7 @@ def _clipped(model: HybridFOModel, policy: JumpPolicy) -> JumpPolicy:
     """``policy`` with a fixed tau_c reset clipped into the model's reset
     interval, which theta_c shifts, as the min and max resets follow its
     ends."""
-    if policy.tau_c_reset != "fixed" or policy.tau_c_value is None:
+    if policy.tau_c_reset != "fixed":
         return policy
     value = min(max(policy.tau_c_value, model.reset_lo), model.reset_hi)
     return dataclasses.replace(policy, tau_c_value=value)
@@ -181,9 +178,9 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     adjustments below) so that the measured epsilon reflects the
     perturbation rather than selection divergence.
 
-    Each run stops at t = tau or at jump index J = floor(tau + TAU_TOL) + 1,
+    Each run stops at t = tau or at jump index J = floor(tau + EVENT_TOL) + 1,
     whichever comes first, and that changes no result. ``closeness`` reads
-    the samples with t + j <= tau + TAU_TOL; since t >= 0, they all lie in
+    the samples with t + j <= tau + EVENT_TOL; since t >= 0, they all lie in
     segments with j <= J - 1. A read sample is matched against the whole
     segment with the same j in the other arc, which again has j <= J - 1.
     Segments 0..J-1 of a capped run equal those of an uncapped one, sample
@@ -199,7 +196,7 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     deltas = list(deltas)
     models = [_scaled(params, pert, delta) for delta in deltas]
-    horizon = (float(tau), math.floor(tau + TAU_TOL) + 1)
+    horizon = (float(tau), math.floor(tau + EVENT_TOL) + 1)
     arc_nom = simulate(HybridFOModel(params), zeta0, policy, horizon, sample_dt)
 
     rows = []

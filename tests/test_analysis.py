@@ -183,6 +183,19 @@ class TestFixedPointZ:
             np.testing.assert_allclose(params.input_set.project(step), z,
                                        atol=1e-11)
 
+    @pytest.mark.parametrize("ball_prob", [0.0, 1.0], ids=["box", "ball"])
+    def test_stack_matches_one_output_calls(self, ball_prob):
+        rng = np.random.default_rng(47)
+        for _ in range(4):
+            params = random_params(rng, ball_prob=ball_prob)
+            for count in (0, 1, 9):
+                # wide outputs, so that some fixed points lie on the boundary
+                y_s = rng.standard_normal((count, params.plant.p)) * 3.0
+                z = fixed_point_z(y_s, params)
+                assert z.shape == (count, params.plant.m)
+                for row, y in zip(z, y_s):
+                    assert np.array_equal(row, fixed_point_z(y, params))
+
 
 class TestEstimateM:
     def test_scalar(self):
@@ -473,6 +486,21 @@ class TestRateCheck:
         report = rate_check(arc, params)
         assert report.passed
         assert all(p.alpha == 4 for p in report.periods)
+
+    @pytest.mark.parametrize("horizon", [(6.0, 1000), (0.5, 1000)],
+                             ids=["six-periods", "no-period"])
+    def test_one_fixed_point_call_per_arc(self, monkeypatch, horizon):
+        calls = []
+        solve = analysis.fixed_point_z
+
+        def counted(y_s, params):
+            calls.append(len(y_s))
+            return solve(y_s, params)
+
+        monkeypatch.setattr(analysis, "fixed_point_z", counted)
+        arc, params = s1_arc(horizon)
+        report = rate_check(arc, params)
+        assert calls == [len(report.periods)]
 
     def test_random_scenarios_contract(self):
         rng = np.random.default_rng(53)

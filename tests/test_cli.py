@@ -963,6 +963,23 @@ class TestRobustnessCommand:
         assert err.startswith(f"error: {flag}")
         assert not (tmp_path / "robustness.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tau", "nan"), ("--tau", "-1"), ("--deltas", "0.1,abc")])
+    def test_bad_sweep_arguments_refused_before_the_constants(
+            self, tmp_path, monkeypatch, flag, value):
+        calls = []
+        derive = analysis.constants
+
+        def counted(params):
+            calls.append(params)
+            return derive(params)
+
+        monkeypatch.setattr(analysis, "constants", counted)
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     f"{flag}={value}"]) == 2
+        assert calls == []
+
     @pytest.mark.parametrize("perturbation, deltas, message", [
         # kappa_c = 0.1: the control timer rate -1 + 20 kappa_c is positive
         ({}, "20", "timer rates"),

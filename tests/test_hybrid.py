@@ -107,6 +107,26 @@ class TestSimulate:
             assert np.array_equal(getattr(arc1, name), getattr(arc2, name))
         assert arc1.jumps == arc2.jumps
 
+    @pytest.mark.parametrize("policy, timers, t_max, message", [
+        # both timers first expire together at 2.2 s: no composite jump
+        ({"case3_order": "sideways"}, Timers(1.1, 1.1, 0.25, 4), 2.0,
+         "unknown case-3 order"),
+        # the first input jump is at 1 s: no tau_c reset
+        ({"tau_c_reset": "bogus"}, None, 0.9, "unknown tau_c reset"),
+        ({"tau_c_reset": "fixed"}, None, 0.9, "needs tau_c_value"),
+        ({"tau_c_reset": "fixed", "tau_c_value": 5.0}, None, 0.9,
+         "outside reset interval"),
+    ], ids=["sideways-order", "bogus-reset", "fixed-without-value",
+            "fixed-outside-interval"])
+    def test_bad_jump_policy_rejected_whatever_the_run(self, policy, timers,
+                                                       t_max, message):
+        params = s1_params()
+        if timers is not None:
+            params = dataclasses.replace(params, timers=timers)
+        with pytest.raises(ValueError, match=message):
+            hybrid.simulate(HybridFOModel(params), strict_initial_state(params),
+                            JumpPolicy(**policy), (t_max, 1000))
+
     def test_rejects_state_outside_domain(self):
         params = s1_params()
         model = HybridFOModel(params)

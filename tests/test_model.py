@@ -50,6 +50,23 @@ class TestInputSets:
         np.testing.assert_allclose(ball.project([0.3, 0.4]), [0.3, 0.4])
         np.testing.assert_allclose(ball.project([3.0, 4.0]), [0.6, 0.8])
 
+    @pytest.mark.filterwarnings("error")
+    def test_ball_projects_each_row_as_a_point(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 3, 5, 8):
+            ball = Ball(rng.standard_normal(m), rng.uniform(0.5, 2.0))
+            # the center itself, then points inside and outside the ball
+            points = ball.center + np.vstack(
+                [np.zeros(m), rng.standard_normal((300, m)) * 2.0])
+            rows = ball.project(points)
+            for point, row in zip(points, rows):
+                offset = point - ball.center
+                dist = np.linalg.norm(offset)
+                want = (point if dist <= ball.radius
+                        else ball.center + offset * (ball.radius / dist))
+                assert np.array_equal(row, want)
+                assert np.array_equal(ball.project(point), want)
+
     def test_ball_diameter(self):
         assert Ball([1.0], 0.75).diameter() == 1.5
 
