@@ -64,6 +64,22 @@ M_MARGIN = 0.05  # estimate_M's value is its grid supremum times 1 + this
 M_GRID_POINTS, M_HORIZON = 2000, 10.0  # its grid: 2000 steps of [0, 10/rho]
 NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
 
+# estimate_M takes the exact spectral norm only at grid points that
+# linalg.log_norm_bound cannot rule out. At this level, ||G^8||_F^(1/16)
+# with G = E'E (three squarings of G), the bound exceeds ||e^{At}|| by at
+# most n^(1/32), 1.098x at n = 20, and by far less when G has a spectral
+# gap; each level costs one batched product.
+M_BOUND_LEVELS = 4
+# Relative pad on that bound before it may rule a point out. Each product
+# of the bound (E'E and the squares of G) is off by at most about n eps
+# times the squared Frobenius norm of its normalized factor, i.e. n^2 eps
+# relative to its largest eigenvalue; level k enters with weight 1/2^k, so
+# the bound falls short of ||E||_2 by at most about n^2 eps overall, and
+# the SVD's own ||E||_2 is within about n eps. 1e-6 covers n^2 eps up to
+# n = 60000. Only where ||E||^2 underflows can the bound fall shorter, and
+# there ||E|| e^{rho t} <= 1e-140 lies far below the t = 0 value 1.
+M_BOUND_PAD = 1e-6
+
 # Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
 # stored samples (reconstruct_x's eigenbasis rows) one batched call holds at
 # once, so memory stays O(n^2) per block.
@@ -138,6 +154,15 @@ def estimate_M(a, rho: float) -> MEstimate:
     relative rounding error of up to about M_GRID_POINTS * n * eps, so grid
     values that close to the largest one count as ties, and the earliest of
     them (t = 0, value 1, included) is the reported maximizer.
+
+    The spectral norm is taken by SVD only where the squaring bound
+    (``linalg.log_norm_bound``, padded by ``M_BOUND_PAD``) cannot rule a
+    grid point out: a point whose bound, with the tie allowance, stays below
+    the largest exact value so far can be neither the maximum nor a tie, so
+    the supremum, the maximizer and every bit of the result are those of an
+    SVD at every grid point. Each block of ``_STACK_BLOCK`` matrices is
+    bounded while it is in the buffer, and its top-bound point is taken
+    first, so that the rest are measured against an exact value.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -145,18 +170,43 @@ def estimate_M(a, rho: float) -> MEstimate:
     grid_points = M_GRID_POINTS
     h = M_HORIZON / rho / grid_points
     step = linalg.mat_exp(a, h)
-    e = np.eye(a.shape[0])
-    values = np.empty(grid_points + 1)
-    values[0] = 1.0
+    n = a.shape[0]
+    tie = grid_points * n * np.finfo(float).eps
+    # at n = 1 level 0, sqrt(e^2) = |e|, is already tight: a higher level,
+    # or taking a block's top point first, would tighten nothing
+    levels = M_BOUND_LEVELS if n > 1 else 0
+    e = np.eye(n)
+    values = np.zeros(grid_points + 1)  # a skipped point keeps 0
+    values[0] = best = 1.0
     block = np.empty((min(_STACK_BLOCK, grid_points),) + a.shape)
+    rows = list(block)
+
+    def exact(start, pick):  # values at block rows pick; the new best
+        # a view, not a copy, when every row is picked
+        mats = block[pick] if len(pick) < len(t) else block[:len(t)]
+        got = np.linalg.svd(mats, compute_uv=False)[:, 0] * growth[pick]
+        values[start + pick] = got
+        return max(best, float(got.max()))
+
     for start in range(1, grid_points + 1, _STACK_BLOCK):
         t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
-        for i in range(len(t)):
-            e = step @ e
-            block[i] = e
-        norms = np.linalg.svd(block[:len(t)], compute_uv=False)[:, 0]
-        values[start:start + len(t)] = norms * np.exp(rho * t)
-    tie = grid_points * a.shape[0] * np.finfo(float).eps
+        for row in rows[:len(t)]:
+            e = np.matmul(step, e, out=row)
+        growth = np.exp(rho * t)
+        scale = growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
+        bound = linalg.log_norm_bound(block[:len(t)], levels,
+                                      np.log(best / scale))
+        with np.errstate(over="ignore"):  # an inf reach rules nothing out
+            reach = scale * np.exp(bound)
+        # a point whose reach stays below the best exact value is neither
+        # the maximum nor a tie; a NaN reach is never below it
+        todo = np.flatnonzero(~(reach < best))
+        if levels and todo.size > 1:  # the top point first, then the rest
+            top = todo[np.argmax(reach[todo])]
+            best = exact(start, top[None])
+            todo = todo[~(reach[todo] < best) & (todo != top)]
+        if todo.size:
+            best = exact(start, todo)
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
     return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)
@@ -358,7 +408,7 @@ def rate_check(arc: HybridArc, params: ModelParams) -> RateReport:
     z_stars = fixed_point_z(arc.y_s[[first for first, _ in spans]], params)
     periods = []
     for k, ((first, end), z_star) in enumerate(zip(spans, z_stars)):
-        dists = [float(np.linalg.norm(z - z_star)) for z in arc.z[first:end]]
+        dists = linalg.row_norms(arc.z[first:end] - z_star)[:, 0].tolist()
         worst = max((d1 ** 2 - q * d0 ** 2 for d0, d1 in zip(dists, dists[1:])),
                     default=-np.inf)
         alpha = end - first - 1

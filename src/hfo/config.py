@@ -218,15 +218,14 @@ def _plant(sec: _Section) -> Plant:
 
 
 def _policy(sec: _Section, timers: Timers, seed) -> JumpPolicy:
-    reset = sec.get("tau_c_reset", _choice("fixed", "uniform", "min", "max"),
-                    "min")
+    reset = sec.get("tau_c_reset", _choice(*JumpPolicy.TAU_C_RESETS), "min")
     value = sec.get("tau_c_value", _finite, None)
     lo, hi = timers.tau_c_min, timers.tau_c_max
     if reset == "fixed" and not (value is not None and lo <= value <= hi):
         raise ConfigError(f"field 'policy.tau_c_value' must lie in [tau_c_min, "
                           f"tau_c_max] = [{lo}, {hi}] for a fixed reset, "
                           f"got {value}")
-    order = sec.get("case3_order", _choice("g1_first", "g2_first", "random"),
+    order = sec.get("case3_order", _choice(*JumpPolicy.CASE3_ORDERS),
                     "g1_first")
     policy_seed = sec.get("seed", _count, 0)
     if seed is not None:

@@ -118,6 +118,45 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
 
 
+def log_norm_bound(e, levels: int, cutoff) -> np.ndarray:
+    """Upper bound on log ||E||_2 for each matrix E of a stack (k, n, n).
+
+    Level 0 is log ||E||_F, level 1 log ||G||_F / 2 with G = E'E, and each
+    further level squares G: level k is log ||G^(2^(k-1))||_F / 2^k, which
+    exceeds log ||E||_2 by at most log(n) / 2^(k+1). The bound is taken to
+    level ``levels``, except that a matrix whose bound at level 1 or above
+    already lies below its ``cutoff`` (one value per matrix) keeps that
+    looser bound. E and G are normalized before each product and the log
+    norms are summed, so no power of G overflows. An E = 0 gives -inf; a
+    non-finite E, or one whose squared entries overflow, gives inf or NaN,
+    with no warning. Rounding can make the bound fall short by about n^2 eps
+    relative, and by more only where ||E||^2 underflows.
+    """
+    def frobenius(g):
+        return row_norms(g.reshape(len(g), g.shape[-1] ** 2))[:, 0]
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = frobenius(e)
+        bound = np.log(s)
+        if levels:  # G as E'(E / ||E||_F): distinct operands take a general
+            # BLAS product, where E'E would take a slower symmetric one
+            g = np.swapaxes(e, -1, -2) @ (
+                e / np.where(s > 0.0, s, 1.0)[:, None, None])
+            s = frobenius(g)
+            bound = (bound + np.log(s)) / 2.0
+        live = np.arange(len(e))
+        for k in range(2, levels + 1):
+            keep = ~(bound[live] < cutoff[live])
+            live, g, s = live[keep], g[keep], s[keep]
+            if not live.size:
+                break
+            g /= np.where(s > 0.0, s, 1.0)[:, None, None]
+            g = g @ g
+            s = frobenius(g)
+            bound[live] += np.log(s) / 2.0 ** k
+    return bound
+
+
 def spectral_norm(b) -> float:
     """Largest singular value, sqrt(lambda_max(B^T B))."""
     b = np.asarray(b, dtype=float)

@@ -133,17 +133,20 @@ class Ball:
 class JumpPolicy:
     """Resolves the set-valued tau_c reset and the composite-jump order."""
 
-    tau_c_reset: str = "min"  # "fixed" | "uniform" | "min" | "max"
+    TAU_C_RESETS = ("fixed", "uniform", "min", "max")  # tau_c_reset's names
+    CASE3_ORDERS = ("g1_first", "g2_first", "random")  # case3_order's names
+
+    tau_c_reset: str = "min"  # one of TAU_C_RESETS
     tau_c_value: float | None = None  # the reset value of a "fixed" reset
-    case3_order: str = "g1_first"  # "g1_first" | "g2_first" | "random"
+    case3_order: str = "g1_first"  # one of CASE3_ORDERS
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau_c_reset not in ("fixed", "uniform", "min", "max"):
+        if self.tau_c_reset not in self.TAU_C_RESETS:
             raise ValueError(f"unknown tau_c reset policy {self.tau_c_reset!r}")
         if self.tau_c_reset == "fixed" and self.tau_c_value is None:
             raise ValueError("a fixed tau_c reset needs tau_c_value")
-        if self.case3_order not in ("g1_first", "g2_first", "random"):
+        if self.case3_order not in self.CASE3_ORDERS:
             raise ValueError(f"unknown case-3 order {self.case3_order!r}")
 
 

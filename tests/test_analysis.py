@@ -10,6 +10,7 @@ import scipy.linalg
 from hfo import analysis, hybrid, linalg
 from hfo.analysis import (
     MEstimate,
+    PeriodCheck,
     bound_thm1,
     bound_thm2,
     check_bound,
@@ -127,6 +128,76 @@ def unblocked_estimate(a, rho, grid_points, horizon):
         if value > sup:
             sup, t_at = value, k * h
     return sup, t_at
+
+
+def all_svd_estimate(a, rho):
+    """Oracle: estimate_M's (value, t_at_max, sup) with an SVD at every grid
+    point, in the same blocks and with the same tie rule."""
+    a = np.asarray(a, dtype=float)
+    grid_points, block_len = analysis.M_GRID_POINTS, analysis._STACK_BLOCK
+    h = analysis.M_HORIZON / rho / grid_points
+    step = linalg.mat_exp(a, h)
+    e = np.eye(a.shape[0])
+    values = np.empty(grid_points + 1)
+    values[0] = 1.0
+    block = np.empty((min(block_len, grid_points),) + a.shape)
+    for start in range(1, grid_points + 1, block_len):
+        t = np.arange(start, min(start + block_len, grid_points + 1)) * h
+        for i in range(len(t)):
+            e = step @ e
+            block[i] = e
+        norms = np.linalg.svd(block[:len(t)], compute_uv=False)[:, 0]
+        values[start:start + len(t)] = norms * np.exp(rho * t)
+    tie = grid_points * a.shape[0] * np.finfo(float).eps
+    at = int(np.argmax(values * (1.0 + tie) >= values.max()))
+    sup = float(values[at])
+    return max(1.0, sup) * (1.0 + analysis.M_MARGIN), at * h, sup
+
+
+def estimate_outcome(estimate, a, rho):
+    """(value, t_at_max, sup) or the exception's (type, text), and every
+    warning, of one estimate_M implementation."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = estimate(np.array(a, dtype=float), rho)
+        except (ArithmeticError, ValueError) as exc:  # LinAlgError included
+            got = (type(exc), str(exc))
+    if isinstance(got, MEstimate):
+        got = (got.value, got.t_at_max, got.sup)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def mimo_plant(seed, n=20):
+    """A = -S + K, drawn as bench/scenarios.mimo_scenario draws it: S
+    symmetric with eigenvalues in [0.5, 3], K skew."""
+    rng = np.random.default_rng(seed)
+    skew = rng.standard_normal((n, n)) * (0.5 / np.sqrt(n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return -((q * rng.uniform(0.5, 3.0, n)) @ q.T) + (skew - skew.T)
+
+
+def slowest_rate(a):
+    return float(np.min(np.abs(np.linalg.eigvals(a).real)))
+
+
+def per_period_rate_check(arc, params):
+    """Oracle: rate_check's PeriodChecks with every distance taken by its
+    own np.linalg.norm call."""
+    q = gradient_constants(params)[2]
+    spans = arc.periods()[:-1]
+    z_stars = fixed_point_z(arc.y_s[[first for first, _ in spans]], params)
+    periods = []
+    for k, ((first, end), z_star) in enumerate(zip(spans, z_stars)):
+        dists = [float(np.linalg.norm(z - z_star)) for z in arc.z[first:end]]
+        worst = max((d1 ** 2 - q * d0 ** 2 for d0, d1 in zip(dists, dists[1:])),
+                    default=-np.inf)
+        alpha = end - first - 1
+        agg = (dists[-1] - q ** ((alpha - 1) / 2.0) * dists[1] if alpha >= 1
+               else -np.inf)
+        periods.append(PeriodCheck(k, alpha, worst <= analysis.STEP_TOL,
+                                   agg <= analysis.AGGREGATE_TOL, worst, agg))
+    return periods
 
 
 class TestSolveOptimal:
@@ -258,6 +329,90 @@ class TestEstimateM:
         assert est.t_at_max == t_at
         if horizon < 1.0:
             assert est.t_at_max == pytest.approx(horizon)
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_all_svd_on_mimo_plants(self, seed):
+        a = mimo_plant(seed)
+        for rho in (slowest_rate(a), slowest_rate(a) / 2.0):
+            assert (estimate_outcome(estimate_M, a, rho)
+                    == estimate_outcome(all_svd_estimate, a, rho))
+
+    @pytest.mark.parametrize("a, rho", [
+        ([[-1.0]], 1.0),  # every grid value ties with t = 0
+        (-np.eye(20), 1.0),  # every grid value ties, at n = 20
+        ([[-1.0, 1.0], [0.0, -1.0]], 1.0),  # Jordan block: v(t) = O(t)
+        ([[-1.0, 4.0], [0.0, -2.0]], 1.0),  # a real overshoot
+        ([[-1.0]], 5.0),  # v(t) rises to the grid edge
+        ([[-1000.0]], 1e-3),  # E underflows to 0
+        (-1000.0 * np.eye(2), 1e-3),  # E = 0 where the bound takes levels
+        ([[60.0, 1.0], [0.0, 59.0]], 1.0),  # E'E overflows; E does not
+        ([[400.0]], 1.0),  # E overflows to inf
+        ([[400.0, 1.0], [0.0, 399.0]], 1.0),  # E overflows: the SVD raises
+    ], ids=["s1", "minus-identity-20", "jordan", "upper-triangular",
+            "s1-rho-5", "underflow", "underflow-2x2", "gram-overflow",
+            "chain-overflow", "chain-overflow-2x2"])
+    def test_matches_all_svd_on_edge_cases(self, a, rho):
+        assert (estimate_outcome(estimate_M, a, rho)
+                == estimate_outcome(all_svd_estimate, a, rho))
+
+    def test_tie_allowance_keeps_the_earliest_maximizer(self, monkeypatch):
+        # v(t) levels off within the tie allowance from t ~ 2.3 to the grid
+        # edge; with no pad, only the tie factor in the pruning rule keeps
+        # a block's earlier ties from being ruled out by its top point
+        monkeypatch.setattr(analysis, "M_BOUND_PAD", 0.0)
+        a = np.array([[-1.0, 1.0], [0.0, -11.0]])
+        est = estimate_M(a, 1.0)
+        assert (est.value, est.t_at_max, est.sup) == all_svd_estimate(a, 1.0)
+        assert 2.0 < est.t_at_max < 2.5
+
+    def test_underflow_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in ([[-1000.0]], -1000.0 * np.eye(2)):
+                assert estimate_M(np.array(a), 1e-3).t_at_max == 0.0
+
+    @staticmethod
+    def svd_matrices(monkeypatch):
+        """Counts the matrices every np.linalg.svd call receives."""
+        seen = []
+        svd = np.linalg.svd
+
+        def counted(mats, *args, **kwargs):
+            seen.append(len(mats))
+            return svd(mats, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return seen
+
+    def test_bound_spares_most_svds(self, monkeypatch):
+        seen = self.svd_matrices(monkeypatch)
+        a = mimo_plant(7)
+        estimate_M(a, slowest_rate(a))
+        assert 0 < sum(seen) < 0.1 * analysis.M_GRID_POINTS
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bound_rules_nothing_out(self, monkeypatch, bad):
+        monkeypatch.setattr(linalg, "log_norm_bound",
+                            lambda e, levels, cutoff: np.full(len(e), bad))
+        seen = self.svd_matrices(monkeypatch)
+        a = mimo_plant(7)
+        rho = slowest_rate(a)
+        est = estimate_M(a, rho)
+        assert sum(seen) == analysis.M_GRID_POINTS
+        assert (est.value, est.t_at_max, est.sup) == all_svd_estimate(a, rho)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        a = mimo_plant(7)
+        rho = slowest_rate(a)
+        estimate_M(a, rho)  # lazy imports and caches out of the count
+        tracemalloc.start()
+        try:
+            estimate_M(a, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * analysis._STACK_BLOCK * a.shape[0] ** 2 * 8
 
 
 class TestConstants:
@@ -501,6 +656,16 @@ class TestRateCheck:
         arc, params = s1_arc(horizon)
         report = rate_check(arc, params)
         assert calls == [len(report.periods)]
+
+    def test_margins_match_per_period_norms(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            params = random_params(rng)
+            arc = hybrid.simulate(HybridFOModel(params),
+                                  strict_initial_state(params),
+                                  JumpPolicy(seed=7), (3.0, 300), 0.05)
+            report = rate_check(arc, params)
+            assert report.periods == per_period_rate_check(arc, params)
 
     def test_random_scenarios_contract(self):
         rng = np.random.default_rng(53)

@@ -12,7 +12,7 @@ import pytest
 from hfo import analysis, cli, hybrid, linalg, robustness
 from hfo.cli import main
 from hfo.config import ConfigError, parse_config
-from hfo.model import HybridFOModel
+from hfo.model import HybridFOModel, JumpPolicy
 
 S1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
 
@@ -144,6 +144,25 @@ class TestParseConfig:
         assert again.horizon == config.horizon
         assert np.array_equal(again.perturbation.a_hat,
                               config.perturbation.a_hat)
+
+    def test_policy_names_are_jump_policys(self):
+        # the config reads the names JumpPolicy owns, and lists them
+        for reset in JumpPolicy.TAU_C_RESETS:
+            for order in JumpPolicy.CASE3_ORDERS:
+                data = load_s1_dict()
+                data["policy"].update(tau_c_reset=reset, case3_order=order,
+                                      tau_c_value=1.0)
+                policy = parse_config(data).policy
+                assert (policy.tau_c_reset, policy.case3_order) == (reset,
+                                                                    order)
+        for key, names in (("tau_c_reset", JumpPolicy.TAU_C_RESETS),
+                           ("case3_order", JumpPolicy.CASE3_ORDERS)):
+            data = load_s1_dict()
+            data["policy"][key] = "sideways"
+            with pytest.raises(ConfigError) as err:
+                parse_config(data)
+            assert str(err.value) == (f"field 'policy.{key}' must be "
+                                      f"{'|'.join(names)}, got 'sideways'")
 
     def test_missing_field_named(self):
         data = load_s1_dict()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -232,6 +234,39 @@ class TestSpectralNorm:
             b = rng.standard_normal((3, 2))
             assert abs(linalg.spectral_norm(b)
                        - power_iteration_norm(b, seed=seed)) < 1e-9
+
+
+class TestLogNormBound:
+    @pytest.mark.parametrize("levels", range(5))
+    def test_brackets_the_spectral_norm(self, levels):
+        rng = np.random.default_rng(29)
+        n = 6
+        # norms from e^-300 to e^300: no power of E'E may overflow
+        e = rng.standard_normal((50, n, n)) * np.exp(
+            rng.uniform(-300.0, 300.0, (50, 1, 1)))
+        bound = linalg.log_norm_bound(e, levels, np.full(50, -np.inf))
+        exact = np.log(np.linalg.svd(e, compute_uv=False)[:, 0])
+        assert np.all(bound >= exact - 1e-12)
+        assert np.all(bound <= exact + np.log(n) / 2.0 ** (levels + 1) + 1e-12)
+
+    def test_matrix_below_its_cutoff_keeps_the_looser_bound(self):
+        e = np.random.default_rng(31).standard_normal((4, 3, 3))
+        level1 = linalg.log_norm_bound(e, 1, np.full(4, -np.inf))
+        full = linalg.log_norm_bound(e, 4, np.full(4, -np.inf))
+        assert np.all(full < level1)
+        cutoff = np.array([np.inf, -np.inf, np.inf, -np.inf])
+        got = linalg.log_norm_bound(e, 4, cutoff)
+        assert np.array_equal(got, np.where(cutoff > 0, level1, full))
+
+    def test_zero_and_non_finite_matrices_warn_nothing(self):
+        e = np.array([np.zeros((2, 2)), np.full((2, 2), np.inf),
+                      [[np.nan, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = linalg.log_norm_bound(e, 4, np.full(4, -np.inf))
+        assert bound[0] == -np.inf
+        # inf or NaN, never a finite value that could rule a point out
+        assert not np.any(bound[1:] < np.inf)
 
 
 class TestSolve:
