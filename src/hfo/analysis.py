@@ -72,13 +72,25 @@ NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
 M_BOUND_LEVELS = 4
 # Relative pad on that bound before it may rule a point out. Each product
 # of the bound (E'E and the squares of G) is off by at most about n eps
-# times the squared Frobenius norm of its normalized factor, i.e. n^2 eps
+# times the squared Frobenius norm of its factor, i.e. n^2 eps
 # relative to its largest eigenvalue; level k enters with weight 1/2^k, so
 # the bound falls short of ||E||_2 by at most about n^2 eps overall, and
 # the SVD's own ||E||_2 is within about n eps. 1e-6 covers n^2 eps up to
 # n = 60000. Only where ||E||^2 underflows can the bound fall shorter, and
 # there ||E|| e^{rho t} <= 1e-140 lies far below the t = 0 value 1.
 M_BOUND_PAD = 1e-6
+# estimate_M parks a block of its grid that the cutoff so far cannot settle
+# cheaply, and settles it once the whole grid's largest exact value is
+# known, rebuilding it from its first matrix (one product per row, an order
+# of magnitude less than an SVD at n = 20). A block whose last point raised
+# the cutoff is parked at level 1 when that rise, slowing as it did since
+# the previous block, would clear the last point's level-1 slack within
+# this many blocks; otherwise its squarings are spent at once.
+M_PARK_AHEAD = 8
+# A block whose full bound leaves more than this many points to the SVD is
+# parked at that bound: a later rise may rule them all out, and that many
+# SVDs cost about as much as rebuilding a block.
+M_PARK_SVDS = 8
 
 # Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
 # stored samples (reconstruct_x's eigenbasis rows) one batched call holds at
@@ -157,12 +169,22 @@ def estimate_M(a, rho: float) -> MEstimate:
 
     The spectral norm is taken by SVD only where the squaring bound
     (``linalg.log_norm_bound``, padded by ``M_BOUND_PAD``) cannot rule a
-    grid point out: a point whose bound, with the tie allowance, stays below
-    the largest exact value so far can be neither the maximum nor a tie, so
-    the supremum, the maximizer and every bit of the result are those of an
-    SVD at every grid point. Each block of ``_STACK_BLOCK`` matrices is
-    bounded while it is in the buffer, and its top-bound point is taken
-    first, so that the rest are measured against an exact value.
+    grid point out. The cutoff is always an exact SVD value of a grid point,
+    and the tie allowance is on the bound's side: a point whose bound stays
+    below the cutoff lies below the grid maximum by more than a tie, so it
+    can be neither the maximum nor a tie, and the supremum, the maximizer
+    and every bit of the result are those of an SVD at every grid point.
+
+    The grid is built in blocks of ``_STACK_BLOCK`` matrices. While
+    v(t) = ||e^{At}|| e^{rho t} rises, each block's last point is measured
+    first, so the cutoff keeps up with the rise. A block the cutoff cannot
+    settle cheaply is parked: it keeps its first matrix and its rows'
+    bounds, and after the last block it is rebuilt from that matrix, up to
+    its last point that the largest exact value of the whole grid leaves
+    open, and settled against that value. Parking at level 1 (see
+    ``M_PARK_AHEAD``) spares the squarings of a rising block; parking at the
+    full bound (see ``M_PARK_SVDS``) spares the SVDs of a plateau that a
+    later rise rules out. Each point gets at most one SVD.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -172,41 +194,99 @@ def estimate_M(a, rho: float) -> MEstimate:
     step = linalg.mat_exp(a, h)
     n = a.shape[0]
     tie = grid_points * n * np.finfo(float).eps
-    # at n = 1 level 0, sqrt(e^2) = |e|, is already tight: a higher level,
-    # or taking a block's top point first, would tighten nothing
+    # at n = 1 the bound is |e| itself: a higher level, or measuring a
+    # point first, would tighten nothing
     levels = M_BOUND_LEVELS if n > 1 else 0
     e = np.eye(n)
     values = np.zeros(grid_points + 1)  # a skipped point keeps 0
     values[0] = best = 1.0
     block = np.empty((min(_STACK_BLOCK, grid_points),) + a.shape)
     rows = list(block)
+    parked = []  # (start, E before the block, its rows' reach, their level)
 
-    def exact(start, pick):  # values at block rows pick; the new best
+    def scaled(start):  # e^{rho t} on a block, and the factor its bound takes
+        t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
+        growth = np.exp(rho * t)
+        return growth, growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
+
+    def reach(lo, hi, scale, level, cutoff=None):  # bounds on v, rows lo:hi
+        bound = linalg.log_norm_bound(block[lo:hi], level, cutoff)
+        with np.errstate(over="ignore"):  # an inf reach rules nothing out
+            return scale[lo:hi] * np.exp(bound)
+
+    def exact(start, pick, growth):  # values at block rows pick; the new best
         # a view, not a copy, when every row is picked
-        mats = block[pick] if len(pick) < len(t) else block[:len(t)]
+        mats = block[pick] if len(pick) < len(growth) else block[:len(growth)]
         got = np.linalg.svd(mats, compute_uv=False)[:, 0] * growth[pick]
         values[start + pick] = got
         return max(best, float(got.max()))
 
-    for start in range(1, grid_points + 1, _STACK_BLOCK):
-        t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
-        for row in rows[:len(t)]:
-            e = np.matmul(step, e, out=row)
-        growth = np.exp(rho * t)
-        scale = growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
-        bound = linalg.log_norm_bound(block[:len(t)], levels,
-                                      np.log(best / scale))
-        with np.errstate(over="ignore"):  # an inf reach rules nothing out
-            reach = scale * np.exp(bound)
+    def settle(start, lo, bounds, growth):  # SVDs from row lo on; new best
         # a point whose reach stays below the best exact value is neither
         # the maximum nor a tie; a NaN reach is never below it
-        todo = np.flatnonzero(~(reach < best))
+        todo = np.flatnonzero(~(bounds < best))
+        new = best
         if levels and todo.size > 1:  # the top point first, then the rest
-            top = todo[np.argmax(reach[todo])]
-            best = exact(start, top[None])
-            todo = todo[~(reach[todo] < best) & (todo != top)]
-        if todo.size:
-            best = exact(start, todo)
+            top = todo[np.argmax(bounds[todo])]
+            new = exact(start, lo + top[None], growth)
+            todo = todo[~(bounds[todo] < new) & (todo != top)]
+        return exact(start, lo + todo, growth) if todo.size else new
+
+    matmul = np.matmul  # looked up once for the grid's 2000 products
+    rising, lift = True, 0.0  # the last block ended on its top; its log rise
+    for start in range(1, grid_points + 1, _STACK_BLOCK):
+        k = min(_STACK_BLOCK, grid_points + 1 - start)
+        first = e.copy()
+        for row in rows[:k]:
+            e = matmul(step, e, row)
+        growth, scale = scaled(start)
+        if not levels:  # at n = 1, |E| is the spectral norm itself
+            with np.errstate(over="ignore"):
+                bounds = np.abs(block[:k, 0, 0]) * scale
+            best = settle(start, 0, bounds, growth)
+            continue
+        old, prior, m = best, lift, k  # m: the rows still to settle
+        with np.errstate(over="ignore"):  # ||E||_F >= ||E||_2
+            if rising and not (scale[-1] * np.linalg.norm(e) < best):
+                best = exact(start, np.array([k - 1]), growth)
+                m = k - 1
+        lift = np.log(best / old)
+        later = start + k <= grid_points
+        if later and lift > 0.0:
+            # the rise, slowing as it did since the last block, over the
+            # next M_PARK_AHEAD blocks against the last point's level-1 slack
+            decay = min(1.0, lift / prior) if prior > 0.0 else 1.0
+            ahead = lift * sum(decay ** j for j in range(1, M_PARK_AHEAD + 1))
+            bounds = reach(0, k, scale, 1)
+            with np.errstate(divide="ignore", over="ignore"):
+                slack = np.log(bounds[-1] / best)
+            if slack < ahead:
+                parked.append((start, first, bounds[:m], 1))
+                rising = True
+                continue
+        bounds = reach(0, m, scale, levels, np.log(best / scale[:m]))
+        rising = (values[start + k - 1] >= best if m < k
+                  else np.argmax(bounds) == k - 1)
+        if later and np.count_nonzero(~(bounds < best)) > M_PARK_SVDS:
+            parked.append((start, first, bounds, levels))
+        else:
+            best = settle(start, 0, bounds, growth)
+    # each parked block against the largest exact value of the whole grid,
+    # the one with the highest reach first
+    for start, e, bounds, level in sorted(parked, key=lambda p: -p[2].max()):
+        live = np.flatnonzero(~(bounds < best))
+        if live.size:
+            lo, hi = live[0], live[-1] + 1
+            with np.errstate(all="ignore"):  # pass 1 warned of these products
+                for row in rows[:hi]:
+                    e = matmul(step, e, row)
+            growth, scale = scaled(start)
+            if level < levels:  # every level, against the grid's best
+                cutoff = np.log(best / scale[lo:hi])
+                bounds = reach(lo, hi, scale, levels, cutoff)
+            else:
+                bounds = bounds[lo:hi]
+            best = settle(start, lo, bounds, growth)
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
     return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)
@@ -216,7 +296,8 @@ def constants(params: ModelParams) -> Constants:
     """Every derived convergence constant of a parameter set: the one place
     the tracking radius r and the bounds' t-independent terms are computed.
 
-    Raises ValueError if r or a bound term is not finite.
+    Raises ValueError if rho is too small for estimate_M's grid, or if r or
+    a bound term is not finite.
     """
     plant = params.plant
     tm = params.timers
@@ -226,6 +307,12 @@ def constants(params: ModelParams) -> Constants:
         raise ValueError("plant matrix must be Hurwitz")
     rho = float(np.min(np.abs(spectrum.real)) if params.rho_override is None
                 else params.rho_override)
+    if not np.isfinite(M_HORIZON / rho / M_GRID_POINTS):
+        raise ValueError(
+            f"{'rho' if params.rho_override is None else 'overrides.rho'} = "
+            f"{rho:.4g} is too small: the overshoot grid step M_HORIZON / rho "
+            f"/ M_GRID_POINTS = {M_HORIZON:g} / rho / {M_GRID_POINTS} "
+            "overflows")
 
     _, big_l, q = gradient_constants(params)
     d_u = params.input_set.diameter()

@@ -118,42 +118,58 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(v[..., None, :] @ v[..., None])[..., 0]
 
 
-def log_norm_bound(e, levels: int, cutoff) -> np.ndarray:
+# Frobenius norms between which log_norm_bound multiplies E and G as they
+# are: the product, and the squares of its largest entries, stay far inside
+# the float range; a stack with a norm outside is scaled to norm 1 first
+_PRODUCT_SAFE = (2.0 ** -200, 2.0 ** 200)
+
+
+def log_norm_bound(e, levels: int, cutoff=None) -> np.ndarray:
     """Upper bound on log ||E||_2 for each matrix E of a stack (k, n, n).
 
     Level 0 is log ||E||_F, level 1 log ||G||_F / 2 with G = E'E, and each
     further level squares G: level k is log ||G^(2^(k-1))||_F / 2^k, which
     exceeds log ||E||_2 by at most log(n) / 2^(k+1). The bound is taken to
     level ``levels``, except that a matrix whose bound at level 1 or above
-    already lies below its ``cutoff`` (one value per matrix) keeps that
-    looser bound. E and G are normalized before each product and the log
-    norms are summed, so no power of G overflows. An E = 0 gives -inf; a
-    non-finite E, or one whose squared entries overflow, gives inf or NaN,
-    with no warning. Rounding can make the bound fall short by about n^2 eps
-    relative, and by more only where ||E||^2 underflows.
+    already lies below its ``cutoff`` (one value per matrix; needed only
+    from level 2 on) keeps that looser bound. E and G are multiplied as they
+    are; only where a norm leaves ``_PRODUCT_SAFE`` is the factor scaled to
+    norm 1 first, its log scale carried, so no power of G overflows. An
+    E = 0 gives -inf; a non-finite E, or one whose squared entries overflow,
+    gives inf or NaN, with no warning. Rounding can make the bound fall
+    short by about n^2 eps relative, and by more only where ||E||^2
+    underflows.
     """
     def frobenius(g):
         return row_norms(g.reshape(len(g), g.shape[-1] ** 2))[:, 0]
 
+    def scaled(g, s):  # g / s where a norm is out of range; the log scale
+        if ((s > _PRODUCT_SAFE[0]) & (s < _PRODUCT_SAFE[1])).all():
+            return g, np.zeros(len(g))
+        return g / np.where(s > 0.0, s, 1.0)[:, None, None], np.log(s)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = frobenius(e)
         bound = np.log(s)
-        if levels:  # G as E'(E / ||E||_F): distinct operands take a general
-            # BLAS product, where E'E would take a slower symmetric one
-            g = np.swapaxes(e, -1, -2) @ (
-                e / np.where(s > 0.0, s, 1.0)[:, None, None])
+        if levels:  # G = e^lam E'F for a (scaled) copy F of E: distinct
+            # operands take a general BLAS product, where E'E would take a
+            # slower symmetric one
+            f, lam = scaled(e, s)
+            g = np.swapaxes(e, -1, -2) @ (e.copy() if f is e else f)
             s = frobenius(g)
-            bound = (bound + np.log(s)) / 2.0
+            bound = (lam + np.log(s)) / 2.0
         live = np.arange(len(e))
-        for k in range(2, levels + 1):
+        for k in range(2, levels + 1):  # after level k, G^(2^(k-1)) = e^lam g
             keep = ~(bound[live] < cutoff[live])
-            live, g, s = live[keep], g[keep], s[keep]
-            if not live.size:
-                break
-            g /= np.where(s > 0.0, s, 1.0)[:, None, None]
+            if not keep.all():
+                live, g, s, lam = live[keep], g[keep], s[keep], lam[keep]
+                if not live.size:
+                    break
+            g, shift = scaled(g, s)
             g = g @ g
+            lam = 2.0 * (lam + shift)
             s = frobenius(g)
-            bound[live] += np.log(s) / 2.0 ** k
+            bound[live] = (lam + np.log(s)) / 2.0 ** k
     return bound
 
 

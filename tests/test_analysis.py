@@ -391,6 +391,53 @@ class TestEstimateM:
         estimate_M(a, slowest_rate(a))
         assert 0 < sum(seen) < 0.1 * analysis.M_GRID_POINTS
 
+    @staticmethod
+    def squared_matrices(monkeypatch):
+        """Counts the matrices linalg.log_norm_bound squares at levels 2 and
+        up: a matrix is squared at level k when its bound at level k - 1 is
+        not below its cutoff."""
+        seen = []
+        bound = linalg.log_norm_bound
+
+        def counted(e, levels, cutoff=None):
+            seen.append(sum(
+                np.count_nonzero(~(bound(e, k - 1, cutoff) < cutoff))
+                for k in range(2, levels + 1)))
+            return bound(e, levels, cutoff)
+
+        monkeypatch.setattr(linalg, "log_norm_bound", counted)
+        return seen
+
+    def test_work_on_generator_plants(self, monkeypatch):
+        # a cutoff that lagged a block behind a rising v(t) squared a mean
+        # of 5009 matrices per call on these plants, and took up to 442 SVDs
+        squared = self.squared_matrices(monkeypatch)
+        svds = self.svd_matrices(monkeypatch)
+        per_call = []
+        for seed in range(40):
+            a = mimo_plant(seed)
+            estimate_M(a, slowest_rate(a))
+            per_call.append((sum(squared), sum(svds)))
+            squared.clear()
+            svds.clear()
+        squares, svd_counts = np.array(per_call).T
+        assert squares.mean() <= 2000
+        assert 0 < svd_counts.max() < 0.1 * analysis.M_GRID_POINTS
+
+    def test_scalar_plant_builds_the_grid_once(self, monkeypatch):
+        products = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            products.append(len(args) == 3 or "out" in kwargs)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        for rho in (1.0, 5.0):  # every value ties; v(t) rises to the edge
+            products.clear()
+            estimate_M(np.array([[-1.0]]), rho)
+            assert products == [True] * analysis.M_GRID_POINTS
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_rules_nothing_out(self, monkeypatch, bad):
         monkeypatch.setattr(linalg, "log_norm_bound",
@@ -413,6 +460,20 @@ class TestEstimateM:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * analysis._STACK_BLOCK * a.shape[0] ** 2 * 8
+
+    def test_memory_stays_near_three_blocks(self):
+        # one pass with a lagging cutoff peaked at 1.01 MB here; a peak past
+        # about 1.2 MB would move the peak of a whole n = 20 verify
+        a = mimo_plant(7)
+        rho = slowest_rate(a)
+        estimate_M(a, rho)  # lazy imports and caches out of the count
+        tracemalloc.start()
+        try:
+            estimate_M(a, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6
 
 
 class TestConstants:

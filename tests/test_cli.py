@@ -641,6 +641,10 @@ NUMERIC_LIMITS = [
                  "  input_set: ", id="huge-box"),
     pytest.param("timers", {"tau_g_comp": 1e-12}, "  timers: ",
                  id="tau_g_comp"),
+    # 10 / rho overflows, so estimate_M's grid step would be inf
+    pytest.param("overrides", {"rho": 1e-310},
+                 "error: overrides.rho = 1e-310 is too small: the overshoot "
+                 "grid step", id="tiny-rho"),
 ]
 
 
@@ -650,7 +654,7 @@ class TestNumericLimits:
     def test_exits_2_naming_the_fault(self, tmp_path, capsys, command,
                                       section, fields, named):
         data = load_s1_dict()
-        data[section].update(fields)
+        data.setdefault(section, {}).update(fields)
         cfg = write_config(tmp_path, data)
         extra = ["--tau", "2"] if command == "robustness" else []
         with warnings.catch_warnings(record=True) as caught:
