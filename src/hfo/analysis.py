@@ -79,22 +79,10 @@ M_BOUND_LEVELS = 4
 # n = 60000. Only where ||E||^2 underflows can the bound fall shorter, and
 # there ||E|| e^{rho t} <= 1e-140 lies far below the t = 0 value 1.
 M_BOUND_PAD = 1e-6
-# estimate_M parks a block of its grid that the cutoff so far cannot settle
-# cheaply, and settles it once the whole grid's largest exact value is
-# known, rebuilding it from its first matrix (one product per row, an order
-# of magnitude less than an SVD at n = 20). A block whose last point raised
-# the cutoff is parked at level 1 when that rise, slowing as it did since
-# the previous block, would clear the last point's level-1 slack within
-# this many blocks; otherwise its squarings are spent at once.
-M_PARK_AHEAD = 8
-# A block whose full bound leaves more than this many points to the SVD is
-# parked at that bound: a later rise may rule them all out, and that many
-# SVDs cost about as much as rebuilding a block.
-M_PARK_SVDS = 8
-
-# Most n x n matrices (estimate_M's SVDs, reconstruct_x's exponentials) or
-# stored samples (reconstruct_x's eigenbasis rows) one batched call holds at
-# once, so memory stays O(n^2) per block.
+# Most n x n matrices (reconstruct_x's exponentials, estimate_M's table of
+# powers and its block of grid points, half each) or stored samples
+# (reconstruct_x's eigenbasis rows) one batched call holds at once, so
+# memory stays O(n^2) per block.
 _STACK_BLOCK = 100
 
 
@@ -160,10 +148,17 @@ def fixed_point_z(y_s, params: ModelParams):
 def estimate_M(a, rho: float) -> MEstimate:
     """Estimate of the overshoot constant in ||e^{At}|| <= M e^{-rho t}.
 
-    Grid supremum of ||e^{At}|| e^{rho t} over [0, M_HORIZON/rho], in
+    Grid supremum of v(t) = ||e^{At}|| e^{rho t} over [0, M_HORIZON/rho], in
     M_GRID_POINTS steps, times 1 + ``M_MARGIN``; the maximizer is returned
-    for audit. The recurrence that builds e^{At} on the grid carries a
-    relative rounding error of up to about M_GRID_POINTS * n * eps, so grid
+    for audit. The grid is built from a table of powers P_k = e^{Ahk}, k = 1
+    to K = ``_STACK_BLOCK // 2``, each P_1 P_(k-1): the block of K points
+    after a block start E_s is one batched product P_(1..K) E_s, and the
+    next start is P_K E_s, bit for bit that block's last row. A grid
+    matrix is thus a chain of at most K + M_GRID_POINTS / K products, and,
+    by the rounding argument for powers in Moler & Van Loan ("Nineteen
+    dubious ways to compute the exponential of a matrix, twenty-five years
+    later", SIAM Review 2003), carries a relative rounding error of up to
+    about that many times n eps, inside M_GRID_POINTS * n * eps. Grid
     values that close to the largest one count as ties, and the earliest of
     them (t = 0, value 1, included) is the reported maximizer.
 
@@ -174,119 +169,71 @@ def estimate_M(a, rho: float) -> MEstimate:
     below the cutoff lies below the grid maximum by more than a tie, so it
     can be neither the maximum nor a tie, and the supremum, the maximizer
     and every bit of the result are those of an SVD at every grid point.
-
-    The grid is built in blocks of ``_STACK_BLOCK`` matrices. While
-    v(t) = ||e^{At}|| e^{rho t} rises, each block's last point is measured
-    first, so the cutoff keeps up with the rise. A block the cutoff cannot
-    settle cheaply is parked: it keeps its first matrix and its rows'
-    bounds, and after the last block it is rebuilt from that matrix, up to
-    its last point that the largest exact value of the whole grid leaves
-    open, and settled against that value. Parking at level 1 (see
-    ``M_PARK_AHEAD``) spares the squarings of a rising block; parking at the
-    full bound (see ``M_PARK_SVDS``) spares the SVDs of a plateau that a
-    later rise rules out. Each point gets at most one SVD.
+    The first cutoff is the exact value of the block start with the highest
+    bound, so it is near the supremum before any block is settled. Then
+    each block is bounded against the largest exact value so far, its top
+    point is measured, and every point the bound still leaves open. Each
+    point gets at most one SVD. A non-finite grid matrix reads inf or NaN,
+    or the SVD raises, with no warning.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
         raise ValueError("rho must be positive")
     grid_points = M_GRID_POINTS
     h = M_HORIZON / rho / grid_points
-    step = linalg.mat_exp(a, h)
     n = a.shape[0]
     tie = grid_points * n * np.finfo(float).eps
     # at n = 1 the bound is |e| itself: a higher level, or measuring a
     # point first, would tighten nothing
     levels = M_BOUND_LEVELS if n > 1 else 0
-    e = np.eye(n)
+    size = min(_STACK_BLOCK // 2, grid_points)
+    firsts = np.arange(0, grid_points, size)  # the block starts' indices
+    powers = np.empty((size,) + a.shape)
+    starts = np.empty((len(firsts),) + a.shape)
+    powers[0], starts[0] = linalg.mat_exp(a, h), np.eye(n)
     values = np.zeros(grid_points + 1)  # a skipped point keeps 0
     values[0] = best = 1.0
-    block = np.empty((min(_STACK_BLOCK, grid_points),) + a.shape)
-    rows = list(block)
-    parked = []  # (start, E before the block, its rows' reach, their level)
 
-    def scaled(start):  # e^{rho t} on a block, and the factor its bound takes
-        t = np.arange(start, min(start + _STACK_BLOCK, grid_points + 1)) * h
-        growth = np.exp(rho * t)
-        return growth, growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
+    def reach(mats, growth, floor):  # bounds on v; a row may stop below floor
+        scale = growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
+        bound = linalg.log_norm_bound(mats, levels, np.log(floor / scale))
+        return scale * np.exp(bound)  # an inf reach rules nothing out
 
-    def reach(lo, hi, scale, level, cutoff=None):  # bounds on v, rows lo:hi
-        bound = linalg.log_norm_bound(block[lo:hi], level, cutoff)
-        with np.errstate(over="ignore"):  # an inf reach rules nothing out
-            return scale[lo:hi] * np.exp(bound)
-
-    def exact(start, pick, growth):  # values at block rows pick; the new best
-        # a view, not a copy, when every row is picked
-        mats = block[pick] if len(pick) < len(growth) else block[:len(growth)]
-        got = np.linalg.svd(mats, compute_uv=False)[:, 0] * growth[pick]
-        values[start + pick] = got
+    def exact(idx, mats, growth):  # values at grid points idx; the new best
+        got = np.linalg.svd(mats, compute_uv=False)[:, 0] * growth
+        values[idx] = got
         return max(best, float(got.max()))
 
-    def settle(start, lo, bounds, growth):  # SVDs from row lo on; new best
-        # a point whose reach stays below the best exact value is neither
-        # the maximum nor a tie; a NaN reach is never below it
-        todo = np.flatnonzero(~(bounds < best))
-        new = best
-        if levels and todo.size > 1:  # the top point first, then the rest
-            top = todo[np.argmax(bounds[todo])]
-            new = exact(start, lo + top[None], growth)
-            todo = todo[~(bounds[todo] < new) & (todo != top)]
-        return exact(start, lo + todo, growth) if todo.size else new
-
-    matmul = np.matmul  # looked up once for the grid's 2000 products
-    rising, lift = True, 0.0  # the last block ended on its top; its log rise
-    for start in range(1, grid_points + 1, _STACK_BLOCK):
-        k = min(_STACK_BLOCK, grid_points + 1 - start)
-        first = e.copy()
-        for row in rows[:k]:
-            e = matmul(step, e, row)
-        growth, scale = scaled(start)
-        if not levels:  # at n = 1, |E| is the spectral norm itself
-            with np.errstate(over="ignore"):
-                bounds = np.abs(block[:k, 0, 0]) * scale
-            best = settle(start, 0, bounds, growth)
-            continue
-        old, prior, m = best, lift, k  # m: the rows still to settle
-        with np.errstate(over="ignore"):  # ||E||_F >= ||E||_2
-            if rising and not (scale[-1] * np.linalg.norm(e) < best):
-                best = exact(start, np.array([k - 1]), growth)
-                m = k - 1
-        lift = np.log(best / old)
-        later = start + k <= grid_points
-        if later and lift > 0.0:
-            # the rise, slowing as it did since the last block, over the
-            # next M_PARK_AHEAD blocks against the last point's level-1 slack
-            decay = min(1.0, lift / prior) if prior > 0.0 else 1.0
-            ahead = lift * sum(decay ** j for j in range(1, M_PARK_AHEAD + 1))
-            bounds = reach(0, k, scale, 1)
-            with np.errstate(divide="ignore", over="ignore"):
-                slack = np.log(bounds[-1] / best)
-            if slack < ahead:
-                parked.append((start, first, bounds[:m], 1))
-                rising = True
-                continue
-        bounds = reach(0, m, scale, levels, np.log(best / scale[:m]))
-        rising = (values[start + k - 1] >= best if m < k
-                  else np.argmax(bounds) == k - 1)
-        if later and np.count_nonzero(~(bounds < best)) > M_PARK_SVDS:
-            parked.append((start, first, bounds, levels))
-        else:
-            best = settle(start, 0, bounds, growth)
-    # each parked block against the largest exact value of the whole grid,
-    # the one with the highest reach first
-    for start, e, bounds, level in sorted(parked, key=lambda p: -p[2].max()):
-        live = np.flatnonzero(~(bounds < best))
-        if live.size:
-            lo, hi = live[0], live[-1] + 1
-            with np.errstate(all="ignore"):  # pass 1 warned of these products
-                for row in rows[:hi]:
-                    e = matmul(step, e, row)
-            growth, scale = scaled(start)
-            if level < levels:  # every level, against the grid's best
-                cutoff = np.log(best / scale[lo:hi])
-                bounds = reach(lo, hi, scale, levels, cutoff)
-            else:
-                bounds = bounds[lo:hi]
-            best = settle(start, lo, bounds, growth)
+    # an inf or NaN matrix or value rules nothing out and warns of nothing
+    with np.errstate(all="ignore"):
+        for k in range(1, size):
+            np.matmul(powers[0], powers[k - 1], out=powers[k])
+        for j in range(1, len(firsts)):
+            np.matmul(powers[-1], starts[j - 1], out=starts[j])
+        known = -1  # the one grid point measured before the pass
+        if len(firsts) > 1:  # the first cutoff, from the block starts
+            idx = firsts[1:]
+            growth = np.exp(rho * (idx * h))
+            top = np.argmax(reach(starts[1:], growth, 0.0))
+            known = idx[top]
+            best = exact(idx[top, None], starts[1 + top, None],
+                         growth[top, None])
+        block = np.empty_like(powers)
+        for first, e in zip(firsts, starts):
+            idx = np.arange(first + 1, min(first + size, grid_points) + 1)
+            mats = np.matmul(powers[:len(idx)], e, out=block[:len(idx)])
+            growth = np.exp(rho * (idx * h))
+            bounds = reach(mats, growth, best)
+            # a point whose reach stays below the best exact value is
+            # neither the maximum nor a tie; a NaN reach is never below it
+            todo = np.flatnonzero(~(bounds < best) & (idx != known))
+            if levels and todo.size > 1:  # the top point first, then the rest
+                top = todo[np.argmax(bounds[todo])]
+                best = exact(idx[top, None], mats[top, None],
+                             growth[top, None])
+                todo = todo[~(bounds[todo] < best) & (todo != top)]
+            if todo.size:
+                best = exact(idx[todo], mats[todo], growth[todo])
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
     return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)

@@ -124,15 +124,15 @@ def row_norms(v) -> np.ndarray:
 _PRODUCT_SAFE = (2.0 ** -200, 2.0 ** 200)
 
 
-def log_norm_bound(e, levels: int, cutoff=None) -> np.ndarray:
+def log_norm_bound(e, levels: int, cutoff) -> np.ndarray:
     """Upper bound on log ||E||_2 for each matrix E of a stack (k, n, n).
 
     Level 0 is log ||E||_F, level 1 log ||G||_F / 2 with G = E'E, and each
     further level squares G: level k is log ||G^(2^(k-1))||_F / 2^k, which
     exceeds log ||E||_2 by at most log(n) / 2^(k+1). The bound is taken to
     level ``levels``, except that a matrix whose bound at level 1 or above
-    already lies below its ``cutoff`` (one value per matrix; needed only
-    from level 2 on) keeps that looser bound. E and G are multiplied as they
+    already lies below its ``cutoff`` (one value per matrix; -inf takes the
+    full bound) keeps that looser bound. E and G are multiplied as they
     are; only where a norm leaves ``_PRODUCT_SAFE`` is the factor scaled to
     norm 1 first, its log scale carried, so no power of G overflows. An
     E = 0 gives -inf; a non-finite E, or one whose squared entries overflow,

@@ -131,23 +131,26 @@ def unblocked_estimate(a, rho, grid_points, horizon):
 
 
 def all_svd_estimate(a, rho):
-    """Oracle: estimate_M's (value, t_at_max, sup) with an SVD at every grid
-    point, in the same blocks and with the same tie rule."""
+    """Oracle: estimate_M's (value, t_at_max, sup) with an SVD at every point
+    of the same grid, built from the same table of powers, and with the same
+    tie rule; like estimate_M, it warns of no inf or NaN."""
     a = np.asarray(a, dtype=float)
-    grid_points, block_len = analysis.M_GRID_POINTS, analysis._STACK_BLOCK
+    grid_points = analysis.M_GRID_POINTS
+    size = min(analysis._STACK_BLOCK // 2, grid_points)
     h = analysis.M_HORIZON / rho / grid_points
-    step = linalg.mat_exp(a, h)
-    e = np.eye(a.shape[0])
     values = np.empty(grid_points + 1)
     values[0] = 1.0
-    block = np.empty((min(block_len, grid_points),) + a.shape)
-    for start in range(1, grid_points + 1, block_len):
-        t = np.arange(start, min(start + block_len, grid_points + 1)) * h
-        for i in range(len(t)):
-            e = step @ e
-            block[i] = e
-        norms = np.linalg.svd(block[:len(t)], compute_uv=False)[:, 0]
-        values[start:start + len(t)] = norms * np.exp(rho * t)
+    with np.errstate(all="ignore"):
+        powers = [linalg.mat_exp(a, h)]
+        for _ in range(1, size):
+            powers.append(powers[0] @ powers[-1])
+        powers = np.array(powers)
+        e = np.eye(a.shape[0])
+        for first in range(0, grid_points, size):
+            idx = np.arange(first + 1, min(first + size, grid_points) + 1)
+            norms = np.linalg.svd(powers[:len(idx)] @ e, compute_uv=False)
+            values[idx] = norms[:, 0] * np.exp(rho * (idx * h))
+            e = powers[-1] @ e
     tie = grid_points * a.shape[0] * np.finfo(float).eps
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
@@ -166,6 +169,25 @@ def estimate_outcome(estimate, a, rho):
     if isinstance(got, MEstimate):
         got = (got.value, got.t_at_max, got.sup)
     return got, [(w.category, str(w.message)) for w in caught]
+
+
+# plants (A, rho) at the edges of the overshoot grid, by test id
+EDGE_CASES = {
+    "s1": ([[-1.0]], 1.0),  # every grid value ties with t = 0
+    "minus-identity-20": (-np.eye(20), 1.0),  # every value ties, at n = 20
+    # Jordan block: v(t) = O(t)
+    "jordan": ([[-1.0, 1.0], [0.0, -1.0]], 1.0),
+    "upper-triangular": ([[-1.0, 4.0], [0.0, -2.0]], 1.0),  # an overshoot
+    "s1-rho-5": ([[-1.0]], 5.0),  # v(t) rises to the grid edge
+    "underflow": ([[-1000.0]], 1e-3),  # E underflows to 0
+    # E = 0 where the bound takes levels
+    "underflow-2x2": (-1000.0 * np.eye(2), 1e-3),
+    # E'E overflows; E does not
+    "gram-overflow": ([[60.0, 1.0], [0.0, 59.0]], 1.0),
+    "chain-overflow": ([[400.0]], 1.0),  # E overflows to inf
+    # E overflows: the SVD raises
+    "chain-overflow-2x2": ([[400.0, 1.0], [0.0, 399.0]], 1.0),
+}
 
 
 def mimo_plant(seed, n=20):
@@ -313,23 +335,33 @@ class TestEstimateM:
         with pytest.raises(ValueError):
             estimate_M(np.array([[-1.0]]), 0.0)
 
-    @pytest.mark.parametrize("grid_points, horizon", [
-        (7, 10.0),  # fewer points than one block
-        (257, 10.0),  # a partial last block, maximizer inside a full one
-        (257, 0.3),  # v(t) still rising: the maximizer is the last grid point
+    @pytest.mark.parametrize("grid_points, horizon, seed", [
+        # fewer points than one block
+        pytest.param(7, 10.0, None, id="7-10.0"),
+        # a partial last block, maximizer inside a full one
+        pytest.param(257, 10.0, None, id="257-10.0"),
+        # v(t) still rising: the maximizer is the last grid point
+        pytest.param(257, 0.3, None, id="257-0.3"),
+        # the full grid at n = 20, whose chain of 2000 products the
+        # table of powers does not share
+        *(pytest.param(analysis.M_GRID_POINTS, analysis.M_HORIZON, seed,
+                       id=f"mimo-{seed}") for seed in range(4)),
     ])
     def test_blocks_match_unblocked_loop(self, monkeypatch, grid_points,
-                                         horizon):
+                                         horizon, seed):
         monkeypatch.setattr(analysis, "M_GRID_POINTS", grid_points)
         monkeypatch.setattr(analysis, "M_HORIZON", horizon)
-        a = np.array([[-1.0, 4.0], [0.0, -2.0]])
-        est = estimate_M(a, 1.0)
-        sup, t_at = unblocked_estimate(a, 1.0, grid_points, horizon)
+        if seed is None:
+            a, rho = np.array([[-1.0, 4.0], [0.0, -2.0]]), 1.0
+        else:
+            a = mimo_plant(seed)
+            rho = slowest_rate(a)
+        est = estimate_M(a, rho)
+        sup, t_at = unblocked_estimate(a, rho, grid_points, horizon)
         assert est.sup == pytest.approx(sup, rel=1e-12)
         assert est.t_at_max == t_at
         if horizon < 1.0:
             assert est.t_at_max == pytest.approx(horizon)
-
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_all_svd_on_mimo_plants(self, seed):
@@ -338,20 +370,8 @@ class TestEstimateM:
             assert (estimate_outcome(estimate_M, a, rho)
                     == estimate_outcome(all_svd_estimate, a, rho))
 
-    @pytest.mark.parametrize("a, rho", [
-        ([[-1.0]], 1.0),  # every grid value ties with t = 0
-        (-np.eye(20), 1.0),  # every grid value ties, at n = 20
-        ([[-1.0, 1.0], [0.0, -1.0]], 1.0),  # Jordan block: v(t) = O(t)
-        ([[-1.0, 4.0], [0.0, -2.0]], 1.0),  # a real overshoot
-        ([[-1.0]], 5.0),  # v(t) rises to the grid edge
-        ([[-1000.0]], 1e-3),  # E underflows to 0
-        (-1000.0 * np.eye(2), 1e-3),  # E = 0 where the bound takes levels
-        ([[60.0, 1.0], [0.0, 59.0]], 1.0),  # E'E overflows; E does not
-        ([[400.0]], 1.0),  # E overflows to inf
-        ([[400.0, 1.0], [0.0, 399.0]], 1.0),  # E overflows: the SVD raises
-    ], ids=["s1", "minus-identity-20", "jordan", "upper-triangular",
-            "s1-rho-5", "underflow", "underflow-2x2", "gram-overflow",
-            "chain-overflow", "chain-overflow-2x2"])
+    @pytest.mark.parametrize("a, rho", list(EDGE_CASES.values()),
+                             ids=list(EDGE_CASES))
     def test_matches_all_svd_on_edge_cases(self, a, rho):
         assert (estimate_outcome(estimate_M, a, rho)
                 == estimate_outcome(all_svd_estimate, a, rho))
@@ -371,6 +391,11 @@ class TestEstimateM:
             warnings.simplefilter("error")
             for a in ([[-1000.0]], -1000.0 * np.eye(2)):
                 assert estimate_M(np.array(a), 1e-3).t_at_max == 0.0
+        # nor does an overflow: a non-finite grid matrix reads inf or NaN,
+        # or the SVD raises, as on the all-SVD grid
+        for a, rho in EDGE_CASES.values():
+            want, _ = estimate_outcome(all_svd_estimate, a, rho)
+            assert estimate_outcome(estimate_M, a, rho) == (want, [])
 
     @staticmethod
     def svd_matrices(monkeypatch):
@@ -399,7 +424,7 @@ class TestEstimateM:
         seen = []
         bound = linalg.log_norm_bound
 
-        def counted(e, levels, cutoff=None):
+        def counted(e, levels, cutoff):
             seen.append(sum(
                 np.count_nonzero(~(bound(e, k - 1, cutoff) < cutoff))
                 for k in range(2, levels + 1)))
@@ -409,8 +434,9 @@ class TestEstimateM:
         return seen
 
     def test_work_on_generator_plants(self, monkeypatch):
-        # a cutoff that lagged a block behind a rising v(t) squared a mean
-        # of 5009 matrices per call on these plants, and took up to 442 SVDs
+        # a table of powers takes a mean of 1104 squarings and a median of 4
+        # SVDs per call on these plants; without the cutoff from the block
+        # starts, 4999 squarings and a median of 89 SVDs (at most 653)
         squared = self.squared_matrices(monkeypatch)
         svds = self.svd_matrices(monkeypatch)
         per_call = []
@@ -422,21 +448,27 @@ class TestEstimateM:
             svds.clear()
         squares, svd_counts = np.array(per_call).T
         assert squares.mean() <= 2000
+        assert np.median(svd_counts) <= 10
         assert 0 < svd_counts.max() < 0.1 * analysis.M_GRID_POINTS
 
     def test_scalar_plant_builds_the_grid_once(self, monkeypatch):
+        # each power P_k = P_1 P_(k-1), each block start P_K E_s and each
+        # block P_(1..K) E_s is one product, made once into its place
         products = []
         matmul = np.matmul
 
         def counted(*args, **kwargs):
-            products.append(len(args) == 3 or "out" in kwargs)
+            products.append((np.shape(args[0]), "out" in kwargs))
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counted)
+        size = analysis._STACK_BLOCK // 2
+        blocks = analysis.M_GRID_POINTS // size
         for rho in (1.0, 5.0):  # every value ties; v(t) rises to the edge
             products.clear()
             estimate_M(np.array([[-1.0]]), rho)
-            assert products == [True] * analysis.M_GRID_POINTS
+            assert products == ([((1, 1), True)] * (size - 1 + blocks - 1)
+                                + [((size, 1, 1), True)] * blocks)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_rules_nothing_out(self, monkeypatch, bad):
@@ -462,8 +494,9 @@ class TestEstimateM:
         assert peak <= 4 * analysis._STACK_BLOCK * a.shape[0] ** 2 * 8
 
     def test_memory_stays_near_three_blocks(self):
-        # one pass with a lagging cutoff peaked at 1.01 MB here; a peak past
-        # about 1.2 MB would move the peak of a whole n = 20 verify
+        # the table of powers, its block and the block starts peak at 0.79 MB
+        # here; a peak past about 1.2 MB would move the peak of a whole
+        # n = 20 verify
         a = mimo_plant(7)
         rho = slowest_rate(a)
         estimate_M(a, rho)  # lazy imports and caches out of the count
