@@ -173,8 +173,8 @@ def estimate_M(a, rho: float) -> MEstimate:
     bound, so it is near the supremum before any block is settled. Then
     each block is bounded against the largest exact value so far, its top
     point is measured, and every point the bound still leaves open. Each
-    point gets at most one SVD. A non-finite grid matrix reads inf or NaN,
-    or the SVD raises, with no warning.
+    point gets at most one SVD, and at n = 1 none: the norm is |e|. A grid
+    with a value that is not finite raises ValueError, with no warning.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -200,11 +200,22 @@ def estimate_M(a, rho: float) -> MEstimate:
         return scale * np.exp(bound)  # an inf reach rules nothing out
 
     def exact(idx, mats, growth):  # values at grid points idx; the new best
-        got = np.linalg.svd(mats, compute_uv=False)[:, 0] * growth
+        got = np.nan  # no SVD of a matrix that is not finite
+        if np.isfinite(mats).all():
+            # a 1x1 matrix's spectral norm is |e|; the SVD gives the same
+            # bits for |e| in about [1e-138, 1e138], where LAPACK does not
+            # rescale
+            got = growth * (np.abs(mats[:, 0, 0]) if n == 1 else
+                            np.linalg.svd(mats, compute_uv=False)[:, 0])
+        if not np.all(np.isfinite(got)):
+            raise ValueError(
+                f"the overshoot grid is not finite: ||e^(At)|| e^(rho t) "
+                f"overflows on [0, {M_HORIZON / rho:g}]")
         values[idx] = got
         return max(best, float(got.max()))
 
-    # an inf or NaN matrix or value rules nothing out and warns of nothing
+    # an inf or NaN matrix rules nothing out, so ``exact`` raises on it;
+    # nothing warns
     with np.errstate(all="ignore"):
         for k in range(1, size):
             np.matmul(powers[0], powers[k - 1], out=powers[k])

@@ -10,7 +10,6 @@ horizon.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,60 +42,97 @@ class ClosenessResult:
     truncated: bool = False
 
 
-# Most elements one broadcast temporary of ``closeness`` holds: samples are
-# matched in blocks that stay under it, one sample at a time at worst, when
-# a single sample against the other segment takes more.
-_MATCH_BUDGET = 1 << 16
+# Read samples are matched this many at a time: every temporary of
+# ``closeness`` holds O(_BLOCK) elements, or _BLOCK rows of the state.
+_BLOCK = 1 << 10
 
 
-def _segment_matches(cols_a, cols_b) -> np.ndarray:
-    """For every column a: min over columns b of ||col_b - col_a||_inf.
+def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
+                   held_gaps) -> np.ndarray:
+    """The match of each sample lo..hi-1 of arc_a, as ``_directional``
+    defines it.
 
-    Columns, not rows: the sup norm then reduces over the leading axis of
-    the difference, which numpy does elementwise, where a reduction over a
-    short trailing axis costs a loop per element."""
-    block = max(1, _MATCH_BUDGET // cols_b.size)
-    out = np.empty(cols_a.shape[1])
-    for lo in range(0, len(out), block):
-        diffs = np.abs(cols_b[:, None, :] - cols_a[:, lo:lo + block, None])
-        out[lo:lo + block] = np.min(np.max(diffs, axis=0), axis=1)
-    return out
+    Each sample walks arc_b's segment at its jump index outward from its
+    nearest-in-time pair, one offset per pass over the block: the first b
+    with t_b >= t_a (one ``searchsorted`` on arc_b's times, which never
+    decrease, clipped to the segment) and the b before it. A walk stops at
+    the segment's edge, after a b whose time gap is no smaller than the
+    sample's best gap, or once that best is at most its held gap.
+    """
+    rows = np.arange(hi - lo)
+    j = np.searchsorted(arc_a.offsets, rows + lo, side="right") - 1
+    first, end = arc_b.offsets[j], arc_b.offsets[j + 1]
+    held = held_gaps[j]
+    t_a, x_a = arc_a.times[lo:hi], arc_a.x[lo:hi]
+    tau_c_a, tau_g_a = arc_a.tau_c[lo:hi], arc_a.tau_g[lo:hi]
+    after = np.clip(np.searchsorted(arc_b.times, t_a), first, end)
+    best = np.full(hi - lo, np.inf)
+    # one walk per sample and side: from ``at`` by ``step`` to before ``stop``
+    rows = np.concatenate([rows, rows])
+    at = np.concatenate([after, after - 1])
+    step = np.repeat(np.array([1, -1]), hi - lo)
+    stop = np.concatenate([end, first - 1])
+    keep = at != stop
+    while keep.any():
+        rows, at, step, stop = rows[keep], at[keep], step[keep], stop[keep]
+        time_gap = np.abs(arc_b.times[at] - t_a[rows])
+        gap = np.max(np.abs(arc_b.x[at] - x_a[rows]), axis=1)
+        np.maximum(gap, time_gap, out=gap)
+        np.maximum(gap, np.abs(arc_b.tau_c[at] - tau_c_a[rows]), out=gap)
+        np.maximum(gap, np.abs(arc_b.tau_g[at] - tau_g_a[rows]), out=gap)
+        np.minimum.at(best, rows, gap)  # a row can appear once per side
+        at += step
+        now = best[rows]
+        keep = (time_gap < now) & (now > held[rows]) & (at != stop)
+    return np.maximum(best, held, out=best)
 
 
-def _flow_columns(arc: HybridArc) -> np.ndarray:
-    """Columns of [t, x, tau_c, tau_g], one per sample of the arc: the
-    components that vary along a flow."""
-    return np.vstack([arc.times, arc.x.T, arc.tau_c, arc.tau_g])
-
-
-def _directional(arc_a: HybridArc, cols_a, arc_b: HybridArc, cols_b,
-                 held_gaps, tau: float, side: int):
+def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, tau: float,
+                 side: int):
     """Worst match, over the samples of arc_a with t + j <= tau, against the
     segment of arc_b at the same jump index; the witness is the first sample,
     in segment and then time order, that attains it.
 
     Along an arc t and j never decrease, and neither does fl(t + j), so the
-    samples read are whole segments and then the head of one more: each
-    segment's cut is one ``searchsorted``, and the walk stops at the first
-    segment with nothing to read. Along one pair of segments u, y_s and z
-    are constant, so their sup-norm distance ``held_gaps[j]`` is one number,
-    and min_b max(gap_b, held_gaps[j]) = max(min_b gap_b, held_gaps[j]).
+    samples read are a prefix of the arc: whole segments and then the head
+    of one more, found by one ``searchsorted`` over the segments' starts and
+    one inside the last. If that prefix reaches a jump index arc_b lacks,
+    epsilon is infinite, with the first such segment's start as witness.
+
+    The prefix is matched in blocks of ``_BLOCK`` samples, and the result is
+    that of a min over every sample b of the segment, bit for bit:
+    - along one pair of segments u, y_s and z are constant, so their gap
+      ``held_gaps[j]`` is one number, and min_b max(gap_b, held_gaps[j])
+      = max(min_b gap_b, held_gaps[j]); max and min round nothing;
+    - the time gap fl|t_b - t_a| is one of the components gap_b is the max
+      of, so a b whose time gap is at least the best gap so far cannot
+      lower the min;
+    - fl(t_b - t_a) is monotone in t_b, and the segment's times are sorted,
+      so the time gap grows outward from the nearest pair on either side,
+      and the b that can still lower the min form one contiguous window;
+    - once the best gap is at most held_gaps[j], the match is the held gap.
     """
+    offsets, times = arc_a.offsets, arc_a.times
+    cut = tau + EVENT_TOL
+    starts = times[offsets[:-1]] + np.arange(len(offsets) - 1)  # t + j
+    reached = int(np.searchsorted(starts, cut, side="right"))
+    if reached > len(held_gaps):
+        j = len(held_gaps)
+        return math.inf, (side, float(times[offsets[j]]), j)
+    read = 0
+    if reached:
+        lo, hi = offsets[reached - 1], offsets[reached]
+        read = lo + int(np.searchsorted(times[lo:hi] + (reached - 1), cut,
+                                        side="right"))
     worst, witness = 0.0, (side, 0.0, 0)
-    for j, (lo, hi) in enumerate(itertools.pairwise(arc_a.offsets.tolist())):
-        hi = lo + int(np.searchsorted(arc_a.times[lo:hi] + j, tau + EVENT_TOL,
-                                      side="right"))
-        if lo == hi:
-            break
-        if j == len(held_gaps):
-            return math.inf, (side, float(arc_a.times[lo]), j)
-        cand = _segment_matches(
-            cols_a[:, lo:hi], cols_b[:, arc_b.offsets[j]:arc_b.offsets[j + 1]])
-        np.maximum(cand, held_gaps[j], out=cand)
-        best = int(np.argmax(cand))
-        if cand[best] > worst:
-            worst = float(cand[best])
-            witness = (side, float(arc_a.times[lo + best]), j)
+    for lo in range(0, read, _BLOCK):
+        match = _block_matches(arc_a, arc_b, lo, min(lo + _BLOCK, read),
+                               held_gaps)
+        best = lo + int(np.argmax(match))
+        if match[best - lo] > worst:
+            worst = float(match[best - lo])
+            j = int(np.searchsorted(offsets, best, side="right")) - 1
+            witness = (side, float(times[best]), j)
     return worst, witness
 
 
@@ -107,15 +143,16 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     Each sample of one arc must have a counterpart at the same jump index in
     the other arc, within epsilon in both time and state (sup norm over the
     state components). Sampling density bounds the resolution of the result.
+    ``_directional`` gives the order the witness is picked in and why its
+    time-window search returns the all-pairs minimum exactly.
     """
     truncated = (arc1.t_end + len(arc1.jumps) + EVENT_TOL < tau
                  or arc2.t_end + len(arc2.jumps) + EVENT_TOL < tau)
     shared = min(len(arc1.segments), len(arc2.segments))
     held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
                        axis=1)
-    cols1, cols2 = _flow_columns(arc1), _flow_columns(arc2)
-    e1, w1 = _directional(arc1, cols1, arc2, cols2, held_gaps, tau, 1)
-    e2, w2 = _directional(arc2, cols2, arc1, cols1, held_gaps, tau, 2)
+    e1, w1 = _directional(arc1, arc2, held_gaps, tau, 1)
+    e2, w2 = _directional(arc2, arc1, held_gaps, tau, 2)
     if e1 >= e2:
         return ClosenessResult(e1, tau, w1, truncated)
     return ClosenessResult(e2, tau, w2, truncated)

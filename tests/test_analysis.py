@@ -133,7 +133,8 @@ def unblocked_estimate(a, rho, grid_points, horizon):
 def all_svd_estimate(a, rho):
     """Oracle: estimate_M's (value, t_at_max, sup) with an SVD at every point
     of the same grid, built from the same table of powers, and with the same
-    tie rule; like estimate_M, it warns of no inf or NaN."""
+    tie rule; like estimate_M, a grid value that is not finite raises
+    ValueError, and nothing warns."""
     a = np.asarray(a, dtype=float)
     grid_points = analysis.M_GRID_POINTS
     size = min(analysis._STACK_BLOCK // 2, grid_points)
@@ -148,9 +149,17 @@ def all_svd_estimate(a, rho):
         e = np.eye(a.shape[0])
         for first in range(0, grid_points, size):
             idx = np.arange(first + 1, min(first + size, grid_points) + 1)
-            norms = np.linalg.svd(powers[:len(idx)] @ e, compute_uv=False)
-            values[idx] = norms[:, 0] * np.exp(rho * (idx * h))
+            mats = powers[:len(idx)] @ e
+            if np.isfinite(mats).all():
+                norms = np.linalg.svd(mats, compute_uv=False)
+                values[idx] = norms[:, 0] * np.exp(rho * (idx * h))
+            else:
+                values[idx] = np.inf
             e = powers[-1] @ e
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"the overshoot grid is not finite: ||e^(At)|| e^(rho t) "
+            f"overflows on [0, {analysis.M_HORIZON / rho:g}]")
     tie = grid_points * a.shape[0] * np.finfo(float).eps
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
@@ -184,8 +193,8 @@ EDGE_CASES = {
     "underflow-2x2": (-1000.0 * np.eye(2), 1e-3),
     # E'E overflows; E does not
     "gram-overflow": ([[60.0, 1.0], [0.0, 59.0]], 1.0),
-    "chain-overflow": ([[400.0]], 1.0),  # E overflows to inf
-    # E overflows: the SVD raises
+    # E overflows to inf: the grid is not finite, and both raise ValueError
+    "chain-overflow": ([[400.0]], 1.0),
     "chain-overflow-2x2": ([[400.0, 1.0], [0.0, 399.0]], 1.0),
 }
 
@@ -376,6 +385,13 @@ class TestEstimateM:
         assert (estimate_outcome(estimate_M, a, rho)
                 == estimate_outcome(all_svd_estimate, a, rho))
 
+    @pytest.mark.parametrize("case", ["chain-overflow", "chain-overflow-2x2"])
+    def test_non_finite_grid_raises(self, case):
+        # an inf grid value once read as NaN, and [[400]] as 1.05, "no
+        # overshoot"
+        with pytest.raises(ValueError, match="overshoot grid is not finite"):
+            estimate_M(np.array(EDGE_CASES[case][0]), EDGE_CASES[case][1])
+
     def test_tie_allowance_keeps_the_earliest_maximizer(self, monkeypatch):
         # v(t) levels off within the tie allowance from t ~ 2.3 to the grid
         # edge; with no pad, only the tie factor in the pruning rule keeps
@@ -391,8 +407,8 @@ class TestEstimateM:
             warnings.simplefilter("error")
             for a in ([[-1000.0]], -1000.0 * np.eye(2)):
                 assert estimate_M(np.array(a), 1e-3).t_at_max == 0.0
-        # nor does an overflow: a non-finite grid matrix reads inf or NaN,
-        # or the SVD raises, as on the all-SVD grid
+        # nor does an overflow, which raises ValueError, as on the all-SVD
+        # grid
         for a, rho in EDGE_CASES.values():
             want, _ = estimate_outcome(all_svd_estimate, a, rho)
             assert estimate_outcome(estimate_M, a, rho) == (want, [])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,7 +262,8 @@ class TestClosenessMatchesPerSampleScan:
     def test_s1_arcs(self, tau):
         params = s1_params()
         nominal = run_s1(HybridFOModel(params))
-        for delta in (1e-3, 1e-2, 1e-1, 1.0):
+        # delta = 0.5 to 1.0 give time windows that span whole segments
+        for delta in (1e-3, 1e-2, 1e-1, 0.5, 0.9, 1.0):
             perturbed = run_s1(HybridFOModel(params, s1_perturbation(),
                                                delta))
             at = self.tau_for(tau, nominal, perturbed)
@@ -286,11 +288,100 @@ class TestClosenessMatchesPerSampleScan:
                          sample_dt=1e-4)
         perturbed = run_s1(HybridFOModel(params, s1_perturbation(), 0.3),
                            horizon=(1.2, 200), sample_dt=1e-4)
-        seg = perturbed.segments[0]
-        flow_columns = seg.times.size * (seg.x.shape[1] + 3)  # t, x, timers
-        rows = robustness._MATCH_BUDGET // flow_columns
-        assert 1 <= rows < len(nominal.segments[0].times) // 3
+        for arc in (nominal, perturbed):  # a block edge inside segment 0
+            assert 0 < robustness._BLOCK < len(arc.segments[0].times) // 2
         self.assert_same(nominal, perturbed, 1.2)
+        self.assert_same(perturbed, nominal, 1.2)
+
+    @pytest.mark.parametrize("tau", ["zero", "mid_segment", "past_both"])
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 0.5, 0.9])
+    def test_n3_arcs(self, delta, tau):
+        # delta = 0.5 and 0.9 give time windows that span whole segments
+        rng = np.random.default_rng(23)
+        params = random_params(rng, n=3)
+        pert = random_perturbation(rng, 3, params.plant.m, params.plant.p)
+        policy = JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                            seed=5)
+        zeta0 = strict_initial_state(params)
+        nominal = hybrid.simulate(HybridFOModel(params), zeta0, policy,
+                                  (4.0, 400), 0.01)
+        perturbed = hybrid.simulate(HybridFOModel(params, pert, delta),
+                                    zeta0, policy, (4.0, 400), 0.01)
+        if tau == "zero":
+            at = 0.0
+        elif tau == "mid_segment":  # halfway between two stored samples
+            seg = nominal.segments[4]
+            k = len(seg.times) // 2
+            at = float(seg.times[k] + seg.times[k + 1]) / 2.0 + seg.j
+        else:
+            at = max(arc.t_end + len(arc.jumps)
+                     for arc in (nominal, perturbed)) + 1.0
+        self.assert_same(nominal, perturbed, at)
+        self.assert_same(perturbed, nominal, at)
+        assert closeness(nominal, perturbed, at).truncated == (
+            tau == "past_both")
+
+    def test_nearest_gap_equal_to_held_gap(self):
+        # x and z are off by 0.5 at every sample: each sample's gap to its
+        # same-time counterpart equals its segment's held gap exactly
+        arc = run_s1(HybridFOModel(s1_params()))
+        base = dataclasses.replace(arc, x=np.zeros_like(arc.x),
+                                   z=np.zeros_like(arc.z))
+        shifted = dataclasses.replace(base, x=np.full_like(arc.x, 0.5),
+                                      z=np.full_like(arc.z, 0.5))
+        for pair in ((base, shifted), (shifted, base)):
+            result = closeness(*pair, tau=4.0)
+            assert result.epsilon == 0.5
+            assert (result.epsilon, result.witness) == per_sample_closeness(
+                *pair, 4.0)
+
+    def test_held_gap_between_nearest_and_best_gap(self):
+        # x is +-0.025 at two mid-segment samples, 0 elsewhere, and z is off
+        # by 0.03 everywhere: at the second one both nearest counterparts
+        # give 0.05, the next one out about 0.025, and the match is the
+        # held 0.03
+        arc = run_s1(HybridFOModel(s1_params()))
+        seg = arc.segments[2]
+        spike = seg.rows.start + len(seg.times) // 2
+        x = np.zeros_like(arc.x)
+        x[spike - 1:spike + 1] = 0.025
+        base = dataclasses.replace(arc, x=x, z=np.zeros_like(arc.z))
+        other = dataclasses.replace(arc, x=-x, z=np.full_like(arc.z, 0.03))
+        for pair in ((base, other), (other, base)):
+            result = closeness(*pair, tau=4.0)
+            assert result.epsilon == 0.03
+            assert (result.epsilon, result.witness) == per_sample_closeness(
+                *pair, 4.0)
+
+    def test_memory_stays_within_a_block(self):
+        # closeness's own peak on arcs of about 6300 samples is at most its
+        # peak on arcs of about 650 plus its peak on arcs of one block
+        params = s1_params()
+
+        def arcs(tau):
+            horizon = (tau, math.floor(tau) + 1)
+            return (run_s1(HybridFOModel(params), horizon),
+                    run_s1(HybridFOModel(params, s1_perturbation(), 0.1),
+                           horizon))
+
+        def peak(pair, tau):
+            closeness(*pair, tau)
+            tracemalloc.start()
+            try:
+                closeness(*pair, tau)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = arcs(30.0), arcs(300.0)
+        assert len(short[0].times) < robustness._BLOCK
+        assert len(long[0].times) > 6 * robustness._BLOCK
+        k = robustness._BLOCK - 1  # tau at the block's last nominal sample
+        j = int(np.searchsorted(long[0].offsets, k, side="right")) - 1
+        tau = float(long[0].times[k]) + j
+        block = arcs(tau)
+        assert len(block[0].times) < 2 * robustness._BLOCK
+        assert peak(long, 300.0) <= peak(short, 30.0) + peak(block, tau)
 
     def test_missing_segment_is_infinite(self):
         arc = run_s1(HybridFOModel(s1_params()))
