@@ -9,7 +9,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .hybrid import HybridArc
@@ -173,8 +172,9 @@ def estimate_M(a, rho: float) -> MEstimate:
     bound, so it is near the supremum before any block is settled. Then
     each block is bounded against the largest exact value so far, its top
     point is measured, and every point the bound still leaves open. Each
-    point gets at most one SVD, and at n = 1 none: the norm is |e|. A grid
-    with a value that is not finite raises ValueError, with no warning.
+    point gets at most one SVD. At n = 1 the norm is |e|, and every grid
+    value is taken in one pass, with no bound. A grid with a value that is
+    not finite raises ValueError, with no warning.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -183,9 +183,6 @@ def estimate_M(a, rho: float) -> MEstimate:
     h = M_HORIZON / rho / grid_points
     n = a.shape[0]
     tie = grid_points * n * np.finfo(float).eps
-    # at n = 1 the bound is |e| itself: a higher level, or measuring a
-    # point first, would tighten nothing
-    levels = M_BOUND_LEVELS if n > 1 else 0
     size = min(_STACK_BLOCK // 2, grid_points)
     firsts = np.arange(0, grid_points, size)  # the block starts' indices
     powers = np.empty((size,) + a.shape)
@@ -196,7 +193,8 @@ def estimate_M(a, rho: float) -> MEstimate:
 
     def reach(mats, growth, floor):  # bounds on v; a row may stop below floor
         scale = growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
-        bound = linalg.log_norm_bound(mats, levels, np.log(floor / scale))
+        bound = linalg.log_norm_bound(mats, M_BOUND_LEVELS,
+                                      np.log(floor / scale))
         return scale * np.exp(bound)  # an inf reach rules nothing out
 
     def exact(idx, mats, growth):  # values at grid points idx; the new best
@@ -221,30 +219,35 @@ def estimate_M(a, rho: float) -> MEstimate:
             np.matmul(powers[0], powers[k - 1], out=powers[k])
         for j in range(1, len(firsts)):
             np.matmul(powers[-1], starts[j - 1], out=starts[j])
-        known = -1  # the one grid point measured before the pass
-        if len(firsts) > 1:  # the first cutoff, from the block starts
-            idx = firsts[1:]
-            growth = np.exp(rho * (idx * h))
-            top = np.argmax(reach(starts[1:], growth, 0.0))
-            known = idx[top]
-            best = exact(idx[top, None], starts[1 + top, None],
-                         growth[top, None])
-        block = np.empty_like(powers)
-        for first, e in zip(firsts, starts):
-            idx = np.arange(first + 1, min(first + size, grid_points) + 1)
-            mats = np.matmul(powers[:len(idx)], e, out=block[:len(idx)])
-            growth = np.exp(rho * (idx * h))
-            bounds = reach(mats, growth, best)
-            # a point whose reach stays below the best exact value is
-            # neither the maximum nor a tie; a NaN reach is never below it
-            todo = np.flatnonzero(~(bounds < best) & (idx != known))
-            if levels and todo.size > 1:  # the top point first, then the rest
-                top = todo[np.argmax(bounds[todo])]
-                best = exact(idx[top, None], mats[top, None],
+        if n == 1:  # the norm is |e|: every grid value in one pass
+            idx = np.arange(1, grid_points + 1)
+            grid = (starts[:, None] * powers).reshape(-1, 1, 1)
+            exact(idx, grid[:grid_points], np.exp(rho * (idx * h)))
+        else:
+            known = -1  # the one grid point measured before the pass
+            if len(firsts) > 1:  # the first cutoff, from the block starts
+                idx = firsts[1:]
+                growth = np.exp(rho * (idx * h))
+                top = np.argmax(reach(starts[1:], growth, 0.0))
+                known = idx[top]
+                best = exact(idx[top, None], starts[1 + top, None],
                              growth[top, None])
-                todo = todo[~(bounds[todo] < best) & (todo != top)]
-            if todo.size:
-                best = exact(idx[todo], mats[todo], growth[todo])
+            block = np.empty_like(powers)
+            for first, e in zip(firsts, starts):
+                idx = np.arange(first + 1, min(first + size, grid_points) + 1)
+                mats = np.matmul(powers[:len(idx)], e, out=block[:len(idx)])
+                growth = np.exp(rho * (idx * h))
+                bounds = reach(mats, growth, best)
+                # a point whose reach stays below the best exact value is
+                # neither the maximum nor a tie; a NaN reach is never below
+                todo = np.flatnonzero(~(bounds < best) & (idx != known))
+                if todo.size > 1:  # the top point first, then the rest
+                    top = todo[np.argmax(bounds[todo])]
+                    best = exact(idx[top, None], mats[top, None],
+                                 growth[top, None])
+                    todo = todo[~(bounds[todo] < best) & (todo != top)]
+                if todo.size:
+                    best = exact(idx[todo], mats[todo], growth[todo])
     at = int(np.argmax(values * (1.0 + tie) >= values.max()))
     sup = float(values[at])
     return MEstimate(max(1.0, sup) * (1.0 + M_MARGIN), at * h, sup)
@@ -397,10 +400,10 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     """
     lam, vecs, cond = params.eigen
     if cond <= linalg.EIGENBASIS_COND_LIMIT:
-        path, lu = "eigenbasis", scipy.linalg.lu_factor(vecs)
+        path = "eigenbasis"
 
         def exp_times(s, v):  # e^{A s} v for each offset in s
-            c = scipy.linalg.lu_solve(lu, v)
+            c = np.linalg.solve(vecs, v)
             return ((np.exp(np.multiply.outer(s, lam)) * c) @ vecs.T).real
     else:
         path = "expm"

@@ -80,7 +80,8 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
         np.maximum(gap, time_gap, out=gap)
         np.maximum(gap, np.abs(arc_b.tau_c[at] - tau_c_a[rows]), out=gap)
         np.maximum(gap, np.abs(arc_b.tau_g[at] - tau_g_a[rows]), out=gap)
-        np.minimum.at(best, rows, gap)  # a row can appear once per side
+        # a row can appear once per side; a NaN gap matches nothing
+        np.fmin.at(best, rows, gap)
         at += step
         now = best[rows]
         keep = (time_gap < now) & (now > held[rows]) & (at != stop)
@@ -100,7 +101,9 @@ def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, tau: float,
     epsilon is infinite, with the first such segment's start as witness.
 
     The prefix is matched in blocks of ``_BLOCK`` samples, and the result is
-    that of a min over every sample b of the segment, bit for bit:
+    that of a min over every sample b of the segment, bit for bit, where a
+    NaN gap_b is no match (``np.fmin``), so a sample with no counterpart,
+    a NaN one for instance, matches at inf:
     - along one pair of segments u, y_s and z are constant, so their gap
       ``held_gaps[j]`` is one number, and min_b max(gap_b, held_gaps[j])
       = max(min_b gap_b, held_gaps[j]); max and min round nothing;
@@ -143,6 +146,10 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     Each sample of one arc must have a counterpart at the same jump index in
     the other arc, within epsilon in both time and state (sup norm over the
     state components). Sampling density bounds the resolution of the result.
+    A NaN is within no epsilon of anything: a read sample with a NaN in its
+    state or timers, or in the held values of its segment, makes epsilon
+    inf, with the first such sample as witness, and a NaN sample is no
+    counterpart.
     ``_directional`` gives the order the witness is picked in and why its
     time-window search returns the all-pairs minimum exactly.
     """
@@ -151,6 +158,7 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     shared = min(len(arc1.segments), len(arc2.segments))
     held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
                        axis=1)
+    held_gaps[np.isnan(held_gaps)] = math.inf  # NaN held values match nothing
     e1, w1 = _directional(arc1, arc2, held_gaps, tau, 1)
     e2, w2 = _directional(arc2, arc1, held_gaps, tau, 2)
     if e1 >= e2:

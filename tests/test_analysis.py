@@ -402,6 +402,32 @@ class TestEstimateM:
         assert (est.value, est.t_at_max, est.sup) == all_svd_estimate(a, 1.0)
         assert 2.0 < est.t_at_max < 2.5
 
+    @pytest.mark.parametrize("a, rho, overflows", [
+        ([[-1.0]], 0.5, False),  # v(t) falls: the maximizer is t = 0
+        ([[-1.0]], 2.0, False),  # v(t) rises to the grid edge
+        ([[0.3]], 0.2, False),  # an unstable scalar, rising to e^50
+        ([[-2.5]], 1e-2, False),
+        ([[-1000.0]], 1e-3, False),  # e^{Ah} underflows to 0
+        ([[400.0]], 1.0, True),  # the chain overflows
+    ])
+    def test_scalar_grid_matches_unblocked_loop(self, monkeypatch, a, rho,
+                                                overflows):
+        a = np.array(a)
+        with np.errstate(all="ignore"):
+            sup, t_at = unblocked_estimate(a, rho, analysis.M_GRID_POINTS,
+                                           analysis.M_HORIZON)
+        # at n = 1 every grid value is |e| e^(rho t), taken in one pass:
+        # no bound and no SVD
+        monkeypatch.setattr(linalg, "log_norm_bound", None)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        if overflows:  # the oracle skips the values that overflow
+            with pytest.raises(ValueError, match="overshoot grid is not finite"):
+                estimate_M(a, rho)
+            return
+        est = estimate_M(a, rho)
+        assert est.sup == pytest.approx(sup, rel=1e-12)
+        assert est.t_at_max == t_at
+
     def test_underflow_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,8 +494,9 @@ class TestEstimateM:
         assert 0 < svd_counts.max() < 0.1 * analysis.M_GRID_POINTS
 
     def test_scalar_plant_builds_the_grid_once(self, monkeypatch):
-        # each power P_k = P_1 P_(k-1), each block start P_K E_s and each
-        # block P_(1..K) E_s is one product, made once into its place
+        # each power P_k = P_1 P_(k-1) and each block start P_K E_s is one
+        # product, made once into its place; the grid P_(1..K) E_s of every
+        # block is then one elementwise pass, with no matrix product
         products = []
         matmul = np.matmul
 
@@ -483,8 +510,7 @@ class TestEstimateM:
         for rho in (1.0, 5.0):  # every value ties; v(t) rises to the edge
             products.clear()
             estimate_M(np.array([[-1.0]]), rho)
-            assert products == ([((1, 1), True)] * (size - 1 + blocks - 1)
-                                + [((size, 1, 1), True)] * blocks)
+            assert products == [((1, 1), True)] * (size - 1 + blocks - 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_rules_nothing_out(self, monkeypatch, bad):

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1115,3 +1118,22 @@ class TestOutDirectory:
         assert main([command[0], cfg, "--out", str(out), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --out {out}: Is a directory: {out / output}\n"
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: the three commands, run in one
+    # fresh interpreter, leave scipy unloaded
+    script = (
+        "import sys\n"
+        "from hfo.cli import main\n"
+        "cfg, out = sys.argv[1:]\n"
+        "for command in (['simulate'], ['verify'], ['robustness', '--tau', '5']):\n"
+        "    assert main([command[0], cfg, '--out', out + '/' + command[0],\n"
+        "                 *command[1:]]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(S1_CONFIG),
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

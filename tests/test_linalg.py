@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,63 @@ class TestMatExp:
         assert stack.shape == (4, 4, 4)
         for t, e in zip(ts, stack):
             assert np.array_equal(e, linalg.mat_exp(a, t))
+
+    @staticmethod
+    def rel_1_norm_gap(got, want):
+        return np.abs(got - want).sum(axis=-2).max() / np.abs(want).sum(
+            axis=-2).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20, 25])
+    def test_stack_matches_scipy(self, n):
+        # ||A t||_1 from 1e-3 to 100: every Pade degree, and up to five
+        # squarings; each slice also equals its own scalar call bit for bit
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a /= np.abs(a).sum(axis=0).max()
+        ts = np.geomspace(1e-3, 100.0, 30)
+        stack = linalg.mat_exp(a, ts)
+        for t, e in zip(ts, stack):
+            assert self.rel_1_norm_gap(e, scipy.linalg.expm(a * t)) <= (
+                1e-13 * max(1.0, t))
+            assert np.array_equal(e, linalg.mat_exp(a, t))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_jordan_block(self, n):
+        # J = lam I + N: e^{Jt} = e^{lam t} sum_k N^k t^k / k!
+        lam, nil = -0.7, np.eye(n, k=1)
+        for t in (0.01, 1.0, 7.5, 40.0):
+            want = np.exp(lam * t) * sum(
+                np.linalg.matrix_power(nil, k) * t ** k / math.factorial(k)
+                for k in range(n))
+            got = linalg.mat_exp(lam * np.eye(n) + nil, t)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(np.tril(got, -1), np.zeros((n, n)))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (20, 5)])
+    def test_van_loan_block_matches_scipy(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a = random_hurwitz(rng, n)
+        aug = np.block([[a, rng.standard_normal((n, m))],
+                        [np.zeros((m, n + m))]])
+        for dt in (0.01, 0.3, 2.0):  # sample steps to input periods
+            got = linalg.mat_exp(aug, dt)
+            assert self.rel_1_norm_gap(got, scipy.linalg.expm(aug * dt)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 7, 25])
+    def test_zero_matrix_is_exactly_identity(self, n):
+        assert np.array_equal(linalg.mat_exp(np.zeros((n, n)), 1.0), np.eye(n))
+        a = np.random.default_rng(n).standard_normal((n, n))
+        stack = linalg.mat_exp(a, np.zeros(3))
+        assert np.array_equal(stack, np.broadcast_to(np.eye(n), (3, n, n)))
+
+    def test_scalar_is_np_exp(self):
+        ts = np.array([0.0, 1e-3, 0.37, 5.0, 700.0])
+        for a in (-1.0, 0.3, -1000.0):
+            assert np.array_equal(linalg.mat_exp(np.array([[a]]), ts),
+                                  np.exp(a * ts)[:, None, None])
+            for t in ts:
+                assert linalg.mat_exp(np.array([[a]]), t).tobytes() == (
+                    np.exp(np.array([[a]]) * t).tobytes())
 
     def test_time_array_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -111,6 +169,22 @@ class TestStepLti:
                 np.testing.assert_allclose(e, e_ref, rtol=0.0, atol=1e-12)
                 np.testing.assert_allclose(forced, forced_ref, rtol=0.0,
                                            atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+    def test_large_input_matrix_keeps_accuracy(self, scale):
+        # unbalanced, ||B|| dt would add up to 31 squarings at dt = 0.01,
+        # and e^{A dt} would be off by 2.6e-13 at B = 1e6, 1e-8 at 1e12
+        e, forced = linalg.propagator(np.array([[-1.0]]),
+                                      np.array([[scale]]), 0.01)
+        assert e[0, 0] == pytest.approx(np.exp(-0.01), rel=1e-15)
+        assert forced[0, 0] == pytest.approx(-np.expm1(-0.01) * scale,
+                                             rel=1e-14)
+        rng = np.random.default_rng(3)
+        a, b = random_hurwitz(rng, 3), scale * rng.standard_normal((3, 2))
+        e, forced = linalg.propagator(a, b, 0.01)
+        e_ref, forced_ref = inverse_formula_step(a, b, 0.01)
+        np.testing.assert_allclose(e, e_ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(forced, forced_ref, rtol=1e-12)
 
     def test_zero_plant_matrix_closed_form(self):
         # A = 0: x(h) = x(0) + h B u

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,51 @@ class TestCloseness:
         result = closeness(arc, shorter, tau=4.0)
         assert math.isinf(result.epsilon)
         assert result.truncated
+
+    @staticmethod
+    def with_x(arc, k, value):
+        x = arc.x.copy()
+        x[k] = value
+        return dataclasses.replace(arc, x=x)
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_nan_sample_is_infinite(self, side):
+        # a NaN state once dropped out of its whole block: epsilon read 0.0
+        # at witness (1, 0.0, 0), and np.minimum.at warned
+        arcs = [run_s1(HybridFOModel(s1_params())),
+                run_s1(HybridFOModel(s1_params(), s1_perturbation(), 0.1))]
+        arc = arcs[side - 1] = self.with_x(arcs[side - 1], 30, np.nan)
+        j = int(np.searchsorted(arc.offsets, 30, side="right")) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = closeness(*arcs, tau=4.0)
+        assert result.epsilon == math.inf
+        assert result.witness == (side, float(arc.times[30]), j)
+
+    def test_nan_held_value_is_infinite(self):
+        arc1 = run_s1(HybridFOModel(s1_params()))
+        arc2 = run_s1(HybridFOModel(s1_params(), s1_perturbation(), 0.1))
+        u = arc2.u.copy()
+        u[3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = closeness(arc1, dataclasses.replace(arc2, u=u), tau=4.0)
+        assert result.epsilon == math.inf
+        assert result.witness == (1, float(arc1.times[arc1.offsets[3]]), 3)
+
+    def test_nan_counterpart_matches_nothing(self):
+        # the other arc's sample 30 is the nearest pair of this arc's
+        # sample 30; as NaN it is no counterpart, just as a sample far from
+        # every other would be
+        arc = run_s1(HybridFOModel(s1_params()))
+        shifted = dataclasses.replace(arc, x=arc.x + 0.01)
+        held, n = np.zeros(len(arc.segments)), len(arc.times)
+        far = robustness._block_matches(
+            arc, self.with_x(shifted, 30, 1e300), 0, n, held)
+        got = robustness._block_matches(
+            arc, self.with_x(shifted, 30, np.nan), 0, n, held)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, far)
 
     def test_truncation_reported(self):
         arc = run_s1(HybridFOModel(s1_params()), horizon=(2.0, 200))
