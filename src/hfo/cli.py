@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -31,8 +30,11 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 # stored samples trajectory.csv formats at a time: the writer's memory is
-# bounded by one block, whatever the arc's length
+# bounded by one block and the memo below, whatever the arc's length
 CSV_BLOCK = 256
+# most tau_c, tau_g and dist_to_A reprs the trajectory writer keeps for
+# reuse, across blocks
+CSV_MEMO = 256
 
 
 def _load(config_path: str) -> ScenarioConfig:
@@ -72,72 +74,103 @@ def _csv_header(params) -> list:
     )
 
 
-def _reprs(column) -> list:
-    """``repr`` of every float in a 1-D array. Each distinct float64 bit
-    pattern is formatted once, in one C call; bits, not values, so that
-    -0.0 and 0.0 stay apart."""
-    bits, which = np.unique(column.view(np.int64), return_inverse=True)
-    reprs = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
-    return [reprs[k] for k in which.tolist()]
+def _reprs(values) -> list:
+    """``repr`` of every float in a 1-D array, from one ``repr`` of its
+    list."""
+    return repr(values.tolist())[1:-1].split(", ")
 
 
-def _held(arc, j) -> str:
-    """Segment j's held [u, y_s, z] fields, joined: the repr of their list."""
-    held = np.concatenate([arc.u[j], arc.y_s[j], arc.z[j]]).tolist()
-    return repr(held)[1:-1].replace(", ", ",")
+def _row_reprs(rows) -> list:
+    """Each row of a 2-D array as its floats' reprs joined by commas, from
+    one ``repr`` of its nested list."""
+    return repr(rows.tolist())[2:-2].replace(", ", ",").split("],[")
 
 
-class _Block:
-    """The fields of the stored samples lo..hi - 1, formatted by column:
-    ``times[i - lo]`` and, around the held fields, ``xs[i - lo]`` (the plant
-    state) and ``timers[i - lo]`` (tau_c, tau_g, dist_to_A)."""
+def _memo_reprs(column, memo: dict) -> list:
+    """``_reprs(column)`` through ``memo``, which maps float64 bit patterns
+    (bits, not values, so that -0.0 and 0.0 stay apart) to their reprs: only
+    the patterns not in it are formatted, with one ``repr``. It is emptied
+    before it would pass CSV_MEMO entries."""
+    keys = column.view(np.int64).tolist()
+    try:
+        return list(map(memo.__getitem__, keys))
+    except KeyError:
+        pass
+    distinct = set(keys)
+    new = distinct.difference(memo)
+    if len(memo) + len(new) > CSV_MEMO:
+        memo.clear()
+        new = distinct
+    new = list(new)
+    memo.update(zip(new, _reprs(
+        np.array(new, dtype=np.int64).view(np.float64))))
+    return list(map(memo.__getitem__, keys))
 
-    def __init__(self, arc, consts, lo):
-        self.lo, self.hi = lo, min(lo + CSV_BLOCK, len(arc.times))
-        span = slice(self.lo, self.hi)
-        x = arc.x[span]
-        self.times = _reprs(arc.times[span])
-        self.xs = list(map(",".join, zip(*(_reprs(col) for col in x.T))))
-        self.timers = list(map(",".join, zip(
-            _reprs(arc.tau_c[span]), _reprs(arc.tau_g[span]),
-            _reprs(analysis.dist_to_A(x, consts)))))
 
-    def rows(self, lo, hi, j, case, held) -> str:
-        """The lines of samples lo..hi - 1, all in this block and in
-        segment j, whose held fields are ``held``."""
-        head, tail = f",{j},{case},", f",{held},"
-        k = slice(lo - self.lo, hi - self.lo)
-        return "".join([f"{t}{head}{x}{tail}{timers}\r\n" for t, x, timers
-                        in zip(self.times[k], self.xs[k], self.timers[k])])
+def _labelled(row: str, label: str) -> str:
+    """A flow row with ``label`` in its case field, the row's only empty
+    field."""
+    return row.replace(",,", f",{label},", 1)
+
+
+def _block_text(arc, consts, lo: int, hi: int, memo: dict) -> str:
+    """The lines of the stored samples lo..hi - 1, jump rows included.
+
+    Every line of sample i, its flow row or the :pre or :post row of a jump,
+    holds sample i's fields and the index and held fields of sample i's
+    segment. So the flow rows come from one comprehension over per-sample
+    fields, and jump j's rows are flow rows relabelled: a :pre row after
+    the last sample of segment j, a :post row before the first of j + 1."""
+    span = slice(lo, hi)
+    x = arc.x[span]
+    which = np.searchsorted(arc.offsets, np.arange(lo, hi), "right") - 1
+    first, last = int(which[0]), int(which[-1])
+    segments = slice(first, last + 1)
+    # the fields around x of each of the block's segments
+    heads = [f",{j},," for j in range(first, last + 1)]
+    tails = [f",{held}," for held in _row_reprs(np.hstack(
+        [arc.u[segments], arc.y_s[segments], arc.z[segments]]))]
+    xs = [_reprs(col) for col in x.T]
+    xs = xs[0] if len(xs) == 1 else list(map(",".join, zip(*xs)))
+    rows = [f"{t}{heads[k]}{xk}{tails[k]}{c},{g},{d}\r\n"
+            for t, k, xk, c, g, d in zip(
+                _reprs(arc.times[span]), (which - first).tolist(), xs,
+                _memo_reprs(arc.tau_c[span], memo),
+                _memo_reprs(arc.tau_g[span], memo),
+                _memo_reprs(analysis.dist_to_A(x, consts), memo))]
+    lines = rows.copy()
+    for j in range(max(first - 1, 0), min(last + 1, len(arc.jumps))):
+        case = arc.jumps[j].case
+        k = int(arc.offsets[j + 1]) - lo  # segment j + 1's first sample
+        if 0 < k <= len(rows):
+            lines[k - 1] += _labelled(rows[k - 1], f"{case}:pre")
+        if 0 <= k < len(rows):
+            lines[k] = _labelled(rows[k], f"{case}:post") + lines[k]
+    return "".join(lines)
 
 
 def write_trajectory_csv(path: Path, arc, consts, params):
     """Flow samples plus a pre/post row pair for every jump j: the last
     sample of segment j and the first of segment j + 1.
 
-    The bytes are those of ``csv.writer`` with its default dialect: no field
-    needs quoting, since each is a float repr, an int or a case label.
-    Fields are formatted by column, CSV_BLOCK stored samples at a time, so
-    the writer's memory does not grow with the arc."""
+    The bytes are those of ``csv.writer`` with its default dialect (``,``
+    between fields, ``\\r\\n`` after each line): no field needs quoting,
+    since each is a float repr, an int or a case label.
+
+    The writer formats CSV_BLOCK stored samples at a time and writes each
+    block at once (``_block_text``), so its memory does not grow with the
+    arc. Per block, t and each x_i come from one ``repr`` of the column's
+    list, since they are all distinct, and the held u, y_s, z of the
+    block's segments from one more. tau_c, tau_g and dist_to_A go through
+    one memo keyed by float64 bit pattern (``_memo_reprs``), which lives
+    across blocks and holds at most CSV_MEMO reprs: timers repeat along an
+    arc, so most of their values are formatted once."""
+    memo = {}
     with path.open("w", newline="") as fh:
         fh.write(",".join(_csv_header(params)) + "\r\n")
-        block = _Block(arc, consts, 0)
-        held = _held(arc, 0)
-        offsets = map(int, arc.offsets)
-        for j, (lo, hi) in enumerate(itertools.pairwise(offsets)):
-            while lo < hi:
-                if lo == block.hi:
-                    block = _Block(arc, consts, lo)
-                stop = min(hi, block.hi)
-                fh.write(block.rows(lo, stop, j, "", held))
-                lo = stop
-            if j < len(arc.jumps):
-                case = arc.jumps[j].case
-                fh.write(block.rows(hi - 1, hi, j, f"{case}:pre", held))
-                if hi == block.hi:
-                    block = _Block(arc, consts, hi)
-                held = _held(arc, j + 1)
-                fh.write(block.rows(hi, hi + 1, j + 1, f"{case}:post", held))
+        for lo in range(0, len(arc.times), CSV_BLOCK):
+            fh.write(_block_text(arc, consts, lo,
+                                 min(lo + CSV_BLOCK, len(arc.times)), memo))
 
 
 @contextlib.contextmanager

@@ -1,6 +1,10 @@
 """Scenario configuration: a single JSON document describing the plant,
 objective, timers, input set, initialization, policy, horizon, and an
-optional perturbation block."""
+optional perturbation block.
+
+The document is read section by section: each key is read, checked and
+recorded in ``ScenarioConfig.document`` (the reports' ``config`` block) at
+one place, and a key that nothing read is rejected."""
 
 from __future__ import annotations
 

@@ -15,7 +15,9 @@ timers) and the segment's held u, y_s and z. Pass 2 fills in the samples of
 the whole arc: times and timers in one vectorized expression each, x by
 stored powers of the one-step map on the sample grid plus one exact
 held-input step to each segment's end. ``State`` appears only at the API
-edge: the initial state ``simulate`` takes and ``Segment.state(k)``.
+edge: the initial state ``simulate`` takes and ``Segment.state(k)`` /
+``start`` (and the config, ``model.validate`` and the sweeps, which build
+or check a start; ``from hfo.model import State`` still works).
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ class State:
 
 @dataclass(slots=True)
 class JumpRecord:
+    """One jump of an arc, with no states: the states on both sides of jump
+    j are ``segments[j].state(-1)`` and ``segments[j + 1].start``."""
+
     t: float  # jump j ends segments[j] and starts segments[j + 1]
     j: int
     case: str  # "G1", "G2", "G3-first-half", "G3-second-half"
@@ -99,7 +104,8 @@ class Segment:
 
 
 class _Segments(Sequence):
-    """``arc.segments``: one view per segment, made on access."""
+    """``arc.segments``: one view per segment, made on access, for an
+    integer j; a slice is refused."""
 
     __slots__ = ("arc",)
 
@@ -122,8 +128,11 @@ class HybridArc:
     plant state ``x[i]`` and timers ``tau_c[i]``, ``tau_g[i]``. Segment j,
     the flow at jump index j, holds rows ``offsets[j]:offsets[j + 1]`` and
     the input ``u[j]``, sampled output ``y_s[j]`` and iterate ``z[j]``; it
-    ends at ``jumps[j]``, so there is one segment more than there are jumps.
-    ``segments[j]`` is a view of segment j."""
+    ends at ``jumps[j]``, whose result starts segment j + 1, so there is one
+    segment more than there are jumps. ``offsets`` is the arc's only segment
+    index: sample i lies in segment ``searchsorted(offsets, i, "right") - 1``,
+    and no per-sample copy of it is kept. ``segments[j]`` is a view of
+    segment j."""
 
     times: np.ndarray  # (N,)
     x: np.ndarray  # (N, n)
@@ -154,7 +163,10 @@ class HybridArc:
 
         A g2 jump closes a period, so every jump inside one applied g1 and
         its optimizer iterates are ``z[first:end]``. The last period, which
-        runs to the arc's end, is the one no g2 closes.
+        runs to the arc's end, is the one no g2 closes. A jump that applied
+        neither map raises ValueError. ``jump_stats``,
+        ``analysis.rate_check`` and ``analysis.reconstruct_x`` read this
+        split and walk no jump log of their own.
         """
         starts = [0]
         for rec in self.jumps:
@@ -243,7 +255,8 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     length dt stores samples at grid steps 0..g of ``sample_dt`` and at its
     end; a point segment has g = -1, length 0 and end timers equal to its
     start timers, and stores one sample. Each g2 draws its tau_c reset by
-    ``draw_tau_c_reset`` as it applies.
+    ``draw_tau_c_reset`` as it applies. ``model.g1`` and ``model.g2`` are
+    called once per applied map, and no ``State`` is built.
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
@@ -300,7 +313,9 @@ def _sample_columns(starts, grids, lengths, running, timers):
 
     Grid step k of every segment lies ``running[k]`` after its start, and
     its last sample at its length; a per-segment column reaches its samples
-    by ``np.repeat`` over the sample counts. ``timers`` holds (start values,
+    by ``np.repeat`` over the sample counts, and each sample's grid step is
+    ``np.arange(N) - np.repeat(offsets[:-1], counts)``, so no per-sample
+    segment index is built. ``timers`` holds (start values,
     end values, rate) per timer; each decreases affinely from its start
     value, zero within EVENT_TOL and clipped at zero, and each segment's last
     sample takes the end value pass 1 recorded (a point segment's one
@@ -327,7 +342,9 @@ def _sample_columns(starts, grids, lengths, running, timers):
 
 def _closing_maps(model, grids, lengths, running):
     """Each flow segment's held-input map over length - running[grid]: one
-    stacked propagator call per FLOW_BLOCK segments, on distinct lengths."""
+    stacked propagator call per FLOW_BLOCK segments, on distinct lengths.
+    So a run holds at most FLOW_BLOCK closing maps at once, and a run with
+    no flow segment makes no call."""
     flow = grids >= 0
     closing = lengths[flow] - running[grids[flow]]
     for first in range(0, len(closing), FLOW_BLOCK):
@@ -341,10 +358,13 @@ def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
     """Pass 2, x: every sample's plant state, (N, n).
 
     On a segment's grid x(k sample_dt) = [e^{A k sample_dt}, Gamma_k] @
-    [x(0); u], row k - 1 of ``model.flow_grid``: one batched product per
-    block of at most FLOW_BLOCK steps, each block starting where the last
-    ended. ``_closing_maps`` gives the exact closing step from the last grid
-    point to the segment's end. A point segment repeats the state it starts at.
+    [x(0); u], row k - 1 of ``model.flow_grid``, built once per run: one
+    batched product per block of at most FLOW_BLOCK steps, each block
+    starting where the last ended. ``_closing_maps`` gives the exact closing
+    step from the last grid point to the segment's end. Each step is
+    ``e @ x + forced @ u``, ``flow_x``'s arithmetic, so x is bit for bit what
+    per-segment ``flow_x`` calls give. A point segment repeats the state it
+    starts at.
     """
     longest = len(running) - 2
     block = max(1, min(FLOW_BLOCK, longest))
@@ -367,7 +387,10 @@ def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
 
 
 def draw_tau_c_reset(policy, rng, interval):
-    """Resolve the set-valued tau_c reset via the configured policy."""
+    """Resolve the set-valued tau_c reset via the configured policy.
+
+    It trusts the policy's names, which ``JumpPolicy`` checks when it is
+    built, and checks a fixed value against ``interval``."""
     lo, hi = interval
     kind = policy.tau_c_reset
     if kind == "fixed":
@@ -391,7 +414,8 @@ def simulate(model, zeta0: State, policy, horizon,
     for a fixed seed. J never splits a composite jump: both halves run, so
     the arc may end at j = J + 1. Raises SampleBudgetError, before any work,
     when ``sample_bound`` allows a payload over SAMPLE_BUDGET bytes, and
-    ValueError for a fixed tau_c reset outside the reset interval.
+    ValueError for a fixed tau_c reset outside the reset interval, whether
+    or not the run would reset tau_c.
     """
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
@@ -469,7 +493,8 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
     for runs whose jumps all lie on the tau_g grid) it verifies (c) that
     jump groups lie at least that far apart; without one, (c') that
     consecutive g1 jumps and consecutive g2 jumps lie at least
-    ``arc.spacing`` apart. Violations are reported, not raised.
+    ``arc.spacing`` apart. Violations are reported, not raised. To check
+    another group-gap bound, pass ``dataclasses.replace(arc, min_dwell=...)``.
     """
     violations, min_dwell = [], arc.min_dwell
     groups = []

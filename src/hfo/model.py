@@ -79,7 +79,9 @@ class Box:
             raise ValueError("box bounds must satisfy lo <= hi componentwise")
 
     def project(self, v) -> np.ndarray:
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+        """Clamp a point or rows (k, m): ``np.clip``'s ufunc, reached through
+        the array method, so without ``np.clip``'s dispatch wrapper."""
+        return np.asarray(v, dtype=float).clip(self.lo, self.hi)
 
     def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)
@@ -296,6 +298,10 @@ class HybridFOModel:
         # the tau_g period and the shortest tau_c period
         self.period_g = self.tau_g_reset / -self.rate_g
         self.period_c = self.reset_lo / -self.rate_c
+        obj = params.objective
+        # g1's operands, each the very array grad_u_phi would use
+        self._g1_operands = (obj.gamma, obj.q_u, self.h.T, obj.q_y,
+                             obj.y_hat, params.input_set.project)
 
     # -- flow ---------------------------------------------------------------
 
@@ -343,10 +349,15 @@ class HybridFOModel:
 
     def g1(self, z, y_s):
         """Gradient-descent jump: one projected step on z, tau_g reset.
-        Returns (z, tau_g)."""
-        obj = self.params.objective
-        step = z - obj.gamma * grad_u_phi(z, y_s, obj, self.h)
-        return self.params.input_set.project(step), self.tau_g_reset
+        Returns (z, tau_g).
+
+        The step is ``z - gamma * grad_u_phi(z, y_s, objective, h)``,
+        evaluated as the same expression on the same arrays, so bit for bit
+        the same, without ``grad_u_phi``'s conversions and shape checks: pass
+        1 hands in the float arrays of its own earlier maps."""
+        gamma, q_u, h_t, q_y, y_hat, project = self._g1_operands
+        step = z - gamma * (q_u @ z + h_t @ (q_y @ (y_s - y_hat)))
+        return project(step), self.tau_g_reset
 
     def g2(self, z, tau_c_reset: float):
         """Input-application jump: u <- z, output resampled as H u + d with

@@ -57,7 +57,9 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     with t_b >= t_a (one ``searchsorted`` on arc_b's times, which never
     decrease, clipped to the segment) and the b before it. A walk stops at
     the segment's edge, after a b whose time gap is no smaller than the
-    sample's best gap, or once that best is at most its held gap.
+    sample's best gap, or once that best is at most its held gap. A
+    sample whose own t, x or timers are not finite does not walk: each of
+    its gaps is inf or NaN, so its best stays inf whatever it meets.
     """
     rows = np.arange(hi - lo)
     j = np.searchsorted(arc_a.offsets, rows + lo, side="right") - 1
@@ -67,12 +69,15 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     tau_c_a, tau_g_a = arc_a.tau_c[lo:hi], arc_a.tau_g[lo:hi]
     after = np.clip(np.searchsorted(arc_b.times, t_a), first, end)
     best = np.full(hi - lo, np.inf)
+    finite = np.isfinite(x_a).all(axis=1)
+    for column in (t_a, tau_c_a, tau_g_a):
+        finite &= np.isfinite(column)
     # one walk per sample and side: from ``at`` by ``step`` to before ``stop``
     rows = np.concatenate([rows, rows])
     at = np.concatenate([after, after - 1])
     step = np.repeat(np.array([1, -1]), hi - lo)
     stop = np.concatenate([end, first - 1])
-    keep = at != stop
+    keep = (at != stop) & np.concatenate([finite, finite])
     while keep.any():
         rows, at, step, stop = rows[keep], at[keep], step[keep], stop[keep]
         time_gap = np.abs(arc_b.times[at] - t_a[rows])
@@ -113,7 +118,9 @@ def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, tau: float,
     - fl(t_b - t_a) is monotone in t_b, and the segment's times are sorted,
       so the time gap grows outward from the nearest pair on either side,
       and the b that can still lower the min form one contiguous window;
-    - once the best gap is at most held_gaps[j], the match is the held gap.
+    - once the best gap is at most held_gaps[j], the match is the held gap;
+    - a sample with a non-finite t, x or timer is inf or NaN away from
+      every b, so its match is inf, and it need not walk.
     """
     offsets, times = arc_a.offsets, arc_a.times
     cut = tau + EVENT_TOL

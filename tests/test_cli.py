@@ -79,6 +79,30 @@ def _max_segment(arc) -> int:
     return int(np.diff(arc.offsets).max())
 
 
+# S1 edits for an n = 3, m = 2, p = 2 plant
+N3_M2_P2 = {"plant": {"A": [[-1.0, 0.2, 0.0], [0.0, -1.5, 0.3],
+                            [0.1, 0.0, -2.0]],
+                      "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+                      "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                      "d": [0.5, -0.2]},
+            "objective": {"Q_u": [[1.0, 0.0], [0.0, 1.0]],
+                          "Q_y": [[1.0, 0.0], [0.0, 1.0]],
+                          "y_hat": [1.0, 0.5], "gamma": 0.2},
+            "input_set": {"kind": "box", "lo": [-1.0, -1.0],
+                          "hi": [1.0, 1.0]},
+            "perturbation": None}
+
+
+def _timer_rows(arc) -> int:
+    """Distinct (tau_c, tau_g) bit patterns of an arc's samples."""
+    rows = np.column_stack([arc.tau_c, arc.tau_g]).view(np.int64)
+    return len(np.unique(rows, axis=0))
+
+
+def _block_boundary_at_a_jump(arc) -> bool:
+    return any(hi % cli.CSV_BLOCK == 0 for hi in arc.offsets[1:-1].tolist())
+
+
 # S1 edits that give the trajectory writer arcs of different shapes, each
 # with a check that the arc has that shape (lines: the CSV's lines)
 CSV_ARCS = [
@@ -96,17 +120,7 @@ CSV_ARCS = [
                  lambda arc, lines: any(rec.case.startswith("G3")
                                         for rec in arc.jumps),
                  id="uniform-reset-random-composite-order"),
-    pytest.param({"plant": {"A": [[-1.0, 0.2, 0.0], [0.0, -1.5, 0.3],
-                                  [0.1, 0.0, -2.0]],
-                            "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
-                            "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
-                            "d": [0.5, -0.2]},
-                  "objective": {"Q_u": [[1.0, 0.0], [0.0, 1.0]],
-                                "Q_y": [[1.0, 0.0], [0.0, 1.0]],
-                                "y_hat": [1.0, 0.5], "gamma": 0.2},
-                  "input_set": {"kind": "box", "lo": [-1.0, -1.0],
-                                "hi": [1.0, 1.0]},
-                  "perturbation": None},
+    pytest.param(N3_M2_P2,
                  lambda arc, lines: arc.x.shape[1] == 3 and arc.u.shape[1] == 2,
                  id="n3-m2-p2"),
     pytest.param({"timers": {"tau_c_min": 20.0, "tau_c_max": 20.0,
@@ -117,9 +131,21 @@ CSV_ARCS = [
     # jump 21 ends segment 21 at sample 256: its :pre row is the last of a
     # block and its :post row the first of the next
     pytest.param({"sample_dt": 0.02, "horizon": {"T": 10.0, "J": 1000}},
-                 lambda arc, lines: any(hi % cli.CSV_BLOCK == 0 for hi
-                                        in arc.offsets[1:-1].tolist()),
+                 lambda arc, lines: _block_boundary_at_a_jump(arc),
                  id="block-boundary-at-a-jump"),
+    pytest.param({**N3_M2_P2, "sample_dt": 0.02,
+                  "horizon": {"T": 10.0, "J": 1000}},
+                 lambda arc, lines: (arc.x.shape[1] == 3
+                                     and _block_boundary_at_a_jump(arc)),
+                 id="n3-m2-block-boundary-at-a-jump"),
+    # a uniform tau_c reset and a tau_g period off the sample grid: more
+    # distinct timer rows than the writer's memo holds
+    pytest.param({"timers": {"tau_c_min": 1.0, "tau_c_max": 1.5,
+                             "tau_g_comp": 0.237, "ell": 4},
+                  "policy": {"tau_c_reset": "uniform", "seed": 5},
+                  "horizon": {"T": 60.0, "J": 10 ** 6}},
+                 lambda arc, lines: _timer_rows(arc) > 4 * cli.CSV_MEMO,
+                 id="more-timer-rows-than-the-memo-holds"),
     pytest.param({"init": {"mode": "global",
                            "zeta0": {"x": [-0.0], "u": [0.0], "y_s": [0.5],
                                      "z": [0.0], "tau_c": 1.0,
@@ -500,6 +526,19 @@ class TestSimulateCommand:
                 tracemalloc.stop()
         assert len(arc.times) > 100_000
         assert peaks[1] <= 2 * peaks[0]
+
+    def test_timer_memo_empties_when_full(self):
+        # a column with values the memo holds and more new values than it
+        # has room for: the memo empties and then holds the whole column's
+        rng = np.random.default_rng(5)
+        held = rng.standard_normal(cli.CSV_MEMO - 10)
+        memo = {}
+        assert cli._memo_reprs(held, memo) == cli._reprs(held)
+        column = np.concatenate([held[:5], rng.standard_normal(20), held[-3:],
+                                 [-0.0, 0.0, held[0]]])
+        assert cli._memo_reprs(column, memo) == cli._reprs(column)
+        assert len(memo) == len(column) - 1
+        assert cli._memo_reprs(column[::-1], memo) == cli._reprs(column[::-1])
 
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -11,7 +11,9 @@ from hfo.model import (
     Box,
     HybridFOModel,
     JumpPolicy,
+    ModelParams,
     Objective,
+    Perturbation,
     Plant,
     Timers,
     grad_u_phi,
@@ -20,7 +22,14 @@ from hfo.model import (
     strict_initial_state,
     validate,
 )
-from conftest import central_difference_gradient, random_params, s1_params
+from conftest import (central_difference_gradient, random_hurwitz,
+                      random_params, random_spd, s1_params)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and float64 bit patterns: -0.0 and 0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestInputSets:
@@ -28,6 +37,24 @@ class TestInputSets:
         box = Box([-1.0, 0.0], [1.0, 2.0])
         np.testing.assert_allclose(box.project([3.0, -1.0]), [1.0, 0.0])
         np.testing.assert_allclose(box.project([0.5, 1.5]), [0.5, 1.5])
+
+    def test_box_projection_keeps_clip_bits_on_stacks(self):
+        # analysis._pgd_fixed_point projects (P, m) stacks
+        rng = np.random.default_rng(41)
+        for m in range(1, 6):
+            lo = -rng.uniform(0.5, 2.0, m)
+            hi = rng.uniform(0.5, 2.0, m)
+            lo[0], hi[-1] = -0.0, 0.0  # bounds that tie with signed zeros
+            box = Box(lo, hi)
+            # inside, outside, on each bound, and +-0.0 entries
+            stack = np.vstack([rng.uniform(-3.0, 3.0, (200, m)),
+                               np.tile(lo, (2, 1)), np.tile(hi, (2, 1)),
+                               np.full((2, m), 0.0), np.full((2, m), -0.0)])
+            assert same_bits(box.project(stack), np.clip(stack, lo, hi))
+            for row in stack[-8:]:
+                assert same_bits(box.project(row), np.clip(row, lo, hi))
+                assert same_bits(box.project(row.tolist()),
+                                 np.clip(row, lo, hi))
 
     def test_box_diameter(self):
         assert Box([-1.0], [1.0]).diameter() == 2.0
@@ -128,6 +155,13 @@ class TestGainAndObjective:
             phi([1.0, 2.0], [0.5], s1.objective)
 
 
+def h_perturbation(rng, n, m, p):
+    """A perturbation of the plant and of H, scaled to order 1."""
+    return Perturbation(rng.standard_normal((n, n)),
+                        rng.standard_normal((n, m)),
+                        rng.standard_normal((p, m)))
+
+
 def resolve(params, state, policy):
     """The state after the full jump map: the maps ``jump_order`` names for
     the case ``which_case`` selects, applied in turn by ``g1`` and ``g2``."""
@@ -156,6 +190,40 @@ class TestJumps:
         assert np.array_equal(post.z, z)
         assert post.tau_g == tau_g
         assert post.u[0] == 0.0  # untouched
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_gradient_jump_is_the_projected_gradient_step(self, m, kind):
+        # g1 skips grad_u_phi's conversions and checks; its bits must not
+        # move, with the nominal H or a perturbed one
+        rng = np.random.default_rng([43, m, kind == "ball"])
+        n, p = m + 1, max(m - 1, 1)
+        plant = Plant(random_hurwitz(rng, n), rng.standard_normal((n, m)),
+                      rng.standard_normal((p, n)), rng.standard_normal(p))
+        objective = Objective(random_spd(rng, m), random_spd(rng, p),
+                              rng.standard_normal(p), 0.1)
+        if kind == "box":
+            input_set = Box(-rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, m))
+            on = input_set.hi
+        else:
+            input_set = Ball(rng.standard_normal(m) * 0.3, 1.2)
+            unit = rng.standard_normal(m)
+            on = input_set.center + unit * (1.2 / np.linalg.norm(unit))
+        params = ModelParams(plant, objective, Timers(1.0, 1.0, 0.25, 4),
+                             input_set)
+        pert = h_perturbation(rng, n, m, p)
+        points = [input_set.random_point(rng), on, on * 3.0,
+                  np.full(m, 0.0), np.full(m, -0.0),
+                  np.where(np.arange(m) % 2 == 0, -0.0, 0.0)]
+        for model in (HybridFOModel(params), HybridFOModel(params, pert, 0.1)):
+            for z in points:
+                for y_s in (rng.standard_normal(p), objective.y_hat.copy(),
+                            np.full(p, -0.0)):
+                    want = input_set.project(z - objective.gamma * grad_u_phi(
+                        z, y_s, objective, model.h))
+                    got, tau_g = model.g1(z, y_s)
+                    assert same_bits(got, want)
+                    assert tau_g == model.tau_g_reset
 
     def test_gradient_jump_projects(self, s1):
         z, _ = HybridFOModel(s1).g1(np.array([0.96]), np.array([0.5]))

@@ -277,6 +277,26 @@ class TestCloseness:
         assert np.isfinite(got).all()
         assert np.array_equal(got, far)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", np.inf), ("x", np.nan), ("tau_c", np.inf), ("tau_g", -np.inf),
+        ("times", np.nan)])
+    def test_non_finite_sample_does_not_walk(self, field, value):
+        # each gap of a sample with a non-finite t, x or timer is inf or
+        # NaN, so it matches at inf without reading a counterpart
+        class Unread:
+            def __getitem__(self, key):
+                raise AssertionError("a counterpart was read")
+
+        arc = run_s1(HybridFOModel(s1_params()))
+        column = getattr(arc, field).copy()
+        column[...] = value
+        broken = dataclasses.replace(arc, **{field: column})
+        unread = dataclasses.replace(arc, x=Unread(), tau_c=Unread(),
+                                     tau_g=Unread())
+        n, held = len(arc.times), np.zeros(len(arc.segments))
+        got = robustness._block_matches(broken, unread, 0, n, held)
+        assert np.all(got == np.inf)
+
     def test_truncation_reported(self):
         arc = run_s1(HybridFOModel(s1_params()), horizon=(2.0, 200))
         result = closeness(arc, arc, tau=100.0)
@@ -315,6 +335,23 @@ class TestClosenessMatchesPerSampleScan:
             at = self.tau_for(tau, nominal, perturbed)
             self.assert_same(nominal, perturbed, at)
             self.assert_same(perturbed, nominal, at)
+
+    def test_arc_infinite_from_a_sample_on(self):
+        # S1 at delta 0.1 and tau 30, with the perturbed arc's state and
+        # timers inf from sample 30 on
+        params = s1_params()
+        horizon = (30.0, 31)
+        nominal = run_s1(HybridFOModel(params), horizon)
+        perturbed = run_s1(HybridFOModel(params, s1_perturbation(), 0.1),
+                           horizon)
+        columns = {name: getattr(perturbed, name).copy()
+                   for name in ("x", "tau_c", "tau_g")}
+        for column in columns.values():
+            column[30:] = np.inf
+        broken = dataclasses.replace(perturbed, **columns)
+        self.assert_same(nominal, broken, 30.0)
+        self.assert_same(broken, nominal, 30.0)
+        assert closeness(nominal, broken, 30.0).epsilon == math.inf
 
     def test_n20_arcs(self):
         rng = np.random.default_rng(17)
