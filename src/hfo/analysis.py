@@ -1,6 +1,9 @@
-"""Quantitative analysis: optimal steady state, per-sample fixed points,
+"""Quantitative analysis: optimal steady state, per-period fixed points,
 convergence constants, convergence-bound evaluation, and trajectory
 cross-checks against the closed-form variation-of-constants decomposition.
+
+Each function reads what ``ModelParams`` derives (``eigen``, ``a_inv_b``,
+``hessian``, ``curvature``) rather than deriving it again.
 """
 
 from __future__ import annotations
@@ -78,11 +81,14 @@ M_BOUND_LEVELS = 4
 # n = 60000. Only where ||E||^2 underflows can the bound fall shorter, and
 # there ||E|| e^{rho t} <= 1e-140 lies far below the t = 0 value 1.
 M_BOUND_PAD = 1e-6
-# Most n x n matrices (reconstruct_x's exponentials, estimate_M's table of
-# powers and its block of grid points, half each) or stored samples
-# (reconstruct_x's eigenbasis rows) one batched call holds at once, so
-# memory stays O(n^2) per block.
+# Most n x n matrices (reconstruct_x's exponentials on its expm path,
+# estimate_M's table of powers and its block of grid points, half each) one
+# batched call holds at once, so memory stays O(n^2) per block, and most
+# input periods reconstruct_x's eigenbasis path takes at once.
 _STACK_BLOCK = 100
+# Most elements (rows x n) one block of reconstruct_x's eigenbasis rows
+# holds: _STACK_BLOCK rows at n = 20, 2000 at n = 1.
+_ROW_ELEMENTS = 20 * _STACK_BLOCK
 
 
 # Fixed-point residual _pgd_fixed_point certifies, and its most iterations.
@@ -94,10 +100,12 @@ def _pgd_fixed_point(hess, offset, eigs, input_set, check_gamma) -> np.ndarray:
     """Fixed point of z = P[z - gamma (hess z + offset)], for one offset (m,)
     or for each row of a stack (P, m).
 
-    Iterates with a stepsize from ``eigs``, the extreme eigenvalues of
-    ``hess`` (the fixed point does not depend on it). Each row stops at its
-    own tolerance, so it takes the iterations a one-row solve would; every
-    row is certified against ``check_gamma``.
+    Iterates z <- P[z - gamma (hess z + offset)] with a stepsize from
+    ``eigs``, the extreme eigenvalues of ``hess`` (the fixed point does not
+    depend on it). Each row stops at its own step of 0.1 ``PGD_TOL`` and is
+    then left alone, so it takes the iterations, and gets the bits, of a
+    one-row solve; every row is certified against ``check_gamma``, and a
+    failure names the worst residual.
     """
     gamma_int = 2.0 / (eigs[0] + eigs[1])
     offsets = offset.reshape(-1, offset.shape[-1])
@@ -122,7 +130,8 @@ def solve_optimal(params: ModelParams):
     """Optimal steady state (u~, y~, x~) of the disturbance-aware program.
 
     Minimizes 0.5 u'Q_u u + 0.5 (Hu + d - y_hat)'Q_y(Hu + d - y_hat) over the
-    input set; strong convexity in u makes the minimizer unique.
+    input set, as one row of ``_pgd_fixed_point``; strong convexity in u
+    makes the minimizer unique. x~ = -A^{-1}B u~.
     """
     obj = params.objective
     plant = params.plant
@@ -136,7 +145,9 @@ def solve_optimal(params: ModelParams):
 
 def fixed_point_z(y_s, params: ModelParams):
     """Fixed point z* of the projected gradient update with the sampled output
-    held, as within one input period: for y_s (p,), or each row of (P, p)."""
+    held, as within one input period: for y_s (p,), or each row of (P, p),
+    returned as (m,) or (P, m); an empty stack returns (0, m) without
+    iterating."""
     obj = params.objective
     err = np.asarray(y_s, dtype=float) - obj.y_hat
     offset = (params.h.T @ (obj.q_y @ err[..., None]))[..., 0]
@@ -149,10 +160,12 @@ def estimate_M(a, rho: float) -> MEstimate:
 
     Grid supremum of v(t) = ||e^{At}|| e^{rho t} over [0, M_HORIZON/rho], in
     M_GRID_POINTS steps, times 1 + ``M_MARGIN``; the maximizer is returned
-    for audit. The grid is built from a table of powers P_k = e^{Ahk}, k = 1
-    to K = ``_STACK_BLOCK // 2``, each P_1 P_(k-1): the block of K points
-    after a block start E_s is one batched product P_(1..K) E_s, and the
-    next start is P_K E_s, bit for bit that block's last row. A grid
+    for audit. It decomposes nothing: ``constants`` passes rho and attaches
+    the non-normal note. The grid is built from a table of powers
+    P_k = e^{Ahk}, k = 1 to K = ``_STACK_BLOCK // 2``, each P_1 P_(k-1):
+    the block of K points after a block start E_s is one batched product
+    P_(1..K) E_s, and the next start is P_K E_s, bit for bit that block's
+    last row. A grid
     matrix is thus a chain of at most K + M_GRID_POINTS / K products, and,
     by the rounding argument for powers in Moler & Van Loan ("Nineteen
     dubious ways to compute the exponential of a matrix, twenty-five years
@@ -162,8 +175,9 @@ def estimate_M(a, rho: float) -> MEstimate:
     them (t = 0, value 1, included) is the reported maximizer.
 
     The spectral norm is taken by SVD only where the squaring bound
-    (``linalg.log_norm_bound``, padded by ``M_BOUND_PAD``) cannot rule a
-    grid point out. The cutoff is always an exact SVD value of a grid point,
+    (``linalg.log_norm_bound`` to level ``M_BOUND_LEVELS``, padded by
+    ``M_BOUND_PAD``) cannot rule a grid point out against the largest exact
+    value so far. The cutoff is always an exact SVD value of a grid point,
     and the tie allowance is on the bound's side: a point whose bound stays
     below the cutoff lies below the grid maximum by more than a tie, so it
     can be neither the maximum nor a tie, and the supremum, the maximizer
@@ -255,10 +269,20 @@ def estimate_M(a, rho: float) -> MEstimate:
 
 def constants(params: ModelParams) -> Constants:
     """Every derived convergence constant of a parameter set: the one place
-    the tracking radius r and the bounds' t-independent terms are computed.
+    the tracking radius r and the bounds' t-independent terms
+    (``Constants.middle_thm1``, ``middle_thm2`` and the shared ``last``,
+    which ``as_dict`` leaves out) are computed. ``bound_thm1``,
+    ``bound_thm2`` and ``check_bound`` read those terms from the result,
+    and the CLI calls this once per command, in its validation step, before
+    the run.
 
-    Raises ValueError if rho is too small for estimate_M's grid, or if r or
-    a bound term is not finite.
+    rho, the spectrum and cond(V) come from ``params.eigen``; the
+    ``estimate_M`` result gets the non-normal note when cond(V) exceeds
+    ``NON_NORMAL_COND``. Raises ValueError naming rho (or
+    ``overrides.rho``) if rho is so small that estimate_M's grid step
+    M_HORIZON / rho / M_GRID_POINTS overflows, and naming r, the bound
+    terms, M, ||B||, rho and the input-set diameter if r or a bound term is
+    not finite.
     """
     plant = params.plant
     tm = params.timers
@@ -376,54 +400,104 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     On an input period anchored at (t_a, x_a) with constant input u, the
     variation-of-constants formula reads
     x(t) = e^{A(t - t_a)} (x_a + w) - w with w = A^{-1} B u, since A^{-1}
-    commutes with e^{At}; every period's w is ``params.a_inv_b @ u``. Each
-    stored sample is evaluated from its own offset t - t_a from the anchor,
-    never chained from the previous sample and never from the simulator's
-    stepped propagator, so the check stays independent of the simulator.
-    The next period is anchored at this one's last sample, which is the
-    formula's value at the input change that closes the period.
+    commutes with e^{At}; every period's w is ``params.a_inv_b`` times its
+    u. Each stored sample is evaluated from its own offset t - t_a from the
+    anchor, never chained from the previous sample and never from the
+    simulator's stepped propagator, so the check stays independent of the
+    simulator. The next period is anchored at this one's last sample, which
+    is the formula's value at the input change that closes the period. The
+    periods are ``arc.periods()``.
 
-    Two paths evaluate e^{A s} v:
+    Two paths evaluate the formula, chosen at call time:
 
-    - ``"eigenbasis"``: for A = V diag(lambda) V^{-1} (``params.eigen``)
-      with cond(V) <= ``linalg.EIGENBASIS_COND_LIMIT``,
-      Re[V (e^{lambda s} * c)] with c = V^{-1} v, one complex n-vector of
-      scalar exponentials per sample;
-    - ``"expm"``: otherwise (a defective or nearly defective A), one stacked
-      n x n exponential per sample. ``linalg.EIGENBASIS_COND_LIMIT`` says
+    - ``"eigenbasis"``, for A = V diag(lambda) V^{-1} (``params.eigen``)
+      with cond(V) <= ``linalg.EIGENBASIS_COND_LIMIT``. With period k's
+      anchor a_k = V^{-1} x_a in modal coordinates and w^_k = V^{-1} w_k,
+      its samples are x(t) = Re[V (e^{lambda (t - t_a)} * c_k)] - w_k with
+      c_k = a_k + w^_k, and the next anchor, L_k later, is
+      a_(k+1) = e^{lambda L_k} * c_k - w^_k: the chain is diagonal, one
+      complex n-vector operation per period and no solve. The periods go
+      in chunks of at most ``_STACK_BLOCK``; a chunk takes its w_k in one
+      product and its w^_k in one solve (the first chunk solves
+      a_0 = V^{-1} x(0,0) beside them). For a real A, LAPACK returns each
+      complex eigenpair beside its exact conjugate, and the two modes'
+      terms of a real x are conjugate too, so only the modes with
+      Im lambda >= 0 are carried, each Im lambda > 0 mode with its V column
+      doubled (Re[2 v c] = v c + conj(v c)); that halves the complex
+      exponentials and the product. A chunk's samples go in row blocks of
+      at most ``_ROW_ELEMENTS`` elements (rows x n), about ``_STACK_BLOCK``
+      rows at n = 20 and 2000 at n = 1, and a block may span periods.
+    - ``"expm"``, otherwise (a defective or nearly defective A): period by
+      period, one stacked n x n exponential per sample, in blocks of at
+      most ``_STACK_BLOCK`` samples. ``linalg.EIGENBASIS_COND_LIMIT`` says
       why the limit is sized against ``RECONSTRUCTION_TOL``.
 
-    Samples are evaluated in blocks of at most ``_STACK_BLOCK`` and the
-    deviation is reduced per block, so the working memory does not grow
+    The deviation is reduced per block, so the working memory does not grow
     with the arc. Reports the worst deviation from the stored trajectory,
     the path taken and cond(V).
     """
-    lam, vecs, cond = params.eigen
-    if cond <= linalg.EIGENBASIS_COND_LIMIT:
-        path = "eigenbasis"
-
-        def exp_times(s, v):  # e^{A s} v for each offset in s
-            c = np.linalg.solve(vecs, v)
-            return ((np.exp(np.multiply.outer(s, lam)) * c) @ vecs.T).real
-    else:
-        path = "expm"
-
-        def exp_times(s, v):
-            return linalg.mat_exp(params.plant.a, s) @ v
-    anchor_t, anchor_x = 0.0, arc.x[0].copy()
+    cond = params.eigen[2]
+    path = "eigenbasis" if cond <= linalg.EIGENBASIS_COND_LIMIT else "expm"
     recon = np.empty_like(arc.x)
+    blocks = _eigenbasis_blocks if path == "eigenbasis" else _expm_blocks
     max_dev = 0.0
+    for rows in blocks(arc, params, recon):
+        max_dev = max(max_dev,
+                      float(np.max(np.abs(recon[rows] - arc.x[rows]))))
+    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
+
+
+def _expm_blocks(arc: HybridArc, params: ModelParams, recon: np.ndarray):
+    """``reconstruct_x``'s expm path: fill ``recon`` and yield each block of
+    rows once it is filled."""
+    anchor_t, anchor_x = 0.0, arc.x[0].copy()
     for first, end in arc.periods():
         w = params.a_inv_b @ arc.u[first]
         lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
         for row in range(lo, hi, _STACK_BLOCK):
             rows = slice(row, min(row + _STACK_BLOCK, hi))
-            recon[rows] = exp_times(arc.times[rows] - anchor_t,
-                                    anchor_x + w) - w
-            max_dev = max(max_dev,
-                          float(np.max(np.abs(recon[rows] - arc.x[rows]))))
+            recon[rows] = linalg.mat_exp(params.plant.a, arc.times[rows]
+                                         - anchor_t) @ (anchor_x + w) - w
+            yield rows
         anchor_t, anchor_x = float(arc.times[hi - 1]), recon[hi - 1].copy()
-    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
+
+
+def _eigenbasis_blocks(arc: HybridArc, params: ModelParams, recon: np.ndarray):
+    """``reconstruct_x``'s eigenbasis path: fill ``recon`` and yield each
+    block of rows once it is filled."""
+    lam, vecs, _ = params.eigen
+    keep = lam.imag >= 0.0
+    modes = lam[keep]
+    basis = (vecs[:, keep] * np.where(modes.imag > 0.0, 2.0, 1.0)).T
+    size = max(1, _ROW_ELEMENTS // arc.x.shape[1])
+    spans = arc.periods()
+    anchor_t = 0.0
+    for k0 in range(0, len(spans), _STACK_BLOCK):
+        chunk = spans[k0:k0 + _STACK_BLOCK]
+        firsts = [first for first, _ in chunk]
+        w = arc.u[firsts] @ params.a_inv_b.T
+        rhs = np.vstack([w, arc.x[:1]]) if k0 == 0 else w
+        w_hat = np.linalg.solve(vecs, rhs.T).T[:, keep]
+        if k0 == 0:
+            w_hat, anchor = w_hat[:-1], w_hat[-1]
+        # each period's first row, and the chunk's end row
+        bounds = arc.offsets[firsts + [chunk[-1][1]]]
+        # each period's anchor time, and the next chunk's first
+        anchor_ts = np.append(anchor_t, arc.times[bounds[1:] - 1])
+        growth = np.exp(np.multiply.outer(np.diff(anchor_ts), modes))
+        coeffs = np.empty_like(w_hat)
+        for g, w_k, c_k in zip(growth, w_hat, coeffs):
+            c_k[...] = anchor + w_k
+            anchor = g * c_k - w_k
+        anchor_t = anchor_ts[-1]
+        for row in range(bounds[0], bounds[-1], size):
+            rows = slice(row, min(row + size, bounds[-1]))
+            k = np.searchsorted(bounds, np.arange(rows.start, rows.stop),
+                                side="right") - 1
+            e = np.exp(np.multiply.outer(arc.times[rows] - anchor_ts[k],
+                                         modes)) * coeffs[k]
+            recon[rows] = (e @ basis).real - w[k]
+            yield rows
 
 
 @dataclass
@@ -449,8 +523,11 @@ AGGREGATE_TOL = 1e-9
 
 def rate_check(arc: HybridArc, params: ModelParams) -> RateReport:
     """Verify per-step and aggregate optimizer contraction in every completed
-    input period against that period's projected-gradient fixed point: the
-    iterates z[first:end] of period (first, end) and its held y_s[first]."""
+    input period of ``arc.periods()`` against that period's
+    projected-gradient fixed point: the iterates z[first:end] of period
+    (first, end) and its held y_s[first]. One ``fixed_point_z`` call solves
+    every period's fixed point at once. A period passes within
+    ``STEP_TOL`` per step and ``AGGREGATE_TOL`` in aggregate."""
     _, _, q = gradient_constants(params)
     spans = arc.periods()[:-1]
     z_stars = fixed_point_z(arc.y_s[[first for first, _ in spans]], params)

@@ -368,9 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

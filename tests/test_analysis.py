@@ -725,6 +725,59 @@ class TestReconstruction:
         assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
         assert result.max_deviation <= 1e-8
 
+    @pytest.mark.parametrize("a, b, c_out, pairs", [
+        # one real mode and one complex pair, coupled
+        ([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.0, -0.5]],
+         [[1.0], [0.5], [-0.3]], [[0.4, 0.2, 0.1]], 1),
+        # a repeated complex pair
+        (np.kron(np.eye(2), [[-1.0, 2.0], [-2.0, -1.0]]),
+         [[1.0], [0.5], [-0.3], [0.2]], [[0.4, 0.2, 0.1, -0.3]], 2),
+    ], ids=["real-and-pair", "repeated-pair"])
+    def test_complex_pairs_match_the_oracle(self, a, b, c_out, pairs):
+        arc, params = plant_arc(a, b, c_out, gamma=0.4)
+        lam = params.eigen[0]
+        assert np.sum(lam.imag > 0.0) == np.sum(lam.imag < 0.0) == pairs
+        result = reconstruct_x(arc, params)
+        assert result.path == "eigenbasis"
+        oracle = per_sample_reconstruction(arc, params)
+        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert result.max_deviation <= 1e-8
+
+    def test_only_the_start_and_the_inputs_feed_the_check(self):
+        # a corrupted stored sample moves no other reconstructed row
+        arc, params = mimo_arc(n=20, x_shift=1.0)
+        clean = reconstruct_x(arc, params).reconstructed
+        row = len(arc.times) // 2
+        arc.x[row] += 1.0
+        corrupted = reconstruct_x(arc, params)
+        assert corrupted.max_deviation >= 1.0 - 1e-8
+        others = np.arange(len(arc.times)) != row
+        assert np.array_equal(corrupted.reconstructed[others], clean[others])
+
+    @pytest.mark.parametrize("block", [None, 4],
+                             ids=["one-chunk", "chunks-of-4"])
+    def test_one_eigenbasis_solve_per_chunk_of_periods(self, monkeypatch,
+                                                       block):
+        arc, params = mimo_arc(n=20, x_shift=1.0)
+        if block is not None:
+            monkeypatch.setattr(analysis, "_STACK_BLOCK", block)
+        size, vecs = analysis._STACK_BLOCK, params.eigen[1]
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(a is vecs)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        result = reconstruct_x(arc, params)
+        monkeypatch.undo()
+        periods = len(arc.periods())
+        assert periods > 2 * 4
+        assert solves == [True] * -(-periods // size)
+        oracle = per_sample_reconstruction(arc, params)
+        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+
     def test_working_memory_does_not_grow_with_the_arc(self):
         """The result holds one row per sample; on top of it, reconstruct_x
         keeps O(n^2) per block and a little per input period, never a

@@ -1081,6 +1081,30 @@ class TestRobustnessCommand:
                      "--deltas", "0.1,0.01", "--tau", "2"]) == 0
         assert sorted(d for d in built if d != 0.0) == [0.01, 0.1]
 
+    def test_parser_is_built_once_and_keeps_no_arguments(self, tmp_path,
+                                                         monkeypatch):
+        # a second run in the same process gets the default deltas back
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        cfg = write_config(tmp_path, load_s1_dict())
+        deltas = []
+        for extra in (["--deltas", "0.5"], []):
+            out = tmp_path / str(len(deltas))
+            assert main(["robustness", cfg, "--out", str(out), "--tau", "2",
+                         *extra]) == 0
+            rows = json.loads((out / "robustness_report.json").read_text())[
+                "sweep"]["rows"]
+            deltas.append([row["delta"] for row in rows])
+        assert deltas == [[0.5], [0.1, 0.01, 0.001]]
+        assert len(built) == 1
+
     def test_fixed_reset_follows_the_shifted_interval(self, tmp_path):
         # S1's reset interval is the point tau_c = 1, which theta_c shifts
         # to 1 + 0.02 delta: the fixed reset at 1 then acts as the min reset
