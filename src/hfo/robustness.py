@@ -47,23 +47,8 @@ class ClosenessResult:
 _BLOCK = 1 << 10
 
 
-def _finite_segments(arc: HybridArc, count: int) -> np.ndarray:
-    """Whether each of the arc's first ``count`` segments holds a sample
-    whose t, x, tau_c and tau_g are all finite, found ``_BLOCK`` rows at a
-    time."""
-    found, end = np.zeros(count, dtype=bool), int(arc.offsets[count])
-    for lo in range(0, end, _BLOCK):
-        rows = slice(lo, min(lo + _BLOCK, end))
-        finite = np.isfinite(arc.x[rows]).all(axis=1)
-        for column in (arc.times, arc.tau_c, arc.tau_g):
-            finite &= np.isfinite(column[rows])
-        at = lo + np.flatnonzero(finite)
-        found[np.searchsorted(arc.offsets, at, side="right") - 1] = True
-    return found
-
-
 def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
-                   held_gaps, b_finite) -> np.ndarray:
+                   held_gaps) -> np.ndarray:
     """The match of each sample lo..hi-1 of arc_a, as ``_directional``
     defines it.
 
@@ -74,10 +59,7 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     the segment's edge, after a b whose time gap is no smaller than the
     sample's best gap, or once that best is at most its held gap. A
     sample whose own t, x or timers are not finite does not walk: each of
-    its gaps is inf or NaN, so its best stays inf whatever it meets. Nor
-    does a sample whose segment j of arc_b holds no finite sample
-    (``b_finite[j]`` is False, from ``_finite_segments``): every b it could
-    meet is inf or NaN away.
+    its gaps is inf or NaN, so its best stays inf whatever it meets.
     """
     rows = np.arange(hi - lo)
     j = np.searchsorted(arc_a.offsets, rows + lo, side="right") - 1
@@ -87,7 +69,7 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     tau_c_a, tau_g_a = arc_a.tau_c[lo:hi], arc_a.tau_g[lo:hi]
     after = np.clip(np.searchsorted(arc_b.times, t_a), first, end)
     best = np.full(hi - lo, np.inf)
-    finite = np.isfinite(x_a).all(axis=1) & b_finite[j]
+    finite = np.isfinite(x_a).all(axis=1)
     for column in (t_a, tau_c_a, tau_g_a):
         finite &= np.isfinite(column)
     # one walk per sample and side: from ``at`` by ``step`` to before ``stop``
@@ -111,8 +93,8 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     return np.maximum(best, held, out=best)
 
 
-def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, b_finite,
-                 tau: float, side: int):
+def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, tau: float,
+                 side: int):
     """Worst match, over the samples of arc_a with t + j <= tau, against the
     segment of arc_b at the same jump index; the witness is the first sample,
     in segment and then time order, that attains it.
@@ -138,8 +120,7 @@ def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, b_finite,
       and the b that can still lower the min form one contiguous window;
     - once the best gap is at most held_gaps[j], the match is the held gap;
     - a sample with a non-finite t, x or timer is inf or NaN away from
-      every b, and so is any sample from a segment of arc_b with no finite
-      sample (``b_finite``), so its match is inf, and it need not walk.
+      every b, so its match is inf, and it need not walk.
     """
     offsets, times = arc_a.offsets, arc_a.times
     cut = tau + EVENT_TOL
@@ -156,7 +137,7 @@ def _directional(arc_a: HybridArc, arc_b: HybridArc, held_gaps, b_finite,
     worst, witness = 0.0, (side, 0.0, 0)
     for lo in range(0, read, _BLOCK):
         match = _block_matches(arc_a, arc_b, lo, min(lo + _BLOCK, read),
-                               held_gaps, b_finite)
+                               held_gaps)
         best = lo + int(np.argmax(match))
         if match[best - lo] > worst:
             worst = float(match[best - lo])
@@ -185,10 +166,8 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
                        axis=1)
     held_gaps[np.isnan(held_gaps)] = math.inf  # NaN held values match nothing
-    e1, w1 = _directional(arc1, arc2, held_gaps,
-                          _finite_segments(arc2, shared), tau, 1)
-    e2, w2 = _directional(arc2, arc1, held_gaps,
-                          _finite_segments(arc1, shared), tau, 2)
+    e1, w1 = _directional(arc1, arc2, held_gaps, tau, 1)
+    e2, w2 = _directional(arc2, arc1, held_gaps, tau, 2)
     if e1 >= e2:
         return ClosenessResult(e1, tau, w1, truncated)
     return ClosenessResult(e2, tau, w2, truncated)

@@ -270,12 +270,10 @@ class TestCloseness:
         arc = run_s1(HybridFOModel(s1_params()))
         shifted = dataclasses.replace(arc, x=arc.x + 0.01)
         held, n = np.zeros(len(arc.segments)), len(arc.times)
-        far, got = (
-            robustness._block_matches(
-                arc, other, 0, n, held,
-                robustness._finite_segments(other, len(held)))
-            for other in (self.with_x(shifted, 30, 1e300),
-                          self.with_x(shifted, 30, np.nan)))
+        far = robustness._block_matches(
+            arc, self.with_x(shifted, 30, 1e300), 0, n, held)
+        got = robustness._block_matches(
+            arc, self.with_x(shifted, 30, np.nan), 0, n, held)
         assert np.isfinite(got).all()
         assert np.array_equal(got, far)
 
@@ -296,10 +294,7 @@ class TestCloseness:
         unread = dataclasses.replace(arc, x=Unread(), tau_c=Unread(),
                                      tau_g=Unread())
         n, held = len(arc.times), np.zeros(len(arc.segments))
-        # every segment of the counterpart may match: only the sample's own
-        # values stop its walk
-        got = robustness._block_matches(broken, unread, 0, n, held,
-                                        np.ones(len(held), dtype=bool))
+        got = robustness._block_matches(broken, unread, 0, n, held)
         assert np.all(got == np.inf)
 
     def test_truncation_reported(self):
@@ -357,43 +352,6 @@ class TestClosenessMatchesPerSampleScan:
         self.assert_same(nominal, broken, 30.0)
         self.assert_same(broken, nominal, 30.0)
         assert closeness(nominal, broken, 30.0).epsilon == math.inf
-
-    def test_segments_with_no_finite_sample_are_not_walked(self, monkeypatch):
-        # with the perturbed arc inf from segment 5 on, no sample whose
-        # counterpart segment is all inf walks it, so closeness makes no
-        # more walk passes than on the finite arc
-        class Fmin:  # one ``np.fmin.at`` per walk pass
-            passes = 0
-
-            def at(self, *args):
-                Fmin.passes += 1
-                np.fmin.at(*args)
-
-        class CountingNumpy:
-            fmin = Fmin()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        params = s1_params()
-        horizon = (30.0, 31)
-        nominal = run_s1(HybridFOModel(params), horizon)
-        perturbed = run_s1(HybridFOModel(params, s1_perturbation(), 0.1),
-                           horizon)
-        cut = int(perturbed.offsets[5])
-        columns = {name: getattr(perturbed, name).copy()
-                   for name in ("x", "tau_c", "tau_g")}
-        for column in columns.values():
-            column[cut:] = np.inf
-        broken = dataclasses.replace(perturbed, **columns)
-        self.assert_same(nominal, broken, 30.0)
-        monkeypatch.setattr(robustness, "np", CountingNumpy())
-        passes = {}
-        for name, other in (("finite", perturbed), ("broken", broken)):
-            Fmin.passes = 0
-            closeness(nominal, other, 30.0)
-            passes[name] = Fmin.passes
-        assert 0 < passes["broken"] <= passes["finite"]
 
     def test_n20_arcs(self):
         rng = np.random.default_rng(17)
