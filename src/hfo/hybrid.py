@@ -255,15 +255,20 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     length dt stores samples at grid steps 0..g of ``sample_dt`` and at its
     end; a point segment has g = -1, length 0 and end timers equal to its
     start timers, and stores one sample. Each g2 draws its tau_c reset by
-    ``draw_tau_c_reset`` as it applies. ``model.g1`` and ``model.g2`` are
-    called once per applied map, and no ``State`` is built.
+    ``draw_tau_c_reset`` as it applies; the seeded generator is built only
+    for a policy that can draw (a ``uniform`` reset or a ``random`` order).
+    ``model.g1`` and ``model.g2`` are called once per applied map, g1 with
+    the input period's ``model.gradient_offset``, taken at the start and
+    after each g2, and no ``State`` is built.
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
     interval = (model.reset_lo, model.reset_hi)
-    rng = np.random.default_rng(policy.seed)
+    draws = policy.tau_c_reset == "uniform" or policy.case3_order == "random"
+    rng = np.random.default_rng(policy.seed) if draws else None
     t, j, tau_c, tau_g = 0.0, 0, zeta0.tau_c, zeta0.tau_g
     u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
+    offset = model.gradient_offset(y_s)
     rows, jumps = [], []
 
     def point():
@@ -299,10 +304,11 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             if i:
                 rows.append(point())
             if name == "g1":
-                z, tau_g = model.g1(z, y_s)
+                z, tau_g = model.g1(z, offset)
             else:
                 u, y_s, tau_c = model.g2(
                     z, draw_tau_c_reset(policy, rng, interval))
+                offset = model.gradient_offset(y_s)
             jumps.append(JumpRecord(t, j, label, name))
             j += 1
     return rows, jumps
@@ -340,36 +346,54 @@ def _sample_columns(starts, grids, lengths, running, timers):
             [timer(*spec) for spec in timers])
 
 
-def _closing_maps(model, grids, lengths, running):
-    """Each flow segment's held-input map over length - running[grid]: one
-    stacked propagator call per FLOW_BLOCK segments, on distinct lengths.
-    So a run holds at most FLOW_BLOCK closing maps at once, and a run with
-    no flow segment makes no call."""
+def _flow_maps(model, grids, lengths, running, sample_dt):
+    """The grid step's held-input map, then each flow segment's over its
+    closing length - running[grid], from one stacked propagator call per
+    FLOW_BLOCK maps, on distinct lengths: the first call holds the grid step
+    and the first closing lengths. So a run holds at most FLOW_BLOCK maps at
+    once, and a run with no flow segment makes no call."""
     flow = grids >= 0
-    closing = lengths[flow] - running[grids[flow]]
-    for first in range(0, len(closing), FLOW_BLOCK):
-        distinct, which = np.unique(closing[first:first + FLOW_BLOCK],
+    if not flow.any():
+        return
+    steps = np.concatenate([[sample_dt], lengths[flow] - running[grids[flow]]])
+    for first in range(0, len(steps), FLOW_BLOCK):
+        distinct, which = np.unique(steps[first:first + FLOW_BLOCK],
                                     return_inverse=True)
         e, forced = linalg.propagator(model.a, model.b, distinct)
         yield from ((e[k], forced[k]) for k in which.tolist())
+
+
+def _power_table(e, forced, k):
+    """The top block rows [e^{A i dt}, Gamma_i] of M^i, i = 1..k, for the
+    one-step map (e, forced) = (e^{A dt}, Gamma_1) and M = [[e, forced],
+    [0, I]], stacked (k, n, n + m): a held input u takes x to row i - 1 @
+    [x; u] after i steps of dt."""
+    n = len(e)
+    table = np.empty((k, n, n + forced.shape[1]))
+    table[0, :, :n], table[0, :, n:] = e, forced
+    for i in range(1, k):
+        np.matmul(e, table[i - 1], out=table[i])
+        table[i, :, n:] += forced
+    return table
 
 
 def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
     """Pass 2, x: every sample's plant state, (N, n).
 
     On a segment's grid x(k sample_dt) = [e^{A k sample_dt}, Gamma_k] @
-    [x(0); u], row k - 1 of ``model.flow_grid``, built once per run: one
-    batched product per block of at most FLOW_BLOCK steps, each block
-    starting where the last ended. ``_closing_maps`` gives the exact closing
-    step from the last grid point to the segment's end. Each step is
-    ``e @ x + forced @ u``, ``flow_x``'s arithmetic, so x is bit for bit what
-    per-segment ``flow_x`` calls give. A point segment repeats the state it
-    starts at.
+    [x(0); u], row k - 1 of a ``_power_table`` built once per run from the
+    grid step ``_flow_maps`` gives first: one batched product per block of
+    at most FLOW_BLOCK steps, each block starting where the last ended. The
+    closing maps that follow give the exact step from the last grid point
+    to each segment's end. Each step is ``e @ x + forced @ u``,
+    ``flow_x``'s arithmetic, so x is bit for bit what per-segment ``flow_x``
+    calls give. A point segment repeats the state it starts at.
     """
     longest = len(running) - 2
     block = max(1, min(FLOW_BLOCK, longest))
-    table = model.flow_grid(sample_dt, block) if longest > 0 else None
-    closing = _closing_maps(model, grids, lengths, running)
+    maps = _flow_maps(model, grids, lengths, running, sample_dt)
+    step = next(maps, None)
+    table = _power_table(*step, block) if longest > 0 else None
     x = np.empty((int(offsets[-1]), len(x0)))
     current = x0
     for lo, grid, held in zip(offsets.tolist(), grids.tolist(), u):
@@ -380,7 +404,7 @@ def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
             size = min(block, grid - k)
             x[lo + k + 1:lo + k + size + 1] = table[:size] @ np.concatenate(
                 [x[lo + k], held])
-        e, forced = next(closing)
+        e, forced = next(maps)
         current = e @ x[lo + grid] + forced @ held
         x[lo + grid + 1] = current
     return x
@@ -496,41 +520,47 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
     ``arc.spacing`` apart. Violations are reported, not raised. To check
     another group-gap bound, pass ``dataclasses.replace(arc, min_dwell=...)``.
     """
-    violations, min_dwell = [], arc.min_dwell
-    groups = []
-    for rec in arc.jumps:
-        if groups and abs(rec.t - groups[-1][-1].t) <= EVENT_TOL:
-            groups[-1].append(rec)
-        else:
-            groups.append([rec])
+    jumps, min_dwell = arc.jumps, arc.min_dwell
+    t = np.array([rec.t for rec in jumps], dtype=float)
+    # a group starts where a jump lies over EVENT_TOL after the one before
+    first = np.flatnonzero(np.concatenate(
+        [[len(t) > 0], ~(np.abs(np.diff(t)) <= EVENT_TOL)]))
+    sizes = np.diff(np.append(first, len(t)))
+    max_per_instant = int(sizes.max(initial=0))
+    # the timers where each group's last jump starts its segment
+    rows = arc.offsets[[jumps[i - 1].j + 1 for i in (first + sizes).tolist()]]
+    tau_c, tau_g = arc.tau_c[rows], arc.tau_g[rows]
 
-    max_per_instant = max((len(g) for g in groups), default=0)
-    for g in groups:
-        if len(g) > 2:
-            violations.append(f"{len(g)} jumps at t={g[0].t}")
-        row = arc.offsets[g[-1].j + 1]
-        tau_c, tau_g = float(arc.tau_c[row]), float(arc.tau_g[row])
-        if tau_c <= 0.0 or tau_g <= 0.0:
+    violations = []
+    for k in np.flatnonzero((sizes > 2) | (tau_c <= 0.0) | (tau_g <= 0.0)):
+        at = jumps[first[k]].t
+        if sizes[k] > 2:
+            violations.append(f"{sizes[k]} jumps at t={at}")
+        if tau_c[k] <= 0.0 or tau_g[k] <= 0.0:
             violations.append(
-                f"nonpositive timer after jump sequence at t={g[0].t}: "
-                f"tau_c={tau_c}, tau_g={tau_g}"
+                f"nonpositive timer after jump sequence at t={at}: "
+                f"tau_c={float(tau_c[k])}, tau_g={float(tau_g[k])}"
             )
+    starts = t[first]
+    gaps = np.diff(starts)
     min_gap, witness = None, (None, None)
-    for a, b in zip(groups, groups[1:]):
-        gap = b[0].t - a[0].t
-        if min_gap is None or gap < min_gap:
-            min_gap, witness = gap, (b[0].t, b[0].j)
-        if min_dwell is not None and gap < min_dwell - EVENT_TOL:
+    if len(gaps):
+        k = int(np.argmin(gaps))
+        after = jumps[first[k + 1]]
+        min_gap, witness = float(gaps[k]), (after.t, after.j)
+    if min_dwell is not None:
+        for k in np.flatnonzero(gaps < min_dwell - EVENT_TOL):
             violations.append(
-                f"flow gap {gap} after jump sequence at t={a[0].t} "
-                f"shorter than {min_dwell}"
+                f"flow gap {float(gaps[k])} after jump sequence at "
+                f"t={jumps[first[k]].t} shorter than {min_dwell}"
             )
-    if min_dwell is None and arc.spacing is not None:
-        for applied, least in zip(("g1", "g2"), arc.spacing):
-            times = [rec.t for rec in arc.jumps if rec.applied == applied]
-            for t0, t1 in zip(times, times[1:]):
-                if t1 - t0 < least - EVENT_TOL:
-                    violations.append(f"{applied} jumps at t={t0} and t={t1} "
-                                      f"closer than {least}")
+    elif arc.spacing is not None:
+        applied = np.array([rec.applied for rec in jumps], dtype=str)
+        for name, least in zip(("g1", "g2"), arc.spacing):
+            which = np.flatnonzero(applied == name)
+            for k in np.flatnonzero(np.diff(t[which]) < least - EVENT_TOL):
+                t0, t1 = jumps[which[k]].t, jumps[which[k + 1]].t
+                violations.append(f"{name} jumps at t={t0} and t={t1} "
+                                  f"closer than {least}")
     return NonZenoReport(not violations, violations, max_per_instant, min_gap,
                          *witness, min_dwell)

@@ -192,7 +192,9 @@ def propagator(a, b, dt):
     c = 1.0
     if norm_b > norm_a > 0.0:
         c = np.ldexp(1.0, np.frexp(norm_b / norm_a)[1])
-    aug = np.block([[a, b / c], [np.zeros((b.shape[1], n + b.shape[1]))]])
+    aug = np.zeros((n + b.shape[1], n + b.shape[1]))
+    aug[:n, :n] = a
+    np.divide(b, c, out=aug[:n, n:])
     e = mat_exp(aug, dt)
     return e[..., :n, :n].copy(), e[..., :n, n:] * c
 

@@ -4,6 +4,11 @@ Parameter records, the flow/jump maps, the quadratic objective and its
 gradient, Euclidean projections onto the input set, and validation of every
 standing assumption. The hybrid state ``State`` lives in ``hybrid``, next to
 the arc that stores its columns, and is imported here.
+
+``HybridFOModel`` holds one flow map, ``flow_x``. ``hybrid.simulate`` takes
+its sample-grid table and its closing steps from stacked
+``linalg.propagator`` calls of its own (``hybrid._power_table``), so the
+model has no grid method; ``flow_grid`` is gone.
 """
 
 from __future__ import annotations
@@ -109,6 +114,10 @@ class Ball:
             raise ValueError("ball radius must be positive")
 
     def project(self, v) -> np.ndarray:
+        """Scale each row's offset from the center by r / max(dist, r), with
+        dist from ``linalg.row_norms``: each row gets the bits of its own
+        one-point projection, a point inside is kept as it is, and the
+        center raises no warning."""
         v = np.asarray(v, dtype=float)
         offset = v - self.center
         dist = linalg.row_norms(offset)
@@ -133,7 +142,12 @@ class Ball:
 
 @dataclass(frozen=True)
 class JumpPolicy:
-    """Resolves the set-valued tau_c reset and the composite-jump order."""
+    """Resolves the set-valued tau_c reset and the composite-jump order.
+
+    It owns the valid names, which ``config`` also reads for its
+    field-named errors, and refuses an unknown ``tau_c_reset`` or
+    ``case3_order``, and a fixed reset without ``tau_c_value``, when it is
+    built."""
 
     TAU_C_RESETS = ("fixed", "uniform", "min", "max")  # tau_c_reset's names
     CASE3_ORDERS = ("g1_first", "g2_first", "random")  # case3_order's names
@@ -196,7 +210,8 @@ class ModelParams:
 
     @functools.cached_property
     def hessian(self) -> np.ndarray:
-        """The objective's hessian in u, Q_u + H'Q_yH."""
+        """The objective's hessian in u, Q_u + H'Q_yH, which ``curvature``
+        and ``analysis.solve_optimal`` read."""
         obj = self.objective
         return _read_only(obj.q_u + self.h.T @ obj.q_y @ self.h)
 
@@ -247,7 +262,8 @@ def grad_u_phi(z, y_s, obj: Objective, h) -> np.ndarray:
 
 
 def gradient_constants(params: ModelParams):
-    """(mu, L, q) of the gradient step: mu = lambda_min(Q_u), the Lipschitz
+    """(mu, L, q) of the gradient step, computed here alone from
+    ``params.curvature``: mu = lambda_min(Q_u), the Lipschitz
     constant L = lambda_max(Q_u + H'Q_yH) and the per-iteration contraction
     factor q = 1 - 2 gamma mu + gamma^2 L^2."""
     mu, big_l = params.curvature.q_u[0], params.curvature.hessian[1]
@@ -262,11 +278,22 @@ class HybridFOModel:
     ``HybridFOModel(params)`` is the nominal model. With a perturbation
     ``pert`` and a scale ``delta > 0`` every perturbation component enters
     scaled by ``delta``: A + delta A_hat, B + delta B_hat, H + delta H_hat,
-    timer rates -1 + delta kappa and resets shifted by delta theta.
+    timer rates -1 + delta kappa and resets shifted by delta theta, as the
+    attributes ``a``, ``b``, ``h``, ``rate_c``, ``rate_g``, ``tau_g_reset``,
+    ``reset_lo`` and ``reset_hi``; ``delta = 0`` or no ``pert`` gives the
+    nominal model bit for bit. The two timer periods, ``period_g`` = tau_g
+    reset / -rate_g and the shortest ``period_c`` = reset_lo / -rate_c, are
+    computed here once; ``hybrid.sample_bound``, the arc's ``spacing`` and
+    its group-gap bound ``min_dwell`` (their minimum) read them.
 
-    The event interface (``contains``, ``which_case``, ``g1``, ``g2``) takes
-    and returns the timers and the arrays u, y_s, z, never a ``State``: the
-    jump maps leave x alone, so ``simulate``'s pass 1 carries these values.
+    The event interface (``contains``, ``which_case``, ``gradient_offset``,
+    ``g1``, ``g2``) takes and returns the timers and the arrays u, y_s, z
+    and the gradient offset, never a ``State``: the jump maps leave x alone,
+    so ``simulate``'s pass 1 carries these values.
+
+    A model is a plain value: it sets its attributes in ``__init__`` only and
+    holds no cache, so ``flow_x`` computes its map on each call and a run
+    leaves the model as it found it.
     """
 
     def __init__(self, params: ModelParams, pert: Perturbation | None = None,
@@ -311,20 +338,6 @@ class HybridFOModel:
         e, forced = linalg.propagator(self.a, self.b, dt)
         return e @ x + forced @ u
 
-    def flow_grid(self, dt: float, k: int) -> np.ndarray:
-        """The top block rows [e^{A i dt}, Gamma_i] of M^i, i = 1..k, for
-        the one-step matrix M = [[e^{A dt}, Gamma_1], [0, I]], stacked
-        (k, n, n + m): a held input u takes x to row i - 1 @ [x; u] after i
-        steps of dt."""
-        e, forced = linalg.propagator(self.a, self.b, dt)
-        n = len(e)
-        table = np.empty((k, n, n + forced.shape[1]))
-        table[0] = np.hstack([e, forced])
-        for i in range(1, k):
-            np.matmul(e, table[i - 1], out=table[i])
-            table[i, :, n:] += forced
-        return table
-
     # -- sets ---------------------------------------------------------------
 
     def contains(self, tau_c: float, tau_g: float) -> bool:
@@ -347,16 +360,24 @@ class HybridFOModel:
 
     # -- jumps --------------------------------------------------------------
 
-    def g1(self, z, y_s):
+    def gradient_offset(self, y_s) -> np.ndarray:
+        """H'Q_y(y_s - y_hat), the part of the gradient that y_s fixes: pass
+        1 computes it once per input period, at the start and after each
+        g2, and hands it to every g1 of the period."""
+        _, _, h_t, q_y, y_hat, _ = self._g1_operands
+        return h_t @ (q_y @ (y_s - y_hat))
+
+    def g1(self, z, offset):
         """Gradient-descent jump: one projected step on z, tau_g reset.
         Returns (z, tau_g).
 
-        The step is ``z - gamma * grad_u_phi(z, y_s, objective, h)``,
-        evaluated as the same expression on the same arrays, so bit for bit
-        the same, without ``grad_u_phi``'s conversions and shape checks: pass
-        1 hands in the float arrays of its own earlier maps."""
-        gamma, q_u, h_t, q_y, y_hat, project = self._g1_operands
-        step = z - gamma * (q_u @ z + h_t @ (q_y @ (y_s - y_hat)))
+        With ``offset = gradient_offset(y_s)`` the step is ``z - gamma *
+        grad_u_phi(z, y_s, objective, h)``, evaluated as the same expression
+        on the same arrays, so bit for bit the same, without
+        ``grad_u_phi``'s conversions and shape checks: pass 1 hands in the
+        float arrays of its own earlier maps."""
+        gamma, q_u, _, _, _, project = self._g1_operands
+        step = z - gamma * (q_u @ z + offset)
         return project(step), self.tau_g_reset
 
     def g2(self, z, tau_c_reset: float):
@@ -417,6 +438,11 @@ def validate(params: ModelParams, zeta0: State | None = None,
     it. ``Diagnostics.zeta0`` is the state checked. ``mode="strict"`` fails
     a start outside the restricted initialization (tau_c in its reset
     interval, tau_g at its reset value, z = u, u in the input set); "global" warns.
+
+    A Hurwitz A too ill-conditioned for the guarded solve fails ``hurwitz``,
+    naming the condition estimate, so the CLI exits 2 and not with an
+    internal error. Q_u and Q_y take their symmetry check from
+    ``linalg.eig_sym``'s own. The CLI runs from ``Diagnostics.zeta0``.
     """
     checks: list[Check] = []
     tm = params.timers

@@ -440,12 +440,13 @@ class TestStatelessModel:
 
     def test_perturbed_run_stacks_its_closing_steps(self, monkeypatch):
         # the sweep's horizon at tau = 30: every closing length differs
-        # from the grid step, and all 31 flow segments share one call
+        # from the grid step, and the grid step and all 31 flow segments
+        # share one call
         model = s1_perturbed_model()
         calls = propagator_calls(monkeypatch)
         arc = hybrid.simulate(model, strict_initial_state(model.params),
                               JumpPolicy(seed=1), (30.0, 31))
-        assert len(calls) <= 2
+        assert len(calls) == 1
         assert sum(np.size(dt) for dt in calls) > 2
         assert len(arc.jumps) >= 31
 
@@ -458,16 +459,17 @@ class TestStatelessModel:
         assert len(arc.times) == 1
 
     def test_closing_maps_held_per_block(self, monkeypatch):
-        # 493 flow segments over T = 100 s: one closing call per FLOW_BLOCK
-        # of them, none holding more than FLOW_BLOCK maps
+        # 493 flow segments over T = 100 s: the grid step and one closing
+        # map per segment, in one call per FLOW_BLOCK of them, none holding
+        # more than FLOW_BLOCK maps
         model = s1_perturbed_model()
         calls = propagator_calls(monkeypatch)
         arc = hybrid.simulate(model, strict_initial_state(model.params),
                               JumpPolicy(seed=1), (100.0, 10 ** 6))
         flows = sum(len(seg.times) > 1 for seg in arc.segments)
-        closing = [dt for dt in calls if np.ndim(dt) == 1]
-        assert len(closing) == -(-flows // hybrid.FLOW_BLOCK) > 1
-        assert max(len(dt) for dt in closing) <= hybrid.FLOW_BLOCK
+        assert all(np.ndim(dt) == 1 for dt in calls)
+        assert len(calls) == -(-(flows + 1) // hybrid.FLOW_BLOCK) > 1
+        assert max(len(dt) for dt in calls) <= hybrid.FLOW_BLOCK
 
     def test_closing_step_is_flow_x_bit_for_bit(self):
         model = s1_perturbed_model()
@@ -690,6 +692,152 @@ class TestPeriods:
             arc.periods()
 
 
+class TestPassOneGenerator:
+    """Pass 1 builds its seeded generator only for a policy that can draw."""
+
+    @staticmethod
+    def run(policy):
+        params = s1_params()
+        params = dataclasses.replace(params, timers=dataclasses.replace(
+            params.timers, tau_c_max=1.5))
+        return hybrid.simulate(HybridFOModel(params),
+                               strict_initial_state(params), policy,
+                               (10.0, 1000))
+
+    @pytest.mark.parametrize("reset", ["fixed", "min", "max"])
+    @pytest.mark.parametrize("order", ["g1_first", "g2_first"])
+    def test_no_generator_without_draws(self, monkeypatch, reset, order):
+        policy = JumpPolicy(tau_c_reset=reset, case3_order=order, seed=1,
+                            tau_c_value=1.25 if reset == "fixed" else None)
+        want = self.run(policy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a policy that cannot draw built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        arc = self.run(policy)
+        assert any(rec.case == "G3-first-half" for rec in arc.jumps)
+        assert arc.jumps == want.jumps
+        assert np.array_equal(arc.x, want.x)
+
+    @pytest.mark.parametrize("reset, order", [("uniform", "g1_first"),
+                                              ("min", "random")])
+    def test_one_generator_for_a_drawing_policy(self, monkeypatch, reset,
+                                                order):
+        seeds, original = [], np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        self.run(JumpPolicy(tau_c_reset=reset, case3_order=order, seed=3))
+        assert seeds == [3]
+
+
+def test_gradient_offset_once_per_input_period(monkeypatch):
+    # g1 and g2 once per applied map; the offset at the start and after
+    # each g2, which is where y_s changes
+    model = s1_perturbed_model()
+    calls = []
+    for name in ("g1", "g2", "gradient_offset"):
+        def counted(*args, _name=name, _original=getattr(model, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(model, name, counted)
+    arc = hybrid.simulate(model, strict_initial_state(model.params),
+                          JumpPolicy(seed=1), (30.0, 10 ** 6))
+    applied = [rec.applied for rec in arc.jumps]
+    assert [name for name in calls if name != "gradient_offset"] == applied
+    assert [name for name in calls if name != "g1"] == (
+        ["gradient_offset"] + ["g2", "gradient_offset"] * applied.count("g2"))
+
+
+def loop_non_zeno(arc):
+    """Oracle: ``check_non_zeno`` as a loop over the jump log, grouping
+    jumps one record at a time."""
+    violations, min_dwell = [], arc.min_dwell
+    groups = []
+    for rec in arc.jumps:
+        if groups and abs(rec.t - groups[-1][-1].t) <= hybrid.EVENT_TOL:
+            groups[-1].append(rec)
+        else:
+            groups.append([rec])
+    max_per_instant = max((len(g) for g in groups), default=0)
+    for g in groups:
+        if len(g) > 2:
+            violations.append(f"{len(g)} jumps at t={g[0].t}")
+        row = arc.offsets[g[-1].j + 1]
+        tau_c, tau_g = float(arc.tau_c[row]), float(arc.tau_g[row])
+        if tau_c <= 0.0 or tau_g <= 0.0:
+            violations.append(
+                f"nonpositive timer after jump sequence at t={g[0].t}: "
+                f"tau_c={tau_c}, tau_g={tau_g}")
+    min_gap, witness = None, (None, None)
+    for a, b in zip(groups, groups[1:]):
+        gap = b[0].t - a[0].t
+        if min_gap is None or gap < min_gap:
+            min_gap, witness = gap, (b[0].t, b[0].j)
+        if min_dwell is not None and gap < min_dwell - hybrid.EVENT_TOL:
+            violations.append(
+                f"flow gap {gap} after jump sequence at t={a[0].t} "
+                f"shorter than {min_dwell}")
+    if min_dwell is None and arc.spacing is not None:
+        for applied, least in zip(("g1", "g2"), arc.spacing):
+            times = [rec.t for rec in arc.jumps if rec.applied == applied]
+            for t0, t1 in zip(times, times[1:]):
+                if t1 - t0 < least - hybrid.EVENT_TOL:
+                    violations.append(f"{applied} jumps at t={t0} and t={t1} "
+                                      f"closer than {least}")
+    return hybrid.NonZenoReport(not violations, violations, max_per_instant,
+                                min_gap, *witness, min_dwell)
+
+
+class BrokenModel(HybridFOModel):
+    def g1(self, z, offset):
+        # leaves the gradient timer expired: immediate re-jump
+        return super().g1(z, offset)[0], 0.0
+
+
+def non_zeno_arc(case):
+    """The arcs ``check_non_zeno`` is held to its loop oracle on."""
+    if case.startswith("s1"):
+        arc, _ = simulate_s1(horizon=(100.0, 10 ** 6))
+        if case == "s1-min-dwell-10":
+            arc = dataclasses.replace(arc, min_dwell=10.0)
+        return arc
+    if case.startswith("misaligned"):
+        arc, _ = simulate_s1(horizon=(20.0, 1000),
+                             timers=Timers(1.1, 1.1, 0.25, 4))
+        if case == "misaligned-spacing":
+            arc = dataclasses.replace(arc, spacing=(0.25, 1.2))
+        return arc
+    if case == "uniform-random":
+        params = s1_params()
+        params = dataclasses.replace(params, timers=dataclasses.replace(
+            params.timers, tau_c_max=1.2))
+        policy = JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                            seed=5)
+        return hybrid.simulate(HybridFOModel(params),
+                               strict_initial_state(params), policy,
+                               (50.0, 10 ** 6))
+    if case == "n3-perturbed":
+        params = random_params(np.random.default_rng(8), n=3)
+        plant = params.plant
+        pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
+                                   kappa_c=0.1, kappa_g=-0.07)
+        return hybrid.simulate(HybridFOModel(params, pert, 1.0),
+                               strict_initial_state(params),
+                               JumpPolicy(tau_c_reset="uniform", seed=4),
+                               (30.0, 1000), 0.013)
+    if case == "broken":
+        params = s1_params()
+        return hybrid.simulate(BrokenModel(params), strict_initial_state(params),
+                               JumpPolicy(seed=1), (2.0, 8), 0.01)
+    arc, _ = simulate_s1(horizon=(0.0, 1000))  # "no-jump"
+    return arc
+
+
 class TestCheckNonZeno:
     def test_s1_passes(self):
         arc, _ = simulate_s1(horizon=(3.0, 1000))
@@ -744,14 +892,24 @@ class TestCheckNonZeno:
         assert arc.min_dwell is None
         assert hybrid.check_non_zeno(arc).passed
 
+    @pytest.mark.parametrize("case", [
+        "s1", "s1-min-dwell-10", "misaligned", "misaligned-spacing",
+        "uniform-random", "n3-perturbed", "broken", "no-jump"])
+    def test_matches_the_loop(self, case):
+        # every field and every violation string, in order, with its types
+        arc = non_zeno_arc(case)
+        want = loop_non_zeno(arc)
+        got = hybrid.check_non_zeno(arc)
+        assert repr(got) == repr(want)
+        assert [type(value) for value in dataclasses.astuple(got)] == [
+            type(value) for value in dataclasses.astuple(want)]
+        if case in ("s1-min-dwell-10", "misaligned-spacing", "broken"):
+            assert not want.passed
+        elif case != "no-jump":
+            assert want.passed and want.min_flow_gap > 0.0
+
     def test_broken_jump_map_detected(self):
         params = s1_params()
-
-        class BrokenModel(HybridFOModel):
-            def g1(self, z, y_s):
-                # leaves the gradient timer expired: immediate re-jump
-                return super().g1(z, y_s)[0], 0.0
-
         model = BrokenModel(params)
         zeta0 = strict_initial_state(params)
         arc = hybrid.simulate(model, zeta0, JumpPolicy(seed=1), (2.0, 8), 0.01)

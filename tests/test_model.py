@@ -171,7 +171,7 @@ def resolve(params, state, policy):
     tau_c, tau_g = state.tau_c, state.tau_g
     for name in jump_order(model.which_case(tau_c, tau_g), policy, rng):
         if name == "g1":
-            z, tau_g = model.g1(z, y_s)
+            z, tau_g = model.g1(z, model.gradient_offset(y_s))
         else:
             reset = draw_tau_c_reset(policy, rng,
                                      (model.reset_lo, model.reset_hi))
@@ -183,7 +183,8 @@ def resolve(params, state, policy):
 class TestJumps:
     def test_gradient_jump(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.0)
-        z, tau_g = HybridFOModel(s1).g1(state.z, state.y_s)
+        model = HybridFOModel(s1)
+        z, tau_g = model.g1(state.z, model.gradient_offset(state.y_s))
         assert z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
         assert tau_g == pytest.approx(0.25)
         post = resolve(s1, state, JumpPolicy())
@@ -196,8 +197,21 @@ class TestJumps:
     def test_gradient_jump_is_the_projected_gradient_step(self, m, kind):
         # g1 skips grad_u_phi's conversions and checks; its bits must not
         # move, with the nominal H or a perturbed one
-        rng = np.random.default_rng([43, m, kind == "ball"])
-        n, p = m + 1, max(m - 1, 1)
+        self.check_gradient_step(np.random.default_rng([43, m, kind == "ball"]),
+                                 m, max(m - 1, 1), kind)
+
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_gradient_offset_step_at_m_p_5(self, kind):
+        # the offset H'Q_y(y_s - y_hat) that g1 takes, at a square H
+        self.check_gradient_step(np.random.default_rng([47, kind == "ball"]),
+                                 5, 5, kind)
+
+    @staticmethod
+    def check_gradient_step(rng, m, p, kind):
+        """g1 on ``gradient_offset(y_s)`` against the projected
+        ``grad_u_phi`` step, bit for bit, on points inside, on and outside
+        the input set and on signed zeros."""
+        n = m + 1
         plant = Plant(random_hurwitz(rng, n), rng.standard_normal((n, m)),
                       rng.standard_normal((p, n)), rng.standard_normal(p))
         objective = Objective(random_spd(rng, m), random_spd(rng, p),
@@ -221,12 +235,13 @@ class TestJumps:
                             np.full(p, -0.0)):
                     want = input_set.project(z - objective.gamma * grad_u_phi(
                         z, y_s, objective, model.h))
-                    got, tau_g = model.g1(z, y_s)
+                    got, tau_g = model.g1(z, model.gradient_offset(y_s))
                     assert same_bits(got, want)
                     assert tau_g == model.tau_g_reset
 
     def test_gradient_jump_projects(self, s1):
-        z, _ = HybridFOModel(s1).g1(np.array([0.96]), np.array([0.5]))
+        model = HybridFOModel(s1)
+        z, _ = model.g1(np.array([0.96]), model.gradient_offset(np.array([0.5])))
         assert z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
 
     def test_gradient_jump_requires_expired_timer(self, s1):
