@@ -541,8 +541,7 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
                 f"nonpositive timer after jump sequence at t={at}: "
                 f"tau_c={float(tau_c[k])}, tau_g={float(tau_g[k])}"
             )
-    starts = t[first]
-    gaps = np.diff(starts)
+    gaps = np.diff(t[first])
     min_gap, witness = None, (None, None)
     if len(gaps):
         k = int(np.argmin(gaps))

@@ -326,9 +326,10 @@ class HybridFOModel:
         self.period_g = self.tau_g_reset / -self.rate_g
         self.period_c = self.reset_lo / -self.rate_c
         obj = params.objective
-        # g1's operands, each the very array grad_u_phi would use
-        self._g1_operands = (obj.gamma, obj.q_u, self.h.T, obj.q_y,
-                             obj.y_hat, params.input_set.project)
+        # the operands of the gradient offset and of g1, each the very
+        # array grad_u_phi would use
+        self._offset_operands = (self.h.T, obj.q_y, obj.y_hat)
+        self._g1_operands = (obj.gamma, obj.q_u, params.input_set.project)
 
     # -- flow ---------------------------------------------------------------
 
@@ -364,7 +365,7 @@ class HybridFOModel:
         """H'Q_y(y_s - y_hat), the part of the gradient that y_s fixes: pass
         1 computes it once per input period, at the start and after each
         g2, and hands it to every g1 of the period."""
-        _, _, h_t, q_y, y_hat, _ = self._g1_operands
+        h_t, q_y, y_hat = self._offset_operands
         return h_t @ (q_y @ (y_s - y_hat))
 
     def g1(self, z, offset):
@@ -376,7 +377,7 @@ class HybridFOModel:
         on the same arrays, so bit for bit the same, without
         ``grad_u_phi``'s conversions and shape checks: pass 1 hands in the
         float arrays of its own earlier maps."""
-        gamma, q_u, _, _, _, project = self._g1_operands
+        gamma, q_u, project = self._g1_operands
         step = z - gamma * (q_u @ z + offset)
         return project(step), self.tau_g_reset
 
