@@ -5,10 +5,9 @@ gradient, Euclidean projections onto the input set, and validation of every
 standing assumption. The hybrid state ``State`` lives in ``hybrid``, next to
 the arc that stores its columns, and is imported here.
 
-``HybridFOModel`` holds one flow map, ``flow_x``. ``hybrid.simulate`` takes
-its sample-grid table and its closing steps from stacked
-``linalg.propagator`` calls of its own (``hybrid._power_table``), so the
-model has no grid method; ``flow_grid`` is gone.
+``HybridFOModel`` has one flow map, ``flow_x``, and no grid method:
+``hybrid.simulate`` builds its sample-grid table (``hybrid._power_table``)
+and its closing steps from stacked ``linalg.propagator`` calls of its own.
 """
 
 from __future__ import annotations
