@@ -8,8 +8,8 @@ jump-priority semantics, and the resulting solution arcs.
 ``simulate`` runs in two passes. Only the plant state x flows, and linearly;
 the jump maps act on the timers, u, y_s and z alone. So pass 1 carries those
 as plain values (two floats and three arrays): the model's event interface
-(``contains``, ``which_case``, ``g1``, ``g2``) takes and returns them, and
-``jump_order`` names the maps each jump applies. Pass 1 records one row of
+(``contains``, ``which_case``, ``gradient_offset``, ``g1``, ``g2``) takes
+and returns them, and ``jump_order`` names the maps each jump applies. Pass 1 records one row of
 numbers per segment (start time, start timers, grid steps, length, end
 timers) and the segment's held u, y_s and z. Pass 2 fills in the samples of
 the whole arc: times and timers in one vectorized expression each, x by
