@@ -39,6 +39,7 @@ from .analysis import (
     estimate_M,
     fixed_point_z,
     rate_check,
+    reconstruct_blocks,
     reconstruct_x,
     solve_optimal,
 )

@@ -89,6 +89,11 @@ _STACK_BLOCK = 100
 # Most elements (rows x n) one block of reconstruct_x's eigenbasis rows
 # holds: _STACK_BLOCK rows at n = 20, 2000 at n = 1.
 _ROW_ELEMENTS = 20 * _STACK_BLOCK
+# Most elements (rows x n) one block of check_bound's rows holds: 819 rows
+# at n = 20, 16384 at n = 1. Its (rows, n) temporary, 128 KiB, stays below
+# constants' working memory (estimate_M's tables, about 0.8 MB at n = 20),
+# and blocks this size took no longer than one pass over a whole n = 20 arc.
+_BOUND_ELEMENTS = 1 << 14
 
 
 # Fixed-point residual _pgd_fixed_point certifies, and its most iterations.
@@ -331,8 +336,12 @@ def constants(params: ModelParams) -> Constants:
 def dist_to_A(x: np.ndarray, c: Constants):
     """Distance of the hybrid state to the target set: only the plant-state
     component can leave it, so this is dist(x, ball of radius r about x~).
-    ``x`` is one plant state (n,) or one per row (k, n)."""
-    return np.maximum(np.linalg.norm(x - c.x_tilde, axis=-1) - c.r, 0.0)
+    ``x`` is one plant state (n,) or one per row (k, n). The norm is
+    ``np.linalg.norm``'s sum of squares, squared in place, so one (k, n)
+    temporary holds it."""
+    squares = x - c.x_tilde
+    squares *= squares
+    return np.maximum(np.sqrt(np.add.reduce(squares, axis=-1)) - c.r, 0.0)
 
 
 def _bound(t, init_dist, c: Constants, middle: float):
@@ -366,18 +375,34 @@ class BoundReport:
 
 
 def check_bound(arc: HybridArc, c: Constants, which: str) -> BoundReport:
-    """Evaluate distance vs. the convergence bound at every stored sample."""
+    """Evaluate distance vs. the convergence bound at every stored sample.
+
+    The samples go in row blocks of at most ``_BOUND_ELEMENTS`` elements
+    (rows x n), and each block leaves only its reductions: the running
+    maximum of the gap with its first sample (the first NaN, if any, as
+    ``np.argmax`` over the whole arc gives) and the first entry; init_dist
+    is the first row's distance. Every value is computed per sample as on
+    the whole arc at once, so the report keeps its bits and the working
+    memory does not grow with the arc.
+    """
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    t = arc.times
-    lhs = dist_to_A(arc.x, c)
-    init_dist = float(lhs[0])
-    gap = lhs - np.maximum(bound_fn(t, init_dist, c), 0.0)
-    worst = int(np.argmax(gap))
-    inside = np.flatnonzero(lhs <= 1e-6)
-    first_entry = float(t[inside[0]]) if inside.size else None
+    size = max(1, _BOUND_ELEMENTS // arc.x.shape[1])
+    init_dist = float(dist_to_A(arc.x[0], c))
+    worst, worst_gap, first_entry = 0, -np.inf, None
+    for lo in range(0, len(arc.times), size):
+        t = arc.times[lo:lo + size]
+        lhs = dist_to_A(arc.x[lo:lo + size], c)
+        gap = lhs - np.maximum(bound_fn(t, init_dist, c), 0.0)
+        k = int(np.argmax(gap))
+        # a later block wins on a larger gap, or on a NaN, unless one is held
+        if not np.isnan(worst_gap) and not gap[k] <= worst_gap:
+            worst, worst_gap = lo + k, float(gap[k])
+        if first_entry is None:
+            inside = np.flatnonzero(lhs <= 1e-6)
+            first_entry = float(t[inside[0]]) if inside.size else None
     worst_j = int(np.searchsorted(arc.offsets, worst, side="right")) - 1
-    return BoundReport(which, float(gap[worst]), first_entry, init_dist,
-                       float(t[worst]), worst_j)
+    return BoundReport(which, worst_gap, first_entry, init_dist,
+                       float(arc.times[worst]), worst_j)
 
 
 # Largest deviation of the stored x from its reconstruction that verify
@@ -388,8 +413,6 @@ RECONSTRUCTION_TOL = 1e-8
 @dataclass
 class ReconstructionResult:
     max_deviation: float
-    times: np.ndarray
-    reconstructed: np.ndarray
     path: str  # "eigenbasis" or "expm"
     eigenbasis_cond: float  # cond(V) of A's eigenvector matrix
 
@@ -406,7 +429,8 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     simulator's stepped propagator, so the check stays independent of the
     simulator. The next period is anchored at this one's last sample, which
     is the formula's value at the input change that closes the period. The
-    periods are ``arc.periods()``.
+    periods are ``arc.periods()``, and ``reconstruct_blocks`` yields the
+    rebuilt rows.
 
     Two paths evaluate the formula, chosen at call time:
 
@@ -432,39 +456,39 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
       most ``_STACK_BLOCK`` samples. ``linalg.EIGENBASIS_COND_LIMIT`` says
       why the limit is sized against ``RECONSTRUCTION_TOL``.
 
-    The deviation is reduced per block, so the working memory does not grow
-    with the arc. Reports the worst deviation from the stored trajectory,
-    the path taken and cond(V).
+    The deviation is reduced block by block and no rebuilt row outlives its
+    block, so the working memory does not grow with the arc: O(n^2) per
+    block and a little per input period. Reports the worst deviation from
+    the stored trajectory, the path taken and cond(V).
     """
-    cond = params.eigen[2]
-    path = "eigenbasis" if cond <= linalg.EIGENBASIS_COND_LIMIT else "expm"
-    recon = np.empty_like(arc.x)
-    blocks = _eigenbasis_blocks if path == "eigenbasis" else _expm_blocks
     max_dev = 0.0
-    for rows in blocks(arc, params, recon):
-        max_dev = max(max_dev,
-                      float(np.max(np.abs(recon[rows] - arc.x[rows]))))
-    return ReconstructionResult(max_dev, arc.times, recon, path, cond)
+    for rows, x_rows in reconstruct_blocks(arc, params):
+        max_dev = max(max_dev, float(np.max(np.abs(x_rows - arc.x[rows]))))
+    return ReconstructionResult(max_dev, _reconstruction_path(params),
+                                params.eigen[2])
 
 
-def _expm_blocks(arc: HybridArc, params: ModelParams, recon: np.ndarray):
-    """``reconstruct_x``'s expm path: fill ``recon`` and yield each block of
-    rows once it is filled."""
-    anchor_t, anchor_x = 0.0, arc.x[0].copy()
-    for first, end in arc.periods():
-        w = params.a_inv_b @ arc.u[first]
-        lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
-        for row in range(lo, hi, _STACK_BLOCK):
-            rows = slice(row, min(row + _STACK_BLOCK, hi))
-            recon[rows] = linalg.mat_exp(params.plant.a, arc.times[rows]
-                                         - anchor_t) @ (anchor_x + w) - w
-            yield rows
-        anchor_t, anchor_x = float(arc.times[hi - 1]), recon[hi - 1].copy()
+def _reconstruction_path(params: ModelParams) -> str:
+    return ("eigenbasis" if params.eigen[2] <= linalg.EIGENBASIS_COND_LIMIT
+            else "expm")
 
 
-def _eigenbasis_blocks(arc: HybridArc, params: ModelParams, recon: np.ndarray):
-    """``reconstruct_x``'s eigenbasis path: fill ``recon`` and yield each
-    block of rows once it is filled."""
+def reconstruct_blocks(arc: HybridArc, params: ModelParams):
+    """``reconstruct_x``'s rebuilt trajectory, on the path it takes: yields
+    (rows, x_rows) per block, a slice of the arc's rows and a new array of
+    their rebuilt x, the slices tiling 0..N in order."""
+    if _reconstruction_path(params) == "expm":
+        anchor_t, anchor_x = 0.0, arc.x[0].copy()
+        for first, end in arc.periods():
+            w = params.a_inv_b @ arc.u[first]
+            lo, hi = int(arc.offsets[first]), int(arc.offsets[end])
+            for row in range(lo, hi, _STACK_BLOCK):
+                rows = slice(row, min(row + _STACK_BLOCK, hi))
+                x_rows = linalg.mat_exp(params.plant.a, arc.times[rows]
+                                        - anchor_t) @ (anchor_x + w) - w
+                yield rows, x_rows
+            anchor_t, anchor_x = float(arc.times[hi - 1]), x_rows[-1].copy()
+        return
     lam, vecs, _ = params.eigen
     keep = lam.imag >= 0.0
     modes = lam[keep]
@@ -496,8 +520,7 @@ def _eigenbasis_blocks(arc: HybridArc, params: ModelParams, recon: np.ndarray):
                                 side="right") - 1
             e = np.exp(np.multiply.outer(arc.times[rows] - anchor_ts[k],
                                          modes)) * coeffs[k]
-            recon[rows] = (e @ basis).real - w[k]
-            yield rows
+            yield rows, (e @ basis).real - w[k]
 
 
 @dataclass

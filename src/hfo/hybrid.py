@@ -456,8 +456,9 @@ def simulate(model, zeta0: State, policy, horizon,
             f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
 
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
-    (starts, tau_c0, tau_g0, grids, lengths, tau_c1, tau_g1,
-     u, y_s, z) = (np.array(col) for col in zip(*rows))
+    columns = [np.array(col) for col in zip(*rows)]
+    del rows  # pass 1's rows and their per-segment arrays, before pass 2
+    starts, tau_c0, tau_g0, grids, lengths, tau_c1, tau_g1, u, y_s, z = columns
     # R[k] = R[k - 1] + sample_dt: grid step k's offset from a segment start
     running = np.zeros(max(int(grids.max()), 0) + 2)
     np.cumsum(np.full(len(running) - 2, sample_dt), out=running[1:-1])

@@ -43,15 +43,45 @@ def s1_arc(horizon=(6.0, 1000), sample_dt=0.01):
     return hybrid.simulate(model, zeta0, policy, horizon, sample_dt), params
 
 
-def mimo_arc(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0):
+def mimo_arc(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0, aligned=False):
     """Arc of a generated order-n plant, optionally started x_shift away
-    from the strict initial plant state in every coordinate."""
-    params = random_params(np.random.default_rng(seed), n=n)
+    from the strict initial plant state in every coordinate; ``aligned``
+    draws timers on the tau_g grid (``random_params``' aligned_timers)."""
+    params = random_params(np.random.default_rng(seed), n=n,
+                           aligned_timers=aligned)
     zeta0 = strict_initial_state(params)
     zeta0 = dataclasses.replace(zeta0, x=zeta0.x + x_shift)
     arc = hybrid.simulate(HybridFOModel(params), zeta0,
                           JumpPolicy(seed=2), horizon, 0.02)
     return arc, params
+
+
+def mimo_config(seed=5, n=20, horizon=(4.0, 1000), x_shift=0.0,
+                aligned=False) -> dict:
+    """The config document of ``mimo_arc``'s run, for the CLI."""
+    params = random_params(np.random.default_rng(seed), n=n,
+                           aligned_timers=aligned)
+    zeta0 = strict_initial_state(params)
+    plant, obj, box = params.plant, params.objective, params.input_set
+    input_set = ({"kind": "box", "lo": box.lo.tolist(), "hi": box.hi.tolist()}
+                 if isinstance(box, Box) else
+                 {"kind": "ball", "center": box.center.tolist(),
+                  "radius": box.radius})
+    return {
+        "plant": {"A": plant.a.tolist(), "B": plant.b.tolist(),
+                  "C": plant.c_out.tolist(), "d": plant.d.tolist()},
+        "objective": {"Q_u": obj.q_u.tolist(), "Q_y": obj.q_y.tolist(),
+                      "y_hat": obj.y_hat.tolist(), "gamma": obj.gamma},
+        "timers": dataclasses.asdict(params.timers),
+        "input_set": input_set,
+        "policy": {"seed": 2},
+        "horizon": {"T": horizon[0], "J": horizon[1]},
+        "sample_dt": 0.02,
+        "init": {"mode": "strict", "zeta0": {
+            "x": (zeta0.x + x_shift).tolist(), "u": zeta0.u.tolist(),
+            "y_s": zeta0.y_s.tolist(), "z": zeta0.z.tolist(),
+            "tau_c": zeta0.tau_c, "tau_g": zeta0.tau_g}},
+    }
 
 
 def plant_arc(a, b, c_out, gamma, horizon=(6.0, 1000)):
@@ -66,6 +96,15 @@ def plant_arc(a, b, c_out, gamma, horizon=(6.0, 1000)):
     arc = hybrid.simulate(HybridFOModel(params), strict_initial_state(params),
                           JumpPolicy(seed=1), horizon, 0.01)
     return arc, params
+
+
+def rebuilt(arc, params):
+    """The rows ``reconstruct_blocks`` yields, concatenated, once their
+    slices are checked to tile the arc's rows 0..N in order."""
+    rows, blocks = zip(*analysis.reconstruct_blocks(arc, params))
+    assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+    assert rows[-1].stop == len(arc.times)
+    return np.concatenate(blocks)
 
 
 def per_sample_reconstruction(arc, params):
@@ -113,6 +152,23 @@ def per_sample_bound_check(arc, c, which):
             if first_entry is None and lhs <= 1e-6:
                 first_entry = float(t)
     return worst, first_entry, witness
+
+
+def one_shot_bound_check(arc, c, which):
+    """Oracle: check_bound's report from whole-arc arrays, as it was computed
+    before it went by row blocks: np.linalg.norm over every sample at once
+    and np.argmax over every gap (the first NaN, else the first maximum)."""
+    bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
+    t = arc.times
+    lhs = np.maximum(np.linalg.norm(arc.x - c.x_tilde, axis=-1) - c.r, 0.0)
+    init_dist = float(lhs[0])
+    gap = lhs - np.maximum(bound_fn(t, init_dist, c), 0.0)
+    worst = int(np.argmax(gap))
+    inside = np.flatnonzero(lhs <= 1e-6)
+    first_entry = float(t[inside[0]]) if inside.size else None
+    worst_j = int(np.searchsorted(arc.offsets, worst, side="right")) - 1
+    return analysis.BoundReport(which, float(gap[worst]), first_entry,
+                                init_dist, float(t[worst]), worst_j)
 
 
 def unblocked_estimate(a, rho, grid_points, horizon):
@@ -648,10 +704,17 @@ class TestBounds:
         report = check_bound(arc, dataclasses.replace(c, r=0.05 * c.r), "thm1")
         assert not report.passed
 
-    @pytest.mark.parametrize("case", ["s1-inside", "s1-shrunk", "mimo-far"])
+    @pytest.mark.parametrize("case", ["s1-inside", "s1-shrunk", "mimo-far",
+                                      "mimo-far-n20"])
     @pytest.mark.parametrize("which", ["thm1", "thm2"])
-    def test_matches_per_sample_loop(self, case, which):
-        if case == "mimo-far":
+    def test_matches_per_sample_loop(self, monkeypatch, case, which):
+        if case == "mimo-far-n20":
+            # blocks of 50 rows: the first entry and the witness lie in
+            # later blocks
+            monkeypatch.setattr(analysis, "_BOUND_ELEMENTS", 50 * 20)
+            arc, params = mimo_arc(n=20, horizon=(25.0, 1000), x_shift=100.0)
+            c = constants(params)
+        elif case == "mimo-far":
             arc, params = mimo_arc(n=6, x_shift=30.0)
             c = constants(params)
         else:
@@ -664,8 +727,53 @@ class TestBounds:
         assert report.max_violation == pytest.approx(worst, rel=1e-12, abs=1e-15)
         assert report.first_entry_time == first_entry
         assert (report.worst_t, report.worst_j) == witness
-        if case == "mimo-far":
+        if case.startswith("mimo-far"):
             assert report.init_dist > 0.0 and first_entry > 0.0
+        if case == "mimo-far-n20":
+            rows = [int(np.flatnonzero(arc.times == t)[0])
+                    for t in (first_entry, witness[0])]
+            assert min(rows) >= 50
+
+    @pytest.mark.parametrize("elements", [None, 1, 50 * 20],
+                             ids=["module-blocks", "one-row", "50-rows-n20"])
+    @pytest.mark.parametrize("case", ["s1-inside", "s1-shrunk", "mimo-far-n20",
+                                      "mimo-nan-row"])
+    @pytest.mark.parametrize("which", ["thm1", "thm2"])
+    def test_streamed_report_keeps_the_one_shot_bits(self, monkeypatch,
+                                                     elements, case, which):
+        if elements is not None:
+            monkeypatch.setattr(analysis, "_BOUND_ELEMENTS", elements)
+        if case.startswith("s1"):
+            arc, params = s1_arc()
+            c = constants(params)
+            if case == "s1-shrunk":
+                c = dataclasses.replace(c, r=0.05 * c.r)
+        else:
+            arc, params = mimo_arc(n=20, horizon=(25.0, 1000), x_shift=100.0)
+            c = constants(params)
+            if case == "mimo-nan-row":  # past the module's first block
+                arc.x[len(arc.times) * 3 // 4] = np.nan
+        report = check_bound(arc, c, which)
+        assert repr(report) == repr(one_shot_bound_check(arc, c, which))
+        if case == "mimo-nan-row":
+            assert math.isnan(report.max_violation)
+            assert report.worst_t == arc.times[len(arc.times) * 3 // 4]
+
+    def test_working_memory_does_not_grow_with_the_arc(self):
+        """check_bound keeps one block of rows at a time: its whole peak
+        stays flat as the arc grows fourfold."""
+        peaks = {}
+        for horizon in (25.0, 100.0):
+            arc, params = mimo_arc(n=20, horizon=(horizon, 10 ** 6),
+                                   x_shift=1.0)
+            c = constants(params)
+            tracemalloc.start()
+            try:
+                check_bound(arc, c, "thm2")
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100.0] <= 1.5 * peaks[25.0]
 
 
 class TestReconstruction:
@@ -698,10 +806,9 @@ class TestReconstruction:
         result = reconstruct_x(arc, params)
         assert result.path == "eigenbasis"
         oracle = per_sample_reconstruction(arc, params)
-        assert result.reconstructed.shape == oracle.shape
-        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
-        assert np.array_equal(result.times,
-                              np.concatenate([s.times for s in arc.segments]))
+        recon = rebuilt(arc, params)
+        assert recon.shape == oracle.shape
+        assert np.max(np.abs(recon - oracle)) <= 1e-12
         assert result.max_deviation <= 1e-8
 
     def test_defective_plant_takes_expm(self):
@@ -712,7 +819,7 @@ class TestReconstruction:
         assert result.path == "expm"
         assert result.eigenbasis_cond > linalg.EIGENBASIS_COND_LIMIT
         oracle = per_sample_reconstruction(arc, params)
-        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert np.max(np.abs(rebuilt(arc, params) - oracle)) <= 1e-12
         assert result.max_deviation <= 1e-8
 
     def test_repeated_eigenvalue_takes_eigenbasis(self):
@@ -722,7 +829,7 @@ class TestReconstruction:
         assert result.path == "eigenbasis"
         assert result.eigenbasis_cond == pytest.approx(1.0)
         oracle = per_sample_reconstruction(arc, params)
-        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert np.max(np.abs(rebuilt(arc, params) - oracle)) <= 1e-12
         assert result.max_deviation <= 1e-8
 
     @pytest.mark.parametrize("a, b, c_out, pairs", [
@@ -740,19 +847,19 @@ class TestReconstruction:
         result = reconstruct_x(arc, params)
         assert result.path == "eigenbasis"
         oracle = per_sample_reconstruction(arc, params)
-        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert np.max(np.abs(rebuilt(arc, params) - oracle)) <= 1e-12
         assert result.max_deviation <= 1e-8
 
     def test_only_the_start_and_the_inputs_feed_the_check(self):
         # a corrupted stored sample moves no other reconstructed row
         arc, params = mimo_arc(n=20, x_shift=1.0)
-        clean = reconstruct_x(arc, params).reconstructed
+        clean = rebuilt(arc, params)
         row = len(arc.times) // 2
         arc.x[row] += 1.0
         corrupted = reconstruct_x(arc, params)
         assert corrupted.max_deviation >= 1.0 - 1e-8
         others = np.arange(len(arc.times)) != row
-        assert np.array_equal(corrupted.reconstructed[others], clean[others])
+        assert np.array_equal(rebuilt(arc, params)[others], clean[others])
 
     @pytest.mark.parametrize("block", [None, 4],
                              ids=["one-chunk", "chunks-of-4"])
@@ -770,31 +877,32 @@ class TestReconstruction:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        result = reconstruct_x(arc, params)
+        reconstruct_x(arc, params)
+        counts = list(solves)
+        recon = rebuilt(arc, params)  # in the same chunks
         monkeypatch.undo()
         periods = len(arc.periods())
         assert periods > 2 * 4
-        assert solves == [True] * -(-periods // size)
+        assert counts == [True] * -(-periods // size)
         oracle = per_sample_reconstruction(arc, params)
-        assert np.max(np.abs(result.reconstructed - oracle)) <= 1e-12
+        assert np.max(np.abs(recon - oracle)) <= 1e-12
 
     def test_working_memory_does_not_grow_with_the_arc(self):
-        """The result holds one row per sample; on top of it, reconstruct_x
-        keeps O(n^2) per block and a little per input period, never a
-        temporary the size of the arc."""
-        working = {}
+        """reconstruct_x keeps O(n^2) per block and a little per input
+        period, and no row per sample: its whole peak, with nothing
+        subtracted, stays flat as the arc grows fourfold."""
+        peaks = {}
         for horizon in (25.0, 100.0):
             arc, params = mimo_arc(n=20, horizon=(horizon, 10 ** 6),
                                    x_shift=1.0)
             tracemalloc.start()
             try:
                 result = reconstruct_x(arc, params)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert result.path == "eigenbasis"
-            working[horizon] = peak - result.reconstructed.nbytes
-        assert working[100.0] <= 1.5 * working[25.0]
+        assert peaks[100.0] <= 1.5 * peaks[25.0]
 
     def test_detects_single_corrupted_sample(self):
         self.assert_detects_single_corrupted_sample("eigenbasis")
@@ -807,8 +915,8 @@ class TestReconstruction:
     @staticmethod
     def assert_detects_single_corrupted_sample(path):
         arc, params = mimo_arc(n=20, x_shift=1.0)
-        clean = reconstruct_x(arc, params)
-        assert clean.path == path
+        assert reconstruct_x(arc, params).path == path
+        clean = rebuilt(arc, params)
         # the middle sample of a flow segment in a later input period
         i = len(arc.segments) * 2 // 3
         while len(arc.segments[i].times) < 3:
@@ -817,7 +925,7 @@ class TestReconstruction:
         k = len(seg.times) // 2
         row = int(arc.offsets[i]) + k
         # push the stored value away from its reconstruction
-        push = np.sign(seg.x[k, 0] - clean.reconstructed[row, 0]) or 1.0
+        push = np.sign(seg.x[k, 0] - clean[row, 0]) or 1.0
         seg.x[k, 0] += push * 1e-6
         corrupted = reconstruct_x(arc, params)
         assert corrupted.path == path

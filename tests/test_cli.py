@@ -966,6 +966,45 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL bound_thm1" in out or "FAIL bound_thm2" in out
 
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_mimo_config_runs_the_mimo_arc(self, aligned):
+        from test_analysis import mimo_arc, mimo_config
+
+        scenario = {"n": 20, "horizon": (4.0, 1000), "x_shift": 1.0,
+                    "aligned": aligned}
+        arc, _ = mimo_arc(**scenario)
+        config = parse_config(mimo_config(**scenario))
+        again = cli._run(config)[0]
+        for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
+                     "z"):
+            assert (getattr(again, name).tobytes()
+                    == getattr(arc, name).tobytes())
+        assert again.jumps == arc.jumps
+
+    def test_holds_about_one_arc_of_memory(self, tmp_path):
+        """verify's checks go by row blocks and keep no per-sample copy: on
+        an n = 20 plant at T = 100 the whole command peaks within 1.5x the
+        arc's stored payload (times, x and both timers). The timers are
+        aligned, so that simulate's closing maps stay few."""
+        from test_analysis import mimo_arc, mimo_config
+
+        scenario = {"n": 20, "horizon": (100.0, 10 ** 6), "x_shift": 1.0,
+                    "aligned": True}
+        arc, _ = mimo_arc(**scenario)
+        payload = sum(a.nbytes for a in (arc.times, arc.x, arc.tau_c,
+                                         arc.tau_g))
+        del arc
+        cfg = write_config(tmp_path, mimo_config(**scenario))
+        out = str(tmp_path / "out")
+        assert main(["verify", cfg, "--out", out]) == 0  # warm up
+        tracemalloc.start()
+        try:
+            assert main(["verify", cfg, "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * payload
+
 
 class TestRobustnessCommand:
     def test_runaway_tau_exits_2_naming_it(self, tmp_path, capsys):

@@ -530,6 +530,39 @@ class TestSimulateMemory:
         assert len(arc.times) > 100 * t_max
         assert peak - before <= 1.65 * (retained - before)
 
+    def test_pass_one_rows_freed_before_pass_two(self, monkeypatch):
+        """Pass 1's rows die once their columns are built: a 1 MiB marker
+        that lives exactly as long as the rows list never shares the peak
+        with the arc, so the peak over the arc stays below the marker. Kept
+        alive through pass 2, the rows would put the marker, the rows and
+        the whole arc in memory at once."""
+        marker = 1 << 20
+
+        class Rows(list):
+            pass
+
+        skeleton = hybrid._skeleton
+
+        def marked(*args):
+            rows, jumps = skeleton(*args)
+            rows = Rows(rows)
+            rows.marker = np.ones(marker // 8)
+            return rows, jumps
+
+        params = s1_params()
+        model, zeta0 = HybridFOModel(params), strict_initial_state(params)
+        policy = JumpPolicy(seed=1)
+        hybrid.simulate(model, zeta0, policy, (1.0, 10 ** 6), 0.01)  # warm up
+        monkeypatch.setattr(hybrid, "_skeleton", marked)
+        tracemalloc.start()
+        try:
+            arc = hybrid.simulate(model, zeta0, policy, (100.0, 10 ** 6), 0.01)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arc.times) > 10 ** 4
+        assert peak - retained < marker
+
 
 class TestArcInvariant:
     """Segment k is the flow at jump index k and ends at jump k; the result
