@@ -459,11 +459,17 @@ def reconstruct_x(arc: HybridArc, params: ModelParams) -> ReconstructionResult:
     The deviation is reduced block by block and no rebuilt row outlives its
     block, so the working memory does not grow with the arc: O(n^2) per
     block and a little per input period. Reports the worst deviation from
-    the stored trajectory, the path taken and cond(V).
+    the stored trajectory, the path taken and cond(V). A NaN deviation (a
+    NaN in the stored or the rebuilt x) is the worst and holds, as a NaN
+    gap does in ``check_bound``, so such an arc fails the check.
     """
     max_dev = 0.0
     for rows, x_rows in reconstruct_blocks(arc, params):
-        max_dev = max(max_dev, float(np.max(np.abs(x_rows - arc.x[rows]))))
+        dev = float(np.max(np.abs(x_rows - arc.x[rows])))
+        # a later block wins on a larger deviation, or on a NaN, unless one
+        # is held
+        if not np.isnan(max_dev) and not dev <= max_dev:
+            max_dev = dev
     return ReconstructionResult(max_dev, _reconstruction_path(params),
                                 params.eigen[2])
 

@@ -5,27 +5,37 @@ A model object supplies the flow and jump behavior (see
 time bookkeeping, exact event scheduling for affinely decreasing timers,
 jump-priority semantics, and the resulting solution arcs.
 
-``simulate`` runs in two passes. Only the plant state x flows, and linearly;
-the jump maps act on the timers, u, y_s and z alone. So pass 1 carries those
-as plain values (two floats and three arrays): the model's event interface
-(``contains``, ``which_case``, ``gradient_offset``, ``g1``, ``g2``) takes
-and returns them, and ``jump_order`` names the maps each jump applies. Pass 1 records one row of
-numbers per segment (start time, start timers, grid steps, length, end
-timers) and the segment's held u, y_s and z. Pass 2 fills in the samples of
-the whole arc: times and timers in one vectorized expression each, x by
-stored powers of the one-step map on the sample grid plus one exact
-held-input step to each segment's end. ``State`` appears only at the API
-edge: the initial state ``simulate`` takes and ``Segment.state(k)`` /
-``start`` (and the config, ``model.validate`` and the sweeps, which build
-or check a start; ``from hfo.model import State`` still works).
+A run takes three steps. Only the plant state x flows, and linearly; the
+jump maps act on the timers, u, y_s and z alone, and no timer reset reads
+u, y_s or z.
+- ``schedule`` (pass 1) carries the two timers as floats, through the
+  model's timer interface (``contains``, ``which_case``, ``g1_timer``) and
+  the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
+  ``Schedule`` holds one row of numbers per segment (start time, start
+  timers, grid steps, length, end timers) and one code per jump.
+- ``flows`` builds the flow maps of one or more schedules: each run's table
+  of powers of the one-step map on the sample grid, and one exact
+  held-input map to each segment's end, from stacked propagator calls and
+  one stacked recurrence. ``robustness_sweep`` schedules all its runs
+  before it builds their flows in one go.
+- ``simulate`` fills the arc. The held recurrence applies ``g1`` and
+  ``g2`` (with ``gradient_offset``) over the schedule's jumps, for u, y_s,
+  z and the jump log. Pass 2 fills in the samples: times and timers in one
+  vectorized expression each, x from the table and the closing maps.
+
+``State`` appears only at the API edge: the initial state ``simulate``
+takes and ``Segment.state(k)`` / ``start`` (and the config,
+``model.validate`` and the sweeps, which build or check a start; ``from
+hfo.model import State`` still works).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +48,12 @@ EVENT_TOL = 1e-12
 # Most grid steps one stored power table covers; longer on-grid runs chain
 # blocks of this many steps.
 FLOW_BLOCK = 128
+
+# Most matrix elements one stacked propagator call exponentiates (k
+# augmented (n + m) x (n + m) matrices, at least one), and most that the
+# power tables and grid steps of one batch of ``flows`` runs hold, unless
+# the batch is one run.
+FLOW_ELEMENTS = 1 << 13
 
 # Most bytes of float64 payload (times, x and both timers) one arc may hold.
 SAMPLE_BUDGET = 1 << 30
@@ -229,6 +245,10 @@ def _timer_end(tau0: float, rate: float, elapsed: float, expires: bool) -> float
 # halves in order. Shared literals, so a record holds no string of its own.
 _LABELS = {"g1": ("G1",), "g2": ("G2",),
            "both": ("G3-first-half", "G3-second-half")}
+# The (case, applied map) of each jump code a schedule stores.
+_JUMPS = tuple((label, name) for labels in _LABELS.values()
+               for label in labels for name in ("g1", "g2"))
+_CODES = {jump: code for code, jump in enumerate(_JUMPS)}
 
 
 def jump_order(case, policy, rng) -> tuple:
@@ -246,20 +266,39 @@ def jump_order(case, policy, rng) -> tuple:
     return ("g1", "g2") if order == "g1_first" else ("g2", "g1")
 
 
-def _skeleton(model, zeta0, policy, horizon, sample_dt):
-    """Pass 1: the run's events, without the plant state.
+@dataclass(frozen=True)
+class Schedule:
+    """A run's events, from the timers alone: what ``schedule`` returns, and
+    ``flows`` and ``simulate`` read.
 
-    Carries the timers as floats and u, y_s, z as arrays, and returns (rows,
-    jumps) with one row per segment: (start time, start tau_c, start tau_g,
-    grid steps g, length, end tau_c, end tau_g, u, y_s, z). A flow segment of
-    length dt stores samples at grid steps 0..g of ``sample_dt`` and at its
-    end; a point segment has g = -1, length 0 and end timers equal to its
-    start timers, and stores one sample. Each g2 draws its tau_c reset by
-    ``draw_tau_c_reset`` as it applies; the seeded generator is built only
-    for a policy that can draw (a ``uniform`` reset or a ``random`` order).
-    ``model.g1`` and ``model.g2`` are called once per applied map, g1 with
-    the input period's ``model.gradient_offset``, taken at the start and
-    after each g2, and no ``State`` is built.
+    Row j of ``rows`` is segment j: (start time, start tau_c, start tau_g,
+    grid steps g, length, end tau_c, end tau_g). A flow segment of length
+    dt stores samples at grid steps 0..g of ``sample_dt`` and at its end; a
+    point segment has g = -1, length 0 and end timers equal to its start
+    timers, and stores one sample. Jump j ends segment j, and ``jumps[j]``
+    indexes its (case, applied map) in ``_JUMPS``. Segment j + 1 starts at
+    the jump's time with the timers the jump left, so a g2's tau_c reset is
+    row j + 1's start tau_c, and no other copy of it is kept.
+    """
+
+    rows: np.ndarray  # (S, 7) float64
+    jumps: np.ndarray  # (S - 1,) int8
+    horizon: tuple
+    sample_dt: float
+
+    @property
+    def grids(self) -> np.ndarray:
+        return self.rows[:, 3].astype(np.intp)
+
+
+def _skeleton(model, zeta0, policy, horizon, sample_dt):
+    """Pass 1's loop: the run's events, from the timers alone.
+
+    Returns (rows, jumps): one tuple per segment, as ``Schedule.rows`` holds
+    it, and one ``_JUMPS`` code per jump. Each g2 draws its tau_c reset by
+    ``draw_tau_c_reset`` as it applies, and each g1 resets tau_g to
+    ``model.g1_timer()``; the seeded generator is built only for a policy
+    that can draw (a ``uniform`` reset or a ``random`` order).
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
@@ -267,12 +306,10 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     draws = policy.tau_c_reset == "uniform" or policy.case3_order == "random"
     rng = np.random.default_rng(policy.seed) if draws else None
     t, j, tau_c, tau_g = 0.0, 0, zeta0.tau_c, zeta0.tau_g
-    u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
-    offset = model.gradient_offset(y_s)
     rows, jumps = [], []
 
     def point():
-        return (t, tau_c, tau_g, -1, 0.0, tau_c, tau_g, u, y_s, z)
+        return (t, tau_c, tau_g, -1, 0.0, tau_c, tau_g)
 
     while True:
         remaining = t_max - t
@@ -290,7 +327,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             grid = max(math.floor(dt / sample_dt - 1e-9), 0)
             end_c = _timer_end(tau_c, rate_c, dt, expired in ("c", "both"))
             end_g = _timer_end(tau_g, rate_g, dt, expired in ("g", "both"))
-            rows.append((t, tau_c, tau_g, grid, dt, end_c, end_g, u, y_s, z))
+            rows.append((t, tau_c, tau_g, grid, dt, end_c, end_g))
             t, tau_c, tau_g = t + dt, end_c, end_g
             if not model.contains(tau_c, tau_g):
                 raise RuntimeError(
@@ -304,14 +341,63 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             if i:
                 rows.append(point())
             if name == "g1":
-                z, tau_g = model.g1(z, offset)
+                tau_g = model.g1_timer()
             else:
-                u, y_s, tau_c = model.g2(
-                    z, draw_tau_c_reset(policy, rng, interval))
-                offset = model.gradient_offset(y_s)
-            jumps.append(JumpRecord(t, j, label, name))
+                tau_c = draw_tau_c_reset(policy, rng, interval)
+            jumps.append(_CODES[label, name])
             j += 1
     return rows, jumps
+
+
+def schedule(model, zeta0: State, policy, horizon,
+             sample_dt: float = 0.01) -> Schedule:
+    """Pass 1 of a run from zeta0 until t >= T or j >= J: its checks, as
+    ``simulate`` gives them, then its ``Schedule``, which holds arrays
+    alone (pass 1's rows die once they are built)."""
+    if sample_dt <= 0:
+        raise ValueError("sample_dt must be positive")
+    if not model.contains(zeta0.tau_c, zeta0.tau_g):
+        raise ValueError("initial state outside the flow and jump sets")
+    if policy.tau_c_reset == "fixed":
+        draw_tau_c_reset(policy, None, (model.reset_lo, model.reset_hi))
+    bound = sample_bound(model, horizon, sample_dt)
+    payload = bound * (len(zeta0.x) + 3) * 8
+    if payload > SAMPLE_BUDGET:
+        raise SampleBudgetError(
+            f"the run may store up to {bound:.3g} samples, "
+            f"{payload / 2 ** 30:.3g} GiB of float64, over the "
+            f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
+    rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
+    rows = np.array(rows, dtype=float)
+    return Schedule(rows, np.array(jumps, dtype=np.int8), tuple(horizon),
+                    sample_dt)
+
+
+def _held(model, zeta0, sched: Schedule):
+    """The held recurrence: ``g1`` and ``g2`` over the schedule's jumps, g1
+    with the input period's ``model.gradient_offset``, taken at the start
+    and after each g2, and g2 with the reset the schedule drew. Returns the
+    columns u, y_s, z, one row per segment, and the jump log. Each map is
+    called once per jump that applies it, and no ``State`` is built."""
+    u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
+    offset = model.gradient_offset(y_s)
+    us, ys, zs = [u], [y_s], [z]
+    # each jump's time and tau_c reset: the start of the segment it starts
+    # (lists of floats, which the garbage collector does not track)
+    times, resets = sched.rows[1:, 0].tolist(), sched.rows[1:, 1].tolist()
+    codes = sched.jumps.tolist()
+    for code, reset in zip(codes, resets):
+        if _JUMPS[code][1] == "g1":
+            z = model.g1(z, offset)[0]
+        else:
+            u, y_s, _ = model.g2(z, reset)
+            offset = model.gradient_offset(y_s)
+        us.append(u)
+        ys.append(y_s)
+        zs.append(z)
+    jumps = [JumpRecord(t, j, *_JUMPS[code])
+             for j, (t, code) in enumerate(zip(times, codes))]
+    return np.array(us), np.array(ys), np.array(zs), jumps
 
 
 def _sample_columns(starts, grids, lengths, running, timers):
@@ -346,64 +432,202 @@ def _sample_columns(starts, grids, lengths, running, timers):
             [timer(*spec) for spec in timers])
 
 
-def _flow_maps(model, grids, lengths, running, sample_dt):
-    """The grid step's held-input map, then each flow segment's over its
-    closing length - running[grid], from one stacked propagator call per
-    FLOW_BLOCK maps, on distinct lengths: the first call holds the grid step
-    and the first closing lengths. So a run holds at most FLOW_BLOCK maps at
-    once, and a run with no flow segment makes no call."""
-    flow = grids >= 0
-    if not flow.any():
-        return
-    steps = np.concatenate([[sample_dt], lengths[flow] - running[grids[flow]]])
-    for first in range(0, len(steps), FLOW_BLOCK):
-        distinct, which = np.unique(steps[first:first + FLOW_BLOCK],
-                                    return_inverse=True)
-        e, forced = linalg.propagator(model.a, model.b, distinct)
-        yield from ((e[k], forced[k]) for k in which.tolist())
+def _running(longest: int, sample_dt: float) -> np.ndarray:
+    """R[k] = R[k - 1] + sample_dt, grid step k's offset from a segment
+    start, for k = 0..longest, and one more entry for a closing sample. A
+    longer table has the same prefix."""
+    running = np.zeros(max(longest, 0) + 2)
+    np.cumsum(np.full(len(running) - 2, sample_dt), out=running[1:-1])
+    return running
 
 
-def _power_table(e, forced, k):
-    """The top block rows [e^{A i dt}, Gamma_i] of M^i, i = 1..k, for the
-    one-step map (e, forced) = (e^{A dt}, Gamma_1) and M = [[e, forced],
-    [0, I]], stacked (k, n, n + m): a held input u takes x to row i - 1 @
-    [x; u] after i steps of dt."""
-    n = len(e)
-    table = np.empty((k, n, n + forced.shape[1]))
-    table[0, :, :n], table[0, :, n:] = e, forced
+@dataclass
+class Flow:
+    """One run's flow maps, as ``flows`` yields them for ``simulate``.
+
+    ``table`` holds the top block rows [e^{A i dt}, Gamma_i] of M^i,
+    i = 1..k, for the one-step map over the grid step dt,
+    M = [[e^{A dt}, Gamma_1], [0, I]]: a held input u takes x to
+    ``table[i - 1] @ [x; u]`` after i steps (None when no segment has a
+    grid step past its start). ``maps`` yields each flow segment's closing
+    map (e^{A s}, Gamma(s)), s = its length - running[g], in order.
+    """
+
+    model: object
+    schedule: Schedule
+    running: np.ndarray  # ``_running`` up to the run's longest segment
+    table: np.ndarray | None  # (k, n, n + m), k <= FLOW_BLOCK
+    maps: Iterator
+
+
+def _power_tables(e, forced, k):
+    """``Flow.table`` of each one-step map (e, forced) of a stack (runs, n,
+    n) and (runs, n, m), stacked (runs, k, n, n + m), from one stacked
+    product per row: row i is e @ row i - 1 plus forced on its last m
+    columns. Each run's rows are those of its own recurrence, bit for bit."""
+    runs, n = e.shape[:2]
+    table = np.empty((runs, k, n, n + forced.shape[-1]))
+    table[:, 0, :, :n], table[:, 0, :, n:] = e, forced
     for i in range(1, k):
-        np.matmul(e, table[i - 1], out=table[i])
-        table[i, :, n:] += forced
+        np.matmul(e, table[:, i - 1], out=table[:, i])
+        table[:, i, :, n:] += forced
     return table
 
 
-def _plant_column(model, grids, lengths, u, offsets, running, x0, sample_dt):
+def _call_bounds(key, cap: int, distinct: int) -> list:
+    """(lo, hi) of each stacked call over the requests ``key`` (distinct
+    ids, ``distinct`` of them): each call as long as it can be while it
+    holds at most ``cap`` distinct ids."""
+    if distinct <= cap:
+        return [(0, len(key))]
+    bounds, lo, seen = [], 0, set()
+    for i, k in enumerate(key.tolist()):
+        if k not in seen and len(seen) == cap:
+            bounds.append((lo, i))
+            lo, seen = i, set()
+        seen.add(k)
+    return bounds + [(lo, len(key))]
+
+
+def _stacked_maps(models, owner, steps):
+    """The held-input map (e, forced) of each request i, model
+    ``owner[i]`` over ``steps[i]``, in order, from stacked
+    ``linalg.propagator`` calls on distinct (model, step) pairs. Each call
+    holds at most FLOW_ELEMENTS elements of augmented matrices, counting
+    distinct pairs, not requests, and is made only when its first map is
+    reached. Between maps it holds the last call's maps and, until that
+    call, the request index."""
+    n, m = models[0].b.shape
+    # one id per distinct (model, step) pair, in sorted order
+    order = np.lexsort((steps, owner))
+    owner, steps = owner[order], steps[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(owner[1:], owner[:-1], out=new[1:])
+    new[1:] |= steps[1:] != steps[:-1]
+    key = np.empty(len(order), dtype=np.intp)
+    key[order] = np.cumsum(new) - 1
+    pair_model, pair_step = owner[new], steps[new]
+    del order, owner, steps, new
+    a = np.stack([model.a for model in models])
+    b = np.stack([model.b for model in models])
+    bounds = _call_bounds(key, max(1, FLOW_ELEMENTS // (n + m) ** 2),
+                          len(pair_step))
+    for lo, hi in bounds:
+        if len(bounds) == 1:
+            ids, order = slice(None), key.tolist()
+            del key
+        else:
+            ids, inverse = np.unique(key[lo:hi], return_inverse=True)
+            order = inverse.tolist()
+            del inverse
+        # one plant: its own (n, n) and (n, m) operands, as a lone run's
+        plants = 0 if len(models) == 1 else pair_model[ids]
+        e, forced = linalg.propagator(a[plants], b[plants], pair_step[ids])
+        del ids, plants
+        yield from ((e[k], forced[k]) for k in order)
+
+
+def _batch_flows(batch):
+    """``flows`` for one batch of (model, schedule) runs of one plant shape
+    and grid step: the grid step of every run that needs a table comes
+    first, then every run's closing steps in order, all from one
+    ``_stacked_maps``."""
+    grids = [sched.grids for _, sched in batch]
+    longest = [int(g.max()) for g in grids]
+    running = _running(max(longest), batch[0][1].sample_dt)
+    closing = [sched.rows[g >= 0, 4] - running[g[g >= 0]]
+               for (_, sched), g in zip(batch, grids)]
+    del grids
+    tabled = [r for r, k in enumerate(longest) if k > 0]
+    owner = np.concatenate([tabled] + [np.full(len(c), r)
+                                       for r, c in enumerate(closing)])
+    steps = np.concatenate([[running[1]] * len(tabled)] + closing)
+    counts = [len(c) for c in closing]
+    del closing
+    maps = _stacked_maps([model for model, _ in batch],
+                         owner.astype(np.intp), steps)
+    del owner, steps
+    tables = None
+    if tabled:
+        e, forced = (np.array(col) for col in zip(*(next(maps)
+                                                     for _ in tabled)))
+        tables = _power_tables(e, forced, min(FLOW_BLOCK, max(longest)))
+    rank = {r: i for i, r in enumerate(tabled)}
+    for r, k in enumerate(longest):
+        table = tables[rank[r], :min(FLOW_BLOCK, k)] if r in rank else None
+        run_maps = itertools.islice(maps, counts[r])
+        flow = Flow(*batch[r], running[:max(k, 0) + 2], table, run_maps)
+        batch[r] = None
+        yield flow
+        del flow, table  # a filled run's schedule dies with its arc's fill
+        collections.deque(run_maps, maxlen=0)  # skip what the run left
+
+
+def flows(runs) -> Iterator[Flow]:
+    """The flow maps of runs given as (model, ``Schedule``) pairs: one
+    ``Flow`` per run, in order, for ``simulate``'s ``flow=``.
+
+    Consecutive runs of one plant shape and grid step form a batch while
+    its tables and grid steps hold at most FLOW_ELEMENTS elements; a run
+    alone is always a batch. A batch takes its grid steps and closing
+    steps from stacked propagator calls (``_stacked_maps``), the first of
+    which holds every grid step, and its power tables from one stacked
+    recurrence (``_power_tables``). A run's closing maps are read in order,
+    and the next run's ``Flow`` is yielded once they are. Every map and
+    table row is bit for bit what the run's own calls give, whatever shares
+    the stack.
+    """
+    batches = _batches(runs)
+    del runs  # each batch holds its runs until it yields them
+    for i in range(len(batches)):
+        batch, batches[i] = batches[i], None
+        yield from _batch_flows(batch)
+
+
+def _batches(runs) -> list:
+    """``flows``' batches: lists of consecutive (model, schedule) runs."""
+    batches, size, key = [], 0, None
+    for model, sched in runs:
+        n, m = model.b.shape
+        longest = int(sched.rows[:, 3].max())
+        depth = min(FLOW_BLOCK, longest) if longest > 0 else 0
+        need = depth * n * (n + m) + (n + m) ** 2 * (depth > 0)
+        if (not batches or key != (n, m, sched.sample_dt)
+                or size + need > FLOW_ELEMENTS):
+            batches.append([])
+            size = 0
+        batches[-1].append((model, sched))
+        size, key = size + need, (n, m, sched.sample_dt)
+    return batches
+
+
+def _plant_column(flow, grids, u, offsets, x0):
     """Pass 2, x: every sample's plant state, (N, n).
 
     On a segment's grid x(k sample_dt) = [e^{A k sample_dt}, Gamma_k] @
-    [x(0); u], row k - 1 of a ``_power_table`` built once per run from the
-    grid step ``_flow_maps`` gives first: one batched product per block of
-    at most FLOW_BLOCK steps, each block starting where the last ended. The
-    closing maps that follow give the exact step from the last grid point
-    to each segment's end. Each step is ``e @ x + forced @ u``,
-    ``flow_x``'s arithmetic, so x is bit for bit what per-segment ``flow_x``
-    calls give. A point segment repeats the state it starts at.
+    [x(0); u], row k - 1 of ``flow.table``: one batched product per block
+    of at most the table's rows, each block starting where the last ended.
+    The closing maps that follow give the exact step from the last grid
+    point to each segment's end. Each step is ``e @ x + forced @ u``,
+    ``flow_x``'s arithmetic, so x is bit for bit what per-segment
+    ``flow_x`` calls give. A point segment repeats the state it starts at.
     """
-    longest = len(running) - 2
-    block = max(1, min(FLOW_BLOCK, longest))
-    maps = _flow_maps(model, grids, lengths, running, sample_dt)
-    step = next(maps, None)
-    table = _power_table(*step, block) if longest > 0 else None
-    x = np.empty((int(offsets[-1]), len(x0)))
+    table, maps = flow.table, flow.maps
+    block = 1 if table is None else len(table)
+    n = len(x0)
+    x = np.empty((int(offsets[-1]), n))
+    state = np.empty(n + u.shape[1])  # [x; u] at a block's first step
     current = x0
     for lo, grid, held in zip(offsets.tolist(), grids.tolist(), u):
         x[lo] = current
         if grid < 0:
             continue
-        for k in range(0, grid, block):
-            size = min(block, grid - k)
-            x[lo + k + 1:lo + k + size + 1] = table[:size] @ np.concatenate(
-                [x[lo + k], held])
+        state[n:] = held
+        for k in range(lo, lo + grid, block):
+            size = min(block, lo + grid - k)
+            state[:n] = x[k]
+            np.matmul(table[:size], state, out=x[k + 1:k + size + 1])
         e, forced = next(maps)
         current = e @ x[lo + grid] + forced @ held
         x[lo + grid + 1] = current
@@ -429,7 +653,7 @@ def draw_tau_c_reset(policy, rng, interval):
 
 
 def simulate(model, zeta0: State, policy, horizon,
-             sample_dt: float = 0.01) -> HybridArc:
+             sample_dt: float = 0.01, flow: Flow | None = None) -> HybridArc:
     """Run the hybrid system from zeta0 until t >= T or j >= J.
 
     Jump-priority semantics: whenever the state is in the jump set the jump
@@ -440,33 +664,27 @@ def simulate(model, zeta0: State, policy, horizon,
     when ``sample_bound`` allows a payload over SAMPLE_BUDGET bytes, and
     ValueError for a fixed tau_c reset outside the reset interval, whether
     or not the run would reset tau_c.
-    """
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
-    if not model.contains(zeta0.tau_c, zeta0.tau_g):
-        raise ValueError("initial state outside the flow and jump sets")
-    if policy.tau_c_reset == "fixed":
-        draw_tau_c_reset(policy, None, (model.reset_lo, model.reset_hi))
-    bound = sample_bound(model, horizon, sample_dt)
-    payload = bound * (len(zeta0.x) + 3) * 8
-    if payload > SAMPLE_BUDGET:
-        raise SampleBudgetError(
-            f"the run may store up to {bound:.3g} samples, "
-            f"{payload / 2 ** 30:.3g} GiB of float64, over the "
-            f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
 
-    rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
-    columns = [np.array(col) for col in zip(*rows)]
-    del rows  # pass 1's rows and their per-segment arrays, before pass 2
-    starts, tau_c0, tau_g0, grids, lengths, tau_c1, tau_g1, u, y_s, z = columns
-    # R[k] = R[k - 1] + sample_dt: grid step k's offset from a segment start
-    running = np.zeros(max(int(grids.max()), 0) + 2)
-    np.cumsum(np.full(len(running) - 2, sample_dt), out=running[1:-1])
+    The run is ``schedule``, ``flows`` and then the fill. A ``flow`` that
+    ``flows`` yielded for ``schedule(model, zeta0, policy, horizon,
+    sample_dt)``, with these very arguments, skips the first two steps (and
+    their checks, which the schedule made): ``robustness_sweep`` builds its
+    runs' flows together and fills each arc here.
+    """
+    if flow is None:
+        flow = next(flows([(model, schedule(model, zeta0, policy, horizon,
+                                            sample_dt))]))
+    elif (flow.model is not model or flow.schedule.sample_dt != sample_dt
+          or flow.schedule.horizon != tuple(horizon)):
+        raise ValueError("the flow was built for another run")
+    sched = flow.schedule
+    u, y_s, z, jumps = _held(model, zeta0, sched)
+    starts, tau_c0, tau_g0, _, lengths, tau_c1, tau_g1 = sched.rows.T
+    grids = sched.grids
     offsets, times, (tau_c, tau_g) = _sample_columns(
-        starts, grids, lengths, running,
+        starts, grids, lengths, flow.running,
         [(tau_c0, tau_c1, model.rate_c), (tau_g0, tau_g1, model.rate_g)])
-    x = _plant_column(model, grids, lengths, u, offsets, running, zeta0.x,
-                      sample_dt)
+    x = _plant_column(flow, grids, u, offsets, zeta0.x)
 
     spacing = (model.period_g, model.period_c)
     min_dwell = min(spacing) if _aligned(model, zeta0, policy) else None

@@ -38,9 +38,11 @@ plant takes the exponential instead.
 """
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float square matrix, or with ``stacked`` also a
+    stack (k, n, n) of them."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stacked else (2,)) or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
@@ -86,14 +88,15 @@ def _pade(a, m: int) -> np.ndarray:
     and V the even terms of p_m(A)."""
     k, n = a.shape[:2]
     coef, ones = _PADE[m]
-    q = coef.shape[1]  # even powers A^2 .. A^2q
-    powers = [a @ a]
-    for _ in range(1, q):
-        powers.append(powers[-1] @ powers[0])
-    p = np.stack(powers, axis=1)
+    q = coef.shape[1]  # even powers A^2 .. A^2q, built in place
+    p = np.empty((k, q, n, n))
+    np.matmul(a, a, out=p[:, 0])
+    for i in range(1, q):
+        np.matmul(p[:, i - 1], p[:, 0], out=p[:, i])
     terms = (coef @ p.reshape(k, q, n * n)).reshape(k, len(coef), n, n)
     if m == 13:  # U / A and V as A^6 (high terms) + low terms
         terms = p[:, 2:] @ terms[:, :2] + terms[:, 2:]
+    del p
     terms.reshape(k, 2, n * n)[..., ::n + 1] += ones
     u = a @ terms[:, 0]
     return np.linalg.solve(terms[:, 1] - u, terms[:, 1] + u)
@@ -103,8 +106,9 @@ def mat_exp(a, t) -> np.ndarray:
     """Matrix exponential e^{A t}.
 
     A scalar ``t`` gives one (n, n) matrix. A 1-D array of k times gives the
-    (k, n, n) stack of e^{A t_i}, all in one batched pass. A 1x1 A gives
-    ``np.exp`` of A t.
+    (k, n, n) stack of e^{A t_i}, all in one batched pass. A stack (k, n, n)
+    of matrices A_i gives e^{A_i t} for a scalar t, or e^{A_i t_i} for k
+    times, in one pass too. A 1x1 A gives ``np.exp`` of A t.
 
     Scaling and squaring with a Pade approximant (Higham, "The scaling and
     squaring method for the matrix exponential revisited", SIAM J. Matrix
@@ -128,14 +132,15 @@ def mat_exp(a, t) -> np.ndarray:
     entry gives NaN, and an exponential that overflows gives inf or NaN;
     neither raises.
     """
-    a = _as_square(a)
+    a = _as_square(a, stacked=True)
     ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise DimensionError(f"t must be a scalar or a 1-D array, got {ts.shape}")
+    if ts.ndim > 1 or (a.ndim == 3 and ts.ndim == 1 and len(ts) != len(a)):
+        raise DimensionError(f"t must be a scalar or one time per matrix, got "
+                             f"{ts.shape} for A {a.shape}")
     if not np.isfinite(ts).all():
         raise ValueError("t must be finite")
     x = a * ts[..., None, None]
-    n = a.shape[0]
+    n = a.shape[-1]
     if n <= 1:
         return np.exp(x)
     stack = x.reshape(-1, n, n)
@@ -170,7 +175,10 @@ def propagator(a, b, dt):
     one exponential of [[A, B], [0, 0]] dt (Van Loan, "Computing integrals
     involving the matrix exponential", IEEE TAC 1978), which holds for any A,
     singular ones included. A 1-D array of durations gives both blocks
-    stacked, each bit for bit the scalar call's, as ``mat_exp`` does.
+    stacked, each bit for bit the scalar call's, as ``mat_exp`` does. So
+    does a stack of plants, A (k, n, n) and B (k, n, m) with one duration
+    each (each plant with its own c below): the blocks of each are those of
+    its own call.
 
     The exponential is taken of [[A, B / c], [0, 0]] dt, and its forced
     block times c. That matrix is the block's similarity transform by
@@ -182,19 +190,21 @@ def propagator(a, b, dt):
     e^{A dt} a relative error of 2.6e-13, and ``verify`` fails its 1e-8
     reconstruction check.
     """
-    a = _as_square(a)
+    a = _as_square(a, stacked=True)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if b.ndim != 2 or b.shape[0] != n:
+    n = a.shape[-1]
+    if b.ndim != a.ndim or b.shape[:-1] != a.shape[:-1]:
         raise DimensionError(f"inconsistent shapes: A {a.shape}, B {b.shape}")
-    norm_a = np.abs(a).sum(axis=0).max(initial=0.0)
-    norm_b = np.abs(b).sum(axis=0).max(initial=0.0)
-    c = 1.0
-    if norm_b > norm_a > 0.0:
-        c = np.ldexp(1.0, np.frexp(norm_b / norm_a)[1])
-    aug = np.zeros((n + b.shape[1], n + b.shape[1]))
-    aug[:n, :n] = a
-    np.divide(b, c, out=aug[:n, n:])
+    norm_a = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    norm_b = np.abs(b).sum(axis=-2).max(axis=-1, initial=0.0)
+    c = np.ones(norm_a.shape + (1, 1))
+    scale = (norm_b > norm_a) & (norm_a > 0.0)
+    if scale.any():
+        c[scale, 0, 0] = np.ldexp(1.0, np.frexp(norm_b[scale]
+                                                / norm_a[scale])[1])
+    aug = np.zeros(a.shape[:-2] + (n + b.shape[-1],) * 2)
+    aug[..., :n, :n] = a
+    np.divide(b, c, out=aug[..., :n, n:])
     e = mat_exp(aug, dt)
     return e[..., :n, :n].copy(), e[..., :n, n:] * c
 

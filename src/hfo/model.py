@@ -6,8 +6,9 @@ standing assumption. The hybrid state ``State`` lives in ``hybrid``, next to
 the arc that stores its columns, and is imported here.
 
 ``HybridFOModel`` has one flow map, ``flow_x``, and no grid method:
-``hybrid.simulate`` builds its sample-grid table (``hybrid._power_table``)
-and its closing steps from stacked ``linalg.propagator`` calls of its own.
+``hybrid.flows`` builds each run's sample-grid table and closing steps, from
+stacked ``linalg.propagator`` calls and one stacked power recurrence over
+the schedules of one or more runs.
 """
 
 from __future__ import annotations
@@ -285,10 +286,11 @@ class HybridFOModel:
     computed here once; ``hybrid.sample_bound``, the arc's ``spacing`` and
     its group-gap bound ``min_dwell`` (their minimum) read them.
 
-    The event interface (``contains``, ``which_case``, ``gradient_offset``,
-    ``g1``, ``g2``) takes and returns the timers and the arrays u, y_s, z
-    and the gradient offset, never a ``State``: the jump maps leave x alone,
-    so ``simulate``'s pass 1 carries these values.
+    The event interface (``contains``, ``which_case``, ``g1_timer``,
+    ``gradient_offset``, ``g1``, ``g2``) takes and returns the timers and
+    the arrays u, y_s, z and the gradient offset, never a ``State``: the
+    jump maps leave x alone. ``hybrid.schedule`` reads the timer methods
+    alone, and ``simulate``'s held recurrence the maps of u, y_s and z.
 
     A model is a plain value: it sets its attributes in ``__init__`` only and
     holds no cache, so ``flow_x`` computes its map on each call and a run
@@ -360,6 +362,12 @@ class HybridFOModel:
 
     # -- jumps --------------------------------------------------------------
 
+    def g1_timer(self) -> float:
+        """tau_g after a gradient jump, g1's timer half: its reset value.
+        A schedule carries no z, so it takes tau_g from here; ``g1``
+        returns the same value."""
+        return self.tau_g_reset
+
     def gradient_offset(self, y_s) -> np.ndarray:
         """H'Q_y(y_s - y_hat), the part of the gradient that y_s fixes: pass
         1 computes it once per input period, at the start and after each
@@ -378,7 +386,7 @@ class HybridFOModel:
         float arrays of its own earlier maps."""
         gamma, q_u, project = self._g1_operands
         step = z - gamma * (q_u @ z + offset)
-        return project(step), self.tau_g_reset
+        return project(step), self.g1_timer()
 
     def g2(self, z, tau_c_reset: float):
         """Input-application jump: u <- z, output resampled as H u + d with

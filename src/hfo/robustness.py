@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import EVENT_TOL, HybridArc, simulate
+from .hybrid import EVENT_TOL, HybridArc, flows, schedule, simulate
 from .model import HybridFOModel, JumpPolicy, ModelParams, Perturbation, State
 
 
@@ -61,33 +61,55 @@ def _block_matches(arc_a: HybridArc, arc_b: HybridArc, lo: int, hi: int,
     sample whose own t, x or timers are not finite does not walk: each of
     its gaps is inf or NaN, so its best stays inf whatever it meets.
     """
-    rows = np.arange(hi - lo)
-    j = np.searchsorted(arc_a.offsets, rows + lo, side="right") - 1
-    first, end = arc_b.offsets[j], arc_b.offsets[j + 1]
-    held = held_gaps[j]
+    size = hi - lo
     t_a, x_a = arc_a.times[lo:hi], arc_a.x[lo:hi]
     tau_c_a, tau_g_a = arc_a.tau_c[lo:hi], arc_a.tau_g[lo:hi]
-    after = np.clip(np.searchsorted(arc_b.times, t_a), first, end)
-    best = np.full(hi - lo, np.inf)
+    # one walk per sample and side, from ``at`` to before ``stop``: the
+    # first ``ups`` walks go up from the first b of the segment with
+    # t_b >= t_a, the rest down from the b before it
+    rows = np.arange(2 * size)
+    rows[size:] -= size
+    at, stop = np.empty(2 * size, np.intp), np.empty(2 * size, np.intp)
+    j = np.searchsorted(arc_a.offsets, rows[:size] + lo, side="right") - 1
+    held = held_gaps[j]
+    np.take(arc_b.offsets, j + 1, out=stop[:size])
+    np.take(arc_b.offsets, j, out=stop[size:])
+    del j
+    np.clip(np.searchsorted(arc_b.times, t_a), stop[size:], stop[:size],
+            out=at[:size])
+    np.subtract(at[:size], 1, out=at[size:])
+    stop[size:] -= 1
+    ups = size
+    keep = at != stop
     finite = np.isfinite(x_a).all(axis=1)
     for column in (t_a, tau_c_a, tau_g_a):
         finite &= np.isfinite(column)
-    # one walk per sample and side: from ``at`` by ``step`` to before ``stop``
-    rows = np.concatenate([rows, rows])
-    at = np.concatenate([after, after - 1])
-    step = np.repeat(np.array([1, -1]), hi - lo)
-    stop = np.concatenate([end, first - 1])
-    keep = (at != stop) & np.concatenate([finite, finite])
+    keep[:size] &= finite
+    keep[size:] &= finite
+    del finite
+    best = np.full(size, np.inf)
     while keep.any():
-        rows, at, step, stop = rows[keep], at[keep], step[keep], stop[keep]
-        time_gap = np.abs(arc_b.times[at] - t_a[rows])
-        gap = np.max(np.abs(arc_b.x[at] - x_a[rows]), axis=1)
+        # the walks keep their order; each old column dies before the next
+        ups = int(np.count_nonzero(keep[:ups]))
+        rows = rows[keep]
+        at = at[keep]
+        stop = stop[keep]
+        time_gap = arc_b.times[at]
+        np.subtract(time_gap, t_a[rows], out=time_gap)
+        np.abs(time_gap, out=time_gap)
+        gap = arc_b.x[at]
+        np.subtract(gap, x_a[rows], out=gap)
+        gap = np.abs(gap, out=gap).max(axis=1)
         np.maximum(gap, time_gap, out=gap)
-        np.maximum(gap, np.abs(arc_b.tau_c[at] - tau_c_a[rows]), out=gap)
-        np.maximum(gap, np.abs(arc_b.tau_g[at] - tau_g_a[rows]), out=gap)
+        for column_b, column_a in ((arc_b.tau_c, tau_c_a),
+                                   (arc_b.tau_g, tau_g_a)):
+            part = column_b[at]
+            np.subtract(part, column_a[rows], out=part)
+            np.maximum(gap, np.abs(part, out=part), out=gap)
         # a row can appear once per side; a NaN gap matches nothing
         np.fmin.at(best, rows, gap)
-        at += step
+        at[:ups] += 1
+        at[ups:] -= 1
         now = best[rows]
         keep = (time_gap < now) & (now > held[rows]) & (at != stop)
     return np.maximum(best, held, out=best)
@@ -243,18 +265,28 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     Every scale is checked before the first run; a bad one raises
     ScaleError naming it. Each perturbed run starts from ``_start(zeta0)``
     and resolves a fixed tau_c reset by ``_clipped``.
+
+    Every run is scheduled first (``hybrid.schedule``), so a run over the
+    sample budget raises before any arc is filled. ``hybrid.flows`` then
+    builds all the runs' flow maps together, and each arc is filled by its
+    own ``simulate`` call and checked in turn.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     deltas = list(deltas)
     models = [_scaled(params, pert, delta) for delta in deltas]
     horizon = (float(tau), math.floor(tau + EVENT_TOL) + 1)
-    arc_nom = simulate(HybridFOModel(params), zeta0, policy, horizon, sample_dt)
+    runs = [(HybridFOModel(params), zeta0, policy)] + [
+        (model, _start(model, zeta0), _clipped(model, policy))
+        for model in models]
+    planned = flows([(model, schedule(model, start, pol, horizon, sample_dt))
+                     for model, start, pol in runs])
+    arcs = (simulate(*run, horizon, sample_dt, flow=next(planned))
+            for run in runs)
+    arc_nom = next(arcs)
 
     rows = []
-    for delta, model in zip(deltas, models):
-        arc_pert = simulate(model, _start(model, zeta0), _clipped(model, policy),
-                            horizon, sample_dt)
+    for delta, arc_pert in zip(deltas, arcs):
         result = closeness(arc_nom, arc_pert, tau)
         side, t, j = result.witness
         rows.append(SweepRow(float(delta), result.epsilon, t, j, side,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from hfo.analysis import (
     estimate_M,
     fixed_point_z,
     rate_check,
+    reconstruct_blocks,
     reconstruct_x,
     solve_optimal,
 )
@@ -781,6 +783,30 @@ class TestReconstruction:
         arc, params = s1_arc()
         result = reconstruct_x(arc, params)
         assert result.max_deviation <= 1e-8
+
+    def test_nan_row_fails(self):
+        # a NaN deviation wins and holds, as a NaN gap does in check_bound,
+        # so the arc fails both checks (max() kept 0.0 against a NaN)
+        arc, params = s1_arc(horizon=(30.0, 1000))
+        arc.x[300] = np.nan
+        result = reconstruct_x(arc, params)
+        assert math.isnan(result.max_deviation)
+        assert not result.max_deviation <= analysis.RECONSTRUCTION_TOL
+        assert not check_bound(arc, constants(params), "thm2").passed
+
+    @pytest.mark.parametrize("make", [
+        lambda: s1_arc(horizon=(30.0, 1000)),
+        lambda: mimo_arc(horizon=(25.0, 1000)),
+        lambda: plant_arc(np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                          np.array([[1.0], [0.0]]), np.array([[0.2, 0.0]]),
+                          0.05)], ids=["s1", "mimo", "jordan"])
+    def test_finite_deviation_is_the_blockwise_max(self, make):
+        arc, params = make()
+        deviations = [float(np.max(np.abs(x_rows - arc.x[rows])))
+                      for rows, x_rows in reconstruct_blocks(arc, params)]
+        assert len(deviations) > 1
+        assert reconstruct_x(arc, params).max_deviation == functools.reduce(
+            max, deviations, 0.0)
 
     def test_random_scenarios(self):
         rng = np.random.default_rng(47)

@@ -1,0 +1,269 @@
+"""A run as schedule, flows and fill, and a sweep's runs stacked: every
+stacked exponential, table row and arc keeps the bits of the run alone."""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hfo import hybrid, linalg, robustness
+from hfo.config import parse_config
+from hfo.model import HybridFOModel, JumpPolicy, strict_initial_state, validate
+from conftest import random_hurwitz, s1_params
+from test_hybrid import assert_same_arc
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import scenarios  # noqa: E402
+
+
+def lone_plant_column(model, sched, u, x0):
+    """Oracle: a run's x as the run computes it alone, with no stacking:
+    the grid step's map from a ``linalg.propagator`` call of its own, the
+    power table by a 2-D recurrence, and each closing map from a call of
+    its own, with ``simulate``'s blocks and products."""
+    grids = sched.rows[:, 3].astype(int)
+    lengths = sched.rows[:, 4]
+    longest = max(int(grids.max()), 0)
+    running = np.concatenate([[0.0], np.cumsum(np.full(longest,
+                                                       sched.sample_dt))])
+    n = len(x0)
+    e, forced = linalg.propagator(model.a, model.b, sched.sample_dt)
+    block = max(1, min(hybrid.FLOW_BLOCK, longest))
+    table = [np.hstack([e, forced])]
+    for _ in range(1, block):
+        row = e @ table[-1]
+        row[:, n:] += forced
+        table.append(row)
+    table = np.array(table)
+    counts = np.where(grids < 0, 1, grids + 2)
+    x = np.empty((int(counts.sum()), n))
+    lo, current = 0, x0
+    for j, grid in enumerate(grids.tolist()):
+        x[lo] = current
+        if grid >= 0:
+            for k in range(0, grid, block):
+                size = min(block, grid - k)
+                x[lo + k + 1:lo + k + size + 1] = table[:size] @ np.concatenate(
+                    [x[lo + k], u[j]])
+            e_c, f_c = linalg.propagator(model.a, model.b,
+                                         lengths[j] - running[grid])
+            current = e_c @ x[lo + grid] + f_c @ u[j]
+            x[lo + grid + 1] = current
+        lo += counts[j]
+    return x
+
+
+def pool_run(workload, index, tmp_path):
+    """(config, checked start, extra CLI arguments) of a benchmark pool
+    entry."""
+    doc, extra = scenarios.WORKLOADS[workload].make(index, ROOT)
+    path = tmp_path / f"{workload}-{index}.json"
+    path.write_text(json.dumps(doc))
+    config = parse_config(str(path))
+    zeta0 = validate(config.params, config.zeta0, mode=config.init_mode).zeta0
+    return config, zeta0, extra
+
+
+def sweep_arguments(config, zeta0, extra):
+    """``robustness_sweep``'s arguments for an s1-sweep pool entry."""
+    deltas = [float(text) for text in extra[extra.index("--deltas") + 1]
+              .split(",")]
+    tau = float(extra[extra.index("--tau") + 1])
+    return (config.params, config.perturbation, deltas, tau, config.policy,
+            zeta0, config.sample_dt)
+
+
+def recorded_runs(monkeypatch):
+    """Each (args, kwargs, arc) of ``robustness``' simulate calls from now
+    on."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        arc = hybrid.simulate(*args, **kwargs)
+        runs.append((args, kwargs, arc))
+        return arc
+
+    monkeypatch.setattr(robustness, "simulate", recorded)
+    return runs
+
+
+def assert_is_lone_run(model, zeta0, policy, horizon, sample_dt, arc):
+    """``arc`` bit for bit as the run alone gives it, and its x as the
+    no-stacking oracle computes it."""
+    assert_same_arc(arc, hybrid.simulate(model, zeta0, policy, horizon,
+                                         sample_dt))
+    sched = hybrid.schedule(model, zeta0, policy, horizon, sample_dt)
+    want = lone_plant_column(model, sched, arc.u, zeta0.x)
+    assert want.tobytes() == arc.x.tobytes()
+
+
+class TestStackingKeepsBits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    def test_stacked_exponential(self, n):
+        # different plants' augmented matrices in one mat_exp, at lengths
+        # from the sample grid to ones that take squarings
+        rng = np.random.default_rng(n)
+        k, m = 9, 2
+        a = np.stack([random_hurwitz(rng, n) for _ in range(k)])
+        b = rng.standard_normal((k, n, m)) * np.logspace(-3, 6, k)[:, None,
+                                                                    None]
+        dt = np.geomspace(1e-4, 12.0, k)
+        e, forced = linalg.propagator(a, b, dt)
+        for i in range(k):
+            e_i, forced_i = linalg.propagator(a[i], b[i], dt[i])
+            assert e[i].tobytes() == e_i.tobytes()
+            assert forced[i].tobytes() == forced_i.tobytes()
+        stack = rng.standard_normal((k, n, n))
+        got = linalg.mat_exp(stack, dt)
+        for i in range(k):
+            assert got[i].tobytes() == linalg.mat_exp(stack[i],
+                                                      dt[i]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    def test_stacked_power_tables(self, n):
+        rng = np.random.default_rng(100 + n)
+        k, m, rows = 7, 3, 25
+        e = np.stack([linalg.mat_exp(random_hurwitz(rng, n), 0.01)
+                      for _ in range(k)])
+        forced = rng.standard_normal((k, n, m)) * 0.01
+        tables = hybrid._power_tables(e, forced, rows)
+        for i in range(k):
+            want = [np.hstack([e[i], forced[i]])]
+            for _ in range(1, rows):
+                row = e[i] @ want[-1]
+                row[:, n:] += forced[i]
+                want.append(row)
+            assert tables[i].tobytes() == np.array(want).tobytes()
+
+    def test_mismatched_stacks_refused(self):
+        a = np.stack([-np.eye(2)] * 3)
+        with pytest.raises(linalg.DimensionError):
+            linalg.mat_exp(a, np.ones(2))
+        with pytest.raises(linalg.DimensionError):
+            linalg.propagator(a, np.ones((2, 2, 1)), np.ones(3))
+
+
+class TestSweepRuns:
+    @pytest.mark.parametrize("index", range(10))
+    def test_sweep_arcs_are_lone_runs(self, monkeypatch, tmp_path, index):
+        # s1-sweep pool entries 0-9: each of the seven arcs comes from one
+        # simulate call, and is the lone run's arc to the last bit
+        config, zeta0, extra = pool_run("s1-sweep", index, tmp_path)
+        runs = recorded_runs(monkeypatch)
+        robustness.robustness_sweep(*sweep_arguments(config, zeta0, extra))
+        assert len(runs) == 7
+        for args, kwargs, arc in runs:
+            assert isinstance(kwargs["flow"], hybrid.Flow)
+            assert_is_lone_run(*args, arc)
+
+    @pytest.mark.parametrize("workload", ["s1-simulate", "mimo-verify"])
+    def test_single_runs_keep_their_bits(self, tmp_path, workload):
+        for index in range(10):
+            config, zeta0, _ = pool_run(workload, index, tmp_path)
+            model = HybridFOModel(config.params)
+            arc = hybrid.simulate(model, zeta0, config.policy, config.horizon,
+                                  config.sample_dt)
+            sched = hybrid.schedule(model, zeta0, config.policy,
+                                    config.horizon, config.sample_dt)
+            assert lone_plant_column(model, sched, arc.u,
+                                     zeta0.x).tobytes() == arc.x.tobytes()
+
+    def test_s1_long_run_keeps_its_bits(self):
+        params = s1_params()
+        model, zeta0 = HybridFOModel(params), strict_initial_state(params)
+        policy, horizon = JumpPolicy(seed=1), (1000.0, 10 ** 6)
+        arc = hybrid.simulate(model, zeta0, policy, horizon, 0.01)
+        assert len(arc.times) > 10 ** 5
+        sched = hybrid.schedule(model, zeta0, policy, horizon, 0.01)
+        assert lone_plant_column(model, sched, arc.u,
+                                 zeta0.x).tobytes() == arc.x.tobytes()
+
+    def test_one_exponential_and_one_recurrence_per_sweep(self, monkeypatch,
+                                                          tmp_path):
+        config, zeta0, extra = pool_run("s1-sweep", 0, tmp_path)
+        calls = []
+        for owner, name in ((linalg, "mat_exp"), (hybrid, "_power_tables")):
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        sweep = robustness.robustness_sweep(*sweep_arguments(config, zeta0,
+                                                             extra))
+        assert len(sweep.rows) == 6
+        assert sorted(calls) == ["_power_tables", "mat_exp"]
+
+    @pytest.mark.parametrize("workload", ["s1-simulate", "mimo-verify"])
+    def test_one_propagator_call_per_single_run(self, monkeypatch, tmp_path,
+                                                workload):
+        calls = []
+        original = linalg.propagator
+
+        def counted(a, b, dt):
+            calls.append(np.size(dt))
+            return original(a, b, dt)
+
+        monkeypatch.setattr(linalg, "propagator", counted)
+        for index in range(10):
+            config, zeta0, _ = pool_run(workload, index, tmp_path)
+            calls.clear()
+            hybrid.simulate(HybridFOModel(config.params), zeta0,
+                            config.policy, config.horizon, config.sample_dt)
+            assert len(calls) == 1
+
+
+class TestSplit:
+    def test_runs_batch_by_shape_and_table_size(self):
+        # one batch for the S1 sweep's seven runs; a run whose table alone
+        # passes FLOW_ELEMENTS (n = 20, 128 rows) stands alone, and so does
+        # a run of another plant shape
+        params = s1_params()
+        zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
+        model = HybridFOModel(params)
+        short = hybrid.schedule(model, zeta0, policy, (30.0, 31))
+        assert len(hybrid._batches([(model, short)] * 7)) == 1
+        wide = HybridFOModel(params)
+        wide.b = np.ones((1, 2))  # another plant shape
+        assert [len(b) for b in hybrid._batches(
+            [(model, short), (wide, short), (model, short)])] == [1, 1, 1]
+
+    def test_flow_for_another_run_refused(self):
+        params = s1_params()
+        zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
+        model = HybridFOModel(params)
+        sched = hybrid.schedule(model, zeta0, policy, (3.0, 100))
+        flow = next(hybrid.flows([(model, sched)]))
+        with pytest.raises(ValueError, match="another run"):
+            hybrid.simulate(HybridFOModel(params), zeta0, policy, (3.0, 100),
+                            flow=flow)
+        with pytest.raises(ValueError, match="another run"):
+            hybrid.simulate(model, zeta0, policy, (4.0, 100), flow=flow)
+
+    def test_unread_maps_are_skipped(self):
+        # a run that stops reading its closing maps leaves the next run's
+        # maps where they were
+        params = s1_params()
+        zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
+        models = [HybridFOModel(params), HybridFOModel(params)]
+        runs = [(m, hybrid.schedule(m, zeta0, policy, (3.0, 100)))
+                for m in models]
+        planned = hybrid.flows(runs)
+        next(next(planned).maps)
+        arc = hybrid.simulate(models[1], zeta0, policy, (3.0, 100),
+                              flow=next(planned))
+        assert_same_arc(arc, hybrid.simulate(models[1], zeta0, policy,
+                                             (3.0, 100)))
+
+    def test_schedule_is_compact(self):
+        # the S1 sweep's nominal run: 32 segments, 56 bytes of float64 each,
+        # one byte per jump; JumpRecords are built only when it is filled
+        params = s1_params()
+        sched = hybrid.schedule(HybridFOModel(params),
+                                strict_initial_state(params),
+                                JumpPolicy(seed=1), (30.0, 31))
+        assert sched.rows.shape == (32, 7) and sched.rows.dtype == float
+        assert sched.jumps.dtype == np.int8 and len(sched.jumps) == 31
+        assert not any(isinstance(value, list)
+                       for value in vars(sched).values())

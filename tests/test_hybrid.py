@@ -396,6 +396,20 @@ class TestTwoPasses:
         assert len(arc.segments) == 501
 
 
+ARC_COLUMNS = ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s", "z")
+
+
+def assert_same_arc(got, want):
+    """Every column of two arcs bit for bit, and the same jump log."""
+    for name in ARC_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert [dataclasses.astuple(r) for r in got.jumps] == [
+        dataclasses.astuple(r) for r in want.jumps]
+    assert (got.min_dwell, got.spacing) == (want.min_dwell, want.spacing)
+
+
 def propagator_calls(monkeypatch) -> list:
     """The durations of every ``linalg.propagator`` call from now on."""
     calls = []
@@ -460,24 +474,37 @@ class TestStatelessModel:
 
     def test_closing_maps_held_per_block(self, monkeypatch):
         # 493 flow segments over T = 100 s: the grid step and one closing
-        # map per segment, in one call per FLOW_BLOCK of them, none holding
-        # more than FLOW_BLOCK maps
+        # map per segment, from calls on distinct lengths of at most
+        # FLOW_ELEMENTS elements of 2 x 2 augmented matrices each, each call
+        # as long as that allows: one at the shipped cap, 14 at a cap of 16
+        # maps; the arc is the same whatever the cap
+        want = self.run_t100()
+        assert sum(len(seg.times) > 1 for seg in want.segments) == 493
+        for elements, calls_made in ((hybrid.FLOW_ELEMENTS, 1), (64, 14)):
+            monkeypatch.setattr(hybrid, "FLOW_ELEMENTS", elements)
+            calls = propagator_calls(monkeypatch)
+            assert_same_arc(self.run_t100(), want)
+            cap = elements // 4
+            assert all(np.ndim(dt) == 1 and len(np.unique(dt)) == len(dt)
+                       <= cap for dt in calls)
+            assert len(calls) == -(-sum(len(dt) for dt in calls) // cap) \
+                == calls_made
+
+    @staticmethod
+    def run_t100():
         model = s1_perturbed_model()
-        calls = propagator_calls(monkeypatch)
-        arc = hybrid.simulate(model, strict_initial_state(model.params),
-                              JumpPolicy(seed=1), (100.0, 10 ** 6))
-        flows = sum(len(seg.times) > 1 for seg in arc.segments)
-        assert all(np.ndim(dt) == 1 for dt in calls)
-        assert len(calls) == -(-(flows + 1) // hybrid.FLOW_BLOCK) > 1
-        assert max(len(dt) for dt in calls) <= hybrid.FLOW_BLOCK
+        return hybrid.simulate(model, strict_initial_state(model.params),
+                               JumpPolicy(seed=1), (100.0, 10 ** 6))
 
     def test_closing_step_is_flow_x_bit_for_bit(self):
         model = s1_perturbed_model()
         zeta0, policy = strict_initial_state(model.params), JumpPolicy(seed=1)
         arc = hybrid.simulate(model, zeta0, policy, (30.0, 31))
-        rows, _ = hybrid._skeleton(model, zeta0, policy, (30.0, 31), 0.01)
-        for seg, row in zip(arc.segments, rows):
-            _, _, _, grid, length, _, _, u, _, _ = row
+        rows = hybrid.schedule(model, zeta0, policy, (30.0, 31), 0.01).rows
+        assert len(rows) == len(arc.segments)
+        for seg, row, u in zip(arc.segments, rows.tolist(), arc.u):
+            _, _, _, grid, length, _, _ = row
+            grid = int(grid)
             if grid < 0:
                 continue
             running = np.concatenate([[0.0], np.cumsum(np.full(grid, 0.01))])
@@ -827,9 +854,9 @@ def loop_non_zeno(arc):
 
 
 class BrokenModel(HybridFOModel):
-    def g1(self, z, offset):
-        # leaves the gradient timer expired: immediate re-jump
-        return super().g1(z, offset)[0], 0.0
+    def g1_timer(self):
+        # g1 leaves the gradient timer expired: immediate re-jump
+        return 0.0
 
 
 def non_zeno_arc(case):

@@ -93,6 +93,27 @@ def scaled_fields(params, pert, delta):
             "reset_hi": tm.tau_c_max + delta * pert.theta_c_max}
 
 
+def sweep_by_runs(params, pert, deltas, tau, policy, zeta0, sample_dt=0.01):
+    """Oracle: ``robustness_sweep`` from one lone ``hybrid.simulate`` call
+    per run, each building its own flow maps, and ``closeness``."""
+    horizon = (float(tau), math.floor(tau + hybrid.EVENT_TOL) + 1)
+    nominal = hybrid.simulate(HybridFOModel(params), zeta0, policy, horizon,
+                              sample_dt)
+    rows = []
+    for delta in deltas:
+        model = HybridFOModel(params, pert, delta)
+        arc = hybrid.simulate(model, robustness._start(model, zeta0),
+                              robustness._clipped(model, policy), horizon,
+                              sample_dt)
+        result = closeness(nominal, arc, tau)
+        side, t, j = result.witness
+        rows.append(robustness.SweepRow(float(delta), result.epsilon, t, j,
+                                        side, result.truncated))
+    ordered = sorted(rows, key=lambda row: row.delta, reverse=True)
+    return robustness.SweepResult(rows, float(tau), all(
+        a.epsilon >= b.epsilon - 1e-12 for a, b in zip(ordered, ordered[1:])))
+
+
 def run_s1(model, horizon=(5.0, 200), sample_dt=0.01, seed=1):
     params = s1_params()
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=seed)
@@ -477,7 +498,59 @@ class TestClosenessMatchesPerSampleScan:
                 *pair, 4.0)
 
 
+class TestClosenessMemory:
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
+    def test_one_s1_call_at_tau_30(self, delta):
+        # the sweep's arcs (685 read samples each, one block): the walk
+        # columns live in preallocated arrays, the gaps are taken in place,
+        # and the walks need no step column, so one call peaks near 80 KiB
+        # (it was 102 to 106 KiB)
+        params, policy = s1_params(), JumpPolicy(seed=1)
+        zeta0, horizon = strict_initial_state(params), (30.0, 31)
+        nominal = hybrid.simulate(HybridFOModel(params), zeta0, policy,
+                                  horizon)
+        model = HybridFOModel(params, s1_perturbation(), delta)
+        arc = hybrid.simulate(model, robustness._start(model, zeta0),
+                              robustness._clipped(model, policy), horizon)
+        want = closeness(nominal, arc, 30.0)  # warms every code path
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = closeness(nominal, arc, 30.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == repr(want)
+        assert peak <= 85 * 1024
+
+
 class TestRobustnessSweep:
+    @pytest.mark.parametrize("case", ["uniform-random", "fixed", "n3-plant"])
+    def test_equals_its_runs(self, case):
+        # the sweep schedules every run, builds their flows together and
+        # fills each arc by its own simulate call: the result is that of
+        # lone runs, to the last bit of its repr
+        deltas = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001]
+        params, pert = s1_params(), s1_perturbation()
+        if case == "uniform-random":
+            params = dataclasses.replace(params, timers=dataclasses.replace(
+                params.timers, tau_c_max=1.2))
+            policy = JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                                seed=5)
+        elif case == "fixed":
+            policy = JumpPolicy(tau_c_reset="fixed", tau_c_value=1.0, seed=1)
+        else:
+            rng = np.random.default_rng(41)
+            params = random_params(rng, n=3)
+            plant = params.plant
+            pert = random_perturbation(rng, plant.n, plant.m, plant.p)
+            policy = JumpPolicy(seed=2)
+        zeta0 = strict_initial_state(params)
+        got = robustness_sweep(params, pert, deltas, 30.0, policy, zeta0)
+        want = sweep_by_runs(params, pert, deltas, 30.0, policy, zeta0)
+        assert repr(got) == repr(want)
+        assert any(row.epsilon > 0.0 for row in got.rows)
+
     def test_s1_trend(self):
         params = s1_params()
         sweep = robustness_sweep(
