@@ -379,24 +379,25 @@ def _held(model, zeta0, sched: Schedule):
     and after each g2, and g2 with the reset the schedule drew. Returns the
     columns u, y_s, z, one row per segment, and the jump log. Each map is
     called once per jump that applies it, and no ``State`` is built."""
+    g1, g2, gradient_offset = model.g1, model.g2, model.gradient_offset
     u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
-    offset = model.gradient_offset(y_s)
-    us, ys, zs = [u], [y_s], [z]
+    offset = gradient_offset(y_s)
+    us, ys, zs, jumps = [u], [y_s], [z], []
     # each jump's time and tau_c reset: the start of the segment it starts
     # (lists of floats, which the garbage collector does not track)
     times, resets = sched.rows[1:, 0].tolist(), sched.rows[1:, 1].tolist()
-    codes = sched.jumps.tolist()
-    for code, reset in zip(codes, resets):
-        if _JUMPS[code][1] == "g1":
-            z = model.g1(z, offset)[0]
+    for j, (code, t, reset) in enumerate(zip(sched.jumps.tolist(), times,
+                                             resets)):
+        case, name = _JUMPS[code]
+        if name == "g1":
+            z = g1(z, offset)[0]
         else:
-            u, y_s, _ = model.g2(z, reset)
-            offset = model.gradient_offset(y_s)
+            u, y_s, _ = g2(z, reset)
+            offset = gradient_offset(y_s)
         us.append(u)
         ys.append(y_s)
         zs.append(z)
-    jumps = [JumpRecord(t, j, *_JUMPS[code])
-             for j, (t, code) in enumerate(zip(times, codes))]
+        jumps.append(JumpRecord(t, j, case, name))
     return np.array(us), np.array(ys), np.array(zs), jumps
 
 
