@@ -302,6 +302,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
+    which_case, contains = model.which_case, model.contains
     interval = (model.reset_lo, model.reset_hi)
     draws = policy.tau_c_reset == "uniform" or policy.case3_order == "random"
     rng = np.random.default_rng(policy.seed) if draws else None
@@ -316,7 +317,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
         if j >= j_max or remaining <= EVENT_TOL:
             rows.append(point())
             break
-        case = model.which_case(tau_c, tau_g)
+        case = which_case(tau_c, tau_g)
         if case is not None:
             rows.append(point())
         else:
@@ -329,13 +330,13 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             end_g = _timer_end(tau_g, rate_g, dt, expired in ("g", "both"))
             rows.append((t, tau_c, tau_g, grid, dt, end_c, end_g))
             t, tau_c, tau_g = t + dt, end_c, end_g
-            if not model.contains(tau_c, tau_g):
+            if not contains(tau_c, tau_g):
                 raise RuntimeError(
                     f"state left the flow/jump domain at t={t} (model bug): "
                     f"tau_c={tau_c}, tau_g={tau_g}")
             if horizon_hit:
                 break
-            case = model.which_case(tau_c, tau_g)
+            case = which_case(tau_c, tau_g)
         for i, (name, label) in enumerate(zip(jump_order(case, policy, rng),
                                               _LABELS[case])):
             if i:
@@ -368,7 +369,8 @@ def schedule(model, zeta0: State, policy, horizon,
             f"{payload / 2 ** 30:.3g} GiB of float64, over the "
             f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
-    rows = np.array(rows, dtype=float)
+    rows = np.fromiter(itertools.chain.from_iterable(rows), float,
+                       7 * len(rows)).reshape(-1, 7)
     return Schedule(rows, np.array(jumps, dtype=np.int8), tuple(horizon),
                     sample_dt)
 
