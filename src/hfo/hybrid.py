@@ -386,7 +386,6 @@ def _held(model, zeta0, sched: Schedule):
     offset = gradient_offset(y_s)
     us, ys, zs, jumps = [u], [y_s], [z], []
     # each jump's time and tau_c reset: the start of the segment it starts
-    # (lists of floats, which the garbage collector does not track)
     times, resets = sched.rows[1:, 0].tolist(), sched.rows[1:, 1].tolist()
     for j, (code, t, reset) in enumerate(zip(sched.jumps.tolist(), times,
                                              resets)):
