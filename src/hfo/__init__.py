@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .hybrid import (
     HybridArc,
-    JumpRecord,
     JumpStats,
     State,
     check_non_zeno,

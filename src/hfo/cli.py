@@ -140,7 +140,7 @@ def _block_text(arc, consts, lo: int, hi: int, memo: dict) -> str:
                 _memo_reprs(analysis.dist_to_A(x, consts), memo))]
     lines = rows.copy()
     for j in range(max(first - 1, 0), min(last + 1, len(arc.jumps))):
-        case = arc.jumps[j].case
+        case = hybrid.JUMPS[arc.jumps[j]][0]
         k = int(arc.offsets[j + 1]) - lo  # segment j + 1's first sample
         if 0 < k <= len(rows):
             lines[k - 1] += _labelled(rows[k - 1], f"{case}:pre")

@@ -5,9 +5,9 @@ A model object supplies the flow and jump behavior (see
 time bookkeeping, exact event scheduling for affinely decreasing timers,
 jump-priority semantics, and the resulting solution arcs.
 
-A run takes three steps. Only the plant state x flows, and linearly; the
-jump maps act on the timers, u, y_s and z alone, and no timer reset reads
-u, y_s or z.
+A run takes three steps. Only the plant state x flows, and linearly. A
+jump resets a timer, which ``schedule`` alone owns, and ``g1`` or ``g2``
+acts on u, y_s and z, which no timer reset reads.
 - ``schedule`` (pass 1) carries the two timers as floats, through the
   model's timer interface (``contains``, ``which_case``, ``g1_timer``) and
   the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
@@ -19,9 +19,9 @@ u, y_s or z.
   one stacked recurrence. ``robustness_sweep`` schedules all its runs
   before it builds their flows in one go.
 - ``simulate`` fills the arc. The held recurrence applies ``g1`` and
-  ``g2`` (with ``gradient_offset``) over the schedule's jumps, for u, y_s,
-  z and the jump log. Pass 2 fills in the samples: times and timers in one
-  vectorized expression each, x from the table and the closing maps.
+  ``g2`` (with ``gradient_offset``) over the jump codes, the arc's jump
+  log, for u, y_s and z. Pass 2 fills in the samples: times and timers in
+  one vectorized expression each, x from the table and the closing maps.
 
 ``State`` appears only at the API edge: the initial state ``simulate``
 takes and ``Segment.state(k)`` / ``start`` (and the config,
@@ -74,17 +74,6 @@ class State:
     z: np.ndarray
     tau_c: float
     tau_g: float
-
-
-@dataclass(slots=True)
-class JumpRecord:
-    """One jump of an arc, with no states: the states on both sides of jump
-    j are ``segments[j].state(-1)`` and ``segments[j + 1].start``."""
-
-    t: float  # jump j ends segments[j] and starts segments[j + 1]
-    j: int
-    case: str  # "G1", "G2", "G3-first-half", "G3-second-half"
-    applied: str  # which map fired: "g1" or "g2"
 
 
 @dataclass
@@ -144,11 +133,13 @@ class HybridArc:
     plant state ``x[i]`` and timers ``tau_c[i]``, ``tau_g[i]``. Segment j,
     the flow at jump index j, holds rows ``offsets[j]:offsets[j + 1]`` and
     the input ``u[j]``, sampled output ``y_s[j]`` and iterate ``z[j]``; it
-    ends at ``jumps[j]``, whose result starts segment j + 1, so there is one
-    segment more than there are jumps. ``offsets`` is the arc's only segment
-    index: sample i lies in segment ``searchsorted(offsets, i, "right") - 1``,
-    and no per-sample copy of it is kept. ``segments[j]`` is a view of
-    segment j."""
+    ends at jump j, whose result starts segment j + 1, so there is one
+    segment more than there are jumps. Jump j happens at
+    ``times[offsets[j + 1]]``, and ``jumps[j]``, the schedule's code for it,
+    indexes its (case label, applied map) in ``JUMPS``. ``offsets`` is the
+    arc's only segment index: sample i lies in segment
+    ``searchsorted(offsets, i, "right") - 1``, and no per-sample copy of it
+    is kept. ``segments[j]`` is a view of segment j."""
 
     times: np.ndarray  # (N,)
     x: np.ndarray  # (N, n)
@@ -158,7 +149,7 @@ class HybridArc:
     u: np.ndarray  # (S, m)
     y_s: np.ndarray  # (S, p)
     z: np.ndarray  # (S, m)
-    jumps: list
+    jumps: np.ndarray  # (S - 1,) int8, codes into JUMPS
     min_dwell: float | None = None  # least gap between jump groups, if known
     spacing: tuple | None = None  # least time between g1 jumps, between g2 jumps
 
@@ -179,18 +170,13 @@ class HybridArc:
 
         A g2 jump closes a period, so every jump inside one applied g1 and
         its optimizer iterates are ``z[first:end]``. The last period, which
-        runs to the arc's end, is the one no g2 closes. A jump that applied
-        neither map raises ValueError. ``jump_stats``,
+        runs to the arc's end, is the one no g2 closes. ``jump_stats``,
         ``analysis.rate_check`` and ``analysis.reconstruct_x`` read this
         split and walk no jump log of their own.
         """
-        starts = [0]
-        for rec in self.jumps:
-            if rec.applied == "g2":
-                starts.append(rec.j + 1)
-            elif rec.applied != "g1":
-                raise ValueError(f"malformed jump log: unknown map {rec.applied!r}")
-        return list(zip(starts, starts[1:] + [len(self.offsets) - 1]))
+        bounds = [0, *(np.flatnonzero(_applied(self.jumps, "g2")) + 1).tolist(),
+                  len(self.offsets) - 1]
+        return list(zip(bounds, bounds[1:]))
 
 
 def next_event(tau_c: float, tau_g: float, rate_c: float = -1.0, rate_g: float = -1.0):
@@ -241,14 +227,19 @@ def _timer_end(tau0: float, rate: float, elapsed: float, expires: bool) -> float
     return max(tau, 0.0)
 
 
-# Jump record labels: the map of a single expiry, or the composite jump's
-# halves in order. Shared literals, so a record holds no string of its own.
+# Jump case labels: the map of a single expiry, or the composite jump's
+# halves in order.
 _LABELS = {"g1": ("G1",), "g2": ("G2",),
            "both": ("G3-first-half", "G3-second-half")}
-# The (case, applied map) of each jump code a schedule stores.
-_JUMPS = tuple((label, name) for labels in _LABELS.values()
-               for label in labels for name in ("g1", "g2"))
-_CODES = {jump: code for code, jump in enumerate(_JUMPS)}
+# The (case label, applied map) of each jump code a schedule and an arc store.
+JUMPS = tuple((label, name) for labels in _LABELS.values()
+              for label in labels for name in ("g1", "g2"))
+_CODES = {jump: code for code, jump in enumerate(JUMPS)}
+
+
+def _applied(jumps: np.ndarray, name: str) -> np.ndarray:
+    """Which of the jump codes ``jumps`` applied map ``name``."""
+    return np.array([applied == name for _, applied in JUMPS])[jumps]
 
 
 def jump_order(case, policy, rng) -> tuple:
@@ -276,7 +267,7 @@ class Schedule:
     dt stores samples at grid steps 0..g of ``sample_dt`` and at its end; a
     point segment has g = -1, length 0 and end timers equal to its start
     timers, and stores one sample. Jump j ends segment j, and ``jumps[j]``
-    indexes its (case, applied map) in ``_JUMPS``. Segment j + 1 starts at
+    indexes its (case, applied map) in ``JUMPS``. Segment j + 1 starts at
     the jump's time with the timers the jump left, so a g2's tau_c reset is
     row j + 1's start tau_c, and no other copy of it is kept.
     """
@@ -295,7 +286,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     """Pass 1's loop: the run's events, from the timers alone.
 
     Returns (rows, jumps): one tuple per segment, as ``Schedule.rows`` holds
-    it, and one ``_JUMPS`` code per jump. Each g2 draws its tau_c reset by
+    it, and one ``JUMPS`` code per jump. Each g2 draws its tau_c reset by
     ``draw_tau_c_reset`` as it applies, and each g1 resets tau_g to
     ``model.g1_timer()``; the seeded generator is built only for a policy
     that can draw (a ``uniform`` reset or a ``random`` order).
@@ -375,31 +366,25 @@ def schedule(model, zeta0: State, policy, horizon,
                     sample_dt)
 
 
-def _held(model, zeta0, sched: Schedule):
-    """The held recurrence: ``g1`` and ``g2`` over the schedule's jumps, g1
-    with the input period's ``model.gradient_offset``, taken at the start
-    and after each g2, and g2 with the reset the schedule drew. Returns the
-    columns u, y_s, z, one row per segment, and the jump log. Each map is
-    called once per jump that applies it, and no ``State`` is built."""
+def _held(model, zeta0, jumps):
+    """The held recurrence: ``g1`` and ``g2`` over the jump codes, g1 with
+    the input period's ``model.gradient_offset``, taken at the start and
+    after each g2. Returns the columns u, y_s, z, one row per segment. Each
+    map is called once per jump that applies it; no ``State`` is built."""
     g1, g2, gradient_offset = model.g1, model.g2, model.gradient_offset
     u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
     offset = gradient_offset(y_s)
-    us, ys, zs, jumps = [u], [y_s], [z], []
-    # each jump's time and tau_c reset: the start of the segment it starts
-    times, resets = sched.rows[1:, 0].tolist(), sched.rows[1:, 1].tolist()
-    for j, (code, t, reset) in enumerate(zip(sched.jumps.tolist(), times,
-                                             resets)):
-        case, name = _JUMPS[code]
-        if name == "g1":
-            z = g1(z, offset)[0]
+    us, ys, zs = [u], [y_s], [z]
+    for code in jumps.tolist():
+        if JUMPS[code][1] == "g1":
+            z = g1(z, offset)
         else:
-            u, y_s, _ = g2(z, reset)
+            u, y_s = g2(z)
             offset = gradient_offset(y_s)
         us.append(u)
         ys.append(y_s)
         zs.append(z)
-        jumps.append(JumpRecord(t, j, case, name))
-    return np.array(us), np.array(ys), np.array(zs), jumps
+    return np.array(us), np.array(ys), np.array(zs)
 
 
 def _sample_columns(starts, grids, lengths, running, timers):
@@ -680,7 +665,7 @@ def simulate(model, zeta0: State, policy, horizon,
           or flow.schedule.horizon != tuple(horizon)):
         raise ValueError("the flow was built for another run")
     sched = flow.schedule
-    u, y_s, z, jumps = _held(model, zeta0, sched)
+    u, y_s, z = _held(model, zeta0, sched.jumps)
     starts, tau_c0, tau_g0, _, lengths, tau_c1, tau_g1 = sched.rows.T
     grids = sched.grids
     offsets, times, (tau_c, tau_g) = _sample_columns(
@@ -690,7 +675,7 @@ def simulate(model, zeta0: State, policy, horizon,
 
     spacing = (model.period_g, model.period_c)
     min_dwell = min(spacing) if _aligned(model, zeta0, policy) else None
-    return HybridArc(times, x, tau_c, tau_g, offsets, u, y_s, z, jumps,
+    return HybridArc(times, x, tau_c, tau_g, offsets, u, y_s, z, sched.jumps,
                      min_dwell, spacing)
 
 
@@ -741,20 +726,21 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
     ``arc.spacing`` apart. Violations are reported, not raised. To check
     another group-gap bound, pass ``dataclasses.replace(arc, min_dwell=...)``.
     """
-    jumps, min_dwell = arc.jumps, arc.min_dwell
-    t = np.array([rec.t for rec in jumps], dtype=float)
+    min_dwell = arc.min_dwell
+    # jump j's time: the first sample of segment j + 1, which it starts
+    t = arc.times[arc.offsets[1:-1]]
     # a group starts where a jump lies over EVENT_TOL after the one before
     first = np.flatnonzero(np.concatenate(
         [[len(t) > 0], ~(np.abs(np.diff(t)) <= EVENT_TOL)]))
     sizes = np.diff(np.append(first, len(t)))
     max_per_instant = int(sizes.max(initial=0))
     # the timers where each group's last jump starts its segment
-    rows = arc.offsets[[jumps[i - 1].j + 1 for i in (first + sizes).tolist()]]
+    rows = arc.offsets[first + sizes]
     tau_c, tau_g = arc.tau_c[rows], arc.tau_g[rows]
 
     violations = []
     for k in np.flatnonzero((sizes > 2) | (tau_c <= 0.0) | (tau_g <= 0.0)):
-        at = jumps[first[k]].t
+        at = float(t[first[k]])
         if sizes[k] > 2:
             violations.append(f"{sizes[k]} jumps at t={at}")
         if tau_c[k] <= 0.0 or tau_g[k] <= 0.0:
@@ -766,20 +752,19 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
     min_gap, witness = None, (None, None)
     if len(gaps):
         k = int(np.argmin(gaps))
-        after = jumps[first[k + 1]]
-        min_gap, witness = float(gaps[k]), (after.t, after.j)
+        after = int(first[k + 1])
+        min_gap, witness = float(gaps[k]), (float(t[after]), after)
     if min_dwell is not None:
         for k in np.flatnonzero(gaps < min_dwell - EVENT_TOL):
             violations.append(
                 f"flow gap {float(gaps[k])} after jump sequence at "
-                f"t={jumps[first[k]].t} shorter than {min_dwell}"
+                f"t={float(t[first[k]])} shorter than {min_dwell}"
             )
     elif arc.spacing is not None:
-        applied = np.array([rec.applied for rec in jumps], dtype=str)
         for name, least in zip(("g1", "g2"), arc.spacing):
-            which = np.flatnonzero(applied == name)
-            for k in np.flatnonzero(np.diff(t[which]) < least - EVENT_TOL):
-                t0, t1 = jumps[which[k]].t, jumps[which[k + 1]].t
+            times = t[_applied(arc.jumps, name)]
+            for k in np.flatnonzero(np.diff(times) < least - EVENT_TOL):
+                t0, t1 = float(times[k]), float(times[k + 1])
                 violations.append(f"{name} jumps at t={t0} and t={t1} "
                                   f"closer than {least}")
     return NonZenoReport(not violations, violations, max_per_instant, min_gap,

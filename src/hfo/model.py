@@ -364,8 +364,8 @@ class HybridFOModel:
 
     def g1_timer(self) -> float:
         """tau_g after a gradient jump, g1's timer half: its reset value.
-        A schedule carries no z, so it takes tau_g from here; ``g1``
-        returns the same value."""
+        ``hybrid.schedule`` owns the timers and takes tau_g from here; the
+        tau_c reset after g2 is the policy's draw (``draw_tau_c_reset``)."""
         return self.tau_g_reset
 
     def gradient_offset(self, y_s) -> np.ndarray:
@@ -376,8 +376,8 @@ class HybridFOModel:
         return h_t @ (q_y @ (y_s - y_hat))
 
     def g1(self, z, offset):
-        """Gradient-descent jump: one projected step on z, tau_g reset.
-        Returns (z, tau_g).
+        """Gradient-descent jump: one projected step on z. Returns z; the
+        tau_g reset is ``g1_timer()``.
 
         With ``offset = gradient_offset(y_s)`` the step is ``z - gamma *
         grad_u_phi(z, y_s, objective, h)``, evaluated as the same expression
@@ -386,13 +386,12 @@ class HybridFOModel:
         float arrays of its own earlier maps."""
         gamma, q_u, project = self._g1_operands
         step = z - gamma * (q_u @ z + offset)
-        return project(step), self.g1_timer()
+        return project(step)
 
-    def g2(self, z, tau_c_reset: float):
+    def g2(self, z):
         """Input-application jump: u <- z, output resampled as H u + d with
-        the new input, tau_c reset. Returns (u, y_s, tau_c)."""
-        return (z.copy(), self.h @ z + self.params.plant.d,
-                float(tau_c_reset))
+        the new input. Returns (u, y_s); tau_c takes the policy's draw."""
+        return z.copy(), self.h @ z + self.params.plant.d
 
 
 # -- validation -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hfo.hybrid import JUMPS
 from hfo.model import (
     Ball,
     Box,
@@ -22,6 +23,15 @@ def s1_params() -> ModelParams:
         Timers(1.0, 1.0, 0.25, 4),
         Box([-1.0], [1.0]),
     )
+
+
+def jump_log(arc) -> list:
+    """The arc's jump log as (t, j, case, applied) tuples: each code mapped
+    through ``hybrid.JUMPS``, and jump j's time read at the first sample of
+    segment j + 1, the segment it starts."""
+    times = arc.times[arc.offsets[1:-1]].tolist()
+    return [(t, j, *JUMPS[code])
+            for j, (t, code) in enumerate(zip(times, arc.jumps.tolist()))]
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from hfo.model import (
 from hfo.robustness import Perturbation, robustness_sweep
 from conftest import (
     central_difference_gradient,
+    jump_log,
     random_params,
     random_spd,
     rk4_lti,
@@ -250,10 +251,11 @@ def test_08_non_zeno_structure_and_s1_schedule():
         assert zeno.max_jumps_per_instant <= 2
 
     arc, _ = _s1_arc(horizon=(1.5, 10_000), sample_dt=0.01)
-    times = [j.t for j in arc.jumps[:5]]
+    log = jump_log(arc)
+    times = [t for t, _, _, _ in log[:5]]
     np.testing.assert_allclose(times, [0.25, 0.5, 0.75, 1.0, 1.0], atol=1e-12)
-    assert [j.case for j in arc.jumps[3:5]] == ["G3-first-half",
-                                               "G3-second-half"]
+    assert [case for _, _, case, _ in log[3:5]] == ["G3-first-half",
+                                                   "G3-second-half"]
     assert hybrid.jump_stats(arc).alpha[0] == 4
     report(8, "30 aligned + 10 misaligned arcs non-Zeno (<= 2 jumps/instant, "
               "dwell respected on the aligned subclass); S1 schedule "

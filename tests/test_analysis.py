@@ -34,7 +34,7 @@ from hfo.model import (
     make_state,
     strict_initial_state,
 )
-from conftest import random_params, s1_params
+from conftest import jump_log, random_params, s1_params
 
 
 def s1_arc(horizon=(6.0, 1000), sample_dt=0.01):
@@ -122,13 +122,13 @@ def per_sample_reconstruction(arc, params):
         e = scipy.linalg.expm(a * (t - anchor_t))
         return e @ anchor_x + np.linalg.solve(a, (e - eye) @ (b @ u_p))
 
-    recon = []
+    recon, log = [], jump_log(arc)
     for seg in arc.segments:
         recon.extend(at(t) for t in seg.times)
-        if seg.j < len(arc.jumps) and arc.jumps[seg.j].applied == "g2":
-            rec = arc.jumps[seg.j]
-            anchor_x, anchor_t = at(rec.t), rec.t
-            u_p = arc.segments[rec.j + 1].start.u.copy()
+        if seg.j < len(log) and log[seg.j][3] == "g2":
+            t, j, _, _ = log[seg.j]
+            anchor_x, anchor_t = at(t), t
+            u_p = arc.segments[j + 1].start.u.copy()
     return np.vstack(recon)
 
 

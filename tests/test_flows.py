@@ -214,6 +214,40 @@ class TestSweepRuns:
             assert len(calls) == 1
 
 
+def assert_jumps_are_the_schedule(model, zeta0, policy, horizon, sample_dt,
+                                  arc):
+    """The arc's jump log is the schedule's codes, and jump j's time,
+    ``times[offsets[j + 1]]``, is the schedule's row j + 1 start time, bit
+    for bit."""
+    sched = hybrid.schedule(model, zeta0, policy, horizon, sample_dt)
+    assert arc.jumps.dtype == sched.jumps.dtype == np.int8
+    assert np.array_equal(arc.jumps, sched.jumps)
+    times = arc.times[arc.offsets[1:-1]]
+    assert times.tobytes() == sched.rows[1:, 0].tobytes()
+
+
+class TestJumpLog:
+    @pytest.mark.parametrize("index", range(10))
+    def test_sweep_jump_times_are_schedule_rows(self, monkeypatch, tmp_path,
+                                                index):
+        config, zeta0, extra = pool_run("s1-sweep", index, tmp_path)
+        runs = recorded_runs(monkeypatch)
+        robustness.robustness_sweep(*sweep_arguments(config, zeta0, extra))
+        assert len(runs) == 7
+        for args, _, arc in runs:
+            assert len(arc.jumps) > 0
+            assert_jumps_are_the_schedule(*args, arc)
+
+    def test_s1_long_run_jump_times_are_schedule_rows(self):
+        params = s1_params()
+        model, zeta0 = HybridFOModel(params), strict_initial_state(params)
+        arc = hybrid.simulate(model, zeta0, JumpPolicy(seed=1),
+                              (1000.0, 10 ** 6), 0.01)
+        assert len(arc.jumps) == 5000
+        assert_jumps_are_the_schedule(model, zeta0, JumpPolicy(seed=1),
+                                      (1000.0, 10 ** 6), 0.01, arc)
+
+
 class TestSplit:
     def test_runs_batch_by_shape_and_table_size(self):
         # one batch for the S1 sweep's seven runs; a run whose table alone
@@ -258,7 +292,7 @@ class TestSplit:
 
     def test_schedule_is_compact(self):
         # the S1 sweep's nominal run: 32 segments, 56 bytes of float64 each,
-        # one byte per jump; JumpRecords are built only when it is filled
+        # one byte per jump, the codes the filled arc keeps as its jump log
         params = s1_params()
         sched = hybrid.schedule(HybridFOModel(params),
                                 strict_initial_state(params),

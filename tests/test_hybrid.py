@@ -9,7 +9,7 @@ from hfo import hybrid, linalg
 from hfo.hybrid import State
 from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, Timers,
                        strict_initial_state)
-from conftest import random_params, s1_params
+from conftest import jump_log, random_params, s1_params
 
 
 class TestNextEvent:
@@ -54,22 +54,22 @@ def simulate_s1(horizon=(3.0, 1000), sample_dt=0.01, **overrides):
 class TestSimulate:
     def test_s1_jump_schedule(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        first_period = [j for j in arc.jumps if j.t <= 1.0]
-        times = [j.t for j in first_period]
+        first_period = [rec for rec in jump_log(arc) if rec[0] <= 1.0]
+        times = [t for t, _, _, _ in first_period]
         np.testing.assert_allclose(times, [0.25, 0.5, 0.75, 1.0, 1.0],
                                    atol=1e-12)
-        assert [j.case for j in first_period] == [
+        assert [case for _, _, case, _ in first_period] == [
             "G1", "G1", "G1", "G3-first-half", "G3-second-half"]
-        assert [j.applied for j in first_period] == ["g1"] * 4 + ["g2"]
+        assert [applied for _, _, _, applied in first_period] == (
+            ["g1"] * 4 + ["g2"])
 
     def test_s1_optimizer_iterates(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        z_after = [float(arc.segments[j.j + 1].start.z[0])
-                   for j in arc.jumps[:5]]
+        z_after = [float(arc.segments[j + 1].start.z[0]) for j in range(5)]
         np.testing.assert_allclose(z_after, [0.6, 0.96, 1.0, 1.0, 1.0],
                                    atol=1e-12)
         # input applied at the composite jump, output resampled
-        post = arc.segments[arc.jumps[4].j + 1].start
+        post = arc.segments[5].start
         assert post.u[0] == pytest.approx(1.0)
         assert post.y_s[0] == pytest.approx(1.5)
         assert post.tau_c == pytest.approx(1.0)
@@ -103,9 +103,8 @@ class TestSimulate:
         arc2 = hybrid.simulate(HybridFOModel(params), zeta0, policy,
                                (3.0, 200), 0.05)
         for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
-                     "z"):
+                     "z", "jumps"):
             assert np.array_equal(getattr(arc1, name), getattr(arc2, name))
-        assert arc1.jumps == arc2.jumps
 
     @pytest.mark.parametrize("policy, timers, t_max, message", [
         # both timers first expire together at 2.2 s: no composite jump
@@ -327,7 +326,7 @@ class TestTwoPasses:
         arc = hybrid.simulate(model, zeta0, policy, horizon, sample_dt)
         log, segments, starts = one_pass_simulate(model, zeta0, policy,
                                                   horizon, sample_dt)
-        assert [(r.t, r.j, r.case, r.applied) for r in arc.jumps] == log
+        assert jump_log(arc) == log
         for name in ("u", "y_s", "z"):
             assert np.array_equal(getattr(arc, name),
                                   np.array([getattr(s, name) for s in starts]))
@@ -396,17 +395,16 @@ class TestTwoPasses:
         assert len(arc.segments) == 501
 
 
-ARC_COLUMNS = ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s", "z")
+ARC_COLUMNS = ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s", "z",
+               "jumps")
 
 
 def assert_same_arc(got, want):
-    """Every column of two arcs bit for bit, and the same jump log."""
+    """Every column of two arcs bit for bit, the jump log among them."""
     for name in ARC_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert [dataclasses.astuple(r) for r in got.jumps] == [
-        dataclasses.astuple(r) for r in want.jumps]
     assert (got.min_dwell, got.spacing) == (want.min_dwell, want.spacing)
 
 
@@ -448,9 +446,8 @@ class TestStatelessModel:
         assert self.attributes(model) == before
         first, second = arcs
         for name in ("times", "x", "tau_c", "tau_g", "offsets", "u", "y_s",
-                     "z"):
+                     "z", "jumps"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
-        assert first.jumps == second.jumps
 
     def test_perturbed_run_stacks_its_closing_steps(self, monkeypatch):
         # the sweep's horizon at tau = 30: every closing length differs
@@ -557,6 +554,27 @@ class TestSimulateMemory:
         assert len(arc.times) > 100 * t_max
         assert peak - before <= 1.65 * (retained - before)
 
+    def test_arc_holds_about_its_payload(self):
+        # besides its sample columns an arc keeps the segment index, one
+        # held row per segment and one byte per jump: S1 at T = 1000 (5000
+        # jumps) retains at most 1.2x its payload (times, x and both timers)
+        params = s1_params()
+        model, zeta0 = HybridFOModel(params), strict_initial_state(params)
+        policy = JumpPolicy(seed=1)
+        hybrid.simulate(model, zeta0, policy, (1.0, 10 ** 6), 0.01)  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            arc = hybrid.simulate(model, zeta0, policy, (1000.0, 10 ** 6),
+                                  0.01)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        payload = sum(a.nbytes for a in (arc.times, arc.x, arc.tau_c,
+                                         arc.tau_g))
+        assert len(arc.jumps) == 5000
+        assert retained <= 1.2 * payload
+
     def test_pass_one_rows_freed_before_pass_two(self, monkeypatch):
         """Pass 1's rows die once their columns are built: a 1 MiB marker
         that lives exactly as long as the rows list never shares the peak
@@ -598,10 +616,10 @@ class TestArcInvariant:
     @staticmethod
     def assert_invariant(arc):
         assert len(arc.segments) == len(arc.jumps) + 1
-        for k, rec in enumerate(arc.jumps):
-            assert arc.segments[k].j == rec.j == k
+        for k, (t, j, _, _) in enumerate(jump_log(arc)):
+            assert arc.segments[k].j == j == k
             before, after = arc.segments[k], arc.segments[k + 1]
-            assert rec.t == before.times[-1] == after.times[0]
+            assert t == before.times[-1] == after.times[0]
         assert arc.segments[-1].j == len(arc.jumps)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -629,8 +647,8 @@ class TestArcInvariant:
                     self.assert_invariant(arc)
                     assert j_max <= len(arc.jumps) <= j_max + 1 or (
                         arc.t_end == 3.0 and len(arc.jumps) < j_max)
-                    composite |= any(r.case == "G3-second-half"
-                                     for r in arc.jumps)
+                    composite |= any(case == "G3-second-half"
+                                     for _, _, case, _ in jump_log(arc))
         assert composite
 
     @pytest.mark.parametrize("j_max", [4, 9])
@@ -640,7 +658,7 @@ class TestArcInvariant:
         arc, _ = simulate_s1(horizon=(30.0, j_max))
         self.assert_invariant(arc)
         assert [seg.j for seg in arc.segments] == list(range(j_max + 2))
-        assert arc.jumps[-1].case == "G3-second-half"
+        assert hybrid.JUMPS[arc.jumps[-1]][0] == "G3-second-half"
 
 
 class TestDrawTauCReset:
@@ -683,21 +701,15 @@ class TestJumpStats:
         assert stats.alpha == []
         assert stats.alpha_bar == [0]
 
-    def test_unknown_map_rejected(self):
-        arc, _ = simulate_s1(horizon=(1.5, 1000))
-        arc.jumps[0].applied = "g3"
-        with pytest.raises(ValueError):
-            hybrid.jump_stats(arc)
-
 
 def walked_periods(arc):
     """Oracle: input periods from a walk of the jump log, a g2 jump at
     index j closing the period that ends with segment j."""
     periods, first = [], 0
-    for rec in arc.jumps:
-        if rec.applied == "g2":
-            periods.append((first, rec.j + 1))
-            first = rec.j + 1
+    for _, j, _, applied in jump_log(arc):
+        if applied == "g2":
+            periods.append((first, j + 1))
+            first = j + 1
     return periods + [(first, len(arc.segments))]
 
 
@@ -736,20 +748,15 @@ class TestPeriods:
         assert periods == walked_periods(arc)
         assert len(periods) >= 4
         assert periods[0][0] == 0 and periods[-1][1] == len(arc.segments)
+        log = jump_log(arc)
         for (_, end), (first, _) in zip(periods, periods[1:]):
             assert first == end
-            assert arc.jumps[end - 1].applied == "g2"
+            assert log[end - 1][3] == "g2"
         for first, end in periods:
-            inside = arc.jumps[first:end - 1]
-            assert all(rec.applied == "g1" for rec in inside)
+            inside = log[first:end - 1]
+            assert all(applied == "g1" for _, _, _, applied in inside)
         assert hybrid.jump_stats(arc).alpha == [
             end - first - 1 for first, end in periods[:-1]]
-
-    def test_unknown_map_rejected(self):
-        arc, _ = simulate_s1(horizon=(1.5, 1000))
-        arc.jumps[2].applied = "g3"
-        with pytest.raises(ValueError, match="unknown map 'g3'"):
-            arc.periods()
 
 
 class TestPassOneGenerator:
@@ -776,8 +783,8 @@ class TestPassOneGenerator:
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
         arc = self.run(policy)
-        assert any(rec.case == "G3-first-half" for rec in arc.jumps)
-        assert arc.jumps == want.jumps
+        assert any(case == "G3-first-half" for _, _, case, _ in jump_log(arc))
+        assert np.array_equal(arc.jumps, want.jumps)
         assert np.array_equal(arc.x, want.x)
 
     @pytest.mark.parametrize("reset, order", [("uniform", "g1_first"),
@@ -807,7 +814,7 @@ def test_gradient_offset_once_per_input_period(monkeypatch):
         monkeypatch.setattr(model, name, counted)
     arc = hybrid.simulate(model, strict_initial_state(model.params),
                           JumpPolicy(seed=1), (30.0, 10 ** 6))
-    applied = [rec.applied for rec in arc.jumps]
+    applied = [applied for _, _, _, applied in jump_log(arc)]
     assert [name for name in calls if name != "gradient_offset"] == applied
     assert [name for name in calls if name != "g1"] == (
         ["gradient_offset"] + ["g2", "gradient_offset"] * applied.count("g2"))
@@ -815,36 +822,36 @@ def test_gradient_offset_once_per_input_period(monkeypatch):
 
 def loop_non_zeno(arc):
     """Oracle: ``check_non_zeno`` as a loop over the jump log, grouping
-    jumps one record at a time."""
+    jumps one (t, j) at a time."""
     violations, min_dwell = [], arc.min_dwell
-    groups = []
-    for rec in arc.jumps:
-        if groups and abs(rec.t - groups[-1][-1].t) <= hybrid.EVENT_TOL:
-            groups[-1].append(rec)
+    log, groups = jump_log(arc), []
+    for t, j, _, _ in log:
+        if groups and abs(t - groups[-1][-1][0]) <= hybrid.EVENT_TOL:
+            groups[-1].append((t, j))
         else:
-            groups.append([rec])
+            groups.append([(t, j)])
     max_per_instant = max((len(g) for g in groups), default=0)
     for g in groups:
         if len(g) > 2:
-            violations.append(f"{len(g)} jumps at t={g[0].t}")
-        row = arc.offsets[g[-1].j + 1]
+            violations.append(f"{len(g)} jumps at t={g[0][0]}")
+        row = arc.offsets[g[-1][1] + 1]
         tau_c, tau_g = float(arc.tau_c[row]), float(arc.tau_g[row])
         if tau_c <= 0.0 or tau_g <= 0.0:
             violations.append(
-                f"nonpositive timer after jump sequence at t={g[0].t}: "
+                f"nonpositive timer after jump sequence at t={g[0][0]}: "
                 f"tau_c={tau_c}, tau_g={tau_g}")
     min_gap, witness = None, (None, None)
     for a, b in zip(groups, groups[1:]):
-        gap = b[0].t - a[0].t
+        gap = b[0][0] - a[0][0]
         if min_gap is None or gap < min_gap:
-            min_gap, witness = gap, (b[0].t, b[0].j)
+            min_gap, witness = gap, b[0]
         if min_dwell is not None and gap < min_dwell - hybrid.EVENT_TOL:
             violations.append(
-                f"flow gap {gap} after jump sequence at t={a[0].t} "
+                f"flow gap {gap} after jump sequence at t={a[0][0]} "
                 f"shorter than {min_dwell}")
     if min_dwell is None and arc.spacing is not None:
         for applied, least in zip(("g1", "g2"), arc.spacing):
-            times = [rec.t for rec in arc.jumps if rec.applied == applied]
+            times = [t for t, _, _, name in log if name == applied]
             for t0, t1 in zip(times, times[1:]):
                 if t1 - t0 < least - hybrid.EVENT_TOL:
                     violations.append(f"{applied} jumps at t={t0} and t={t1} "

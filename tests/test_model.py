@@ -164,18 +164,19 @@ def h_perturbation(rng, n, m, p):
 
 def resolve(params, state, policy):
     """The state after the full jump map: the maps ``jump_order`` names for
-    the case ``which_case`` selects, applied in turn by ``g1`` and ``g2``."""
+    the case ``which_case`` selects, applied in turn by ``g1`` and ``g2``,
+    with the timer resets ``g1_timer()`` and the policy's draw."""
     model = HybridFOModel(params)
     rng = np.random.default_rng(policy.seed)
     u, y_s, z = state.u, state.y_s, state.z
     tau_c, tau_g = state.tau_c, state.tau_g
     for name in jump_order(model.which_case(tau_c, tau_g), policy, rng):
         if name == "g1":
-            z, tau_g = model.g1(z, model.gradient_offset(y_s))
+            z, tau_g = model.g1(z, model.gradient_offset(y_s)), model.g1_timer()
         else:
-            reset = draw_tau_c_reset(policy, rng,
+            tau_c = draw_tau_c_reset(policy, rng,
                                      (model.reset_lo, model.reset_hi))
-            u, y_s, tau_c = model.g2(z, reset)
+            u, y_s = model.g2(z)
     return dataclasses.replace(state, u=u, y_s=y_s, z=z, tau_c=tau_c,
                                tau_g=tau_g)
 
@@ -184,12 +185,12 @@ class TestJumps:
     def test_gradient_jump(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.0, 1.0, 0.0)
         model = HybridFOModel(s1)
-        z, tau_g = model.g1(state.z, model.gradient_offset(state.y_s))
+        z = model.g1(state.z, model.gradient_offset(state.y_s))
         assert z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
-        assert tau_g == pytest.approx(0.25)
+        assert model.g1_timer() == pytest.approx(0.25)
         post = resolve(s1, state, JumpPolicy())
         assert np.array_equal(post.z, z)
-        assert post.tau_g == tau_g
+        assert post.tau_g == model.g1_timer()
         assert post.u[0] == 0.0  # untouched
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -235,13 +236,13 @@ class TestJumps:
                             np.full(p, -0.0)):
                     want = input_set.project(z - objective.gamma * grad_u_phi(
                         z, y_s, objective, model.h))
-                    got, tau_g = model.g1(z, model.gradient_offset(y_s))
+                    got = model.g1(z, model.gradient_offset(y_s))
                     assert same_bits(got, want)
-                    assert tau_g == model.tau_g_reset
+            assert model.g1_timer() == model.tau_g_reset
 
     def test_gradient_jump_projects(self, s1):
         model = HybridFOModel(s1)
-        z, _ = model.g1(np.array([0.96]), model.gradient_offset(np.array([0.5])))
+        z = model.g1(np.array([0.96]), model.gradient_offset(np.array([0.5])))
         assert z[0] == pytest.approx(1.0)  # 1.176 clipped to the box
 
     def test_gradient_jump_requires_expired_timer(self, s1):
@@ -257,8 +258,8 @@ class TestJumps:
         assert post.y_s[0] == pytest.approx(1.5)  # H*z + d with the new input
         assert post.tau_c == 1.0  # "min" reset policy, interval [1, 1]
         assert post.x[0] == 0.3  # plant state continuous across jumps
-        u, y_s, tau_c = HybridFOModel(s1).g2(state.z, 0.75)
-        assert (u[0], y_s[0], tau_c) == (1.0, post.y_s[0], 0.75)
+        u, y_s = HybridFOModel(s1).g2(state.z)
+        assert (u[0], y_s[0]) == (1.0, post.y_s[0])
 
     def test_composite_jump_order(self, s1):
         state = make_state(0.0, 0.0, 0.5, 0.96, 0.0, 0.0)

@@ -10,7 +10,7 @@ from hfo import hybrid, linalg, robustness
 from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, make_state,
                        strict_initial_state)
 from hfo.robustness import closeness, iota_magnitude, robustness_sweep
-from conftest import random_params, s1_params
+from conftest import jump_log, random_params, s1_params
 
 
 def s1_perturbation():
@@ -168,7 +168,7 @@ class TestPerturbedModel:
                      "z"):
             assert np.array_equal(getattr(arc_nom, name),
                                   getattr(arc_zero, name))
-        assert arc_nom.jumps == arc_zero.jumps
+        assert np.array_equal(arc_nom.jumps, arc_zero.jumps)
 
     def test_slowed_control_timer(self):
         params = s1_params()
@@ -177,7 +177,8 @@ class TestPerturbedModel:
         arc = run_s1(HybridFOModel(params, pert, 1.0), horizon=(2.5, 200))
         # gradient steps still fire every 0.25 s, but the input applies at
         # t = 2.0 instead of 1.0 (rate -0.5)
-        g2_times = [j.t for j in arc.jumps if j.applied == "g2"]
+        g2_times = [t for t, _, _, applied in jump_log(arc)
+                    if applied == "g2"]
         assert g2_times[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_gain_error_diverges_after_first_sample(self):
@@ -203,10 +204,11 @@ class TestPerturbedModel:
             [seg.x[:, 0] for seg in arc_pert.segments if seg.j >= 10])
         assert np.max(np.abs(x_after - x_after_pert)) > 1e-3
         # sampled output differs from the first sampling jump onward
-        g2_nom = next(j for j in arc_nom.jumps if j.applied == "g2")
-        g2_pert = next(j for j in arc_pert.jumps if j.applied == "g2")
-        assert abs(arc_nom.segments[g2_nom.j + 1].start.y_s[0]
-                   - arc_pert.segments[g2_pert.j + 1].start.y_s[0]) > 0.1
+        g2_nom, g2_pert = (next(j for _, j, _, applied in jump_log(arc)
+                                if applied == "g2")
+                           for arc in (arc_nom, arc_pert))
+        assert abs(arc_nom.segments[g2_nom + 1].start.y_s[0]
+                   - arc_pert.segments[g2_pert + 1].start.y_s[0]) > 0.1
 
     def test_invalid_scaled_rate_rejected(self):
         pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
