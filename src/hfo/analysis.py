@@ -72,14 +72,19 @@ NON_NORMAL_COND = 1e6  # cond(V) above which constants notes non-normality
 # most n^(1/32), 1.098x at n = 20, and by far less when G has a spectral
 # gap; each level costs one batched product.
 M_BOUND_LEVELS = 4
-# Relative pad on that bound before it may rule a point out. Each product
-# of the bound (E'E and the squares of G) is off by at most about n eps
-# times the squared Frobenius norm of its factor, i.e. n^2 eps
+# Relative pad on a bound before it may rule a point or a block out. Each
+# product of the bound (E'E and the squares of G) is off by at most about
+# n eps times the squared Frobenius norm of its factor, i.e. n^2 eps
 # relative to its largest eigenvalue; level k enters with weight 1/2^k, so
 # the bound falls short of ||E||_2 by at most about n^2 eps overall, and
-# the SVD's own ||E||_2 is within about n eps. 1e-6 covers n^2 eps up to
-# n = 60000. Only where ||E||^2 underflows can the bound fall shorter, and
-# there ||E|| e^{rho t} <= 1e-140 lies far below the t = 0 value 1.
+# the SVD's own ||E||_2 is within about n eps. A block's bound
+# ||P|| ||E|| adds the rounding of the product: |fl(PE) - PE| <= n eps
+# |P| |E| entrywise, and || |P| ||_2 <= sqrt(n) ||P||_2, so ||fl(PE)|| is
+# within n^2 eps of ||P|| ||E||, about 3 n^2 eps in all. 1e-6 covers that
+# up to n = 35000. Only where ||E||^2 underflows can the bound fall
+# shorter: a point's own E then has ||E|| e^{rho t} <= 1e-140, far below
+# the t = 0 value 1, and a block's two factors are floored at 2^-200,
+# above which the bound keeps its pad.
 M_BOUND_PAD = 1e-6
 # Most n x n matrices (reconstruct_x's exponentials on its expm path,
 # estimate_M's table of powers and its block of grid points, half each) one
@@ -179,21 +184,29 @@ def estimate_M(a, rho: float) -> MEstimate:
     values that close to the largest one count as ties, and the earliest of
     them (t = 0, value 1, included) is the reported maximizer.
 
-    The spectral norm is taken by SVD only where the squaring bound
-    (``linalg.log_norm_bound`` to level ``M_BOUND_LEVELS``, padded by
-    ``M_BOUND_PAD``) cannot rule a grid point out against the largest exact
-    value so far. The cutoff is always an exact SVD value of a grid point,
-    and the tie allowance is on the bound's side: a point whose bound stays
-    below the cutoff lies below the grid maximum by more than a tie, so it
-    can be neither the maximum nor a tie, and the supremum, the maximizer
-    and every bit of the result are those of an SVD at every grid point.
-    The first cutoff is the exact value of the block start with the highest
-    bound, so it is near the supremum before any block is settled. Then
-    each block is bounded against the largest exact value so far, its top
-    point is measured, and every point the bound still leaves open. Each
-    point gets at most one SVD. At n = 1 the norm is |e|, and every grid
-    value is taken in one pass, with no bound. A grid with a value that is
-    not finite raises ValueError, with no warning.
+    The spectral norm is taken by SVD only where a bound, times the tie
+    allowance and 1 + ``M_BOUND_PAD``, cannot rule a grid point out against
+    the largest exact value so far. The cutoff is always an exact SVD value
+    of a grid point, and the allowance is on the bound's side: a point whose
+    bound stays below the cutoff lies below the grid maximum by more than a
+    tie, so it can be neither the maximum nor a tie, and the supremum, the
+    maximizer and every bit of the result are those of an SVD at every grid
+    point. A whole block is bounded first, from numbers at hand: point k
+    after start E_s is fl(P_k E_s), whose norm is at most beta_k sigma_s up
+    to the pad, with beta_k >= ||P_k|| from one ``linalg.log_norm_bound``
+    (to level ``M_BOUND_LEVELS``) over the table of powers, sigma_s >=
+    ||E_s|| from the one over the block starts that also picks the first
+    cutoff, and sigma_0 = 1. These bound the computed matrices, not e^{At},
+    so the rounding of the exponential does not enter. The first cutoff is
+    the exact value of the block start with the highest bound, so it is
+    near the supremum before any block is settled. Then one pass takes each
+    block in turn: a block whose bound stays below the cutoff is skipped,
+    with no product, no bound and no SVD; in any other, each point is
+    bounded by ``log_norm_bound`` of its own matrix, its top point is
+    measured, and every point the bound still leaves open. Each point gets
+    at most one SVD. At n = 1 the norm is |e|, and every grid value is taken
+    in one pass, with no bound. A grid with a value that is not finite
+    raises ValueError, with no warning.
     """
     a = np.asarray(a, dtype=float)
     if rho <= 0:
@@ -203,7 +216,7 @@ def estimate_M(a, rho: float) -> MEstimate:
     n = a.shape[0]
     tie = grid_points * n * np.finfo(float).eps
     size = min(_STACK_BLOCK // 2, grid_points)
-    firsts = np.arange(0, grid_points, size)  # the block starts' indices
+    firsts = range(0, grid_points, size)  # the block starts' indices
     powers = np.empty((size,) + a.shape)
     starts = np.empty((len(firsts),) + a.shape)
     powers[0], starts[0] = linalg.mat_exp(a, h), np.eye(n)
@@ -214,7 +227,9 @@ def estimate_M(a, rho: float) -> MEstimate:
         scale = growth * ((1.0 + tie) * (1.0 + M_BOUND_PAD))
         bound = linalg.log_norm_bound(mats, M_BOUND_LEVELS,
                                       np.log(floor / scale))
-        return scale * np.exp(bound)  # an inf reach rules nothing out
+        # an inf reach rules nothing out; a norm bound below 2^-200 may fall
+        # short of the norm, which 2^-200 then bounds
+        return scale * np.maximum(np.exp(bound), 2.0 ** -200)
 
     def exact(idx, mats, growth):  # values at grid points idx; the new best
         got = np.nan  # no SVD of a matrix that is not finite
@@ -243,22 +258,33 @@ def estimate_M(a, rho: float) -> MEstimate:
             grid = (starts[:, None] * powers).reshape(-1, 1, 1)
             exact(idx, grid[:grid_points], np.exp(rho * (idx * h)))
         else:
+            # v at point k after start s is at most the reach of P_k (at
+            # t = hk) times that of E_s (at the start), so the pad enters
+            # twice; lead is the largest reach over the table
+            lead = np.max(reach(powers, np.exp(rho * (np.arange(1, size + 1)
+                                                      * h)), 0.0))
+            reaches = np.ones(len(firsts))  # E_0 = I, at t = 0
             known = -1  # the one grid point measured before the pass
             if len(firsts) > 1:  # the first cutoff, from the block starts
-                idx = firsts[1:]
+                idx = np.array(firsts[1:])
                 growth = np.exp(rho * (idx * h))
-                top = np.argmax(reach(starts[1:], growth, 0.0))
+                reaches[1:] = reach(starts[1:], growth, 0.0)
+                top = np.argmax(reaches[1:])
                 known = idx[top]
                 best = exact(idx[top, None], starts[1 + top, None],
                              growth[top, None])
             block = np.empty_like(powers)
-            for first, e in zip(firsts, starts):
+            for first, e, start in zip(firsts, starts, reaches):
+                # a block whose bound stays below the best exact value holds
+                # neither the maximum nor a tie; a NaN bound is never below
+                if lead * start < best:
+                    continue
                 idx = np.arange(first + 1, min(first + size, grid_points) + 1)
                 mats = np.matmul(powers[:len(idx)], e, out=block[:len(idx)])
                 growth = np.exp(rho * (idx * h))
                 bounds = reach(mats, growth, best)
                 # a point whose reach stays below the best exact value is
-                # neither the maximum nor a tie; a NaN reach is never below
+                # neither the maximum nor a tie
                 todo = np.flatnonzero(~(bounds < best) & (idx != known))
                 if todo.size > 1:  # the top point first, then the rest
                     top = todo[np.argmax(bounds[todo])]

@@ -285,8 +285,10 @@ class Schedule:
 def _skeleton(model, zeta0, policy, horizon, sample_dt):
     """Pass 1's loop: the run's events, from the timers alone.
 
-    Returns (rows, jumps): one tuple per segment, as ``Schedule.rows`` holds
-    it, and one ``JUMPS`` code per jump. Each g2 draws its tau_c reset by
+    Returns (rows, jumps): one flat list with the seven numbers of each
+    segment's ``Schedule.rows`` row in turn (a tuple per row would stay
+    traced in CPython's tuple free list once the rows die), and one
+    ``JUMPS`` code per jump. Each g2 draws its tau_c reset by
     ``draw_tau_c_reset`` as it applies, and each g1 resets tau_g to
     ``model.g1_timer()``; the seeded generator is built only for a policy
     that can draw (a ``uniform`` reset or a ``random`` order).
@@ -300,17 +302,17 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     t, j, tau_c, tau_g = 0.0, 0, zeta0.tau_c, zeta0.tau_g
     rows, jumps = [], []
 
-    def point():
-        return (t, tau_c, tau_g, -1, 0.0, tau_c, tau_g)
+    def add_point():
+        rows.extend((t, tau_c, tau_g, -1, 0.0, tau_c, tau_g))
 
     while True:
         remaining = t_max - t
         if j >= j_max or remaining <= EVENT_TOL:
-            rows.append(point())
+            add_point()
             break
         case = which_case(tau_c, tau_g)
         if case is not None:
-            rows.append(point())
+            add_point()
         else:
             dt, expired = next_event(tau_c, tau_g, rate_c, rate_g)
             horizon_hit = dt > remaining + EVENT_TOL
@@ -319,7 +321,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             grid = max(math.floor(dt / sample_dt - 1e-9), 0)
             end_c = _timer_end(tau_c, rate_c, dt, expired in ("c", "both"))
             end_g = _timer_end(tau_g, rate_g, dt, expired in ("g", "both"))
-            rows.append((t, tau_c, tau_g, grid, dt, end_c, end_g))
+            rows.extend((t, tau_c, tau_g, grid, dt, end_c, end_g))
             t, tau_c, tau_g = t + dt, end_c, end_g
             if not contains(tau_c, tau_g):
                 raise RuntimeError(
@@ -331,7 +333,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
         for i, (name, label) in enumerate(zip(jump_order(case, policy, rng),
                                               _LABELS[case])):
             if i:
-                rows.append(point())
+                add_point()
             if name == "g1":
                 tau_g = model.g1_timer()
             else:
@@ -360,8 +362,7 @@ def schedule(model, zeta0: State, policy, horizon,
             f"{payload / 2 ** 30:.3g} GiB of float64, over the "
             f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
-    rows = np.fromiter(itertools.chain.from_iterable(rows), float,
-                       7 * len(rows)).reshape(-1, 7)
+    rows = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
     return Schedule(rows, np.array(jumps, dtype=np.int8), tuple(horizon),
                     sample_dt)
 

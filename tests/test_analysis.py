@@ -254,6 +254,12 @@ EDGE_CASES = {
     # E overflows to inf: the grid is not finite, and both raise ValueError
     "chain-overflow": ([[400.0]], 1.0),
     "chain-overflow-2x2": ([[400.0, 1.0], [0.0, 399.0]], 1.0),
+    # mu2 > 0 (transient growth), unlike the generator's plants: a shifted
+    # Jordan block, v(t) = O(t^5) rising to the grid edge
+    "shifted-jordan-6": (-np.eye(6) + 1.5 * np.eye(6, k=1), 1.0),
+    # v(t) peaks at t = 0.75, in the first block, and falls after it, so
+    # every block but two is skipped
+    "early-peak": ([[-1.0, 20.0], [0.0, -2.0]], 0.1),
 }
 
 
@@ -534,7 +540,7 @@ class TestEstimateM:
         return seen
 
     def test_work_on_generator_plants(self, monkeypatch):
-        # a table of powers takes a mean of 1104 squarings and a median of 4
+        # a table of powers takes a mean of 1105 squarings and a median of 4
         # SVDs per call on these plants; without the cutoff from the block
         # starts, 4999 squarings and a median of 89 SVDs (at most 653)
         squared = self.squared_matrices(monkeypatch)
@@ -550,6 +556,28 @@ class TestEstimateM:
         assert squares.mean() <= 2000
         assert np.median(svd_counts) <= 10
         assert 0 < svd_counts.max() < 0.1 * analysis.M_GRID_POINTS
+
+    def test_skips_most_blocks_on_generator_plants(self, monkeypatch):
+        # a block whose bound ||P_k|| ||E_s|| e^(rho t) stays below the best
+        # exact value gets no product P_(1..K) E_s: a median of 23 of the 40
+        # blocks are formed on these plants, where forming all takes 40
+        products = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            if np.ndim(args[0]) == 3 and np.ndim(args[1]) == 2:
+                products.append(len(args[0]))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        formed = []
+        for seed in range(40):
+            a = mimo_plant(seed)
+            products.clear()
+            estimate_M(a, slowest_rate(a))
+            formed.append(len(products))
+        assert analysis.M_GRID_POINTS // (analysis._STACK_BLOCK // 2) == 40
+        assert np.median(formed) <= 25
 
     def test_scalar_plant_builds_the_grid_once(self, monkeypatch):
         # each power P_k = P_1 P_(k-1) and each block start P_K E_s is one
