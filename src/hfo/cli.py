@@ -29,11 +29,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
-# stored samples trajectory.csv formats at a time: the writer's memory is
+# most stored samples trajectory.csv formats at a time: the writer's memory is
 # bounded by one block and the memo below, whatever the arc's length
 CSV_BLOCK = 256
-# most tau_c, tau_g and dist_to_A reprs the trajectory writer keeps for
-# reuse, across blocks
+# most per-sample timer texts the trajectory writer keeps for reuse, across
+# blocks; at least CSV_BLOCK, so that the memo can hold any segment piece
 CSV_MEMO = 256
 
 
@@ -75,9 +75,8 @@ def _csv_header(params) -> list:
 
 
 def _reprs(values) -> list:
-    """``repr`` of every float in a 1-D array, from one ``repr`` of its
-    list."""
-    return repr(values.tolist())[1:-1].split(", ")
+    """``repr`` of every float in a 1-D array."""
+    return list(map(repr, values.tolist()))
 
 
 def _row_reprs(rows) -> list:
@@ -86,66 +85,65 @@ def _row_reprs(rows) -> list:
     return repr(rows.tolist())[2:-2].replace(", ", ",").split("],[")
 
 
-def _memo_reprs(column, memo: dict) -> list:
-    """``_reprs(column)`` through ``memo``, which maps float64 bit patterns
-    (bits, not values, so that -0.0 and 0.0 stay apart) to their reprs: only
-    the patterns not in it are formatted, with one ``repr``. It is emptied
-    before it would pass CSV_MEMO entries."""
-    keys = column.view(np.int64).tolist()
-    try:
-        return list(map(memo.__getitem__, keys))
-    except KeyError:
-        pass
-    distinct = set(keys)
-    new = distinct.difference(memo)
-    if len(memo) + len(new) > CSV_MEMO:
-        memo.clear()
-        new = distinct
-    new = list(new)
-    memo.update(zip(new, _reprs(
-        np.array(new, dtype=np.int64).view(np.float64))))
-    return list(map(memo.__getitem__, keys))
-
-
-def _labelled(row: str, label: str) -> str:
-    """A flow row with ``label`` in its case field, the row's only empty
-    field."""
-    return row.replace(",,", f",{label},", 1)
+def _suffixes(tau_c, tau_g, dist, memo: dict) -> list:
+    """The text ``,tau_c,tau_g,dist_to_A\\r\\n`` of each sample of one
+    segment, or of one piece of it, through ``memo``: it maps the bytes of
+    the three slices (bits, not values, so that -0.0 and 0.0 stay apart) to
+    the segment's texts, and it is emptied before it would hold more than
+    CSV_MEMO texts."""
+    key = tau_c.tobytes() + tau_g.tobytes() + dist.tobytes()
+    suffixes = memo.get(key)
+    if suffixes is None:
+        if sum(map(len, memo.values())) + len(tau_c) > CSV_MEMO:
+            memo.clear()
+        suffixes = memo[key] = [
+            f",{c},{g},{d}\r\n"
+            for c, g, d in zip(_reprs(tau_c), _reprs(tau_g), _reprs(dist))]
+    return suffixes
 
 
 def _block_text(arc, consts, lo: int, hi: int, memo: dict) -> str:
-    """The lines of the stored samples lo..hi - 1, jump rows included.
+    """The lines of the stored samples lo..hi - 1, jump rows included: whole
+    segments, or a piece of a segment longer than CSV_BLOCK samples.
 
-    Every line of sample i, its flow row or the :pre or :post row of a jump,
-    holds sample i's fields and the index and held fields of sample i's
-    segment. So the flow rows come from one comprehension over per-sample
-    fields, and jump j's rows are flow rows relabelled: a :pre row after
-    the last sample of segment j, a :post row before the first of j + 1."""
-    span = slice(lo, hi)
-    x = arc.x[span]
-    which = np.searchsorted(arc.offsets, np.arange(lo, hi), "right") - 1
-    first, last = int(which[0]), int(which[-1])
-    segments = slice(first, last + 1)
-    # the fields around x of each of the block's segments
-    heads = [f",{j},," for j in range(first, last + 1)]
-    tails = [f",{held}," for held in _row_reprs(np.hstack(
-        [arc.u[segments], arc.y_s[segments], arc.z[segments]]))]
+    Every line of a segment's sample, its flow row or the :pre or :post row
+    of a jump, holds the segment's index and held fields. So each segment
+    is written in one go: the :post row of jump j - 1 before the first
+    sample of segment j, its flow rows, and the :pre row of jump j after
+    its last sample."""
+    x = arc.x[lo:hi]
+    times = _reprs(arc.times[lo:hi])
     xs = [_reprs(col) for col in x.T]
     xs = xs[0] if len(xs) == 1 else list(map(",".join, zip(*xs)))
-    rows = [f"{t}{heads[k]}{xk}{tails[k]}{c},{g},{d}\r\n"
-            for t, k, xk, c, g, d in zip(
-                _reprs(arc.times[span]), (which - first).tolist(), xs,
-                _memo_reprs(arc.tau_c[span], memo),
-                _memo_reprs(arc.tau_g[span], memo),
-                _memo_reprs(analysis.dist_to_A(x, consts), memo))]
-    lines = rows.copy()
-    for j in range(max(first - 1, 0), min(last + 1, len(arc.jumps))):
-        case = hybrid.JUMPS[arc.jumps[j]][0]
-        k = int(arc.offsets[j + 1]) - lo  # segment j + 1's first sample
-        if 0 < k <= len(rows):
-            lines[k - 1] += _labelled(rows[k - 1], f"{case}:pre")
-        if 0 <= k < len(rows):
-            lines[k] = _labelled(rows[k], f"{case}:post") + lines[k]
+    dist = analysis.dist_to_A(x, consts)
+    # the block meets segments first..stop - 1, which start and end at bounds
+    first = int(np.searchsorted(arc.offsets, lo, "right")) - 1
+    stop = int(np.searchsorted(arc.offsets, hi))
+    bounds = arc.offsets[first:stop + 1].tolist()
+    segments = slice(first, stop)
+    helds = _row_reprs(np.hstack(
+        [arc.u[segments], arc.y_s[segments], arc.z[segments]]))
+    # the labels of jumps base..stop - 1
+    base = max(first - 1, 0)
+    cases = [hybrid.JUMPS[code][0]
+             for code in arc.jumps[base:stop].tolist()]
+    lines = []
+    for j, start, end, held in zip(range(first, stop), bounds, bounds[1:],
+                                   helds):
+        a, b = max(start, lo) - lo, min(end, hi) - lo
+        t, xj = times[a:b], xs[a:b]
+        suffixes = _suffixes(arc.tau_c[lo + a:lo + b],
+                             arc.tau_g[lo + a:lo + b], dist[a:b], memo)
+        if j and start >= lo:
+            lines.append(f"{t[0]},{j},{cases[j - 1 - base]}:post,{xj[0]},"
+                         f"{held}{suffixes[0]}")
+        head = f",{j},,"
+        lines += [f"{tk}{head}{xk},{held}{suffix}"
+                  for tk, xk, suffix in zip(t, xj, suffixes)]
+        if j < len(arc.jumps) and end <= hi:
+            lines.append(f"{t[-1]},{j},{cases[j - base]}:pre,{xj[-1]},"
+                         f"{held}{suffixes[-1]}")
+    del times, xs  # the rows hold their text now
     return "".join(lines)
 
 
@@ -157,20 +155,30 @@ def write_trajectory_csv(path: Path, arc, consts, params):
     between fields, ``\\r\\n`` after each line): no field needs quoting,
     since each is a float repr, an int or a case label.
 
-    The writer formats CSV_BLOCK stored samples at a time and writes each
-    block at once (``_block_text``), so its memory does not grow with the
-    arc. Per block, t and each x_i come from one ``repr`` of the column's
-    list, since they are all distinct, and the held u, y_s, z of the
-    block's segments from one more. tau_c, tau_g and dist_to_A go through
-    one memo keyed by float64 bit pattern (``_memo_reprs``), which lives
-    across blocks and holds at most CSV_MEMO reprs: timers repeat along an
-    arc, so most of their values are formatted once."""
+    The writer formats the arc in blocks of whole segments, at most
+    CSV_BLOCK stored samples each, and writes each block at once
+    (``_block_text``), so its memory does not grow with the arc. A segment
+    longer than CSV_BLOCK samples is cut into pieces of at most that size.
+    Per block, t and each x_i come from one ``repr`` per float, since they
+    are all distinct, and the held u, y_s, z of the block's segments from
+    one ``repr`` of their rows. Each segment's ``,tau_c,tau_g,dist_to_A``
+    texts come from one memo keyed by the bytes of its three slices
+    (``_suffixes``), which lives across blocks and holds at most CSV_MEMO
+    texts: the timers of a deterministic schedule repeat segment by
+    segment, so most segments' texts are formatted once."""
     memo = {}
+    offsets = arc.offsets
+    lo, end = 0, len(arc.times)
     with path.open("w", newline="") as fh:
         fh.write(",".join(_csv_header(params)) + "\r\n")
-        for lo in range(0, len(arc.times), CSV_BLOCK):
-            fh.write(_block_text(arc, consts, lo,
-                                 min(lo + CSV_BLOCK, len(arc.times)), memo))
+        while lo < end:
+            # the last segment boundary within CSV_BLOCK samples, if past lo
+            hi = int(offsets[np.searchsorted(offsets, lo + CSV_BLOCK,
+                                             "right") - 1])
+            if hi <= lo:
+                hi = min(lo + CSV_BLOCK, end)
+            fh.write(_block_text(arc, consts, lo, hi, memo))
+            lo = hi
 
 
 @contextlib.contextmanager

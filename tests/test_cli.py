@@ -497,17 +497,31 @@ class TestSimulateCommand:
         assert audit["non_normal_note"] is None
 
     @pytest.mark.parametrize("edits, shape", CSV_ARCS)
-    def test_csv_matches_per_state_writer(self, tmp_path, edits, shape):
+    def test_csv_matches_per_state_writer(self, tmp_path, monkeypatch, edits,
+                                          shape):
         data = load_s1_dict()
         data.update(edits)
         config = parse_config(data)
         arc, consts, _ = cli._run(config)
+        per_state_csv(tmp_path / "states.csv", arc, consts, config.params)
+        expected = (tmp_path / "states.csv").read_bytes()
         cli.write_trajectory_csv(tmp_path / "columns.csv", arc, consts,
                                  config.params)
-        per_state_csv(tmp_path / "states.csv", arc, consts, config.params)
         written = (tmp_path / "columns.csv").read_bytes()
-        assert written == (tmp_path / "states.csv").read_bytes()
+        assert written == expected
         assert shape(arc, written.decode().split("\r\n"))
+        # blocks of 7 samples and of 1: segments, point segments and jump
+        # row pairs cross block edges, and most segments are cut in pieces
+        for block in (7, 1):
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
+            cli.write_trajectory_csv(tmp_path / "columns.csv", arc, consts,
+                                     config.params)
+            assert (tmp_path / "columns.csv").read_bytes() == expected
+
+    def test_reprs_are_those_of_each_float(self):
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-05, 1e16,
+                           5e-324, 0.1 + 0.2, 2.0 ** 53 + 1.0, -1.5])
+        assert cli._reprs(values) == [repr(float(v)) for v in values]
 
     def test_csv_writer_memory_bounded(self, tmp_path):
         # 105k stored samples at T = 1000: a buffer that grows with the arc
@@ -529,17 +543,27 @@ class TestSimulateCommand:
         assert peaks[1] <= 2 * peaks[0]
 
     def test_timer_memo_empties_when_full(self):
-        # a column with values the memo holds and more new values than it
-        # has room for: the memo empties and then holds the whole column's
+        # segments whose texts the memo holds, then one with more new texts
+        # than it has room for: the memo empties and then holds that one's
+        def texts(tau_c, tau_g, dist):
+            return [f",{c!r},{g!r},{d!r}\r\n" for c, g, d in
+                    zip(tau_c.tolist(), tau_g.tolist(), dist.tolist())]
+
         rng = np.random.default_rng(5)
-        held = rng.standard_normal(cli.CSV_MEMO - 10)
+        held = rng.standard_normal((3, cli.CSV_MEMO - 10))
         memo = {}
-        assert cli._memo_reprs(held, memo) == cli._reprs(held)
-        column = np.concatenate([held[:5], rng.standard_normal(20), held[-3:],
-                                 [-0.0, 0.0, held[0]]])
-        assert cli._memo_reprs(column, memo) == cli._reprs(column)
-        assert len(memo) == len(column) - 1
-        assert cli._memo_reprs(column[::-1], memo) == cli._reprs(column[::-1])
+        assert cli._suffixes(*held, memo) == texts(*held)
+        # keys are bit patterns: -0.0 and 0.0 stay apart
+        signed = np.array([[-0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        assert cli._suffixes(*signed, memo) == texts(*signed)
+        assert cli._suffixes(*abs(signed), memo) == texts(*abs(signed))
+        assert cli._suffixes(*held.copy(), memo) == texts(*held)
+        assert sorted(map(len, memo.values())) == [2, 2, cli.CSV_MEMO - 10]
+        column = rng.standard_normal((3, 20))
+        assert cli._suffixes(*column, memo) == texts(*column)
+        assert list(map(len, memo.values())) == [20]
+        assert cli._suffixes(*column[:, ::-1], memo) == texts(*column[:, ::-1])
+        assert list(map(len, memo.values())) == [20, 20]
 
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
