@@ -94,11 +94,12 @@ _STACK_BLOCK = 100
 # Most elements (rows x n) one block of reconstruct_x's eigenbasis rows
 # holds: _STACK_BLOCK rows at n = 20, 2000 at n = 1.
 _ROW_ELEMENTS = 20 * _STACK_BLOCK
-# Most elements (rows x n) one block of check_bound's rows holds: 819 rows
-# at n = 20, 16384 at n = 1. Its (rows, n) temporary, 128 KiB, stays below
-# constants' working memory (estimate_M's tables, about 0.8 MB at n = 20),
-# and blocks this size took no longer than one pass over a whole n = 20 arc.
-_BOUND_ELEMENTS = 1 << 14
+# Most elements (rows x n) one block of check_bound's rows holds: 409 rows
+# at n = 20, 8192 at n = 1. Its (rows, n) temporary, 64 KiB, stays below
+# constants' working memory (estimate_M's table of powers, its block and
+# their bound's temporaries, about 0.67 MB at n = 20), and blocks this size
+# took no longer than one pass over a whole n = 20 arc.
+_BOUND_ELEMENTS = 1 << 13
 
 
 # Fixed-point residual _pgd_fixed_point certifies, and its most iterations.
@@ -120,14 +121,21 @@ def _pgd_fixed_point(hess, offset, eigs, input_set, check_gamma) -> np.ndarray:
     gamma_int = 2.0 / (eigs[0] + eigs[1])
     offsets = offset.reshape(-1, offset.shape[-1])
     z = input_set.project(np.zeros_like(offsets))
-    rows = np.arange(len(z))
+    # the moving rows, their iterates and offsets, compact; a row goes back
+    # into z when it stops, or at the iteration cap
+    rows, old, off = np.arange(len(z)), z, offsets
     for _ in range(PGD_MAX_ITER):
         if not rows.size:
             break
-        old = z[rows]
-        z[rows] = new = input_set.project(
-            old - gamma_int * ((hess @ old[..., None])[..., 0] + offsets[rows]))
-        rows = rows[linalg.row_norms(new - old)[:, 0] > 0.1 * PGD_TOL]
+        new = input_set.project(
+            old - gamma_int * ((hess @ old[..., None])[..., 0] + off))
+        going = linalg.row_norms(new - old)[:, 0] > 0.1 * PGD_TOL
+        if not going.all():
+            z[rows[~going]] = new[~going]
+            rows, new, off = rows[going], new[going], off[going]
+        old = new
+    else:
+        z[rows] = old
     resid = linalg.row_norms(z - input_set.project(
         z - check_gamma * ((hess @ z[..., None])[..., 0] + offsets)))
     if np.max(resid, initial=0.0) > PGD_TOL:
@@ -199,9 +207,12 @@ def estimate_M(a, rho: float) -> MEstimate:
     cutoff, and sigma_0 = 1. These bound the computed matrices, not e^{At},
     so the rounding of the exponential does not enter. The first cutoff is
     the exact value of the block start with the highest bound, so it is
-    near the supremum before any block is settled. Then one pass takes each
-    block in turn: a block whose bound stays below the cutoff is skipped,
-    with no product, no bound and no SVD; in any other, each point is
+    near the supremum before any block is settled. The starts are held, in
+    one stack, only for that bound; the pass rebuilds each as P_K E_(s-1),
+    bit for bit the same product, so beside the table of powers it holds
+    one block and its bound's temporaries. One pass takes each block in
+    turn: a block whose bound stays below the cutoff is skipped, with no
+    product but its start's, no bound and no SVD; in any other, each point is
     bounded by ``log_norm_bound`` of its own matrix, its top point is
     measured, and every point the bound still leaves open. Each point gets
     at most one SVD. At n = 1 the norm is |e|, and every grid value is taken
@@ -273,8 +284,12 @@ def estimate_M(a, rho: float) -> MEstimate:
                 known = idx[top]
                 best = exact(idx[top, None], starts[1 + top, None],
                              growth[top, None])
-            block = np.empty_like(powers)
-            for first, e, start in zip(firsts, starts, reaches):
+            # the pass rebuilds each start by the same product, bit for bit
+            del starts
+            block, e = np.empty_like(powers), np.eye(n)
+            for first, start in zip(firsts, reaches):
+                if first:
+                    e = powers[-1] @ e
                 # a block whose bound stays below the best exact value holds
                 # neither the maximum nor a tie; a NaN bound is never below
                 if lead * start < best:

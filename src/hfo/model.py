@@ -23,6 +23,11 @@ import numpy as np
 from . import linalg
 from .hybrid import EVENT_TOL, State
 
+try:  # the ufunc ndarray.clip ends in, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 def make_state(x, u, y_s, z, tau_c, tau_g) -> State:
     return State(
@@ -84,9 +89,9 @@ class Box:
             raise ValueError("box bounds must satisfy lo <= hi componentwise")
 
     def project(self, v) -> np.ndarray:
-        """Clamp a point or rows (k, m): ``np.clip``'s ufunc, reached through
-        the array method, so without ``np.clip``'s dispatch wrapper."""
-        return np.asarray(v, dtype=float).clip(self.lo, self.hi)
+        """Clamp a point or rows (k, m) by ``np.clip``'s ufunc, called
+        directly: the bits of ``ndarray.clip``, without its wrappers."""
+        return _clip(np.asarray(v, dtype=float), self.lo, self.hi)
 
     def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)

@@ -1007,15 +1007,24 @@ class TestVerifyCommand:
                     == getattr(arc, name).tobytes())
         assert np.array_equal(again.jumps, arc.jumps)
 
-    def test_holds_about_one_arc_of_memory(self, tmp_path):
+    @pytest.mark.parametrize("horizon, aligned, ratio", [
+        (100.0, True, 1.5), (100.0, False, 2.0), (25.0, True, 2.6)],
+        ids=["aligned-t100", "off-grid-t100", "aligned-t25"])
+    def test_holds_about_one_arc_of_memory(self, tmp_path, horizon, aligned,
+                                           ratio):
         """verify's checks go by row blocks and keep no per-sample copy: on
-        an n = 20 plant at T = 100 the whole command peaks within 1.5x the
-        arc's stored payload (times, x and both timers). The timers are
-        aligned, so that simulate's closing maps stay few."""
+        an n = 20 plant the whole command peaks within a small multiple of
+        the arc's stored payload (times, x and both timers). At T = 100 with
+        aligned timers, so that simulate's closing maps stay few, that is
+        1.5x. With timers off the sample grid nearly every segment closes
+        over its own length, and each stacked propagator call holds at most
+        hybrid.FLOW_ELEMENTS elements: 2x. At T = 25 the arc is short
+        enough that constants' working memory (estimate_M's tables) sets the
+        peak: 2.6x."""
         from test_analysis import mimo_arc, mimo_config
 
-        scenario = {"n": 20, "horizon": (100.0, 10 ** 6), "x_shift": 1.0,
-                    "aligned": True}
+        scenario = {"n": 20, "horizon": (horizon, 10 ** 6), "x_shift": 1.0,
+                    "aligned": aligned}
         arc, _ = mimo_arc(**scenario)
         payload = sum(a.nbytes for a in (arc.times, arc.x, arc.tau_c,
                                          arc.tau_g))
@@ -1029,7 +1038,7 @@ class TestVerifyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * payload
+        assert peak <= ratio * payload
 
 
 class TestRobustnessCommand:

@@ -56,6 +56,24 @@ class TestInputSets:
                 assert same_bits(box.project(row.tolist()),
                                  np.clip(row, lo, hi))
 
+    def test_box_projection_is_ndarray_clip_bit_for_bit(self):
+        # Box.project calls the clip ufunc directly; ndarray.clip is the
+        # reference on signed zeros, NaN and infinite entries and bounds
+        special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -2.0, 3.0]
+        rows = np.array(np.meshgrid(special, special, special)).reshape(3, -1).T
+        for lo, hi in [([-1.0, -0.0, 0.0], [1.0, 0.0, 2.0]),
+                       ([-np.inf, -1.0, 0.0], [np.inf, np.inf, 0.0])]:
+            box = Box(lo, hi)
+            lo, hi = box.lo, box.hi
+            assert same_bits(box.project(rows), rows.clip(lo, hi))
+            for row in rows:
+                assert same_bits(box.project(row), row.clip(lo, hi))
+            assert same_bits(box.project(rows.tolist()), rows.clip(lo, hi))
+        point = Box([-0.0], [0.0])
+        for v in special:
+            assert same_bits(point.project(v),
+                             np.array([v]).clip(point.lo, point.hi))
+
     def test_box_diameter(self):
         assert Box([-1.0], [1.0]).diameter() == 2.0
         assert Box([0.0, 0.0], [3.0, 4.0]).diameter() == 5.0
