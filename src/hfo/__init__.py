@@ -22,9 +22,7 @@ from .model import (
     Perturbation,
     Plant,
     Timers,
-    grad_u_phi,
     make_state,
-    phi,
     strict_initial_state,
     validate,
 )

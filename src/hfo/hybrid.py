@@ -9,8 +9,8 @@ A run takes three steps. Only the plant state x flows, and linearly. A
 jump resets a timer, which ``schedule`` alone owns, and ``g1`` or ``g2``
 acts on u, y_s and z, which no timer reset reads.
 - ``schedule`` (pass 1) carries the two timers as floats, through the
-  model's timer interface (``contains``, ``which_case``, ``g1_timer``) and
-  the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
+  model's timer interface (``contains``, ``which_case``, ``tau_g_reset``)
+  and the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
   ``Schedule`` holds one row of numbers per segment (start time, start
   timers, grid steps, length, end timers) and one code per jump.
 - ``flows`` builds the flow maps of one or more schedules: each run's table
@@ -23,19 +23,16 @@ acts on u, y_s and z, which no timer reset reads.
   log, for u, y_s and z. Pass 2 fills in the samples: times and timers in
   one vectorized expression each, x from the table and the closing maps.
 
-``State`` appears only at the API edge: the initial state ``simulate``
-takes and ``Segment.state(k)`` / ``start`` (and the config,
-``model.validate`` and the sweeps, which build or check a start; ``from
-hfo.model import State`` still works).
-"""
+``State`` appears only at the API edge, as the initial state ``simulate``
+takes (and the config, ``model.validate`` and the sweeps build or check a
+start; ``from hfo.model import State`` still works)."""
 
 from __future__ import annotations
 
 import collections
 import itertools
 import math
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +81,9 @@ class JumpStats:
 
 class Segment:
     """One flow interval of a hybrid arc, at jump index j, as a view of the
-    arc's rows: sample k is at time ``times[k]`` with plant state ``x[k]``
-    and timers ``tau_c[k]``, ``tau_g[k]``. The components that stay constant
-    along a flow (u, y_s, z) live once, in the arc's held table."""
+    arc's rows: its samples are at times ``times``, rows ``rows`` of the
+    arc's columns. The components that stay constant along a flow (u, y_s,
+    z) live once, in the arc's held table."""
 
     __slots__ = ("arc", "j", "rows")
 
@@ -95,22 +92,10 @@ class Segment:
         self.rows = slice(int(arc.offsets[j]), int(arc.offsets[j + 1]))
 
     times = property(lambda self: self.arc.times[self.rows])
-    x = property(lambda self: self.arc.x[self.rows])
-    tau_c = property(lambda self: self.arc.tau_c[self.rows])
-    tau_g = property(lambda self: self.arc.tau_g[self.rows])
-    start = property(lambda self: self.state(0), doc="The first sample's state.")
-
-    def state(self, k: int) -> State:
-        """The full state of sample k (negative k counts from the end)."""
-        arc, j = self.arc, self.j
-        row = range(self.rows.start, self.rows.stop)[k]
-        return State(x=arc.x[row], u=arc.u[j], y_s=arc.y_s[j], z=arc.z[j],
-                     tau_c=float(arc.tau_c[row]), tau_g=float(arc.tau_g[row]))
 
 
-class _Segments(Sequence):
-    """``arc.segments``: one view per segment, made on access, for an
-    integer j; a slice is refused."""
+class _Segments:
+    """``arc.segments``: one view per segment, made as it is iterated."""
 
     __slots__ = ("arc",)
 
@@ -119,9 +104,6 @@ class _Segments(Sequence):
 
     def __len__(self) -> int:
         return len(self.arc.offsets) - 1
-
-    def __getitem__(self, j):
-        return Segment(self.arc, range(len(self))[operator.index(j)])
 
     def __iter__(self):
         return (Segment(self.arc, j) for j in range(len(self)))
@@ -139,7 +121,7 @@ class HybridArc:
     indexes its (case label, applied map) in ``JUMPS``. ``offsets`` is the
     arc's only segment index: sample i lies in segment
     ``searchsorted(offsets, i, "right") - 1``, and no per-sample copy of it
-    is kept. ``segments[j]`` is a view of segment j."""
+    is kept. ``segments`` iterates one view per segment."""
 
     times: np.ndarray  # (N,)
     x: np.ndarray  # (N, n)
@@ -150,11 +132,11 @@ class HybridArc:
     y_s: np.ndarray  # (S, p)
     z: np.ndarray  # (S, m)
     jumps: np.ndarray  # (S - 1,) int8, codes into JUMPS
-    min_dwell: float | None = None  # least gap between jump groups, if known
-    spacing: tuple | None = None  # least time between g1 jumps, between g2 jumps
+    min_dwell: float | None  # least gap between jump groups, if known
+    spacing: tuple  # least time between g1 jumps, between g2 jumps
 
     @property
-    def segments(self) -> Sequence:
+    def segments(self) -> _Segments:
         return _Segments(self)
 
     @property
@@ -290,13 +272,14 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
     traced in CPython's tuple free list once the rows die), and one
     ``JUMPS`` code per jump. Each g2 draws its tau_c reset by
     ``draw_tau_c_reset`` as it applies, and each g1 resets tau_g to
-    ``model.g1_timer()``; the seeded generator is built only for a policy
+    ``model.tau_g_reset``; the seeded generator is built only for a policy
     that can draw (a ``uniform`` reset or a ``random`` order).
     """
     t_max, j_max = horizon
     rate_c, rate_g = model.rate_c, model.rate_g
     which_case, contains = model.which_case, model.contains
     interval = (model.reset_lo, model.reset_hi)
+    tau_g_reset = model.tau_g_reset
     draws = policy.tau_c_reset == "uniform" or policy.case3_order == "random"
     rng = np.random.default_rng(policy.seed) if draws else None
     t, j, tau_c, tau_g = 0.0, 0, zeta0.tau_c, zeta0.tau_g
@@ -335,7 +318,7 @@ def _skeleton(model, zeta0, policy, horizon, sample_dt):
             if i:
                 add_point()
             if name == "g1":
-                tau_g = model.g1_timer()
+                tau_g = tau_g_reset
             else:
                 tau_c = draw_tau_c_reset(policy, rng, interval)
             jumps.append(_CODES[label, name])
@@ -761,7 +744,7 @@ def check_non_zeno(arc: HybridArc) -> NonZenoReport:
                 f"flow gap {float(gaps[k])} after jump sequence at "
                 f"t={float(t[first[k]])} shorter than {min_dwell}"
             )
-    elif arc.spacing is not None:
+    else:
         for name, least in zip(("g1", "g2"), arc.spacing):
             times = t[_applied(arc.jumps, name)]
             for k in np.flatnonzero(np.diff(times) < least - EVENT_TOL):

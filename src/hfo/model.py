@@ -1,9 +1,10 @@
 """The sampled-data feedback-optimization hybrid system.
 
-Parameter records, the flow/jump maps, the quadratic objective and its
-gradient, Euclidean projections onto the input set, and validation of every
-standing assumption. The hybrid state ``State`` lives in ``hybrid``, next to
-the arc that stores its columns, and is imported here.
+Parameter records, the flow/jump maps, Euclidean projections onto the input
+set, and validation of every standing assumption. The hybrid state ``State``
+lives in ``hybrid``, next to the arc that stores its columns, and is
+imported here: a ``State`` is only a start, which runs take and ``validate``
+checks.
 
 ``HybridFOModel`` has one flow map, ``flow_x``, and no grid method:
 ``hybrid.flows`` builds each run's sample-grid table and closing steps, from
@@ -105,9 +106,6 @@ class Box:
             diam = float(width.max() * np.linalg.norm(width / width.max()))
         return diam
 
-    def random_point(self, rng) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi)
-
 
 class Ball:
     """Euclidean ball input set; radial projection of a point or rows (k, m)."""
@@ -135,14 +133,6 @@ class Ball:
 
     def diameter(self) -> float:
         return 2.0 * self.radius
-
-    def random_point(self, rng) -> np.ndarray:
-        direction = rng.standard_normal(self.center.shape[0])
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            return self.center.copy()
-        scale = self.radius * rng.uniform() ** (1.0 / self.center.shape[0])
-        return self.center + direction * (scale / norm)
 
 
 @dataclass(frozen=True)
@@ -242,29 +232,6 @@ class Perturbation:
     theta_c_min: float = 0.0
     theta_c_max: float = 0.0
 
-    @classmethod
-    def zero(cls, n: int, m: int, p: int) -> "Perturbation":
-        return cls(np.zeros((n, n)), np.zeros((n, m)), np.zeros((p, m)))
-
-
-def phi(u, y_s, obj: Objective) -> float:
-    """Quadratic objective 0.5 u'Q_u u + 0.5 (y_s - y_hat)'Q_y (y_s - y_hat)."""
-    u = np.asarray(u, dtype=float)
-    err = np.asarray(y_s, dtype=float) - obj.y_hat
-    if u.shape[0] != obj.q_u.shape[0] or err.shape[0] != obj.q_y.shape[0]:
-        raise linalg.DimensionError("objective operand dimensions do not match")
-    return float(0.5 * u @ obj.q_u @ u + 0.5 * err @ obj.q_y @ err)
-
-
-def grad_u_phi(z, y_s, obj: Objective, h) -> np.ndarray:
-    """Input gradient Q_u z + H' Q_y (y_s - y_hat) used by the optimizer."""
-    z = np.asarray(z, dtype=float)
-    err = np.asarray(y_s, dtype=float) - obj.y_hat
-    h = np.asarray(h, dtype=float)
-    if z.shape[0] != obj.q_u.shape[0] or err.shape[0] != h.shape[0]:
-        raise linalg.DimensionError("gradient operand dimensions do not match")
-    return obj.q_u @ z + h.T @ (obj.q_y @ err)
-
 
 def gradient_constants(params: ModelParams):
     """(mu, L, q) of the gradient step, computed here alone from
@@ -291,11 +258,11 @@ class HybridFOModel:
     computed here once; ``hybrid.sample_bound``, the arc's ``spacing`` and
     its group-gap bound ``min_dwell`` (their minimum) read them.
 
-    The event interface (``contains``, ``which_case``, ``g1_timer``,
-    ``gradient_offset``, ``g1``, ``g2``) takes and returns the timers and
-    the arrays u, y_s, z and the gradient offset, never a ``State``: the
-    jump maps leave x alone. ``hybrid.schedule`` reads the timer methods
-    alone, and ``simulate``'s held recurrence the maps of u, y_s and z.
+    The event interface (``contains``, ``which_case``, ``gradient_offset``,
+    ``g1``, ``g2``) takes and returns the timers and the arrays u, y_s, z
+    and the gradient offset, never a ``State``: the jump maps leave x alone.
+    ``hybrid.schedule`` reads the timer methods and ``tau_g_reset`` alone,
+    and ``simulate``'s held recurrence the maps of u, y_s and z.
 
     A model is a plain value: it sets its attributes in ``__init__`` only and
     holds no cache, so ``flow_x`` computes its map on each call and a run
@@ -332,8 +299,7 @@ class HybridFOModel:
         self.period_g = self.tau_g_reset / -self.rate_g
         self.period_c = self.reset_lo / -self.rate_c
         obj = params.objective
-        # the operands of the gradient offset and of g1, each the very
-        # array grad_u_phi would use
+        # the operands of the gradient offset and of g1
         self._offset_operands = (self.h.T, obj.q_y, obj.y_hat)
         self._g1_operands = (obj.gamma, obj.q_u, params.input_set.project)
 
@@ -367,12 +333,6 @@ class HybridFOModel:
 
     # -- jumps --------------------------------------------------------------
 
-    def g1_timer(self) -> float:
-        """tau_g after a gradient jump, g1's timer half: its reset value.
-        ``hybrid.schedule`` owns the timers and takes tau_g from here; the
-        tau_c reset after g2 is the policy's draw (``draw_tau_c_reset``)."""
-        return self.tau_g_reset
-
     def gradient_offset(self, y_s) -> np.ndarray:
         """H'Q_y(y_s - y_hat), the part of the gradient that y_s fixes: pass
         1 computes it once per input period, at the start and after each
@@ -381,14 +341,14 @@ class HybridFOModel:
         return h_t @ (q_y @ (y_s - y_hat))
 
     def g1(self, z, offset):
-        """Gradient-descent jump: one projected step on z. Returns z; the
-        tau_g reset is ``g1_timer()``.
+        """Gradient-descent jump: one projected step on z. Returns z; tau_g
+        resets to ``tau_g_reset``, which ``hybrid.schedule`` reads.
 
         With ``offset = gradient_offset(y_s)`` the step is ``z - gamma *
-        grad_u_phi(z, y_s, objective, h)``, evaluated as the same expression
-        on the same arrays, so bit for bit the same, without
-        ``grad_u_phi``'s conversions and shape checks: pass 1 hands in the
-        float arrays of its own earlier maps."""
+        (Q_u z + H'Q_y(y_s - y_hat))``, the input gradient of the objective
+        0.5 u'Q_u u + 0.5 (y_s - y_hat)'Q_y (y_s - y_hat). The objective and
+        its gradient are test oracles (``tests/conftest.py``), which hold
+        this step bit for bit to the same expression on the same arrays."""
         gamma, q_u, project = self._g1_operands
         step = z - gamma * (q_u @ z + offset)
         return project(step)
@@ -526,13 +486,10 @@ def validate(params: ModelParams, zeta0: State | None = None,
     return Diagnostics(checks, zeta0)
 
 
-def strict_initial_state(params: ModelParams, x0=None, u0=None,
-                         tau_c0: float | None = None) -> State:
-    """Restricted initialization: tau_g at its reset value, z = u, consistent
-    sampled output."""
+def strict_initial_state(params: ModelParams) -> State:
+    """Restricted initialization: x = 0, u = z the projection of 0, tau_c
+    at tau_c_max, tau_g at its reset value, consistent sampled output."""
     plant = params.plant
-    u = params.input_set.project(np.zeros(plant.m) if u0 is None else u0)
-    x = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
-    tau_c = params.timers.tau_c_max if tau_c0 is None else float(tau_c0)
-    return make_state(x, u, params.h @ u + plant.d, u, tau_c,
-                      params.timers.tau_g_comp)
+    u = params.input_set.project(np.zeros(plant.m))
+    return make_state(np.zeros(plant.n), u, params.h @ u + plant.d, u,
+                      params.timers.tau_c_max, params.timers.tau_g_comp)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hfo.hybrid import JUMPS
+from hfo import linalg
+from hfo.hybrid import JUMPS, State
 from hfo.model import (
     Ball,
     Box,
@@ -32,6 +33,39 @@ def jump_log(arc) -> list:
     times = arc.times[arc.offsets[1:-1]].tolist()
     return [(t, j, *JUMPS[code])
             for j, (t, code) in enumerate(zip(times, arc.jumps.tolist()))]
+
+
+def segment_rows(arc, j) -> slice:
+    """Rows of segment j in the arc's sample columns."""
+    return slice(int(arc.offsets[j]), int(arc.offsets[j + 1]))
+
+
+def state_at(arc, i, j=None) -> State:
+    """The full state of sample i (negative i counts from the end): row i of
+    the sample columns and the held row of the segment it lies in, whose
+    index ``j`` a caller that knows it may pass."""
+    i = range(len(arc.times))[i]
+    if j is None:
+        j = int(np.searchsorted(arc.offsets, i, side="right")) - 1
+    return State(x=arc.x[i], u=arc.u[j], y_s=arc.y_s[j], z=arc.z[j],
+                 tau_c=float(arc.tau_c[i]), tau_g=float(arc.tau_g[i]))
+
+
+def segment_start(arc, j) -> State:
+    """The state of segment j's first sample."""
+    return state_at(arc, int(arc.offsets[j]))
+
+
+def random_point(input_set, rng) -> np.ndarray:
+    """A random point of a Box (uniform) or of a Ball (uniform in volume)."""
+    if isinstance(input_set, Box):
+        return rng.uniform(input_set.lo, input_set.hi)
+    direction = rng.standard_normal(input_set.center.shape[0])
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        return input_set.center.copy()
+    scale = input_set.radius * rng.uniform() ** (1.0 / len(input_set.center))
+    return input_set.center + direction * (scale / norm)
 
 
 @pytest.fixture
@@ -117,6 +151,25 @@ def random_params(rng, gamma_frac=None, ball_prob=0.25,
 
 
 # -- independent numerical oracles ------------------------------------------
+
+
+def phi(u, y_s, obj: Objective) -> float:
+    """Quadratic objective 0.5 u'Q_u u + 0.5 (y_s - y_hat)'Q_y (y_s - y_hat)."""
+    u = np.asarray(u, dtype=float)
+    err = np.asarray(y_s, dtype=float) - obj.y_hat
+    if u.shape[0] != obj.q_u.shape[0] or err.shape[0] != obj.q_y.shape[0]:
+        raise linalg.DimensionError("objective operand dimensions do not match")
+    return float(0.5 * u @ obj.q_u @ u + 0.5 * err @ obj.q_y @ err)
+
+
+def grad_u_phi(z, y_s, obj: Objective, h) -> np.ndarray:
+    """Input gradient Q_u z + H' Q_y (y_s - y_hat) used by the optimizer."""
+    z = np.asarray(z, dtype=float)
+    err = np.asarray(y_s, dtype=float) - obj.y_hat
+    h = np.asarray(h, dtype=float)
+    if z.shape[0] != obj.q_u.shape[0] or err.shape[0] != h.shape[0]:
+        raise linalg.DimensionError("gradient operand dimensions do not match")
+    return obj.q_u @ z + h.T @ (obj.q_y @ err)
 
 
 def rk4_lti_step_matrices(a, b, h):

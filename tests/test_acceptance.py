@@ -14,21 +14,23 @@ from hfo.model import (
     Box,
     HybridFOModel,
     JumpPolicy,
-    grad_u_phi,
     gradient_constants,
     make_state,
-    phi,
     strict_initial_state,
     validate,
 )
 from hfo.robustness import Perturbation, robustness_sweep
 from conftest import (
     central_difference_gradient,
+    grad_u_phi,
     jump_log,
+    phi,
     random_params,
+    random_point,
     random_spd,
     rk4_lti,
     s1_params,
+    state_at,
 )
 
 
@@ -173,7 +175,7 @@ def _bound_suite(which, seed, init_fn):
     c = constants(params)
     rep = check_bound(arc, c, which)
     worst = max(worst, rep.max_violation)
-    worst_tail = max(worst_tail, dist_to_A(arc.segments[-1].state(-1).x, c))
+    worst_tail = max(worst_tail, dist_to_A(state_at(arc, -1).x, c))
 
     rng = np.random.default_rng(seed)
     for i in range(20):
@@ -187,7 +189,7 @@ def _bound_suite(which, seed, init_fn):
         rep = check_bound(arc, c, which)
         worst = max(worst, rep.max_violation)
         worst_tail = max(worst_tail,
-                         dist_to_A(arc.segments[-1].state(-1).x, c))
+                         dist_to_A(state_at(arc, -1).x, c))
     return worst, worst_tail
 
 
@@ -197,9 +199,9 @@ def _strict_init_in_target(params, c, rng):
     v = rng.standard_normal(n)
     v *= rng.uniform(0.0, 0.9) * c.r / np.linalg.norm(v)
     tm = params.timers
-    return strict_initial_state(
-        params, x0=c.x_tilde + v, u0=params.input_set.random_point(rng),
-        tau_c0=rng.uniform(tm.tau_c_min, tm.tau_c_max))
+    u = params.input_set.project(random_point(params.input_set, rng))
+    return make_state(c.x_tilde + v, u, params.h @ u + params.plant.d, u,
+                      rng.uniform(tm.tau_c_min, tm.tau_c_max), tm.tau_g_comp)
 
 
 def _arbitrary_init(params, c, rng):
@@ -210,9 +212,9 @@ def _arbitrary_init(params, c, rng):
     v *= (c.r + rng.uniform(0.0, 3.0)) / np.linalg.norm(v)
     return make_state(
         c.x_tilde + v,
-        params.input_set.random_point(rng),
+        random_point(params.input_set, rng),
         params.objective.y_hat + rng.standard_normal(p),
-        params.input_set.random_point(rng),
+        random_point(params.input_set, rng),
         rng.uniform(0.0, tm.tau_c_max),
         rng.uniform(0.0, tm.tau_g_comp),
     )

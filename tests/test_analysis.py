@@ -34,7 +34,8 @@ from hfo.model import (
     make_state,
     strict_initial_state,
 )
-from conftest import jump_log, random_params, s1_params
+from conftest import (grad_u_phi, jump_log, random_params, s1_params,
+                      segment_start)
 
 
 def s1_arc(horizon=(6.0, 1000), sample_dt=0.01):
@@ -115,7 +116,7 @@ def per_sample_reconstruction(arc, params):
     exponential and the solve taken afresh for every sample."""
     a, b = params.plant.a, params.plant.b
     eye = np.eye(a.shape[0])
-    first = arc.segments[0].start
+    first = segment_start(arc, 0)
     anchor_t, anchor_x, u_p = 0.0, first.x.copy(), first.u.copy()
 
     def at(t):
@@ -128,7 +129,7 @@ def per_sample_reconstruction(arc, params):
         if seg.j < len(log) and log[seg.j][3] == "g2":
             t, j, _, _ = log[seg.j]
             anchor_x, anchor_t = at(t), t
-            u_p = arc.segments[j + 1].start.u.copy()
+            u_p = segment_start(arc, j + 1).u.copy()
     return np.vstack(recon)
 
 
@@ -143,11 +144,11 @@ def per_sample_bound_check(arc, c, which):
     """Oracle: (max_violation, first_entry_time, (t, j) of the first sample
     attaining it), from a plain loop over the stored samples."""
     bound_fn = {"thm1": bound_thm1, "thm2": bound_thm2}[which]
-    init_dist = dist_to_A(arc.segments[0].start.x, c)
+    init_dist = dist_to_A(segment_start(arc, 0).x, c)
     worst, witness, first_entry = -np.inf, None, None
     for seg in arc.segments:
         for k, t in enumerate(seg.times):
-            lhs = dist_to_A(seg.state(k).x, c)
+            lhs = dist_to_A(arc.x[seg.rows.start + k], c)
             gap = lhs - max(float(bound_fn(t, init_dist, c)), 0.0)
             if gap > worst:
                 worst, witness = gap, (float(t), seg.j)
@@ -337,8 +338,6 @@ class TestFixedPointZ:
 
     def test_fixed_point_property(self):
         rng = np.random.default_rng(43)
-        from hfo.model import grad_u_phi
-
         for _ in range(5):
             params = random_params(rng)
             h = params.h
@@ -998,14 +997,12 @@ class TestReconstruction:
         clean = rebuilt(arc, params)
         # the middle sample of a flow segment in a later input period
         i = len(arc.segments) * 2 // 3
-        while len(arc.segments[i].times) < 3:
+        while arc.offsets[i + 1] - arc.offsets[i] < 3:
             i += 1
-        seg = arc.segments[i]
-        k = len(seg.times) // 2
-        row = int(arc.offsets[i]) + k
+        row = int(arc.offsets[i] + arc.offsets[i + 1]) // 2
         # push the stored value away from its reconstruction
-        push = np.sign(seg.x[k, 0] - clean[row, 0]) or 1.0
-        seg.x[k, 0] += push * 1e-6
+        push = np.sign(arc.x[row, 0] - clean[row, 0]) or 1.0
+        arc.x[row, 0] += push * 1e-6
         corrupted = reconstruct_x(arc, params)
         assert corrupted.path == path
         assert corrupted.max_deviation >= 1e-6

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,10 +16,14 @@ import pytest
 from hfo import analysis, cli, hybrid, linalg, robustness
 from hfo.cli import main
 from hfo.config import ConfigError, parse_config
-from hfo.model import HybridFOModel, JumpPolicy
-from conftest import jump_log
+from hfo.model import HybridFOModel, JumpPolicy, validate
+from conftest import jump_log, segment_rows, segment_start, state_at
 
-S1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "s1.json"
+ROOT = Path(__file__).resolve().parent.parent
+S1_CONFIG = ROOT / "configs" / "s1.json"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+sys.path.insert(0, str(ROOT / "bench"))
+import scenarios  # noqa: E402
 
 # The report's config block for configs/s1.json, written out by hand so that
 # any change to the echo shows: every value as parsed (floats stay floats)
@@ -67,13 +72,42 @@ def per_state_csv(path, arc, consts, params):
         writer = csv.writer(fh)
         writer.writerow(cli._csv_header(params))
         for seg in arc.segments:
-            for k, t in enumerate(seg.times):
-                writer.writerow(row(t, seg.j, "", seg.state(k)))
+            for i, t in zip(range(seg.rows.start, seg.rows.stop), seg.times):
+                writer.writerow(row(t, seg.j, "", state_at(arc, i, seg.j)))
             if seg.j < len(log):
                 t, j, case, _ = log[seg.j]
-                writer.writerow(row(t, j, f"{case}:pre", seg.state(-1)))
+                writer.writerow(row(t, j, f"{case}:pre",
+                                    state_at(arc, seg.rows.stop - 1, j)))
                 writer.writerow(row(t, j + 1, f"{case}:post",
-                                    arc.segments[j + 1].start))
+                                    segment_start(arc, j + 1)))
+
+
+def all_pairs_directional(arc_a, arc_b, tau, side, with_held=True):
+    """Oracle: one direction of ``closeness`` by an all-pairs scan of each
+    read segment of arc_a against arc_b's segment at the same j, over rows
+    of [t, x, tau_c, tau_g]; ``with_held=False`` leaves out the held gap."""
+    def columns(arc, j):
+        rows = segment_rows(arc, j)
+        return np.column_stack([arc.times[rows], arc.x[rows],
+                                arc.tau_c[rows], arc.tau_g[rows]])
+
+    held_a, held_b = arc_a.held(), arc_b.held()
+    worst, witness = 0.0, (side, 0.0, 0)
+    for j in range(len(arc_a.offsets) - 1):
+        a = columns(arc_a, j)
+        read = a[a[:, 0] + j <= tau + hybrid.EVENT_TOL]
+        if not len(read):
+            break
+        if j >= len(arc_b.offsets) - 1:
+            return math.inf, (side, float(a[0, 0]), j)
+        b = columns(arc_b, j)
+        gaps = np.abs(read[:, None, :] - b[None, :, :]).max(axis=2)
+        held = np.max(np.abs(held_a[j] - held_b[j])) if with_held else 0.0
+        match = np.maximum(gaps.min(axis=1), held)
+        k = int(np.argmax(match))
+        if match[k] > worst:
+            worst, witness = float(match[k]), (side, float(read[k, 0]), j)
+    return worst, witness
 
 
 def _max_segment(arc) -> int:
@@ -361,7 +395,9 @@ class TestParseConfig:
             fields)
         cfg = write_config(tmp_path, data)
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 2
-        assert f"error: unknown field '{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown field '{field}'")
+        assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_integral_floats_accepted(self):
@@ -517,6 +553,81 @@ class TestSimulateCommand:
             cli.write_trajectory_csv(tmp_path / "columns.csv", arc, consts,
                                      config.params)
             assert (tmp_path / "columns.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("drawn", [False, True], ids=["s1", "n3-drawn"])
+    def test_long_csv_matches_per_state_writer(self, tmp_path, drawn):
+        # two arcs at T = 1000: S1's deterministic schedule, and the n = 3,
+        # m = 2 plant under a uniform tau_c reset and a random composite
+        # order; what hfo simulate wrote, byte for byte against the same arc
+        # written one full state per row
+        data = load_s1_dict()
+        data["horizon"] = {"T": 1000.0, "J": 10 ** 6}
+        if drawn:
+            data.update(N3_M2_P2)
+            data["timers"]["tau_c_max"] = 1.5
+            data["policy"].update(tau_c_reset="uniform", case3_order="random")
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        config = parse_config(cfg)
+        arc, consts, _ = cli._run(config)
+        assert len(arc.times) > 100_000
+        per_state_csv(tmp_path / "states.csv", arc, consts, config.params)
+        assert ((tmp_path / "states.csv").read_bytes()
+                == (out / "trajectory.csv").read_bytes())
+
+    def test_drawing_policy_runs_are_deterministic(self, tmp_path,
+                                                   monkeypatch):
+        # a uniform tau_c reset and a random composite order: the one
+        # policy branch where simulate builds its seeded generator
+        monkeypatch.delenv("HFO_SEED", raising=False)
+        data = load_s1_dict()
+        data["timers"]["tau_c_max"] = 1.2
+        data["policy"].update(tau_c_reset="uniform", case3_order="random")
+        cfg = write_config(tmp_path, data)
+        for run in ("a", "b"):
+            assert main(["simulate", cfg, "--out",
+                         str(tmp_path / run / "simulate")]) == 0
+            assert main(["robustness", cfg, "--out",
+                         str(tmp_path / run / "robustness"),
+                         "--tau", "30"]) == 0
+        for name in ("simulate/trajectory.csv", "simulate/report.json",
+                     "robustness/robustness.csv",
+                     "robustness/robustness_report.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+        def jump_rows(out):  # the :pre and :post rows of trajectory.csv
+            return [line for line in (out / "trajectory.csv").read_text()
+                    .splitlines() if ":pre," in line or ":post," in line]
+
+        monkeypatch.setenv("HFO_SEED", "11")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "seed")]) == 0
+        assert (jump_rows(tmp_path / "a" / "simulate")
+                != jump_rows(tmp_path / "seed"))
+
+    @pytest.mark.parametrize("case", ["s1", "random-uniform", "seed-7"])
+    def test_config_echo_reads_back_to_the_same_run(self, tmp_path,
+                                                    monkeypatch, case):
+        monkeypatch.delenv("HFO_SEED", raising=False)
+        data = load_s1_dict()
+        if case == "random-uniform":
+            data["timers"]["tau_c_max"] = 1.5
+            data["policy"].update(case3_order="random", tau_c_reset="uniform")
+        elif case == "seed-7":
+            monkeypatch.setenv("HFO_SEED", "7")
+        cfg = write_config(tmp_path, data)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["simulate", cfg, "--out", str(first)]) == 0
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(json.loads(
+            (first / "report.json").read_text())["config"]))
+        if case == "seed-7":
+            assert '"seed": 7' in echo.read_text()
+            monkeypatch.delenv("HFO_SEED")
+        assert main(["simulate", str(echo), "--out", str(again)]) == 0
+        assert ((first / "trajectory.csv").read_bytes()
+                == (again / "trajectory.csv").read_bytes())
 
     def test_reprs_are_those_of_each_float(self):
         values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-05, 1e16,
@@ -699,11 +810,12 @@ class TestSimulateCommand:
         assert post == list(range(1, jumps + 1))
 
 
-# S1 edits past a float's range or within the event tolerance, and what
-# stderr names: the failed check, or the field
+# S1 edits past a float's range or within the event tolerance, and the start
+# of the stderr line that names the fault: the failed check, or the field
 NUMERIC_LIMITS = [
     pytest.param("objective", {"gamma": 1e200}, "  stepsize: ", id="gamma"),
-    pytest.param("timers", {"ell": 10 ** 400}, "'timers.ell'", id="ell"),
+    pytest.param("timers", {"ell": 10 ** 400}, "error: field 'timers.ell'",
+                 id="ell"),
     pytest.param("input_set", {"lo": [-1e308], "hi": [1e308]},
                  "  input_set: ", id="huge-box"),
     pytest.param("timers", {"tau_g_comp": 1e-12}, "  timers: ",
@@ -728,7 +840,8 @@ class TestNumericLimits:
             warnings.simplefilter("always")
             assert main([command, cfg, "--out", str(tmp_path)] + extra) == 2
         err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert any(line.startswith(named) for line in err.splitlines())
+        assert "Traceback" not in err and "Warning" not in err
         assert not caught  # no overflow warning either
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "robustness"])
@@ -748,20 +861,21 @@ class TestNumericLimits:
             assert main([command, cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: constants not finite: r = inf")
-        assert "input_set diameter d_u = 1e+308" in err
-        assert "Traceback" not in err
+        assert "input_set diameter d_u = 1e+308" in err.splitlines()[0]
+        assert "Traceback" not in err and "Warning" not in err
         assert not caught
 
-    @pytest.mark.parametrize("input_set", [
-        {"kind": "ball", "center": [0.0], "radius": 1e307},
+    @pytest.mark.parametrize("input_set, t_max", [
+        ({"kind": "ball", "center": [0.0], "radius": 1e307}, 5.0),
         # the squares of its width overflow, its diameter does not
-        {"kind": "box", "lo": [-1e154], "hi": [1e154]},
-    ], ids=["ball", "box"])
+        ({"kind": "box", "lo": [-1e154], "hi": [1e154]}, 5.0),
+        ({"kind": "box", "lo": [-1e154], "hi": [1e154]}, 30.0),
+    ], ids=["ball", "box", "box-t30"])
     def test_huge_finite_input_set_verifies(self, tmp_path, capsys,
-                                            input_set):
+                                            input_set, t_max):
         data = load_s1_dict()
         data["input_set"] = input_set
-        data["horizon"] = {"T": 5.0, "J": 1000}
+        data["horizon"] = {"T": t_max, "J": 1000}
         cfg = write_config(tmp_path, data)
         assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -801,6 +915,7 @@ class TestNumericLimits:
         assert main(["verify", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: field 'timers.ell'")
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_digit_string_past_float_range_named(self):
         data = load_s1_dict()
@@ -846,19 +961,132 @@ class TestVerifyCommand:
         assert recon["eigenbasis_cond"] == 1.0
 
     def test_defective_plant_reconstructs_by_expm(self, tmp_path):
+        # a Jordan block, driven into either state, at T = 10 and at the
+        # shipped horizon
+        for b, horizon in (([[0.0], [1.0]], {"T": 10.0, "J": 1000}),
+                           ([[1.0], [0.0]], {"T": 30.0, "J": 1000})):
+            data = load_s1_dict()
+            data["plant"].update({"A": [[-1.0, 1.0], [0.0, -1.0]],
+                                  "B": b, "C": [[0.2, 0.0]]})
+            data["objective"]["gamma"] = 0.05
+            data["horizon"] = horizon
+            data.pop("perturbation")
+            cfg = write_config(tmp_path, data)
+            assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / "verify_report.json").read_text())
+            recon = report["checks"]["reconstruction"]
+            assert recon["path"] == "expm"
+            assert recon["eigenbasis_cond"] > 1e15
+            assert recon["passed"] is True
+            note = report["constants"]["m_estimate"]["non_normal_note"]
+            assert note is not None
+
+    @pytest.mark.parametrize("plant, horizon", [
+        (None, None),
+        ({"A": [[-1.0, 2.0], [-2.0, -1.0]], "B": [[1.0], [0.0]],
+          "C": [[1.0, 0.0]]}, None),
+        # one real mode beside a complex pair
+        ({"A": [[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.5], [0.0, 0.0, -0.5]],
+          "B": [[1.0], [0.5], [-0.3]], "C": [[0.4, 0.2, 0.1]]}, None),
+        # 2001 input periods, in chunks
+        (None, {"T": 1000.0, "J": 10 ** 6}),
+    ], ids=["s1", "rotation", "real-and-pair", "s1-t1000"])
+    def test_reconstructs_in_the_eigenbasis(self, tmp_path, plant, horizon):
         data = load_s1_dict()
-        data["plant"].update({"A": [[-1.0, 1.0], [0.0, -1.0]],
-                              "B": [[0.0], [1.0]], "C": [[0.2, 0.0]]})
-        data["objective"]["gamma"] = 0.05
-        data["horizon"] = {"T": 10.0, "J": 1000}
-        data.pop("perturbation")
+        if plant is not None:
+            data["plant"].update(plant)
+            del data["perturbation"]
+        if horizon is not None:
+            data["horizon"] = horizon
         cfg = write_config(tmp_path, data)
-        main(["verify", cfg, "--out", str(tmp_path)])
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        recon = report["checks"]["reconstruction"]
-        assert recon["path"] == "expm"
-        assert recon["eigenbasis_cond"] > 1e15
-        assert recon["passed"] is True
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        recon = json.loads((tmp_path / "verify_report.json").read_text())[
+            "checks"]["reconstruction"]
+        assert recon["path"] == "eigenbasis" and recon["passed"]
+
+    @pytest.mark.parametrize("timers, policy", [
+        ({}, {"case3_order": "g2_first"}),
+        ({"tau_c_max": 1.5}, {"case3_order": "random",
+                              "tau_c_reset": "uniform"}),
+        ({"tau_c_max": 1.5}, {"tau_c_reset": "fixed", "tau_c_value": 1.25}),
+    ], ids=["g2-first", "random-uniform", "fixed-wide"])
+    def test_other_composite_orders_and_resets_verify(self, tmp_path, timers,
+                                                      policy):
+        data = load_s1_dict()
+        data["timers"].update(timers)
+        data["policy"].update(policy)
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_ball_set_with_the_optimum_on_its_boundary(self, tmp_path,
+                                                       capsys):
+        data = load_s1_dict()
+        data["plant"]["B"] = [[1.0, 0.5]]
+        data["objective"].update(Q_u=[[1.0, 0.0], [0.0, 1.0]], gamma=0.2,
+                                 y_hat=[4.0])
+        data["input_set"] = {"kind": "ball", "center": [0.0, 0.0],
+                             "radius": 1.0}
+        del data["perturbation"]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        assert "PASS contraction" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("plant, ties", [
+        ({"A": [[-2.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -2.0]],
+          "B": [[1.0], [0.0], [0.0]], "C": [[1.0, 0.0, 0.0]]}, True),
+        ({"A": [[-1.0, 4.0], [0.0, -2.0]], "B": [[1.0], [0.0]],
+          "C": [[1.0, 0.0]]}, False),
+    ], ids=["all-ties", "overshoot"])
+    def test_overshoot_grid_maximizer(self, tmp_path, plant, ties):
+        data = load_s1_dict()
+        data["plant"].update(plant)
+        del data["perturbation"]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        audit = json.loads((tmp_path / "verify_report.json").read_text())[
+            "constants"]["m_estimate"]
+        if ties:
+            assert audit["sup"] == 1.0 and audit["t_at_max"] == 0.0
+        else:
+            assert audit["t_at_max"] > 0.0
+
+    @pytest.mark.parametrize("plant", ["mimo-7", "early-peak"])
+    def test_overshoot_grid_matches_all_svd_and_recurrence(self, tmp_path,
+                                                           plant):
+        """estimate_M's report on an n = 20 plant, and on a non-normal plant
+        with mu2 = lambda_max((A + A')/2) > 0, where no log-norm
+        certificate applies (v(t) peaks at t = 0.75, in the first block, and
+        every block but two is skipped): against the grid from its table of
+        powers with an SVD at every point, and against the sequential
+        recurrence e = step @ e, which shares no product with that grid."""
+        from test_analysis import all_svd_estimate
+
+        if plant == "mimo-7":
+            data = scenarios.mimo_scenario(7)
+        else:
+            data = load_s1_dict()
+            data["plant"].update(A=[[-1.0, 20.0], [0.0, -2.0]],
+                                 B=[[0.0], [1.0]], C=[[0.1, 0.0]])
+            data["overrides"] = {"rho": 0.1}
+            del data["perturbation"]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+        consts = json.loads((tmp_path / "verify_report.json").read_text())[
+            "constants"]
+        a, rho = np.array(data["plant"]["A"], dtype=float), consts["rho"]
+        got = consts["m_estimate"]
+        assert ((got["value"], got["t_at_max"], got["sup"])
+                == all_svd_estimate(a, rho))
+        h = analysis.M_HORIZON / rho / analysis.M_GRID_POINTS
+        step, e = linalg.mat_exp(a, h), np.eye(a.shape[0])
+        seq_sup, seq_at = 1.0, 0.0
+        for k in range(1, analysis.M_GRID_POINTS + 1):
+            e = step @ e
+            value = np.linalg.norm(e, 2) * np.exp(rho * k * h)
+            if value > seq_sup:
+                seq_sup, seq_at = value, k * h
+        assert abs(got["sup"] - seq_sup) <= 1e-12 * seq_sup
+        assert got["t_at_max"] == seq_at
 
     def test_mimo_derives_each_quantity_once(self, tmp_path, monkeypatch):
         """One eigendecomposition of A, one guarded solve (for A^{-1} B) and
@@ -963,16 +1191,17 @@ class TestVerifyCommand:
     def test_restricted_start_in_global_mode_checks_thm1(self, tmp_path,
                                                           capsys):
         # global mode only downgrades init failures; this start is restricted
-        data = load_s1_dict()
-        data["horizon"] = {"T": 10.0, "J": 1000}
-        data["init"] = {"mode": "global"}
-        cfg = write_config(tmp_path, data)
-        assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert {"name": "init_restricted", "status": "pass",
-                "detail": ""} in report["validation"]
-        assert report["checks"]["bound_thm1"]["passed"] is True
-        assert "PASS bound_thm1" in capsys.readouterr().out
+        for t_max in (10.0, 30.0):
+            data = load_s1_dict()
+            data["horizon"] = {"T": t_max, "J": 1000}
+            data["init"] = {"mode": "global"}
+            cfg = write_config(tmp_path, data)
+            assert main(["verify", cfg, "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / "verify_report.json").read_text())
+            assert {"name": "init_restricted", "status": "pass",
+                    "detail": ""} in report["validation"]
+            assert report["checks"]["bound_thm1"]["passed"] is True
+            assert "PASS bound_thm1" in capsys.readouterr().out
 
     def test_negative_control_shrunk_radius_fails(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -1211,6 +1440,45 @@ class TestRobustnessCommand:
             "sweep"]["rows"]
         assert all(math.isfinite(row["epsilon"]) for row in rows)
 
+    def test_long_sweep_rows_match_an_all_pairs_scan(self, tmp_path):
+        # every row of a sweep to tau = 300, whose wide windows span whole
+        # segments, again from the same runs by the all-pairs scan; and each
+        # direction with no held gap, which S1's rows do not show, since
+        # their worst match is a held gap
+        assert main(["robustness", str(S1_CONFIG), "--out", str(tmp_path),
+                     "--tau", "300", "--deltas", "0.9,0.5,0.1,0.001"]) == 0
+        config = parse_config(S1_CONFIG)
+        report = json.loads((tmp_path / "robustness_report.json").read_text())
+        tau = report["sweep"]["tau"]
+        zeta0 = validate(config.params, config.zeta0,
+                         mode=config.init_mode).zeta0
+        horizon = (tau, math.floor(tau + hybrid.EVENT_TOL) + 1)
+        nominal = hybrid.simulate(HybridFOModel(config.params), zeta0,
+                                  config.policy, horizon, config.sample_dt)
+        with (tmp_path / "robustness.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row, record in zip(rows, report["sweep"]["rows"]):
+            model = HybridFOModel(config.params, config.perturbation,
+                                  float(row["delta"]))
+            perturbed = hybrid.simulate(
+                model, robustness._start(model, zeta0),
+                robustness._clipped(model, config.policy), horizon,
+                config.sample_dt)
+            e1, w1 = all_pairs_directional(nominal, perturbed, tau, 1)
+            e2, w2 = all_pairs_directional(perturbed, nominal, tau, 2)
+            eps, (side, t, j) = (e1, w1) if e1 >= e2 else (e2, w2)
+            assert (float(row["epsilon"]), float(row["witness_t"]),
+                    int(row["witness_j"]), record["witness_arc"]) == (
+                        eps, t, j, side)
+            shared = min(len(nominal.offsets), len(perturbed.offsets)) - 1
+            for side, pair in ((1, (nominal, perturbed)),
+                               (2, (perturbed, nominal))):
+                flow = robustness._directional(*pair, np.zeros(shared), tau,
+                                               side)
+                assert flow == all_pairs_directional(*pair, tau, side,
+                                                     with_held=False)
+
     def test_missing_perturbation_exit_2(self, tmp_path, capsys):
         data = load_s1_dict()
         del data["perturbation"]
@@ -1255,6 +1523,15 @@ class TestOutDirectory:
         assert main([command[0], cfg, "--out", str(out), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --out {out}: Is a directory: {out / output}\n"
+
+
+def test_workflow_runs_no_inline_python():
+    # every check lives in tier-1, which the workflow's last step runs: the
+    # workflow calls the console script and pytest, and holds no python -c
+    # step and no heredoc script
+    text = WORKFLOW.read_text()
+    assert not re.search(r"\bpython3?\s+-(c\b|\s|$)", text, re.M)
+    assert "<<" not in text
 
 
 def test_commands_import_no_scipy(tmp_path):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from hfo import hybrid, linalg
-from hfo.hybrid import State
 from hfo.model import (HybridFOModel, JumpPolicy, Perturbation, Timers,
                        strict_initial_state)
-from conftest import jump_log, random_params, s1_params
+from conftest import jump_log, random_params, s1_params, segment_start
 
 
 class TestNextEvent:
@@ -65,11 +64,11 @@ class TestSimulate:
 
     def test_s1_optimizer_iterates(self):
         arc, _ = simulate_s1(horizon=(1.5, 1000))
-        z_after = [float(arc.segments[j + 1].start.z[0]) for j in range(5)]
+        z_after = [float(arc.z[j + 1][0]) for j in range(5)]
         np.testing.assert_allclose(z_after, [0.6, 0.96, 1.0, 1.0, 1.0],
                                    atol=1e-12)
         # input applied at the composite jump, output resampled
-        post = arc.segments[5].start
+        post = segment_start(arc, 5)
         assert post.u[0] == pytest.approx(1.0)
         assert post.y_s[0] == pytest.approx(1.5)
         assert post.tau_c == pytest.approx(1.0)
@@ -92,7 +91,7 @@ class TestSimulate:
     def test_jump_budget_stops_run(self):
         arc, _ = simulate_s1(horizon=(10.0, 3))
         assert len(arc.jumps) == 3
-        assert arc.segments[-1].j == 3
+        assert list(arc.segments)[-1].j == 3
 
     def test_deterministic_given_seed(self):
         params = random_params(np.random.default_rng(21))
@@ -276,8 +275,9 @@ class TestColumnarSegments:
             # non-unit timer rates put the segment ends off the sample grid
             params = random_params(np.random.default_rng(8), n=3)
             plant = params.plant
-            pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
-                                       kappa_c=0.1, kappa_g=-0.07)
+            pert = Perturbation(np.zeros_like(plant.a), np.zeros_like(plant.b),
+                                np.zeros((plant.p, plant.m)), kappa_c=0.1,
+                                kappa_g=-0.07)
             model = HybridFOModel(params, pert, 1.0)
             policy = JumpPolicy(tau_c_reset="uniform", seed=4)
             sample_dt = 0.013
@@ -288,33 +288,16 @@ class TestColumnarSegments:
             if seg.times[-1] == seg.times[0]:
                 continue
             flows += 1
-            start = seg.start
+            start = segment_start(arc, seg.j)
             dt, which = hybrid.next_event(start.tau_c, start.tau_g,
                                           model.rate_c, model.rate_g)
             times, xs, timers = per_sample_flow(model, start, seg.times[0], dt,
                                                 which, sample_dt)
             assert np.array_equal(seg.times, times)
-            assert_x_close(seg.x, xs)
-            assert np.array_equal(seg.tau_c, timers[:, 0])
-            assert np.array_equal(seg.tau_g, timers[:, 1])
+            assert_x_close(arc.x[seg.rows], xs)
+            assert np.array_equal(arc.tau_c[seg.rows], timers[:, 0])
+            assert np.array_equal(arc.tau_g[seg.rows], timers[:, 1])
         assert flows >= 10
-
-    def test_state_accessor(self):
-        arc, _ = simulate_s1(horizon=(1.5, 1000))
-        seg = arc.segments[1]
-        def vector(s):
-            return np.concatenate([s.x, s.u, s.y_s, s.z, [s.tau_c], [s.tau_g]])
-
-        assert isinstance(seg.start, State)
-        assert np.array_equal(vector(seg.state(0)), vector(seg.start))
-        rows = np.vstack([vector(seg.state(k)) for k in range(len(seg.times))])
-        held = np.broadcast_to(arc.held()[1], (len(seg.times), 3))
-        assert np.array_equal(rows, np.column_stack(
-            [seg.x, held, seg.tau_c, seg.tau_g]))
-        last = seg.state(-1)
-        assert last.tau_g == seg.tau_g[-1] == 0.0
-        assert isinstance(last.tau_c, float)
-        assert np.array_equal(last.u, seg.start.u)
 
 
 class TestTwoPasses:
@@ -353,8 +336,9 @@ class TestTwoPasses:
         elif case == "n3-perturbed":
             params = random_params(np.random.default_rng(8), n=3)
             plant = params.plant
-            pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
-                                       kappa_c=0.1, kappa_g=-0.07)
+            pert = Perturbation(np.zeros_like(plant.a), np.zeros_like(plant.b),
+                                np.zeros((plant.p, plant.m)), kappa_c=0.1,
+                                kappa_g=-0.07)
             model = HybridFOModel(params, pert, 1.0)
             policy, sample_dt = JumpPolicy(tau_c_reset="uniform", seed=4), 0.013
         else:
@@ -385,8 +369,7 @@ class TestTwoPasses:
     def test_segments_are_views(self):
         arc, _ = simulate_s1(horizon=(3.0, 1000))
         for seg in arc.segments:
-            for name in ("times", "x", "tau_c", "tau_g"):
-                assert np.shares_memory(getattr(seg, name), getattr(arc, name))
+            assert np.shares_memory(seg.times, arc.times)
 
     def test_s1_sample_count(self):
         arc, _ = simulate_s1(horizon=(100.0, 1000))
@@ -505,8 +488,9 @@ class TestStatelessModel:
             if grid < 0:
                 continue
             running = np.concatenate([[0.0], np.cumsum(np.full(grid, 0.01))])
-            want = model.flow_x(seg.x[-2], u, length - float(running[-1]))
-            assert np.array_equal(seg.x[-1], want)
+            x = arc.x[seg.rows]
+            want = model.flow_x(x[-2], u, length - float(running[-1]))
+            assert np.array_equal(x[-1], want)
 
 
 class TestSampleBudget:
@@ -617,12 +601,13 @@ class TestArcInvariant:
 
     @staticmethod
     def assert_invariant(arc):
-        assert len(arc.segments) == len(arc.jumps) + 1
+        segments = list(arc.segments)
+        assert len(arc.segments) == len(segments) == len(arc.jumps) + 1
         for k, (t, j, _, _) in enumerate(jump_log(arc)):
-            assert arc.segments[k].j == j == k
-            before, after = arc.segments[k], arc.segments[k + 1]
+            assert segments[k].j == j == k
+            before, after = segments[k], segments[k + 1]
             assert t == before.times[-1] == after.times[0]
-        assert arc.segments[-1].j == len(arc.jumps)
+        assert segments[-1].j == len(arc.jumps)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("reset", ["min", "uniform"])
@@ -635,10 +620,11 @@ class TestArcInvariant:
         starts = [strict,
                   dataclasses.replace(strict, tau_g=0.0),  # in the jump set
                   dataclasses.replace(strict, tau_c=0.0, tau_g=0.0)]
-        rates = dataclasses.replace(Perturbation.zero(n, params.plant.m,
-                                                      params.plant.p),
-                                    kappa_c=1.0 - rng.uniform(0.8, 1.2),
-                                    kappa_g=1.0 - rng.uniform(0.8, 1.2))
+        plant = params.plant
+        rates = Perturbation(np.zeros_like(plant.a), np.zeros_like(plant.b),
+                             np.zeros((plant.p, plant.m)),
+                             kappa_c=1.0 - rng.uniform(0.8, 1.2),
+                             kappa_g=1.0 - rng.uniform(0.8, 1.2))
         models = [HybridFOModel(params), HybridFOModel(params, rates, 1.0)]
         composite = False
         for model in models:
@@ -851,7 +837,7 @@ def loop_non_zeno(arc):
             violations.append(
                 f"flow gap {gap} after jump sequence at t={a[0][0]} "
                 f"shorter than {min_dwell}")
-    if min_dwell is None and arc.spacing is not None:
+    if min_dwell is None:
         for applied, least in zip(("g1", "g2"), arc.spacing):
             times = [t for t, _, _, name in log if name == applied]
             for t0, t1 in zip(times, times[1:]):
@@ -863,9 +849,17 @@ def loop_non_zeno(arc):
 
 
 class BrokenModel(HybridFOModel):
-    def g1_timer(self):
-        # g1 leaves the gradient timer expired: immediate re-jump
-        return 0.0
+    """g1 resets tau_g just below zero, in the jump set: every g1 leaves a
+    nonpositive timer and jumps again at once. ``broken_start`` lies in its
+    shrunken domain."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.tau_g_reset = -0.1 * hybrid.EVENT_TOL
+
+
+def broken_start(params):
+    return dataclasses.replace(strict_initial_state(params), tau_g=0.0)
 
 
 def non_zeno_arc(case):
@@ -893,15 +887,16 @@ def non_zeno_arc(case):
     if case == "n3-perturbed":
         params = random_params(np.random.default_rng(8), n=3)
         plant = params.plant
-        pert = dataclasses.replace(Perturbation.zero(plant.n, plant.m, plant.p),
-                                   kappa_c=0.1, kappa_g=-0.07)
+        pert = Perturbation(np.zeros_like(plant.a), np.zeros_like(plant.b),
+                            np.zeros((plant.p, plant.m)), kappa_c=0.1,
+                            kappa_g=-0.07)
         return hybrid.simulate(HybridFOModel(params, pert, 1.0),
                                strict_initial_state(params),
                                JumpPolicy(tau_c_reset="uniform", seed=4),
                                (30.0, 1000), 0.013)
     if case == "broken":
         params = s1_params()
-        return hybrid.simulate(BrokenModel(params), strict_initial_state(params),
+        return hybrid.simulate(BrokenModel(params), broken_start(params),
                                JumpPolicy(seed=1), (2.0, 8), 0.01)
     arc, _ = simulate_s1(horizon=(0.0, 1000))  # "no-jump"
     return arc
@@ -948,7 +943,8 @@ class TestCheckNonZeno:
         arc = hybrid.simulate(model, zeta0, policy, (3.0, 1000))
         assert arc.min_dwell == 0.25
         if change == "rates":
-            pert = dataclasses.replace(Perturbation.zero(1, 1, 1), kappa_c=0.1)
+            pert = Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
+                                np.zeros((1, 1)), kappa_c=0.1)
             model = HybridFOModel(params, pert, 0.5)
         elif change == "uniform":
             model = HybridFOModel(dataclasses.replace(
@@ -979,9 +975,8 @@ class TestCheckNonZeno:
 
     def test_broken_jump_map_detected(self):
         params = s1_params()
-        model = BrokenModel(params)
-        zeta0 = strict_initial_state(params)
-        arc = hybrid.simulate(model, zeta0, JumpPolicy(seed=1), (2.0, 8), 0.01)
+        arc = hybrid.simulate(BrokenModel(params), broken_start(params),
+                              JumpPolicy(seed=1), (2.0, 8), 0.01)
         report = hybrid.check_non_zeno(arc)
         assert not report.passed
         assert report.max_jumps_per_instant > 2

@@ -16,14 +16,13 @@ from hfo.model import (
     Perturbation,
     Plant,
     Timers,
-    grad_u_phi,
     make_state,
-    phi,
     strict_initial_state,
     validate,
 )
-from conftest import (central_difference_gradient, random_hurwitz,
-                      random_params, random_spd, s1_params)
+from conftest import (central_difference_gradient, grad_u_phi, phi,
+                      random_hurwitz, random_params, random_point, random_spd,
+                      s1_params)
 
 
 def same_bits(a, b) -> bool:
@@ -130,7 +129,7 @@ class TestInputSets:
         rng = np.random.default_rng(29)
         for input_set in [Box([-1.0, 0.0], [1.0, 2.0]), Ball([0.5], 1.5)]:
             for _ in range(50):
-                assert input_set.contains(input_set.random_point(rng))
+                assert input_set.contains(random_point(input_set, rng))
 
 
 class TestGainAndObjective:
@@ -183,14 +182,15 @@ def h_perturbation(rng, n, m, p):
 def resolve(params, state, policy):
     """The state after the full jump map: the maps ``jump_order`` names for
     the case ``which_case`` selects, applied in turn by ``g1`` and ``g2``,
-    with the timer resets ``g1_timer()`` and the policy's draw."""
+    with the timer resets ``tau_g_reset`` and the policy's draw."""
     model = HybridFOModel(params)
     rng = np.random.default_rng(policy.seed)
     u, y_s, z = state.u, state.y_s, state.z
     tau_c, tau_g = state.tau_c, state.tau_g
     for name in jump_order(model.which_case(tau_c, tau_g), policy, rng):
         if name == "g1":
-            z, tau_g = model.g1(z, model.gradient_offset(y_s)), model.g1_timer()
+            z = model.g1(z, model.gradient_offset(y_s))
+            tau_g = model.tau_g_reset
         else:
             tau_c = draw_tau_c_reset(policy, rng,
                                      (model.reset_lo, model.reset_hi))
@@ -205,10 +205,10 @@ class TestJumps:
         model = HybridFOModel(s1)
         z = model.g1(state.z, model.gradient_offset(state.y_s))
         assert z[0] == pytest.approx(0.6)  # 0 - 0.4*(-1.5), unclipped
-        assert model.g1_timer() == pytest.approx(0.25)
+        assert model.tau_g_reset == pytest.approx(0.25)
         post = resolve(s1, state, JumpPolicy())
         assert np.array_equal(post.z, z)
-        assert post.tau_g == model.g1_timer()
+        assert post.tau_g == model.tau_g_reset
         assert post.u[0] == 0.0  # untouched
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -245,7 +245,7 @@ class TestJumps:
         params = ModelParams(plant, objective, Timers(1.0, 1.0, 0.25, 4),
                              input_set)
         pert = h_perturbation(rng, n, m, p)
-        points = [input_set.random_point(rng), on, on * 3.0,
+        points = [random_point(input_set, rng), on, on * 3.0,
                   np.full(m, 0.0), np.full(m, -0.0),
                   np.where(np.arange(m) % 2 == 0, -0.0, 0.0)]
         for model in (HybridFOModel(params), HybridFOModel(params, pert, 0.1)):
@@ -256,7 +256,6 @@ class TestJumps:
                         z, y_s, objective, model.h))
                     got = model.g1(z, model.gradient_offset(y_s))
                     assert same_bits(got, want)
-            assert model.g1_timer() == model.tau_g_reset
 
     def test_gradient_jump_projects(self, s1):
         model = HybridFOModel(s1)
@@ -322,12 +321,6 @@ class TestStrictInitialState:
         assert zeta0.z[0] == 0.0
         assert zeta0.tau_c == 1.0
         assert zeta0.tau_g == 0.25
-
-    def test_custom_input_projected(self, s1):
-        zeta0 = strict_initial_state(s1, u0=[5.0])
-        assert zeta0.u[0] == 1.0
-        assert zeta0.z[0] == 1.0
-        assert zeta0.y_s[0] == pytest.approx(1.5)
 
 
 class TestValidate:
@@ -518,5 +511,6 @@ class TestModelGeometry:
         model = HybridFOModel(s1)
         assert (model.period_g, model.period_c) == pytest.approx((0.25, 1.0))
         # a slower input timer stretches the tau_c period
-        pert = dataclasses.replace(m.Perturbation.zero(1, 1, 1), kappa_c=0.5)
+        pert = m.Perturbation(np.zeros((1, 1)), np.zeros((1, 1)),
+                              np.zeros((1, 1)), kappa_c=0.5)
         assert HybridFOModel(s1, pert, 1.0).period_c == pytest.approx(2.0)
