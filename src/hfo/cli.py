@@ -29,12 +29,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
-# most stored samples trajectory.csv formats at a time: the writer's memory is
-# bounded by one block and the memo below, whatever the arc's length
+# most stored samples trajectory.csv formats at a time, and most per-sample
+# timer texts its memo keeps across blocks: the writer's memory is bounded by
+# one block and the memo, whatever the arc's length
 CSV_BLOCK = 256
-# most per-sample timer texts the trajectory writer keeps for reuse, across
-# blocks; at least CSV_BLOCK, so that the memo can hold any segment piece
-CSV_MEMO = 256
 
 
 def _load(config_path: str) -> ScenarioConfig:
@@ -90,11 +88,11 @@ def _suffixes(tau_c, tau_g, dist, memo: dict) -> list:
     segment, or of one piece of it, through ``memo``: it maps the bytes of
     the three slices (bits, not values, so that -0.0 and 0.0 stay apart) to
     the segment's texts, and it is emptied before it would hold more than
-    CSV_MEMO texts."""
+    CSV_BLOCK texts."""
     key = tau_c.tobytes() + tau_g.tobytes() + dist.tobytes()
     suffixes = memo.get(key)
     if suffixes is None:
-        if sum(map(len, memo.values())) + len(tau_c) > CSV_MEMO:
+        if sum(map(len, memo.values())) + len(tau_c) > CSV_BLOCK:
             memo.clear()
         suffixes = memo[key] = [
             f",{c},{g},{d}\r\n"
@@ -163,7 +161,7 @@ def write_trajectory_csv(path: Path, arc, consts, params):
     are all distinct, and the held u, y_s, z of the block's segments from
     one ``repr`` of their rows. Each segment's ``,tau_c,tau_g,dist_to_A``
     texts come from one memo keyed by the bytes of its three slices
-    (``_suffixes``), which lives across blocks and holds at most CSV_MEMO
+    (``_suffixes``), which lives across blocks and holds at most CSV_BLOCK
     texts: the timers of a deterministic schedule repeat segment by
     segment, so most segments' texts are formatted once."""
     memo = {}
@@ -386,14 +384,11 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     # LinAlgError derives from ValueError, so it must be caught first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

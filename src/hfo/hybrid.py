@@ -445,30 +445,16 @@ def _power_tables(e, forced, k):
     return table
 
 
-def _call_bounds(key, cap: int, distinct: int) -> list:
-    """(lo, hi) of each stacked call over the requests ``key`` (distinct
-    ids, ``distinct`` of them): each call as long as it can be while it
-    holds at most ``cap`` distinct ids."""
-    if distinct <= cap:
-        return [(0, len(key))]
-    bounds, lo, seen = [], 0, set()
-    for i, k in enumerate(key.tolist()):
-        if k not in seen and len(seen) == cap:
-            bounds.append((lo, i))
-            lo, seen = i, set()
-        seen.add(k)
-    return bounds + [(lo, len(key))]
-
-
 def _stacked_maps(models, owner, steps):
     """The held-input map (e, forced) of each request i, model
     ``owner[i]`` over ``steps[i]``, in order, from stacked
     ``linalg.propagator`` calls on distinct (model, step) pairs. Each call
-    holds at most FLOW_ELEMENTS elements of augmented matrices, counting
-    distinct pairs, not requests, and is made only when its first map is
-    reached. Between maps it holds the last call's maps and, until that
-    call, the request index."""
+    is as long as it can be while it holds at most FLOW_ELEMENTS elements
+    of augmented matrices, counting distinct pairs, not requests, and is
+    made only when its first map is reached. Between maps it holds the last
+    call's maps and each call's pairs and request order."""
     n, m = models[0].b.shape
+    cap = max(1, FLOW_ELEMENTS // (n + m) ** 2)
     # one id per distinct (model, step) pair, in sorted order
     order = np.lexsort((steps, owner))
     owner, steps = owner[order], steps[order]
@@ -478,32 +464,32 @@ def _stacked_maps(models, owner, steps):
     new[1:] |= steps[1:] != steps[:-1]
     key = np.empty(len(order), dtype=np.intp)
     key[order] = np.cumsum(new) - 1
+    # the last request before each one with its pair, or -1
+    prev = np.full(len(order), -1)
+    prev[order[1:]] = np.where(new[1:], -1, order[:-1])
     pair_model, pair_step = owner[new], steps[new]
     del order, owner, steps, new
+    calls, lo, fresh = [], 0, None
+    while lo < len(key):
+        # a call ends before the request that brings its (cap + 1)-th pair
+        fresh = prev[lo:] < lo
+        hi = lo + int(fresh.cumsum().searchsorted(cap, "right"))
+        ids = np.sort(key[lo:hi][fresh[:hi - lo]])
+        calls.append((ids, ids.searchsorted(key[lo:hi]).tolist()))
+        lo = hi
+    del key, prev, fresh
     a = np.stack([model.a for model in models])
     b = np.stack([model.b for model in models])
-    bounds = _call_bounds(key, max(1, FLOW_ELEMENTS // (n + m) ** 2),
-                          len(pair_step))
-    for lo, hi in bounds:
-        if len(bounds) == 1:
-            ids, order = slice(None), key.tolist()
-            del key
-        else:
-            ids, inverse = np.unique(key[lo:hi], return_inverse=True)
-            order = inverse.tolist()
-            del inverse
-        # one plant: its own (n, n) and (n, m) operands, as a lone run's
-        plants = 0 if len(models) == 1 else pair_model[ids]
+    for ids, order in calls:
+        plants = pair_model[ids]
         e, forced = linalg.propagator(a[plants], b[plants], pair_step[ids])
-        del ids, plants
         yield from ((e[k], forced[k]) for k in order)
 
 
 def _batch_flows(batch):
-    """``flows`` for one batch of (model, schedule) runs of one plant shape
-    and grid step: the grid step of every run that needs a table comes
-    first, then every run's closing steps in order, all from one
-    ``_stacked_maps``."""
+    """``flows`` for one batch of (model, schedule) runs: the grid step of
+    every run that needs a table comes first, then every run's closing
+    steps in order, all from one ``_stacked_maps``."""
     grids = [sched.grids for _, sched in batch]
     longest = [int(g.max()) for g in grids]
     running = _running(max(longest), batch[0][1].sample_dt)
@@ -519,14 +505,13 @@ def _batch_flows(batch):
     maps = _stacked_maps([model for model, _ in batch],
                          owner.astype(np.intp), steps)
     del owner, steps
-    tables = None
+    tables = iter(())
     if tabled:
         e, forced = (np.array(col) for col in zip(*(next(maps)
                                                      for _ in tabled)))
-        tables = _power_tables(e, forced, min(FLOW_BLOCK, max(longest)))
-    rank = {r: i for i, r in enumerate(tabled)}
+        tables = iter(_power_tables(e, forced, min(FLOW_BLOCK, max(longest))))
     for r, k in enumerate(longest):
-        table = tables[rank[r], :min(FLOW_BLOCK, k)] if r in rank else None
+        table = next(tables)[:min(FLOW_BLOCK, k)] if k > 0 else None
         run_maps = itertools.islice(maps, counts[r])
         flow = Flow(*batch[r], running[:max(k, 0) + 2], table, run_maps)
         batch[r] = None
@@ -536,41 +521,33 @@ def _batch_flows(batch):
 
 
 def flows(runs) -> Iterator[Flow]:
-    """The flow maps of runs given as (model, ``Schedule``) pairs: one
-    ``Flow`` per run, in order, for ``simulate``'s ``flow=``.
+    """The flow maps of runs given as (model, ``Schedule``) pairs, all of
+    one plant shape and one grid step: one ``Flow`` per run, in order, for
+    ``simulate``'s ``flow=``.
 
-    Consecutive runs of one plant shape and grid step form a batch while
-    its tables and grid steps hold at most FLOW_ELEMENTS elements; a run
-    alone is always a batch. A batch takes its grid steps and closing
-    steps from stacked propagator calls (``_stacked_maps``), the first of
-    which holds every grid step, and its power tables from one stacked
-    recurrence (``_power_tables``). A run's closing maps are read in order,
-    and the next run's ``Flow`` is yielded once they are. Every map and
-    table row is bit for bit what the run's own calls give, whatever shares
-    the stack.
+    Consecutive runs form a batch until its tables and grid steps would
+    pass FLOW_ELEMENTS elements; a batch holds at least one run. A batch
+    takes its grid steps and closing steps from stacked propagator calls
+    (``_stacked_maps``), the first of which holds every grid step, and its
+    power tables from one stacked recurrence (``_power_tables``). A run's
+    closing maps are read in order, and the next run's ``Flow`` is yielded
+    once they are. Every map and table row is bit for bit what the run's
+    own calls give, whatever shares the stack.
     """
-    batches = _batches(runs)
+    batches, size = [], 0
+    for model, sched in runs:
+        n, m = model.b.shape
+        depth = min(FLOW_BLOCK, max(int(sched.rows[:, 3].max()), 0))
+        need = depth * n * (n + m) + (n + m) ** 2 * (depth > 0)
+        if not batches or size + need > FLOW_ELEMENTS:
+            batches.append([])
+            size = 0
+        batches[-1].append((model, sched))
+        size += need
     del runs  # each batch holds its runs until it yields them
     for i in range(len(batches)):
         batch, batches[i] = batches[i], None
         yield from _batch_flows(batch)
-
-
-def _batches(runs) -> list:
-    """``flows``' batches: lists of consecutive (model, schedule) runs."""
-    batches, size, key = [], 0, None
-    for model, sched in runs:
-        n, m = model.b.shape
-        longest = int(sched.rows[:, 3].max())
-        depth = min(FLOW_BLOCK, longest) if longest > 0 else 0
-        need = depth * n * (n + m) + (n + m) ** 2 * (depth > 0)
-        if (not batches or key != (n, m, sched.sample_dt)
-                or size + need > FLOW_ELEMENTS):
-            batches.append([])
-            size = 0
-        batches[-1].append((model, sched))
-        size, key = size + need, (n, m, sched.sample_dt)
-    return batches
 
 
 def _plant_column(flow, grids, u, offsets, x0):

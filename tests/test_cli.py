@@ -179,7 +179,7 @@ CSV_ARCS = [
                              "tau_g_comp": 0.237, "ell": 4},
                   "policy": {"tau_c_reset": "uniform", "seed": 5},
                   "horizon": {"T": 60.0, "J": 10 ** 6}},
-                 lambda arc, lines: _timer_rows(arc) > 4 * cli.CSV_MEMO,
+                 lambda arc, lines: _timer_rows(arc) > 4 * cli.CSV_BLOCK,
                  id="more-timer-rows-than-the-memo-holds"),
     pytest.param({"init": {"mode": "global",
                            "zeta0": {"x": [-0.0], "u": [0.0], "y_s": [0.5],
@@ -661,7 +661,7 @@ class TestSimulateCommand:
                     zip(tau_c.tolist(), tau_g.tolist(), dist.tolist())]
 
         rng = np.random.default_rng(5)
-        held = rng.standard_normal((3, cli.CSV_MEMO - 10))
+        held = rng.standard_normal((3, cli.CSV_BLOCK - 10))
         memo = {}
         assert cli._suffixes(*held, memo) == texts(*held)
         # keys are bit patterns: -0.0 and 0.0 stay apart
@@ -669,7 +669,7 @@ class TestSimulateCommand:
         assert cli._suffixes(*signed, memo) == texts(*signed)
         assert cli._suffixes(*abs(signed), memo) == texts(*abs(signed))
         assert cli._suffixes(*held.copy(), memo) == texts(*held)
-        assert sorted(map(len, memo.values())) == [2, 2, cli.CSV_MEMO - 10]
+        assert sorted(map(len, memo.values())) == [2, 2, cli.CSV_BLOCK - 10]
         column = rng.standard_normal((3, 20))
         assert cli._suffixes(*column, memo) == texts(*column)
         assert list(map(len, memo.values())) == [20]

@@ -1,6 +1,7 @@
 """A run as schedule, flows and fill, and a sweep's runs stacked: every
 stacked exponential, table row and arc keeps the bits of the run alone."""
 
+import collections
 import json
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hfo.config import parse_config
 from hfo.model import HybridFOModel, JumpPolicy, strict_initial_state, validate
 from conftest import random_hurwitz, s1_params
 from test_hybrid import assert_same_arc
+from test_robustness import s1_perturbation, sweep_by_runs
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -249,19 +251,56 @@ class TestJumpLog:
 
 
 class TestSplit:
-    def test_runs_batch_by_shape_and_table_size(self):
-        # one batch for the S1 sweep's seven runs; a run whose table alone
-        # passes FLOW_ELEMENTS (n = 20, 128 rows) stands alone, and so does
-        # a run of another plant shape
+    def test_runs_batch_by_table_size(self, monkeypatch, tmp_path):
+        # the S1 sweep's seven runs make one batch, so one power-table
+        # recurrence; two n = 20 runs whose 128-row tables each pass
+        # FLOW_ELEMENTS stand alone, one recurrence each
+        batches = []
+        original = hybrid._power_tables
+
+        def counted(e, forced, k):
+            batches.append(len(e))
+            return original(e, forced, k)
+
+        monkeypatch.setattr(hybrid, "_power_tables", counted)
         params = s1_params()
         zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
         model = HybridFOModel(params)
         short = hybrid.schedule(model, zeta0, policy, (30.0, 31))
-        assert len(hybrid._batches([(model, short)] * 7)) == 1
-        wide = HybridFOModel(params)
-        wide.b = np.ones((1, 2))  # another plant shape
-        assert [len(b) for b in hybrid._batches(
-            [(model, short), (wide, short), (model, short)])] == [1, 1, 1]
+        collections.deque(hybrid.flows([(model, short)] * 7), maxlen=0)
+        assert batches == [7]
+        config, zeta0, _ = pool_run("mimo-verify", 0, tmp_path)
+        model = HybridFOModel(config.params)
+        fine = hybrid.schedule(model, zeta0, config.policy, (1.0, 100), 0.001)
+        n, m = model.b.shape
+        assert n == 20 and fine.grids.max() >= hybrid.FLOW_BLOCK
+        assert hybrid.FLOW_BLOCK * n * (n + m) > hybrid.FLOW_ELEMENTS
+        batches.clear()
+        collections.deque(hybrid.flows([(model, fine)] * 2), maxlen=0)
+        assert batches == [1, 1]
+
+    def test_several_calls_over_several_plants(self, monkeypatch):
+        # an S1 sweep at tau 100 under a cap of 100 distinct maps per call:
+        # one batch whose maps take several calls, some stacking several
+        # plants, and the sweep still equals its lone runs
+        params, pert = s1_params(), s1_perturbation()
+        deltas = [0.1, 0.03, 0.01, 0.003, 0.001, 0.0003]
+        zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
+        want = sweep_by_runs(params, pert, deltas, 100.0, policy, zeta0)
+        monkeypatch.setattr(hybrid, "FLOW_ELEMENTS", 400)
+        plants = []
+        original = linalg.propagator
+
+        def counted(a, b, dt):
+            plants.append(len({plant.tobytes() for plant in np.reshape(
+                a, (-1,) + np.shape(a)[-2:])}))
+            return original(a, b, dt)
+
+        monkeypatch.setattr(linalg, "propagator", counted)
+        got = robustness.robustness_sweep(params, pert, deltas, 100.0, policy,
+                                          zeta0)
+        assert len(plants) > 1 and max(plants) > 1
+        assert repr(got) == repr(want)
 
     def test_flow_for_another_run_refused(self):
         params = s1_params()
