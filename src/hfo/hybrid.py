@@ -12,16 +12,21 @@ acts on u, y_s and z, which no timer reset reads.
   model's timer interface (``contains``, ``which_case``, ``tau_g_reset``)
   and the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
   ``Schedule`` holds one row of numbers per segment (start time, start
-  timers, grid steps, length, end timers) and one code per jump.
+  timers, grid steps, length, end timers), one code per jump, and the
+  run's start (u, y_s, z).
 - ``flows`` builds the flow maps of one or more schedules: each run's table
   of powers of the one-step map on the sample grid, and one exact
   held-input map to each segment's end, from stacked propagator calls and
-  one stacked recurrence. ``robustness_sweep`` schedules all its runs
-  before it builds their flows in one go.
-- ``simulate`` fills the arc. The held recurrence applies ``g1`` and
-  ``g2`` (with ``gradient_offset``) over the jump codes, the arc's jump
-  log, for u, y_s and z. Pass 2 fills in the samples: times and timers in
-  one vectorized expression each, x from the table and the closing maps.
+  one stacked recurrence. It also runs the held recurrence, which applies
+  ``g1`` and ``g2`` (with ``gradient_offset``) over the jump codes, the
+  arc's jump log, for u, y_s and z. Runs that share an objective and an
+  input set share one recurrence over the jump index. All the runs of a
+  ``robustness_sweep`` do: it schedules them all before it builds their
+  flows in one go. A lone run keeps its own recurrence, one map call per
+  jump, which costs it less than a stack of one.
+- ``simulate`` fills the arc: the held columns as ``flows`` gave them, and
+  pass 2's samples, times and timers in one vectorized expression each, x
+  from the table and the closing maps.
 
 ``State`` appears only at the API edge, as the initial state ``simulate``
 takes (and the config, ``model.validate`` and the sweeps build or check a
@@ -251,13 +256,15 @@ class Schedule:
     timers, and stores one sample. Jump j ends segment j, and ``jumps[j]``
     indexes its (case, applied map) in ``JUMPS``. Segment j + 1 starts at
     the jump's time with the timers the jump left, so a g2's tau_c reset is
-    row j + 1's start tau_c, and no other copy of it is kept.
+    row j + 1's start tau_c, and no other copy of it is kept. ``start`` is
+    the start's (u, y_s, z), from which ``flows`` runs the held recurrence.
     """
 
     rows: np.ndarray  # (S, 7) float64
     jumps: np.ndarray  # (S - 1,) int8
     horizon: tuple
     sample_dt: float
+    start: tuple  # (u, y_s, z) of the run's start
 
     @property
     def grids(self) -> np.ndarray:
@@ -347,16 +354,17 @@ def schedule(model, zeta0: State, policy, horizon,
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
     rows = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
     return Schedule(rows, np.array(jumps, dtype=np.int8), tuple(horizon),
-                    sample_dt)
+                    sample_dt, (zeta0.u, zeta0.y_s, zeta0.z))
 
 
-def _held(model, zeta0, jumps):
-    """The held recurrence: ``g1`` and ``g2`` over the jump codes, g1 with
-    the input period's ``model.gradient_offset``, taken at the start and
-    after each g2. Returns the columns u, y_s, z, one row per segment. Each
-    map is called once per jump that applies it; no ``State`` is built."""
+def _held(model, start, jumps):
+    """The held recurrence: ``g1`` and ``g2`` over the jump codes from the
+    start's (u, y_s, z), g1 with the input period's
+    ``model.gradient_offset``, taken at the start and after each g2. Returns
+    the columns u, y_s, z, one row per segment. Each map is called once per
+    jump that applies it; no ``State`` is built."""
     g1, g2, gradient_offset = model.g1, model.g2, model.gradient_offset
-    u, y_s, z = zeta0.u, zeta0.y_s, zeta0.z
+    u, y_s, z = start
     offset = gradient_offset(y_s)
     us, ys, zs = [u], [y_s], [z]
     for code in jumps.tolist():
@@ -369,6 +377,90 @@ def _held(model, zeta0, jumps):
         ys.append(y_s)
         zs.append(z)
     return np.array(us), np.array(ys), np.array(zs)
+
+
+def _selector(rows: list):
+    """The runs ``rows`` (ascending) as a slice when they are a range, which
+    indexes by a view, else as an index array; None when there are none."""
+    if not rows:
+        return None
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows, dtype=np.intp)
+
+
+# The map each jump code applies, 0 for g1 and 1 for g2, and 2 for code -1,
+# which pads a jump log that has ended.
+_KINDS = np.array([name == "g2" for _, name in JUMPS] + [2], dtype=np.int8)
+
+
+def _shared_held(models, scheds):
+    """``_held`` of runs that share an objective and an input set, in one
+    recurrence over the jump index j, through the models' stacked maps
+    (``stacked``): at each j one stacked g1 step for the runs whose jump j
+    applies g1, and one stacked g2 step and gradient offset for those whose
+    jump j applies g2. The runs go longest log first, and a run whose log
+    has ended drops out. Each run's columns are bit for bit ``_held``'s."""
+    order = sorted(range(len(scheds)), key=lambda r: -len(scheds[r].jumps))
+    stack = type(models[0]).stacked([models[r] for r in order])
+    lengths = [len(scheds[r].jumps) for r in order]
+    codes = np.full((len(order), lengths[0]), -1, dtype=np.int8)
+    for i, r in enumerate(order):
+        codes[i, :lengths[i]] = scheds[r].jumps
+    # the (g1, g2) selectors of each distinct column of maps
+    steps, selectors = [], {}
+    for kinds in map(tuple, _KINDS[codes].T.tolist()):
+        if kinds not in selectors:
+            selectors[kinds] = tuple(_selector([i for i, kind in enumerate(
+                kinds) if kind == want]) for want in (0, 1))
+        steps.append(selectors[kinds])
+    del codes, selectors
+    m, p = len(scheds[0].start[0]), len(scheds[0].start[1])
+    cu, cy, cz = slice(0, m), slice(m, m + p), slice(m + p, None)
+    # row i of held[j]: [u, y_s, z] of run i's segment j
+    held = np.empty((lengths[0] + 1, len(order), 2 * m + p))
+    for i, r in enumerate(order):
+        held[0, i] = np.concatenate(scheds[r].start)
+    offset = stack.gradient_offset(slice(None), held[0, :, cy])
+    for j, (g1_rows, g2_rows) in enumerate(steps, 1):
+        now = held[j]
+        now[...] = held[j - 1]
+        if g1_rows is not None:
+            now[g1_rows, cz] = stack.g1(now[g1_rows, cz], offset[g1_rows])
+        if g2_rows is not None:
+            z = now[g2_rows, cz]
+            now[g2_rows, cu] = z
+            now[g2_rows, cy] = y_s = stack.g2(g2_rows, z)
+            offset[g2_rows] = stack.gradient_offset(g2_rows, y_s)
+    columns = [None] * len(order)
+    for i, r in enumerate(order):
+        run = held[:lengths[i] + 1, i]
+        columns[r] = tuple(run[:, c].copy() for c in (cu, cy, cz))
+    return columns
+
+
+def _held_columns(runs) -> list:
+    """Each run's (u, y_s, z) columns. Two or more runs that share an
+    objective and an input set, and start from float64 arrays as a checked
+    start does, take one ``_shared_held``; every other run takes its own
+    ``_held``, whose per-jump map calls cost a lone run less than a stack
+    of one."""
+    groups = collections.defaultdict(list)
+    for r, (model, sched) in enumerate(runs):
+        key = r  # a group of its own
+        if len(runs) > 1 and all(a.dtype == float for a in sched.start):
+            key = (id(model.params.objective), id(model.params.input_set))
+        groups[key].append(r)
+    columns = [None] * len(runs)
+    for members in groups.values():
+        if len(members) > 1:
+            shared = _shared_held(*zip(*(runs[r] for r in members)))
+            for r, held in zip(members, shared):
+                columns[r] = held
+        else:
+            model, sched = runs[members[0]]
+            columns[members[0]] = _held(model, sched.start, sched.jumps)
+    return columns
 
 
 def _sample_columns(starts, grids, lengths, running, timers):
@@ -422,6 +514,9 @@ class Flow:
     ``table[i - 1] @ [x; u]`` after i steps (None when no segment has a
     grid step past its start). ``maps`` yields each flow segment's closing
     map (e^{A s}, Gamma(s)), s = its length - running[g], in order.
+    ``held`` is the run's columns (u, y_s, z), one row per segment, from its
+    own recurrence or one it shares with the other runs of its ``flows``
+    call (``_held_columns``).
     """
 
     model: object
@@ -429,6 +524,7 @@ class Flow:
     running: np.ndarray  # ``_running`` up to the run's longest segment
     table: np.ndarray | None  # (k, n, n + m), k <= FLOW_BLOCK
     maps: Iterator
+    held: tuple  # (u, y_s, z), (S, m), (S, p), (S, m)
 
 
 def _power_tables(e, forced, k):
@@ -486,10 +582,11 @@ def _stacked_maps(models, owner, steps):
         yield from ((e[k], forced[k]) for k in order)
 
 
-def _batch_flows(batch):
-    """``flows`` for one batch of (model, schedule) runs: the grid step of
-    every run that needs a table comes first, then every run's closing
-    steps in order, all from one ``_stacked_maps``."""
+def _batch_flows(batch, held):
+    """``flows`` for one batch of (model, schedule) runs, which take their
+    held columns from the front of the deque ``held``: the grid step of every run that needs a table comes first,
+    then every run's closing steps in order, all from one
+    ``_stacked_maps``."""
     grids = [sched.grids for _, sched in batch]
     longest = [int(g.max()) for g in grids]
     running = _running(max(longest), batch[0][1].sample_dt)
@@ -513,7 +610,8 @@ def _batch_flows(batch):
     for r, k in enumerate(longest):
         table = next(tables)[:min(FLOW_BLOCK, k)] if k > 0 else None
         run_maps = itertools.islice(maps, counts[r])
-        flow = Flow(*batch[r], running[:max(k, 0) + 2], table, run_maps)
+        flow = Flow(*batch[r], running[:max(k, 0) + 2], table, run_maps,
+                    held.popleft())
         batch[r] = None
         yield flow
         del flow, table  # a filled run's schedule dies with its arc's fill
@@ -521,9 +619,17 @@ def _batch_flows(batch):
 
 
 def flows(runs) -> Iterator[Flow]:
-    """The flow maps of runs given as (model, ``Schedule``) pairs, all of
-    one plant shape and one grid step: one ``Flow`` per run, in order, for
-    ``simulate``'s ``flow=``.
+    """The flow maps and held columns of runs given as (model,
+    ``Schedule``) pairs, all of one plant shape and one grid step: one
+    ``Flow`` per run, in order, for ``simulate``'s ``flow=``.
+
+    The held columns come first, for every run; they are O(runs x jumps)
+    numbers, so they need no batching. Two or more runs that share an
+    objective and an input set, as all of a sweep's runs do (a
+    ``Perturbation`` touches neither), share one recurrence in lockstep over
+    the jump index (``_shared_held``). Any other run, a lone one above all,
+    runs ``_held``, one map call per jump, which costs it less than a stack
+    of one. Each run's columns are bit for bit ``_held``'s either way.
 
     Consecutive runs form a batch until its tables and grid steps would
     pass FLOW_ELEMENTS elements; a batch holds at least one run. A batch
@@ -544,10 +650,12 @@ def flows(runs) -> Iterator[Flow]:
             size = 0
         batches[-1].append((model, sched))
         size += need
+    held = collections.deque(_held_columns([run for batch in batches
+                                             for run in batch]))
     del runs  # each batch holds its runs until it yields them
     for i in range(len(batches)):
         batch, batches[i] = batches[i], None
-        yield from _batch_flows(batch)
+        yield from _batch_flows(batch, held)
 
 
 def _plant_column(flow, grids, u, offsets, x0):
@@ -616,8 +724,9 @@ def simulate(model, zeta0: State, policy, horizon,
     The run is ``schedule``, ``flows`` and then the fill. A ``flow`` that
     ``flows`` yielded for ``schedule(model, zeta0, policy, horizon,
     sample_dt)``, with these very arguments, skips the first two steps (and
-    their checks, which the schedule made): ``robustness_sweep`` builds its
-    runs' flows together and fills each arc here.
+    their checks, which the schedule made) and brings the run's held
+    columns: ``robustness_sweep`` builds its runs' flows and held columns
+    together and fills each arc here.
     """
     if flow is None:
         flow = next(flows([(model, schedule(model, zeta0, policy, horizon,
@@ -626,7 +735,7 @@ def simulate(model, zeta0: State, policy, horizon,
           or flow.schedule.horizon != tuple(horizon)):
         raise ValueError("the flow was built for another run")
     sched = flow.schedule
-    u, y_s, z = _held(model, zeta0, sched.jumps)
+    u, y_s, z = flow.held
     starts, tau_c0, tau_g0, _, lengths, tau_c1, tau_g1 = sched.rows.T
     grids = sched.grids
     offsets, times, (tau_c, tau_g) = _sample_columns(

@@ -262,7 +262,9 @@ class HybridFOModel:
     ``g1``, ``g2``) takes and returns the timers and the arrays u, y_s, z
     and the gradient offset, never a ``State``: the jump maps leave x alone.
     ``hybrid.schedule`` reads the timer methods and ``tau_g_reset`` alone,
-    and ``simulate``'s held recurrence the maps of u, y_s and z.
+    and ``hybrid.flows``' held recurrence the maps of u, y_s and z: those of
+    one model for a lone run, and ``stacked``'s for runs that share an
+    objective and an input set.
 
     A model is a plain value: it sets its attributes in ``__init__`` only and
     holds no cache, so ``flow_x`` computes its map on each call and a run
@@ -357,6 +359,54 @@ class HybridFOModel:
         """Input-application jump: u <- z, output resampled as H u + d with
         the new input. Returns (u, y_s); tau_c takes the policy's draw."""
         return z.copy(), self.h @ z + self.params.plant.d
+
+    @staticmethod
+    def stacked(models) -> "JumpStack":
+        """The jump maps of ``models``, which share one objective and one
+        input set, on stacked rows: ``hybrid.flows`` runs their held
+        recurrences in lockstep through it."""
+        return JumpStack(models)
+
+
+def _rows(q, v):
+    """q @ v for each row v of a stack (k, n), by a stacked matrix-vector
+    product: the same BLAS call per row as ``q @ v`` on one row, so the same
+    bits (``v @ q.T`` is a matrix product, and does not keep them)."""
+    return (q @ v[..., None])[..., 0]
+
+
+class JumpStack:
+    """``gradient_offset``, ``g1`` and ``g2`` of runs that share an
+    objective and an input set, on stacks of rows: row r of a stack is run
+    ``models[r]``'s, and ``rows`` (a slice or an index array) picks the runs
+    of a stack from all of them. The output map and the gradient offset take
+    each run's own H and d. Every row gets the bits of its run's own map:
+    the operands are the same arrays in the same layout (H' a transposed
+    view, as ``h.T`` is), each product is ``_rows``', and ``project`` keeps
+    each row's bits."""
+
+    def __init__(self, models):
+        params = models[0].params
+        self.h = np.stack([model.h for model in models])
+        self.d = np.stack([model.params.plant.d for model in models])
+        self._g1_operands = models[0]._g1_operands
+        self._q_y, self._y_hat = params.objective.q_y, params.objective.y_hat
+
+    def gradient_offset(self, rows, y_s):
+        """``HybridFOModel.gradient_offset`` of the runs ``rows``."""
+        h_t = self.h[rows].transpose(0, 2, 1)
+        return _rows(h_t, _rows(self._q_y, y_s - self._y_hat))
+
+    def g1(self, z, offset):
+        """``HybridFOModel.g1`` of each row of z, with its row of offset."""
+        gamma, q_u, project = self._g1_operands
+        step = z - gamma * (_rows(q_u, z) + offset)
+        return project(step)
+
+    def g2(self, rows, z):
+        """The y_s that ``HybridFOModel.g2`` gives the runs ``rows``; their
+        u is z itself."""
+        return _rows(self.h[rows], z) + self.d[rows]
 
 
 # -- validation -------------------------------------------------------------

@@ -1551,3 +1551,16 @@ def test_commands_import_no_scipy(tmp_path):
                            str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_workflow_job_is_bounded_and_cached():
+    # a hung run frees its runner after 30 minutes, and pip's downloads are
+    # cached, keyed on pyproject.toml, which declares the dependencies
+    yaml = pytest.importorskip("yaml")
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    job, = doc["jobs"].values()
+    assert job["timeout-minutes"] == 30
+    setup, = (step for step in job["steps"]
+              if step.get("uses", "").startswith("actions/setup-python"))
+    assert setup["with"]["cache"] == "pip"
+    assert (ROOT / setup["with"]["cache-dependency-path"]).is_file()

@@ -1,7 +1,9 @@
 """A run as schedule, flows and fill, and a sweep's runs stacked: every
-stacked exponential, table row and arc keeps the bits of the run alone."""
+stacked exponential, table row, shared held column and arc keeps the bits
+of the run alone."""
 
 import collections
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -11,10 +13,12 @@ import pytest
 
 from hfo import hybrid, linalg, robustness
 from hfo.config import parse_config
-from hfo.model import HybridFOModel, JumpPolicy, strict_initial_state, validate
-from conftest import random_hurwitz, s1_params
+from hfo.model import (Box, HybridFOModel, JumpPolicy, strict_initial_state,
+                       validate)
+from conftest import random_hurwitz, random_params, s1_params
 from test_hybrid import assert_same_arc
-from test_robustness import s1_perturbation, sweep_by_runs
+from test_robustness import (random_perturbation, s1_perturbation,
+                             sweep_by_runs)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -340,3 +344,120 @@ class TestSplit:
         assert sched.jumps.dtype == np.int8 and len(sched.jumps) == 31
         assert not any(isinstance(value, list)
                        for value in vars(sched).values())
+
+
+def sweep_schedules(params, pert, deltas, policy, horizon):
+    """(model, schedule) of a sweep's nominal run and its runs at
+    ``deltas``, as ``robustness_sweep`` schedules them."""
+    zeta0 = strict_initial_state(params)
+    models = [HybridFOModel(params)] + [HybridFOModel(params, pert, delta)
+                                        for delta in deltas]
+    return [(model, hybrid.schedule(model, robustness._start(model, zeta0),
+                                    robustness._clipped(model, policy),
+                                    horizon))
+            for model in models]
+
+
+def count_g1(monkeypatch):
+    """The number of ``HybridFOModel.g1`` calls from now on, in a list."""
+    calls = [0]
+    original = HybridFOModel.g1
+
+    def counted(self, z, offset):
+        calls[0] += 1
+        return original(self, z, offset)
+
+    monkeypatch.setattr(HybridFOModel, "g1", counted)
+    return calls
+
+
+def g1_jumps(runs) -> int:
+    return sum(int(np.count_nonzero(hybrid._applied(sched.jumps, "g1")))
+               for _, sched in runs)
+
+
+class TestSharedHeld:
+    DELTAS = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003]
+
+    @pytest.mark.parametrize("case", ["s1", "s1-uniform-random",
+                                      "n3-box", "n3-ball"])
+    def test_equals_held_run_by_run(self, monkeypatch, case):
+        # one recurrence for all of a sweep's runs, at tau 30 with no jump
+        # cap, so that the runs' jump logs end at different j and some j
+        # applies g1 to some runs and g2 to others: each run's columns are
+        # _held's, byte for byte
+        params, pert, policy = s1_params(), s1_perturbation(), JumpPolicy(
+            seed=1)
+        if case == "s1-uniform-random":
+            params = dataclasses.replace(params, timers=dataclasses.replace(
+                params.timers, tau_c_max=1.2))
+            policy = JumpPolicy(tau_c_reset="uniform", case3_order="random",
+                                seed=5)
+        elif case.startswith("n3"):
+            # m > 1 and a different H per run
+            rng = np.random.default_rng(41)
+            params = random_params(rng, n=3, ball_prob=float(case ==
+                                                             "n3-ball"))
+            plant = params.plant
+            pert = random_perturbation(rng, plant.n, plant.m, plant.p)
+            policy = JumpPolicy(seed=2)
+            assert plant.m > 1
+            assert type(params.input_set).__name__ == case[3:].title()
+        runs = sweep_schedules(params, pert, self.DELTAS, policy,
+                               (30.0, 10 ** 6))
+        lengths = [len(sched.jumps) for _, sched in runs]
+        assert len(set(lengths)) > 1
+        assert any(len({hybrid.JUMPS[sched.jumps[j]][1] for _, sched in runs
+                        if len(sched.jumps) > j}) == 2
+                   for j in range(max(lengths)))
+        calls = count_g1(monkeypatch)
+        planned = list(hybrid.flows(runs))
+        assert calls == [0]  # the runs shared one recurrence
+        for flow, (model, sched) in zip(planned, runs):
+            want = hybrid._held(model, sched.start, sched.jumps)
+            assert len(flow.held) == 3
+            for got, column in zip(flow.held, want):
+                assert got.dtype == column.dtype
+                assert got.shape == column.shape
+                assert got.tobytes() == column.tobytes()
+
+    def test_lone_and_unshared_runs_take_held(self, monkeypatch):
+        # a lone run, and runs with different objectives or input sets,
+        # call g1 once per g1 jump; runs that share both call it never
+        params, pert, policy = s1_params(), s1_perturbation(), JumpPolicy(
+            seed=1)
+        calls = count_g1(monkeypatch)
+        runs = sweep_schedules(params, pert, [0.1, 0.01], policy, (30.0, 31))
+        collections.deque(hybrid.flows(runs), maxlen=0)
+        assert calls == [0]
+        collections.deque(hybrid.flows(runs[:1]), maxlen=0)
+        assert calls == [g1_jumps(runs[:1])] and calls[0] > 0
+        calls[0] = 0
+        objectives = [dataclasses.replace(params, objective=dataclasses.replace(
+            params.objective, gamma=gamma)) for gamma in (0.4, 0.3)]
+        box = params.input_set
+        input_sets = [dataclasses.replace(params, input_set=Box(box.lo, box.hi))
+                      for _ in range(2)]
+        for group in (objectives, input_sets):
+            runs = [run for each in group
+                    for run in sweep_schedules(each, pert, [], policy,
+                                               (30.0, 31))]
+            collections.deque(hybrid.flows(runs), maxlen=0)
+            assert calls == [g1_jumps(runs)] and calls[0] > 0
+            calls[0] = 0
+        # integer start arrays: before its first g2 a run's u and y_s
+        # columns keep their dtype, which a float stack would not
+        start = dataclasses.replace(strict_initial_state(params),
+                                    u=np.array([0]), y_s=np.array([0]),
+                                    z=np.array([0]))
+        model = HybridFOModel(params)
+        sched = hybrid.schedule(model, start, policy, (0.9, 10))
+        runs = [(model, sched)] * 2
+        first = next(hybrid.flows(runs))
+        assert calls == [g1_jumps(runs)] and calls[0] > 0
+        want = hybrid._held(model, sched.start, sched.jumps)
+        assert [column.dtype for column in first.held] == [
+            np.int64, np.int64, float]
+        for got, column in zip(first.held, want):
+            assert got.dtype == column.dtype
+            assert got.tobytes() == column.tobytes()
