@@ -14,16 +14,16 @@ acts on u, y_s and z, which no timer reset reads.
   ``Schedule`` holds one row of numbers per segment (start time, start
   timers, grid steps, length, end timers), one code per jump, and the
   run's start (u, y_s, z).
-- ``flows`` builds the flow maps of one or more schedules: each run's table
-  of powers of the one-step map on the sample grid, and one exact
-  held-input map to each segment's end, from stacked propagator calls and
-  one stacked recurrence. It also runs the held recurrence, which applies
-  ``g1`` and ``g2`` (with ``gradient_offset``) over the jump codes, the
-  arc's jump log, for u, y_s and z. Runs that share an objective and an
-  input set share one recurrence over the jump index. All the runs of a
-  ``robustness_sweep`` do: it schedules them all before it builds their
-  flows in one go. A lone run keeps its own recurrence, one map call per
-  jump, which costs it less than a stack of one.
+- ``flows`` builds the flow maps of one or more schedules of one
+  parameter set: each run's table of powers of the one-step map on the
+  sample grid, and one exact held-input map to each segment's end, from
+  stacked propagator calls and one stacked recurrence. It also runs the
+  one held recurrence ``_held``, which applies ``g1`` and ``g2`` (with
+  ``gradient_offset``) over the jump codes, the arc's jump log, for u, y_s
+  and z, for all its runs in lockstep over the jump index. A
+  ``robustness_sweep`` schedules all its runs before it builds their flows
+  in one go. A lone run's stack is its model, so it makes one map call per
+  jump on vectors, which costs it less than a stack of one row.
 - ``simulate`` fills the arc: the held columns as ``flows`` gave them, and
   pass 2's samples, times and timers in one vectorized expression each, x
   from the table and the closing maps.
@@ -357,109 +357,90 @@ def schedule(model, zeta0: State, policy, horizon,
                     sample_dt, (zeta0.u, zeta0.y_s, zeta0.z))
 
 
-def _held(model, start, jumps):
-    """The held recurrence: ``g1`` and ``g2`` over the jump codes from the
-    start's (u, y_s, z), g1 with the input period's
-    ``model.gradient_offset``, taken at the start and after each g2. Returns
-    the columns u, y_s, z, one row per segment. Each map is called once per
-    jump that applies it; no ``State`` is built."""
-    g1, g2, gradient_offset = model.g1, model.g2, model.gradient_offset
-    u, y_s, z = start
-    offset = gradient_offset(y_s)
-    us, ys, zs = [u], [y_s], [z]
-    for code in jumps.tolist():
-        if JUMPS[code][1] == "g1":
-            z = g1(z, offset)
-        else:
-            u, y_s = g2(z)
-            offset = gradient_offset(y_s)
-        us.append(u)
-        ys.append(y_s)
-        zs.append(z)
-    return np.array(us), np.array(ys), np.array(zs)
-
-
-def _selector(rows: list):
-    """The runs ``rows`` (ascending) as a slice when they are a range, which
-    indexes by a view, else as an index array; None when there are none."""
-    if not rows:
-        return None
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows, dtype=np.intp)
-
-
 # The map each jump code applies, 0 for g1 and 1 for g2, and 2 for code -1,
 # which pads a jump log that has ended.
 _KINDS = np.array([name == "g2" for _, name in JUMPS] + [2], dtype=np.int8)
 
 
-def _shared_held(models, scheds):
-    """``_held`` of runs that share an objective and an input set, in one
-    recurrence over the jump index j, through the models' stacked maps
-    (``stacked``): at each j one stacked g1 step for the runs whose jump j
-    applies g1, and one stacked g2 step and gradient offset for those whose
-    jump j applies g2. The runs go longest log first, and a run whose log
-    has ended drops out. Each run's columns are bit for bit ``_held``'s."""
+def _held(models, scheds):
+    """The held recurrence of runs given as models and their schedules: the
+    columns u, y_s, z of each run, one row per segment, in order.
+
+    It applies ``g1`` and ``g2`` over the jump codes from each run's start,
+    cast to float64, g1 with the input period's ``gradient_offset``, taken
+    at the start and after each g2. The runs go in lockstep over the jump
+    index j, longest log first, through ``stacked``'s maps: at each j one g1
+    step for the runs whose jump j applies g1, and one g2 step and gradient
+    offset for those whose jump j applies g2. A run whose log has ended
+    drops out. A selector that covers every run is ``slice(None)``, and
+    that step indexes nothing; so a lone run, whose stack is its model and
+    whose rows are vectors, makes one map call per jump on its own arrays,
+    which costs it less than a stack of one row.
+
+    Only z is carried, one row per j. Each g2 records y_s; segment j takes
+    the u and y_s of the last g2 at or before it, u being z at that g2, and
+    before the first g2 the start's. Each run's columns are bit for bit
+    those of the run alone, whatever shares the stack."""
     order = sorted(range(len(scheds)), key=lambda r: -len(scheds[r].jumps))
+    runs = len(order)
     stack = type(models[0]).stacked([models[r] for r in order])
     lengths = [len(scheds[r].jumps) for r in order]
-    codes = np.full((len(order), lengths[0]), -1, dtype=np.int8)
+    codes = np.full((lengths[0], runs), -1, dtype=np.int8)
     for i, r in enumerate(order):
-        codes[i, :lengths[i]] = scheds[r].jumps
-    # the (g1, g2) selectors of each distinct column of maps
-    steps, selectors = [], {}
-    for kinds in map(tuple, _KINDS[codes].T.tolist()):
-        if kinds not in selectors:
-            selectors[kinds] = tuple(_selector([i for i, kind in enumerate(
-                kinds) if kind == want]) for want in (0, 1))
-        steps.append(selectors[kinds])
-    del codes, selectors
-    m, p = len(scheds[0].start[0]), len(scheds[0].start[1])
-    cu, cy, cz = slice(0, m), slice(m, m + p), slice(m + p, None)
-    # row i of held[j]: [u, y_s, z] of run i's segment j
-    held = np.empty((lengths[0] + 1, len(order), 2 * m + p))
-    for i, r in enumerate(order):
-        held[0, i] = np.concatenate(scheds[r].start)
-    offset = stack.gradient_offset(slice(None), held[0, :, cy])
-    for j, (g1_rows, g2_rows) in enumerate(steps, 1):
-        now = held[j]
-        now[...] = held[j - 1]
-        if g1_rows is not None:
-            now[g1_rows, cz] = stack.g1(now[g1_rows, cz], offset[g1_rows])
-        if g2_rows is not None:
-            z = now[g2_rows, cz]
-            now[g2_rows, cu] = z
-            now[g2_rows, cy] = y_s = stack.g2(g2_rows, z)
-            offset[g2_rows] = stack.gradient_offset(g2_rows, y_s)
-    columns = [None] * len(order)
-    for i, r in enumerate(order):
-        run = held[:lengths[i] + 1, i]
-        columns[r] = tuple(run[:, c].copy() for c in (cu, cy, cz))
-    return columns
+        codes[:lengths[i], i] = scheds[r].jumps
+    kinds = _KINDS[codes]  # (j, run)
+    every = slice(None)
 
+    def selector(column, want):
+        rows = [i for i, kind in enumerate(column) if kind == want]
+        if len(rows) == runs:
+            return every
+        if not rows:
+            return None
+        if rows[-1] - rows[0] == len(rows) - 1:  # a range indexes by a view
+            return slice(rows[0], rows[-1] + 1)
+        return np.array(rows, dtype=np.intp)
 
-def _held_columns(runs) -> list:
-    """Each run's (u, y_s, z) columns. Two or more runs that share an
-    objective and an input set, and start from float64 arrays as a checked
-    start does, take one ``_shared_held``; every other run takes its own
-    ``_held``, whose per-jump map calls cost a lone run less than a stack
-    of one."""
-    groups = collections.defaultdict(list)
-    for r, (model, sched) in enumerate(runs):
-        key = r  # a group of its own
-        if len(runs) > 1 and all(a.dtype == float for a in sched.start):
-            key = (id(model.params.objective), id(model.params.input_set))
-        groups[key].append(r)
-    columns = [None] * len(runs)
-    for members in groups.values():
-        if len(members) > 1:
-            shared = _shared_held(*zip(*(runs[r] for r in members)))
-            for r, held in zip(members, shared):
-                columns[r] = held
-        else:
-            model, sched = runs[members[0]]
-            columns[members[0]] = _held(model, sched.start, sched.jumps)
+    u, y_s, z = (np.asarray(col[0] if runs == 1 else np.stack(col), float)
+                 for col in zip(*(scheds[r].start for r in order)))
+    g1, g2, gradient_offset = stack.g1, stack.g2, stack.gradient_offset
+    offset = gradient_offset(y_s)
+    zs, ys = [z], [y_s]
+    selectors = {}  # the (g1, g2) selectors of each distinct column of maps
+    for column in kinds.view(f"V{runs}")[:, 0].tolist():  # a bytes key per j
+        step = selectors.get(column)
+        if step is None:
+            step = selectors[column] = (selector(column, 0),
+                                        selector(column, 1))
+        g1_rows, g2_rows = step
+        if g1_rows is every:
+            z = g1(z, offset)
+        elif g1_rows is not None:
+            z = z.copy()
+            z[g1_rows] = g1(z[g1_rows], offset[g1_rows])
+        if g2_rows is every:
+            y_s = g2(z)[1]
+            offset = gradient_offset(y_s)
+            ys.append(y_s)
+        elif g2_rows is not None:
+            y_s = g2(z[g2_rows], g2_rows)[1]
+            offset[g2_rows] = gradient_offset(y_s, g2_rows)
+            ys.append(y_s)
+        zs.append(z)
+    zs = np.array(zs).reshape(len(zs), runs, -1)
+    # rows of the u and y_s sources: the starts, then each g2's in order
+    applied = kinds == 1
+    us = np.concatenate([u, zs[1:][applied]], axis=None).reshape(
+        -1, zs.shape[2])
+    ys = np.concatenate(ys, axis=None).reshape(len(us), -1)
+    source = np.zeros((len(zs), runs), dtype=np.intp)
+    source[0] = np.arange(runs)
+    source[1:][applied] = np.arange(runs, len(us))
+    np.maximum.accumulate(source, axis=0, out=source)
+    columns = [None] * runs
+    for i, r in enumerate(order):
+        rows = source[:lengths[i] + 1, i]
+        columns[r] = us[rows], ys[rows], zs[:lengths[i] + 1, i].copy()
     return columns
 
 
@@ -514,9 +495,9 @@ class Flow:
     ``table[i - 1] @ [x; u]`` after i steps (None when no segment has a
     grid step past its start). ``maps`` yields each flow segment's closing
     map (e^{A s}, Gamma(s)), s = its length - running[g], in order.
-    ``held`` is the run's columns (u, y_s, z), one row per segment, from its
-    own recurrence or one it shares with the other runs of its ``flows``
-    call (``_held_columns``).
+    ``held`` is the run's columns (u, y_s, z), one row per segment, from the
+    one ``_held`` of its ``flows`` call (a lone run's, on its model's own
+    maps, which cost it less than a stack of one row).
     """
 
     model: object
@@ -620,16 +601,16 @@ def _batch_flows(batch, held):
 
 def flows(runs) -> Iterator[Flow]:
     """The flow maps and held columns of runs given as (model,
-    ``Schedule``) pairs, all of one plant shape and one grid step: one
-    ``Flow`` per run, in order, for ``simulate``'s ``flow=``.
+    ``Schedule``) pairs, of one parameter set: one ``Flow`` per run, in
+    order, for ``simulate``'s ``flow=``. The runs must share the plant shape
+    (n, m), ``sample_dt``, the objective and the input set (the last two
+    the same objects), as a sweep's runs do (a ``Perturbation`` touches
+    neither); ValueError names the field they do not share.
 
-    The held columns come first, for every run; they are O(runs x jumps)
-    numbers, so they need no batching. Two or more runs that share an
-    objective and an input set, as all of a sweep's runs do (a
-    ``Perturbation`` touches neither), share one recurrence in lockstep over
-    the jump index (``_shared_held``). Any other run, a lone one above all,
-    runs ``_held``, one map call per jump, which costs it less than a stack
-    of one. Each run's columns are bit for bit ``_held``'s either way.
+    The held columns come first, for every run, from one ``_held``; they
+    are O(runs x jumps) numbers, so they need no batching. A lone run's
+    stack is its model, so it makes one map call per jump on its own
+    vectors, which costs it less than a stack of one row.
 
     Consecutive runs form a batch until its tables and grid steps would
     pass FLOW_ELEMENTS elements; a batch holds at least one run. A batch
@@ -640,6 +621,18 @@ def flows(runs) -> Iterator[Flow]:
     once they are. Every map and table row is bit for bit what the run's
     own calls give, whatever shares the stack.
     """
+    runs = list(runs)
+    for field, key in (
+            ("plant shape (n, m)", lambda model, sched: model.b.shape),
+            ("sample_dt", lambda model, sched: sched.sample_dt),
+            ("objective", lambda model, sched: id(model.params.objective)),
+            ("input_set", lambda model, sched: id(model.params.input_set))):
+        if len({key(*run) for run in runs}) > 1:
+            raise ValueError(f"the runs of one flows call must share one "
+                             f"{field}")
+    if not runs:
+        return
+    held = collections.deque(_held(*zip(*runs)))
     batches, size = [], 0
     for model, sched in runs:
         n, m = model.b.shape
@@ -650,8 +643,6 @@ def flows(runs) -> Iterator[Flow]:
             size = 0
         batches[-1].append((model, sched))
         size += need
-    held = collections.deque(_held_columns([run for batch in batches
-                                             for run in batch]))
     del runs  # each batch holds its runs until it yields them
     for i in range(len(batches)):
         batch, batches[i] = batches[i], None

@@ -262,9 +262,10 @@ class HybridFOModel:
     ``g1``, ``g2``) takes and returns the timers and the arrays u, y_s, z
     and the gradient offset, never a ``State``: the jump maps leave x alone.
     ``hybrid.schedule`` reads the timer methods and ``tau_g_reset`` alone,
-    and ``hybrid.flows``' held recurrence the maps of u, y_s and z: those of
-    one model for a lone run, and ``stacked``'s for runs that share an
-    objective and an input set.
+    and ``hybrid.flows``' held recurrence the maps of u, y_s and z, through
+    ``stacked``: a lone run's are its model's own, on vectors, which cost it
+    less than a stack of one row, and two or more runs of one objective and
+    input set share a ``JumpStack``.
 
     A model is a plain value: it sets its attributes in ``__init__`` only and
     holds no cache, so ``flow_x`` computes its map on each call and a run
@@ -361,11 +362,11 @@ class HybridFOModel:
         return z.copy(), self.h @ z + self.params.plant.d
 
     @staticmethod
-    def stacked(models) -> "JumpStack":
+    def stacked(models):
         """The jump maps of ``models``, which share one objective and one
-        input set, on stacked rows: ``hybrid.flows`` runs their held
-        recurrences in lockstep through it."""
-        return JumpStack(models)
+        input set, for ``hybrid.flows``' held recurrence: the model itself
+        for one model, whose maps take vectors, else a ``JumpStack``."""
+        return models[0] if len(models) == 1 else JumpStack(models)
 
 
 def _rows(q, v):
@@ -376,14 +377,16 @@ def _rows(q, v):
 
 
 class JumpStack:
-    """``gradient_offset``, ``g1`` and ``g2`` of runs that share an
-    objective and an input set, on stacks of rows: row r of a stack is run
-    ``models[r]``'s, and ``rows`` (a slice or an index array) picks the runs
-    of a stack from all of them. The output map and the gradient offset take
-    each run's own H and d. Every row gets the bits of its run's own map:
-    the operands are the same arrays in the same layout (H' a transposed
-    view, as ``h.T`` is), each product is ``_rows``', and ``project`` keeps
-    each row's bits."""
+    """``gradient_offset``, ``g1`` and ``g2`` of two or more runs that share
+    an objective and an input set, on stacks of rows, with the model's call
+    signatures: row r of a stack is run ``models[r]``'s, and ``rows`` (a
+    slice or an index array, all runs by default) picks the runs of a stack
+    from all of them. The output map and the gradient offset take each
+    run's own H and d. Every row gets the bits of its run's own map: the
+    operands are the same arrays in the same layout (H' a transposed view,
+    as ``h.T`` is), each product is ``_rows``', and ``project`` keeps each
+    row's bits. A lone run keeps its model's maps on vectors, which cost
+    it less than a stack of one row."""
 
     def __init__(self, models):
         params = models[0].params
@@ -392,7 +395,7 @@ class JumpStack:
         self._g1_operands = models[0]._g1_operands
         self._q_y, self._y_hat = params.objective.q_y, params.objective.y_hat
 
-    def gradient_offset(self, rows, y_s):
+    def gradient_offset(self, y_s, rows=slice(None)):
         """``HybridFOModel.gradient_offset`` of the runs ``rows``."""
         h_t = self.h[rows].transpose(0, 2, 1)
         return _rows(h_t, _rows(self._q_y, y_s - self._y_hat))
@@ -403,10 +406,10 @@ class JumpStack:
         step = z - gamma * (_rows(q_u, z) + offset)
         return project(step)
 
-    def g2(self, rows, z):
-        """The y_s that ``HybridFOModel.g2`` gives the runs ``rows``; their
-        u is z itself."""
-        return _rows(self.h[rows], z) + self.d[rows]
+    def g2(self, z, rows=slice(None)):
+        """``HybridFOModel.g2`` of the runs ``rows``: (u, y_s), u being z
+        itself."""
+        return z, _rows(self.h[rows], z) + self.d[rows]
 
 
 # -- validation -------------------------------------------------------------

@@ -269,11 +269,11 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     Every run is scheduled first (``hybrid.schedule``), so a run over the
     sample budget raises before any arc is filled. ``hybrid.flows`` then
     builds all the runs' flow maps together, and their held columns (u,
-    y_s, z) in one recurrence over the jump index: the runs share an
-    objective and an input set, which a ``Perturbation`` leaves alone. (A
-    lone ``simulate`` keeps a recurrence of its own, which is faster for one
-    run.) Each arc is filled by its own ``simulate`` call, with its
-    ``Flow``, and checked in turn.
+    y_s, z) in its one recurrence over the jump index, which a lone
+    ``simulate`` runs too, on its model's own maps (for one run they cost
+    less than a stack of one row): the runs share an objective and an
+    input set, which a ``Perturbation`` leaves alone. Each arc is filled
+    by its own ``simulate`` call, with its ``Flow``, and checked in turn.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")

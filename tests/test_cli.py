@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -1564,3 +1565,39 @@ def test_workflow_job_is_bounded_and_cached():
               if step.get("uses", "").startswith("actions/setup-python"))
     assert setup["with"]["cache"] == "pip"
     assert (ROOT / setup["with"]["cache-dependency-path"]).is_file()
+
+
+def test_readme_names_every_flag_key_and_exit_code():
+    # README.md documents every command-line flag, config key and exit code,
+    # so cutting it cannot drop one unnoticed
+    readme = (ROOT / "README.md").read_text()
+    flags, parsers = [], [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags += [flag for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+            for name, sub in (action.choices or {}).items():
+                if isinstance(sub, argparse.ArgumentParser):  # a subcommand
+                    flags.append(name)
+                    parsers.append(sub)
+    assert {"--out", "--deltas", "--tau", "--version", "robustness"} <= set(
+        flags)
+    keys, documents = [], [parse_config(str(S1_CONFIG)).document]
+    while documents:
+        for key, value in documents.pop().items():
+            keys.append(key)
+            if isinstance(value, dict):
+                documents.append(value)
+    keys += ["tau_c_value", "center", "radius", "A_hat", "B_hat", "H_hat",
+             "kappa_c", "kappa_g", "theta_g_comp", "theta_c_min",
+             "theta_c_max", "overrides.rho", "HFO_SEED"]
+    # the words of the README's code spans and blocks
+    code = {word.strip("`") for span in re.findall(r"```.*?```|`[^`]+`",
+                                                    readme, re.S)
+            for word in span.split()}
+    assert not [name for name in flags + keys if name not in code]
+    exits = readme[readme.index("Exit codes:"):readme.index("`HFO_SEED`")]
+    codes = {value for name, value in vars(cli).items()
+             if name.startswith("EXIT_")}
+    assert codes == {0, 1, 2, 3}
+    assert all(re.search(rf"\b{code}\s+[a-z]", exits) for code in codes)

@@ -13,8 +13,8 @@ import pytest
 
 from hfo import hybrid, linalg, robustness
 from hfo.config import parse_config
-from hfo.model import (Box, HybridFOModel, JumpPolicy, strict_initial_state,
-                       validate)
+from hfo.model import (Ball, Box, HybridFOModel, JumpPolicy,
+                       strict_initial_state, validate)
 from conftest import random_hurwitz, random_params, s1_params
 from test_hybrid import assert_same_arc
 from test_robustness import (random_perturbation, s1_perturbation,
@@ -376,16 +376,36 @@ def g1_jumps(runs) -> int:
                for _, sched in runs)
 
 
+def held_by_jumps(model, sched):
+    """Oracle: a run's held columns (u, y_s, z) from one call of its
+    model's map per jump, from its start cast to float64."""
+    u, y_s, z = (np.asarray(a, dtype=float) for a in sched.start)
+    offset = model.gradient_offset(y_s)
+    rows = [(u, y_s, z)]
+    for code in sched.jumps.tolist():
+        if hybrid.JUMPS[code][1] == "g1":
+            z = model.g1(z, offset)
+        else:
+            u, y_s = model.g2(z)
+            offset = model.gradient_offset(y_s)
+        rows.append((u, y_s, z))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def assert_same_held(got, want):
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == float
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 class TestSharedHeld:
     DELTAS = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003]
 
-    @pytest.mark.parametrize("case", ["s1", "s1-uniform-random",
-                                      "n3-box", "n3-ball"])
-    def test_equals_held_run_by_run(self, monkeypatch, case):
-        # one recurrence for all of a sweep's runs, at tau 30 with no jump
-        # cap, so that the runs' jump logs end at different j and some j
-        # applies g1 to some runs and g2 to others: each run's columns are
-        # _held's, byte for byte
+    def runs(self, case):
+        """The (model, schedule) runs of a case: a sweep's at tau 30 with no
+        jump cap, or one run alone."""
         params, pert, policy = s1_params(), s1_perturbation(), JumpPolicy(
             seed=1)
         if case == "s1-uniform-random":
@@ -396,34 +416,61 @@ class TestSharedHeld:
         elif case.startswith("n3"):
             # m > 1 and a different H per run
             rng = np.random.default_rng(41)
-            params = random_params(rng, n=3, ball_prob=float(case ==
-                                                             "n3-ball"))
+            ball = case.startswith("n3-ball")
+            params = random_params(rng, n=3, ball_prob=float(ball))
             plant = params.plant
             pert = random_perturbation(rng, plant.n, plant.m, plant.p)
             policy = JumpPolicy(seed=2)
             assert plant.m > 1
-            assert type(params.input_set).__name__ == case[3:].title()
+            assert isinstance(params.input_set, Ball) == ball
+        if case in ("no-g2", "no-jump", "n3-ball-alone"):
+            # S1's first g2 is at t = 1 and its first g1 at t = 0.25
+            horizon = {"no-g2": (0.9, 10), "no-jump": (0.1, 10)}.get(
+                case, (30.0, 10 ** 6))
+            return sweep_schedules(params, pert, [], policy, horizon)
         runs = sweep_schedules(params, pert, self.DELTAS, policy,
                                (30.0, 10 ** 6))
+        if case == "ended":
+            # the sweep's runs capped at different jump counts, one at none
+            runs = [(model, hybrid.schedule(
+                model, robustness._start(model, strict_initial_state(params)),
+                policy, (30.0, cap))) for (model, _), cap in zip(
+                    runs, [10 ** 6, 25, 3, 40, 7, 31, 12, 0])]
+        return runs
+
+    @pytest.mark.parametrize("case", ["s1", "s1-uniform-random", "n3-box",
+                                      "n3-ball", "no-g2", "no-jump", "ended",
+                                      "n3-ball-alone"])
+    def test_equals_held_run_by_run(self, monkeypatch, case):
+        # one recurrence for all the runs of one flows call: in a sweep the
+        # runs' jump logs end at different j and some j applies g1 to some
+        # runs and g2 to others; each run's columns are those of the run
+        # flowed alone, and the oracle's, byte for byte
+        runs = self.runs(case)
         lengths = [len(sched.jumps) for _, sched in runs]
-        assert len(set(lengths)) > 1
-        assert any(len({hybrid.JUMPS[sched.jumps[j]][1] for _, sched in runs
-                        if len(sched.jumps) > j}) == 2
-                   for j in range(max(lengths)))
+        kinds = [[hybrid.JUMPS[code][1] for code in sched.jumps.tolist()]
+                 for _, sched in runs]
+        if len(runs) > 1:
+            assert len(set(lengths)) > 1
+            assert any(len({each[j] for each in kinds if len(each) > j}) == 2
+                       for j in range(max(lengths)))
+        if case == "ended":
+            assert min(lengths) == 0
+        elif case == "no-g2":
+            assert kinds == [["g1"] * 3]
+        elif case == "no-jump":
+            assert lengths == [0]
         calls = count_g1(monkeypatch)
         planned = list(hybrid.flows(runs))
-        assert calls == [0]  # the runs shared one recurrence
-        for flow, (model, sched) in zip(planned, runs):
-            want = hybrid._held(model, sched.start, sched.jumps)
-            assert len(flow.held) == 3
-            for got, column in zip(flow.held, want):
-                assert got.dtype == column.dtype
-                assert got.shape == column.shape
-                assert got.tobytes() == column.tobytes()
+        # a sweep's runs share the stack's g1, and a lone run calls its own
+        assert calls == [0 if len(runs) > 1 else g1_jumps(runs)]
+        for flow, run in zip(planned, runs):
+            assert_same_held(flow.held, next(hybrid.flows([run])).held)
+            assert_same_held(flow.held, held_by_jumps(*run))
 
-    def test_lone_and_unshared_runs_take_held(self, monkeypatch):
-        # a lone run, and runs with different objectives or input sets,
-        # call g1 once per g1 jump; runs that share both call it never
+    def test_lone_run_calls_its_model(self, monkeypatch):
+        # a lone run calls HybridFOModel.g1 once per g1 jump, and a sweep's
+        # runs never call it
         params, pert, policy = s1_params(), s1_perturbation(), JumpPolicy(
             seed=1)
         calls = count_g1(monkeypatch)
@@ -432,32 +479,39 @@ class TestSharedHeld:
         assert calls == [0]
         collections.deque(hybrid.flows(runs[:1]), maxlen=0)
         assert calls == [g1_jumps(runs[:1])] and calls[0] > 0
-        calls[0] = 0
-        objectives = [dataclasses.replace(params, objective=dataclasses.replace(
-            params.objective, gamma=gamma)) for gamma in (0.4, 0.3)]
-        box = params.input_set
-        input_sets = [dataclasses.replace(params, input_set=Box(box.lo, box.hi))
-                      for _ in range(2)]
-        for group in (objectives, input_sets):
-            runs = [run for each in group
-                    for run in sweep_schedules(each, pert, [], policy,
-                                               (30.0, 31))]
-            collections.deque(hybrid.flows(runs), maxlen=0)
-            assert calls == [g1_jumps(runs)] and calls[0] > 0
-            calls[0] = 0
-        # integer start arrays: before its first g2 a run's u and y_s
-        # columns keep their dtype, which a float stack would not
-        start = dataclasses.replace(strict_initial_state(params),
-                                    u=np.array([0]), y_s=np.array([0]),
-                                    z=np.array([0]))
+        # integer start arrays, in a run with no g2: the columns are
+        # float64, with the values of the float start's
+        start = strict_initial_state(params)
+        ints = dataclasses.replace(start, u=np.array([0]), y_s=np.array([0]),
+                                   z=np.array([0]))
         model = HybridFOModel(params)
-        sched = hybrid.schedule(model, start, policy, (0.9, 10))
-        runs = [(model, sched)] * 2
-        first = next(hybrid.flows(runs))
-        assert calls == [g1_jumps(runs)] and calls[0] > 0
-        want = hybrid._held(model, sched.start, sched.jumps)
-        assert [column.dtype for column in first.held] == [
-            np.int64, np.int64, float]
-        for got, column in zip(first.held, want):
-            assert got.dtype == column.dtype
-            assert got.tobytes() == column.tobytes()
+        got, want = (next(hybrid.flows([(model, hybrid.schedule(
+            model, zeta0, policy, (0.9, 10)))])).held
+            for zeta0 in (ints, dataclasses.replace(
+                start, u=np.zeros(1), y_s=np.zeros(1), z=np.zeros(1))))
+        assert_same_held(got, want)
+
+    def test_mixed_runs_refused(self):
+        # the runs of one flows call share the plant shape, sample_dt, the
+        # objective and the input set, or flows raises naming the field
+        params, policy = s1_params(), JumpPolicy(seed=1)
+
+        def run(params, sample_dt=0.01):
+            model = HybridFOModel(params)
+            return model, hybrid.schedule(model, strict_initial_state(params),
+                                          policy, (5.0, 100), sample_dt)
+
+        box = params.input_set
+        rng = np.random.default_rng(3)
+        mixed = {
+            "sample_dt": run(params, 0.003),
+            "objective": run(dataclasses.replace(
+                params, objective=dataclasses.replace(params.objective,
+                                                      gamma=0.3))),
+            "input_set": run(dataclasses.replace(
+                params, input_set=Box(box.lo, box.hi))),
+            "plant shape": run(random_params(rng, n=2)),
+        }
+        for field, other in mixed.items():
+            with pytest.raises(ValueError, match=field):
+                next(hybrid.flows([run(params), other]))
