@@ -12,8 +12,8 @@ acts on u, y_s and z, which no timer reset reads.
   model's timer interface (``contains``, ``which_case``, ``tau_g_reset``)
   and the policy's draws (``jump_order``, ``draw_tau_c_reset``). Its
   ``Schedule`` holds one row of numbers per segment (start time, start
-  timers, grid steps, length, end timers), one code per jump, and the
-  run's start (u, y_s, z).
+  timers, grid steps, length, end timers), one code per jump, and the run
+  it was built for: the model, the start and the policy.
 - ``flows`` builds the flow maps of one or more schedules of one
   parameter set: each run's table of powers of the one-step map on the
   sample grid, and one exact held-input map to each segment's end, from
@@ -21,16 +21,14 @@ acts on u, y_s and z, which no timer reset reads.
   one held recurrence ``_held``, which applies ``g1`` and ``g2`` (with
   ``gradient_offset``) over the jump codes, the arc's jump log, for u, y_s
   and z, for all its runs in lockstep over the jump index. A
-  ``robustness_sweep`` schedules all its runs before it builds their flows
-  in one go. A lone run's stack is its model, so it makes one map call per
-  jump on vectors, which costs it less than a stack of one row.
-- ``simulate`` fills the arc: the held columns as ``flows`` gave them, and
-  pass 2's samples, times and timers in one vectorized expression each, x
-  from the table and the closing maps.
+  ``robustness_sweep`` schedules all its runs, then flows them in one go.
+- ``simulate`` fills the arc of its flow's run: the held columns as
+  ``flows`` gave them, and pass 2's samples, times and timers in one
+  vectorized expression each, x from the table and the closing maps.
 
-``State`` appears only at the API edge, as the initial state ``simulate``
-takes (and the config, ``model.validate`` and the sweeps build or check a
-start; ``from hfo.model import State`` still works)."""
+``State`` appears only at the API edge, as the start a run takes and its
+``Schedule`` keeps (and the config, ``model.validate`` and the sweeps build
+or check a start; ``from hfo.model import State`` still works)."""
 
 from __future__ import annotations
 
@@ -256,15 +254,18 @@ class Schedule:
     timers, and stores one sample. Jump j ends segment j, and ``jumps[j]``
     indexes its (case, applied map) in ``JUMPS``. Segment j + 1 starts at
     the jump's time with the timers the jump left, so a g2's tau_c reset is
-    row j + 1's start tau_c, and no other copy of it is kept. ``start`` is
-    the start's (u, y_s, z), from which ``flows`` runs the held recurrence.
+    row j + 1's start tau_c, and no other copy of it is kept. ``model``,
+    ``zeta0`` and ``policy`` are the run ``flows`` and the fill read: the
+    very objects ``schedule`` was given.
     """
 
     rows: np.ndarray  # (S, 7) float64
     jumps: np.ndarray  # (S - 1,) int8
+    model: object
+    zeta0: State
+    policy: object
     horizon: tuple
     sample_dt: float
-    start: tuple  # (u, y_s, z) of the run's start
 
     @property
     def grids(self) -> np.ndarray:
@@ -353,8 +354,8 @@ def schedule(model, zeta0: State, policy, horizon,
             f"{SAMPLE_BUDGET / 2 ** 30:g} GiB budget")
     rows, jumps = _skeleton(model, zeta0, policy, horizon, sample_dt)
     rows = np.fromiter(rows, float, len(rows)).reshape(-1, 7)
-    return Schedule(rows, np.array(jumps, dtype=np.int8), tuple(horizon),
-                    sample_dt, (zeta0.u, zeta0.y_s, zeta0.z))
+    return Schedule(rows, np.array(jumps, dtype=np.int8), model, zeta0,
+                    policy, tuple(horizon), sample_dt)
 
 
 # The map each jump code applies, 0 for g1 and 1 for g2, and 2 for code -1,
@@ -362,9 +363,9 @@ def schedule(model, zeta0: State, policy, horizon,
 _KINDS = np.array([name == "g2" for _, name in JUMPS] + [2], dtype=np.int8)
 
 
-def _held(models, scheds):
-    """The held recurrence of runs given as models and their schedules: the
-    columns u, y_s, z of each run, one row per segment, in order.
+def _held(scheds):
+    """The held recurrence of runs given as their schedules: the columns
+    u, y_s, z of each run, one row per segment, in order.
 
     It applies ``g1`` and ``g2`` over the jump codes from each run's start,
     cast to float64, g1 with the input period's ``gradient_offset``, taken
@@ -383,7 +384,7 @@ def _held(models, scheds):
     those of the run alone, whatever shares the stack."""
     order = sorted(range(len(scheds)), key=lambda r: -len(scheds[r].jumps))
     runs = len(order)
-    stack = type(models[0]).stacked([models[r] for r in order])
+    stack = type(scheds[0].model).stacked([scheds[r].model for r in order])
     lengths = [len(scheds[r].jumps) for r in order]
     codes = np.full((lengths[0], runs), -1, dtype=np.int8)
     for i, r in enumerate(order):
@@ -402,7 +403,8 @@ def _held(models, scheds):
         return np.array(rows, dtype=np.intp)
 
     u, y_s, z = (np.asarray(col[0] if runs == 1 else np.stack(col), float)
-                 for col in zip(*(scheds[r].start for r in order)))
+                 for col in zip(*((scheds[r].zeta0.u, scheds[r].zeta0.y_s,
+                                   scheds[r].zeta0.z) for r in order)))
     g1, g2, gradient_offset = stack.g1, stack.g2, stack.gradient_offset
     offset = gradient_offset(y_s)
     zs, ys = [z], [y_s]
@@ -496,11 +498,9 @@ class Flow:
     grid step past its start). ``maps`` yields each flow segment's closing
     map (e^{A s}, Gamma(s)), s = its length - running[g], in order.
     ``held`` is the run's columns (u, y_s, z), one row per segment, from the
-    one ``_held`` of its ``flows`` call (a lone run's, on its model's own
-    maps, which cost it less than a stack of one row).
+    one ``_held`` of its ``flows`` call.
     """
 
-    model: object
     schedule: Schedule
     running: np.ndarray  # ``_running`` up to the run's longest segment
     table: np.ndarray | None  # (k, n, n + m), k <= FLOW_BLOCK
@@ -564,15 +564,15 @@ def _stacked_maps(models, owner, steps):
 
 
 def _batch_flows(batch, held):
-    """``flows`` for one batch of (model, schedule) runs, which take their
-    held columns from the front of the deque ``held``: the grid step of every run that needs a table comes first,
-    then every run's closing steps in order, all from one
-    ``_stacked_maps``."""
-    grids = [sched.grids for _, sched in batch]
+    """``flows`` for one batch of schedules, which take their held columns
+    from the front of the deque ``held``: the grid step of every run that
+    needs a table comes first, then every run's closing steps in order, all
+    from one ``_stacked_maps``."""
+    grids = [sched.grids for sched in batch]
     longest = [int(g.max()) for g in grids]
-    running = _running(max(longest), batch[0][1].sample_dt)
+    running = _running(max(longest), batch[0].sample_dt)
     closing = [sched.rows[g >= 0, 4] - running[g[g >= 0]]
-               for (_, sched), g in zip(batch, grids)]
+               for sched, g in zip(batch, grids)]
     del grids
     tabled = [r for r, k in enumerate(longest) if k > 0]
     owner = np.concatenate([tabled] + [np.full(len(c), r)
@@ -580,7 +580,7 @@ def _batch_flows(batch, held):
     steps = np.concatenate([[running[1]] * len(tabled)] + closing)
     counts = [len(c) for c in closing]
     del closing
-    maps = _stacked_maps([model for model, _ in batch],
+    maps = _stacked_maps([sched.model for sched in batch],
                          owner.astype(np.intp), steps)
     del owner, steps
     tables = iter(())
@@ -591,7 +591,7 @@ def _batch_flows(batch, held):
     for r, k in enumerate(longest):
         table = next(tables)[:min(FLOW_BLOCK, k)] if k > 0 else None
         run_maps = itertools.islice(maps, counts[r])
-        flow = Flow(*batch[r], running[:max(k, 0) + 2], table, run_maps,
+        flow = Flow(batch[r], running[:max(k, 0) + 2], table, run_maps,
                     held.popleft())
         batch[r] = None
         yield flow
@@ -599,51 +599,48 @@ def _batch_flows(batch, held):
         collections.deque(run_maps, maxlen=0)  # skip what the run left
 
 
-def flows(runs) -> Iterator[Flow]:
-    """The flow maps and held columns of runs given as (model,
-    ``Schedule``) pairs, of one parameter set: one ``Flow`` per run, in
-    order, for ``simulate``'s ``flow=``. The runs must share the plant shape
-    (n, m), ``sample_dt``, the objective and the input set (the last two
-    the same objects), as a sweep's runs do (a ``Perturbation`` touches
-    neither); ValueError names the field they do not share.
+def flows(scheds) -> Iterator[Flow]:
+    """The flow maps and held columns of runs of one parameter set, given
+    as their ``Schedule``s: one ``Flow`` per run, in order, for
+    ``simulate``'s ``flow=``. The runs must share the plant shape (n, m),
+    ``sample_dt``, the objective and the input set (the last two the same
+    objects), as a sweep's runs do (a ``Perturbation`` touches neither);
+    ValueError names the field they do not share.
 
     The held columns come first, for every run, from one ``_held``; they
-    are O(runs x jumps) numbers, so they need no batching. A lone run's
-    stack is its model, so it makes one map call per jump on its own
-    vectors, which costs it less than a stack of one row.
-
-    Consecutive runs form a batch until its tables and grid steps would
-    pass FLOW_ELEMENTS elements; a batch holds at least one run. A batch
-    takes its grid steps and closing steps from stacked propagator calls
-    (``_stacked_maps``), the first of which holds every grid step, and its
-    power tables from one stacked recurrence (``_power_tables``). A run's
-    closing maps are read in order, and the next run's ``Flow`` is yielded
-    once they are. Every map and table row is bit for bit what the run's
-    own calls give, whatever shares the stack.
+    are O(runs x jumps) numbers, so they need no batching. Consecutive runs
+    form a batch until its tables and grid steps would pass FLOW_ELEMENTS
+    elements; a batch holds at least one run. A batch takes its grid steps
+    and closing steps from stacked propagator calls (``_stacked_maps``), the
+    first of which holds every grid step, and its power tables from one
+    stacked recurrence (``_power_tables``). A run's closing maps are read in
+    order, and the next run's ``Flow`` is yielded once they are. Every map
+    and table row is bit for bit what the run's own calls give, whatever
+    shares the stack.
     """
-    runs = list(runs)
+    scheds = list(scheds)
     for field, key in (
-            ("plant shape (n, m)", lambda model, sched: model.b.shape),
-            ("sample_dt", lambda model, sched: sched.sample_dt),
-            ("objective", lambda model, sched: id(model.params.objective)),
-            ("input_set", lambda model, sched: id(model.params.input_set))):
-        if len({key(*run) for run in runs}) > 1:
+            ("plant shape (n, m)", lambda sched: sched.model.b.shape),
+            ("sample_dt", lambda sched: sched.sample_dt),
+            ("objective", lambda sched: id(sched.model.params.objective)),
+            ("input_set", lambda sched: id(sched.model.params.input_set))):
+        if len({key(sched) for sched in scheds}) > 1:
             raise ValueError(f"the runs of one flows call must share one "
                              f"{field}")
-    if not runs:
+    if not scheds:
         return
-    held = collections.deque(_held(*zip(*runs)))
+    held = collections.deque(_held(scheds))
     batches, size = [], 0
-    for model, sched in runs:
-        n, m = model.b.shape
+    for sched in scheds:
+        n, m = sched.model.b.shape
         depth = min(FLOW_BLOCK, max(int(sched.rows[:, 3].max()), 0))
         need = depth * n * (n + m) + (n + m) ** 2 * (depth > 0)
         if not batches or size + need > FLOW_ELEMENTS:
             batches.append([])
             size = 0
-        batches[-1].append((model, sched))
+        batches[-1].append(sched)
         size += need
-    del runs  # each batch holds its runs until it yields them
+    del scheds  # each batch holds its runs until it yields them
     for i in range(len(batches)):
         batch, batches[i] = batches[i], None
         yield from _batch_flows(batch, held)
@@ -656,9 +653,10 @@ def _plant_column(flow, grids, u, offsets, x0):
     [x(0); u], row k - 1 of ``flow.table``: one batched product per block
     of at most the table's rows, each block starting where the last ended.
     The closing maps that follow give the exact step from the last grid
-    point to each segment's end. Each step is ``e @ x + forced @ u``,
-    ``flow_x``'s arithmetic, so x is bit for bit what per-segment
-    ``flow_x`` calls give. A point segment repeats the state it starts at.
+    point to each segment's end, bit for bit a ``flow_x`` call's ``e @ x +
+    forced @ u``. On the grid the products sum in another order than one
+    ``flow_x`` step per sample: x agrees with it at rounding level (1e-12
+    relative, normwise; about 5e-15 on S1). A point segment keeps its start.
     """
     table, maps = flow.table, flow.maps
     block = 1 if table is None else len(table)
@@ -712,17 +710,20 @@ def simulate(model, zeta0: State, policy, horizon,
     ValueError for a fixed tau_c reset outside the reset interval, whether
     or not the run would reset tau_c.
 
-    The run is ``schedule``, ``flows`` and then the fill. A ``flow`` that
-    ``flows`` yielded for ``schedule(model, zeta0, policy, horizon,
-    sample_dt)``, with these very arguments, skips the first two steps (and
-    their checks, which the schedule made) and brings the run's held
-    columns: ``robustness_sweep`` builds its runs' flows and held columns
-    together and fills each arc here.
+    The run is ``schedule``, ``flows`` and then the fill. A ``flow`` from
+    ``flows`` skips the first two steps (and their checks, which the
+    schedule made) and brings the run's held columns, as each arc of a
+    ``robustness_sweep`` does. Its schedule must hold these very ``model``,
+    ``zeta0`` and ``policy`` (``is``: a ``State`` holds arrays, so ``==`` is
+    no test), an equal horizon and ``sample_dt``, or ValueError refuses it.
+    The fill reads the run from the schedule alone.
     """
     if flow is None:
-        flow = next(flows([(model, schedule(model, zeta0, policy, horizon,
-                                            sample_dt))]))
-    elif (flow.model is not model or flow.schedule.sample_dt != sample_dt
+        flow = next(flows([schedule(model, zeta0, policy, horizon,
+                                    sample_dt)]))
+    elif (flow.schedule.model is not model or flow.schedule.zeta0 is not zeta0
+          or flow.schedule.policy is not policy
+          or flow.schedule.sample_dt != sample_dt
           or flow.schedule.horizon != tuple(horizon)):
         raise ValueError("the flow was built for another run")
     sched = flow.schedule
@@ -731,11 +732,12 @@ def simulate(model, zeta0: State, policy, horizon,
     grids = sched.grids
     offsets, times, (tau_c, tau_g) = _sample_columns(
         starts, grids, lengths, flow.running,
-        [(tau_c0, tau_c1, model.rate_c), (tau_g0, tau_g1, model.rate_g)])
-    x = _plant_column(flow, grids, u, offsets, zeta0.x)
+        [(tau_c0, tau_c1, sched.model.rate_c),
+         (tau_g0, tau_g1, sched.model.rate_g)])
+    x = _plant_column(flow, grids, u, offsets, sched.zeta0.x)
 
-    spacing = (model.period_g, model.period_c)
-    min_dwell = min(spacing) if _aligned(model, zeta0, policy) else None
+    spacing = (sched.model.period_g, sched.model.period_c)
+    min_dwell = min(spacing) if _aligned(sched) else None
     return HybridArc(times, x, tau_c, tau_g, offsets, u, y_s, z, sched.jumps,
                      min_dwell, spacing)
 
@@ -744,11 +746,12 @@ def _on_grid(value: float, step: float) -> bool:
     return abs(value - step * round(value / step)) <= EVENT_TOL
 
 
-def _aligned(model, zeta0, policy) -> bool:
-    """Whether every jump of a run lies on the gradient timer's grid: equal
-    timer rates, one deterministic tau_c reset that is a multiple of the
-    tau_g reset, and starting timers a multiple of it apart. Only then do
-    jump groups stay min(model.period_g, model.period_c) apart."""
+def _aligned(sched: Schedule) -> bool:
+    """Whether every jump of a scheduled run lies on the gradient timer's
+    grid: equal timer rates, one deterministic tau_c reset that is a multiple
+    of the tau_g reset, and starting timers a multiple of it apart. Only then
+    do jump groups stay min(model.period_g, model.period_c) apart."""
+    model, zeta0, policy = sched.model, sched.zeta0, sched.policy
     lo, hi = model.reset_lo, model.reset_hi
     reset = {"fixed": policy.tau_c_value, "min": lo, "max": hi,
              "uniform": lo if lo == hi else None}.get(policy.tau_c_reset)

@@ -263,8 +263,8 @@ class HybridFOModel:
     and the gradient offset, never a ``State``: the jump maps leave x alone.
     ``hybrid.schedule`` reads the timer methods and ``tau_g_reset`` alone,
     and ``hybrid.flows``' held recurrence the maps of u, y_s and z, through
-    ``stacked``: a lone run's are its model's own, on vectors, which cost it
-    less than a stack of one row, and two or more runs of one objective and
+    ``stacked``: a lone run's are its model's own, on vectors
+    (``hybrid._held`` gives why), and two or more runs of one objective and
     input set share a ``JumpStack``.
 
     A model is a plain value: it sets its attributes in ``__init__`` only and
@@ -385,8 +385,8 @@ class JumpStack:
     run's own H and d. Every row gets the bits of its run's own map: the
     operands are the same arrays in the same layout (H' a transposed view,
     as ``h.T`` is), each product is ``_rows``', and ``project`` keeps each
-    row's bits. A lone run keeps its model's maps on vectors, which cost
-    it less than a stack of one row."""
+    row's bits. A lone run keeps its model's maps on vectors
+    (``hybrid._held`` gives why)."""
 
     def __init__(self, models):
         params = models[0].params

@@ -184,7 +184,7 @@ def closeness(arc1: HybridArc, arc2: HybridArc, tau: float) -> ClosenessResult:
     """
     truncated = (arc1.t_end + len(arc1.jumps) + EVENT_TOL < tau
                  or arc2.t_end + len(arc2.jumps) + EVENT_TOL < tau)
-    shared = min(len(arc1.segments), len(arc2.segments))
+    shared = min(len(arc1.offsets), len(arc2.offsets)) - 1
     held_gaps = np.max(np.abs(arc1.held()[:shared] - arc2.held()[:shared]),
                        axis=1)
     held_gaps[np.isnan(held_gaps)] = math.inf  # NaN held values match nothing
@@ -268,12 +268,10 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
 
     Every run is scheduled first (``hybrid.schedule``), so a run over the
     sample budget raises before any arc is filled. ``hybrid.flows`` then
-    builds all the runs' flow maps together, and their held columns (u,
-    y_s, z) in its one recurrence over the jump index, which a lone
-    ``simulate`` runs too, on its model's own maps (for one run they cost
-    less than a stack of one row): the runs share an objective and an
-    input set, which a ``Perturbation`` leaves alone. Each arc is filled
-    by its own ``simulate`` call, with its ``Flow``, and checked in turn.
+    builds all the schedules' flow maps and held columns together: the runs
+    share an objective and an input set, which a ``Perturbation`` leaves
+    alone. Each arc is filled by its own ``simulate`` call, with its
+    ``Flow``, and checked in turn.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
@@ -283,8 +281,7 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     runs = [(HybridFOModel(params), zeta0, policy)] + [
         (model, _start(model, zeta0), _clipped(model, policy))
         for model in models]
-    planned = flows([(model, schedule(model, start, pol, horizon, sample_dt))
-                     for model, start, pol in runs])
+    planned = flows([schedule(*run, horizon, sample_dt) for run in runs])
     arcs = (simulate(*run, horizon, sample_dt, flow=next(planned))
             for run in runs)
     arc_nom = next(arcs)

@@ -271,7 +271,7 @@ class TestSplit:
         zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
         model = HybridFOModel(params)
         short = hybrid.schedule(model, zeta0, policy, (30.0, 31))
-        collections.deque(hybrid.flows([(model, short)] * 7), maxlen=0)
+        collections.deque(hybrid.flows([short] * 7), maxlen=0)
         assert batches == [7]
         config, zeta0, _ = pool_run("mimo-verify", 0, tmp_path)
         model = HybridFOModel(config.params)
@@ -280,7 +280,7 @@ class TestSplit:
         assert n == 20 and fine.grids.max() >= hybrid.FLOW_BLOCK
         assert hybrid.FLOW_BLOCK * n * (n + m) > hybrid.FLOW_ELEMENTS
         batches.clear()
-        collections.deque(hybrid.flows([(model, fine)] * 2), maxlen=0)
+        collections.deque(hybrid.flows([fine] * 2), maxlen=0)
         assert batches == [1, 1]
 
     def test_several_calls_over_several_plants(self, monkeypatch):
@@ -307,16 +307,24 @@ class TestSplit:
         assert repr(got) == repr(want)
 
     def test_flow_for_another_run_refused(self):
+        # a flow fills only the run its schedule was built from: these very
+        # model, start and policy objects, an equal horizon and sample_dt
         params = s1_params()
         zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
         model = HybridFOModel(params)
-        sched = hybrid.schedule(model, zeta0, policy, (3.0, 100))
-        flow = next(hybrid.flows([(model, sched)]))
-        with pytest.raises(ValueError, match="another run"):
-            hybrid.simulate(HybridFOModel(params), zeta0, policy, (3.0, 100),
-                            flow=flow)
-        with pytest.raises(ValueError, match="another run"):
-            hybrid.simulate(model, zeta0, policy, (4.0, 100), flow=flow)
+        flow = next(hybrid.flows([hybrid.schedule(model, zeta0, policy,
+                                                  (3.0, 100))]))
+        u = np.full(params.plant.m, 0.9)
+        moved = dataclasses.replace(zeta0, u=u, z=u,
+                                    y_s=params.h @ u + params.plant.d)
+        g2_first = dataclasses.replace(policy, case3_order="g2_first")
+        for run in [(HybridFOModel(params), zeta0, policy, (3.0, 100)),
+                    (model, moved, policy, (3.0, 100)),
+                    (model, zeta0, g2_first, (3.0, 100)),
+                    (model, zeta0, policy, (4.0, 100)),
+                    (model, zeta0, policy, (3.0, 100), 0.02)]:
+            with pytest.raises(ValueError, match="another run"):
+                hybrid.simulate(*run, flow=flow)
 
     def test_unread_maps_are_skipped(self):
         # a run that stops reading its closing maps leaves the next run's
@@ -324,9 +332,8 @@ class TestSplit:
         params = s1_params()
         zeta0, policy = strict_initial_state(params), JumpPolicy(seed=1)
         models = [HybridFOModel(params), HybridFOModel(params)]
-        runs = [(m, hybrid.schedule(m, zeta0, policy, (3.0, 100)))
-                for m in models]
-        planned = hybrid.flows(runs)
+        planned = hybrid.flows([hybrid.schedule(m, zeta0, policy, (3.0, 100))
+                                for m in models])
         next(next(planned).maps)
         arc = hybrid.simulate(models[1], zeta0, policy, (3.0, 100),
                               flow=next(planned))
@@ -347,14 +354,13 @@ class TestSplit:
 
 
 def sweep_schedules(params, pert, deltas, policy, horizon):
-    """(model, schedule) of a sweep's nominal run and its runs at
-    ``deltas``, as ``robustness_sweep`` schedules them."""
+    """The schedules of a sweep's nominal run and its runs at ``deltas``, as
+    ``robustness_sweep`` schedules them."""
     zeta0 = strict_initial_state(params)
     models = [HybridFOModel(params)] + [HybridFOModel(params, pert, delta)
                                         for delta in deltas]
-    return [(model, hybrid.schedule(model, robustness._start(model, zeta0),
-                                    robustness._clipped(model, policy),
-                                    horizon))
+    return [hybrid.schedule(model, robustness._start(model, zeta0),
+                            robustness._clipped(model, policy), horizon)
             for model in models]
 
 
@@ -371,15 +377,17 @@ def count_g1(monkeypatch):
     return calls
 
 
-def g1_jumps(runs) -> int:
+def g1_jumps(scheds) -> int:
     return sum(int(np.count_nonzero(hybrid._applied(sched.jumps, "g1")))
-               for _, sched in runs)
+               for sched in scheds)
 
 
-def held_by_jumps(model, sched):
+def held_by_jumps(sched):
     """Oracle: a run's held columns (u, y_s, z) from one call of its
     model's map per jump, from its start cast to float64."""
-    u, y_s, z = (np.asarray(a, dtype=float) for a in sched.start)
+    model, start = sched.model, sched.zeta0
+    u, y_s, z = (np.asarray(a, dtype=float)
+                 for a in (start.u, start.y_s, start.z))
     offset = model.gradient_offset(y_s)
     rows = [(u, y_s, z)]
     for code in sched.jumps.tolist():
@@ -404,8 +412,8 @@ class TestSharedHeld:
     DELTAS = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003]
 
     def runs(self, case):
-        """The (model, schedule) runs of a case: a sweep's at tau 30 with no
-        jump cap, or one run alone."""
+        """The schedules of a case: a sweep's runs at tau 30 with no jump
+        cap, or one run alone."""
         params, pert, policy = s1_params(), s1_perturbation(), JumpPolicy(
             seed=1)
         if case == "s1-uniform-random":
@@ -432,9 +440,10 @@ class TestSharedHeld:
                                (30.0, 10 ** 6))
         if case == "ended":
             # the sweep's runs capped at different jump counts, one at none
-            runs = [(model, hybrid.schedule(
-                model, robustness._start(model, strict_initial_state(params)),
-                policy, (30.0, cap))) for (model, _), cap in zip(
+            runs = [hybrid.schedule(
+                sched.model, robustness._start(sched.model,
+                                               strict_initial_state(params)),
+                policy, (30.0, cap)) for sched, cap in zip(
                     runs, [10 ** 6, 25, 3, 40, 7, 31, 12, 0])]
         return runs
 
@@ -447,9 +456,9 @@ class TestSharedHeld:
         # runs and g2 to others; each run's columns are those of the run
         # flowed alone, and the oracle's, byte for byte
         runs = self.runs(case)
-        lengths = [len(sched.jumps) for _, sched in runs]
+        lengths = [len(sched.jumps) for sched in runs]
         kinds = [[hybrid.JUMPS[code][1] for code in sched.jumps.tolist()]
-                 for _, sched in runs]
+                 for sched in runs]
         if len(runs) > 1:
             assert len(set(lengths)) > 1
             assert any(len({each[j] for each in kinds if len(each) > j}) == 2
@@ -466,7 +475,7 @@ class TestSharedHeld:
         assert calls == [0 if len(runs) > 1 else g1_jumps(runs)]
         for flow, run in zip(planned, runs):
             assert_same_held(flow.held, next(hybrid.flows([run])).held)
-            assert_same_held(flow.held, held_by_jumps(*run))
+            assert_same_held(flow.held, held_by_jumps(run))
 
     def test_lone_run_calls_its_model(self, monkeypatch):
         # a lone run calls HybridFOModel.g1 once per g1 jump, and a sweep's
@@ -485,8 +494,8 @@ class TestSharedHeld:
         ints = dataclasses.replace(start, u=np.array([0]), y_s=np.array([0]),
                                    z=np.array([0]))
         model = HybridFOModel(params)
-        got, want = (next(hybrid.flows([(model, hybrid.schedule(
-            model, zeta0, policy, (0.9, 10)))])).held
+        got, want = (next(hybrid.flows([hybrid.schedule(
+            model, zeta0, policy, (0.9, 10))])).held
             for zeta0 in (ints, dataclasses.replace(
                 start, u=np.zeros(1), y_s=np.zeros(1), z=np.zeros(1))))
         assert_same_held(got, want)
@@ -497,9 +506,9 @@ class TestSharedHeld:
         params, policy = s1_params(), JumpPolicy(seed=1)
 
         def run(params, sample_dt=0.01):
-            model = HybridFOModel(params)
-            return model, hybrid.schedule(model, strict_initial_state(params),
-                                          policy, (5.0, 100), sample_dt)
+            return hybrid.schedule(HybridFOModel(params),
+                                   strict_initial_state(params), policy,
+                                   (5.0, 100), sample_dt)
 
         box = params.input_set
         rng = np.random.default_rng(3)
