@@ -179,6 +179,76 @@ def write_trajectory_csv(path: Path, arc, consts, params):
             lo = hi
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(value, indent: str, parts: list):
+    """Append the text of ``value`` to ``parts``, as ``json.dumps(value,
+    indent=2)`` writes it at nesting ``indent``: dicts with str keys, lists
+    and tuples, str, bool, None, int, and float (NaN and +-Infinity as json
+    writes them); any other type, or a key that is not a str, raises
+    TypeError."""
+    if isinstance(value, str):
+        parts.append(_quoted(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value in (math.inf, -math.inf):
+            parts.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        # one separator string per container, as json keeps
+        separator = ",\n" + inner
+        if isinstance(value, dict):
+            parts.append("{" + separator[1:])
+            for i, (key, item) in enumerate(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not "
+                                    f"{type(key).__name__}")
+                if i:
+                    parts.append(separator)
+                parts += (_quoted(key), ": ")
+                _json_parts(item, inner, parts)
+            parts.append("\n" + indent + "}")
+        elif (set(map(type, value)) == {float}
+              and all(map(math.isfinite, value))):
+            # a row of finite floats, the bulk of a report, in one join
+            parts.append("[" + separator[1:]
+                         + separator.join(map(float.__repr__, value))
+                         + "\n" + indent + "]")
+        else:
+            parts.append("[" + separator[1:])
+            for i, item in enumerate(value):
+                if i:
+                    parts.append(separator)
+                _json_parts(item, inner, parts)
+            parts.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+
+def json_text(report) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, for the reports'
+    types (``_json_parts``), without json's generator per container."""
+    parts = []
+    _json_parts(report, "", parts)
+    return "".join(parts)
+
+
 @contextlib.contextmanager
 def _writing(out: Path):
     """An OSError on the --out directory or a file in it is bad input that
@@ -226,7 +296,7 @@ def cmd_simulate(args) -> int:
     with _writing(out):
         write_trajectory_csv(out / "trajectory.csv", arc, consts,
                              config.params)
-        (out / "report.json").write_text(json.dumps(report, indent=2))
+        (out / "report.json").write_text(json_text(report))
     print(f"wrote {out / 'trajectory.csv'} and {out / 'report.json'}")
     return EXIT_OK
 
@@ -281,7 +351,7 @@ def cmd_verify(args) -> int:
     report = _base_report(config, consts, diag)
     report["checks"] = checks
     with _writing(out):
-        (out / "verify_report.json").write_text(json.dumps(report, indent=2))
+        (out / "verify_report.json").write_text(json_text(report))
 
     failed = [name for name, c in checks.items() if c["passed"] is False]
     for name, c in checks.items():
@@ -337,7 +407,7 @@ def cmd_robustness(args) -> int:
             for row in sweep.rows:
                 writer.writerow([row.delta, row.epsilon, row.witness_t,
                                  row.witness_j])
-        (out / "robustness_report.json").write_text(json.dumps(report, indent=2))
+        (out / "robustness_report.json").write_text(json_text(report))
     trend = "nonincreasing" if sweep.nonincreasing else "NOT nonincreasing"
     print(f"epsilon trend over decreasing delta: {trend}")
     for row in sweep.rows:

@@ -194,9 +194,11 @@ def sample_bound(model, horizon, sample_dt: float) -> float:
     samples besides its grid points.
     """
     t_max, j_max = horizon
-    # capped at the largest float, so that no huge J overflows the product
-    jumps = min(j_max + 1, t_max / model.period_g + t_max / model.period_c + 2,
-                np.finfo(float).max)
+    # a float at most the largest one, so that a huge J gives an infinite
+    # bound, not an OverflowError
+    jumps = float(min(j_max + 1,
+                      t_max / model.period_g + t_max / model.period_c + 2,
+                      np.finfo(float).max))
     t_end = min(t_max, (jumps + 1) * model.period_g)
     return t_end / sample_dt + 2 * (jumps + 2)
 

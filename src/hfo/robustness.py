@@ -243,6 +243,32 @@ def _clipped(model: HybridFOModel, policy: JumpPolicy) -> JumpPolicy:
     return dataclasses.replace(policy, tau_c_value=value)
 
 
+def _jump_cap(models, tau: float) -> int:
+    """``robustness_sweep``'s jump cap J for runs of ``models``, before its
+    rounding check: floor((nu tau' + 2)/(nu + 1)) + 1, tau' = tau +
+    EVENT_TOL, at most floor(tau') + 1. The bound is computed as
+    tau' - (tau' - 2)/(nu + 1), which overflows for no finite tau'."""
+    nu = max(1.0 / model.period_g + 1.0 / model.period_c for model in models)
+    reach = tau + EVENT_TOL
+    return min(math.floor(reach - (reach - 2.0) / (nu + 1.0)),
+               math.floor(reach)) + 1
+
+
+def _schedules(runs, tau: float, sample_dt: float):
+    """(horizon, schedules) of ``robustness_sweep``'s runs: capped at
+    ``_jump_cap``, or at floor(tau + EVENT_TOL) + 1 if a capped run's
+    segment J starts at t_J + J <= tau + EVENT_TOL."""
+    cap = _jump_cap([run[0] for run in runs], tau)
+    horizon = (float(tau), cap)
+    scheds = [schedule(*run, horizon, sample_dt) for run in runs]
+    cut = tau + EVENT_TOL
+    if any(len(sched.rows) > cap and sched.rows[cap, 0] + cap <= cut
+           for sched in scheds):
+        horizon = (float(tau), math.floor(cut) + 1)
+        scheds = [schedule(*run, horizon, sample_dt) for run in runs]
+    return horizon, scheds
+
+
 def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
                      tau: float, policy: JumpPolicy, zeta0: State,
                      sample_dt: float = 0.01) -> SweepResult:
@@ -252,15 +278,30 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
     adjustments below) so that the measured epsilon reflects the
     perturbation rather than selection divergence.
 
-    Each run stops at t = tau or at jump index J = floor(tau + EVENT_TOL) + 1,
-    whichever comes first, and that changes no result. ``closeness`` reads
-    the samples with t + j <= tau + EVENT_TOL; since t >= 0, they all lie in
-    segments with j <= J - 1. A read sample is matched against the whole
-    segment with the same j in the other arc, which again has j <= J - 1.
-    Segments 0..J-1 of a capped run equal those of an uncapped one, sample
-    for sample: the flow horizon is the same, and the jumps before them draw
-    the same random resets in the same order. Samples of those segments with
-    t + j > tau are kept, because they still serve as counterparts.
+    Each run stops at t = tau or at jump index J, whichever comes first, and
+    that changes no result. ``closeness`` reads the samples with
+    t + j <= tau + EVENT_TOL and matches each against the whole segment with
+    the same j in the other arc. Segments 0..J-1 of a capped run equal those
+    of an uncapped one, sample for sample: the flow horizon is the same, and
+    the jumps before them draw the same random resets in the same order.
+    Samples of those segments with t + j > tau are kept, as counterparts.
+    So J is sound if no run reads a segment at or past J. ``_jump_cap``
+    gives J by the count ``hybrid.sample_bound`` uses:
+    - with nu the largest 1/period_g + 1/period_c over the runs' models, a
+      run makes at most nu t + 2 jumps by time t, so t_j >= (j - 2)/nu;
+    - a read segment has t_j + j <= tau + EVENT_TOL, so
+      j <= (nu (tau + EVENT_TOL) + 2)/(nu + 1);
+    - J is the floor of that bound plus 1, and at most
+      floor(tau + EVENT_TOL) + 1, which t_j >= 0 alone gives.
+    On S1 (nu = 5) at tau = 30, J = 26 rather than 31. The count holds up
+    to rounding: a jump within EVENT_TOL of another or of its expiry
+    shortens a period by at most EVENT_TOL of timer value, and jump times
+    are rounded sums. So a bound within that margin of an integer (from a
+    start with both timers expired, say) can miss segment J. Hence
+    ``_schedules`` checks, in the floats ``closeness`` reads, that every
+    capped run's segment J starts past tau + EVENT_TOL, and else schedules
+    every run again to floor(tau + EVENT_TOL) + 1. A run stopped at J thus
+    has t_J + J > tau + EVENT_TOL, and ``closeness`` reports it untruncated.
 
     Every scale is checked before the first run; a bad one raises
     ScaleError naming it. Each perturbed run starts from ``_start(zeta0)``
@@ -277,11 +318,11 @@ def robustness_sweep(params: ModelParams, pert: Perturbation, deltas,
         raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
     deltas = list(deltas)
     models = [_scaled(params, pert, delta) for delta in deltas]
-    horizon = (float(tau), math.floor(tau + EVENT_TOL) + 1)
     runs = [(HybridFOModel(params), zeta0, policy)] + [
         (model, _start(model, zeta0), _clipped(model, policy))
         for model in models]
-    planned = flows([schedule(*run, horizon, sample_dt) for run in runs])
+    horizon, scheds = _schedules(runs, tau, sample_dt)
+    planned = flows(scheds)
     arcs = (simulate(*run, horizon, sample_dt, flow=next(planned))
             for run in runs)
     arc_nom = next(arcs)

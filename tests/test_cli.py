@@ -1284,6 +1284,20 @@ class TestRobustnessCommand:
         assert "samples" in err and "GiB" in err
         assert not (tmp_path / "robustness.csv").exists()
 
+    @pytest.mark.parametrize("tau", ["1e308", repr(sys.float_info.max)])
+    def test_float_max_tau_exits_2_naming_it(self, tmp_path, capsys, tau):
+        # the cap is a Python int near 1.5e308 here; the sample bound takes
+        # it as a float, so the bound is inf and refuses the run
+        model = HybridFOModel(parse_config(load_s1_dict()).params)
+        assert hybrid.sample_bound(model, (float(tau), 10 ** 308), 0.01) \
+            == math.inf
+        cfg = write_config(tmp_path, load_s1_dict())
+        assert main(["robustness", cfg, "--out", str(tmp_path),
+                     "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tau ") and "samples" in err
+        assert not (tmp_path / "robustness.csv").exists()
+
     def test_s1_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, load_s1_dict())
         assert main(["robustness", cfg, "--out", str(tmp_path),
@@ -1486,6 +1500,59 @@ class TestRobustnessCommand:
         cfg = write_config(tmp_path, data)
         assert main(["robustness", cfg, "--out", str(tmp_path)]) == 2
         assert "perturbation" in capsys.readouterr().err
+
+
+class TestJsonText:
+    """``cli.json_text`` writes the reports as ``json.dumps(report,
+    indent=2)`` would, byte for byte."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", "s1"), ("verify", "s1"), ("robustness", "s1"),
+        ("verify", "mimo-3")])
+    def test_reports_match_json_dumps(self, tmp_path, monkeypatch, command,
+                                      config):
+        reports, json_text = [], cli.json_text
+
+        def kept(report):
+            reports.append(report)
+            return json_text(report)
+
+        monkeypatch.setattr(cli, "json_text", kept)
+        data = (load_s1_dict() if config == "s1"
+                else scenarios.mimo_scenario(3))
+        cfg = write_config(tmp_path, data)
+        assert main([command, cfg, "--out", str(tmp_path)]) == 0
+        report, = reports
+        written, = (path for path in tmp_path.glob("*.json")
+                    if path.name != "scenario.json")
+        assert written.read_text() == json.dumps(report, indent=2)
+
+    def test_edge_values_match_json_dumps(self):
+        report = {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                       0.1, np.float64(2.5), np.float64(math.nan)],
+            "row": [1.0, -0.0, 5e-324, 1e16, 1 / 3],
+            "ints": [2 ** 53 + 1, -(2 ** 70), 0, True, False, None],
+            "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+            "tuple": (1, 2.5, "three", (None,)),
+            "text": "na\u00efve \u2713 \"quoted\" \\ tab\t\n\u0001",
+            "": {"deep": {"deeper": [{"k": [0.5]}]}},
+        }
+        assert cli.json_text(report) == json.dumps(report, indent=2)
+        for value in (1.5, "x", None, [], {}, ()):
+            assert cli.json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), {1, 2}, {"a": b"bytes"}, [np.bool_(True)]])
+    def test_other_types_raise_type_error(self, value):
+        for encode in (lambda v: json.dumps(v, indent=2), cli.json_text):
+            with pytest.raises(TypeError):
+                encode(value)
+
+    def test_keys_other_than_str_raise_type_error(self):
+        # json would write 1 as "1"; no report has such a key
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli.json_text({"a": {1: "int key"}})
 
 
 class TestOutDirectory:

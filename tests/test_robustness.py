@@ -115,6 +115,91 @@ def sweep_by_runs(params, pert, deltas, tau, policy, zeta0, sample_dt=0.01):
         a.epsilon >= b.epsilon - 1e-12 for a, b in zip(ordered, ordered[1:])))
 
 
+def timer_variant(case):
+    """(params, pert, policy, zeta0) of a sweep whose timers stress the jump
+    cap: faster rates, negative reset offsets, starts at or within
+    EVENT_TOL of expiry (where two jumps come at t = 0 and the cap's bound
+    can be an exact integer), drawing policies, an n = 3 plant, and periods
+    0.3 and 0.9, whose sums round."""
+    params, pert = s1_params(), s1_perturbation()
+    policy = JumpPolicy(tau_c_reset="min", seed=1)
+    if case == "n3":
+        rng = np.random.default_rng(41)
+        params = random_params(rng, n=3)
+        plant = params.plant
+        pert = random_perturbation(rng, plant.n, plant.m, plant.p)
+        policy = JumpPolicy(seed=2)
+    elif case == "uniform-random":
+        params = dataclasses.replace(params, timers=dataclasses.replace(
+            params.timers, tau_c_max=1.2))
+        policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=4)
+    elif case == "off-grid":
+        params = dataclasses.replace(params, timers=dataclasses.replace(
+            params.timers, tau_c_min=0.9, tau_c_max=0.9, tau_g_comp=0.3,
+            ell=3))
+    if case in ("faster-timers", "expired-start", "near-expiry"):
+        pert = dataclasses.replace(pert, kappa_c=-0.1, kappa_g=-0.3)
+    elif case == "off-grid":  # the periods stay 0.3 and 0.9, over a rate
+        pert = dataclasses.replace(pert, kappa_c=-0.1, kappa_g=-0.1,
+                                   theta_g_comp=0.0, theta_c_min=0.0,
+                                   theta_c_max=0.0)
+    elif case == "negative-offsets":
+        pert = dataclasses.replace(pert, theta_g_comp=-0.02,
+                                   theta_c_min=-0.02, theta_c_max=-0.01)
+    zeta0 = strict_initial_state(params)
+    if case in ("expired-start", "off-grid"):
+        zeta0 = dataclasses.replace(zeta0, tau_c=0.0, tau_g=0.0)
+    elif case == "near-expiry":
+        zeta0 = dataclasses.replace(zeta0, tau_c=1e-13, tau_g=5e-13)
+    return params, pert, policy, zeta0
+
+
+TIMER_VARIANTS = ["s1", "faster-timers", "negative-offsets", "expired-start",
+                  "near-expiry", "uniform-random", "n3", "off-grid"]
+
+
+def sweep_runs(params, pert, deltas, policy, zeta0):
+    """The runs (model, start, policy) of ``robustness_sweep``: the nominal
+    one, then one per scale."""
+    models = [HybridFOModel(params, pert, delta) for delta in deltas]
+    return [(HybridFOModel(params), zeta0, policy)] + [
+        (model, robustness._start(model, zeta0),
+         robustness._clipped(model, policy)) for model in models]
+
+
+def segment_reach(sched):
+    """fl(t_j + j) of each segment's start, as ``closeness`` reads it."""
+    return sched.rows[:, 0] + np.arange(len(sched.rows))
+
+
+def first_reading_tau(reach: float) -> float:
+    """The smallest tau >= 0 at which ``closeness`` reads a segment whose
+    start has t_j + j = ``reach``: the least float with tau + EVENT_TOL >=
+    reach."""
+    tau = max(reach - hybrid.EVENT_TOL, 0.0)
+    while tau > 0.0 and np.nextafter(tau, -1.0) + hybrid.EVENT_TOL >= reach:
+        tau = float(np.nextafter(tau, -1.0))
+    while tau + hybrid.EVENT_TOL < reach:
+        tau = float(np.nextafter(tau, math.inf))
+    return tau
+
+
+def read_beyond(runs, horizon: float):
+    """(tau, last read segment index, long schedule) for each tau at which
+    some run's long schedule starts reading one more segment, up to
+    ``horizon``, and at 2 and 6.5."""
+    longs = [hybrid.schedule(*run, (horizon + 1.0, 10 ** 6)) for run in runs]
+    taus = {2.0, 6.5}
+    for sched in longs:
+        taus.update(first_reading_tau(reach)
+                    for reach in segment_reach(sched).tolist()
+                    if reach <= horizon)
+    for tau in sorted(taus):
+        for sched in longs:
+            read = np.flatnonzero(segment_reach(sched) <= tau + hybrid.EVENT_TOL)
+            yield tau, int(read[-1]), sched
+
+
 def run_s1(model, horizon=(5.0, 200), sample_dt=0.01, seed=1):
     params = s1_params()
     policy = JumpPolicy(tau_c_reset="min", case3_order="g1_first", seed=seed)
@@ -587,28 +672,97 @@ class TestRobustnessSweep:
                                 policy=policy, zeta0=zeta0)
         assert long.rows[0].epsilon > short.rows[0].epsilon
 
-    @pytest.mark.parametrize("tau", [6.0, 6.5, 30.0])
-    def test_capped_runs_match_long_runs(self, tau):
-        # the sweep stops at jump index floor(tau) + 1; the rows must equal
-        # closeness on runs under the earlier, much larger jump budget
-        params, pert = s1_params(), s1_perturbation()
-        policy = JumpPolicy(tau_c_reset="uniform", case3_order="random", seed=4)
+    @pytest.mark.parametrize("case, tau", [
+        # the uniform-random cases keep their ids from before the variants
+        pytest.param(case, tau, id=str(tau) if case == "uniform-random"
+                     else f"{case}-{tau}")
+        for case in TIMER_VARIANTS for tau in (6.0, 6.5, 30.0)]
+        + [("off-grid", "rounding")])
+    def test_capped_runs_match_long_runs(self, case, tau):
+        # the sweep stops at the jump cap; the rows must equal closeness on
+        # runs under a much larger jump budget. "rounding" is the first tau
+        # at which the cap's bound alone misses a read segment of one of the
+        # runs (tau = 36.1), where the sweep falls back to the longer cap
+        params, pert, policy, zeta0 = timer_variant(case)
         deltas = [0.3, 1e-2, 1e-3]
-        zeta0 = strict_initial_state(params)
+        runs = sweep_runs(params, pert, deltas, policy, zeta0)
+        if tau == "rounding":
+            models = [run[0] for run in runs]
+            tau = next(tau for tau, last, _ in read_beyond(runs, 45.0)
+                       if last >= robustness._jump_cap(models, tau))
         sweep = robustness_sweep(params, pert, deltas, tau, policy, zeta0)
-        nominal = HybridFOModel(params)
+        nominal = runs[0][0]
         min_dwell = min(nominal.period_g, nominal.period_c)
         horizon = (tau, int(math.ceil(tau / min_dwell)) * 2 + 16)
-        arc_nom = hybrid.simulate(nominal, zeta0, policy, horizon)
+        arc_nom = hybrid.simulate(*runs[0], horizon)
         assert len(arc_nom.segments) - 1 > math.floor(tau) + 1
-        for row, delta in zip(sweep.rows, deltas):
-            arc = hybrid.simulate(HybridFOModel(params, pert, delta), zeta0,
-                                  policy, horizon)
+        for row, run in zip(sweep.rows, runs[1:]):
+            arc = hybrid.simulate(*run, horizon)
             result = closeness(arc_nom, arc, tau)
             assert row.epsilon == result.epsilon
             assert (row.witness_arc, row.witness_t, row.witness_j) == \
                 result.witness
             assert row.truncated is False
+
+    @pytest.mark.parametrize("case", TIMER_VARIANTS)
+    def test_jump_cap_is_sound(self, case):
+        # at every tau where a run of an uncapped schedule starts reading
+        # one more segment (t_j + j <= tau + EVENT_TOL), that segment lies
+        # below the sweep's cap, and so does every counterpart closeness
+        # matches it against, which has the same j. Up to tau = 12 the
+        # bound alone is sound, so the check never falls back
+        params, pert, policy, zeta0 = timer_variant(case)
+        runs = sweep_runs(params, pert, [0.3, 1 / 3, 0.01], policy, zeta0)
+        models = [run[0] for run in runs]
+        caps = {}
+        for tau, last, _ in read_beyond(runs, 12.0):
+            if tau not in caps:
+                (_, caps[tau]), _ = robustness._schedules(runs, tau, 0.01)
+                assert caps[tau] == robustness._jump_cap(models, tau)
+            assert last < caps[tau], tau
+
+    def test_rounding_check_catches_what_the_bound_misses(self):
+        # from expired timers the count nu t + 2 is attained; with periods
+        # 0.3 and 0.9 the jump times round below it, and the bound alone
+        # misses a read segment at some taus: the sweep's check then falls
+        # back to floor(tau + EVENT_TOL) + 1
+        params, pert, policy, zeta0 = timer_variant("off-grid")
+        runs = sweep_runs(params, pert, [0.3, 1 / 3, 0.01], policy, zeta0)
+        models = [run[0] for run in runs]
+        missed = [(tau, last) for tau, last, _ in read_beyond(runs, 45.0)
+                  if last >= robustness._jump_cap(models, tau)]
+        assert missed
+        for tau, last in missed:
+            (_, cap), _ = robustness._schedules(runs, tau, 0.01)
+            assert last < cap == math.floor(tau + hybrid.EVENT_TOL) + 1
+
+    def test_jump_cap_is_tight_on_s1(self, monkeypatch):
+        # S1 makes 5 jumps per second: at tau = 30 every read segment, and
+        # every counterpart, has j <= 25, so the cap is 26, and a capped
+        # arc holds at most 27 jumps (J never splits a composite jump)
+        arcs = []
+
+        def kept(*args, **kwargs):
+            arcs.append(hybrid.simulate(*args, **kwargs))
+            return arcs[-1]
+
+        monkeypatch.setattr(robustness, "simulate", kept)
+        params, pert, policy, zeta0 = timer_variant("s1")
+        deltas = [0.15, 0.04, 0.01, 0.003, 0.001, 0.0002]
+        sweep = robustness_sweep(params, pert, deltas, 30.0, policy, zeta0)
+        runs = sweep_runs(params, pert, deltas, policy, zeta0)
+        assert robustness._jump_cap([run[0] for run in runs], 30.0) == 26
+        assert len(arcs) == 7
+        assert all(len(arc.jumps) <= 27 for arc in arcs)
+        assert not any(row.truncated for row in sweep.rows)
+
+    def test_jump_cap_overflows_for_no_tau(self):
+        # tau' - (tau' - 2)/(nu + 1) stays finite up to the largest float
+        models = [HybridFOModel(s1_params())]
+        biggest = np.finfo(float).max
+        assert robustness._jump_cap(models, biggest) == math.floor(
+            biggest - (biggest - 2.0) / 6.0) + 1
+        assert robustness._jump_cap(models, 0.0) == 1
 
     def test_short_arc_still_reports_truncation(self):
         # T = 3 s reaches j = 15, so t + j stays below tau = 30
